@@ -1,238 +1,598 @@
 open Mvm
 
 (* ------------------------------------------------------------------ *)
-(* CRC32 (IEEE 802.3, polynomial 0xEDB88320) over entry lines. The table
-   is built lazily once; the checksum guards each entry against the bit
-   rot and truncation a log suffers on its way off the production
-   machine. *)
+(* CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte
+   range. The checksum guards each entry line against the bit rot and
+   truncation a log suffers on its way off the production machine. The
+   running value fits a native int, so the per-byte step allocates
+   nothing. *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let ix = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor table.(ix) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+let crc32 s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Log_io.crc32";
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c :=
+      Array.unsafe_get crc_table
+        ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
 
-let crc_hex s = Printf.sprintf "%08lx" (Int32.logand (crc32 s) 0xFFFFFFFFl)
+(* a CRC as 8 lowercase hex digits, most significant first *)
+let put_hex8 b pos crc =
+  for k = 0 to 7 do
+    Bytes.unsafe_set b (pos + k)
+      "0123456789abcdef".[(crc lsr (28 - (4 * k))) land 0xF]
+  done
+
+let crc_hex s =
+  let b = Bytes.create 8 in
+  put_hex8 b 0 (crc32 s 0 (String.length s));
+  Bytes.unsafe_to_string b
+
+let rec hex_from s pos k acc =
+  if k = 8 then acc
+  else
+    match String.unsafe_get s (pos + k) with
+    | '0' .. '9' as c -> hex_from s pos (k + 1) ((acc lsl 4) + Char.code c - 48)
+    | 'a' .. 'f' as c -> hex_from s pos (k + 1) ((acc lsl 4) + Char.code c - 87)
+    | _ -> -1
+
+(* the value of the 8 lowercase hex digits at [pos], or -1 *)
+let read_hex8 s pos =
+  if pos < 0 || pos > String.length s - 8 then -1 else hex_from s pos 0 0
+
+let crc_matches hex s pos len =
+  String.length hex = 8 && read_hex8 hex 0 = crc32 s pos len
+
+(* ------------------------------------------------------------------ *)
+(* the writer: one growable byte buffer *)
+
+type out = { mutable bytes : Bytes.t; mutable len : int }
+
+let out_create n = { bytes = Bytes.create n; len = 0 }
+let out_length o = o.len
+let out_clear o = o.len <- 0
+let out_contents o = Bytes.sub_string o.bytes 0 o.len
+let out_sub o pos len = Bytes.sub_string o.bytes pos len
+
+let reserve o n =
+  let need = o.len + n in
+  if need > Bytes.length o.bytes then begin
+    let b = Bytes.create (max need (2 * Bytes.length o.bytes)) in
+    Bytes.blit o.bytes 0 b 0 o.len;
+    o.bytes <- b
+  end
+
+let add_char o c =
+  reserve o 1;
+  Bytes.unsafe_set o.bytes o.len c;
+  o.len <- o.len + 1
+
+let add_string o s =
+  let n = String.length s in
+  reserve o n;
+  Bytes.unsafe_blit_string s 0 o.bytes o.len n;
+  o.len <- o.len + n
+
+(* decimal, like [string_of_int]; digits come off the non-positive side,
+   where [min_int] still has a magnitude *)
+let rec digits k w = if k > -10 then w else digits (k / 10) (w + 1)
+
+let rec fill_digits b k p =
+  Bytes.unsafe_set b p (Char.unsafe_chr (48 - (k mod 10)));
+  if k <= -10 then fill_digits b (k / 10) (p - 1)
+
+let add_int o n =
+  let m = if n < 0 then n else -n in
+  let w = digits m 1 + if n < 0 then 1 else 0 in
+  reserve o w;
+  if n < 0 then Bytes.unsafe_set o.bytes o.len '-';
+  fill_digits o.bytes m (o.len + w - 1);
+  o.len <- o.len + w
+
+(* a double-quoted [String.escaped], which allocates only when the
+   string needs escaping *)
+let add_quoted o s =
+  add_char o '"';
+  add_string o (String.escaped s);
+  add_char o '"'
+
+(* The one framing writer: [framed o f x] appends [<crc8> <body>\n], the
+   body written by [f o x] straight after a reserved checksum slot that
+   is then patched in place. *)
+let framed o f x =
+  let start = o.len in
+  reserve o 9;
+  o.len <- start + 9;
+  f o x;
+  let body = start + 9 in
+  put_hex8 o.bytes start
+    (crc32 (Bytes.unsafe_to_string o.bytes) body (o.len - body));
+  Bytes.unsafe_set o.bytes (start + 8) ' ';
+  add_char o '\n'
 
 (* ------------------------------------------------------------------ *)
 (* encoding *)
 
-let enc_value = function
-  | Value.Vint n -> "i:" ^ string_of_int n
-  | Value.Vbool b -> "b:" ^ string_of_bool b
-  | Value.Vstr s -> "s:\"" ^ String.escaped s ^ "\""
-  | Value.Vunit -> "u"
+let add_value o = function
+  | Value.Vint n -> add_string o "i:"; add_int o n
+  | Value.Vbool b -> add_string o (if b then "b:true" else "b:false")
+  | Value.Vstr s -> add_string o "s:"; add_quoted o s
+  | Value.Vunit -> add_char o 'u'
 
-let enc_failure = function
+let add_failure o = function
   | Failure.Crash { sid; msg } ->
-    Printf.sprintf "crash %d \"%s\"" sid (String.escaped msg)
-  | Failure.Spec_violation tag -> Printf.sprintf "spec \"%s\"" (String.escaped tag)
-  | Failure.Hang -> "hang"
+    add_string o "crash ";
+    add_int o sid;
+    add_char o ' ';
+    add_quoted o msg
+  | Failure.Spec_violation tag -> add_string o "spec "; add_quoted o tag
+  | Failure.Hang -> add_string o "hang"
 
-let enc_op = function
-  | Log.Op_send c -> "send " ^ c
-  | Log.Op_recv c -> "recv " ^ c
-  | Log.Op_spawn -> "spawn -"
-  | Log.Op_lock m -> "lock " ^ m
-  | Log.Op_unlock m -> "unlock " ^ m
+(* "<keyword> <tid> <sid>", the prefix most entries share *)
+let add_site o kw tid sid =
+  add_string o kw;
+  add_int o tid;
+  add_char o ' ';
+  add_int o sid
 
-let enc_entry = function
-  | Log.Sched { tid; sid } -> Printf.sprintf "sched %d %d" tid sid
+let add_entry o = function
+  | Log.Sched { tid; sid } -> add_site o "sched " tid sid
   | Log.Input { tid; chan; value } ->
-    Printf.sprintf "input %d %s %s" tid chan (enc_value value)
+    add_string o "input ";
+    add_int o tid;
+    add_char o ' ';
+    add_string o chan;
+    add_char o ' ';
+    add_value o value
   | Log.Read_val { tid; sid; kind; value } ->
-    Printf.sprintf "readval %d %d %s %s" tid sid
-      (match kind with Log.Mem -> "mem" | Log.Msg -> "msg")
-      (enc_value value)
+    add_site o "readval " tid sid;
+    add_string o (match kind with Log.Mem -> " mem " | Log.Msg -> " msg ");
+    add_value o value
   | Log.Output { chan; value } ->
-    Printf.sprintf "output %s %s" chan (enc_value value)
-  | Log.Sync { tid; sid; op } -> Printf.sprintf "sync %d %d %s" tid sid (enc_op op)
-  | Log.Cp_sched { tid; sid } -> Printf.sprintf "cpsched %d %d" tid sid
+    add_string o "output ";
+    add_string o chan;
+    add_char o ' ';
+    add_value o value
+  | Log.Sync { tid; sid; op } -> (
+    add_site o "sync " tid sid;
+    match op with
+    | Log.Op_send c -> add_string o " send "; add_string o c
+    | Log.Op_recv c -> add_string o " recv "; add_string o c
+    | Log.Op_spawn -> add_string o " spawn -"
+    | Log.Op_lock m -> add_string o " lock "; add_string o m
+    | Log.Op_unlock m -> add_string o " unlock "; add_string o m)
+  | Log.Cp_sched { tid; sid } -> add_site o "cpsched " tid sid
   | Log.Cp_input { tid; sid; chan; value } ->
-    Printf.sprintf "cpinput %d %d %s %s" tid sid chan (enc_value value)
-  | Log.Failure_desc f -> "faildesc " ^ enc_failure f
-  | Log.Flight_note { buffered } -> Printf.sprintf "flight %d" buffered
-  | Log.Mark m -> Printf.sprintf "mark \"%s\"" (String.escaped m)
+    add_site o "cpinput " tid sid;
+    add_char o ' ';
+    add_string o chan;
+    add_char o ' ';
+    add_value o value
+  | Log.Failure_desc f -> add_string o "faildesc "; add_failure o f
+  | Log.Flight_note { buffered } -> add_string o "flight "; add_int o buffered
+  | Log.Mark m -> add_string o "mark "; add_quoted o m
   | Log.Govern { step; level; reason } ->
-    Printf.sprintf "govern %d %d \"%s\"" step level (String.escaped reason)
+    add_string o "govern ";
+    add_int o step;
+    add_char o ' ';
+    add_int o level;
+    add_char o ' ';
+    add_quoted o reason
 
-let header_lines (log : Log.t) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "recorder \"%s\"\n" (String.escaped log.Log.recorder));
-  Buffer.add_string b (Printf.sprintf "base-steps %d\n" log.Log.base_steps);
-  Buffer.add_string b
-    (match log.Log.failure with
-    | Some f -> "failure " ^ enc_failure f ^ "\n"
-    | None -> "failure none\n");
-  (match log.Log.faults with
+(* The header lines, plain or each framed (the causal manifest CRCs its
+   header too). *)
+let add_header ~framed:fr o (log : Log.t) =
+  let line f x =
+    if fr then framed o f x
+    else begin
+      f o x;
+      add_char o '\n'
+    end
+  in
+  line (fun o r -> add_string o "recorder "; add_quoted o r) log.Log.recorder;
+  line (fun o n -> add_string o "base-steps "; add_int o n) log.Log.base_steps;
+  line
+    (fun o -> function
+      | Some f -> add_string o "failure "; add_failure o f
+      | None -> add_string o "failure none")
+    log.Log.failure;
+  match log.Log.faults with
   | Some plan ->
-    Buffer.add_string b
-      (Printf.sprintf "faults \"%s\"\n" (String.escaped (Fault.to_string plan)))
-  | None -> ());
-  Buffer.contents b
+    line
+      (fun o p -> add_string o "faults "; add_quoted o (Fault.to_string p))
+      plan
+  | None -> ()
 
 let to_string (log : Log.t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "ddet-log v2\n";
-  Buffer.add_string b (header_lines log);
-  List.iter
-    (fun e ->
-      let line = enc_entry e in
-      Buffer.add_string b (crc_hex line);
-      Buffer.add_char b ' ';
-      Buffer.add_string b line;
-      Buffer.add_char b '\n')
-    log.Log.entries;
-  Buffer.add_string b (Printf.sprintf "end %d\n" (List.length log.Log.entries));
-  Buffer.contents b
+  let o = out_create 4096 in
+  add_string o "ddet-log v2\n";
+  add_header ~framed:false o log;
+  let n =
+    List.fold_left
+      (fun n e ->
+        framed o add_entry e;
+        n + 1)
+      0 log.Log.entries
+  in
+  add_string o "end ";
+  add_int o n;
+  add_char o '\n';
+  out_contents o
 
-let to_string_v1 (log : Log.t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "ddet-log v1\n";
-  Buffer.add_string b (header_lines log);
-  List.iter
-    (fun e ->
-      Buffer.add_string b (enc_entry e);
-      Buffer.add_char b '\n')
-    log.Log.entries;
-  Buffer.contents b
+(* ------------------------------------------------------------------ *)
+(* lines and frames *)
+
+(* [f n ls le] for every '\n'-separated line s[ls, le), numbered from 1;
+   a final empty line follows a trailing '\n', as [String.split_on_char]
+   would give it *)
+let rec line_end s i =
+  if i = String.length s || String.unsafe_get s i = '\n' then i
+  else line_end s (i + 1)
+
+let iter_lines s f =
+  let rec from n ls =
+    let le = line_end s ls in
+    f n ls le;
+    if le < String.length s then from (n + 1) (le + 1)
+  in
+  from 1 0
+
+(* blank as [String.trim] sees it *)
+let rec is_blank s ls le =
+  ls = le
+  ||
+  match String.unsafe_get s ls with
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> is_blank s (ls + 1) le
+  | _ -> false
+
+type frame = Unframed | Bad_crc | Framed
+
+(* The one framing verifier. A framed line starts with 8 lowercase hex
+   digits and a space; header keywords and trailers never do, so the
+   classification is unambiguous. The body starts at [ls + 9]. *)
+let check_frame s ls le =
+  if le - ls < 9 || String.unsafe_get s (ls + 8) <> ' ' then Unframed
+  else
+    let stored = read_hex8 s ls in
+    if stored < 0 then Unframed
+    else if stored = crc32 s (ls + 9) (le - ls - 9) then Framed
+    else Bad_crc
 
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
 exception Parse of string
 
-(* Split a line into space-separated tokens. A double quote opens an
-   OCaml-escaped string span that runs to the matching close quote; the
-   span (with a leading '"' marker) stays part of the current token, so
-   both bare strings ([mark "a b"]) and typed values ([s:"a b"]) arrive as
-   single tokens. *)
-let tokens line =
-  let n = String.length line in
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  let rec plain i =
-    if i >= n then flush ()
-    else
-      match line.[i] with
-      | ' ' -> flush (); plain (i + 1)
-      | '"' ->
-        Buffer.add_char buf '"';
-        quoted (i + 1)
-      | c -> Buffer.add_char buf c; plain (i + 1)
-  and quoted i =
-    if i >= n then raise (Parse "unterminated string")
-    else
-      match line.[i] with
-      | '"' -> plain (i + 1)
-      | '\\' when i + 1 < n ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf line.[i + 1];
-        quoted (i + 2)
-      | c -> Buffer.add_char buf c; quoted (i + 1)
-  in
-  plain 0;
-  List.rev !out
+(* A decoder reads one string in place. A line is first split into
+   space-separated tokens, kept as ranges. A double quote opens an
+   OCaml-escaped span that runs to the matching close quote and does not
+   end the token; the token's text is its bytes minus each span's
+   closing quote, so both bare strings ([mark "a b"]) and typed values
+   ([s:"a b"]) are single tokens. [quote] is -1 for a token without
+   quotes, the index of the opening quote when the token holds one span
+   that closes on its last byte, and -2 otherwise. *)
+type decoder = {
+  s : string;
+  mutable ntok : int;
+  mutable start : int array;
+  mutable stop : int array;
+  mutable quote : int array;
+  scratch : Buffer.t;
+}
 
-let unescape s = Scanf.unescaped s
+let decoder s =
+  {
+    s;
+    ntok = 0;
+    start = Array.make 8 0;
+    stop = Array.make 8 0;
+    quote = Array.make 8 0;
+    scratch = Buffer.create 64;
+  }
 
-let dec_string tok =
-  if String.length tok > 0 && tok.[0] = '"' then
-    unescape (String.sub tok 1 (String.length tok - 1))
-  else raise (Parse ("expected quoted string, got " ^ tok))
+let rec close_quote s j le =
+  if j >= le then raise (Parse "unterminated string")
+  else
+    match String.unsafe_get s j with
+    | '"' -> j
+    | '\\' when j + 1 < le -> close_quote s (j + 2) le
+    | _ -> close_quote s (j + 1) le
 
-let dec_value tok =
-  if tok = "u" then Value.unit
-  else if String.length tok > 2 && String.sub tok 0 2 = "i:" then
-    Value.int (int_of_string (String.sub tok 2 (String.length tok - 2)))
-  else if String.length tok > 2 && String.sub tok 0 2 = "b:" then
-    Value.bool (bool_of_string (String.sub tok 2 (String.length tok - 2)))
-  else if String.length tok > 2 && String.sub tok 0 2 = "s:" then
-    Value.str (dec_string (String.sub tok 2 (String.length tok - 2)))
-  else raise (Parse ("bad value token " ^ tok))
+let push_token d a b q =
+  if d.ntok = Array.length d.start then begin
+    let grow arr = Array.append arr arr in
+    d.start <- grow d.start;
+    d.stop <- grow d.stop;
+    d.quote <- grow d.quote
+  end;
+  d.start.(d.ntok) <- a;
+  d.stop.(d.ntok) <- b;
+  d.quote.(d.ntok) <- q;
+  d.ntok <- d.ntok + 1
 
-let dec_failure = function
-  | [ "crash"; sid; msg ] ->
-    Failure.Crash { sid = int_of_string sid; msg = dec_string msg }
-  | [ "spec"; tag ] -> Failure.Spec_violation (dec_string tag)
-  | [ "hang" ] -> Failure.Hang
-  | toks -> raise (Parse ("bad failure: " ^ String.concat " " toks))
+let rec tokens_from d le i =
+  if i < le then
+    if String.unsafe_get d.s i = ' ' then tokens_from d le (i + 1)
+    else token d le i i (-1) 0 (-1)
 
-let dec_op op obj =
-  match op with
-  | "send" -> Log.Op_send obj
-  | "recv" -> Log.Op_recv obj
-  | "spawn" -> Log.Op_spawn
-  | "lock" -> Log.Op_lock obj
-  | "unlock" -> Log.Op_unlock obj
-  | _ -> raise (Parse ("bad sync op " ^ op))
+(* the token that started at [a]; [i] is the next byte to read *)
+and token d le a i quote spans last_close =
+  if i = le || String.unsafe_get d.s i = ' ' then begin
+    push_token d a i
+      (if spans = 0 then -1
+       else if spans = 1 && last_close = i - 1 then quote
+       else -2);
+    tokens_from d le i
+  end
+  else if String.unsafe_get d.s i = '"' then
+    let j = close_quote d.s (i + 1) le in
+    token d le a (j + 1) (if spans = 0 then i else quote) (spans + 1) j
+  else token d le a (i + 1) quote spans last_close
 
-let dec_entry_tokens line = function
-  | [ "sched"; tid; sid ] ->
-    Log.Sched { tid = int_of_string tid; sid = int_of_string sid }
-  | [ "input"; tid; chan; v ] ->
-    Log.Input { tid = int_of_string tid; chan; value = dec_value v }
-  | [ "readval"; tid; sid; kind; v ] ->
-    Log.Read_val
-      {
-        tid = int_of_string tid;
-        sid = int_of_string sid;
-        kind =
-          (match kind with
-          | "mem" -> Log.Mem
-          | "msg" -> Log.Msg
-          | _ -> raise (Parse ("bad read kind " ^ kind)));
-        value = dec_value v;
-      }
-  | [ "output"; chan; v ] -> Log.Output { chan; value = dec_value v }
-  | [ "sync"; tid; sid; op; obj ] ->
-    Log.Sync { tid = int_of_string tid; sid = int_of_string sid; op = dec_op op obj }
-  | [ "cpsched"; tid; sid ] ->
-    Log.Cp_sched { tid = int_of_string tid; sid = int_of_string sid }
-  | [ "cpinput"; tid; sid; chan; v ] ->
-    Log.Cp_input
-      {
-        tid = int_of_string tid;
-        sid = int_of_string sid;
-        chan;
-        value = dec_value v;
-      }
-  | "faildesc" :: rest -> Log.Failure_desc (dec_failure rest)
-  | [ "flight"; n ] -> Log.Flight_note { buffered = int_of_string n }
-  | [ "mark"; m ] -> Log.Mark (dec_string m)
-  | [ "govern"; step; level; reason ] ->
-    Log.Govern
-      {
-        step = int_of_string step;
-        level = int_of_string level;
-        reason = dec_string reason;
-      }
-  | _ -> raise (Parse ("bad entry: " ^ line))
+let tokenize d ls le =
+  d.ntok <- 0;
+  tokens_from d le ls
 
-let dec_entry line = dec_entry_tokens line (tokens line)
+(* s[a, a + |kw|) = kw *)
+let rec range_is s a kw i =
+  i = String.length kw
+  || String.unsafe_get s (a + i) = String.unsafe_get kw i
+     && range_is s a kw (i + 1)
+
+let tok_is d k kw =
+  d.stop.(k) - d.start.(k) = String.length kw
+  && range_is d.s d.start.(k) kw 0
+
+(* the token's text: its bytes minus each span's closing quote *)
+let tok_string d k =
+  let s = d.s and a = d.start.(k) and b = d.stop.(k) in
+  if d.quote.(k) = -1 then String.sub s a (b - a)
+  else begin
+    let buf = d.scratch in
+    Buffer.clear buf;
+    let rec go i =
+      if i < b then
+        if String.unsafe_get s i = '"' then begin
+          let j = close_quote s (i + 1) b in
+          Buffer.add_substring buf s i (j - i);
+          go (j + 1)
+        end
+        else begin
+          Buffer.add_char buf (String.unsafe_get s i);
+          go (i + 1)
+        end
+    in
+    go a;
+    Buffer.contents buf
+  end
+
+(* [int_of_string] of s[a, b): plain decimal is read in place, and any
+   other spelling the stdlib accepts (0x1f, 1_000, +5, 19 digits) goes
+   to [int_of_string_opt], so the two agree on every input *)
+let int_slow s a b =
+  match int_of_string_opt (String.sub s a (b - a)) with
+  | Some n -> n
+  | None -> raise (Parse "int_of_string")
+
+let rec int_digits s a b i acc =
+  if i = b then acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c ->
+      int_digits s a b (i + 1) ((acc * 10) + Char.code c - 48)
+    | _ -> int_slow s a b
+
+let int_in s a b =
+  let neg = b > a && String.unsafe_get s a = '-' in
+  let d0 = if neg then a + 1 else a in
+  if b - d0 < 1 || b - d0 > 18 then int_slow s a b
+  else if neg then -int_digits s a b d0 0
+  else int_digits s a b d0 0
+
+let tok_int d k = int_in d.s d.start.(k) d.stop.(k)
+
+(* [Scanf.unescaped] of src[p, q), error messages included. Scanf reads
+   the text wrapped in double quotes, w = '"' ^ text ^ '"', and reports
+   positions in w; [w j] below is that byte. Lines hold no '\n', so the
+   escaped-newline rule never applies. *)
+let rec unescaped_range src i q =
+  i = q
+  || match String.unsafe_get src i with
+     | '"' | '\\' -> false
+     | _ -> unescaped_range src (i + 1) q
+
+let unescape d src p q =
+  let n = q - p in
+  if unescaped_range src p q then String.sub src p n
+  else begin
+    let buf = d.scratch in
+    Buffer.clear buf;
+    let w j =
+      if j = 0 || j = n + 1 then '"' else String.unsafe_get src (p + j - 1)
+    in
+    let fail count msg =
+      Parse
+        ("scanf: bad input at char number " ^ string_of_int count ^ ": " ^ msg)
+    in
+    let illegal count c =
+      fail count ("illegal escape character '" ^ Char.escaped c ^ "'")
+    in
+    let digit c = c >= '0' && c <= '9' in
+    let hex c = digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') in
+    let hex_value c =
+      if digit c then Char.code c - 48 else (Char.code c lor 32) - 87
+    in
+    let rec stop j =
+      if j > n + 1 then
+        raise
+          (fail (n + 2)
+             "scanning of a String failed: premature end of file occurred \
+              before end of token")
+      else
+        match w j with
+        | '"' ->
+          if j = n + 1 then Buffer.contents buf
+          else raise (fail (j + 1) "end of input not found")
+        | '\\' -> escape (j + 1)
+        | c -> Buffer.add_char buf c; stop (j + 1)
+    (* [w j] follows a backslash *)
+    and escape j =
+      match w j with
+      | '\r' ->
+        (* not followed by '\n': Scanf keeps the CR and drops the next byte *)
+        Buffer.add_char buf '\r';
+        stop (j + 2)
+      | ('\\' | '\'' | '"' | 'n' | 't' | 'b' | 'r') as c ->
+        Buffer.add_char buf
+          (match c with
+          | 'n' -> '\n'
+          | 't' -> '\t'
+          | 'b' -> '\b'
+          | 'r' -> '\r'
+          | c -> c);
+        stop (j + 1)
+      | '0' .. '9' as c0 ->
+        let c1 = w (j + 1) in
+        if not (digit c1) then raise (illegal (j + 1) c1);
+        let c2 = w (j + 2) in
+        if not (digit c2) then raise (illegal (j + 2) c2);
+        let code =
+          (100 * (Char.code c0 - 48)) + (10 * (Char.code c1 - 48))
+          + Char.code c2 - 48
+        in
+        if code > 255 then
+          raise
+            (fail (j + 2)
+               ("bad character decimal encoding \\"
+               ^ String.init 3 (fun i -> [| c0; c1; c2 |].(i))));
+        Buffer.add_char buf (Char.chr code);
+        stop (j + 3)
+      | 'x' ->
+        let c1 = w (j + 1) in
+        if not (hex c1) then raise (illegal (j + 1) c1);
+        let c2 = w (j + 2) in
+        if not (hex c2) then raise (illegal (j + 2) c2);
+        Buffer.add_char buf (Char.chr ((16 * hex_value c1) + hex_value c2));
+        stop (j + 3)
+      | c -> raise (illegal j c)
+    in
+    stop 1
+  end
+
+(* the token's text from raw offset [p] (no quote before it) as a quoted
+   string *)
+let quoted_from d k p =
+  if d.quote.(k) = p then unescape d d.s (p + 1) (d.stop.(k) - 1)
+  else
+    let tok = tok_string d k in
+    let off = p - d.start.(k) in
+    let rest = String.sub tok off (String.length tok - off) in
+    if String.length rest > 0 && rest.[0] = '"' then
+      unescape d rest 1 (String.length rest)
+    else raise (Parse ("expected quoted string, got " ^ rest))
+
+let tok_quoted d k = quoted_from d k d.start.(k)
+
+let bad_value d k = Parse ("bad value token " ^ tok_string d k)
+
+let dec_value d k =
+  let s = d.s and a = d.start.(k) and b = d.stop.(k) in
+  if b - a = 1 && String.unsafe_get s a = 'u' then Value.unit
+  else if b - a > 2 && String.unsafe_get s (a + 1) = ':' then
+    match String.unsafe_get s a with
+    | 'i' -> Value.int (int_in s (a + 2) b)
+    | 'b' ->
+      if b - a = 6 && range_is s (a + 2) "true" 0 then Value.bool true
+      else if b - a = 7 && range_is s (a + 2) "false" 0 then Value.bool false
+      else raise (bad_value d k)
+    | 's' -> Value.str (quoted_from d k (a + 2))
+    | _ -> raise (bad_value d k)
+  else raise (bad_value d k)
+
+(* Fields are decoded right to left, the order OCaml evaluates a record's
+   fields in, which is the order the format's error reports were defined
+   by: a line with two bad fields names the rightmost one. *)
+let dec_failure d k0 =
+  let n = d.ntok - k0 in
+  if n = 3 && tok_is d k0 "crash" then
+    let msg = tok_quoted d (k0 + 2) in
+    Failure.Crash { sid = tok_int d (k0 + 1); msg }
+  else if n = 2 && tok_is d k0 "spec" then
+    Failure.Spec_violation (tok_quoted d (k0 + 1))
+  else if n = 1 && tok_is d k0 "hang" then Failure.Hang
+  else
+    raise
+      (Parse
+         ("bad failure: "
+         ^ String.concat " " (List.init n (fun i -> tok_string d (k0 + i)))))
+
+let dec_kind d k =
+  if tok_is d k "mem" then Log.Mem
+  else if tok_is d k "msg" then Log.Msg
+  else raise (Parse ("bad read kind " ^ tok_string d k))
+
+let dec_op d k =
+  if tok_is d k "send" then Log.Op_send (tok_string d (k + 1))
+  else if tok_is d k "recv" then Log.Op_recv (tok_string d (k + 1))
+  else if tok_is d k "spawn" then Log.Op_spawn
+  else if tok_is d k "lock" then Log.Op_lock (tok_string d (k + 1))
+  else if tok_is d k "unlock" then Log.Op_unlock (tok_string d (k + 1))
+  else raise (Parse ("bad sync op " ^ tok_string d k))
+
+(* the entry on the tokenized line s[ls, le) *)
+let dec_tokens d ls le =
+  let n = d.ntok in
+  if n = 0 then raise (Parse ("bad entry: " ^ String.sub d.s ls (le - ls)))
+  else if n = 3 && tok_is d 0 "sched" then
+    let sid = tok_int d 2 in
+    Log.Sched { tid = tok_int d 1; sid }
+  else if n = 5 && tok_is d 0 "readval" then
+    let value = dec_value d 4 in
+    let kind = dec_kind d 3 in
+    let sid = tok_int d 2 in
+    Log.Read_val { tid = tok_int d 1; sid; kind; value }
+  else if n = 4 && tok_is d 0 "input" then
+    let value = dec_value d 3 in
+    Log.Input { tid = tok_int d 1; chan = tok_string d 2; value }
+  else if n = 5 && tok_is d 0 "sync" then
+    let op = dec_op d 3 in
+    let sid = tok_int d 2 in
+    Log.Sync { tid = tok_int d 1; sid; op }
+  else if n = 3 && tok_is d 0 "output" then
+    let value = dec_value d 2 in
+    Log.Output { chan = tok_string d 1; value }
+  else if n = 3 && tok_is d 0 "cpsched" then
+    let sid = tok_int d 2 in
+    Log.Cp_sched { tid = tok_int d 1; sid }
+  else if n = 5 && tok_is d 0 "cpinput" then
+    let value = dec_value d 4 in
+    let chan = tok_string d 3 in
+    let sid = tok_int d 2 in
+    Log.Cp_input { tid = tok_int d 1; sid; chan; value }
+  else if tok_is d 0 "faildesc" then Log.Failure_desc (dec_failure d 1)
+  else if n = 2 && tok_is d 0 "flight" then
+    Log.Flight_note { buffered = tok_int d 1 }
+  else if n = 2 && tok_is d 0 "mark" then Log.Mark (tok_quoted d 1)
+  else if n = 4 && tok_is d 0 "govern" then
+    let reason = tok_quoted d 3 in
+    let level = tok_int d 2 in
+    Log.Govern { step = tok_int d 1; level; reason }
+  else raise (Parse ("bad entry: " ^ String.sub d.s ls (le - ls)))
+
+let dec_entry d ls le =
+  tokenize d ls le;
+  dec_tokens d ls le
 
 (* ------------------------------------------------------------------ *)
 (* modes, damage reports *)
@@ -265,27 +625,8 @@ let pp_damage ppf d =
    offending text, whether it becomes a hard Error (Strict) or a damage
    record (Salvage). *)
 let line_error n reason text =
-  Printf.sprintf "line %d: %s (in: %S)" n reason text
-
-let classify_exn = function
-  | Parse msg -> Some msg
-  | Stdlib.Failure msg -> Some msg
-  | Scanf.Scan_failure msg -> Some msg
-  | _ -> None
-
-let is_crc_token tok =
-  String.length tok = 8
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       tok
-
-(* A v2 body line is `<crc8hex> <entry>`; header keywords and the trailer
-   are never 8 hex digits, so classification is unambiguous. *)
-let split_crc_line line =
-  match String.index_opt line ' ' with
-  | Some k when is_crc_token (String.sub line 0 k) ->
-    Some (String.sub line 0 k, String.sub line (k + 1) (String.length line - k - 1))
-  | _ -> None
+  "line " ^ string_of_int n ^ ": " ^ reason ^ " (in: \"" ^ String.escaped text
+  ^ "\")"
 
 type header = {
   mutable h_recorder : string;
@@ -294,200 +635,159 @@ type header = {
   mutable h_faults : Fault.plan option;
 }
 
-let parse_header_line hdr line =
-  match tokens line with
-  | [ "recorder"; name ] ->
-    hdr.h_recorder <- dec_string name;
+let fresh_header () =
+  { h_recorder = "unknown"; h_base_steps = 0; h_failure = None; h_faults = None }
+
+(* the header line on the tokenized line, if it is one *)
+let header_tokens d hdr =
+  let n = d.ntok in
+  if n = 0 then false
+  else if n = 2 && tok_is d 0 "recorder" then begin
+    hdr.h_recorder <- tok_quoted d 1;
     true
-  | [ "base-steps"; n ] ->
-    hdr.h_base_steps <- int_of_string n;
+  end
+  else if n = 2 && tok_is d 0 "base-steps" then begin
+    hdr.h_base_steps <- tok_int d 1;
     true
-  | [ "failure"; "none" ] ->
+  end
+  else if n = 2 && tok_is d 0 "failure" && tok_is d 1 "none" then begin
     hdr.h_failure <- None;
     true
-  | "failure" :: rest ->
-    hdr.h_failure <- Some (dec_failure rest);
+  end
+  else if tok_is d 0 "failure" then begin
+    hdr.h_failure <- Some (dec_failure d 1);
     true
-  | [ "faults"; plan ] -> (
-    match Fault.of_string (dec_string plan) with
+  end
+  else if n = 2 && tok_is d 0 "faults" then (
+    match Fault.of_string (tok_quoted d 1) with
     | Ok p ->
       hdr.h_faults <- Some p;
       true
     | Error e -> raise (Parse ("bad fault plan: " ^ e)))
-  | _ -> false
+  else false
 
-let numbered_lines s =
-  String.split_on_char '\n' s
-  |> List.mapi (fun i l -> (i + 1, l))
-  |> List.filter (fun (_, l) -> String.trim l <> "")
+let parse_header_line hdr line =
+  let d = decoder line in
+  tokenize d 0 (String.length line);
+  header_tokens d hdr
 
-let fresh_header () =
-  { h_recorder = "unknown"; h_base_steps = 0; h_failure = None; h_faults = None }
-
-(* v2 parsing is a single line-by-line pass for both modes: Strict turns
-   the first problem into an Error, Salvage records it and keeps the
-   valid prefix. *)
-let parse_v2 ~mode ~total_lines lines =
-  let hdr = fresh_header () in
-  let entries = ref [] in
-  let corrupt = ref [] in
-  let trailer : int option ref = ref None in
-  let strict_error = ref None in
-  let problem n reason text =
-    match mode with
-    | Strict ->
-      if !strict_error = None then strict_error := Some (line_error n reason text)
-    | Salvage -> corrupt := (n, reason, text) :: !corrupt
-  in
-  List.iter
-    (fun (n, line) ->
-      if !strict_error = None then
-        match split_crc_line line with
-        | Some (crc, body) ->
-          if not (String.equal crc (crc_hex body)) then
-            problem n
-              (Printf.sprintf "crc mismatch (stored %s, computed %s)" crc
-                 (crc_hex body))
-              line
-          else begin
-            match dec_entry body with
-            | e -> entries := e :: !entries
-            | exception exn -> (
-              match classify_exn exn with
-              | Some msg -> problem n msg line
-              | None -> raise exn)
-          end
-        | None -> (
-          match tokens line with
-          | [ "end"; count ] -> (
-            match int_of_string_opt count with
-            | Some c -> trailer := Some c
-            | None -> problem n "bad trailer count" line)
-          | exception exn -> (
-            match classify_exn exn with
-            | Some msg -> problem n msg line
-            | None -> raise exn)
-          | _ -> (
-            match parse_header_line hdr line with
-            | true -> ()
-            | false -> problem n "unrecognised line" line
-            | exception exn -> (
-              match classify_exn exn with
-              | Some msg -> problem n msg line
-              | None -> raise exn))))
-    lines;
-  match !strict_error with
-  | Some e -> Error e
-  | None ->
-    let entries = List.rev !entries in
-    let truncated =
-      match !trailer with
-      | None -> true
-      | Some c -> c <> List.length entries
-    in
-    if mode = Strict && truncated then
-      Error
-        (match !trailer with
-        | None -> "missing `end` trailer (truncated log)"
-        | Some c ->
-          Printf.sprintf "trailer count %d does not match %d entries" c
-            (List.length entries))
-    else
-      let log =
-        Log.make ?faults:hdr.h_faults ~recorder:hdr.h_recorder ~entries
-          ~base_steps:hdr.h_base_steps ~failure:hdr.h_failure ()
-      in
-      Ok
-        ( log,
-          {
-            total_lines;
-            salvaged_entries = List.length entries;
-            corrupt_lines = List.rev !corrupt;
-            truncated;
-          } )
-
-(* v1 logs have a fixed positional header and no per-entry checksums or
-   trailer, so truncation is undetectable: salvage can only skip lines
-   that fail to parse. *)
-let parse_v1 ~mode ~total_lines lines =
-  let hdr = fresh_header () in
-  let entries = ref [] in
-  let corrupt = ref [] in
-  let strict_error = ref None in
-  let problem n reason text =
-    match mode with
-    | Strict ->
-      if !strict_error = None then strict_error := Some (line_error n reason text)
-    | Salvage -> corrupt := (n, reason, text) :: !corrupt
-  in
-  List.iter
-    (fun (n, line) ->
-      if !strict_error = None then
-        match tokens line with
-        | exception exn -> (
-          match classify_exn exn with
-          | Some msg -> problem n msg line
-          | None -> raise exn)
-        | toks -> (
-          match
-            match toks with
-            | [ "recorder" ] | [ "base-steps" ] | [ "failure" ] | [ "faults" ]
-              ->
-              (* header keyword with no payload: damaged header line *)
-              problem n "damaged header line" line
-            | ("recorder" | "base-steps" | "failure" | "faults") :: _ ->
-              if not (parse_header_line hdr line) then
-                problem n "damaged header line" line
-            | _ -> entries := dec_entry_tokens line toks :: !entries
-          with
-          | () -> ()
-          | exception exn -> (
-            match classify_exn exn with
-            | Some msg -> problem n msg line
-            | None -> raise exn)))
-    lines;
-  match !strict_error with
-  | Some e -> Error e
-  | None ->
-    let entries = List.rev !entries in
-    let log =
-      Log.make ?faults:hdr.h_faults ~recorder:hdr.h_recorder ~entries
-        ~base_steps:hdr.h_base_steps ~failure:hdr.h_failure ()
-    in
-    Ok
-      ( log,
-        {
-          total_lines;
-          salvaged_entries = List.length entries;
-          corrupt_lines = List.rev !corrupt;
-          truncated = false;
-        } )
-
+(* One pass over the string for both formats and both modes. Strict
+   turns the first problem into an Error and reads no further; Salvage
+   records it and keeps the valid prefix. The first non-blank line is the
+   magic; a v2 body line is framed, a header line or the [end N]
+   trailer; v1 has no frames and no trailer. *)
 let of_string_report ?(mode = Strict) s =
-  let lines = numbered_lines s in
-  let total_lines = List.length lines in
-  match lines with
-  | [] -> Error "empty log"
-  | (n0, magic) :: rest -> (
-    match String.trim magic with
-    | "ddet-log v2" -> parse_v2 ~mode ~total_lines rest
-    | "ddet-log v1" -> parse_v1 ~mode ~total_lines rest
+  let d = decoder s in
+  let hdr = fresh_header () in
+  let entries = ref [] and count = ref 0 and corrupt = ref [] in
+  let trailer = ref None and strict_error = ref None in
+  let total_lines = ref 0 and version = ref 0 in
+  let problem n reason ls le =
+    let text = String.sub s ls (le - ls) in
+    match mode with
+    | Strict ->
+      if !strict_error = None then strict_error := Some (line_error n reason text)
+    | Salvage -> corrupt := (n, reason, text) :: !corrupt
+  in
+  let entry e =
+    entries := e :: !entries;
+    incr count
+  in
+  let magic n ls le =
+    let text = String.sub s ls (le - ls) in
+    match String.trim text with
+    | "ddet-log v2" -> version := 2
+    | "ddet-log v1" -> version := 1
     | m -> (
+      (* even the magic can be the corrupted line; Salvage assumes the
+         current format and keeps whatever survives *)
+      version := 2;
       match mode with
-      | Strict -> Error (line_error n0 ("bad magic: " ^ m) magic)
-      | Salvage -> (
-        (* even the magic can be the corrupted line; assume the current
-           format and keep whatever survives *)
-        match parse_v2 ~mode ~total_lines rest with
-        | Error e -> Error e
-        | Ok (log, damage) ->
-          Ok
-            ( log,
-              {
-                damage with
-                corrupt_lines =
-                  (n0, "bad magic", magic) :: damage.corrupt_lines;
-              } ))))
+      | Strict -> strict_error := Some (line_error n ("bad magic: " ^ m) text)
+      | Salvage -> corrupt := [ (n, "bad magic", text) ])
+  in
+  let v2_line n ls le =
+    match check_frame s ls le with
+    | Framed -> (
+      match dec_entry d (ls + 9) le with
+      | e -> entry e
+      | exception Parse msg -> problem n msg ls le)
+    | Bad_crc ->
+      problem n
+        ("crc mismatch (stored " ^ String.sub s ls 8 ^ ", computed "
+        ^ crc_hex (String.sub s (ls + 9) (le - ls - 9))
+        ^ ")")
+        ls le
+    | Unframed -> (
+      match tokenize d ls le with
+      | exception Parse msg -> problem n msg ls le
+      | () ->
+        if d.ntok = 2 && tok_is d 0 "end" then
+          match tok_int d 1 with
+          | c -> trailer := Some c
+          | exception Parse _ -> problem n "bad trailer count" ls le
+        else
+          match header_tokens d hdr with
+          | true -> ()
+          | false -> problem n "unrecognised line" ls le
+          | exception Parse msg -> problem n msg ls le)
+  in
+  let v1_line n ls le =
+    match tokenize d ls le with
+    | exception Parse msg -> problem n msg ls le
+    | () -> (
+      let keyword =
+        d.ntok > 0
+        && (tok_is d 0 "recorder" || tok_is d 0 "base-steps"
+           || tok_is d 0 "failure" || tok_is d 0 "faults")
+      in
+      if keyword && d.ntok = 1 then problem n "damaged header line" ls le
+      else if keyword then
+        match header_tokens d hdr with
+        | true -> ()
+        | false -> problem n "damaged header line" ls le
+        | exception Parse msg -> problem n msg ls le
+      else
+        match dec_tokens d ls le with
+        | e -> entry e
+        | exception Parse msg -> problem n msg ls le)
+  in
+  iter_lines s (fun n ls le ->
+      if not (is_blank s ls le) then begin
+        incr total_lines;
+        if !version = 0 then magic n ls le
+        else if !strict_error = None then
+          if !version = 2 then v2_line n ls le else v1_line n ls le
+      end);
+  if !total_lines = 0 then Error "empty log"
+  else
+    match !strict_error with
+    | Some e -> Error e
+    | None ->
+      let truncated =
+        !version = 2 && match !trailer with None -> true | Some c -> c <> !count
+      in
+      if mode = Strict && truncated then
+        Error
+          (match !trailer with
+          | None -> "missing `end` trailer (truncated log)"
+          | Some c ->
+            "trailer count " ^ string_of_int c ^ " does not match "
+            ^ string_of_int !count ^ " entries")
+      else
+        let log =
+          Log.make ?faults:hdr.h_faults ~recorder:hdr.h_recorder
+            ~entries:(List.rev !entries) ~base_steps:hdr.h_base_steps
+            ~failure:hdr.h_failure ()
+        in
+        Ok
+          ( log,
+            {
+              total_lines = !total_lines;
+              salvaged_entries = !count;
+              corrupt_lines = List.rev !corrupt;
+              truncated;
+            } )
 
 let of_string ?mode s = Result.map fst (of_string_report ?mode s)
 

@@ -23,7 +23,7 @@
       1/n.
 
     The v1 format (no checksums, no trailer) is still read, in both
-    modes; v1 truncation is undetectable. *)
+    modes, but no longer written; v1 truncation is undetectable. *)
 
 (** How to treat damage during parsing. *)
 type mode = Strict | Salvage
@@ -48,16 +48,13 @@ val pp_damage : Format.formatter -> damage -> unit
     canonical: [of_string] of the result round-trips byte-for-byte. *)
 val to_string : Log.t -> string
 
-(** [to_string_v1 log] serialises in the legacy v1 format (no checksums,
-    no trailer) — kept for compatibility tests and old tooling. *)
-val to_string_v1 : Log.t -> string
-
 (** [of_string ?mode s] parses v2 or v1 (default [Strict]). Every
     [Error] names the 1-based line number and the offending line text. *)
 val of_string : ?mode:mode -> string -> (Log.t, string) result
 
 (** [of_string_report ?mode s] also returns the {!damage} report; under
-    [Strict] a returned report is always clean. *)
+    [Strict] a returned report is always clean. Malformed input never
+    raises: every bad line is an [Error] or a damage record. *)
 val of_string_report : ?mode:mode -> string -> (Log.t * damage, string) result
 
 (** [save path log] writes the file (v2) {e atomically}: the payload goes
@@ -83,16 +80,56 @@ val load_report : ?mode:mode -> string -> (Log.t * damage, string) result
 
 (**/**)
 
-(* internal: shared with Log_segments (segmented persistence) and the
-   replay layer's Checkpoint (CRC'd atomic frontier files) *)
+(* internal: the one line codec, shared with Log_segments (segmented
+   persistence), Sharded_log (per-node shards and the causal manifest)
+   and the replay layer's Checkpoint (CRC'd atomic frontier files) *)
 
 val atomic_write : string -> string -> unit
+
+(* [crc_hex s] is the CRC32 of [s] as 8 lowercase hex digits;
+   [crc_matches hex s pos len] compares a stored hex token with the CRC32
+   of s[pos, pos + len) as ints *)
 val crc_hex : string -> string
-val enc_entry : Log.entry -> string
-val dec_entry : string -> Log.entry
-val split_crc_line : string -> (string * string) option
-val header_lines : Log.t -> string
-val numbered_lines : string -> (int * string) list
+val crc_matches : string -> string -> int -> int -> bool
+
+(* the writer: a growable byte buffer *)
+type out
+
+val out_create : int -> out
+val out_length : out -> int
+val out_clear : out -> unit
+val out_contents : out -> string
+val out_sub : out -> int -> int -> string
+val add_char : out -> char -> unit
+val add_string : out -> string -> unit
+val add_int : out -> int -> unit
+val add_entry : out -> Log.entry -> unit
+val add_header : framed:bool -> out -> Log.t -> unit
+
+(* [framed o f x] appends [<crc8> <body>\n] with the body written by
+   [f o x]: the one framing writer *)
+val framed : out -> (out -> 'a -> unit) -> 'a -> unit
+
+(* [iter_lines s f] calls [f n ls le] for every '\n'-separated line
+   s[ls, le), numbered from 1 *)
+val iter_lines : string -> (int -> int -> int -> unit) -> unit
+val is_blank : string -> int -> int -> bool
+
+(* the one framing verifier: a [Framed] line's body starts at [ls + 9] *)
+type frame = Unframed | Bad_crc | Framed
+
+val check_frame : string -> int -> int -> frame
+
+exception Parse of string
+
+type decoder
+
+val decoder : string -> decoder
+
+(* [dec_entry d ls le] decodes the entry text at s[ls, le) of the
+   decoder's string.
+   @raise Parse on any malformed token *)
+val dec_entry : decoder -> int -> int -> Log.entry
 
 type header = {
   mutable h_recorder : string;
@@ -102,4 +139,8 @@ type header = {
 }
 
 val fresh_header : unit -> header
+
+(* [parse_header_line hdr line] applies a header line; false if [line]
+   is not one.
+   @raise Parse on a damaged one *)
 val parse_header_line : header -> string -> bool

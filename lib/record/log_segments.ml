@@ -39,9 +39,10 @@ type writer = {
   segment_entries : int;
   store : Store.t;
   mutable seg : int;  (* index of the segment being written *)
+  mutable seg_file : string;  (* its path *)
   mutable count : int;  (* entries in that segment *)
   mutable open_seg : bool;  (* the segment file has been started *)
-  buf : Buffer.t;  (* exact bytes of the open segment, for its CRC *)
+  buf : Log_io.out;  (* exact bytes of the open segment, for its CRC *)
   mutable sealed : (int * int * string) list;  (* rev (index, entries, crc) *)
   mutable closed : bool;
   mutable failed : Store.error option;  (* sticky permanent failure *)
@@ -69,9 +70,10 @@ let create ?store ?(segment_entries = 64) ~recorder base =
       segment_entries;
       store;
       seg = 0;
+      seg_file = seg_path base 0;
       count = 0;
       open_seg = false;
-      buf = Buffer.create 4096;
+      buf = Log_io.out_create 4096;
       sealed = [];
       closed = false;
       failed = None;
@@ -88,29 +90,41 @@ let create ?store ?(segment_entries = 64) ~recorder base =
   | Error e -> fail w e);
   w
 
-let put w s =
-  match w.failed with
-  | Some _ -> ()
-  | None -> (
-    match w.store.Store.append (seg_path w.base w.seg) s with
-    | Ok () -> Buffer.add_string w.buf s
-    | Error e -> fail w e)
+(* hand the segment bytes written since [start] to the store; once the
+   writer has failed they are never read again *)
+let put w start =
+  if w.failed = None then
+    match
+      w.store.Store.append w.seg_file
+        (Log_io.out_sub w.buf start (Log_io.out_length w.buf - start))
+    with
+    | Ok () -> ()
+    | Error e -> fail w e
+
+(* "<keyword> <n>\n" as one store append *)
+let put_line w keyword n =
+  let start = Log_io.out_length w.buf in
+  Log_io.add_string w.buf keyword;
+  Log_io.add_int w.buf n;
+  Log_io.add_char w.buf '\n';
+  put w start
 
 let seal w =
   if w.open_seg then begin
-    let path = seg_path w.base w.seg in
-    put w (Printf.sprintf "end %d\n" w.count);
+    put_line w "end " w.count;
     (* seal (fsync + close) even after a failure, so the handle is
        released; only a clean segment earns a manifest entry *)
-    (match w.store.Store.seal path with
+    (match w.store.Store.seal w.seg_file with
     | Ok () -> ()
     | Error e -> fail w e);
     if w.failed = None then
       w.sealed <-
-        (w.seg, w.count, Log_io.crc_hex (Buffer.contents w.buf)) :: w.sealed;
+        (w.seg, w.count, Log_io.crc_hex (Log_io.out_contents w.buf))
+        :: w.sealed;
     w.open_seg <- false;
-    Buffer.clear w.buf;
+    Log_io.out_clear w.buf;
     w.seg <- w.seg + 1;
+    w.seg_file <- seg_path w.base w.seg;
     w.count <- 0
   end
 
@@ -119,10 +133,11 @@ let append w entry =
   if w.failed = None then begin
     if not w.open_seg then begin
       w.open_seg <- true;
-      put w (Printf.sprintf "%s %d\n" seg_magic w.seg)
+      put_line w (seg_magic ^ " ") w.seg
     end;
-    let line = Log_io.enc_entry entry in
-    put w (Printf.sprintf "%s %s\n" (Log_io.crc_hex line) line);
+    let start = Log_io.out_length w.buf in
+    Log_io.framed w.buf Log_io.add_entry entry;
+    put w start;
     if w.failed = None then begin
       w.count <- w.count + 1;
       if w.count >= w.segment_entries then seal w
@@ -140,17 +155,17 @@ let close w ~base_steps ~failure ?faults () =
         Log.make ?faults ~recorder:w.recorder ~entries:[] ~base_steps ~failure
           ()
       in
-      let b = Buffer.create 1024 in
-      Buffer.add_string b (manifest_magic ^ "\n");
-      Buffer.add_string b (Log_io.header_lines hdr_log);
+      let b = Log_io.out_create 1024 in
+      Log_io.add_string b (manifest_magic ^ "\n");
+      Log_io.add_header ~framed:false b hdr_log;
       let sealed = List.rev w.sealed in
       List.iter
         (fun (i, n, crc) ->
-          Buffer.add_string b (Printf.sprintf "segment %04d %d %s\n" i n crc))
+          Log_io.add_string b (Printf.sprintf "segment %04d %d %s\n" i n crc))
         sealed;
-      Buffer.add_string b (Printf.sprintf "end %d\n" (List.length sealed));
+      Log_io.add_string b (Printf.sprintf "end %d\n" (List.length sealed));
       match
-        Store.atomic_write w.store (manifest_path w.base) (Buffer.contents b)
+        Store.atomic_write w.store (manifest_path w.base) (Log_io.out_contents b)
       with
       | Ok () -> ()
       | Error e -> fail w e)
@@ -206,48 +221,67 @@ let read_file path =
    line ends the valid prefix — later lines of a torn segment are not
    trusted. *)
 let parse_segment ~index contents =
-  match Log_io.numbered_lines contents with
-  | [] -> ([], false)
-  | (_, magic) :: rest ->
-    if not (String.equal (String.trim magic) (Printf.sprintf "%s %d" seg_magic index))
-    then ([], false)
-    else begin
-      let entries = ref [] in
-      let sealed = ref false in
-      let bad = ref false in
-      List.iter
-        (fun (_, line) ->
-          if not (!bad || !sealed) then
-            match Log_io.split_crc_line line with
-            | Some (crc, body) when String.equal crc (Log_io.crc_hex body) -> (
-              match Log_io.dec_entry body with
-              | e -> entries := e :: !entries
-              | exception _ -> bad := true)
-            | Some _ -> bad := true
-            | None -> (
-              match String.split_on_char ' ' (String.trim line) with
-              | [ "end"; n ] when int_of_string_opt n = Some (List.length !entries)
-                ->
-                sealed := true
-              | _ -> bad := true))
-        rest;
-      (List.rev !entries, !sealed && not !bad)
-    end
+  let d = Log_io.decoder contents in
+  let magic = seg_magic ^ " " ^ string_of_int index in
+  let entries = ref [] and count = ref 0 in
+  (* `Magic until the first non-blank line, then `Body until the trailer
+     or a bad line *)
+  let state = ref `Magic in
+  Log_io.iter_lines contents (fun _ ls le ->
+      if not (Log_io.is_blank contents ls le) then
+        match !state with
+        | `Magic ->
+          state :=
+            if String.equal (String.trim (String.sub contents ls (le - ls))) magic
+            then `Body
+            else `Bad
+        | `Body -> (
+          match Log_io.check_frame contents ls le with
+          | Log_io.Framed -> (
+            match Log_io.dec_entry d (ls + 9) le with
+            | e ->
+              entries := e :: !entries;
+              incr count
+            | exception Log_io.Parse _ -> state := `Bad)
+          | Log_io.Bad_crc -> state := `Bad
+          | Log_io.Unframed -> (
+            match
+              String.split_on_char ' '
+                (String.trim (String.sub contents ls (le - ls)))
+            with
+            | [ "end"; n ] when int_of_string_opt n = Some !count ->
+              state := `Sealed
+            | _ -> state := `Bad))
+        | `Sealed | `Bad -> ());
+  (List.rev !entries, !state = `Sealed)
 
 type manifest = {
   m_header : Log_io.header;
   m_segments : (int * int * string) list;  (* (index, entries, crc) *)
 }
 
+(* [Some header] when the first non-blank line is [magic]; every later
+   non-blank line goes to [f hdr line] *)
+let parse_headed ~magic contents f =
+  let hdr = Log_io.fresh_header () in
+  let seen = ref `Nothing in
+  Log_io.iter_lines contents (fun _ ls le ->
+      if not (Log_io.is_blank contents ls le) then
+        let line = String.sub contents ls (le - ls) in
+        match !seen with
+        | `Nothing ->
+          seen :=
+            if String.equal (String.trim line) magic then `Magic else `Other
+        | `Magic -> f hdr line
+        | `Other -> ());
+  if !seen = `Magic then Some hdr else None
+
 let parse_manifest contents =
-  match Log_io.numbered_lines contents with
-  | (_, magic) :: rest when String.equal (String.trim magic) manifest_magic ->
-    let hdr = Log_io.fresh_header () in
-    let segs = ref [] in
-    let trailer = ref None in
-    let ok = ref true in
-    List.iter
-      (fun (_, line) ->
+  let segs = ref [] in
+  let trailer = ref None in
+  let ok = ref true in
+  match
+    parse_headed ~magic:manifest_magic contents (fun hdr line ->
         if !ok then
           match String.split_on_char ' ' (String.trim line) with
           | [ "segment"; i; n; crc ] -> (
@@ -258,28 +292,19 @@ let parse_manifest contents =
           | _ -> (
             match Log_io.parse_header_line hdr line with
             | true -> ()
-            | false -> ok := false
-            | exception _ -> ok := false))
-      rest;
-    let segs = List.rev !segs in
-    if !ok && !trailer = Some (List.length segs) then
-      Some { m_header = hdr; m_segments = segs }
-    else None
-  | _ | (exception _) -> None
+            | false | (exception Log_io.Parse _) -> ok := false))
+  with
+  | Some hdr when !ok && !trailer = Some (List.length !segs) ->
+    Some { m_header = hdr; m_segments = List.rev !segs }
+  | _ -> None
 
 let read_header base =
   let path = header_path base in
   if not (Sys.file_exists path) then None
   else
-    match Log_io.numbered_lines (read_file path) with
-    | (_, magic) :: rest when String.equal (String.trim magic) header_magic ->
-      let hdr = Log_io.fresh_header () in
-      List.iter
-        (fun (_, line) ->
-          try ignore (Log_io.parse_header_line hdr line) with _ -> ())
-        rest;
-      Some hdr
-    | _ | (exception _) -> None
+    parse_headed ~magic:header_magic (read_file path) (fun hdr line ->
+        try ignore (Log_io.parse_header_line hdr line)
+        with Log_io.Parse _ -> ())
 
 (* Crash recovery: walk segment files in order; sealed segments are
    recovered whole, the first unsealed (or missing) one contributes its
@@ -302,30 +327,28 @@ let load base =
     let path = manifest_path base in
     if Sys.file_exists path then parse_manifest (read_file path) else None
   in
+  (* every listed segment present, byte-CRC clean, sealed and of the
+     listed size — or the scan below takes over *)
   let validated =
     match manifest with
     | None -> None
-    | Some m -> (
-      let all =
-        List.for_all
-          (fun (i, n, crc) ->
-            let path = seg_path base i in
-            Sys.file_exists path
-            &&
+    | Some m ->
+      let rec segments acc = function
+        | [] -> Some (m, List.concat (List.rev acc))
+        | (i, n, crc) :: rest ->
+          let path = seg_path base i in
+          if not (Sys.file_exists path) then None
+          else
             let contents = read_file path in
-            String.equal crc (Log_io.crc_hex contents)
-            &&
-            let entries, sealed = parse_segment ~index:i contents in
-            sealed && List.length entries = n)
-          m.m_segments
+            if not (Log_io.crc_matches crc contents 0 (String.length contents))
+            then None
+            else
+              let entries, sealed = parse_segment ~index:i contents in
+              if sealed && List.length entries = n then
+                segments (entries :: acc) rest
+              else None
       in
-      if not all then None
-      else
-        Some
-          ( m,
-            List.concat_map
-              (fun (i, _, _) -> fst (parse_segment ~index:i (read_file (seg_path base i))))
-              m.m_segments ))
+      segments [] m.m_segments
   in
   match validated with
   | Some (m, entries) ->

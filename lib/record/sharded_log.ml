@@ -134,24 +134,18 @@ let rec chunks k = function
     let head, rest = take k [] l in
     head :: chunks k rest
 
+(* [shards] are (node, entries, bytes written) in node order *)
 let manifest_string ~causal (log : Log.t) shards =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b magic;
-  Buffer.add_char b '\n';
-  let line s =
-    Buffer.add_string b (Log_io.crc_hex s);
-    Buffer.add_char b ' ';
-    Buffer.add_string b s;
-    Buffer.add_char b '\n'
-  in
-  String.split_on_char '\n' (Log_io.header_lines log)
-  |> List.iter (fun l -> if l <> "" then line l);
+  let b = Log_io.out_create 1024 in
+  Log_io.add_string b magic;
+  Log_io.add_char b '\n';
+  let line s = Log_io.framed b Log_io.add_string s in
+  Log_io.add_header ~framed:true b log;
   List.iteri
-    (fun ix (node, slog) ->
+    (fun ix (node, entries, bytes) ->
       line
-        (Printf.sprintf "node %d %s %d %s" ix node
-           (List.length slog.Log.entries)
-           (Log_io.crc_hex (Log_io.to_string slog))))
+        (Printf.sprintf "node %d %s %d %s" ix node entries
+           (Log_io.crc_hex bytes)))
     shards;
   let runs = order_runs causal log in
   List.iter
@@ -160,7 +154,7 @@ let manifest_string ~causal (log : Log.t) shards =
   let ix_of n =
     let rec go i = function
       | [] -> -1
-      | (m, _) :: rest -> if String.equal m n then i else go (i + 1) rest
+      | (m, _, _) :: rest -> if String.equal m n then i else go (i + 1) rest
     in
     go 0 shards
   in
@@ -175,7 +169,7 @@ let manifest_string ~causal (log : Log.t) shards =
     (Printf.sprintf "end %d %d %d" (List.length shards)
        (List.length log.Log.entries)
        (List.length causal.Causal.edges));
-  Buffer.contents b
+  Log_io.out_contents b
 
 (* recovered manifest fields; everything optional because every line is
    independently CRC'd and any suffix may be gone *)
@@ -189,8 +183,14 @@ type manifest = {
 }
 
 let parse_manifest content =
-  match String.split_on_char '\n' content with
-  | m :: rest when String.equal m magic ->
+  let first_line =
+    match String.index_opt content '\n' with
+    | Some k -> String.sub content 0 k
+    | None -> content
+  in
+  if not (String.equal first_line magic) then
+    Error "not a ddet-causal manifest"
+  else
     let hdr = Log_io.fresh_header () in
     let nodes = ref [] and order = ref [] and edges = ref [] in
     let trailer = ref None and corrupt = ref 0 in
@@ -228,16 +228,13 @@ let parse_manifest content =
                 with _ -> false)
               else false))
     in
-    List.iter
-      (fun l ->
-        if l <> "" then
-          match Log_io.split_crc_line l with
-          | Some (crc, text)
-            when String.equal crc (Log_io.crc_hex text) && parse_payload text
-            ->
+    Log_io.iter_lines content (fun n ls le ->
+        if n > 1 && le > ls then
+          match Log_io.check_frame content ls le with
+          | Log_io.Framed
+            when parse_payload (String.sub content (ls + 9) (le - ls - 9)) ->
             ()
-          | Some _ | None -> incr corrupt)
-      rest;
+          | Log_io.Framed | Log_io.Bad_crc | Log_io.Unframed -> incr corrupt);
     Ok
       {
         m_header = hdr;
@@ -247,7 +244,6 @@ let parse_manifest content =
         m_trailer = !trailer;
         m_corrupt = !corrupt;
       }
-  | _ -> Error "not a ddet-causal manifest"
 
 (* ------------------------------------------------------------------ *)
 (* saving *)
@@ -275,32 +271,37 @@ let save_via ?(priority = []) store ~base ~(causal : Causal.t) (log : Log.t) =
     (fun node -> store.Store.remove (shard_path base node))
     (scan_shards base);
   store.Store.remove (manifest_path base);
-  let shards = split ~causal log in
+  (* each shard is encoded once: the bytes written are the bytes the
+     manifest CRCs *)
+  let shards =
+    List.map
+      (fun (node, slog) ->
+        (node, List.length slog.Log.entries, Log_io.to_string slog))
+      (split ~causal log)
+  in
   (* write order: prioritized nodes first (in the order given), the rest
      in node order — under a store that dies mid-save, the shards the
      caller deems most diagnostic are the ones most likely on disk *)
   let write_order =
     let prioritized =
       List.filter_map
-        (fun n -> List.find_opt (fun (m, _) -> String.equal m n) shards)
+        (fun n -> List.find_opt (fun (m, _, _) -> String.equal m n) shards)
         priority
     in
     prioritized
-    @ List.filter
-        (fun (n, _) -> not (List.mem n priority))
-        shards
+    @ List.filter (fun (n, _, _) -> not (List.mem n priority)) shards
   in
   (* every shard is written even when an earlier one fails: shards are
      independent evidence, and partial persistence is the useful case *)
   let written =
     List.map
-      (fun (node, slog) ->
-        (node, store.Store.write (shard_path base node) (Log_io.to_string slog)))
+      (fun (node, _, bytes) ->
+        (node, store.Store.write (shard_path base node) bytes))
       write_order
   in
-  (* report stays in node order regardless of write order *)
+  (* report and manifest stay in node order regardless of write order *)
   let shard_results =
-    List.map (fun (node, _) -> (node, List.assoc node written)) shards
+    List.map (fun (node, _, _) -> (node, List.assoc node written)) shards
   in
   let manifest_result =
     Store.atomic_write store (manifest_path base)
@@ -328,7 +329,7 @@ let load_shard ~lose ~expected node path =
       let matches_manifest =
         match expected with
         | Some (entries, crc) ->
-          String.equal crc (Log_io.crc_hex content)
+          Log_io.crc_matches crc content 0 (String.length content)
           && List.length log.Log.entries = entries
         | None -> true
       in

@@ -71,8 +71,7 @@ let payload_into b t =
 let to_payload t = payload_into (Buffer.create 256) t
 
 let write_payload path payload =
-  Log_io.atomic_write path
-    (payload ^ Printf.sprintf "end %s\n" (Log_io.crc_hex payload))
+  Log_io.atomic_write path (payload ^ "end " ^ Log_io.crc_hex payload ^ "\n")
 
 let write path t = write_payload path (to_payload t)
 
@@ -121,7 +120,7 @@ let load path =
       String.concat "\n" (List.rev rev_payload) ^ "\n"
     in
     let* () =
-      if String.equal crc (Log_io.crc_hex payload) then Ok ()
+      if Log_io.crc_matches crc payload 0 (String.length payload) then Ok ()
       else fail "%s: checkpoint CRC mismatch (torn or corrupted file)" path
     in
     let engine = ref None

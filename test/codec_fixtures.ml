@@ -1,0 +1,99 @@
+(* The recordings behind the committed format fixtures in fixtures/.
+
+   The files were written from these values by the Printf/Scanf codec
+   that the allocation-light one replaced (kept as Ref_codec), through
+   the library's own writers:
+
+     fixtures/every_kind.log          Log_io.save
+     fixtures/seg.{header,NNNN.seg,manifest}
+                                      Log_segments.save ~segment_entries:8
+     fixtures/dist.{NODE.shard,causal}
+                                      Sharded_log.save_via ~causal
+
+   Changing anything here orphans the fixtures: the bytes on disk are the
+   contract, so the writers must keep reproducing them. *)
+
+open Mvm
+open Ddet_record
+
+let tricky =
+  "tab\there \"quoted\" back\\slash\nnewline \r\b \000\031\127 caf\xc3\xa9 \xff"
+
+let faults =
+  match
+    Fault.of_string "seed=11,drop:ack_0:0.15,delay:req:10-80,crash:2:300"
+  with
+  | Ok p -> p
+  | Error e -> failwith e
+
+let crash = Failure.Crash { sid = -7; msg = tricky }
+
+(* every entry kind, every value kind, negative and extreme ints, and
+   strings that need every escape class *)
+let every_kind =
+  Log.make ~faults ~recorder:"rcse \"fixture\"" ~base_steps:4242
+    ~failure:(Some crash)
+    ~entries:
+      [
+        Log.Sched { tid = 0; sid = 3 };
+        Log.Sched { tid = 12; sid = -1 };
+        Log.Input { tid = 1; chan = "in0"; value = Value.int (-42) };
+        Log.Input { tid = 1; chan = "in0"; value = Value.int min_int };
+        Log.Input { tid = 2; chan = "cfg"; value = Value.str tricky };
+        Log.Input { tid = 2; chan = "cfg"; value = Value.str "" };
+        Log.Read_val
+          { tid = 0; sid = 5; kind = Log.Mem; value = Value.int max_int };
+        Log.Read_val
+          { tid = 3; sid = 6; kind = Log.Msg; value = Value.bool true };
+        Log.Read_val { tid = 3; sid = 7; kind = Log.Mem; value = Value.unit };
+        Log.Output { chan = "out"; value = Value.bool false };
+        Log.Output { chan = "out"; value = Value.str "a b" };
+        Log.Sync { tid = 1; sid = 8; op = Log.Op_send "c" };
+        Log.Sync { tid = 0; sid = 9; op = Log.Op_recv "c" };
+        Log.Sync { tid = 0; sid = 1; op = Log.Op_spawn };
+        Log.Sync { tid = 2; sid = 10; op = Log.Op_lock "m" };
+        Log.Sync { tid = 2; sid = 11; op = Log.Op_unlock "m" };
+        Log.Cp_sched { tid = 1; sid = 9 };
+        Log.Cp_input
+          { tid = 1; sid = 9; chan = "in1"; value = Value.str "x\\y" };
+        Log.Cp_input { tid = 3; sid = -2; chan = "in1"; value = Value.int 0 };
+        Log.Failure_desc crash;
+        Log.Failure_desc (Failure.Spec_violation "inv \"broken\"");
+        Log.Failure_desc Failure.Hang;
+        Log.Flight_note { buffered = 0 };
+        Log.Flight_note { buffered = 123456 };
+        Log.Mark "dial-up";
+        Log.Mark tricky;
+        Log.Govern { step = 10; level = 2; reason = "budget \"1.3x\"" };
+        Log.Govern { step = 4000; level = 0; reason = "" };
+      ]
+    ()
+
+(* three nodes; tid 12 is unobserved and falls back to the first node *)
+let causal =
+  {
+    Causal.nodes = [ "server"; "p0"; "p1" ];
+    tid_node = [ (0, "server"); (1, "p0"); (2, "p1"); (3, "p1") ];
+    edges =
+      [
+        {
+          Causal.chan = "c";
+          send_node = "p0";
+          send_seq = 1;
+          recv_node = "server";
+          recv_seq = 1;
+        };
+        {
+          Causal.chan = "reply \"x\"";
+          send_node = "server";
+          send_seq = 2;
+          recv_node = "p1";
+          recv_seq = 1;
+        };
+      ];
+  }
+
+let log_file = "every_kind.log"
+let seg_base = "seg"
+let seg_entries = 8
+let dist_base = "dist"

@@ -153,6 +153,40 @@ let contains text needle =
   let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
   go 0
 
+(* A malformed token is a parse error, not an escaped exception: with its
+   last entry replaced by a CRC-valid [b:] value that is neither true nor
+   false, strict replay names the line (exit 1) and salvage skips it
+   (exit 4). *)
+let test_bad_token () =
+  let app, seed, _ = Lazy.force scenario in
+  let log = Filename.temp_file "ddet_cli" ".log" in
+  check "record saves the value log" 0
+    (run "record -a %s -m value -s %d -o %s" app.App.name seed
+       (Filename.quote log));
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_bin log In_channel.input_all)
+  in
+  (* ...; last entry; "end N"; "" *)
+  let ix = List.length lines - 3 in
+  let bad = "input 0 c b:trte" in
+  Out_channel.with_open_bin log (fun oc ->
+      output_string oc
+        (String.concat "\n"
+           (List.mapi
+              (fun k l ->
+                if k = ix then Ddet_record.Log_io.crc_hex bad ^ " " ^ bad else l)
+              lines)));
+  let code, text =
+    run_out "replay -a %s -m value -i %s" app.App.name (Filename.quote log)
+  in
+  check "strict load refuses the bad token: exit 1" 1 code;
+  Alcotest.(check bool) "the error names the line" true
+    (contains text (Printf.sprintf "line %d: bad value token b:trte" (ix + 1)));
+  check "salvage skips the bad line: exit 4" 4
+    (run "replay -a %s -m value -i %s --salvage --attempts 1" app.App.name
+       (Filename.quote log));
+  Sys.remove log
+
 (* sharded (per-node) recordings: the distributed-evidence exit contract.
    Reproducing from partial shard evidence is a success (0) — missing
    evidence honestly searched around, reported as degraded DF; budget
@@ -448,6 +482,7 @@ let () =
           Alcotest.test_case "0: reproduced" `Quick test_reproduced;
           Alcotest.test_case "3: degraded to partial" `Quick test_partial;
           Alcotest.test_case "4: salvaged damage" `Quick test_salvaged;
+          Alcotest.test_case "1 and 4: malformed token" `Quick test_bad_token;
           Alcotest.test_case "5: deadline exhausted" `Quick test_deadline;
           Alcotest.test_case "5: scan exhausted" `Quick test_find_exhausted;
         ] );

@@ -1,0 +1,383 @@
+(* The ddet-log line codec: CRC32 known answers; the committed format
+   fixtures, which the writers must reproduce byte for byte and the
+   readers must load; and a differential law against the Printf/Scanf
+   codec the allocation-light one replaced (Ref_codec), over recorded
+   and arbitrary logs, their every-byte truncations and random
+   single-byte flips. *)
+
+open Mvm
+open Ddet_record
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let fixture name = Filename.concat "fixtures" name
+
+let fresh_dir () =
+  let dir = Filename.temp_file "ddet_codec" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  dir
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* the fixture files of one recording, by name *)
+let fixture_files prefix =
+  Sys.readdir "fixtures" |> Array.to_list
+  |> List.filter (String.starts_with ~prefix)
+  |> List.sort compare
+
+(* [dir] holds exactly the fixture files under [prefix], byte for byte *)
+let check_written dir prefix =
+  let written =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (String.starts_with ~prefix)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "same file set" (fixture_files prefix) written;
+  List.iter
+    (fun f ->
+      Alcotest.(check string) f (read_file (fixture f))
+        (read_file (Filename.concat dir f)))
+    written
+
+let log_testable =
+  Alcotest.testable (fun ppf l -> Log.pp ppf l) (fun a b -> a = b)
+
+(* ------------------------------------------------------------------ *)
+(* CRC32 *)
+
+let test_crc_known_answers () =
+  Alcotest.(check string) "check value" "cbf43926"
+    (Log_io.crc_hex "123456789");
+  Alcotest.(check string) "empty" "00000000" (Log_io.crc_hex "");
+  let every_byte = String.init 256 Char.chr in
+  Alcotest.(check string) "every byte, as the Int32 table computes it"
+    (Ref_codec.crc_hex every_byte) (Log_io.crc_hex every_byte);
+  Alcotest.(check bool) "a range is checked against its own bytes" true
+    (Log_io.crc_matches "cbf43926" "xx123456789yy" 2 9)
+
+(* ------------------------------------------------------------------ *)
+(* fixtures *)
+
+let test_log_fixture () =
+  let dir = fresh_dir () in
+  Log_io.save
+    (Filename.concat dir Codec_fixtures.log_file)
+    Codec_fixtures.every_kind;
+  check_written dir Codec_fixtures.log_file;
+  remove_dir dir;
+  Alcotest.(check string) "the reference writes the same bytes"
+    (read_file (fixture Codec_fixtures.log_file))
+    (Ref_codec.to_string Codec_fixtures.every_kind);
+  match Log_io.load (fixture Codec_fixtures.log_file) with
+  | Ok log -> Alcotest.check log_testable "loads" Codec_fixtures.every_kind log
+  | Error e -> Alcotest.fail e
+
+let test_segment_fixture () =
+  let dir = fresh_dir () in
+  let prefix = Codec_fixtures.seg_base ^ "." in
+  Log_segments.save ~segment_entries:Codec_fixtures.seg_entries
+    (Filename.concat dir Codec_fixtures.seg_base)
+    Codec_fixtures.every_kind;
+  check_written dir prefix;
+  remove_dir dir;
+  match Log_segments.load (fixture Codec_fixtures.seg_base) with
+  | Ok (log, r) ->
+    Alcotest.(check bool) "complete" true r.Log_segments.complete;
+    Alcotest.check log_testable "loads" Codec_fixtures.every_kind log
+  | Error e -> Alcotest.fail e
+
+let test_sharded_fixture () =
+  let dir = fresh_dir () in
+  let prefix = Codec_fixtures.dist_base ^ "." in
+  let report =
+    Sharded_log.save_via (Store.default ())
+      ~base:(Filename.concat dir Codec_fixtures.dist_base)
+      ~causal:Codec_fixtures.causal Codec_fixtures.every_kind
+  in
+  Alcotest.(check bool) "saved" true (Sharded_log.save_ok report);
+  check_written dir prefix;
+  remove_dir dir;
+  match Sharded_log.load (fixture Codec_fixtures.dist_base) with
+  | Error e -> Alcotest.fail e
+  | Ok l ->
+    Alcotest.(check bool) "manifest complete" true
+      l.Sharded_log.manifest_complete;
+    let split =
+      Sharded_log.split ~causal:Codec_fixtures.causal Codec_fixtures.every_kind
+    in
+    List.iter2
+      (fun (node, slog) (s : Sharded_log.shard) ->
+        Alcotest.(check string) "node order" node s.Sharded_log.node;
+        Alcotest.(check string) (node ^ " intact") "intact"
+          (Sharded_log.status_name s.Sharded_log.status);
+        match s.Sharded_log.log with
+        | Some log -> Alcotest.check log_testable (node ^ " shard") slog log
+        | None -> Alcotest.fail (node ^ ": no log"))
+      split l.Sharded_log.shards;
+    Alcotest.(check bool) "edges" true
+      (l.Sharded_log.edges = Codec_fixtures.causal.Causal.edges);
+    Alcotest.(check int) "order covers every entry"
+      (List.length Codec_fixtures.every_kind.Log.entries)
+      (List.fold_left (fun acc (_, n) -> acc + n) 0 l.Sharded_log.order)
+
+(* ------------------------------------------------------------------ *)
+(* the differential law *)
+
+let mode_name = function
+  | Log_io.Strict -> "strict"
+  | Log_io.Salvage -> "salvage"
+
+(* The library agrees with the reference on [s]: the same log, damage
+   record or error string; where the reference raises, an Error
+   (Strict) or a damage record (Salvage) instead. *)
+let agrees mode s =
+  let ours = Log_io.of_string_report ~mode s in
+  let ok =
+    match Ref_codec.of_string_report ~mode s with
+    | reference -> reference = ours
+    | exception _ -> (
+      match (mode, ours) with
+      | Log_io.Strict, Error _ -> true
+      | Log_io.Salvage, Ok (_, damage) -> Log_io.is_damaged damage
+      | _ -> false)
+  in
+  if not ok then
+    QCheck2.Test.fail_reportf "%s decode of %S disagrees with the reference"
+      (mode_name mode) s;
+  true
+
+let agrees_both s = agrees Log_io.Strict s && agrees Log_io.Salvage s
+
+(* every-byte truncations and [flips] random single-byte flips; a
+   disagreement reports the exact input, so the laws over whole logs do
+   not shrink *)
+let damaged_variants ~flips rand s =
+  let n = String.length s in
+  for k = 0 to n - 1 do
+    ignore (agrees_both (String.sub s 0 k))
+  done;
+  if n > 0 then
+    for _ = 1 to flips do
+      let b = Bytes.of_string s in
+      let pos = Random.State.int rand n in
+      let byte = (Char.code s.[pos] + 1 + Random.State.int rand 255) mod 256 in
+      Bytes.set b pos (Char.chr byte);
+      ignore (agrees_both (Bytes.to_string b))
+    done
+
+let law_holds ~flips seed log =
+  let v2 = Log_io.to_string log in
+  if not (String.equal v2 (Ref_codec.to_string log)) then
+    QCheck2.Test.fail_reportf "encoding differs from the reference:@ %S" v2;
+  let rand = Random.State.make [| seed |] in
+  ignore (agrees_both v2);
+  damaged_variants ~flips rand v2;
+  damaged_variants ~flips rand (Ref_codec.to_string_v1 log);
+  true
+
+(* -- recorded logs: Proggen programs under every recorder, cut to a
+   prefix so the every-byte sweep stays cheap *)
+
+let recorders =
+  [|
+    (fun () -> Full_recorder.create ());
+    (fun () -> Value_recorder.create ());
+    (fun () -> Sync_recorder.create ());
+    (fun () -> Output_recorder.create ());
+    (fun () -> Failure_recorder.create ());
+    (fun () ->
+      Rcse_recorder.create (Fidelity_level.always Fidelity_level.High));
+  |]
+
+let recorded (pseed, wseed, r) =
+  let labeled = Proggen.generate Proggen.default (Prng.create pseed) in
+  let _, log =
+    Recorder.record (recorders.(r) ()) labeled ~spec:Spec.accept_all
+      ~world:(World.random ~seed:wseed)
+  in
+  { log with Log.entries = List.filteri (fun i _ -> i < 12) log.Log.entries }
+
+let prop_recorded =
+  QCheck2.Test.make
+    ~name:"recorded logs: same bytes, same decode as the reference" ~count:12
+    ~print:(fun (p, w, r) ->
+      Printf.sprintf "program %d, world %d, recorder %d" p w r)
+    QCheck2.Gen.(
+      no_shrink (triple (int_range 1 5_000) (int_range 1 5_000) (int_bound 5)))
+    (fun ((p, w, _) as scenario) ->
+      law_holds ~flips:30 (p + w) (recorded scenario))
+
+(* -- arbitrary logs: payloads with quotes, backslashes, newlines,
+   control and non-ASCII bytes; min_int and max_int; and channel names
+   the format never escapes, so even a framed line can tokenize badly *)
+
+let payload_gen =
+  QCheck2.Gen.(
+    string_size (int_bound 6)
+      ~gen:
+        (oneof
+           [
+             oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; ' '; '0'; '9'; 'x'; 'n' ];
+             char;
+           ]))
+
+let int_gen =
+  QCheck2.Gen.(
+    oneof [ int_range (-20) 300; oneofl [ min_int; max_int; -1 ]; int ])
+
+let chan_gen =
+  QCheck2.Gen.(
+    oneof [ oneofl [ "c"; "in0"; "out" ]; oneofl [ "a b"; "q\""; "" ] ])
+
+let value_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map Value.int int_gen; map Value.bool bool; map Value.str payload_gen;
+        return Value.unit;
+      ])
+
+let failure_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun sid msg -> Failure.Crash { sid; msg }) int_gen payload_gen;
+        map (fun t -> Failure.Spec_violation t) payload_gen;
+        return Failure.Hang;
+      ])
+
+let entry_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map2 (fun tid sid -> Log.Sched { tid; sid }) int_gen int_gen;
+      map3
+        (fun tid chan value -> Log.Input { tid; chan; value })
+        int_gen chan_gen value_gen;
+      map3
+        (fun (tid, sid) kind value -> Log.Read_val { tid; sid; kind; value })
+        (pair int_gen int_gen) (oneofl [ Log.Mem; Log.Msg ]) value_gen;
+      map2 (fun chan value -> Log.Output { chan; value }) chan_gen value_gen;
+      map3
+        (fun tid sid op -> Log.Sync { tid; sid; op })
+        int_gen int_gen
+        (oneof
+           [
+             map (fun c -> Log.Op_send c) chan_gen;
+             map (fun c -> Log.Op_recv c) chan_gen;
+             return Log.Op_spawn;
+             map (fun m -> Log.Op_lock m) chan_gen;
+             map (fun m -> Log.Op_unlock m) chan_gen;
+           ]);
+      map2 (fun tid sid -> Log.Cp_sched { tid; sid }) int_gen int_gen;
+      map3
+        (fun (tid, sid) chan value -> Log.Cp_input { tid; sid; chan; value })
+        (pair int_gen int_gen) chan_gen value_gen;
+      map (fun f -> Log.Failure_desc f) failure_gen;
+      map (fun buffered -> Log.Flight_note { buffered }) int_gen;
+      map (fun m -> Log.Mark m) payload_gen;
+      map3
+        (fun step level reason -> Log.Govern { step; level; reason })
+        int_gen int_gen payload_gen;
+    ]
+
+let faults_gen =
+  QCheck2.Gen.(
+    oneofl [ None; Some "seed=3"; Some "seed=11,drop:ack_0:0.15,crash:2:300" ]
+    |> map (Option.map (fun s -> Result.get_ok (Fault.of_string s))))
+
+let log_gen =
+  QCheck2.Gen.(
+    map3
+      (fun (recorder, base_steps) (failure, faults) entries ->
+        Log.make ?faults ~recorder ~entries ~base_steps ~failure ())
+      (pair payload_gen int_gen)
+      (pair (opt failure_gen) faults_gen)
+      (list_size (int_bound 8) entry_gen))
+
+let prop_arbitrary =
+  QCheck2.Test.make
+    ~name:"arbitrary payloads: same bytes, same decode as the reference"
+    ~count:60
+    ~print:(fun (seed, log) ->
+      Printf.sprintf "seed %d: %S" seed (Ref_codec.to_string log))
+    QCheck2.Gen.(no_shrink (pair int log_gen))
+    (fun (seed, log) -> law_holds ~flips:20 seed log)
+
+(* -- fuzzed lines: a keyword and tokens built from number spellings,
+   keywords and escape-heavy quoted strings (stray quotes, trailing
+   backslashes, bad decimal and hex escapes, escaped CRs), framed with a
+   valid CRC or not, under each magic: malformed tokens reach the entry
+   decoder, the header parser and the trailer in both formats *)
+
+let word_gen =
+  QCheck2.Gen.oneofl
+    [
+      "0"; "-7"; "12"; "0x1f"; "1_0"; "+3"; "99999999999999999999";
+      "-4611686018427387904"; "4611686018427387904"; "true"; "trte"; "false";
+      "mem"; "msg"; "send"; "spawn"; "-"; "none"; "crash"; "spec"; "hang"; "u";
+      "c"; "\\"; "x\r";
+    ]
+
+let quoted_gen =
+  QCheck2.Gen.(
+    map
+      (fun parts -> "\"" ^ String.concat "" parts ^ "\"")
+      (list_size (int_bound 4)
+         (oneofl
+            [
+              "a"; " "; "7"; "\\\\"; "\\\""; "\\n"; "\\'"; "\\0"; "\\12";
+              "\\123"; "\\999"; "\\255"; "\\256"; "\\x4"; "\\x4f"; "\\xZ";
+              "\\\r"; "\\\rz"; "\\q"; "\""; "\\"; "\r"; "\xc3\xa9";
+            ])))
+
+let token_gen =
+  QCheck2.Gen.(
+    map2 ( ^ )
+      (oneofl [ ""; ""; "i:"; "b:"; "s:" ])
+      (map (String.concat "")
+         (list_size (int_range 1 2) (oneof [ word_gen; quoted_gen ]))))
+
+let line_gen =
+  QCheck2.Gen.(
+    map3
+      (fun framed keyword args ->
+        let body = String.concat " " (keyword :: args) in
+        if framed then Log_io.crc_hex body ^ " " ^ body else body)
+      bool
+      (oneofl
+         [
+           "sched"; "input"; "readval"; "output"; "sync"; "cpsched"; "cpinput";
+           "faildesc"; "flight"; "mark"; "govern"; "recorder"; "base-steps";
+           "failure"; "faults"; "end"; "bogus"; "";
+         ])
+      (list_size (int_bound 5) token_gen))
+
+let doc_gen =
+  QCheck2.Gen.(
+    map2
+      (fun magic lines -> String.concat "\n" (magic :: lines))
+      (oneofl [ "ddet-log v2"; "ddet-log v1"; "ddet-log v3" ])
+      (list_size (int_range 0 6) line_gen))
+
+let prop_fuzzed =
+  QCheck2.Test.make ~name:"fuzzed lines decode as the reference decodes them"
+    ~count:3000 ~print:(Printf.sprintf "%S") doc_gen agrees_both
+
+let () =
+  Alcotest.run "codec"
+    [
+      ( "crc",
+        [ Alcotest.test_case "known answers" `Quick test_crc_known_answers ] );
+      ( "fixtures",
+        [
+          Alcotest.test_case "v2 log" `Quick test_log_fixture;
+          Alcotest.test_case "segment set" `Quick test_segment_fixture;
+          Alcotest.test_case "sharded recording" `Quick test_sharded_fixture;
+        ] );
+      ( "differential",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_recorded; prop_arbitrary; prop_fuzzed ] );
+    ]

@@ -342,7 +342,7 @@ let test_log_io_strict_rejects_crc_mismatch () =
 
 let test_log_io_v1_still_loads () =
   let _, log = record_with (Value_recorder.create ()) in
-  match Log_io.of_string (Log_io.to_string_v1 log) with
+  match Log_io.of_string (Ref_codec.to_string_v1 log) with
   | Ok log' ->
     Alcotest.(check bool) "v1 entries preserved" true
       (log'.Log.entries = log.Log.entries)
@@ -432,7 +432,7 @@ let v1_header = "ddet-log v1\nrecorder \"t\"\nbase-steps 1\nfailure none\n"
 
 let test_log_io_v1_empty_body () =
   let empty = Log.make ~recorder:"t" ~entries:[] ~base_steps:1 ~failure:None () in
-  match Log_io.of_string (Log_io.to_string_v1 empty) with
+  match Log_io.of_string (Ref_codec.to_string_v1 empty) with
   | Ok log' -> Alcotest.(check int) "no entries" 0 (List.length log'.Log.entries)
   | Error e -> Alcotest.fail e
 
@@ -446,7 +446,7 @@ let test_log_io_v1_header_only () =
 
 let test_log_io_v1_trailerless_tail () =
   let _, log = record_with (Value_recorder.create ()) in
-  let s = Log_io.to_string_v1 log in
+  let s = Ref_codec.to_string_v1 log in
   (* cut the last entry line in half: v1 can spot the malformed line but
      not the loss itself (no trailer), so salvage recovers the prefix
      with a corrupt-line report and no truncation flag *)
@@ -465,6 +465,51 @@ let test_log_io_v1_trailerless_tail () =
       (List.length damage.Log_io.corrupt_lines);
     Alcotest.(check bool) "v1 cannot flag the truncation itself" false
       damage.Log_io.truncated
+  | Error e -> Alcotest.fail e
+
+(* A [b:] value other than true/false is a malformed token like any
+   other, in both formats and in v2 even under a valid CRC: Strict names
+   its line, Salvage skips it and reports it. *)
+let bad_bool = "input 0 c b:trte"
+
+(* [s] with its last entry line, the one at [ix], replaced *)
+let with_bad_bool ~framed s =
+  let lines = String.split_on_char '\n' s in
+  let ix = List.length lines - if framed then 3 else 2 in
+  let bad =
+    if framed then Log_io.crc_hex bad_bool ^ " " ^ bad_bool else bad_bool
+  in
+  ( ix,
+    String.concat "\n" (List.mapi (fun k l -> if k = ix then bad else l) lines)
+  )
+
+let bad_bool_log ~framed =
+  let _, log = record_with (Value_recorder.create ()) in
+  let s = if framed then Log_io.to_string log else Ref_codec.to_string_v1 log in
+  (log, with_bad_bool ~framed s)
+
+let check_bad_bool_strict ~framed () =
+  let _, (ix, s) = bad_bool_log ~framed in
+  match Log_io.of_string s with
+  | Error msg ->
+    Alcotest.(check bool) "names the 1-based line" true
+      (contains msg (Printf.sprintf "line %d:" (ix + 1)));
+    Alcotest.(check bool) "names the token" true (contains msg "b:trte")
+  | Ok _ -> Alcotest.fail "a bad bool token was accepted"
+
+let check_bad_bool_salvage ~framed () =
+  let log, (ix, s) = bad_bool_log ~framed in
+  match Log_io.of_string_report ~mode:Log_io.Salvage s with
+  | Ok (log', damage) ->
+    Alcotest.(check int) "only the bad line is lost"
+      (List.length log.Log.entries - 1)
+      (List.length log'.Log.entries);
+    (match damage.Log_io.corrupt_lines with
+    | [ (n, _, text) ] ->
+      Alcotest.(check int) "damage names the line" (ix + 1) n;
+      Alcotest.(check bool) "damage quotes the text" true
+        (contains text bad_bool)
+    | _ -> Alcotest.fail "expected exactly one corrupt line")
   | Error e -> Alcotest.fail e
 
 let test_log_io_file () =
@@ -836,6 +881,14 @@ let () =
           Alcotest.test_case "v1 header only" `Quick test_log_io_v1_header_only;
           Alcotest.test_case "v1 trailer-less tail" `Quick
             test_log_io_v1_trailerless_tail;
+          Alcotest.test_case "v2 bad bool, strict" `Quick
+            (check_bad_bool_strict ~framed:true);
+          Alcotest.test_case "v2 bad bool, salvage" `Quick
+            (check_bad_bool_salvage ~framed:true);
+          Alcotest.test_case "v1 bad bool, strict" `Quick
+            (check_bad_bool_strict ~framed:false);
+          Alcotest.test_case "v1 bad bool, salvage" `Quick
+            (check_bad_bool_salvage ~framed:false);
           Alcotest.test_case "file save/load" `Quick test_log_io_file;
         ] );
       ( "segments",
