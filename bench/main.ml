@@ -123,14 +123,16 @@ let micro () =
     body
 
 (* ------------------------------------------------------------------ *)
-(* SEARCH: wall-clock of the inference engines under the lock-free
-   scheduler. Per workload/engine: a sequential baseline, a jobs=N row
-   under the default tuning (cap_domains clamps N to the machine's
-   cores), and an uncapped jobs=N row that is honestly labelled
-   "contended" when it oversubscribes the machine — oversubscribed rows
-   measure scheduler overhead, not speedup. Also: a chunk-size sweep of
-   the claim granularity. Optionally dumps machine-readable results to
-   BENCH_search.json (schema 2). *)
+(* SEARCH: wall-clock of the inference engines. Per workload/engine: a
+   sequential baseline; for random restarts, which run through the
+   lock-free attempt pool, also a jobs=N row under the default tuning
+   (cap_domains clamps N to the machine's cores) and an uncapped jobs=N
+   row that is honestly labelled "contended" when it oversubscribes the
+   machine — oversubscribed rows measure scheduler overhead, not
+   speedup. The DFS engines run in order at any jobs, so they get the
+   sequential row only. Also: a chunk-size sweep of the claim
+   granularity. Optionally dumps machine-readable results to
+   BENCH_search.json (schema 3). *)
 
 type search_row = {
   workload : string;
@@ -209,19 +211,18 @@ let search_bench ~tiny ~jobs ~json () =
             ~world:(World.random ~seed)
         in
         let accept = Constraints.failure_matches log in
+        (* (engine, runs through the attempt pool, run at tuning/jobs):
+           the odometer engines run in order and take no jobs *)
         let engines =
           [
-            ( "dfs-pruned",
+            ( "dfs-pruned", false,
+              fun _ _ -> Search.dfs_schedules bud ~spec ~accept labeled );
+            ( "dfs-noprune", false,
+              fun _ _ ->
+                Search.dfs_schedules ~prune:false bud ~spec ~accept labeled );
+            ( "restarts", true,
               fun tuning j ->
-                Par_search.dfs_schedules ~jobs:j ~tuning bud ~spec ~accept
-                  labeled );
-            ( "dfs-noprune",
-              fun tuning j ->
-                Par_search.dfs_schedules ~jobs:j ~tuning ~prune:false bud
-                  ~spec ~accept labeled );
-            ( "restarts",
-              fun tuning j ->
-                Par_search.random_restarts ~jobs:j ~tuning bud
+                Search.random_restarts ~jobs:j ~tuning bud
                   ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                   ~spec ~accept labeled );
           ]
@@ -233,7 +234,7 @@ let search_bench ~tiny ~jobs ~json () =
     List.concat_map
       (fun (workload, engines) ->
         List.concat_map
-          (fun (engine, run) ->
+          (fun (engine, pooled, run) ->
             let measure ~sr_mode ~tuning j =
               let o, wall_s = min_time ~trials (fun () -> run tuning j) in
               {
@@ -246,7 +247,7 @@ let search_bench ~tiny ~jobs ~json () =
               measure ~sr_mode:"sequential"
                 ~tuning:Par_search.default_tuning 1
             in
-            if jobs <= 1 then [ seq ]
+            if jobs <= 1 || not pooled then [ seq ]
             else
               let eff = Par_search.effective_jobs ~jobs None in
               let capped =
@@ -263,8 +264,7 @@ let search_bench ~tiny ~jobs ~json () =
           engines)
       prepared
   in
-  (* chunk sweep: claim granularity at uncapped jobs=N, one engine per
-     pool flavour (restarts = indexed pool, dfs-pruned = chain pool) *)
+  (* chunk sweep: claim granularity at uncapped jobs=N, pooled engines *)
   let chunks = if tiny then [ 1; 4 ] else [ 1; 2; 4; 8; 16 ] in
   let sweep =
     if jobs <= 1 then []
@@ -272,8 +272,8 @@ let search_bench ~tiny ~jobs ~json () =
       List.concat_map
         (fun (workload, engines) ->
           List.concat_map
-            (fun (engine, run) ->
-              if engine = "dfs-noprune" then []
+            (fun (engine, pooled, run) ->
+              if not pooled then []
               else
                 List.map
                   (fun chunk ->
@@ -341,8 +341,9 @@ let search_bench ~tiny ~jobs ~json () =
          of %d runs. eff is the domain count after the default cap policy\n\
          (capped rows were clamped to the cores); contended rows switch the\n\
          cap off and oversubscribe the machine on purpose - they price\n\
-         scheduler overhead, not speedup. Outcomes (ok/attempts/pruned/\n\
-         steps) are identical at every jobs value by construction. Pruning\n\
+         scheduler overhead, not speedup. The DFS engines run in order at\n\
+         any jobs. Outcomes (ok/attempts/pruned/steps) are identical at\n\
+         every jobs value by construction. Pruning\n\
          factor (DFS steps without pruning / with pruning, sequential):\n\
          %s.\n"
         cores trials
@@ -388,12 +389,13 @@ let search_bench ~tiny ~jobs ~json () =
     in
     let t = Par_search.default_tuning in
     Printf.fprintf oc
-      "{\n  \"schema\": 2,\n  \"cores\": %d,\n  \"jobs\": %d,\n\
+      "{\n  \"schema\": 3,\n  \"cores\": %d,\n  \"jobs\": %d,\n\
        \  \"tiny\": %b,\n  \"trials\": %d,\n\
        \  \"policy\": \"default tuning caps jobs at cores \
        (capped rows); contended rows switch the cap off and \
        oversubscribe on purpose - they price scheduler overhead, not \
-       speedup\",\n\
+       speedup; dfs engines run in order at any jobs (sequential rows \
+       only)\",\n\
        \  \"tuning_default\": { \"chunk\": %d, \
        \"window_per_job\": %d, \"spawn_cost_steps\": %d },\n\
        \  \"pruning_step_factor\": { %s },\n\
@@ -413,11 +415,11 @@ let search_bench ~tiny ~jobs ~json () =
 
 (* ------------------------------------------------------------------ *)
 (* SANITY: the CI tripwire behind the perf-sanity alias. On smoke
-   budgets, jobs=4 under the *default* tuning (cap policy on) must stay
-   within 2x of sequential wall-clock and byte-identical in outcome -
-   on a small box the cap makes this trivially true (jobs clamp to the
-   cores), on a big one it catches a scheduler regression. Exits 1 on
-   violation. *)
+   budgets, random restarts at jobs=4 under the *default* tuning (cap
+   policy on) must stay within 2x of sequential wall-clock and
+   byte-identical in outcome - on a small box the cap makes this
+   trivially true (jobs clamp to the cores), on a big one it catches a
+   scheduler regression. Exits 1 on violation. *)
 
 let sanity () =
   let open Ddet_replay in
@@ -462,12 +464,9 @@ let sanity () =
       let accept = Constraints.failure_matches log in
       let engines =
         [
-          ( "dfs-pruned",
-            fun j -> Par_search.dfs_schedules ~jobs:j bud ~spec ~accept
-                       labeled );
           ( "restarts",
             fun j ->
-              Par_search.random_restarts ~jobs:j bud
+              Search.random_restarts ~jobs:j bud
                 ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                 ~spec ~accept labeled );
         ]
@@ -575,12 +574,12 @@ let crash_bench ~tiny ~json () =
           [
             ( "restarts",
               fun ?checkpoint ?resume b ->
-                Par_search.random_restarts ?checkpoint ?resume b
+                Search.random_restarts ?checkpoint ?resume b
                   ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                   ~spec ~accept labeled );
             ( "dfs-pruned",
               fun ?checkpoint ?resume b ->
-                Par_search.dfs_schedules ?checkpoint ?resume b ~spec ~accept
+                Search.dfs_schedules ?checkpoint ?resume b ~spec ~accept
                   labeled );
           ]
         in

@@ -97,10 +97,13 @@ let faults_arg =
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for seed scans and searched replays. Outcomes \
-               are identical at any $(docv); only wall-clock time changes. \
-               Searches whose per-attempt cost is below the domain-spawn \
-               cost run sequentially regardless of $(docv).")
+         ~doc:"Worker domains for seed scans and random-restart replay \
+               searches (capped at the machine's cores). Outcomes are \
+               identical at any $(docv); only wall-clock time changes, and \
+               not always for the better. Input enumeration and \
+               schedule DFS always run in order. Replays whose recorded \
+               run is shorter than the domain-spawn cost \
+               ($(b,--spawn-cost)) run in order regardless of $(docv).")
 
 let chunk_arg =
   Arg.(value & opt (some int) None & info [ "chunk" ] ~docv:"K"

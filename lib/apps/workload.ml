@@ -13,9 +13,9 @@ let find_failing_seed ?cause ?(exclusive = false) ?(from = 1) ?(max_seeds = 500)
       | None -> true
       | Some id -> String.equal primary.Root_cause.id id)
   in
-  (* seeds are independent, so the scan fans over domains; first_success
-     keeps the sequential semantics (lowest matching seed wins) *)
-  Ddet_replay.Par_search.first_success ~jobs ?tuning ?checkpoint ?resume ~from
+  (* seeds are independent, so at jobs > 1 the scan may fan over
+     domains; first_success returns the lowest matching seed either way *)
+  Ddet_replay.Search.first_success ~jobs ?tuning ?checkpoint ?resume ~from
     ~count:max_seeds
     ~f:(fun seed ->
       let r = App.production_run ?faults app ~seed in

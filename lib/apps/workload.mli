@@ -9,11 +9,12 @@ open Mvm
     [exclusive] (default false), it must be the *only* observed cause —
     clean attribution for the original execution of an experiment. With
     [faults], every scanned run executes under that fault plan. With
-    [jobs > 1] the scan fans over that many OCaml 5 domains; the result
-    is still the lowest matching seed. [checkpoint]/[resume] persist and
-    restore the scan frontier so a killed scan continues where it
-    stopped — see {!Ddet_replay.Par_search.first_success}. Returns the
-    seed and the judged run. *)
+    [jobs > 1] the scan may fan over that many OCaml 5 domains (see
+    {!Ddet_replay.Par_search.pool}); the result is the lowest matching
+    seed at any [jobs]. [checkpoint]/[resume] persist and restore the
+    scan frontier so a killed scan continues where it stopped — see
+    {!Ddet_replay.Search.first_success}. Returns the seed and the judged
+    run. *)
 val find_failing_seed :
   ?cause:string ->
   ?exclusive:bool ->

@@ -475,12 +475,11 @@ let search_engines ?config () =
         in
         [
           describe "dfs (systematic, pruned)"
-            (Par_search.dfs_schedules ~jobs budget ~spec ~accept labeled);
+            (Search.dfs_schedules budget ~spec ~accept labeled);
           describe "dfs (systematic, no pruning)"
-            (Par_search.dfs_schedules ~jobs ~prune:false budget ~spec ~accept
-               labeled);
+            (Search.dfs_schedules ~prune:false budget ~spec ~accept labeled);
           describe "random restarts"
-            (Par_search.random_restarts ~jobs budget
+            (Search.random_restarts ~jobs budget
                ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                ~spec ~accept labeled);
         ])
@@ -502,9 +501,9 @@ let search_engines ?config () =
        land on a failing interleaving quickly. This is why the replayers\n\
        use restarts (plus streaming pruning) as their default inference\n\
        engine, and why the paper warns that ultra-relaxed models can need\n\
-       'prohibitively large post-factum analysis times'. All engines\n\
-       accept a jobs knob that fans attempts over OCaml 5 domains without\n\
-       changing any outcome.\n"
+       'prohibitively large post-factum analysis times'. Random restarts\n\
+       accept a jobs knob that may fan attempts over OCaml 5 domains\n\
+       without changing any outcome; the DFS always runs in order.\n"
   in
   { title = "ABL-SEARCH systematic vs. randomized inference"; body }
 

@@ -65,8 +65,11 @@ val record_dist :
     replay contract. [budget] overrides the config's inference budget (the
     ensemble assessment varies its base seed; a [deadline_s] in it bounds
     every model's search, including the value model's smaller budget). The
-    config's [jobs] fans searched replays over that many domains — same
-    outcome, less wall-clock. [checkpoint] persists the search frontier so
+    config's [jobs] lets random-restart replays run on up to that many
+    domains (see {!Ddet_replay.Par_search.pool}) — same outcome at any
+    [jobs]; input enumeration always runs in order, and a recorded run
+    shorter than the tuning's min-work threshold keeps the search in
+    order too. [checkpoint] persists the search frontier so
     a killed replay can be [resume]d and provably reach the same first-hit
     outcome; see {!Ddet_replay.Checkpoint}. *)
 val replay :

@@ -12,10 +12,11 @@
       thread (the thread driving record or search). The ring is
       single-writer; worker domains never touch it.
     - Worker domains report through {e counters} only: atomic cells
-      whose adds commute, so totals are order-independent. Under
-      speculative parallel search ([--jobs] > 1) worker counters also
-      count cancelled speculative attempts, so the byte-identical
-      contract is stated for sequential sessions.
+      whose adds commute, so totals are order-independent. When the
+      attempt pool fans out ([--jobs] > 1), workers also run attempts
+      past the first hit that are then cancelled, and worker counters
+      count them, so the byte-identical contract is stated for
+      sequential sessions.
     - Wall-time quantities (span timestamps, [_ns]-suffixed counters)
       are the only nondeterministic values, and {!render_masked} elides
       exactly those.

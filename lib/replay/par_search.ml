@@ -1,49 +1,7 @@
-open Mvm
-
-(* Domain-parallel search with deterministic first-hit semantics.
-
-   Workers on OCaml 5 domains execute candidate attempts speculatively;
-   a single in-order reducer (the calling thread) replays the sequential
-   engines' bookkeeping exactly — attempts are judged in attempt-index
-   order, the accepted result is the lowest-index accepting attempt, and
-   [note]/[total_steps] accounting only covers attempts the sequential
-   search would have run. Consequently every engine here returns a
-   byte-identical {!Search.outcome} to its sequential counterpart; only
-   wall-clock time changes.
-
-   Two pool shapes:
-
-   - {!indexed_pool}: attempts are independent functions of their index
-     (random restarts, seed scans). Workers claim *chunks* of indices
-     from an atomic frontier with one CAS, bounded to a window ahead of
-     the reducer so speculation cannot run away, and publish results
-     into a lock-free ring of atomic slots that the reducer drains in
-     index order. No mutex, no condition variable: on short attempts the
-     old per-attempt lock/wake handoff was the scheduler, not the
-     search.
-
-   - {!chain_pool}: each attempt's successor depends on fan-out sizes its
-     run discovers (the odometer engines). Successor prefixes are
-     speculated with the last authoritative sizes and validated by the
-     reducer; a misspeculation invalidates only the chain suffix, whose
-     in-flight runs are cancelled through the interpreter's abort hook.
-     Dependencies make chunked claiming pointless here, so this pool
-     keeps its mutex — its attempts are long enough to amortise it.
-
-   Per-worker arenas: every engine's [make_exec] builds one
-   {!Engine.ctx} per worker domain — the program compiled once, the
-   interpreter exec state, the pruner's hash tables and a warm trace
-   capacity all reused across that worker's attempts. Attempt cost drops
-   to the interpreter loop itself.
-
-   Supervision: a worker whose attempt raises does not tear the search
-   down. The job is retried in place (bounded by
-   [Search.max_job_retries]); a job that keeps failing is delivered to
-   the reducer as poisoned, which records an incident and carries on —
-   skipping the attempt where the engine can advance without it (indexed
-   attempts), ending the search gracefully where it cannot (a poisoned
-   odometer attempt never reports its fan-outs, so the chain has no
-   successor). *)
+(* The attempt pool behind random restarts and seed scans. At jobs <= 1
+   it is an in-order loop on the calling thread; at jobs > 1, the
+   lock-free indexed pool below. Either way [process] sees every result
+   in index order, so an outcome cannot depend on [jobs]. *)
 
 (* ------------------------------------------------------------------ *)
 (* tuning *)
@@ -58,19 +16,16 @@ type tuning = {
 let default_tuning =
   { chunk = 4; window_per_job = 4; spawn_cost_steps = 15_000; cap_domains = true }
 
-(* speculation window: how far past the reducer's frontier workers may
-   claim. Must cover at least one chunk or nobody could ever claim. *)
+(* claim window: how far past the reducer's frontier workers may claim.
+   Must cover at least one chunk or nobody could ever claim. *)
 let window_of t jobs = max (max 2 t.chunk) (jobs * t.window_per_job)
-
-(* kept as a named constant for the test harnesses and docs *)
-let spawn_cost_steps = default_tuning.spawn_cost_steps
 
 let effective_jobs ?(tuning = default_tuning) ~jobs est =
   (* Min-work heuristic: spawning and coordinating worker domains costs
      roughly [tuning.spawn_cost_steps] interpreter steps' worth of work
      per search; when the caller's estimate of one attempt (typically the
      recorded run's base_steps) falls below it, parallel fan-out is a
-     guaranteed loss and the engine silently runs sequentially.
+     guaranteed loss and the pool runs in order on the calling thread.
 
      Cores cap: with [cap_domains] (the default), jobs is clamped to
      [Domain.recommended_domain_count ()] — extra domains on an
@@ -83,48 +38,6 @@ let effective_jobs ?(tuning = default_tuning) ~jobs est =
   if tuning.cap_domains then
     min jobs (max 1 (Domain.recommended_domain_count ()))
   else jobs
-
-(* what a worker delivers for one job: the attempt's value, possibly with
-   a requeue incident (it succeeded on retry), or a poison notice *)
-type 'a job =
-  | Job_ok of 'a * Search.incident option
-  | Job_poisoned of Search.incident
-
-(* bounded in-place retry, run on the worker domain. [attempt] may be a
-   placeholder for chain jobs (the reducer knows the real attempt index
-   and rewrites it before recording the incident). *)
-let attempt_job ~attempt ~worker f =
-  let rec go ~retries ~last_error =
-    match f () with
-    | v ->
-      let inc =
-        Option.map
-          (fun error ->
-            {
-              Search.at_attempt = attempt;
-              worker = Some worker;
-              error;
-              retries;
-              poisoned = false;
-            })
-          last_error
-      in
-      Job_ok (v, inc)
-    | exception e ->
-      let error = Printexc.to_string e in
-      if retries < Search.max_job_retries then
-        go ~retries:(retries + 1) ~last_error:(Some error)
-      else
-        Job_poisoned
-          {
-            Search.at_attempt = attempt;
-            worker = Some worker;
-            error;
-            retries;
-            poisoned = true;
-          }
-  in
-  go ~retries:0 ~last_error:None
 
 (* ------------------------------------------------------------------ *)
 (* waiting: spin first — the other side is usually a few hundred ns away
@@ -147,8 +60,7 @@ let idle_backoff idle spins =
 
 (* ------------------------------------------------------------------ *)
 
-let indexed_pool ?(tuning = default_tuning) ~jobs ~first ~last ~make_exec
-    ~process ~exhausted =
+let indexed ~tuning ~jobs ~first ~last ~make_exec ~process ~exhausted =
   let chunk = max 1 tuning.chunk in
   let window = window_of tuning jobs in
   (* Result mailbox: a bounded ring of atomic slots addressed by attempt
@@ -176,8 +88,9 @@ let indexed_pool ?(tuning = default_tuning) ~jobs ~first ~last ~make_exec
   let c_widle = Ddet_obs.Tracer.handle "par.worker_idle_ns" in
   let c_ridle = Ddet_obs.Tracer.handle "par.reducer_idle_ns" in
   let worker w () =
-    let exec = make_exec w in
-    let cancel () = Atomic.get stop in
+    let exec =
+      make_exec ~worker:(Some w) ~cancel:(Some (fun () -> Atomic.get stop))
+    in
     (* claim a run of up to [chunk] consecutive indices with one CAS *)
     let rec claim spins =
       if Atomic.get stop then None
@@ -203,7 +116,7 @@ let indexed_pool ?(tuning = default_tuning) ~jobs ~first ~last ~make_exec
         let i = ref lo in
         let live = ref true in
         while !live && !i <= hi do
-          let r = exec ~cancel !i in
+          let r = exec !i in
           Atomic.set slots.(!i land mask) (Some r);
           incr i;
           if Atomic.get stop then live := false
@@ -232,7 +145,7 @@ let indexed_pool ?(tuning = default_tuning) ~jobs ~first ~last ~make_exec
       | Some r -> (
         (* clear before advancing — the ring-safety argument above *)
         Atomic.set cell None;
-        match (try process i r with e -> stop_all (); raise e) with
+        match (try process i (fun () -> r) with e -> stop_all (); raise e) with
         | `Stop out ->
           stop_all ();
           out
@@ -242,558 +155,18 @@ let indexed_pool ?(tuning = default_tuning) ~jobs ~first ~last ~make_exec
   in
   reduce 0
 
-(* ------------------------------------------------------------------ *)
-
-type chain_state =
-  | Pending
-  | Running
-  | Done of Engine.probe job
-
-type chain_entry = { prefix : int array; mutable st : chain_state }
-
-let chain_pool ?(tuning = default_tuning) ?(init_prefix = [||]) ~jobs
+let pool ?(tuning = default_tuning) ?est_attempt_steps ~jobs ~first ~last
     ~make_exec ~process ~exhausted () =
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  let chain : (int, chain_entry) Hashtbl.t = Hashtbl.create 64 in
-  let version = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let next_proc = ref 0 in
-  let spec_hi = ref 1 in
-  let guess : int list ref = ref [] in
-  let window = window_of tuning jobs in
-  let c_misspec = Ddet_obs.Tracer.handle "par.chain_misspec" in
-  Hashtbl.replace chain 0 { prefix = init_prefix; st = Pending };
-  (* speculative generation: extend the chain with the reducer's best
-     guess of successor prefixes (advance under the last authoritative
-     sizes). Caller holds [m]. *)
-  let rec gen () =
-    if !spec_hi < !next_proc + window then
-      match Hashtbl.find_opt chain (!spec_hi - 1) with
-      | Some prev -> (
-        match Engine.advance prev.prefix !guess with
-        | Some p ->
-          Hashtbl.replace chain !spec_hi { prefix = p; st = Pending };
-          incr spec_hi;
-          gen ()
-        | None -> ())
-      | None -> ()
-  in
-  let worker w () =
-    let exec = make_exec w in
-    let rec loop () =
-      Mutex.lock m;
-      let rec find i =
-        if i >= !spec_hi then None
-        else
-          match Hashtbl.find_opt chain i with
-          | Some e when e.st = Pending -> Some e
-          | _ -> find (i + 1)
-      in
-      let rec wait_task () =
-        if Atomic.get stop then None
-        else
-          match find !next_proc with
-          | Some e -> Some e
-          | None ->
-            Condition.wait c m;
-            wait_task ()
-      in
-      match wait_task () with
-      | None -> Mutex.unlock m
-      | Some e ->
-        e.st <- Running;
-        let myv = Atomic.get version in
-        Mutex.unlock m;
-        let cancel () = Atomic.get stop || Atomic.get version <> myv in
-        let r = exec ~cancel e.prefix in
-        Mutex.lock m;
-        (if Atomic.get version = myv then begin
-           e.st <- Done r;
-           Condition.broadcast c
-         end);
-        Mutex.unlock m;
-        loop ()
-    in
-    loop ()
-  in
-  let domains = List.init jobs (fun w -> Domain.spawn (worker w)) in
-  let stop_all () =
-    Mutex.lock m;
-    Atomic.set stop true;
-    Condition.broadcast c;
-    Mutex.unlock m;
-    List.iter Domain.join domains
-  in
-  let rec reduce () =
-    Mutex.lock m;
-    let entry = Hashtbl.find chain !next_proc in
-    while match entry.st with Done _ -> false | Pending | Running -> true do
-      Condition.wait c m
-    done;
-    let job = match entry.st with Done j -> j | _ -> assert false in
-    Mutex.unlock m;
-    match
-      (try process ~prefix:entry.prefix job with e -> stop_all (); raise e)
-    with
-    | `Stop out ->
-      stop_all ();
-      out
-    | `Advance sizes -> (
-      Mutex.lock m;
-      guess := sizes;
-      match Engine.advance entry.prefix sizes with
-      | None ->
-        Mutex.unlock m;
-        stop_all ();
-        exhausted ()
-      | Some np ->
-        let j = !next_proc in
-        (match Hashtbl.find_opt chain (j + 1) with
-        | Some e1 when e1.prefix = np -> ()
-        | _ ->
-          (* misspeculation: drop the chain suffix; stale in-flight runs
-             see the version bump and cancel themselves *)
-          Ddet_obs.Tracer.bump c_misspec 1;
-          Atomic.incr version;
-          let rec drop i =
-            if Hashtbl.mem chain i then begin
-              Hashtbl.remove chain i;
-              drop (i + 1)
-            end
-          in
-          drop (j + 1);
-          Hashtbl.replace chain (j + 1) { prefix = np; st = Pending };
-          spec_hi := j + 2);
-        Hashtbl.remove chain j;
-        next_proc := j + 1;
-        gen ();
-        Condition.broadcast c;
-        Mutex.unlock m;
-        reduce ())
-  in
-  reduce ()
-
-(* ------------------------------------------------------------------ *)
-(* engines *)
-
-let random_restarts ?(jobs = 1) ?(tuning = default_tuning) ?est_attempt_steps
-    ?(score = Search.no_score) ?checkpoint ?resume budget ~make ~spec ~accept
-    labeled =
   let jobs = effective_jobs ~tuning ~jobs est_attempt_steps in
-  if jobs <= 1 then
-    Search.random_restarts ~score ?checkpoint ?resume budget ~make ~spec
-      ~accept labeled
-  else begin
-    let resume = Search.check_resume ~engine:"restarts" budget resume in
-    let total_steps =
-      ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
-    in
-    let incidents = ref [] in
-    let deadline = Search.deadline_of budget in
-    let rerun attempt =
-      let world, abort = make ~attempt in
-      let r =
-        Interp.run ~max_steps:budget.Search.max_steps_per_attempt ?abort
-          labeled world
-      in
-      Spec.apply spec r
-    in
-    let note, best, peek =
-      Search.track_best ?stored:(Search.stored_attempt resume) ~rerun score
-    in
-    let frontier attempt () =
-      {
-        Checkpoint.engine = "restarts";
-        base_seed = budget.Search.base_seed;
-        attempt;
-        total_steps = !total_steps;
-        pruned = 0;
-        prefix = None;
-        best = Search.ckpt_best_attempt peek;
-        seen = [];
-      }
-    in
-    let tick a =
-      Option.iter (fun s -> Checkpoint.tick s (frontier a)) checkpoint
-    in
-    let fail ~attempts ?deadline_hit () =
-      Option.iter (fun s -> Checkpoint.flush s (frontier attempts)) checkpoint;
-      Search.exhausted ~attempts ~total_steps:!total_steps ?deadline_hit
-        ~incidents:(List.rev !incidents) best
-    in
-    let make_exec w =
-      (* the worker's arena: compiled program, reusable exec state, warm
-         trace capacity — shared by every attempt this domain runs *)
-      let ctx = Engine.make_ctx labeled in
-      fun ~cancel attempt ->
-        attempt_job ~attempt ~worker:w (fun () ->
-            let world, abort = make ~attempt in
-            let inner = match abort with Some a -> a | None -> fun _ -> None in
-            let abort e = if cancel () then Some "cancelled" else inner e in
-            Engine.run_attempt ~ctx
-              ~max_steps:budget.Search.max_steps_per_attempt ~abort
-              ?cancel:(Search.wall_cancel deadline) labeled world)
-    in
-    let first =
-      match resume with Some c -> c.Checkpoint.attempt + 1 | None -> 1
-    in
-    indexed_pool ~tuning ~jobs ~first ~last:budget.Search.max_attempts
-      ~make_exec
-      ~process:(fun i job ->
-        if Search.deadline_passed deadline then
-          `Stop (fail ~attempts:(i - 1) ~deadline_hit:true ())
-        else
-          match job with
-          | Job_poisoned inc ->
-            incidents := inc :: !incidents;
-            tick i;
-            `Continue
-          | Job_ok (r, inc) ->
-            Option.iter (fun inc -> incidents := inc :: !incidents) inc;
-            total_steps := !total_steps + r.Interp.steps;
-            let r = Spec.apply spec r in
-            if accept r then
-              `Stop
-                (Search.accepted ~attempts:i ~total_steps:!total_steps
-                   ~incidents:(List.rev !incidents) r)
-            else begin
-              note i i r;
-              tick i;
-              `Continue
-            end)
-      ~exhausted:(fun () -> fail ~attempts:budget.Search.max_attempts ())
-  end
-
-let enumerate_inputs ?(jobs = 1) ?(tuning = default_tuning) ?est_attempt_steps
-    ?(score = Search.no_score) ?checkpoint ?resume budget ~spec ~accept
-    labeled =
-  let jobs = effective_jobs ~tuning ~jobs est_attempt_steps in
-  if jobs <= 1 then
-    Search.enumerate_inputs ~score ?checkpoint ?resume budget ~spec ~accept
-      labeled
-  else begin
-    let resume = Search.check_resume ~engine:"inputs" budget resume in
-    let total_steps =
-      ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
-    in
-    let attempts =
-      ref (match resume with Some c -> c.Checkpoint.attempt | None -> 0)
-    in
-    let incidents = ref [] in
-    let deadline = Search.deadline_of budget in
-    let rerun prefix =
-      Spec.apply spec
-        (Engine.exec_inputs ~budget:budget.Search.max_steps_per_attempt
-           ~prefix labeled)
-          .Engine.result
-    in
-    let note, best, peek =
-      Search.track_best ?stored:(Search.stored_prefix resume) ~rerun score
-    in
-    let frontier attempt prefix () =
-      {
-        Checkpoint.engine = "inputs";
-        base_seed = budget.Search.base_seed;
-        attempt;
-        total_steps = !total_steps;
-        pruned = 0;
-        prefix;
-        best = Search.ckpt_best_prefix peek;
-        seen = [];
-      }
-    in
-    let tick a prefix =
-      Option.iter (fun s -> Checkpoint.tick s (frontier a prefix)) checkpoint
-    in
-    let fail ~attempts ~prefix ?deadline_hit () =
-      Option.iter
-        (fun s -> Checkpoint.flush s (frontier attempts prefix))
-        checkpoint;
-      Search.exhausted ~attempts ~total_steps:!total_steps ?deadline_hit
-        ~incidents:(List.rev !incidents) best
-    in
-    let make_exec w =
-      let ctx = Engine.make_ctx labeled in
-      fun ~cancel prefix ->
-        attempt_job ~attempt:0 ~worker:w (fun () ->
-            Engine.exec_inputs ~ctx ~cancel
-              ?wall:(Search.wall_cancel deadline)
-              ~budget:budget.Search.max_steps_per_attempt ~prefix labeled)
-    in
-    match resume with
-    | Some { Checkpoint.prefix = None; _ } ->
-      (* the checkpointed search had exhausted the odometer space *)
-      fail ~attempts:!attempts ~prefix:None ()
-    | _ ->
-      let init_prefix =
-        match resume with
-        | Some { Checkpoint.prefix = Some p; _ } -> p
-        | _ -> [||]
-      in
-      chain_pool ~tuning ~init_prefix ~jobs ~make_exec
-        ~process:(fun ~prefix job ->
-          if Search.deadline_passed deadline then
-            `Stop
-              (fail ~attempts:!attempts ~prefix:(Some prefix)
-                 ~deadline_hit:true ())
-          else
-            match job with
-            | Job_poisoned inc ->
-              (* no fan-out sizes, so the odometer cannot advance past
-                 this prefix: end the search gracefully *)
-              incr attempts;
-              incidents :=
-                { inc with Search.at_attempt = !attempts } :: !incidents;
-              `Stop (fail ~attempts:!attempts ~prefix:(Some prefix) ())
-            | Job_ok (probe, inc) ->
-              Option.iter
-                (fun inc ->
-                  incidents :=
-                    { inc with Search.at_attempt = !attempts + 1 }
-                    :: !incidents)
-                inc;
-              if !attempts >= budget.Search.max_attempts then
-                `Stop (fail ~attempts:!attempts ~prefix:(Some prefix) ())
-              else begin
-                incr attempts;
-                let r = probe.Engine.result in
-                total_steps := !total_steps + r.Interp.steps;
-                let r = Spec.apply spec r in
-                if accept r then
-                  `Stop
-                    (Search.accepted ~attempts:!attempts
-                       ~total_steps:!total_steps
-                       ~incidents:(List.rev !incidents)
-                       r)
-                else begin
-                  note !attempts prefix r;
-                  let next = Engine.advance prefix probe.Engine.sizes in
-                  tick !attempts next;
-                  if !attempts >= budget.Search.max_attempts then
-                    `Stop (fail ~attempts:!attempts ~prefix:next ())
-                  else `Advance probe.Engine.sizes
-                end
-              end)
-        ~exhausted:(fun () -> fail ~attempts:!attempts ~prefix:None ())
-        ()
-  end
-
-let dfs_schedules ?(jobs = 1) ?(tuning = default_tuning) ?est_attempt_steps
-    ?(score = Search.no_score) ?(prune = true) ?checkpoint ?resume budget
-    ~spec ~accept labeled =
-  let jobs = effective_jobs ~tuning ~jobs est_attempt_steps in
-  if jobs <= 1 then
-    Search.dfs_schedules ~score ~prune ?checkpoint ?resume budget ~spec
-      ~accept labeled
-  else begin
-    let resume = Search.check_resume ~engine:"dfs" budget resume in
-    let seen = if prune then Some (Engine.Seen.create ()) else None in
-    (match (seen, resume) with
-    | Some s, Some c -> List.iter (Engine.Seen.add s) c.Checkpoint.seen
-    | _ -> ());
-    let pruning =
-      Option.map (fun seen -> { Engine.seen; plant = false }) seen
-    in
-    let total_steps =
-      ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
-    in
-    let attempts =
-      ref (match resume with Some c -> c.Checkpoint.attempt | None -> 0)
-    in
-    let pruned =
-      ref (match resume with Some c -> c.Checkpoint.pruned | None -> 0)
-    in
-    let incidents = ref [] in
-    let deadline = Search.deadline_of budget in
-    let rerun prefix =
-      (* a judged candidate was a completed, unpruned run, so re-executing
-         its prefix without pruning reproduces it exactly *)
-      Spec.apply spec
-        (Engine.exec_schedule ~budget:budget.Search.max_steps_per_attempt
-           ~prefix labeled)
-          .Engine.result
-    in
-    let note, best, peek =
-      Search.track_best ?stored:(Search.stored_prefix resume) ~rerun score
-    in
-    let frontier attempt prefix () =
-      {
-        Checkpoint.engine = "dfs";
-        base_seed = budget.Search.base_seed;
-        attempt;
-        total_steps = !total_steps;
-        pruned = !pruned;
-        prefix;
-        best = Search.ckpt_best_prefix peek;
-        seen = (match seen with Some s -> Engine.Seen.elements s | None -> []);
-      }
-    in
-    let tick a prefix =
-      Option.iter (fun s -> Checkpoint.tick s (frontier a prefix)) checkpoint
-    in
-    let fail ~attempts ~prefix ?deadline_hit () =
-      Option.iter
-        (fun s -> Checkpoint.flush s (frontier attempts prefix))
-        checkpoint;
-      Search.exhausted ~attempts ~total_steps:!total_steps ~pruned:!pruned
-        ?deadline_hit
-        ~incidents:(List.rev !incidents)
-        best
-    in
-    let make_exec w =
-      let ctx = Engine.make_ctx labeled in
-      fun ~cancel prefix ->
-        attempt_job ~attempt:0 ~worker:w (fun () ->
-            Engine.exec_schedule ~ctx ~cancel ?pruning
-              ?wall:(Search.wall_cancel deadline)
-              ~budget:budget.Search.max_steps_per_attempt ~prefix labeled)
-    in
-    match resume with
-    | Some { Checkpoint.prefix = None; _ } ->
-      fail ~attempts:!attempts ~prefix:None ()
-    | _ ->
-      let init_prefix =
-        match resume with
-        | Some { Checkpoint.prefix = Some p; _ } -> p
-        | _ -> [||]
-      in
-      chain_pool ~tuning ~init_prefix ~jobs ~make_exec
-        ~process:(fun ~prefix job ->
-          if Search.deadline_passed deadline then
-            `Stop
-              (fail ~attempts:!attempts ~prefix:(Some prefix)
-                 ~deadline_hit:true ())
-          else
-            match job with
-            | Job_poisoned inc ->
-              incr attempts;
-              incidents :=
-                { inc with Search.at_attempt = !attempts } :: !incidents;
-              `Stop (fail ~attempts:!attempts ~prefix:(Some prefix) ())
-            | Job_ok (probe, inc) -> (
-              Option.iter
-                (fun inc ->
-                  incidents :=
-                    { inc with Search.at_attempt = !attempts + 1 }
-                    :: !incidents)
-                inc;
-              (* Workers run with [plant = false], so a checkpoint hit
-                 inside a worker only ever reflects plants from attempts
-                 this reducer already processed — always authoritative.
-                 Runs that completed before an earlier attempt's plants
-                 landed are re-classified here, charged only the steps the
-                 sequential search would have executed before cutting them
-                 short. *)
-              match Engine.classify ?seen probe with
-              | Engine.Skipped { steps; sizes } ->
-                incr pruned;
-                total_steps := !total_steps + steps;
-                tick !attempts (Engine.advance prefix sizes);
-                `Advance sizes
-              | Engine.Attempt (r0, sizes) ->
-                if !attempts >= budget.Search.max_attempts then
-                  `Stop (fail ~attempts:!attempts ~prefix:(Some prefix) ())
-                else begin
-                  incr attempts;
-                  (match seen with
-                  | Some s -> List.iter (Engine.Seen.add s) probe.Engine.plants
-                  | None -> ());
-                  total_steps := !total_steps + r0.Interp.steps;
-                  let r = Spec.apply spec r0 in
-                  if accept r then
-                    `Stop
-                      (Search.accepted ~attempts:!attempts
-                         ~total_steps:!total_steps ~pruned:!pruned
-                         ~incidents:(List.rev !incidents)
-                         r)
-                  else begin
-                    note !attempts prefix r;
-                    let next = Engine.advance prefix sizes in
-                    tick !attempts next;
-                    if !attempts >= budget.Search.max_attempts then
-                      `Stop (fail ~attempts:!attempts ~prefix:next ())
-                    else `Advance sizes
-                  end
-                end))
-        ~exhausted:(fun () -> fail ~attempts:!attempts ~prefix:None ())
-        ()
-  end
-
-(* ------------------------------------------------------------------ *)
-
-let scan_engine = "scan"
-
-let check_scan_resume ~from = function
-  | None -> None
-  | Some (ck : Checkpoint.t) ->
-    if not (String.equal ck.Checkpoint.engine scan_engine) then
-      invalid_arg
-        (Printf.sprintf
-           "first_success: cannot resume a %S checkpoint in a seed scan"
-           ck.Checkpoint.engine);
-    if ck.Checkpoint.base_seed <> from then
-      invalid_arg
-        (Printf.sprintf
-           "first_success: checkpoint scan origin %d does not match from=%d"
-           ck.Checkpoint.base_seed from);
-    Some ck
-
-let first_success ?(jobs = 1) ?(tuning = default_tuning) ?est_attempt_steps
-    ?checkpoint ?resume ~from ~count ~f () =
-  let jobs = effective_jobs ~tuning ~jobs est_attempt_steps in
-  let resume = check_scan_resume ~from resume in
-  let last = from + count - 1 in
-  let start =
-    match resume with Some c -> c.Checkpoint.attempt + 1 | None -> from
-  in
-  let frontier i () =
-    {
-      Checkpoint.engine = scan_engine;
-      base_seed = from;
-      attempt = i;
-      total_steps = 0;
-      pruned = 0;
-      prefix = None;
-      best = None;
-      seen = [];
-    }
-  in
-  let tick i =
-    Option.iter (fun s -> Checkpoint.tick s (frontier i)) checkpoint
-  in
-  let flush i =
-    Option.iter (fun s -> Checkpoint.flush s (frontier i)) checkpoint
-  in
-  if jobs <= 1 then begin
-    let rec go i =
-      if i > last then begin
-        flush last;
-        None
-      end
-      else
-        (* a raising probe poisons only its seed, not the scan *)
-        match (try f i with _ -> None) with
-        | Some v -> Some (i, v)
-        | None ->
-          tick i;
-          go (i + 1)
-    in
-    go start
-  end
+  if jobs > 1 then
+    indexed ~tuning ~jobs ~first ~last ~make_exec ~process ~exhausted
   else
-    indexed_pool ~tuning ~jobs ~first:start ~last
-      ~make_exec:(fun w ->
-        fun ~cancel:_ i -> attempt_job ~attempt:i ~worker:w (fun () -> f i))
-      ~process:(fun i job ->
-        match job with
-        | Job_poisoned _ ->
-          tick i;
-          `Continue
-        | Job_ok (Some v, _) -> `Stop (Some (i, v))
-        | Job_ok (None, _) ->
-          tick i;
-          `Continue)
-      ~exhausted:(fun () ->
-        flush last;
-        None)
+    let exec = make_exec ~worker:None ~cancel:None in
+    let rec go i =
+      if i > last then exhausted ()
+      else
+        match process i (fun () -> exec i) with
+        | `Stop out -> out
+        | `Continue -> go (i + 1)
+    in
+    go first

@@ -1,55 +1,30 @@
-(** Domain-parallel search engines with deterministic first-hit semantics.
+(** The attempt pool behind the seeded search engines
+    ({!Search.random_restarts}, {!Search.first_success}), whose attempts
+    are independent functions of their index.
 
-    Each engine fans its candidate attempts — restart seeds, input-odometer
-    prefixes, schedule-odometer prefixes — over [jobs] OCaml 5 domains
-    pulling from a shared work queue, while a single in-order reducer (the
-    calling thread) replays the sequential engine's bookkeeping exactly:
-    attempts are judged in attempt-index order and the accepted result is
-    the one with the {e lowest} attempt index, regardless of which worker
-    finished first. The returned {!Search.outcome} — accepted trace,
-    partial, attempts, total steps, pruned count — is byte-identical to
-    the sequential engine's at the same settings; only wall-clock time
-    changes. With [jobs <= 1] (the default) each engine simply calls its
-    {!Search} counterpart.
+    One [process] closure judges every attempt in index order, whatever
+    the job count; the pool only decides where the attempts run. At
+    [jobs <= 1] (after {!effective_jobs}) it is a plain in-order loop on
+    the calling thread. At [jobs > 1] it fans the attempts over that many
+    OCaml 5 domains: workers claim {e chunks} of attempt indices from an
+    atomic frontier with a single CAS and publish results into a bounded
+    ring of atomic slots that the calling thread drains in index order —
+    no mutex, no per-attempt wakeups. The accepted result is therefore
+    the {e lowest} accepting index regardless of which worker finished
+    first, and an outcome cannot depend on [jobs].
 
-    Independent attempts (restarts, seed scans) go through a lock-free
-    pool: workers claim {e chunks} of attempt indices from an atomic
-    frontier with a single CAS and publish results into a bounded ring of
-    atomic slots that the reducer drains in index order — no mutex, no
-    per-attempt wakeups. Each worker domain owns an {!Engine.ctx} arena
-    (program compiled once, reused interpreter state, warm trace
-    capacity), so per-attempt cost is the interpreter loop itself.
-
-    The odometer engines cannot know attempt [k+1]'s prefix until attempt
-    [k] reports its decision fan-outs, so successors are {e speculated}
-    from the last authoritative sizes and validated by the reducer;
-    misspeculated suffixes are cancelled through the interpreter's abort
-    hook and regenerated.
+    The odometer engines ({!Search.enumerate_inputs},
+    {!Search.dfs_schedules}) do not use the pool: attempt [k+1]'s prefix
+    depends on the fan-outs attempt [k] discovers, so they run in order
+    at any [jobs].
 
     Note for debugging-efficiency (DE) accounting: [total_steps] — the
     paper-facing inference-work metric — is unchanged by [jobs], but
-    wall-clock reproduction time now depends on cores, so DE figures
-    derived from wall-clock must record the [jobs] used.
-
-    Supervision: an attempt whose execution raises on a worker domain no
-    longer aborts the search. The job is retried in place (bounded by
-    {!Search.max_job_retries}) and then, if it keeps failing, delivered
-    poisoned: the reducer records a {!Search.incident} (with the worker's
-    index) in [stats.incidents] and carries on — skipping the attempt
-    where the engine can advance without it (indexed attempts), ending
-    the search gracefully where it cannot (a poisoned odometer attempt
-    never reports its fan-outs, so the chain has no successor).
-
-    Checkpoints: [checkpoint]/[resume] behave exactly as on the
-    sequential engines — the reducer is the only writer, ticking at
-    judge boundaries, so the file always describes a consistent frontier
-    and is interchangeable between sequential and parallel runs of the
-    same search. *)
-
-open Mvm
+    wall-clock reproduction time depends on cores, so DE figures derived
+    from wall-clock must record the [jobs] used. *)
 
 (** Scheduler tuning. All four knobs change only wall-clock behaviour,
-    never outcomes — the parity law in the test suite checks engines
+    never outcomes — the parity law in the test suite checks restarts
     byte-identical across arbitrary tunings. *)
 type tuning = {
   chunk : int;
@@ -57,13 +32,13 @@ type tuning = {
           Higher amortises contention on short attempts; lower smooths
           load imbalance on long ones. *)
   window_per_job : int;
-      (** speculation window, per job: workers may run at most
+      (** claim window, per job: workers may run at most
           [jobs * window_per_job] attempts ahead of the reducer's
-          frontier (floored at [max 2 chunk]). Bounds wasted speculative
-          work after a first hit. *)
+          frontier (floored at [max 2 chunk]). Bounds wasted work after
+          a first hit. *)
   spawn_cost_steps : int;
       (** min-work heuristic: when [est_attempt_steps] falls below this,
-          fan-out is a guaranteed loss and the engine runs sequentially
+          fan-out is a guaranteed loss and the pool runs in order
           regardless of [jobs]. *)
   cap_domains : bool;
       (** clamp [jobs] to [Domain.recommended_domain_count ()]. Extra
@@ -76,117 +51,40 @@ val default_tuning : tuning
 (** [{ chunk = 4; window_per_job = 4; spawn_cost_steps = 15_000;
       cap_domains = true }] *)
 
-(** Parallel {!Search.random_restarts}. [make] is called on worker
-    domains: it must build fresh per-attempt state (all drivers in this
-    repository do).
-
-    [est_attempt_steps] (on every engine) is the min-work heuristic: an
-    estimate of one attempt's cost in interpreter steps — typically the
-    recorded run's [base_steps]. When it falls below
-    [tuning.spawn_cost_steps], the engine runs sequentially regardless
-    of [jobs]: BENCH_search.json shows parallel fan-out far below 1x of
-    sequential on workloads that small. Outcomes are byte-identical
-    either way; only wall-clock changes. *)
-val random_restarts :
-  ?jobs:int ->
-  ?tuning:tuning ->
-  ?est_attempt_steps:int ->
-  ?score:(Interp.result -> float) ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.t ->
-  Search.budget ->
-  make:(attempt:int -> World.t * (Event.t -> string option) option) ->
-  spec:Spec.t ->
-  accept:(Interp.result -> bool) ->
-  Label.labeled ->
-  Search.outcome
-
-(** Parallel {!Search.enumerate_inputs}. *)
-val enumerate_inputs :
-  ?jobs:int ->
-  ?tuning:tuning ->
-  ?est_attempt_steps:int ->
-  ?score:(Interp.result -> float) ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.t ->
-  Search.budget ->
-  spec:Spec.t ->
-  accept:(Interp.result -> bool) ->
-  Label.labeled ->
-  Search.outcome
-
-(** Parallel {!Search.dfs_schedules}, including state-hash pruning: the
-    shared seen-set is written only by the reducer, so worker-side
-    checkpoint hits are always authoritative, and runs that completed
-    speculatively before an earlier attempt's plants landed are
-    re-classified (and re-charged) by the reducer after the fact. *)
-val dfs_schedules :
-  ?jobs:int ->
-  ?tuning:tuning ->
-  ?est_attempt_steps:int ->
-  ?score:(Interp.result -> float) ->
-  ?prune:bool ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.t ->
-  Search.budget ->
-  spec:Spec.t ->
-  accept:(Interp.result -> bool) ->
-  Label.labeled ->
-  Search.outcome
-
-(** [first_success ~jobs ~from ~count ~f ()] is the parallel analogue of
-    scanning [f from], [f (from+1)], … and returning the first [Some] —
-    deterministically the {e lowest} index whose [f] succeeds, with
-    higher indices probed speculatively. [f] runs on worker domains; a
-    probe that raises poisons only its own seed. Used by workload seed
-    scans. [checkpoint]/[resume] persist the scan frontier under the
-    "scan" engine kind, with [from] as the identity check. *)
-val first_success :
-  ?jobs:int ->
-  ?tuning:tuning ->
-  ?est_attempt_steps:int ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.t ->
-  from:int ->
-  count:int ->
-  f:(int -> 'a option) ->
-  unit ->
-  (int * 'a) option
-
-(**/**)
-
-(* internal: exposed for the test harnesses *)
-
-val spawn_cost_steps : int
-val window_of : tuning -> int -> int
+(** [effective_jobs ?tuning ~jobs est] is the domain count a pool would
+    run on: 1 when the attempt-cost estimate [est] (typically the
+    recorded run's [base_steps]) falls below [tuning.spawn_cost_steps],
+    and at most the machine's recommended domain count under
+    [cap_domains]. *)
 val effective_jobs : ?tuning:tuning -> jobs:int -> int option -> int
 
-type 'a job =
-  | Job_ok of 'a * Search.incident option
-  | Job_poisoned of Search.incident
+(** [pool ~jobs ~first ~last ~make_exec ~process ~exhausted ()] runs
+    attempts [first..last] and feeds them to [process] in index order
+    until it returns [`Stop]; [exhausted ()] is the result when none
+    does.
 
-val attempt_job :
-  attempt:int -> worker:int -> (unit -> 'a) -> 'a job
+    [make_exec ~worker ~cancel] builds one executor per domain — the
+    place for a per-domain arena. [worker] is [None] on the in-order
+    path and [Some w] on worker domain [w]; [cancel] is [None] on the
+    in-order path and otherwise turns true once the search has stopped,
+    so a long attempt may abandon itself. An executor must not raise on
+    a worker domain: the seeded engines wrap it in their supervision.
 
-val indexed_pool :
+    [process i run] judges attempt [i]; forcing [run] yields its result.
+    On the in-order path forcing [run] executes the attempt, so checks
+    made before forcing it (a deadline) cost no attempt.
+
+    [est_attempt_steps] feeds the min-work heuristic of
+    {!effective_jobs}. *)
+val pool :
   ?tuning:tuning ->
+  ?est_attempt_steps:int ->
   jobs:int ->
   first:int ->
   last:int ->
-  make_exec:(int -> cancel:(unit -> bool) -> int -> 'a) ->
-  process:(int -> 'a -> [ `Continue | `Stop of 'out ]) ->
-  exhausted:(unit -> 'out) ->
-  'out
-
-val chain_pool :
-  ?tuning:tuning ->
-  ?init_prefix:int array ->
-  jobs:int ->
-  make_exec:(int -> cancel:(unit -> bool) -> int array -> Engine.probe job) ->
-  process:
-    (prefix:int array ->
-     Engine.probe job ->
-     [ `Advance of int list | `Stop of 'out ]) ->
+  make_exec:(worker:int option -> cancel:(unit -> bool) option -> int -> 'a) ->
+  process:(int -> (unit -> 'a) -> [ `Continue | `Stop of 'out ]) ->
   exhausted:(unit -> 'out) ->
   unit ->
   'out
+

@@ -56,9 +56,9 @@ let env_world (log : Log.t) w =
 
 (* Each search attempt re-executes the recorded program, so the recorded
    run's length is the natural per-attempt cost estimate for the
-   min-work heuristic (Par_search falls back to sequential when an
-   attempt is cheaper than spawning domains). A log whose header lost
-   its base steps gives no estimate rather than a misleading zero. *)
+   min-work heuristic (the restarts pool runs in order when an attempt
+   is cheaper than spawning domains). A log whose header lost its base
+   steps gives no estimate rather than a misleading zero. *)
 let est_of (log : Log.t) =
   if log.Log.base_steps > 0 then Some log.Log.base_steps else None
 
@@ -96,7 +96,7 @@ let small_budget =
 
 let value_det ?(budget = small_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume labeled
     ~spec log =
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
+  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
     ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
@@ -113,10 +113,10 @@ let output_det ?(budget = Search.default_budget) ?(exhaustive = true)
   let score = Constraints.closeness log in
   let o =
     if exhaustive then
-      Par_search.enumerate_inputs ~jobs ?tuning ?est_attempt_steps:(est_of log)
-        ?checkpoint ?resume budget ~score ~spec ~accept labeled
+      Search.enumerate_inputs ?checkpoint ?resume budget ~score ~spec ~accept
+        labeled
     else
-      Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
+      Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
         ?checkpoint ?resume budget ~score
         ~make:(fun ~attempt ->
           ( env_world log (World.random ~seed:(budget.base_seed + attempt)),
@@ -134,7 +134,7 @@ let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoin
       let prefer = Search.site_prefer p in
       fun ~seed -> World.prioritized ~seed ~prefer
   in
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
+  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
     ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
@@ -146,7 +146,7 @@ let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoin
 
 let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume
     labeled ~spec log =
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
+  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
     ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
@@ -162,7 +162,7 @@ let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint ?
 
 let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
     ?tuning ?checkpoint ?resume labeled ~spec log =
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
+  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
     ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
@@ -184,7 +184,7 @@ let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
    through the closeness score. *)
 let governed ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
     ?resume labeled ~spec log =
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
+  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
     ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
@@ -204,7 +204,7 @@ let governed ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
 let stitched ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
     ?resume ?steer labeled ~spec (st : Stitch.t) =
   let log = st.Stitch.log in
-  Par_search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
+  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
     ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->

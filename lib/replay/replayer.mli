@@ -58,12 +58,15 @@ val exit_deadline : int
 val perfect : Label.labeled -> spec:Spec.t -> Log.t -> outcome
 
 (** [value_det] tries a few seeds; per-thread value forcing makes each
-    attempt cheap. All searching drivers take [jobs] (default 1): with
-    [jobs > 1] the search fans over that many OCaml 5 domains via
-    {!Par_search}, with outcomes identical to the sequential search.
-    [tuning] adjusts the parallel scheduler's knobs (chunk size,
-    speculation window, min-work threshold, cores cap) — wall-clock
-    only, never outcomes. *)
+    attempt cheap. All searching drivers take [jobs] (default 1) and
+    [tuning], which only the random-restart searches use: with
+    [jobs > 1] their attempts go through {!Par_search.pool}, over that
+    many OCaml 5 domains once the recorded run is long enough to pay
+    for them (the min-work heuristic), with outcomes identical at any
+    [jobs]. [tuning] adjusts the pool's knobs (chunk size, claim window,
+    min-work threshold, cores cap) — wall-clock only, never outcomes.
+    Input enumeration ({!output_det} with [exhaustive]) always runs in
+    order. *)
 val value_det :
   ?budget:Search.budget ->
   ?jobs:int ->

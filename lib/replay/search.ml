@@ -133,9 +133,9 @@ let track_best (type k) ?stored ~(rerun : k -> Interp.result) score =
   in
   (note, get, peek)
 
-(* every engine — sequential or parallel — funnels its outcome through
-   these two constructors on the reducer thread, so this is the one
-   place the tracer learns what a search cost *)
+(* every engine, at any jobs, funnels its outcome through these two
+   constructors on the calling thread, so this is the one place the
+   tracer learns what a search cost *)
 let observe (st : stats) =
   let module T = Ddet_obs.Tracer in
   match T.current () with
@@ -191,33 +191,42 @@ let priority_world priority ~seed =
 (* supervision: one attempt's execution may raise (a hostile world
    callback, a resource blip). The search survives it: the attempt is
    retried a bounded number of times, then poisoned — recorded as an
-   incident and skipped — instead of tearing the whole search down. *)
+   incident and skipped — instead of tearing the whole search down.
+   [supervise] runs where the attempt runs (a pool worker, or the
+   calling thread) and delivers the verdict with the attempt's value;
+   [settle] files its incident on the judging side, in attempt order. *)
 
 let max_job_retries = 1
 
-let supervised ~attempt ~worker incidents f =
+type 'a job = Job_ok of 'a * incident option | Job_poisoned of incident
+
+let supervise ~attempt ~worker f =
   let rec go ~retries ~last_error =
     match f () with
     | v ->
-      (match last_error with
-      | Some error ->
-        incidents :=
-          { at_attempt = attempt; worker; error; retries; poisoned = false }
-          :: !incidents
-      | None -> ());
-      Some v
+      Job_ok
+        ( v,
+          Option.map
+            (fun error ->
+              { at_attempt = attempt; worker; error; retries; poisoned = false })
+            last_error )
     | exception e ->
       let error = Printexc.to_string e in
       if retries < max_job_retries then
         go ~retries:(retries + 1) ~last_error:(Some error)
-      else begin
-        incidents :=
+      else
+        Job_poisoned
           { at_attempt = attempt; worker; error; retries; poisoned = true }
-          :: !incidents;
-        None
-      end
   in
   go ~retries:0 ~last_error:None
+
+let settle incidents = function
+  | Job_ok (v, inc) ->
+    Option.iter (fun i -> incidents := i :: !incidents) inc;
+    Some v
+  | Job_poisoned inc ->
+    incidents := inc :: !incidents;
+    None
 
 (* ------------------------------------------------------------------ *)
 (* checkpointing plumbing shared by the engines *)
@@ -269,17 +278,15 @@ let stored_prefix = function
 (* ------------------------------------------------------------------ *)
 (* engines *)
 
-let random_restarts ?(score = no_score) ?checkpoint ?resume budget ~make ~spec
-    ~accept labeled =
+let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
+    ?checkpoint ?resume budget ~make ~spec ~accept labeled =
   let resume = check_resume ~engine:"restarts" budget resume in
   let total_steps =
     ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
   in
   let incidents = ref [] in
   let deadline = deadline_of budget in
-  (* the search's arena: program compiled once, interpreter state, hash
-     tables and warm trace capacity reused across every attempt *)
-  let ctx = Engine.make_ctx labeled in
+  let wall = wall_cancel deadline in
   let rerun attempt =
     let world, abort = make ~attempt in
     let r =
@@ -305,47 +312,57 @@ let random_restarts ?(score = no_score) ?checkpoint ?resume budget ~make ~spec
   let tick attempt =
     Option.iter (fun s -> Checkpoint.tick s (frontier attempt)) checkpoint
   in
-  let flush attempt =
-    Option.iter (fun s -> Checkpoint.flush s (frontier attempt)) checkpoint
-  in
   let fail ~attempts ?deadline_hit () =
-    flush attempts;
+    Option.iter (fun s -> Checkpoint.flush s (frontier attempts)) checkpoint;
     exhausted ~attempts ~total_steps:!total_steps ?deadline_hit
       ~incidents:(List.rev !incidents) best
   in
-  let exec attempt =
-    let world, abort = make ~attempt in
-    let abort = match abort with Some a -> a | None -> fun _ -> None in
-    Engine.run_attempt ~ctx ~max_steps:budget.max_steps_per_attempt ~abort
-      ?cancel:(wall_cancel deadline) labeled world
+  let make_exec ~worker ~cancel =
+    (* the search's arena (one per pool worker): program compiled once,
+       interpreter state, hash tables and warm trace capacity reused
+       across every attempt it runs *)
+    let ctx = Engine.make_ctx labeled in
+    fun attempt ->
+      supervise ~attempt ~worker (fun () ->
+          let world, abort = make ~attempt in
+          let abort = match abort with Some a -> a | None -> fun _ -> None in
+          let abort =
+            match cancel with
+            | None -> abort
+            | Some c -> fun e -> if c () then Some "cancelled" else abort e
+          in
+          Engine.run_attempt ~ctx ~max_steps:budget.max_steps_per_attempt
+            ~abort ?cancel:wall labeled world)
   in
-  let rec go attempt =
-    if attempt > budget.max_attempts then fail ~attempts:(attempt - 1) ()
-    else if deadline_passed deadline then
-      fail ~attempts:(attempt - 1) ~deadline_hit:true ()
+  let process attempt run =
+    if deadline_passed deadline then
+      `Stop (fail ~attempts:(attempt - 1) ~deadline_hit:true ())
     else
-      match
-        supervised ~attempt ~worker:None incidents (fun () -> exec attempt)
-      with
+      match settle incidents (run ()) with
       | None ->
         (* poisoned: this attempt is lost, the search is not *)
         tick attempt;
-        go (attempt + 1)
+        `Continue
       | Some r ->
         total_steps := !total_steps + r.Interp.steps;
         let r = Spec.apply spec r in
         if accept r then
-          accepted ~attempts:attempt ~total_steps:!total_steps
-            ~incidents:(List.rev !incidents) r
+          `Stop
+            (accepted ~attempts:attempt ~total_steps:!total_steps
+               ~incidents:(List.rev !incidents) r)
         else begin
           note attempt attempt r;
           tick attempt;
-          go (attempt + 1)
+          `Continue
         end
   in
-  go (match resume with Some c -> c.Checkpoint.attempt + 1 | None -> 1)
-
-let advance = Engine.advance
+  let first =
+    match resume with Some c -> c.Checkpoint.attempt + 1 | None -> 1
+  in
+  Par_search.pool ?tuning ?est_attempt_steps ~jobs ~first
+    ~last:budget.max_attempts ~make_exec ~process
+    ~exhausted:(fun () -> fail ~attempts:(max budget.max_attempts (first - 1)) ())
+    ()
 
 let enumerate_inputs ?(score = no_score) ?checkpoint ?resume budget ~spec
     ~accept labeled =
@@ -355,6 +372,7 @@ let enumerate_inputs ?(score = no_score) ?checkpoint ?resume budget ~spec
   in
   let incidents = ref [] in
   let deadline = deadline_of budget in
+  let wall = wall_cancel deadline in
   let ctx = Engine.make_ctx labeled in
   let rerun prefix =
     Spec.apply spec
@@ -399,10 +417,10 @@ let enumerate_inputs ?(score = no_score) ?checkpoint ?resume budget ~spec
           ()
       else (
         match
-          supervised ~attempt ~worker:None incidents (fun () ->
-              Engine.exec_inputs ~ctx
-                ?wall:(wall_cancel deadline)
-                ~budget:budget.max_steps_per_attempt ~prefix labeled)
+          settle incidents
+            (supervise ~attempt ~worker:None (fun () ->
+                 Engine.exec_inputs ~ctx ?wall
+                   ~budget:budget.max_steps_per_attempt ~prefix labeled))
         with
         | None ->
           (* poisoned: without the probe's sizes the odometer cannot
@@ -418,7 +436,7 @@ let enumerate_inputs ?(score = no_score) ?checkpoint ?resume budget ~spec
               ~incidents:(List.rev !incidents) r
           else begin
             note attempt prefix r;
-            let next = advance prefix p.Engine.sizes in
+            let next = Engine.advance prefix p.Engine.sizes in
             tick attempt next;
             go (attempt + 1) next
           end)
@@ -430,13 +448,13 @@ let enumerate_inputs ?(score = no_score) ?checkpoint ?resume budget ~spec
 let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
     ?resume budget ~spec ~accept labeled =
   let resume = check_resume ~engine:"dfs" budget resume in
-  let pruning =
+  let seen =
     if prune then begin
       let seen = Engine.Seen.create () in
       (match resume with
       | Some c -> List.iter (Engine.Seen.add seen) c.Checkpoint.seen
       | None -> ());
-      Some { Engine.seen; plant = true }
+      Some seen
     end
     else None
   in
@@ -448,6 +466,7 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
   in
   let incidents = ref [] in
   let deadline = deadline_of budget in
+  let wall = wall_cancel deadline in
   let ctx = Engine.make_ctx labeled in
   let rerun prefix =
     (* a candidate judged by the search was a completed, unpruned run, so
@@ -469,10 +488,7 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
       pruned = !pruned;
       prefix;
       best = ckpt_best_prefix peek;
-      seen =
-        (match pruning with
-        | Some { Engine.seen; _ } -> Engine.Seen.elements seen
-        | None -> []);
+      seen = (match seen with Some s -> Engine.Seen.elements s | None -> []);
     }
   in
   let tick attempt prefix =
@@ -498,17 +514,13 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
           ()
       else (
         match
-          supervised ~attempt ~worker:None incidents (fun () ->
-              Engine.exec_schedule ~ctx ?pruning
-                ?wall:(wall_cancel deadline)
-                ~budget:budget.max_steps_per_attempt ~prefix labeled)
+          settle incidents
+            (supervise ~attempt ~worker:None (fun () ->
+                 Engine.exec_schedule ~ctx ?seen ?wall
+                   ~budget:budget.max_steps_per_attempt ~prefix labeled))
         with
         | None -> fail ~attempts:attempt ~prefix:(Some prefix) ()
         | Some p -> (
-          (* The live seen-set check inside the run is authoritative here —
-             the runner IS the reducer — so classification reads the probe's
-             own verdict rather than re-consulting [seen] (which would see
-             the run's own plants). *)
           match Engine.classify p with
           | Engine.Skipped { steps; sizes } ->
             incr pruned;
@@ -516,7 +528,7 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
             (match on_prune with
             | Some f when p.Engine.early = Engine.Early_pruned -> f ~prefix
             | _ -> ());
-            let next = advance prefix sizes in
+            let next = Engine.advance prefix sizes in
             tick (attempt - 1) next;
             go attempt next
           | Engine.Attempt (r, sizes) ->
@@ -529,7 +541,7 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
                 r
             else begin
               note attempt prefix r;
-              let next = advance prefix sizes in
+              let next = Engine.advance prefix sizes in
               tick attempt next;
               go (attempt + 1) next
             end))
@@ -541,3 +553,59 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
 let run_schedule_prefix ?(max_steps = 50_000) ~prefix labeled =
   let p = Engine.exec_schedule ~budget:max_steps ~prefix labeled in
   (p.Engine.result, p.Engine.sizes)
+
+(* ------------------------------------------------------------------ *)
+(* seed scans *)
+
+let scan_engine = "scan"
+
+let check_scan_resume ~from = function
+  | None -> None
+  | Some (ck : Checkpoint.t) ->
+    if not (String.equal ck.Checkpoint.engine scan_engine) then
+      invalid_arg
+        (Printf.sprintf
+           "first_success: cannot resume a %S checkpoint in a seed scan"
+           ck.Checkpoint.engine);
+    if ck.Checkpoint.base_seed <> from then
+      invalid_arg
+        (Printf.sprintf
+           "first_success: checkpoint scan origin %d does not match from=%d"
+           ck.Checkpoint.base_seed from);
+    Some ck
+
+let first_success ?(jobs = 1) ?tuning ?est_attempt_steps ?checkpoint ?resume
+    ~from ~count ~f () =
+  let resume = check_scan_resume ~from resume in
+  let last = from + count - 1 in
+  let frontier i () =
+    {
+      Checkpoint.engine = scan_engine;
+      base_seed = from;
+      attempt = i;
+      total_steps = 0;
+      pruned = 0;
+      prefix = None;
+      best = None;
+      seen = [];
+    }
+  in
+  let tick i =
+    Option.iter (fun s -> Checkpoint.tick s (frontier i)) checkpoint
+  in
+  Par_search.pool ?tuning ?est_attempt_steps ~jobs
+    ~first:(match resume with Some c -> c.Checkpoint.attempt + 1 | None -> from)
+    ~last
+    ~make_exec:(fun ~worker ~cancel:_ i ->
+      supervise ~attempt:i ~worker (fun () -> f i))
+    ~process:(fun i run ->
+      match run () with
+      | Job_ok (Some v, _) -> `Stop (Some (i, v))
+      | Job_ok (None, _) | Job_poisoned _ ->
+        (* a probe that keeps raising poisons only its own seed *)
+        tick i;
+        `Continue)
+    ~exhausted:(fun () ->
+      Option.iter (fun s -> Checkpoint.flush s (frontier last)) checkpoint;
+      None)
+    ()

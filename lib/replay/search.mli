@@ -15,9 +15,14 @@
     - {!dfs_schedules} — systematic interleaving enumeration with
       state-hash pruning.
 
+    {!first_success} is the seed scan behind workload selection.
+
     All work is accounted in VM steps so debugging efficiency (DE) can be
-    computed uniformly. The engines here are sequential; {!Par_search}
-    fans the same attempts over OCaml 5 domains with identical outcomes. *)
+    computed uniformly. Each engine is written once. Random restarts and
+    seed scans judge their attempts through one {!Par_search.pool}: an
+    in-order loop at [jobs <= 1], the same attempts fanned over OCaml 5
+    domains at [jobs > 1], with outcomes that cannot differ. The odometer
+    engines run in order; they take no [jobs]. *)
 
 open Mvm
 
@@ -37,8 +42,9 @@ type budget = {
 
 val default_budget : budget
 
-(** A worker mishap the search survived. [worker] is the domain's index
-    under {!Par_search} ([None] for the sequential engines). A requeued
+(** A worker mishap the search survived. [worker] is the pool worker's
+    domain index at [jobs > 1] ([None] when the attempt ran on the
+    calling thread). A requeued
     incident ([poisoned = false]) means the retry succeeded; a poisoned
     one means the attempt was abandoned after [retries] retries. *)
 type incident = {
@@ -85,6 +91,16 @@ type outcome = {
     [score] ranks rejected runs for the {!partial} outcome (default:
     rank nothing).
 
+    [jobs] (default 1), [tuning] and [est_attempt_steps] decide where the
+    attempts run (see {!Par_search.pool}). They fan out over up to
+    [jobs] domains only when [jobs > 1], the cores cap leaves more than
+    one, and the attempt-cost estimate [est_attempt_steps] (typically
+    the recorded run's [base_steps]) is absent or at least
+    [tuning.spawn_cost_steps]; [make] must then be callable from any
+    domain. Otherwise they run in order on the calling thread. The
+    outcome is the same at every [jobs]; only the incidents' [worker]
+    field and wall-clock time differ.
+
     All three engines share the crash-tolerance conveniences:
 
     - [checkpoint] — a {!Checkpoint.sink} ticked once per judged attempt
@@ -96,11 +112,15 @@ type outcome = {
       engine kind and base seed (raising [Invalid_argument] on a
       mismatch), restores the counters, frontier and best-candidate key,
       and continues. Because attempts are judged in order, a resumed
-      search reaches the same first-hit outcome as an uninterrupted one.
+      search reaches the same first-hit outcome as an uninterrupted one;
+      a restarts checkpoint written at one [jobs] resumes at any other.
     - supervision — an attempt whose execution raises is retried up to a
       bounded number of times, then poisoned (skipped) with an
       {!incident} in [stats.incidents]; the search itself survives. *)
 val random_restarts :
+  ?jobs:int ->
+  ?tuning:Par_search.tuning ->
+  ?est_attempt_steps:int ->
   ?score:(Interp.result -> float) ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
@@ -162,6 +182,27 @@ val dfs_schedules :
   Label.labeled ->
   outcome
 
+(** [first_success ~from ~count ~f ()] scans [f from], [f (from+1)], …
+    and returns the first [Some] with its index — the {e lowest} index
+    whose [f] succeeds at every [jobs]. A probe that raises is retried
+    once, then poisoned: skipped, like a probe that returned [None].
+    [jobs], [tuning] and [est_attempt_steps] are as for
+    {!random_restarts}; with [jobs > 1], [f] runs on worker domains and
+    higher indices are probed ahead of the lowest unjudged one. Used by
+    workload seed scans. [checkpoint]/[resume] persist the scan frontier
+    under the "scan" engine kind, with [from] as the identity check. *)
+val first_success :
+  ?jobs:int ->
+  ?tuning:Par_search.tuning ->
+  ?est_attempt_steps:int ->
+  ?checkpoint:Checkpoint.sink ->
+  ?resume:Checkpoint.t ->
+  from:int ->
+  count:int ->
+  f:(int -> 'a option) ->
+  unit ->
+  (int * 'a) option
+
 (** [run_schedule_prefix ~prefix labeled] executes the single schedule
     denoted by [prefix] (default policy past it), with no pruning,
     returning the run and the discovered decision fan-outs — the tool
@@ -190,29 +231,6 @@ val site_prefer : site_priority -> Mvm.World.cand -> bool
     searches. *)
 val priority_world : site_priority -> seed:int -> Mvm.World.t
 
-(* internal: shared with Par_search *)
-val no_score : Interp.result -> float
-
-(* best tracker, generic in the rerun key 'k (attempt index for seeded
-   restarts, decision prefix for odometer engines): returns
-   (note attempt key result, get-partial, peek-stored-key). [get]
-   rematerialises a checkpoint-restored best by rerunning its key. *)
-val track_best :
-  ?stored:float * int * 'k ->
-  rerun:('k -> Interp.result) ->
-  (Interp.result -> float) ->
-  (int -> 'k -> Interp.result -> unit)
-  * (unit -> partial option)
-  * (unit -> (float * int * 'k) option)
-
-val exhausted :
-  attempts:int -> total_steps:int -> ?pruned:int -> ?deadline_hit:bool ->
-  ?incidents:incident list -> (unit -> partial option) -> outcome
-val accepted :
-  attempts:int -> total_steps:int -> ?pruned:int -> ?deadline_hit:bool ->
-  ?incidents:incident list -> Interp.result -> outcome
-val advance : int array -> int list -> int array option
-
 (* deadlines are absolute monotonic instants (Obs.Clock ns), immune to
    wall-clock steps; tests drive them through Obs.Clock.set_source *)
 val deadline_reason : string
@@ -221,15 +239,3 @@ val deadline_passed : int64 option -> bool
 val wall_cancel : int64 option -> (unit -> string option) option
 
 val max_job_retries : int
-val supervised :
-  attempt:int -> worker:int option -> incident list ref ->
-  (unit -> 'a) -> 'a option
-
-val check_resume :
-  engine:string -> budget -> Checkpoint.t option -> Checkpoint.t option
-val ckpt_best_attempt :
-  (unit -> (float * int * int) option) -> Checkpoint.best option
-val ckpt_best_prefix :
-  (unit -> (float * int * int array) option) -> Checkpoint.best option
-val stored_attempt : Checkpoint.t option -> (float * int * int) option
-val stored_prefix : Checkpoint.t option -> (float * int * int array) option

@@ -18,9 +18,13 @@ open Ddet_apps
 
 let jobs = 4
 
-(* cap_domains off: these tests exercise the parallel pools themselves,
-   which the cores cap would silently bypass on small CI boxes *)
-let tuning = { Par_search.default_tuning with Par_search.cap_domains = false }
+(* cap_domains off and the min-work threshold zeroed: these tests
+   exercise the parallel pool itself, which the cores cap would silently
+   bypass on small CI boxes and the drivers' attempt-cost estimate would
+   bypass everywhere *)
+let tuning =
+  { Par_search.default_tuning with
+    Par_search.cap_domains = false; spawn_cost_steps = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* workloads (as in test_par) *)
@@ -226,7 +230,7 @@ let test_restarts_kill_resume () =
     budget;
   kill_and_resume "restarts/par"
     (fun ?checkpoint ?resume b ->
-      Par_search.random_restarts ~tuning ~jobs ?checkpoint ?resume b ~make:(make_of b)
+      Search.random_restarts ~tuning ~jobs ?checkpoint ?resume b ~make:(make_of b)
         ~spec ~accept labeled)
     budget
 
@@ -247,7 +251,7 @@ let test_cross_jobs_resume () =
       ~accept labeled
   in
   let par ?checkpoint ?resume b =
-    Par_search.random_restarts ~tuning ~jobs ?checkpoint ?resume b ~make:(make_of b)
+    Search.random_restarts ~tuning ~jobs ?checkpoint ?resume b ~make:(make_of b)
       ~spec ~accept labeled
   in
   let rec pick bs =
@@ -287,11 +291,6 @@ let test_dfs_kill_resume () =
   kill_and_resume "dfs/seq"
     (fun ?checkpoint ?resume b ->
       Search.dfs_schedules ?checkpoint ?resume b ~spec ~accept labeled)
-    budget;
-  kill_and_resume "dfs/par"
-    (fun ?checkpoint ?resume b ->
-      Par_search.dfs_schedules ~tuning ~jobs ?checkpoint ?resume b ~spec ~accept
-        labeled)
     budget
 
 let test_enumerate_kill_resume () =
@@ -304,11 +303,6 @@ let test_enumerate_kill_resume () =
   kill_and_resume "inputs/seq"
     (fun ?checkpoint ?resume b ->
       Search.enumerate_inputs ?checkpoint ?resume b ~spec ~accept adder_prog)
-    budget;
-  kill_and_resume "inputs/par"
-    (fun ?checkpoint ?resume b ->
-      Par_search.enumerate_inputs ~tuning ~jobs ?checkpoint ?resume b ~spec ~accept
-        adder_prog)
     budget
 
 (* ------------------------------------------------------------------ *)
@@ -335,7 +329,7 @@ let test_replayer_kill_resume_miniht () =
   List.iter
     (fun jobs ->
       let name = Printf.sprintf "miniht j%d" jobs in
-      let full = Replayer.failure_det ~budget ~jobs labeled ~spec log in
+      let full = Replayer.failure_det ~budget ~jobs ~tuning labeled ~spec log in
       Alcotest.(check bool) (name ^ ": reproduced") true
         (full.Replayer.result <> None);
       let kill_at = full.Replayer.attempts - 1 in
@@ -344,7 +338,7 @@ let test_replayer_kill_resume_miniht () =
       ignore
         (Replayer.failure_det
            ~budget:{ budget with Search.max_attempts = kill_at }
-           ~jobs
+           ~jobs ~tuning
            ~checkpoint:(Checkpoint.sink ~every:1 file)
            labeled ~spec log);
       let c =
@@ -354,7 +348,7 @@ let test_replayer_kill_resume_miniht () =
       in
       Sys.remove file;
       let resumed =
-        Replayer.failure_det ~budget ~jobs ~resume:c labeled ~spec log
+        Replayer.failure_det ~budget ~jobs ~tuning ~resume:c labeled ~spec log
       in
       check_same_replay name full resumed)
     [ 1; jobs ]
@@ -375,7 +369,7 @@ let test_session_kill_resume_cloudstore () =
     List.iter
       (fun jobs ->
         let name = Printf.sprintf "cloudstore j%d" jobs in
-        let config = { Config.default with Config.jobs } in
+        let config = { Config.default with Config.jobs; tuning } in
         let prepared = Session.prepare ~config Model.Failure_det cloud in
         let _, log = Session.record ~faults:drop_plan prepared ~seed in
         (* pick a base seed whose search needs > 1 attempt, so the kill
@@ -484,7 +478,7 @@ let test_poisoned_attempt_skipped () =
   in
   let s = Search.random_restarts budget ~make ~spec ~accept:never labeled in
   let p =
-    Par_search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept:never labeled
+    Search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept:never labeled
   in
   List.iter
     (fun (name, (o : Search.outcome)) ->
@@ -539,10 +533,28 @@ let test_flaky_attempt_requeued () =
 
 let test_poisoned_scan_probe () =
   let f n = if n = 8 then failwith "probe crash" else if n * n > 50 then Some (n * n) else None in
-  let s = Par_search.first_success ~from:0 ~count:20 ~f () in
-  let p = Par_search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f () in
+  let s = Search.first_success ~from:0 ~count:20 ~f () in
+  let p = Search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f () in
   Alcotest.(check (option (pair int int)))
     "sequential scan skips the crashing probe" (Some (9, 81)) s;
+  Alcotest.(check (option (pair int int))) "parallel scan agrees" s p
+
+(* a probe that raises once is retried, like a restart attempt, at every
+   jobs count: the scan still finds the lowest matching seed *)
+let test_flaky_scan_probe () =
+  let flaky () =
+    let first = Atomic.make true in
+    fun n ->
+      if n = 8 && Atomic.exchange first false then failwith "probe blip"
+      else if n * n > 50 then Some (n * n)
+      else None
+  in
+  let s = Search.first_success ~from:0 ~count:20 ~f:(flaky ()) () in
+  let p =
+    Search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f:(flaky ()) ()
+  in
+  Alcotest.(check (option (pair int int)))
+    "sequential scan retries the flaky probe" (Some (8, 64)) s;
   Alcotest.(check (option (pair int int))) "parallel scan agrees" s p
 
 (* ------------------------------------------------------------------ *)
@@ -557,7 +569,7 @@ let test_deadline_exhausts_immediately () =
   let make ~attempt = (World.random ~seed:attempt, None) in
   let s = Search.random_restarts budget ~make ~spec ~accept:never labeled in
   let p =
-    Par_search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept:never labeled
+    Search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept:never labeled
   in
   List.iter
     (fun (name, (o : Search.outcome)) ->
@@ -687,11 +699,11 @@ let test_resume_engine_mismatch_rejected () =
 
 let test_scan_kill_resume () =
   let f n = if n * n > 50 then Some (n * n) else None in
-  let full = Par_search.first_success ~from:0 ~count:20 ~f () in
+  let full = Search.first_success ~from:0 ~count:20 ~f () in
   Alcotest.(check (option (pair int int))) "baseline" (Some (8, 64)) full;
   let file = Filename.temp_file "ddet_crash" ".ckpt" in
   ignore
-    (Par_search.first_success
+    (Search.first_success
        ~checkpoint:(Checkpoint.sink ~every:1 file)
        ~from:0 ~count:4 ~f ());
   let c =
@@ -703,7 +715,7 @@ let test_scan_kill_resume () =
   List.iter
     (fun jobs ->
       let resumed =
-        Par_search.first_success ~tuning ~jobs ~resume:c ~from:0 ~count:20 ~f ()
+        Search.first_success ~tuning ~jobs ~resume:c ~from:0 ~count:20 ~f ()
       in
       Alcotest.(check (option (pair int int)))
         (Printf.sprintf "resumed scan j%d" jobs)
@@ -742,6 +754,8 @@ let () =
             test_flaky_attempt_requeued;
           Alcotest.test_case "poisoned scan probe" `Quick
             test_poisoned_scan_probe;
+          Alcotest.test_case "flaky scan probe" `Quick
+            test_flaky_scan_probe;
         ] );
       ( "deadlines",
         [

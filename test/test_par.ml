@@ -1,8 +1,9 @@
-(* Parallel search must be observationally identical to sequential search:
-   byte-identical accepted traces, identical stats, at any jobs count —
-   on schedule races, input enumeration, and fault-injected worlds. Also
-   covers the DFS pruner: pruning shrinks the work, a clamped prefix digit
-   is an exhausted branch. *)
+(* Searches run through the attempt pool must be observationally
+   identical at any jobs count: byte-identical accepted traces, identical
+   stats — on schedule races, seed scans and fault-injected worlds. The
+   in-order engines (DFS, input enumeration) must ignore jobs and share
+   no state between searches. Also covers the DFS pruner: pruning shrinks
+   the work, a clamped prefix digit is an exhausted branch. *)
 
 open Mvm
 open Mvm.Dsl
@@ -16,6 +17,11 @@ let jobs = 4
 (* cap_domains off: these tests exercise the parallel pools themselves,
    which the cores cap would silently bypass on small CI boxes *)
 let tuning = { Par_search.default_tuning with Par_search.cap_domains = false }
+
+(* the product drivers pass the recorded run's length as the attempt-cost
+   estimate, which sits below the default min-work threshold; zero it so
+   jobs > 1 really reaches the pool *)
+let pool_tuning = { tuning with Par_search.spawn_cost_steps = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* workloads *)
@@ -119,7 +125,7 @@ let test_restarts_parity_counter () =
   in
   let make ~attempt = (World.random ~seed:attempt, None) in
   let s = Search.random_restarts budget ~make ~spec ~accept labeled in
-  let p = Par_search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept labeled in
+  let p = Search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept labeled in
   Alcotest.(check bool) "restarts reproduce the race" true
     s.Search.stats.Search.success;
   check_same_outcome "restarts/counter" s p
@@ -148,11 +154,14 @@ let test_min_work_heuristic () =
   let make ~attempt = (World.random ~seed:attempt, None) in
   let s = Search.random_restarts budget ~make ~spec ~accept labeled in
   let p =
-    Par_search.random_restarts ~tuning ~jobs ~est_attempt_steps:100 budget ~make ~spec
+    Search.random_restarts ~tuning ~jobs ~est_attempt_steps:100 budget ~make ~spec
       ~accept labeled
   in
   check_same_outcome "min-work/counter" s p
 
+(* The DFS takes no jobs and keeps its explored-state set per search, with
+   no lock: two searches running at once on their own domains must each
+   match the one run on the calling thread. *)
 let test_dfs_parity_counter () =
   let labeled = counter_prog ~iters:4 and spec = spec_out 8 in
   let seed = find_failing_seed labeled spec in
@@ -161,26 +170,39 @@ let test_dfs_parity_counter () =
   let budget =
     { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None }
   in
-  let s = Search.dfs_schedules budget ~spec ~accept labeled in
-  let p = Par_search.dfs_schedules ~tuning ~jobs budget ~spec ~accept labeled in
+  let dfs () = Search.dfs_schedules budget ~spec ~accept labeled in
+  let s = dfs () in
   Alcotest.(check bool) "dfs reproduces the race" true
     s.Search.stats.Search.success;
   Alcotest.(check bool) "pruning fired" true (s.Search.stats.Search.pruned > 0);
-  check_same_outcome "dfs/counter" s p
+  let d1 = Domain.spawn dfs and d2 = Domain.spawn dfs in
+  let p1 = Domain.join d1 and p2 = Domain.join d2 in
+  check_same_outcome "dfs/counter, first domain" s p1;
+  check_same_outcome "dfs/counter, second domain" s p2
 
+(* Input enumeration runs in order at any jobs: the output-determinism
+   driver enumerates an input-only program whatever [jobs] it is given,
+   even with a tuning that lets every restart reach the pool. *)
 let test_enumerate_inputs_parity_adder () =
-  let spec = Spec.accept_all in
-  let accept r =
-    Trace.outputs_on r.Interp.trace "sum" = [ Value.int 7 ]
+  let _, log =
+    Recorder.record (Output_recorder.create ()) adder_prog ~spec:Spec.accept_all
+      ~world:(World.random ~seed:7)
   in
   let budget =
     { Search.max_attempts = 50; max_steps_per_attempt = 1_000; base_seed = 1; deadline_s = None }
   in
-  let s = Search.enumerate_inputs budget ~spec ~accept adder_prog in
-  let p = Par_search.enumerate_inputs ~tuning ~jobs budget ~spec ~accept adder_prog in
-  Alcotest.(check bool) "enumeration reaches sum=7" true
-    s.Search.stats.Search.success;
-  check_same_outcome "inputs/adder" s p
+  let run jobs =
+    Replayer.output_det ~budget ~exhaustive:true ~jobs ~tuning:pool_tuning
+      adder_prog ~spec:Spec.accept_all log
+  in
+  let s = run 1 and p = run jobs in
+  Alcotest.(check bool) "enumeration reproduces the outputs" true
+    (s.Replayer.result <> None);
+  Alcotest.(check int) "inputs/adder: attempts" s.Replayer.attempts
+    p.Replayer.attempts;
+  Alcotest.(check int) "inputs/adder: steps" s.Replayer.total_steps
+    p.Replayer.total_steps;
+  check_same_result "inputs/adder" s.Replayer.result p.Replayer.result
 
 (* ------------------------------------------------------------------ *)
 (* miniht issue-63 race, through the failure-determinism driver *)
@@ -194,7 +216,7 @@ let test_replayer_parity_miniht () =
     { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None }
   in
   let s = Replayer.failure_det ~budget labeled ~spec log in
-  let p = Replayer.failure_det ~budget ~jobs labeled ~spec log in
+  let p = Replayer.failure_det ~budget ~jobs ~tuning:pool_tuning labeled ~spec log in
   Alcotest.(check int) "miniht: attempts" s.Replayer.attempts
     p.Replayer.attempts;
   Alcotest.(check int) "miniht: steps" s.Replayer.total_steps
@@ -220,7 +242,7 @@ let test_session_parity_faulted_cloudstore () =
   | None -> Alcotest.fail "no failing cloudstore seed under the drop plan"
   | Some (seed, _) ->
     let outcome_at jobs =
-      let config = { Config.default with Config.jobs } in
+      let config = { Config.default with Config.jobs; tuning = pool_tuning } in
       let prepared = Session.prepare ~config Model.Failure_det cloud in
       let _, log = Session.record ~faults:drop_plan prepared ~seed in
       Session.replay prepared log
@@ -237,11 +259,11 @@ let test_session_parity_faulted_cloudstore () =
 
 let test_first_success_parity () =
   let f n = if n * n > 50 then Some (n * n) else None in
-  let s = Par_search.first_success ~from:0 ~count:20 ~f () in
-  let p = Par_search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f () in
+  let s = Search.first_success ~from:0 ~count:20 ~f () in
+  let p = Search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f () in
   Alcotest.(check (option (pair int int))) "lowest index wins" (Some (8, 64)) s;
   Alcotest.(check (option (pair int int))) "parallel agrees" s p;
-  let none = Par_search.first_success ~tuning ~jobs ~from:0 ~count:5 ~f () in
+  let none = Search.first_success ~tuning ~jobs ~from:0 ~count:5 ~f () in
   Alcotest.(check (option (pair int int))) "exhausted scan" None none
 
 let test_find_failing_seed_parity () =

@@ -564,13 +564,12 @@ let prop_resume_parity =
 (* ------------------------------------------------------------------ *)
 (* parallel scheduler parity *)
 
-(* The tentpole law of the chunked scheduler: a parallel engine is
-   byte-identical to its sequential counterpart at ANY tuning — random
-   chunk sizes, random speculation windows, every engine shape (indexed
-   pool for restarts, chain pool for the odometers). cap_domains is off
-   so the pools genuinely run even on one-core machines, and
-   spawn_cost_steps is zeroed so the min-work heuristic cannot quietly
-   take the sequential shortcut this law is supposed to contrast with. *)
+(* The law of the chunked scheduler: random restarts through the pool
+   at jobs > 1 are byte-identical to the in-order loop at ANY tuning —
+   random chunk sizes, random claim windows. cap_domains is off so the
+   pool genuinely runs even on one-core machines, and spawn_cost_steps
+   is zeroed so the min-work heuristic cannot quietly take the in-order
+   path this law is supposed to contrast with. *)
 let par_budget pseed =
   {
     Search.max_attempts = 12;
@@ -598,13 +597,11 @@ let byte_identical_results (a : Search.outcome) (b : Search.outcome) =
 let prop_parallel_parity =
   QCheck2.Test.make
     ~name:"parallel search equals sequential at any chunk/window" ~count:24
-    ~print:(fun (pseed, chunk, wpj, engine) ->
-      Printf.sprintf "program seed %d, chunk %d, window/job %d, engine %s"
-        pseed chunk wpj
-        [| "restarts"; "inputs"; "dfs" |].(engine))
-    QCheck2.Gen.(
-      quad (int_range 1 5_000) (int_range 1 8) (int_range 1 8) (int_range 0 2))
-    (fun (pseed, chunk, wpj, engine) ->
+    ~print:(fun (pseed, chunk, wpj) ->
+      Printf.sprintf "program seed %d, chunk %d, window/job %d" pseed chunk
+        wpj)
+    QCheck2.Gen.(triple (int_range 1 5_000) (int_range 1 8) (int_range 1 8))
+    (fun (pseed, chunk, wpj) ->
       let labeled = program_of pseed in
       let budget = par_budget pseed in
       let accept = deviation_accept labeled budget in
@@ -621,23 +618,13 @@ let prop_parallel_parity =
         }
       in
       let spec = Spec.accept_all in
-      let seq, par =
-        match engine with
-        | 0 ->
-          let make ~attempt =
-            (World.random ~seed:(budget.Search.base_seed + attempt), None)
-          in
-          ( Search.random_restarts ~score budget ~make ~spec ~accept labeled,
-            Par_search.random_restarts ~jobs:3 ~tuning ~score budget ~make
-              ~spec ~accept labeled )
-        | 1 ->
-          ( Search.enumerate_inputs ~score budget ~spec ~accept labeled,
-            Par_search.enumerate_inputs ~jobs:3 ~tuning ~score budget ~spec
-              ~accept labeled )
-        | _ ->
-          ( Search.dfs_schedules ~score budget ~spec ~accept labeled,
-            Par_search.dfs_schedules ~jobs:3 ~tuning ~score budget ~spec
-              ~accept labeled )
+      let make ~attempt =
+        (World.random ~seed:(budget.Search.base_seed + attempt), None)
+      in
+      let seq = Search.random_restarts ~score budget ~make ~spec ~accept labeled in
+      let par =
+        Search.random_restarts ~jobs:3 ~tuning ~score budget ~make ~spec ~accept
+          labeled
       in
       same_search_outcome seq par && byte_identical_results seq par)
 
@@ -679,7 +666,7 @@ let prop_parallel_poison_parity =
       let spec = Spec.accept_all in
       let seq = Search.random_restarts budget ~make ~spec ~accept labeled in
       let par =
-        Par_search.random_restarts ~jobs:3 ~tuning budget ~make ~spec ~accept
+        Search.random_restarts ~jobs:3 ~tuning budget ~make ~spec ~accept
           labeled
       in
       same_search_outcome seq par
