@@ -214,9 +214,12 @@ let add_header ~framed:fr o (log : Log.t) =
       plan
   | None -> ()
 
+let log_magic = "ddet-log v2"
+
 let to_string (log : Log.t) =
   let o = out_create 4096 in
-  add_string o "ddet-log v2\n";
+  add_string o log_magic;
+  add_char o '\n';
   add_header ~framed:false o log;
   let n =
     List.fold_left
@@ -629,89 +632,68 @@ let line_error n reason text =
   "line " ^ string_of_int n ^ ": " ^ reason ^ " (in: \"" ^ String.escaped text
   ^ "\")"
 
-type header = {
-  mutable h_recorder : string;
-  mutable h_base_steps : int;
-  mutable h_failure : Failure.t option;
-  mutable h_faults : Fault.plan option;
-}
+(* the header before any header line is read *)
+let no_header =
+  Log.make ~recorder:"unknown" ~entries:[] ~base_steps:0 ~failure:None ()
 
-let fresh_header () =
-  { h_recorder = "unknown"; h_base_steps = 0; h_failure = None; h_faults = None }
-
-(* the header line on the tokenized line, if it is one *)
-let header_tokens d hdr =
+(* [h] updated by the header line on the tokenized line, if it is one *)
+let header_tokens d (h : Log.t) =
   let n = d.ntok in
-  if n = 0 then false
-  else if n = 2 && tok_is d 0 "recorder" then begin
-    hdr.h_recorder <- tok_quoted d 1;
-    true
-  end
-  else if n = 2 && tok_is d 0 "base-steps" then begin
-    hdr.h_base_steps <- tok_int d 1;
-    true
-  end
-  else if n = 2 && tok_is d 0 "failure" && tok_is d 1 "none" then begin
-    hdr.h_failure <- None;
-    true
-  end
-  else if tok_is d 0 "failure" then begin
-    hdr.h_failure <- Some (dec_failure d 1);
-    true
-  end
-  else if n = 2 && tok_is d 0 "faults" then (
+  if n = 2 && tok_is d 0 "recorder" then
+    Some { h with recorder = tok_quoted d 1 }
+  else if n = 2 && tok_is d 0 "base-steps" then
+    Some { h with base_steps = tok_int d 1 }
+  else if n = 2 && tok_is d 0 "failure" && tok_is d 1 "none" then
+    Some { h with failure = None }
+  else if n > 0 && tok_is d 0 "failure" then
+    Some { h with failure = Some (dec_failure d 1) }
+  else if n = 2 && tok_is d 0 "faults" then
     match Fault.of_string (tok_quoted d 1) with
-    | Ok p ->
-      hdr.h_faults <- Some p;
-      true
-    | Error e -> raise (Parse ("bad fault plan: " ^ e)))
-  else false
+    | Ok p -> Some { h with faults = Some p }
+    | Error e -> raise (Parse ("bad fault plan: " ^ e))
+  else None
 
-let parse_header_line hdr line =
-  let d = decoder line in
-  tokenize d 0 (String.length line);
-  header_tokens d hdr
+(* ------------------------------------------------------------------ *)
+(* the entry stream: a magic line, header lines, [<crc8> <entry>] lines,
+   then [end N]. Monolithic logs and shards, segments and the segment
+   header file differ only in their magic. *)
 
-(* One pass over the string for both formats and both modes. Strict
-   turns the first problem into an Error and reads no further; Salvage
-   records it and keeps the valid prefix. The first non-blank line is the
-   magic; a v2 body line is framed, a header line or the [end N]
-   trailer; v1 has no frames and no trailer. *)
-let of_string_report ?(mode = Strict) s =
+(* One pass over the string in both modes. Strict turns the first
+   problem into an Error and reads no further; Salvage records it and
+   keeps the valid prefix, reading on unless [until_damage]. The first
+   non-blank line is the magic; a body line is framed, a header line or
+   the [end N] trailer. *)
+let read_stream ~magic ?(until_damage = false) ?(mode = Strict) s =
   let d = decoder s in
-  let hdr = fresh_header () in
+  let hdr = ref no_header in
   let entries = ref [] and count = ref 0 and corrupt = ref [] in
   let trailer = ref None and strict_error = ref None in
-  let total_lines = ref 0 and version = ref 0 in
+  let total_lines = ref 0 and magic_seen = ref false and stopped = ref false in
   let problem n reason ls le =
     let text = String.sub s ls (le - ls) in
     match mode with
     | Strict ->
-      if !strict_error = None then strict_error := Some (line_error n reason text)
-    | Salvage -> corrupt := (n, reason, text) :: !corrupt
+      strict_error := Some (line_error n reason text);
+      stopped := true
+    | Salvage ->
+      corrupt := (n, reason, text) :: !corrupt;
+      if until_damage then stopped := true
   in
-  let entry e =
-    entries := e :: !entries;
-    incr count
+  (* even the magic can be the corrupted line; Salvage assumes the
+     stream goes on and keeps whatever survives *)
+  let magic_line n ls le =
+    magic_seen := true;
+    let m = String.trim (String.sub s ls (le - ls)) in
+    if not (String.equal m magic) then
+      problem n (if mode = Strict then "bad magic: " ^ m else "bad magic") ls le
   in
-  let magic n ls le =
-    let text = String.sub s ls (le - ls) in
-    match String.trim text with
-    | "ddet-log v2" -> version := 2
-    | "ddet-log v1" -> version := 1
-    | m -> (
-      (* even the magic can be the corrupted line; Salvage assumes the
-         current format and keeps whatever survives *)
-      version := 2;
-      match mode with
-      | Strict -> strict_error := Some (line_error n ("bad magic: " ^ m) text)
-      | Salvage -> corrupt := [ (n, "bad magic", text) ])
-  in
-  let v2_line n ls le =
+  let body_line n ls le =
     match check_frame s ls le with
     | Framed -> (
       match dec_entry d (ls + 9) le with
-      | e -> entry e
+      | e ->
+        entries := e :: !entries;
+        incr count
       | exception Parse msg -> problem n msg ls le)
     | Bad_crc ->
       problem n
@@ -728,37 +710,16 @@ let of_string_report ?(mode = Strict) s =
           | c -> trailer := Some c
           | exception Parse _ -> problem n "bad trailer count" ls le
         else
-          match header_tokens d hdr with
-          | true -> ()
-          | false -> problem n "unrecognised line" ls le
+          match header_tokens d !hdr with
+          | Some h -> hdr := h
+          | None -> problem n "unrecognised line" ls le
           | exception Parse msg -> problem n msg ls le)
-  in
-  let v1_line n ls le =
-    match tokenize d ls le with
-    | exception Parse msg -> problem n msg ls le
-    | () -> (
-      let keyword =
-        d.ntok > 0
-        && (tok_is d 0 "recorder" || tok_is d 0 "base-steps"
-           || tok_is d 0 "failure" || tok_is d 0 "faults")
-      in
-      if keyword && d.ntok = 1 then problem n "damaged header line" ls le
-      else if keyword then
-        match header_tokens d hdr with
-        | true -> ()
-        | false -> problem n "damaged header line" ls le
-        | exception Parse msg -> problem n msg ls le
-      else
-        match dec_tokens d ls le with
-        | e -> entry e
-        | exception Parse msg -> problem n msg ls le)
   in
   iter_lines s (fun n ls le ->
       if not (is_blank s ls le) then begin
         incr total_lines;
-        if !version = 0 then magic n ls le
-        else if !strict_error = None then
-          if !version = 2 then v2_line n ls le else v1_line n ls le
+        if not !magic_seen then magic_line n ls le
+        else if not !stopped then body_line n ls le
       end);
   if !total_lines = 0 then Error "empty log"
   else
@@ -766,7 +727,7 @@ let of_string_report ?(mode = Strict) s =
     | Some e -> Error e
     | None ->
       let truncated =
-        !version = 2 && match !trailer with None -> true | Some c -> c <> !count
+        match !trailer with None -> true | Some c -> c <> !count
       in
       if mode = Strict && truncated then
         Error
@@ -776,13 +737,8 @@ let of_string_report ?(mode = Strict) s =
             "trailer count " ^ string_of_int c ^ " does not match "
             ^ string_of_int !count ^ " entries")
       else
-        let log =
-          Log.make ?faults:hdr.h_faults ~recorder:hdr.h_recorder
-            ~entries:(List.rev !entries) ~base_steps:hdr.h_base_steps
-            ~failure:hdr.h_failure ()
-        in
         Ok
-          ( log,
+          ( { !hdr with entries = List.rev !entries },
             {
               total_lines = !total_lines;
               salvaged_entries = !count;
@@ -790,31 +746,163 @@ let of_string_report ?(mode = Strict) s =
               truncated;
             } )
 
+let of_string_report ?mode s = read_stream ~magic:log_magic ?mode s
 let of_string ?mode s = Result.map fst (of_string_report ?mode s)
 
-(* Atomic file replacement: write the whole payload to a fresh temp file
-   in the destination directory, then rename over the target. A crash at
-   any point leaves either the old file or the new one — never a
-   Strict-rejected half log — because rename within a directory is atomic
-   on POSIX filesystems. *)
-let atomic_write path s =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".ddet" ".tmp" in
-  (try
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_string oc s;
-         flush oc)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+(* ------------------------------------------------------------------ *)
+(* the framed-line file: a magic line, then [<crc8> <body>] lines *)
 
-(* Store-routed save: same atomic discipline, but every byte flows
-   through the pluggable store, so fault injection and retry policies
-   apply to monolithic saves too. *)
+let read_framed ~magic mode s line =
+  let corrupt = ref 0 and error = ref None and magic_seen = ref false in
+  let problem n reason ls le =
+    incr corrupt;
+    if mode = Strict then
+      error := Some (line_error n reason (String.sub s ls (le - ls)))
+  in
+  iter_lines s (fun n ls le ->
+      if !error = None && not (is_blank s ls le) then
+        if not !magic_seen then begin
+          magic_seen := true;
+          let text = String.sub s ls (le - ls) in
+          let m = String.trim text in
+          if not (String.equal m magic) then
+            error := Some (line_error n ("bad magic: " ^ m) text)
+        end
+        else
+          match check_frame s ls le with
+          | Framed -> (
+            match line (String.sub s (ls + 9) (le - ls - 9)) with
+            | true -> ()
+            | false -> problem n "unrecognised line" ls le
+            | exception Parse msg -> problem n msg ls le)
+          | Bad_crc -> problem n "crc mismatch" ls le
+          | Unframed -> problem n "unframed line" ls le);
+  match !error with
+  | Some e -> Error e
+  | None -> if !magic_seen then Ok !corrupt else Error "empty file"
+
+(* ------------------------------------------------------------------ *)
+(* the manifest: a framed-line file naming the parts of one recording *)
+
+type part = { index : int; name : string; entries : int; crc : string }
+
+type manifest = {
+  header : Log.t;
+  parts : part list;
+  order : (int * int) list;
+  edges : (string * int * int * int * int) list;
+  complete : bool;
+}
+
+let manifest_to_string ~magic ~part (header : Log.t) parts ~order ~edges =
+  let o = out_create 1024 in
+  add_string o magic;
+  add_char o '\n';
+  add_header ~framed:true o header;
+  let line fmt = Printf.ksprintf (framed o add_string) fmt in
+  List.iteri
+    (fun ix (name, entries, crc) ->
+      line "%s %d %s %d %s" part ix name entries crc)
+    parts;
+  (* 16 runs to a line *)
+  let rec orders = function
+    | [] -> ()
+    | runs ->
+      line "order %s"
+        (String.concat ","
+           (List.filteri (fun i _ -> i < 16) runs
+           |> List.map (fun (ix, n) -> Printf.sprintf "%d:%d" ix n)));
+      orders (List.filteri (fun i _ -> i >= 16) runs)
+  in
+  orders order;
+  List.iter
+    (fun (chan, six, sseq, rix, rseq) ->
+      line "edge %S %d %d %d %d" chan six sseq rix rseq)
+    edges;
+  line "end %d %d %d" (List.length parts)
+    (List.fold_left (fun acc (_, n, _) -> acc + n) 0 parts)
+    (List.length edges);
+  out_contents o
+
+(* "ix:n,ix:n,..." *)
+let runs_of tok =
+  List.map
+    (fun run ->
+      match String.index_opt run ':' with
+      | Some k -> (int_in run 0 k, int_in run (k + 1) (String.length run))
+      | None -> raise (Parse ("bad order run " ^ run)))
+    (String.split_on_char ',' tok)
+
+(* Every line is CRC'd on its own, so a damaged manifest still yields
+   its valid lines; [complete] holds only when none was bad and the
+   [end] counts agree with what was read. *)
+let manifest_of_string ~magic ~part s =
+  let hdr = ref no_header and parts = ref [] and order = ref [] in
+  let edges = ref [] and trailer = ref None in
+  let push r x =
+    r := x :: !r;
+    true
+  in
+  let line body =
+    let d = decoder body in
+    tokenize d 0 (String.length body);
+    let n = d.ntok and kw = tok_is d 0 in
+    if n = 5 && kw part then
+      push parts
+        {
+          index = tok_int d 1;
+          name = tok_string d 2;
+          entries = tok_int d 3;
+          crc = tok_string d 4;
+        }
+    else if n = 2 && kw "order" then begin
+      order := List.rev_append (runs_of (tok_string d 1)) !order;
+      true
+    end
+    else if n = 6 && kw "edge" then
+      push edges
+        (tok_quoted d 1, tok_int d 2, tok_int d 3, tok_int d 4, tok_int d 5)
+    else if n = 4 && kw "end" then begin
+      trailer := Some (tok_int d 1, tok_int d 2, tok_int d 3);
+      true
+    end
+    else
+      match header_tokens d !hdr with
+      | Some h ->
+        hdr := h;
+        true
+      | None -> false
+  in
+  match read_framed ~magic Salvage s line with
+  | Error _ -> None
+  | Ok corrupt ->
+    let parts = List.sort compare !parts and order = List.rev !order in
+    let edges = List.rev !edges in
+    let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+    let complete =
+      corrupt = 0
+      &&
+      match !trailer with
+      | Some (n_parts, n_entries, n_edges) ->
+        n_parts = List.length parts
+        && n_edges = List.length edges
+        && n_entries = sum (fun p -> p.entries) parts
+        && (order = [] || n_entries = sum snd order)
+      | None -> false
+    in
+    Some { header = !hdr; parts; order; edges; complete }
+
+(* ------------------------------------------------------------------ *)
+(* files *)
+
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error e -> Error e
+
+(* Store-routed save: the payload goes to a temp file that is fsynced
+   and renamed over the target, and every byte flows through the
+   pluggable store, so fault injection and retry policies apply. *)
 let save_via store path log = Store.atomic_write store path (to_string log)
 
 let save path log =
@@ -823,9 +911,6 @@ let save path log =
   | Error e -> raise (Sys_error (Store.error_to_string e))
 
 let load_report ?mode path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string_report ?mode (In_channel.input_all ic))
+  Result.bind (read_file path) (of_string_report ?mode)
 
 let load ?mode path = Result.map fst (load_report ?mode path)

@@ -1,15 +1,26 @@
-(** Log persistence: a line-oriented text format so recordings can be
-    shipped from the production machine to the developer's replay session
-    (the paper's workflow) and inspected with ordinary tools.
+(** Evidence persistence: line-oriented text formats so recordings can
+    be shipped from the production machine to the developer's replay
+    session (the paper's workflow) and inspected with ordinary tools.
 
-    Format [ddet-log v2]: a header (recorder name, base steps, observed
-    failure, optional fault plan) followed by one entry per line, each
-    prefixed with its CRC32 in 8 hex digits, and closed by an [end N]
-    entry-count trailer. Values are typed ([i:]/[b:]/[s:]/[u]) with
-    OCaml-escaped quoted strings, so payloads survive arbitrary bytes.
-    The checksums and trailer exist because logs travel: a shipped log
-    can arrive bit-rotted or half-written, and the reader must be able to
-    tell — and to keep going.
+    Two codecs serve every evidence file, and this module owns both:
+
+    - the {e entry stream}: a magic line, header lines (recorder name,
+      base steps, observed failure, optional fault plan), one entry per
+      line prefixed with its CRC32 in 8 hex digits, and an [end N]
+      entry-count trailer. Monolithic logs and per-node shards
+      ([ddet-log v2]), segments ([ddet-seg v1 N]) and the segment
+      header file ([ddet-seg-header v1]) are streams that differ only
+      in their magic;
+    - the {e framed-line file}: a magic line, then [<crc8> <body>]
+      lines. The manifests of segmented and sharded recordings share
+      one grammar on it, and search checkpoints are framed-line files
+      too.
+
+    Values are typed ([i:]/[b:]/[s:]/[u]) with OCaml-escaped quoted
+    strings, so payloads survive arbitrary bytes. The checksums and
+    trailers exist because evidence travels: a shipped file can arrive
+    bit-rotted or half-written, and the reader must be able to tell —
+    and to keep going.
 
     Two loading modes implement the paper's graceful-degradation stance
     (DF should fall to 1/n, not to 0, when fidelity is lost):
@@ -22,8 +33,10 @@
       reach the failure through search, and the assessment caps DF at
       1/n.
 
-    The v1 format (no checksums, no trailer) is still read, in both
-    modes, but no longer written; v1 truncation is undetectable. *)
+    Any other magic, the retired unframed [ddet-log v1] included, is a
+    bad magic: [Strict] refuses it by name, and [Salvage] reads on as
+    [ddet-log v2], so a v1 log's unframed entries are corrupt lines,
+    never entries. *)
 
 (** How to treat damage during parsing. *)
 type mode = Strict | Salvage
@@ -44,12 +57,13 @@ val is_damaged : damage -> bool
 
 val pp_damage : Format.formatter -> damage -> unit
 
-(** [to_string log] serialises in the v2 format. Serialisation is
+(** [to_string log] serialises as a [ddet-log v2] stream. Serialisation is
     canonical: [of_string] of the result round-trips byte-for-byte. *)
 val to_string : Log.t -> string
 
-(** [of_string ?mode s] parses v2 or v1 (default [Strict]). Every
-    [Error] names the 1-based line number and the offending line text. *)
+(** [of_string ?mode s] parses a [ddet-log v2] stream (default
+    [Strict]). Every [Error] names the 1-based line number and the
+    offending line text. *)
 val of_string : ?mode:mode -> string -> (Log.t, string) result
 
 (** [of_string_report ?mode s] also returns the {!damage} report; under
@@ -57,11 +71,12 @@ val of_string : ?mode:mode -> string -> (Log.t, string) result
     raises: every bad line is an [Error] or a damage record. *)
 val of_string_report : ?mode:mode -> string -> (Log.t * damage, string) result
 
-(** [save path log] writes the file (v2) {e atomically}: the payload goes
-    to a fresh temp file in the destination directory which is then
-    renamed over [path], so a crash mid-write can never leave a
-    half-written log behind — readers see the old file or the new one,
-    nothing in between. *)
+(** [save path log] writes the file (v2) {e atomically} through the
+    default {!Store}: the payload goes to a temp file next to [path]
+    that is fsynced and renamed over it, so a crash mid-write can never
+    leave a half-written log behind — readers see the old file or the
+    new one, nothing in between.
+    @raise Sys_error on a storage failure. *)
 val save : string -> Log.t -> unit
 
 (** [save_via store path log] is {!save} routed through a pluggable
@@ -71,8 +86,8 @@ val save : string -> Log.t -> unit
     back as the typed error with the temp file cleaned up. *)
 val save_via : Store.t -> string -> Log.t -> (unit, Store.error) result
 
-(** [load ?mode path] reads a log file back.
-    @raise Sys_error on I/O failure; parse errors come back as [Error]. *)
+(** [load ?mode path] reads a log file back. A file that cannot be read
+    is an [Error] with the OS reason, like a parse error. *)
 val load : ?mode:mode -> string -> (Log.t, string) result
 
 (** [load_report ?mode path] is {!load} with the {!damage} report. *)
@@ -80,11 +95,13 @@ val load_report : ?mode:mode -> string -> (Log.t * damage, string) result
 
 (**/**)
 
-(* internal: the one line codec, shared with Log_segments (segmented
+(* internal: the two codecs, shared with Log_segments (segmented
    persistence), Sharded_log (per-node shards and the causal manifest)
-   and the replay layer's Checkpoint (CRC'd atomic frontier files) *)
+   and the replay layer's Checkpoint *)
 
-val atomic_write : string -> string -> unit
+(* [read_file path] is the one evidence file read: the contents, or the
+   OS reason the file cannot be read *)
+val read_file : string -> (string, string) result
 
 (* [crc_hex s] is the CRC32 of [s] as 8 lowercase hex digits;
    [crc_matches hex s pos len] compares a stored hex token with the CRC32
@@ -104,43 +121,60 @@ val add_char : out -> char -> unit
 val add_string : out -> string -> unit
 val add_int : out -> int -> unit
 val add_entry : out -> Log.entry -> unit
-val add_header : framed:bool -> out -> Log.t -> unit
 
 (* [framed o f x] appends [<crc8> <body>\n] with the body written by
    [f o x]: the one framing writer *)
 val framed : out -> (out -> 'a -> unit) -> 'a -> unit
 
-(* [iter_lines s f] calls [f n ls le] for every '\n'-separated line
-   s[ls, le), numbered from 1 *)
-val iter_lines : string -> (int -> int -> int -> unit) -> unit
-val is_blank : string -> int -> int -> bool
+(* [read_stream ~magic ?until_damage ?mode s] is the one entry-stream
+   reader; {!of_string_report} is it with the [ddet-log v2] magic. With
+   [until_damage] (default false) the first bad line also ends a
+   [Salvage] read: later lines of a torn segment are not trusted. *)
+val read_stream :
+  magic:string ->
+  ?until_damage:bool ->
+  ?mode:mode ->
+  string ->
+  (Log.t * damage, string) result
 
-(* the one framing verifier: a [Framed] line's body starts at [ls + 9] *)
-type frame = Unframed | Bad_crc | Framed
+(* [read_framed ~magic mode s line] is the one framed-line reader: an
+   [Error] for a wrong magic or an empty file; otherwise [line body] is
+   called on the body of every CRC-valid line, returning whether it
+   understood it. Every other non-blank line is bad: [Strict] turns the
+   first one into an [Error] naming it, and [Salvage] counts them. *)
+val read_framed :
+  magic:string -> mode -> string -> (string -> bool) -> (int, string) result
 
-val check_frame : string -> int -> int -> frame
+(* The manifest grammar, on a framed-line file: the header lines; one
+   [<part> <index> <name> <entries> <crc>] line per part file (a
+   segment or a shard), with the whole file's CRC; the run-length
+   global interleaving as [order index:n,...] lines; the cross-node
+   edges as [edge <chan> <send index> <seq> <recv index> <seq>] lines;
+   and [end <parts> <entries> <edges>]. *)
+type part = { index : int; name : string; entries : int; crc : string }
 
-exception Parse of string
-
-type decoder
-
-val decoder : string -> decoder
-
-(* [dec_entry d ls le] decodes the entry text at s[ls, le) of the
-   decoder's string.
-   @raise Parse on any malformed token *)
-val dec_entry : decoder -> int -> int -> Log.entry
-
-type header = {
-  mutable h_recorder : string;
-  mutable h_base_steps : int;
-  mutable h_failure : Mvm.Failure.t option;
-  mutable h_faults : Mvm.Fault.plan option;
+type manifest = {
+  header : Log.t;  (* no entries *)
+  parts : part list;  (* by index; a bad line leaves a hole *)
+  order : (int * int) list;
+  edges : (string * int * int * int * int) list;
+  complete : bool;
+      (* no bad line, and the [end] counts match the parts, the edges,
+         the parts' entries and (when present) the order runs *)
 }
 
-val fresh_header : unit -> header
+(* [manifest_to_string ~magic ~part header parts ~order ~edges] writes
+   [parts] as (name, entries, crc) in index order *)
+val manifest_to_string :
+  magic:string ->
+  part:string ->
+  Log.t ->
+  (string * int * string) list ->
+  order:(int * int) list ->
+  edges:(string * int * int * int * int) list ->
+  string
 
-(* [parse_header_line hdr line] applies a header line; false if [line]
-   is not one.
-   @raise Parse on a damaged one *)
-val parse_header_line : header -> string -> bool
+(* [manifest_of_string ~magic ~part s] is [None] for a wrong magic or an
+   empty file, else whatever lines survived *)
+val manifest_of_string :
+  magic:string -> part:string -> string -> manifest option

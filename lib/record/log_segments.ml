@@ -1,9 +1,12 @@
 (* Segmented persistence. Layout for base path [p]:
 
-     p.header     "ddet-seg-header v1" + recorder line  (atomic, first)
-     p.NNNN.seg   "ddet-seg v1 N", CRC'd entry lines, "end N" trailer
-     p.manifest   "ddet-manifest v1", header lines, per-segment CRCs,
-                  "end <nsegs>"                         (atomic, last)
+     p.header     entry stream "ddet-seg-header v1": the recorder line
+                  only, no trailer                      (atomic, first)
+     p.NNNN.seg   entry stream "ddet-seg v1 N": CRC'd entry lines,
+                  "end N" trailer
+     p.manifest   "ddet-manifest v2" in Log_io's manifest grammar: the
+                  header lines, one segment line per sealed segment,
+                  "end" counts                          (atomic, last)
 
    Sealed segments are immutable and self-validating (line CRCs + entry
    trailer); the manifest additionally records each segment's whole-file
@@ -16,8 +19,11 @@ let manifest_path base = base ^ ".manifest"
 let header_path base = base ^ ".header"
 
 let seg_magic = "ddet-seg v1"
-let manifest_magic = "ddet-manifest v1"
+let manifest_magic = "ddet-manifest v2"
 let header_magic = "ddet-seg-header v1"
+
+(* the keyword of a segment's line in the manifest *)
+let part = "segment"
 
 let exists base =
   Sys.file_exists (manifest_path base)
@@ -151,21 +157,19 @@ let close w ~base_steps ~failure ?faults () =
     match w.failed with
     | Some _ -> ()
     | None -> (
-      let hdr_log =
+      let header =
         Log.make ?faults ~recorder:w.recorder ~entries:[] ~base_steps ~failure
           ()
       in
-      let b = Log_io.out_create 1024 in
-      Log_io.add_string b (manifest_magic ^ "\n");
-      Log_io.add_header ~framed:false b hdr_log;
-      let sealed = List.rev w.sealed in
-      List.iter
-        (fun (i, n, crc) ->
-          Log_io.add_string b (Printf.sprintf "segment %04d %d %s\n" i n crc))
-        sealed;
-      Log_io.add_string b (Printf.sprintf "end %d\n" (List.length sealed));
+      let parts =
+        List.rev_map
+          (fun (i, n, crc) -> (Printf.sprintf "%04d" i, n, crc))
+          w.sealed
+      in
       match
-        Store.atomic_write w.store (manifest_path w.base) (Log_io.out_contents b)
+        Store.atomic_write w.store (manifest_path w.base)
+          (Log_io.manifest_to_string ~magic:manifest_magic ~part header parts
+             ~order:[] ~edges:[])
       with
       | Ok () -> ()
       | Error e -> fail w e)
@@ -210,201 +214,104 @@ let pp_recovery ppf r =
        else "")
       r.segments_found
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> In_channel.input_all ic)
-
-(* Parse one segment file: entries that validate, and whether the segment
-   is sealed (correct magic, every line CRC-clean, trailer agrees). A bad
-   line ends the valid prefix — later lines of a torn segment are not
-   trusted. *)
-let parse_segment ~index contents =
-  let d = Log_io.decoder contents in
-  let magic = seg_magic ^ " " ^ string_of_int index in
-  let entries = ref [] and count = ref 0 in
-  (* `Magic until the first non-blank line, then `Body until the trailer
-     or a bad line *)
-  let state = ref `Magic in
-  Log_io.iter_lines contents (fun _ ls le ->
-      if not (Log_io.is_blank contents ls le) then
-        match !state with
-        | `Magic ->
-          state :=
-            if String.equal (String.trim (String.sub contents ls (le - ls))) magic
-            then `Body
-            else `Bad
-        | `Body -> (
-          match Log_io.check_frame contents ls le with
-          | Log_io.Framed -> (
-            match Log_io.dec_entry d (ls + 9) le with
-            | e ->
-              entries := e :: !entries;
-              incr count
-            | exception Log_io.Parse _ -> state := `Bad)
-          | Log_io.Bad_crc -> state := `Bad
-          | Log_io.Unframed -> (
-            match
-              String.split_on_char ' '
-                (String.trim (String.sub contents ls (le - ls)))
-            with
-            | [ "end"; n ] when int_of_string_opt n = Some !count ->
-              state := `Sealed
-            | _ -> state := `Bad))
-        | `Sealed | `Bad -> ());
-  (List.rev !entries, !state = `Sealed)
-
-type manifest = {
-  m_header : Log_io.header;
-  m_segments : (int * int * string) list;  (* (index, entries, crc) *)
-}
-
-(* [Some header] when the first non-blank line is [magic]; every later
-   non-blank line goes to [f hdr line] *)
-let parse_headed ~magic contents f =
-  let hdr = Log_io.fresh_header () in
-  let seen = ref `Nothing in
-  Log_io.iter_lines contents (fun _ ls le ->
-      if not (Log_io.is_blank contents ls le) then
-        let line = String.sub contents ls (le - ls) in
-        match !seen with
-        | `Nothing ->
-          seen :=
-            if String.equal (String.trim line) magic then `Magic else `Other
-        | `Magic -> f hdr line
-        | `Other -> ());
-  if !seen = `Magic then Some hdr else None
-
-let parse_manifest contents =
-  let segs = ref [] in
-  let trailer = ref None in
-  let ok = ref true in
-  match
-    parse_headed ~magic:manifest_magic contents (fun hdr line ->
-        if !ok then
-          match String.split_on_char ' ' (String.trim line) with
-          | [ "segment"; i; n; crc ] -> (
-            match (int_of_string_opt i, int_of_string_opt n) with
-            | Some i, Some n -> segs := (i, n, crc) :: !segs
-            | _ -> ok := false)
-          | [ "end"; n ] -> trailer := int_of_string_opt n
-          | _ -> (
-            match Log_io.parse_header_line hdr line with
-            | true -> ()
-            | false | (exception Log_io.Parse _) -> ok := false))
-  with
-  | Some hdr when !ok && !trailer = Some (List.length !segs) ->
-    Some { m_header = hdr; m_segments = List.rev !segs }
-  | _ -> None
-
-let read_header base =
-  let path = header_path base in
-  if not (Sys.file_exists path) then None
-  else
-    parse_headed ~magic:header_magic (read_file path) (fun hdr line ->
-        try ignore (Log_io.parse_header_line hdr line)
-        with Log_io.Parse _ -> ())
+(* One segment: its bytes, the entries of its valid prefix, and whether
+   it is sealed (right magic and index, every line CRC-clean, trailer
+   agrees). The first bad line ends the valid prefix: later lines of a
+   torn segment are not trusted. [None] when the file is missing or
+   cannot be read. *)
+let read_segment base i =
+  Result.to_option (Log_io.read_file (seg_path base i))
+  |> Option.map (fun contents ->
+         match
+           Log_io.read_stream
+             ~magic:(seg_magic ^ " " ^ string_of_int i)
+             ~until_damage:true ~mode:Log_io.Salvage contents
+         with
+         | Ok (log, damage) ->
+           (contents, log.Log.entries, not (Log_io.is_damaged damage))
+         | Error _ -> (contents, [], false))
 
 (* Crash recovery: walk segment files in order; sealed segments are
-   recovered whole, the first unsealed (or missing) one contributes its
-   valid prefix and ends the walk — the writer is strictly sequential, so
-   nothing after a torn segment can be trusted to belong to this
-   recording. *)
-let scan_segments base =
-  let rec go i found complete acc tail =
-    let path = seg_path base i in
-    if not (Sys.file_exists path) then (found, complete, List.rev acc, tail)
-    else
-      let entries, sealed = parse_segment ~index:i (read_file path) in
-      if sealed then go (i + 1) (found + 1) (complete + 1) (List.rev_append entries acc) tail
-      else (found + 1, complete, List.rev (List.rev_append entries acc), List.length entries)
+   recovered whole, the first unsealed one contributes its valid prefix
+   and ends the walk, and so does a missing or unreadable one — the
+   writer is strictly sequential, so nothing after a torn segment can be
+   trusted to belong to this recording. Returns (found, sealed, entries,
+   tail entries). *)
+let rec scan base i acc =
+  match read_segment base i with
+  | Some (_, entries, true) -> scan base (i + 1) (List.rev_append entries acc)
+  | Some (_, tail, false) ->
+    (i + 1, i, List.rev (List.rev_append tail acc), List.length tail)
+  | None -> (i, i, List.rev acc, 0)
+
+(* a complete manifest whose every segment is present, byte-CRC clean,
+   sealed and of the listed size: the whole recording, and its number
+   of segments *)
+let from_manifest base (m : Log_io.manifest) =
+  let rec go acc = function
+    | [] ->
+      Some
+        ( { m.Log_io.header with Log.entries = List.concat (List.rev acc) },
+          List.length m.Log_io.parts )
+    | (p : Log_io.part) :: rest -> (
+      match read_segment base p.Log_io.index with
+      | Some (contents, entries, true)
+        when Log_io.crc_matches p.Log_io.crc contents 0 (String.length contents)
+             && List.length entries = p.Log_io.entries ->
+        go (entries :: acc) rest
+      | _ -> None)
   in
-  go 0 0 0 [] 0
+  if m.Log_io.complete then go [] m.Log_io.parts else None
 
 let load base =
-  let manifest =
-    let path = manifest_path base in
-    if Sys.file_exists path then parse_manifest (read_file path) else None
-  in
-  (* every listed segment present, byte-CRC clean, sealed and of the
-     listed size — or the scan below takes over *)
-  let validated =
-    match manifest with
-    | None -> None
-    | Some m ->
-      let rec segments acc = function
-        | [] -> Some (m, List.concat (List.rev acc))
-        | (i, n, crc) :: rest ->
-          let path = seg_path base i in
-          if not (Sys.file_exists path) then None
-          else
-            let contents = read_file path in
-            if not (Log_io.crc_matches crc contents 0 (String.length contents))
-            then None
-            else
-              let entries, sealed = parse_segment ~index:i contents in
-              if sealed && List.length entries = n then
-                segments (entries :: acc) rest
-              else None
-      in
-      segments [] m.m_segments
-  in
-  match validated with
-  | Some (m, entries) ->
-    let log =
-      Log.make ?faults:m.m_header.Log_io.h_faults
-        ~recorder:m.m_header.Log_io.h_recorder ~entries
-        ~base_steps:m.m_header.Log_io.h_base_steps
-        ~failure:m.m_header.Log_io.h_failure ()
+  if not (exists base) then
+    Error (Printf.sprintf "no segmented recording at %s" base)
+  else
+    let manifest =
+      Result.to_option (Log_io.read_file (manifest_path base))
+      |> Fun.flip Option.bind
+           (Log_io.manifest_of_string ~magic:manifest_magic ~part)
     in
-    Ok
-      ( log,
-        {
-          segments_found = List.length m.m_segments;
-          segments_complete = List.length m.m_segments;
-          entries = List.length entries;
-          tail_entries = 0;
-          complete = true;
-        } )
-  | None ->
-    let found, complete, entries, tail_entries = scan_segments base in
-    let hdr = read_header base in
-    if found = 0 && hdr = None && manifest = None then
-      Error (Printf.sprintf "no segmented recording at %s" base)
-    else
-      (* degraded header: prefer the manifest's (if it parsed at all),
-         then the header file; the failure descriptor is recovered from
-         the entries when the recorder logged one before the crash *)
-      let recorder, base_steps, failure, faults =
-        match (manifest, hdr) with
-        | Some m, _ ->
-          ( m.m_header.Log_io.h_recorder,
-            m.m_header.Log_io.h_base_steps,
-            m.m_header.Log_io.h_failure,
-            m.m_header.Log_io.h_faults )
-        | None, Some h ->
-          (h.Log_io.h_recorder, h.Log_io.h_base_steps, h.Log_io.h_failure,
-           h.Log_io.h_faults)
-        | None, None -> ("unknown", 0, None, None)
+    let recovered (log : Log.t) ~found ~sealed ~tail_entries ~complete =
+      Ok
+        ( log,
+          {
+            segments_found = found;
+            segments_complete = sealed;
+            entries = List.length log.Log.entries;
+            tail_entries;
+            complete;
+          } )
+    in
+    match Option.bind manifest (from_manifest base) with
+    | Some (log, n) ->
+      recovered log ~found:n ~sealed:n ~tail_entries:0 ~complete:true
+    | None ->
+      let found, sealed, entries, tail_entries = scan base 0 [] in
+      (* degraded header: a complete manifest's, else the header file's
+         recorder line; the failure descriptor is recovered from the
+         entries when the recorder logged one before the crash *)
+      let h =
+        match manifest with
+        | Some { Log_io.complete = true; header; _ } -> header
+        | _ -> (
+          match
+            Result.bind
+              (Log_io.read_file (header_path base))
+              (Log_io.read_stream ~magic:header_magic ~mode:Log_io.Salvage)
+          with
+          | Ok (h, _) -> h
+          | Error _ ->
+            Log.make ~recorder:"unknown" ~entries:[] ~base_steps:0
+              ~failure:None ())
       in
       let failure =
-        match failure with
-        | Some _ -> failure
+        match h.Log.failure with
+        | Some _ as f -> f
         | None ->
           List.find_map
             (function Log.Failure_desc f -> Some f | _ -> None)
             entries
       in
-      let log =
-        Log.make ?faults ~recorder ~entries ~base_steps ~failure ()
-      in
-      Ok
-        ( log,
-          {
-            segments_found = found;
-            segments_complete = complete;
-            entries = List.length entries;
-            tail_entries;
-            complete = false;
-          } )
+      recovered { h with Log.entries; failure } ~found ~sealed ~tail_entries
+        ~complete:false

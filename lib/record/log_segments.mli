@@ -1,26 +1,31 @@
 (** Segmented log persistence: crash-tolerant recording for long runs.
 
     {!Log_io.save} is atomic but monolithic — nothing hits the disk until
-    the recording is over, so a crash mid-record loses everything. The
-    segmented writer instead streams entries into fixed-size segment
-    files, sealing each one with the v2 CRC-per-line discipline and an
-    [end N] trailer as soon as it fills, and finishes by writing a
-    manifest (atomically) that names every segment with its byte CRC and
-    carries the log header. The file set for base path [p] is:
+    the whole log is written. The segmented writer instead streams
+    entries into fixed-size segment files, sealing each one as soon as
+    it fills, and finishes by writing a manifest (atomically) that names
+    every segment with its byte CRC and carries the log header. Every
+    file is a client of {!Log_io}'s two codecs. The file set for base
+    path [p] is:
 
     {v
-    p.header          recorder name, written first (atomic)
-    p.0000.seg        sealed segments: magic, CRC'd entries, `end N`
+    p.header          entry stream "ddet-seg-header v1": the recorder
+                      line, written first (atomic)
+    p.0000.seg        entry stream "ddet-seg v1 0": CRC'd entries, `end N`
     p.0001.seg        ...
-    p.manifest        header + per-segment CRCs + `end N` (atomic, last)
+    p.manifest        "ddet-manifest v2", the manifest grammar the causal
+                      manifest also uses: header lines, one segment line
+                      (entries, byte CRC) per segment, `end` counts
+                      (atomic, last)
     v}
 
-    Recovery after a crash mid-record walks the segments in order: every
-    sealed segment is recovered whole (its trailer and line CRCs prove
+    Recovery after a crash walks the segments in order: every sealed
+    segment is recovered whole (its trailer and line CRCs prove
     completeness), and the unsealed tail segment contributes its valid
     prefix — the same salvage guarantee {!Log_io} gives a truncated
     monolithic log, but the loss is bounded by one segment instead of the
-    whole recording. *)
+    whole recording. A manifest of another version is not read: the
+    load takes the same walk. *)
 
 (** Streaming writer. Not thread-safe; one recording each. *)
 type writer
@@ -96,8 +101,9 @@ val pp_recovery : Format.formatter -> recovery -> unit
     intact manifest this is exact (header included); after a crash it
     recovers all complete segments plus the valid prefix of the tail,
     taking the recorder from [base.header] and the failure from a
-    recovered [faildesc] entry when one made it to disk. [Error] only
-    when nothing of the recording exists. *)
+    recovered [faildesc] entry when one made it to disk. A segment that
+    is missing or cannot be read ends the walk. [Error] only when
+    nothing of the recording exists. *)
 val load : string -> (Log.t * recovery, string) result
 
 (** [exists base] — some artifact of a segmented recording (manifest,

@@ -121,133 +121,37 @@ let order_runs causal (log : Log.t) =
 (* ------------------------------------------------------------------ *)
 (* the manifest *)
 
-let runs_to_string runs =
-  String.concat "," (List.map (fun (ix, n) -> Printf.sprintf "%d:%d" ix n) runs)
+(* the keyword of a shard's line in the manifest *)
+let part = "node"
 
-let rec chunks k = function
-  | [] -> []
-  | l ->
-    let rec take n acc = function
-      | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    let head, rest = take k [] l in
-    head :: chunks k rest
-
-(* [shards] are (node, entries, bytes written) in node order *)
+(* [shards] are (node, entries, bytes written) in node order; an edge
+   names its nodes by their index in that order *)
 let manifest_string ~causal (log : Log.t) shards =
-  let b = Log_io.out_create 1024 in
-  Log_io.add_string b magic;
-  Log_io.add_char b '\n';
-  let line s = Log_io.framed b Log_io.add_string s in
-  Log_io.add_header ~framed:true b log;
-  List.iteri
-    (fun ix (node, entries, bytes) ->
-      line
-        (Printf.sprintf "node %d %s %d %s" ix node entries
-           (Log_io.crc_hex bytes)))
-    shards;
-  let runs = order_runs causal log in
-  List.iter
-    (fun chunk -> line ("order " ^ runs_to_string chunk))
-    (chunks 16 runs);
   let ix_of n =
-    let rec go i = function
-      | [] -> -1
-      | (m, _, _) :: rest -> if String.equal m n then i else go (i + 1) rest
-    in
-    go 0 shards
+    Option.value ~default:(-1)
+      (List.find_index (fun (m, _, _) -> String.equal m n) shards)
   in
-  List.iter
-    (fun (e : Causal.edge) ->
-      line
-        (Printf.sprintf "edge %S %d %d %d %d" e.Causal.chan
-           (ix_of e.Causal.send_node) e.Causal.send_seq (ix_of e.Causal.recv_node)
-           e.Causal.recv_seq))
-    causal.Causal.edges;
-  line
-    (Printf.sprintf "end %d %d %d" (List.length shards)
-       (List.length log.Log.entries)
-       (List.length causal.Causal.edges));
-  Log_io.out_contents b
-
-(* recovered manifest fields; everything optional because every line is
-   independently CRC'd and any suffix may be gone *)
-type manifest = {
-  m_header : Log_io.header;
-  m_nodes : (int * (string * int * string)) list;  (* ix -> name, entries, crc *)
-  m_order : (int * int) list;
-  m_edges : (string * int * int * int * int) list;
-  m_trailer : (int * int * int) option;
-  m_corrupt : int;
-}
-
-let parse_manifest content =
-  let first_line =
-    match String.index_opt content '\n' with
-    | Some k -> String.sub content 0 k
-    | None -> content
-  in
-  if not (String.equal first_line magic) then
-    Error "not a ddet-causal manifest"
-  else
-    let hdr = Log_io.fresh_header () in
-    let nodes = ref [] and order = ref [] and edges = ref [] in
-    let trailer = ref None and corrupt = ref 0 in
-    let parse_payload text =
-      let consumed =
-        try Log_io.parse_header_line hdr text with _ -> false
-      in
-      if consumed then true
-      else
-        try
-          Scanf.sscanf text "node %d %s %d %s"
-            (fun ix name entries crc ->
-              nodes := (ix, (name, entries, crc)) :: !nodes);
-          true
-        with _ -> (
-          try
-            Scanf.sscanf text "edge %S %d %d %d %d"
-              (fun chan six sseq rix rseq ->
-                edges := (chan, six, sseq, rix, rseq) :: !edges);
-            true
-          with _ -> (
-            try
-              Scanf.sscanf text "end %d %d %d" (fun a b c ->
-                  trailer := Some (a, b, c));
-              true
-            with _ ->
-              if String.length text > 6 && String.sub text 0 6 = "order " then (
-                try
-                  String.sub text 6 (String.length text - 6)
-                  |> String.split_on_char ','
-                  |> List.iter (fun run ->
-                         Scanf.sscanf run "%d:%d" (fun ix n ->
-                             order := (ix, n) :: !order));
-                  true
-                with _ -> false)
-              else false))
-    in
-    Log_io.iter_lines content (fun n ls le ->
-        if n > 1 && le > ls then
-          match Log_io.check_frame content ls le with
-          | Log_io.Framed
-            when parse_payload (String.sub content (ls + 9) (le - ls - 9)) ->
-            ()
-          | Log_io.Framed | Log_io.Bad_crc | Log_io.Unframed -> incr corrupt);
-    Ok
-      {
-        m_header = hdr;
-        m_nodes = List.sort compare (List.rev !nodes);
-        m_order = List.rev !order;
-        m_edges = List.rev !edges;
-        m_trailer = !trailer;
-        m_corrupt = !corrupt;
-      }
+  Log_io.manifest_to_string ~magic ~part log
+    (List.map
+       (fun (node, entries, bytes) -> (node, entries, Log_io.crc_hex bytes))
+       shards)
+    ~order:(order_runs causal log)
+    ~edges:
+      (List.map
+         (fun (e : Causal.edge) ->
+           ( e.Causal.chan,
+             ix_of e.Causal.send_node,
+             e.Causal.send_seq,
+             ix_of e.Causal.recv_node,
+             e.Causal.recv_seq ))
+         causal.Causal.edges)
 
 (* ------------------------------------------------------------------ *)
 (* saving *)
 
+(* The nodes with a [base.NODE.shard] file. Node names never hold a '.'
+   ({!Mvm.Node}), so [base.old.p0.shard] is a shard of the sibling
+   recording [base.old], not of this one. *)
 let scan_shards base =
   let dir = Filename.dirname base in
   let prefix = Filename.basename base ^ "." in
@@ -260,7 +164,9 @@ let scan_shards base =
              String.length f > plen + 6
              && String.sub f 0 plen = prefix
              && Filename.check_suffix f ".shard"
-           then Some (String.sub f plen (String.length f - plen - 6))
+           then
+             let node = String.sub f plen (String.length f - plen - 6) in
+             if String.contains node '.' then None else Some node
            else None)
     |> List.sort compare
 
@@ -312,30 +218,28 @@ let save_via ?(priority = []) store ~base ~(causal : Causal.t) (log : Log.t) =
 (* ------------------------------------------------------------------ *)
 (* loading *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load_shard ~lose ~expected node path =
+(* A shard that cannot be read is corrupt, never a zero-entry salvage;
+   [expected] is its manifest line, when the manifest kept one. *)
+let load_shard ~lose ~(expected : Log_io.part option) node path =
   if List.mem node lose || not (Sys.file_exists path) then
     { node; status = Missing; log = None }
   else
-    let content = try read_file path with Sys_error e -> e in
-    match Log_io.of_string_report ~mode:Log_io.Salvage content with
+    match Log_io.read_file path with
     | Error e -> { node; status = Corrupt e; log = None }
-    | Ok (log, damage) ->
-      let matches_manifest =
-        match expected with
-        | Some (entries, crc) ->
-          Log_io.crc_matches crc content 0 (String.length content)
-          && List.length log.Log.entries = entries
-        | None -> true
-      in
-      if (not (Log_io.is_damaged damage)) && matches_manifest then
-        { node; status = Intact; log = Some log }
-      else { node; status = Salvaged damage; log = Some log }
+    | Ok content -> (
+      match Log_io.of_string_report ~mode:Log_io.Salvage content with
+      | Error e -> { node; status = Corrupt e; log = None }
+      | Ok (log, damage) ->
+        let matches_manifest =
+          match expected with
+          | Some p ->
+            Log_io.crc_matches p.Log_io.crc content 0 (String.length content)
+            && List.length log.Log.entries = p.Log_io.entries
+          | None -> true
+        in
+        if (not (Log_io.is_damaged damage)) && matches_manifest then
+          { node; status = Intact; log = Some log }
+        else { node; status = Salvaged damage; log = Some log })
 
 let exists base =
   Sys.file_exists (manifest_path base) || scan_shards base <> []
@@ -345,105 +249,59 @@ let load ?(lose = []) base =
     Error "no sharded recording at that base path (no .causal, no .shard)"
   else
     let manifest =
-      if Sys.file_exists (manifest_path base) then
-        match
-          try parse_manifest (read_file (manifest_path base))
-          with Sys_error e -> Error e
-        with
-        | Ok m -> Some m
-        | Error _ -> None
-      else None
+      Result.to_option (Log_io.read_file (manifest_path base))
+      |> Fun.flip Option.bind (Log_io.manifest_of_string ~magic ~part)
     in
-    let node_names, expected =
-      match manifest with
-      | Some m when m.m_nodes <> [] ->
-        ( List.map (fun (_, (n, _, _)) -> n) m.m_nodes,
-          fun node ->
-            List.find_map
-              (fun (_, (n, entries, crc)) ->
-                if String.equal n node then Some (entries, crc) else None)
-              m.m_nodes )
-      | _ -> (scan_shards base, fun _ -> None)
+    let parts =
+      match manifest with Some m -> m.Log_io.parts | None -> []
+    in
+    let node_names =
+      if parts <> [] then List.map (fun p -> p.Log_io.name) parts
+      else scan_shards base
     in
     let shards =
       List.map
         (fun node ->
-          load_shard ~lose ~expected:(expected node) node
-            (shard_path base node))
+          load_shard ~lose
+            ~expected:
+              (List.find_opt (fun p -> String.equal p.Log_io.name node) parts)
+            node (shard_path base node))
         node_names
     in
     (* header: the manifest's when it recovered one, else the first
        surviving shard's (each shard carries the full header) *)
     let recorder, base_steps, failure, faults =
-      match manifest with
-      | Some m when m.m_header.Log_io.h_recorder <> "" ->
-        ( m.m_header.Log_io.h_recorder,
-          m.m_header.Log_io.h_base_steps,
-          m.m_header.Log_io.h_failure,
-          m.m_header.Log_io.h_faults )
-      | _ -> (
-        match List.find_opt shard_ok shards with
-        | Some { log = Some l; _ } ->
-          (l.Log.recorder, l.Log.base_steps, l.Log.failure, l.Log.faults)
-        | _ -> ("", 0, None, None))
+      match
+        match manifest with
+        | Some m -> Some m.Log_io.header
+        | None ->
+          List.find_map (fun s -> if shard_ok s then s.log else None) shards
+      with
+      | Some l ->
+        (l.Log.recorder, l.Log.base_steps, l.Log.failure, l.Log.faults)
+      | None -> ("", 0, None, None)
     in
-    let ix_name =
-      match manifest with
-      | Some m -> List.map (fun (ix, (n, _, _)) -> (ix, n)) m.m_nodes
-      | None -> []
-    in
-    let resolve ix = List.assoc_opt ix ix_name in
-    (* manifest node indexes re-based onto positions in [nodes]: a
-       corrupt node line leaves a hole in the ix space, and runs or
+    (* manifest part indexes re-based onto positions in [nodes]: a
+       corrupt node line leaves a hole in the index space, and runs or
        edges referencing it are dropped, never guessed *)
-    let pos_of ix =
-      let rec go p = function
-        | [] -> None
-        | (i, _) :: rest -> if i = ix then Some p else go (p + 1) rest
-      in
-      go 0 ix_name
+    let at ix =
+      List.assoc_opt ix
+        (List.mapi (fun pos p -> (p.Log_io.index, (pos, p.Log_io.name))) parts)
     in
-    let order =
+    let order, edges =
       match manifest with
+      | None -> ([], [])
       | Some m ->
-        List.filter_map
-          (fun (ix, n) ->
-            match pos_of ix with Some p -> Some (p, n) | None -> None)
-          m.m_order
-      | None -> []
-    in
-    let edges =
-      match manifest with
-      | None -> []
-      | Some m ->
-        List.filter_map
-          (fun (chan, six, sseq, rix, rseq) ->
-            match (resolve six, resolve rix) with
-            | Some send_node, Some recv_node ->
-              Some
-                {
-                  Causal.chan;
-                  send_node;
-                  send_seq = sseq;
-                  recv_node;
-                  recv_seq = rseq;
-                }
-            | _ -> None)
-          m.m_edges
-    in
-    let manifest_complete =
-      match manifest with
-      | Some m -> (
-        m.m_corrupt = 0
-        && m.m_header.Log_io.h_recorder <> ""
-        &&
-        match m.m_trailer with
-        | Some (n_nodes, n_entries, n_edges) ->
-          List.length m.m_nodes = n_nodes
-          && List.fold_left (fun acc (_, n) -> acc + n) 0 m.m_order = n_entries
-          && List.length m.m_edges = n_edges
-        | None -> false)
-      | None -> false
+        ( List.filter_map
+            (fun (ix, n) -> Option.map (fun (pos, _) -> (pos, n)) (at ix))
+            m.Log_io.order,
+          List.filter_map
+            (fun (chan, six, send_seq, rix, recv_seq) ->
+              match (at six, at rix) with
+              | Some (_, send_node), Some (_, recv_node) ->
+                Some { Causal.chan; send_node; send_seq; recv_node; recv_seq }
+              | _ -> None)
+            m.Log_io.edges )
     in
     Ok
       {
@@ -457,7 +315,8 @@ let load ?(lose = []) base =
         order;
         edges;
         manifest_found = manifest <> None;
-        manifest_complete;
+        manifest_complete =
+          (match manifest with Some m -> m.Log_io.complete | None -> false);
       }
 
 let all_lost l = not (List.exists shard_ok l.shards)

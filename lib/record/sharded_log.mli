@@ -9,12 +9,14 @@
     manifest. The file set for base path [p] and nodes [server, p0, p1]:
 
     {v
-    p.server.shard     ddet-log v2: header, CRC'd entries, `end N`
+    p.server.shard     entry stream "ddet-log v2": header, CRC'd
+                       entries, `end N`
     p.p0.shard         ...
     p.p1.shard         ...
-    p.causal           magic + CRC'd lines: header, per-shard byte CRCs,
-                       run-length global interleaving, cross-node edges,
-                       `end` trailer (atomic, written last)
+    p.causal           "ddet-causal v1" in {!Log_io}'s manifest grammar:
+                       header, per-shard byte CRCs, run-length global
+                       interleaving, cross-node edges, `end` counts
+                       (atomic, written last)
     v}
 
     Shards are written with a plain (non-atomic) store write: shard loss
@@ -40,7 +42,8 @@ type shard_status =
       (** readable, but damaged or disagreeing with the manifest; the
           valid prefix was recovered *)
   | Missing  (** no file (or deliberately excluded via [lose]) *)
-  | Corrupt of string  (** unreadable beyond salvage *)
+  | Corrupt of string
+      (** the file cannot be read, or nothing of it parses *)
 
 type shard = {
   node : string;
@@ -106,8 +109,10 @@ val save_via :
 (** [load ?lose base] reads the shard set back. [lose] names nodes whose
     shards are treated as missing without touching the files — the CLI's
     [--lose-node]. Works with a damaged or absent manifest by scanning
-    [base.*.shard] (no order or edges then, and nothing is complete).
-    [Error] only when no artifact of a sharded recording exists. *)
+    [base.NODE.shard], where [NODE] holds no ['.'] (so the shards of a
+    sibling recording [base.old] are not this one's); no order or edges
+    then, and nothing is complete. [Error] only when no artifact of a
+    sharded recording exists. *)
 val load : ?lose:string list -> string -> (loaded, string) result
 
 (** [all_lost l] — not a single shard contributed evidence. *)

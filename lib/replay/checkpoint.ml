@@ -17,174 +17,139 @@ type t = {
   seen : int list;
 }
 
-let magic = "ddet-ckpt v1"
+let magic = "ddet-ckpt v2"
 
-(* append " i1 i2 ..." without the quadratic acc ^ " " ^ ... rebuild — a
-   DFS frontier's seen-list carries thousands of digests, and the old
-   string fold was the dominant cost of every tick *)
-let add_ints b ints =
-  List.iter
-    (fun i ->
-      Buffer.add_char b ' ';
-      Buffer.add_string b (string_of_int i))
-    ints
-
-let add_int_array b a = add_ints b (Array.to_list a)
-
-(* The payload is everything before the [end] line; the trailer CRC covers
-   its exact bytes. Closeness uses %h (hex float) so the resumed engine
-   compares candidates against bit-identical scores. [b] is cleared and
-   reused — a sink serialises into the same buffer for its whole life. *)
-let payload_into b t =
-  Buffer.clear b;
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  add "%s" magic;
-  add "engine %s" t.engine;
-  add "base-seed %d" t.base_seed;
-  add "attempt %d" t.attempt;
-  add "steps %d" t.total_steps;
-  add "pruned %d" t.pruned;
-  (match t.prefix with
-  | None -> ()
-  | Some p ->
-    Buffer.add_string b "prefix";
-    add_int_array b p;
-    Buffer.add_char b '\n');
-  (match t.best with
-  | None -> ()
-  | Some bst -> (
-    match bst.b_prefix with
-    | None -> add "best %h %d seed" bst.b_closeness bst.b_attempt
-    | Some p ->
-      Printf.ksprintf (Buffer.add_string b) "best %h %d prefix"
-        bst.b_closeness bst.b_attempt;
-      add_int_array b p;
-      Buffer.add_char b '\n'));
-  (match t.seen with
-  | [] -> ()
-  | ds ->
-    Buffer.add_string b "seen";
-    add_ints b ds;
-    Buffer.add_char b '\n');
-  Buffer.contents b
-
-let to_payload t = payload_into (Buffer.create 256) t
+(* A framed-line file: one key per CRC'd line, closed by a framed
+   [end N] line counting the lines before it, so a file cut at a line
+   boundary is refused like a torn line. Closeness uses %h (hex float)
+   so the resumed engine compares candidates against bit-identical
+   scores. [o] is cleared and reused — a sink serialises into the same
+   buffer for its whole life. *)
+let payload_into o t =
+  Log_io.out_clear o;
+  Log_io.add_string o magic;
+  Log_io.add_char o '\n';
+  let lines = ref 0 in
+  (* [head], then " i" per int straight into the buffer: a DFS
+     frontier's seen-list carries thousands of digests *)
+  let line head ints =
+    incr lines;
+    Log_io.framed o
+      (fun o () ->
+        Log_io.add_string o head;
+        List.iter
+          (fun i ->
+            Log_io.add_char o ' ';
+            Log_io.add_int o i)
+          ints)
+      ()
+  in
+  line ("engine " ^ t.engine) [];
+  line "base-seed" [ t.base_seed ];
+  line "attempt" [ t.attempt ];
+  line "steps" [ t.total_steps ];
+  line "pruned" [ t.pruned ];
+  Option.iter (fun p -> line "prefix" (Array.to_list p)) t.prefix;
+  Option.iter
+    (fun b ->
+      let head = Printf.sprintf "best %h %d" b.b_closeness b.b_attempt in
+      match b.b_prefix with
+      | None -> line (head ^ " seed") []
+      | Some p -> line (head ^ " prefix") (Array.to_list p))
+    t.best;
+  if t.seen <> [] then line "seen" t.seen;
+  let n = !lines in
+  line "end" [ n ];
+  Log_io.out_contents o
 
 let write_payload path payload =
-  Log_io.atomic_write path (payload ^ "end " ^ Log_io.crc_hex payload ^ "\n")
+  match Store.atomic_write (Store.default ()) path payload with
+  | Ok () -> ()
+  | Error e -> raise (Sys_error (Store.error_to_string e))
 
-let write path t = write_payload path (to_payload t)
+let write path t = write_payload path (payload_into (Log_io.out_create 256) t)
 
 (* ------------------------------------------------------------------ *)
 (* parsing *)
 
-let parse_ints tokens =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | tok :: rest -> (
-      match int_of_string_opt tok with
-      | Some i -> go (i :: acc) rest
-      | None -> None)
-  in
-  go [] tokens
+let keys =
+  [ "engine"; "base-seed"; "attempt"; "steps"; "pruned"; "prefix"; "best";
+    "seen" ]
+
+let ints l = try Some (List.map int_of_string l) with Failure _ -> None
 
 let load path =
-  let ( let* ) = Result.bind in
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let* contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ok (In_channel.input_all ic))
-    with Sys_error e -> Error e
+  (* each known key's values, once; nothing may follow the [end] line *)
+  let fields = Hashtbl.create 8 and count = ref 0 and trailer = ref None in
+  let line body =
+    !trailer = None
+    &&
+    match String.split_on_char ' ' body with
+    | [ "end"; n ] ->
+      trailer := int_of_string_opt n;
+      true
+    | key :: values when List.mem key keys && not (Hashtbl.mem fields key) ->
+      incr count;
+      Hashtbl.replace fields key values;
+      true
+    | _ -> false
   in
-  let lines =
-    match String.split_on_char '\n' contents with
-    | ls -> List.filter (fun l -> String.trim l <> "") ls
-  in
-  match List.rev lines with
-  | [] -> fail "%s: empty checkpoint file" path
-  | last :: rev_payload -> (
-    let* () =
-      match lines with
-      | m :: _ when String.equal (String.trim m) magic -> Ok ()
-      | _ -> fail "%s: not a ddet-ckpt v1 file" path
+  let where e = path ^ ": " ^ e in
+  let fail e = Error (where e) in
+  match
+    Result.bind (Log_io.read_file path) (fun s ->
+        Result.map_error where (Log_io.read_framed ~magic Log_io.Strict s line))
+  with
+  | Error e -> Error e
+  | Ok _ when !trailer <> Some !count ->
+    fail "missing end trailer (torn checkpoint?)"
+  | Ok _ ->
+    let ( let* ) o f =
+      match o with Some x -> f x | None -> fail "missing or unparsable field"
     in
-    let* crc =
-      match String.split_on_char ' ' (String.trim last) with
-      | [ "end"; crc ] -> Ok crc
-      | _ -> fail "%s: missing end trailer (torn checkpoint?)" path
+    let field key = Hashtbl.find_opt fields key in
+    let int key =
+      match Option.bind (field key) ints with Some [ n ] -> Some n | _ -> None
     in
-    let payload =
-      String.concat "\n" (List.rev rev_payload) ^ "\n"
+    let optional key f =
+      match field key with
+      | None -> Some None
+      | Some v -> Option.map Option.some (f v)
     in
-    let* () =
-      if Log_io.crc_matches crc payload 0 (String.length payload) then Ok ()
-      else fail "%s: checkpoint CRC mismatch (torn or corrupted file)" path
+    let* engine = match field "engine" with Some [ e ] -> Some e | _ -> None in
+    let* base_seed = int "base-seed" in
+    let* attempt = int "attempt" in
+    let* total_steps = int "steps" in
+    let* pruned = int "pruned" in
+    let* prefix =
+      optional "prefix" (fun l -> Option.map Array.of_list (ints l))
     in
-    let engine = ref None
-    and base_seed = ref None
-    and attempt = ref None
-    and steps = ref None
-    and pruned = ref None
-    and prefix = ref None
-    and best = ref None
-    and seen = ref [] in
-    let bad = ref None in
-    let set_bad line = if !bad = None then bad := Some line in
-    List.iter
-      (fun line ->
-        match String.split_on_char ' ' (String.trim line) with
-        | [ "engine"; e ] -> engine := Some e
-        | [ "base-seed"; n ] -> base_seed := int_of_string_opt n
-        | [ "attempt"; n ] -> attempt := int_of_string_opt n
-        | [ "steps"; n ] -> steps := int_of_string_opt n
-        | [ "pruned"; n ] -> pruned := int_of_string_opt n
-        | "prefix" :: ints -> (
-          match parse_ints ints with
-          | Some is -> prefix := Some (Array.of_list is)
-          | None -> set_bad line)
-        | "best" :: c :: a :: key -> (
+    let* seen = optional "seen" ints in
+    let* best =
+      optional "best" (function
+        | c :: a :: key -> (
           match (float_of_string_opt c, int_of_string_opt a, key) with
-          | Some c, Some a, [ "seed" ] ->
-            best := Some { b_closeness = c; b_attempt = a; b_prefix = None }
-          | Some c, Some a, "prefix" :: ints -> (
-            match parse_ints ints with
-            | Some is ->
-              best :=
-                Some
-                  {
-                    b_closeness = c;
-                    b_attempt = a;
-                    b_prefix = Some (Array.of_list is);
-                  }
-            | None -> set_bad line)
-          | _ -> set_bad line)
-        | "seen" :: ints -> (
-          match parse_ints ints with
-          | Some is -> seen := is
-          | None -> set_bad line)
-        | _ -> set_bad line)
-      (List.rev rev_payload |> List.tl);
-    match !bad with
-    | Some line -> fail "%s: unparsable checkpoint line %S" path line
-    | None -> (
-      match (!engine, !base_seed, !attempt, !steps, !pruned) with
-      | Some engine, Some base_seed, Some attempt, Some total_steps, Some pruned
-        ->
-        Ok
-          {
-            engine;
-            base_seed;
-            attempt;
-            total_steps;
-            pruned;
-            prefix = !prefix;
-            best = !best;
-            seen = !seen;
-          }
-      | _ -> fail "%s: checkpoint is missing required fields" path))
+          | Some b_closeness, Some b_attempt, [ "seed" ] ->
+            Some { b_closeness; b_attempt; b_prefix = None }
+          | Some b_closeness, Some b_attempt, "prefix" :: l ->
+            Option.map
+              (fun p ->
+                { b_closeness; b_attempt; b_prefix = Some (Array.of_list p) })
+              (ints l)
+          | _ -> None)
+        | _ -> None)
+    in
+    Ok
+      {
+        engine;
+        base_seed;
+        attempt;
+        total_steps;
+        pruned;
+        prefix;
+        best;
+        seen = Option.value ~default:[] seen;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* sink *)
@@ -193,13 +158,19 @@ type sink = {
   s_path : string;
   every : int;
   mutable since : int;
-  s_buf : Buffer.t;  (* reused serialization buffer *)
+  s_buf : Log_io.out;  (* reused serialization buffer *)
   mutable s_last : string option;  (* payload of the last write *)
 }
 
 let sink ?(every = 32) path =
   if every < 1 then invalid_arg "Checkpoint.sink: every must be >= 1";
-  { s_path = path; every; since = 0; s_buf = Buffer.create 1024; s_last = None }
+  {
+    s_path = path;
+    every;
+    since = 0;
+    s_buf = Log_io.out_create 1024;
+    s_last = None;
+  }
 
 let path s = s.s_path
 

@@ -10,12 +10,13 @@
     candidates in attempt order, so restarting from the frontier replays
     the same decision sequence.
 
-    Format [ddet-ckpt v1] is line-oriented text like the log formats: one
-    key per line, closeness serialised as a hex float ([%h]) for exact
-    round-trips, closed by an [end <crc>] trailer whose CRC32 covers the
-    whole payload. Files are written atomically (temp file + rename), so a
-    crash during a checkpoint write leaves the previous checkpoint intact
-    — the resume point is always a real frontier, never a torn one. *)
+    Format [ddet-ckpt v2] is a {!Ddet_record.Log_io} framed-line file:
+    one key per CRC'd line, closeness serialised as a hex float ([%h])
+    for exact round-trips, closed by a framed [end N] line counting the
+    lines before it. Files are written through {!Ddet_record.Store}
+    atomically (temp file, fsync, rename), so a crash during a
+    checkpoint write leaves the previous checkpoint intact — the resume
+    point is always a real frontier, never a torn one. *)
 
 (** Identity of the best partial execution seen so far. The heavyweight
     {!Mvm.Interp.result} is deliberately not serialised; instead the
@@ -42,12 +43,14 @@ type t = {
   seen : int list;  (** pruned-state digests to replant (DFS engine) *)
 }
 
-(** [write path t] serialises atomically with a CRC trailer. *)
+(** [write path t] serialises atomically through the default store.
+    @raise Sys_error on a storage failure. *)
 val write : string -> t -> unit
 
-(** [load path] parses and validates a checkpoint file. Damage (bad magic,
-    CRC mismatch, unparsable line) is an [Error] naming the problem — a
-    torn checkpoint must never silently resume from the wrong frontier. *)
+(** [load path] parses and validates a checkpoint file. Damage (bad
+    magic, CRC mismatch, unparsable line, missing or wrong [end] count)
+    and an unreadable file are an [Error] naming the problem — a torn
+    checkpoint must never silently resume from the wrong frontier. *)
 val load : string -> (t, string) result
 
 (** A sink owns the checkpoint path and decides when ticks become writes.

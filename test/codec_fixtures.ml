@@ -1,20 +1,26 @@
-(* The recordings behind the committed format fixtures in fixtures/.
-
-   The files were written from these values by the Printf/Scanf codec
-   that the allocation-light one replaced (kept as Ref_codec), through
-   the library's own writers:
+(* The values behind the committed format fixtures in fixtures/, one
+   per evidence format, each written by the library's own writer:
 
      fixtures/every_kind.log          Log_io.save
      fixtures/seg.{header,NNNN.seg,manifest}
                                       Log_segments.save ~segment_entries:8
      fixtures/dist.{NODE.shard,causal}
                                       Sharded_log.save_via ~causal
+     fixtures/frontier.ckpt           Checkpoint.write
+
+   The entry streams (every_kind.log, the shards, the segments and
+   seg.header) and dist.causal were first written by the Printf/Scanf
+   codec that the allocation-light one replaced (kept as Ref_codec).
+   seg.manifest dates from the segment manifest's move to the shared
+   manifest grammar (ddet-manifest v2), and frontier.ckpt from
+   checkpoints becoming framed-line files (ddet-ckpt v2).
 
    Changing anything here orphans the fixtures: the bytes on disk are the
    contract, so the writers must keep reproducing them. *)
 
 open Mvm
 open Ddet_record
+open Ddet_replay
 
 let tricky =
   "tab\there \"quoted\" back\\slash\nnewline \r\b \000\031\127 caf\xc3\xa9 \xff"
@@ -93,7 +99,26 @@ let causal =
       ];
   }
 
+(* a DFS frontier with every optional field: a prefix, a best candidate
+   keyed by its decision prefix, and seen digests, one of them negative
+   (the value test_crash's checkpoint cases use) *)
+let checkpoint =
+  {
+    Checkpoint.engine = "dfs";
+    base_seed = 1;
+    attempt = 17;
+    total_steps = 123_456;
+    pruned = 9;
+    prefix = Some [| 0; 3; 1 |];
+    best =
+      Some
+        { Checkpoint.b_closeness = 0.8125; b_attempt = 4;
+          b_prefix = Some [| 0; 2 |] };
+    seen = [ 42; 1337; -7 ];
+  }
+
 let log_file = "every_kind.log"
 let seg_base = "seg"
 let seg_entries = 8
 let dist_base = "dist"
+let ckpt_file = "frontier.ckpt"

@@ -1,11 +1,12 @@
 (* The ddet-log codec as it stood before the allocation-light rewrite:
    a Printf encoder, a boxed-Int32 CRC and a Scanf/token-list parser.
-   It is kept verbatim as the differential reference. The library's
-   codec must write the same bytes and, on any damaged input, return the
-   same log, damage record and error string; where this one raises (a
-   [b:] token other than true/false, a stray backslash after a closing
-   quote) the library must return an error instead. [to_string_v1] lives
-   only here: the library still reads v1 but no longer writes it. *)
+   It is kept as the differential reference, verbatim but for the
+   unframed v1 format, which is gone from both: its magic is now a bad
+   magic like any other. The library's codec must write the same bytes
+   and, on any damaged input, return the same log, damage record and
+   error string; where this one raises (a [b:] token other than
+   true/false, a stray backslash after a closing quote) the library
+   must return an error instead. *)
 
 open Mvm
 open Ddet_record
@@ -111,17 +112,6 @@ let to_string (log : Log.t) =
       Buffer.add_char b '\n')
     log.Log.entries;
   Buffer.add_string b (Printf.sprintf "end %d\n" (List.length log.Log.entries));
-  Buffer.contents b
-
-let to_string_v1 (log : Log.t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "ddet-log v1\n";
-  Buffer.add_string b (header_lines log);
-  List.iter
-    (fun e ->
-      Buffer.add_string b (enc_entry e);
-      Buffer.add_char b '\n')
-    log.Log.entries;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -401,63 +391,6 @@ let parse_v2 ~mode ~total_lines lines =
             truncated;
           } )
 
-(* v1 logs have a fixed positional header and no per-entry checksums or
-   trailer, so truncation is undetectable: salvage can only skip lines
-   that fail to parse. *)
-let parse_v1 ~mode ~total_lines lines =
-  let hdr = fresh_header () in
-  let entries = ref [] in
-  let corrupt = ref [] in
-  let strict_error = ref None in
-  let problem n reason text =
-    match mode with
-    | Strict ->
-      if !strict_error = None then strict_error := Some (line_error n reason text)
-    | Salvage -> corrupt := (n, reason, text) :: !corrupt
-  in
-  List.iter
-    (fun (n, line) ->
-      if !strict_error = None then
-        match tokens line with
-        | exception exn -> (
-          match classify_exn exn with
-          | Some msg -> problem n msg line
-          | None -> raise exn)
-        | toks -> (
-          match
-            match toks with
-            | [ "recorder" ] | [ "base-steps" ] | [ "failure" ] | [ "faults" ]
-              ->
-              (* header keyword with no payload: damaged header line *)
-              problem n "damaged header line" line
-            | ("recorder" | "base-steps" | "failure" | "faults") :: _ ->
-              if not (parse_header_line hdr line) then
-                problem n "damaged header line" line
-            | _ -> entries := dec_entry_tokens line toks :: !entries
-          with
-          | () -> ()
-          | exception exn -> (
-            match classify_exn exn with
-            | Some msg -> problem n msg line
-            | None -> raise exn)))
-    lines;
-  match !strict_error with
-  | Some e -> Error e
-  | None ->
-    let entries = List.rev !entries in
-    let log =
-      Log.make ?faults:hdr.h_faults ~recorder:hdr.h_recorder ~entries
-        ~base_steps:hdr.h_base_steps ~failure:hdr.h_failure ()
-    in
-    Ok
-      ( log,
-        {
-          total_lines;
-          salvaged_entries = List.length entries;
-          corrupt_lines = List.rev !corrupt;
-          truncated = false;
-        } )
-
 let of_string_report ?(mode = Strict) s =
   let lines = numbered_lines s in
   let total_lines = List.length lines in
@@ -466,7 +399,6 @@ let of_string_report ?(mode = Strict) s =
   | (n0, magic) :: rest -> (
     match String.trim magic with
     | "ddet-log v2" -> parse_v2 ~mode ~total_lines rest
-    | "ddet-log v1" -> parse_v1 ~mode ~total_lines rest
     | m -> (
       match mode with
       | Strict -> Error (line_error n0 ("bad magic: " ^ m) magic)

@@ -187,6 +187,43 @@ let test_bad_token () =
        (Filename.quote log));
   Sys.remove log
 
+(* evidence that cannot be read follows the contract too: a segment that
+   is a directory ends the recovery walk as a deleted one does (exit 4),
+   and a log path that is a directory is a load error (exit 1) *)
+let test_unreadable_segment () =
+  let base = Filename.temp_file "ddet_cli" ".seg" in
+  Sys.remove base;
+  check "segmented record" 0
+    (run "record -a miniht -m sync -s 1 -o %s --segments 4"
+       (Filename.quote base));
+  let seg1 = base ^ ".0001.seg" in
+  Sys.remove seg1;
+  Sys.mkdir seg1 0o755;
+  let code, text =
+    run_out "replay -a miniht -m sync -i %s" (Filename.quote base)
+  in
+  check "replays the recovered prefix: exit 4" 4 code;
+  Alcotest.(check bool) "reports the prefix" true
+    (contains text "recovered 4 entries (1 complete segment(s))");
+  Sys.rmdir seg1;
+  List.iter
+    (fun suffix ->
+      let p = base ^ suffix in
+      if Sys.file_exists p then Sys.remove p)
+    ([ ".header"; ".manifest" ] @ List.init 20 (Printf.sprintf ".%04d.seg"))
+
+let test_unreadable_log () =
+  let dir = Filename.temp_file "ddet_cli" ".log" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let code, text =
+    run_out "replay -a adder -m value -i %s" (Filename.quote dir)
+  in
+  Sys.rmdir dir;
+  check "load error: exit 1" 1 code;
+  Alcotest.(check bool) "error starts with \"ddreplay: \"" true
+    (String.length text >= 10 && String.sub text 0 10 = "ddreplay: ")
+
 (* sharded (per-node) recordings: the distributed-evidence exit contract.
    Reproducing from partial shard evidence is a success (0) — missing
    evidence honestly searched around, reported as degraded DF; budget
@@ -485,6 +522,9 @@ let () =
           Alcotest.test_case "1 and 4: malformed token" `Quick test_bad_token;
           Alcotest.test_case "5: deadline exhausted" `Quick test_deadline;
           Alcotest.test_case "5: scan exhausted" `Quick test_find_exhausted;
+          Alcotest.test_case "4: unreadable segment ends the walk" `Quick
+            test_unreadable_segment;
+          Alcotest.test_case "1: unreadable log" `Quick test_unreadable_log;
         ] );
       ( "crash-flags",
         [

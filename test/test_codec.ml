@@ -1,12 +1,14 @@
-(* The ddet-log line codec: CRC32 known answers; the committed format
-   fixtures, which the writers must reproduce byte for byte and the
-   readers must load; and a differential law against the Printf/Scanf
+(* Every on-disk evidence format: CRC32 known answers; the committed
+   format fixtures, which the writers must reproduce byte for byte and
+   the readers must load; a differential law against the Printf/Scanf
    codec the allocation-light one replaced (Ref_codec), over recorded
    and arbitrary logs, their every-byte truncations and random
-   single-byte flips. *)
+   single-byte flips; and a law that the monolithic, segmented and
+   sharded layouts all round-trip to the same log. *)
 
 open Mvm
 open Ddet_record
+open Ddet_replay
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let fixture name = Filename.concat "fixtures" name
@@ -122,6 +124,30 @@ let test_sharded_fixture () =
       (List.length Codec_fixtures.every_kind.Log.entries)
       (List.fold_left (fun acc (_, n) -> acc + n) 0 l.Sharded_log.order)
 
+let test_checkpoint_fixture () =
+  let dir = fresh_dir () in
+  Checkpoint.write
+    (Filename.concat dir Codec_fixtures.ckpt_file)
+    Codec_fixtures.checkpoint;
+  check_written dir Codec_fixtures.ckpt_file;
+  remove_dir dir;
+  (match Checkpoint.load (fixture Codec_fixtures.ckpt_file) with
+  | Ok c ->
+    Alcotest.(check bool) "loads" true (c = Codec_fixtures.checkpoint)
+  | Error e -> Alcotest.fail e);
+  (* a cut anywhere short of the final newline, a line boundary
+     included, is refused: a torn frontier never resumes *)
+  let whole = read_file (fixture Codec_fixtures.ckpt_file) in
+  let path = Filename.temp_file "ddet_codec" ".ckpt" in
+  for n = 0 to String.length whole - 2 do
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (String.sub whole 0 n));
+    match Checkpoint.load path with
+    | Ok _ -> Alcotest.failf "a checkpoint cut at byte %d loaded" n
+    | Error _ -> ()
+  done;
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* the differential law *)
 
@@ -174,7 +200,6 @@ let law_holds ~flips seed log =
   let rand = Random.State.make [| seed |] in
   ignore (agrees_both v2);
   damaged_variants ~flips rand v2;
-  damaged_variants ~flips rand (Ref_codec.to_string_v1 log);
   true
 
 (* -- recorded logs: Proggen programs under every recorder, cut to a
@@ -370,14 +395,99 @@ let prop_fuzzed =
    reads the sign itself: the fast path's negation must not apply a
    second time. *)
 let test_underscored_negative () =
-  let s = "ddet-log v1\nrecorder \"\"\nbase-steps 3\nsched -1_000 2\n" in
+  let entry = "sched -1_000 2" in
+  let s =
+    "ddet-log v2\nrecorder \"\"\nbase-steps 3\nfailure none\n"
+    ^ Log_io.crc_hex entry ^ " " ^ entry ^ "\nend 1\n"
+  in
   ignore (agrees_both s);
-  match Log_io.of_string ~mode:Log_io.Salvage s with
+  match Log_io.of_string s with
   | Ok log ->
     Alcotest.(check bool)
       "tid -1000" true
       (log.Log.entries = [ Log.Sched { tid = -1000; sid = 2 } ])
   | Error e -> Alcotest.fail e
+
+(* ------------------------------------------------------------------ *)
+(* one log, every layout *)
+
+(* A recorded log comes back the same, header included, from a
+   monolithic file, from segments of [seg] entries, and from shards
+   over [k] nodes, loaded and stitched. *)
+let prop_layouts =
+  QCheck2.Test.make
+    ~name:"monolithic, segmented and sharded layouts give back the same log"
+    ~count:30
+    ~print:(fun ((p, w, r), (seg, k, nseed)) ->
+      Printf.sprintf
+        "program %d, world %d, recorder %d; %d per segment, %d nodes (seed %d)"
+        p w r seg k nseed)
+    QCheck2.Gen.(
+      no_shrink
+        (pair
+           (triple (int_range 1 5_000) (int_range 1 5_000) (int_bound 5))
+           (triple (int_range 1 16) (int_range 1 3) int)))
+    (fun (scenario, (seg, k, nseed)) ->
+      let log = recorded scenario in
+      let dir = fresh_dir () in
+      let path = Filename.concat dir "r" in
+      let same what (got : Log.t) =
+        if got <> log then
+          QCheck2.Test.fail_reportf "%s round trip differs:@ %S@ against@ %S"
+            what (Log_io.to_string got) (Log_io.to_string log)
+      in
+      Log_io.save path log;
+      (match Log_io.load path with
+      | Ok got -> same "monolithic" got
+      | Error e -> QCheck2.Test.fail_reportf "monolithic: %s" e);
+      Log_segments.save ~segment_entries:seg path log;
+      (match Log_segments.load path with
+      | Ok (got, r) ->
+        if not r.Log_segments.complete then
+          QCheck2.Test.fail_report "segmented load incomplete";
+        same "segmented" got
+      | Error e -> QCheck2.Test.fail_reportf "segmented: %s" e);
+      let nodes = List.filteri (fun i _ -> i < k) [ "n0"; "n1"; "n2" ] in
+      let rand = Random.State.make [| nseed |] in
+      let tids =
+        List.sort_uniq compare
+          (List.filter_map
+             (function
+               | Log.Sched { tid; _ }
+               | Log.Input { tid; _ }
+               | Log.Read_val { tid; _ }
+               | Log.Sync { tid; _ }
+               | Log.Cp_sched { tid; _ }
+               | Log.Cp_input { tid; _ } ->
+                 Some tid
+               | _ -> None)
+             log.Log.entries)
+      in
+      let causal =
+        {
+          Causal.nodes;
+          tid_node =
+            List.map
+              (fun tid -> (tid, List.nth nodes (Random.State.int rand k)))
+              tids;
+          edges = [];
+        }
+      in
+      let report =
+        Sharded_log.save_via (Store.default ()) ~base:path ~causal log
+      in
+      if not (Sharded_log.save_ok report) then
+        QCheck2.Test.fail_report "sharded save failed";
+      (match Sharded_log.load path with
+      | Ok loaded ->
+        let stitched = (Stitch.stitch loaded).Stitch.log in
+        if Log_io.to_string stitched <> Log_io.to_string log then
+          QCheck2.Test.fail_reportf
+            "sharded round trip differs:@ %S@ against@ %S"
+            (Log_io.to_string stitched) (Log_io.to_string log)
+      | Error e -> QCheck2.Test.fail_reportf "sharded: %s" e);
+      remove_dir dir;
+      true)
 
 let () =
   Alcotest.run "codec"
@@ -389,6 +499,7 @@ let () =
           Alcotest.test_case "v2 log" `Quick test_log_fixture;
           Alcotest.test_case "segment set" `Quick test_segment_fixture;
           Alcotest.test_case "sharded recording" `Quick test_sharded_fixture;
+          Alcotest.test_case "search checkpoint" `Quick test_checkpoint_fixture;
         ] );
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
@@ -397,4 +508,5 @@ let () =
             Alcotest.test_case "underscored negative int" `Quick
               test_underscored_negative;
           ] );
+      ("layouts", [ QCheck_alcotest.to_alcotest prop_layouts ]);
     ]

@@ -339,6 +339,77 @@ let test_manifest_bitflip () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
+(* shard files that do not belong, or cannot be read *)
+
+(* a shard that cannot be read is lost evidence, not a zero-entry
+   salvage: it is corrupt, the stitcher lists it as lost, and the
+   assessment puts it at the floor *)
+let test_unreadable_shard () =
+  let prepared, original, log, causal =
+    record_failing
+      ~plan:
+        (plan_of_string "seed=5,partition:server+p0|p1:10-80,nodecrash:p1:330")
+      ()
+  in
+  let base = fresh_base () in
+  ignore (Sharded_log.save_via (Store.default ()) ~base ~causal log);
+  let p0 = base ^ ".p0.shard" in
+  Sys.remove p0;
+  Unix.mkdir p0 0o755;
+  let loaded =
+    match Sharded_log.load base with Ok l -> l | Error e -> Alcotest.fail e
+  in
+  Unix.rmdir p0;
+  List.iter
+    (fun (s : Sharded_log.shard) ->
+      Alcotest.(check string) (s.Sharded_log.node ^ " status")
+        (if s.Sharded_log.node = "p0" then "corrupt" else "intact")
+        (Sharded_log.status_name s.Sharded_log.status))
+    loaded.Sharded_log.shards;
+  let st = Stitch.stitch loaded in
+  Alcotest.(check (list string)) "p0 lost" [ "p0" ] st.Stitch.lost;
+  let outcome =
+    Replayer.stitched ~budget:small_budget prepared.Session.app.App.labeled
+      ~spec:msg_server.App.spec st
+  in
+  let a =
+    Session.assess ~evidence:st.Stitch.evidence prepared ~original ~log outcome
+  in
+  Alcotest.(check (list string)) "lost nodes" [ "p0" ]
+    a.Ddet_metrics.Utility.lost_nodes;
+  let floor =
+    1. /. float_of_int (Ddet_metrics.Root_cause.n_causes msg_server.App.catalog)
+  in
+  match List.assoc_opt "p0" a.Ddet_metrics.Utility.node_df with
+  | Some d -> Alcotest.(check bool) "p0 at most the floor" true (d <= floor)
+  | None -> Alcotest.fail "no per-node DF for p0"
+
+(* [d/run.old] is a sibling of [d/run], not a part of it: saving [d/run]
+   keeps the sibling's shards, and a manifest-less load of [d/run] does
+   not adopt them *)
+let test_sibling_recording () =
+  let _prepared, _original, log, causal = record_failing () in
+  let base = fresh_base () in
+  let sibling = base ^ ".old" in
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (b ^ " saved") true
+        (Sharded_log.save_ok
+           (Sharded_log.save_via (Store.default ()) ~base:b ~causal log)))
+    [ sibling; base ];
+  (match Sharded_log.load sibling with
+  | Ok l ->
+    Alcotest.(check bool) "sibling stitches complete" true
+      (Stitch.stitch l).Stitch.complete
+  | Error e -> Alcotest.fail e);
+  Sys.remove (base ^ ".causal");
+  match Sharded_log.load base with
+  | Ok l ->
+    Alcotest.(check (list string)) "manifest-less load finds its own nodes"
+      [ "p0"; "p1"; "server" ] l.Sharded_log.nodes
+  | Error e -> Alcotest.fail e
+
+(* ------------------------------------------------------------------ *)
 (* cloudstore has a node map too: record under a partition and stitch *)
 
 let test_cloudstore_partition () =
@@ -408,5 +479,12 @@ let () =
             test_manifest_truncation_sweep;
           Alcotest.test_case "bit-flip voids completeness" `Quick
             test_manifest_bitflip;
+        ] );
+      ( "part-files",
+        [
+          Alcotest.test_case "an unreadable shard is lost, not salvaged"
+            `Quick test_unreadable_shard;
+          Alcotest.test_case "a sibling recording's shards are not ours"
+            `Quick test_sibling_recording;
         ] );
     ]

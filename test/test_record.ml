@@ -340,12 +340,23 @@ let test_log_io_strict_rejects_crc_mismatch () =
       (contains msg "crc mismatch")
   | Ok _ -> Alcotest.fail "CRC mismatch accepted in strict mode"
 
-let test_log_io_v1_still_loads () =
-  let _, log = record_with (Value_recorder.create ()) in
-  match Log_io.of_string (Ref_codec.to_string_v1 log) with
-  | Ok log' ->
-    Alcotest.(check bool) "v1 entries preserved" true
-      (log'.Log.entries = log.Log.entries)
+(* the retired unframed v1 format is a bad magic like any other: Strict
+   names it, and Salvage invents no entry, since none of its lines is
+   framed *)
+let test_log_io_v1_refused () =
+  let v1 =
+    "ddet-log v1\nrecorder \"t\"\nbase-steps 1\nfailure none\nsched 0 1\n\
+     input 1 c i:5\nmark \"m\"\n"
+  in
+  (match Log_io.of_string v1 with
+  | Error msg ->
+    Alcotest.(check bool) "names the bad magic" true
+      (contains msg "bad magic: ddet-log v1")
+  | Ok _ -> Alcotest.fail "a v1 log was accepted");
+  match Log_io.of_string_report ~mode:Log_io.Salvage v1 with
+  | Ok (log', damage) ->
+    Alcotest.(check int) "no entry invented" 0 (List.length log'.Log.entries);
+    Alcotest.(check bool) "flagged as damage" true (Log_io.is_damaged damage)
   | Error e -> Alcotest.fail e
 
 let drop_trailer s =
@@ -425,71 +436,26 @@ let test_log_io_salvage_every_truncation () =
         (n < String.length s)
   done
 
-(* v1 has no CRCs and no count trailer: truncation there is undetectable
-   by design (§ the hardened-pipeline notes), but salvage must still
-   recover cleanly at the edge cases *)
-let v1_header = "ddet-log v1\nrecorder \"t\"\nbase-steps 1\nfailure none\n"
-
-let test_log_io_v1_empty_body () =
-  let empty = Log.make ~recorder:"t" ~entries:[] ~base_steps:1 ~failure:None () in
-  match Log_io.of_string (Ref_codec.to_string_v1 empty) with
-  | Ok log' -> Alcotest.(check int) "no entries" 0 (List.length log'.Log.entries)
-  | Error e -> Alcotest.fail e
-
-let test_log_io_v1_header_only () =
-  match Log_io.of_string_report ~mode:Log_io.Salvage v1_header with
-  | Ok (log', damage) ->
-    Alcotest.(check int) "no entries invented" 0 (List.length log'.Log.entries);
-    Alcotest.(check bool) "header-only v1 is not damage" false
-      (Log_io.is_damaged damage)
-  | Error e -> Alcotest.fail e
-
-let test_log_io_v1_trailerless_tail () =
-  let _, log = record_with (Value_recorder.create ()) in
-  let s = Ref_codec.to_string_v1 log in
-  (* cut the last entry line in half: v1 can spot the malformed line but
-     not the loss itself (no trailer), so salvage recovers the prefix
-     with a corrupt-line report and no truncation flag *)
-  let cut = String.sub s 0 (String.length s - 7) in
-  (match Log_io.of_string cut with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "strict mode accepted a torn v1 line");
-  match Log_io.of_string_report ~mode:Log_io.Salvage cut with
-  | Ok (log', damage) ->
-    Alcotest.(check bool) "valid prefix" true
-      (is_prefix log'.Log.entries log.Log.entries);
-    Alcotest.(check int) "one entry lost"
-      (List.length log.Log.entries - 1)
-      (List.length log'.Log.entries);
-    Alcotest.(check int) "torn line reported" 1
-      (List.length damage.Log_io.corrupt_lines);
-    Alcotest.(check bool) "v1 cannot flag the truncation itself" false
-      damage.Log_io.truncated
-  | Error e -> Alcotest.fail e
-
 (* A [b:] value other than true/false is a malformed token like any
-   other, in both formats and in v2 even under a valid CRC: Strict names
-   its line, Salvage skips it and reports it. *)
+   other, even under a valid CRC: Strict names its line, Salvage skips
+   it and reports it. *)
 let bad_bool = "input 0 c b:trte"
 
 (* [s] with its last entry line, the one at [ix], replaced *)
-let with_bad_bool ~framed s =
+let with_bad_bool s =
   let lines = String.split_on_char '\n' s in
-  let ix = List.length lines - if framed then 3 else 2 in
-  let bad =
-    if framed then Log_io.crc_hex bad_bool ^ " " ^ bad_bool else bad_bool
-  in
+  let ix = List.length lines - 3 in
+  let bad = Log_io.crc_hex bad_bool ^ " " ^ bad_bool in
   ( ix,
     String.concat "\n" (List.mapi (fun k l -> if k = ix then bad else l) lines)
   )
 
-let bad_bool_log ~framed =
+let bad_bool_log () =
   let _, log = record_with (Value_recorder.create ()) in
-  let s = if framed then Log_io.to_string log else Ref_codec.to_string_v1 log in
-  (log, with_bad_bool ~framed s)
+  (log, with_bad_bool (Log_io.to_string log))
 
-let check_bad_bool_strict ~framed () =
-  let _, (ix, s) = bad_bool_log ~framed in
+let check_bad_bool_strict () =
+  let _, (ix, s) = bad_bool_log () in
   match Log_io.of_string s with
   | Error msg ->
     Alcotest.(check bool) "names the 1-based line" true
@@ -497,8 +463,8 @@ let check_bad_bool_strict ~framed () =
     Alcotest.(check bool) "names the token" true (contains msg "b:trte")
   | Ok _ -> Alcotest.fail "a bad bool token was accepted"
 
-let check_bad_bool_salvage ~framed () =
-  let log, (ix, s) = bad_bool_log ~framed in
+let check_bad_bool_salvage () =
+  let log, (ix, s) = bad_bool_log () in
   match Log_io.of_string_report ~mode:Log_io.Salvage s with
   | Ok (log', damage) ->
     Alcotest.(check int) "only the bad line is lost"
@@ -520,6 +486,20 @@ let test_log_io_file () =
   | Ok log' -> Alcotest.(check bool) "file roundtrip" true (log'.Log.entries = log.Log.entries)
   | Error e -> Alcotest.fail e);
   Stdlib.Sys.remove path
+
+(* a log that cannot be read is an Error with the OS reason, like one
+   that does not parse *)
+let test_log_io_unreadable () =
+  let dir = Stdlib.Filename.temp_file "ddet" ".log" in
+  Stdlib.Sys.remove dir;
+  Stdlib.Sys.mkdir dir 0o755;
+  List.iter
+    (fun path ->
+      match Log_io.load_report ~mode:Log_io.Salvage path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (path ^ ": loaded"))
+    [ dir; Stdlib.Filename.concat dir "missing.log" ];
+  Stdlib.Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Segmented persistence (Log_segments) *)
@@ -621,6 +601,26 @@ let test_segments_corrupt_segment_detected () =
     Alcotest.(check bool) "still a valid prefix" true
       (is_prefix log'.Log.entries log.Log.entries)
   | Error e -> Alcotest.fail e);
+  seg_cleanup base
+
+let test_segments_unreadable_segment () =
+  (* a segment that cannot be read ends the recovery walk as a deleted
+     one does: the sealed segments before it, flagged as damaged *)
+  let _, log = record_with (Full_recorder.create ()) in
+  let base = seg_base () in
+  Log_segments.save ~segment_entries:4 base log;
+  let seg1 = base ^ ".0001.seg" in
+  Stdlib.Sys.remove seg1;
+  Stdlib.Sys.mkdir seg1 0o755;
+  (match Log_segments.load base with
+  | Ok (log', r) ->
+    Alcotest.(check bool) "damaged" true (Log_segments.is_damaged r);
+    Alcotest.(check int) "the walk ends at the unreadable segment" 1
+      r.Log_segments.segments_complete;
+    Alcotest.(check bool) "the first segment's entries" true
+      (log'.Log.entries = List.filteri (fun i _ -> i < 4) log.Log.entries)
+  | Error e -> Alcotest.fail e);
+  Stdlib.Sys.rmdir seg1;
   seg_cleanup base
 
 let test_segments_nothing_there () =
@@ -870,26 +870,19 @@ let () =
           Alcotest.test_case "v2 canonical" `Quick test_log_io_v2_canonical;
           Alcotest.test_case "strict rejects crc mismatch" `Quick
             test_log_io_strict_rejects_crc_mismatch;
-          Alcotest.test_case "v1 still loads" `Quick test_log_io_v1_still_loads;
+          Alcotest.test_case "v1 is refused" `Quick test_log_io_v1_refused;
           Alcotest.test_case "trailer guards truncation" `Quick
             test_log_io_trailer_guards_truncation;
           Alcotest.test_case "salvage keeps valid prefix" `Quick
             test_log_io_salvage_keeps_valid_prefix;
           Alcotest.test_case "salvage at every truncation point" `Quick
             test_log_io_salvage_every_truncation;
-          Alcotest.test_case "v1 empty body" `Quick test_log_io_v1_empty_body;
-          Alcotest.test_case "v1 header only" `Quick test_log_io_v1_header_only;
-          Alcotest.test_case "v1 trailer-less tail" `Quick
-            test_log_io_v1_trailerless_tail;
-          Alcotest.test_case "v2 bad bool, strict" `Quick
-            (check_bad_bool_strict ~framed:true);
+          Alcotest.test_case "v2 bad bool, strict" `Quick check_bad_bool_strict;
           Alcotest.test_case "v2 bad bool, salvage" `Quick
-            (check_bad_bool_salvage ~framed:true);
-          Alcotest.test_case "v1 bad bool, strict" `Quick
-            (check_bad_bool_strict ~framed:false);
-          Alcotest.test_case "v1 bad bool, salvage" `Quick
-            (check_bad_bool_salvage ~framed:false);
+            check_bad_bool_salvage;
           Alcotest.test_case "file save/load" `Quick test_log_io_file;
+          Alcotest.test_case "unreadable file is an error" `Quick
+            test_log_io_unreadable;
         ] );
       ( "segments",
         [
@@ -907,6 +900,8 @@ let () =
             test_segments_header_every_truncation;
           Alcotest.test_case "unsealed segment never leaks entries" `Quick
             test_segments_unsealed_every_truncation;
+          Alcotest.test_case "unreadable segment ends the walk" `Quick
+            test_segments_unreadable_segment;
         ] );
       ( "fidelity-level",
         [
