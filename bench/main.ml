@@ -144,10 +144,12 @@ type search_row = {
   stats : Ddet_replay.Search.stats;
 }
 
+(* wall time on the monotonic clock (an NTP step cannot move it), floored
+   at 1 ns so a ratio of two timings never divides by zero *)
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ddet_obs.Clock.now () in
   let r = f () in
-  (r, max 1e-9 (Unix.gettimeofday () -. t0))
+  (r, max 1e-9 (Ddet_obs.Clock.s_of_ns (Ddet_obs.Clock.elapsed_ns t0)))
 
 (* min over [trials] runs: wall-clock on a shared box is noise plus the
    true cost, and min is the estimator least polluted by the noise *)
@@ -417,9 +419,12 @@ let search_bench ~tiny ~jobs ~json () =
 (* SANITY: the CI tripwire behind the perf-sanity alias. On smoke
    budgets, random restarts at jobs=4 under the *default* tuning (cap
    policy on) must stay within 2x of sequential wall-clock and
-   byte-identical in outcome - on a small box the cap makes this
-   trivially true (jobs clamp to the cores), on a big one it catches a
-   scheduler regression. Exits 1 on violation. *)
+   byte-identical in outcome. Like every replay driver, the search gets
+   the recorded run's base_steps as its attempt-cost estimate, so the
+   min-work heuristic decides where the attempts run exactly as it does
+   in the product; on a small box the cores cap clamps jobs, on a big
+   one the tripwire catches a scheduler regression. Exits 1 on
+   violation. *)
 
 let sanity () =
   let open Ddet_replay in
@@ -466,7 +471,8 @@ let sanity () =
         [
           ( "restarts",
             fun j ->
-              Search.random_restarts ~jobs:j bud
+              Search.random_restarts ~jobs:j
+                ~est_attempt_steps:log.Log.base_steps bud
                 ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                 ~spec ~accept labeled );
         ]

@@ -21,8 +21,7 @@ let default =
     cost_model = Cost_model.default;
     plane_threshold = 6.0;
     budget = Search.default_budget;
-    value_budget =
-      { Search.max_attempts = 10; max_steps_per_attempt = 100_000; base_seed = 1; deadline_s = None };
+    value_budget = Replayer.value_budget;
     training_runs = 5;
     training_seed_base = 1000;
     trigger_window = 500;

@@ -13,7 +13,9 @@ type t = {
           DESIGN.md *)
   budget : Search.budget;  (** inference budget for searched replays *)
   value_budget : Search.budget;
-      (** small budget for value-determinism replay (a handful of seeds) *)
+      (** small budget for value-determinism replay (a handful of seeds);
+          default {!Ddet_replay.Replayer.value_budget}, the budget
+          {!Ddet_replay.Replayer.value_det} defaults to *)
   training_runs : int;  (** passing runs used to train the analyses *)
   training_seed_base : int;  (** first seed scanned for training runs *)
   trigger_window : int;  (** high-fidelity window opened by a trigger *)

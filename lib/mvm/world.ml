@@ -93,25 +93,3 @@ let round_robin () =
     on_try_recv = default_try_recv;
     passive_try_recv = true;
   }
-
-let with_name name w = { w with name }
-
-let override_reads f w =
-  {
-    w with
-    on_read =
-      (fun ~step ~tid ~sid ~region ~index ~actual ->
-        match f ~step ~tid ~sid ~region ~index ~actual with
-        | Some v -> v
-        | None -> w.on_read ~step ~tid ~sid ~region ~index ~actual);
-  }
-
-let override_recvs f w =
-  {
-    w with
-    on_recv =
-      (fun ~step ~tid ~sid ~chan ~actual ->
-        match f ~step ~tid ~sid ~chan ~actual with
-        | Some v -> v
-        | None -> w.on_recv ~step ~tid ~sid ~chan ~actual);
-  }

@@ -72,19 +72,3 @@ val prioritized : seed:int -> prefer:(cand -> bool) -> t
 (** [round_robin ()] cycles threads in tid order and picks the first domain
     value for every input: a deterministic baseline useful in tests. *)
 val round_robin : unit -> t
-
-(** [with_name name w] renames a world (for reports). *)
-val with_name : string -> t -> t
-
-(** [override_reads f w] wraps [w] so shared reads go through [f] first. *)
-val override_reads :
-  (step:int -> tid:int -> sid:int -> region:string -> index:int option ->
-   actual:Value.tagged -> Value.tagged option) ->
-  t -> t
-
-(** [override_recvs f w] wraps [w] so received message values go through [f]
-    first. *)
-val override_recvs :
-  (step:int -> tid:int -> sid:int -> chan:string -> actual:Value.tagged ->
-   Value.tagged option) ->
-  t -> t

@@ -41,9 +41,6 @@ let sched_points t =
 let cp_sched_points t =
   collect (function Cp_sched { tid; sid } -> Some (tid, sid) | _ -> None) t
 
-let sync_points t =
-  collect (function Sync { tid; sid; _ } -> Some (tid, sid) | _ -> None) t
-
 let sync_entries t =
   collect (function Sync { tid; sid; op } -> Some (tid, sid, op) | _ -> None) t
 

@@ -85,9 +85,6 @@ val sched_points : t -> (int * int) list
 (** [cp_sched_points t] is the [(tid, sid)] sequence of [Cp_sched] entries. *)
 val cp_sched_points : t -> (int * int) list
 
-(** [sync_points t] is the [(tid, sid)] sequence of [Sync] entries. *)
-val sync_points : t -> (int * int) list
-
 (** [sync_entries t] is the [(tid, sid, op)] sequence of [Sync] entries. *)
 val sync_entries : t -> (int * int * sync_op) list
 

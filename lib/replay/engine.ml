@@ -107,37 +107,22 @@ let make_ctx labeled =
     ctx_cap = 0;
   }
 
-(* one attempt's interpreter run. Without a ctx the program is compiled
-   for this attempt alone; with one, the ctx's compiled program and
-   arena are reused. Explicit [trace_capacity] wins over the ctx's warm
-   capacity. *)
-let run_attempt ?ctx ?(monitors = []) ~max_steps ~abort ?cancel
-    ?trace_capacity labeled world =
-  match ctx with
-  | None ->
-    Interp.run ~max_steps ~monitors ~abort ?cancel ?trace_capacity labeled
-      world
-  | Some cx ->
-    let trace_capacity =
-      match trace_capacity with
-      | Some _ as c -> c
-      | None -> if cx.ctx_cap > 0 then Some cx.ctx_cap else None
-    in
-    let r =
-      Interp.run_compiled ~max_steps ~monitors ~abort ?cancel ?trace_capacity
-        ~state:cx.ctx_state cx.ctx_compiled world
-    in
-    cx.ctx_cap <- Trace.length r.Interp.trace;
-    r
+(* one attempt's interpreter run on the ctx's compiled program and
+   arena; the trace starts at the previous attempt's event count *)
+let run_attempt ?(monitors = []) ~max_steps ~abort ?cancel ctx world =
+  let trace_capacity = if ctx.ctx_cap > 0 then Some ctx.ctx_cap else None in
+  let r =
+    Interp.run_compiled ~max_steps ~monitors ~abort ?cancel ?trace_capacity
+      ~state:ctx.ctx_state ctx.ctx_compiled world
+  in
+  ctx.ctx_cap <- Trace.length r.Interp.trace;
+  r
 
-let exec_inputs ?ctx ?trace_capacity ?wall ~budget:(max_steps : int) ~prefix
-    labeled =
+let exec_inputs ?wall ~budget:(max_steps : int) ~prefix ctx =
   let sizes = ref [] in
   let world = odometer_world prefix sizes in
   let result =
-    run_attempt ?ctx ~max_steps
-      ~abort:(fun _ -> None)
-      ?cancel:wall ?trace_capacity labeled world
+    run_attempt ~max_steps ~abort:(fun _ -> None) ?cancel:wall ctx world
   in
   { result; sizes = List.rev !sizes; early = Ran }
 
@@ -169,15 +154,9 @@ let exec_inputs ?ctx ?trace_capacity ?wall ~budget:(max_steps : int) ~prefix
    measurable per-step allocation on schedule-heavy searches. *)
 let nth_tid cands pos = (List.nth cands pos).World.tid
 
-let schedule_world ?seen ?hash ~prefix ~sizes ~stop () =
+let schedule_world ?seen ~hash ~prefix ~sizes ~stop () =
   let k = ref 0 in
-  let hash =
-    match hash with
-    | Some h ->
-      State_hash.reset h;
-      h
-    | None -> State_hash.create ()
-  in
+  State_hash.reset hash;
   let plen = Array.length prefix in
   {
     World.name = "dfs-schedules";
@@ -219,24 +198,19 @@ let schedule_world ?seen ?hash ~prefix ~sizes ~stop () =
     on_try_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ -> World.Default);
     passive_try_recv = true;
   }
-  |> fun w -> (w, hash)
 
-let exec_schedule ?ctx ?trace_capacity ?seen ?wall ~budget:(max_steps : int)
-    ~prefix labeled =
+let exec_schedule ?seen ?wall ~budget:(max_steps : int) ~prefix ctx =
   let sizes = ref [] in
   let stop = ref None in
-  let world, hash =
-    schedule_world ?seen
-      ?hash:(Option.map (fun cx -> cx.ctx_hash) ctx)
-      ~prefix ~sizes ~stop ()
-  in
+  let hash = ctx.ctx_hash in
+  let world = schedule_world ?seen ~hash ~prefix ~sizes ~stop () in
   let monitors =
     match seen with None -> [] | Some _ -> [ State_hash.feed hash ]
   in
   let result =
-    run_attempt ?ctx ~monitors ~max_steps
+    run_attempt ~monitors ~max_steps
       ~abort:(fun _ -> Option.map snd !stop)
-      ?cancel:wall ?trace_capacity labeled world
+      ?cancel:wall ctx world
   in
   let early = match !stop with Some (e, _) -> e | None -> Ran in
   { result; sizes = List.rev !sizes; early }

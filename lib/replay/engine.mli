@@ -1,6 +1,7 @@
 (** Shared machinery of the search engines: decision odometers,
     instrumented worlds, and single-attempt executors, which {!Search}
-    composes into its engines. *)
+    composes into its engines. Every executor runs on a caller-supplied
+    arena ({!ctx}); there is no arena-less path. *)
 
 open Mvm
 
@@ -44,60 +45,54 @@ type probe = {
     holds the program compiled once ({!Interp.compile}), a reusable
     interpreter exec state, the pruner's hash tables and a warm trace
     capacity, all reused across every attempt executed with it: attempts
-    stop paying compile cost, table allocation and trace regrowth. A ctx
-    changes only cost, never results: every attempt runs the same
-    compiled interpreter with or without one. A ctx must not be shared
-    between concurrent attempts; each pool worker domain builds its own
-    with {!make_ctx}. *)
+    stop paying compile cost, table allocation and trace regrowth. Every
+    executor below requires one; a ctx never changes what an attempt
+    does, but its warm trace capacity does show in the result's trace
+    buffer, so a run that must equal a cold one (a rematerialised best
+    candidate) gets a fresh ctx. A ctx must not be shared between
+    concurrent attempts; each pool worker domain builds its own with
+    {!make_ctx}. *)
 type ctx
 
 (** [make_ctx labeled] compiles the program and allocates its arena. *)
 val make_ctx : Label.labeled -> ctx
 
-(** [run_attempt ~max_steps ~abort labeled world] executes one attempt:
-    {!Interp.run} without a [ctx]; with one, the ctx's compiled program
-    and arena (warm-starting the trace at the previous attempt's event
-    count unless [trace_capacity] overrides it). The raw entry point for
-    engines that build their own worlds — the odometer engines use
-    {!exec_inputs} and {!exec_schedule} instead. *)
+(** [run_attempt ~max_steps ~abort ctx world] executes one attempt on
+    [ctx]'s compiled program and arena, warm-starting the trace at the
+    previous attempt's event count. The raw entry point for engines that
+    build their own worlds — the odometer engines use {!exec_inputs} and
+    {!exec_schedule} instead. *)
 val run_attempt :
-  ?ctx:ctx ->
   ?monitors:(Event.t -> unit) list ->
   max_steps:int ->
   abort:(Event.t -> string option) ->
   ?cancel:(unit -> string option) ->
-  ?trace_capacity:int ->
-  Label.labeled ->
+  ctx ->
   World.t ->
   Interp.result
 
-(** [exec_inputs ~budget ~prefix labeled] runs one input-odometer attempt;
+(** [exec_inputs ~budget ~prefix ctx] runs one input-odometer attempt;
     [budget] is the step cap. [wall] is forwarded to {!Interp.run}'s
     [cancel] (polled every 128 steps): deadline budgets use it to cut a
-    long attempt mid-run. [ctx] reuses a compiled program and arena (see
-    {!ctx}). *)
+    long attempt mid-run. *)
 val exec_inputs :
-  ?ctx:ctx ->
-  ?trace_capacity:int ->
   ?wall:(unit -> string option) ->
   budget:int ->
   prefix:int array ->
-  Label.labeled ->
+  ctx ->
   probe
 
-(** [exec_schedule ?seen ~budget ~prefix labeled] runs one
-    schedule-odometer attempt. With [seen], the run is cut short at the
-    first post-prefix decision if its canonical state digest is already
-    in [seen]; otherwise the digest of every post-prefix decision is
-    added to [seen]. *)
+(** [exec_schedule ?seen ~budget ~prefix ctx] runs one schedule-odometer
+    attempt. With [seen], the run is cut short at the first post-prefix
+    decision if its canonical state digest is already in [seen];
+    otherwise the digest of every post-prefix decision is added to
+    [seen]. *)
 val exec_schedule :
-  ?ctx:ctx ->
-  ?trace_capacity:int ->
   ?seen:Seen.t ->
   ?wall:(unit -> string option) ->
   budget:int ->
   prefix:int array ->
-  Label.labeled ->
+  ctx ->
   probe
 
 type verdict =

@@ -464,11 +464,3 @@ let partial ?(steer = no_steer) ~seed log =
     }
   in
   { world; abort; violated = (fun () -> false) }
-
-let free ~seed =
-  let never = ref false in
-  {
-    world = World.random ~seed;
-    abort = abort_of never;
-    violated = (fun () -> !never);
-  }

@@ -85,7 +85,3 @@ val no_steer : steer
     domain head instead of sampled — shrinking the search space to the
     dimensions the static communication graph says can matter. *)
 val partial : ?steer:steer -> seed:int -> Log.t -> handle
-
-(** [free ~seed] is an unconstrained seeded-random world in handle form —
-    the search world for output- and failure-determinism inference. *)
-val free : seed:int -> handle

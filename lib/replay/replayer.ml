@@ -86,7 +86,7 @@ let perfect labeled ~spec log =
     incidents = [];
   }
 
-let small_budget =
+let value_budget =
   {
     Search.max_attempts = 10;
     max_steps_per_attempt = 100_000;
@@ -94,39 +94,43 @@ let small_budget =
     deadline_s = None;
   }
 
-let value_det ?(budget = small_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume labeled
-    ~spec log =
+(* The one body of every random-restart driver: attempt [attempt] runs
+   in the world and streaming abort [make ~attempt ~seed] builds from its
+   seed (base seed + attempt), is accepted by [accept log], and a
+   rejected run is ranked by its closeness to the recording. The
+   recorded run's length is the attempt-cost estimate. *)
+let restarts model ~budget ~jobs ?tuning ?checkpoint ?resume ~accept ~make
+    labeled ~spec log =
   Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
     ?checkpoint ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
-      let handle = Oracle.value_det ~seed:(budget.base_seed + attempt) log in
+      make ~attempt ~seed:(budget.Search.base_seed + attempt))
+    ~spec ~accept:(accept log) labeled
+  |> of_search model
+
+let value_det ?(budget = value_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume
+    labeled ~spec log =
+  restarts "value" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec log
+    ~accept:Constraints.failure_matches ~make:(fun ~attempt:_ ~seed ->
+      let handle = Oracle.value_det ~seed log in
       (handle.Oracle.world, Some handle.Oracle.abort))
-    ~spec
-    ~accept:(Constraints.failure_matches log)
-    labeled
-  |> of_search "value"
 
 let output_det ?(budget = Search.default_budget) ?(exhaustive = true)
     ?(jobs = 1) ?tuning ?checkpoint ?resume labeled ~spec log =
-  let accept = Constraints.outputs_match log in
-  let score = Constraints.closeness log in
-  let o =
-    if exhaustive then
-      Search.enumerate_inputs ?checkpoint ?resume budget ~score ~spec ~accept
-        labeled
-    else
-      Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-        ?checkpoint ?resume budget ~score
-        ~make:(fun ~attempt ->
-          ( env_world log (World.random ~seed:(budget.base_seed + attempt)),
-            Some (Constraints.output_prefix_abort log) ))
-        ~spec ~accept labeled
-  in
-  of_search "output" o
+  if exhaustive then
+    Search.enumerate_inputs ?checkpoint ?resume budget
+      ~score:(Constraints.closeness log) ~spec
+      ~accept:(Constraints.outputs_match log) labeled
+    |> of_search "output"
+  else
+    restarts "output" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec
+      log ~accept:Constraints.outputs_match ~make:(fun ~attempt:_ ~seed ->
+        ( env_world log (World.random ~seed),
+          Some (Constraints.output_prefix_abort log) ))
 
-let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
-    ?resume ?priority labeled ~spec log =
+let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning
+    ?checkpoint ?resume ?priority labeled ~spec log =
   let attempt_world =
     match priority with
     | None -> fun ~seed -> World.random ~seed
@@ -134,65 +138,40 @@ let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoin
       let prefer = Search.site_prefer p in
       fun ~seed -> World.prioritized ~seed ~prefer
   in
-  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
-    ~score:(Constraints.closeness log)
-    ~make:(fun ~attempt ->
-      (env_world log (attempt_world ~seed:(budget.base_seed + attempt)), None))
-    ~spec
-    ~accept:(Constraints.failure_matches log)
-    labeled
-  |> of_search "failure"
+  restarts "failure" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec
+    log ~accept:Constraints.failure_matches ~make:(fun ~attempt:_ ~seed ->
+      (env_world log (attempt_world ~seed), None))
 
-let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume
-    labeled ~spec log =
-  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
-    ~score:(Constraints.closeness log)
-    ~make:(fun ~attempt ->
-      let handle = Oracle.sync ~seed:(budget.base_seed + attempt) log in
+let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
+    ?resume labeled ~spec log =
+  restarts "sync" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec log
+    ~accept:Constraints.outputs_match ~make:(fun ~attempt:_ ~seed ->
+      let handle = Oracle.sync ~seed log in
       ( handle.Oracle.world,
         Some
           (Constraints.both handle.Oracle.abort
              (Constraints.output_prefix_abort log)) ))
-    ~spec
-    ~accept:(Constraints.outputs_match log)
-    labeled
-  |> of_search "sync"
 
 let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
     ?tuning ?checkpoint ?resume labeled ~spec log =
-  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
-    ~score:(Constraints.closeness log)
-    ~make:(fun ~attempt ->
-      let handle = Oracle.rcse ~strict ~seed:(budget.base_seed + attempt) log in
+  restarts "rcse" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec log
+    ~accept:Constraints.failure_matches ~make:(fun ~attempt:_ ~seed ->
+      let handle = Oracle.rcse ~strict ~seed log in
       (env_world log handle.Oracle.world, Some handle.Oracle.abort))
-    ~spec
-    ~accept:(Constraints.failure_matches log)
-    labeled
-  |> of_search "rcse"
 
 (* A governed log has windows where the governor dialled fidelity down
    and entries are missing by design. The deterministic oracles (value,
    sync) would misalign against those gaps — their forced decisions
-   assume a complete stream — so governed logs replay by search: random
-   restarts under the recorded fault plan, accepted when the original
-   failure reproduces, closeness-scored so budget exhaustion still
-   yields the best partial. The degraded windows are exactly the search
-   regions; everything outside them is pinned by the surviving entries
-   through the closeness score. *)
-let governed ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
-    ?resume labeled ~spec log =
-  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
-    ~score:(Constraints.closeness log)
-    ~make:(fun ~attempt ->
-      (env_world log (World.random ~seed:(budget.base_seed + attempt)), None))
-    ~spec
-    ~accept:(Constraints.failure_matches log)
-    labeled
-  |> of_search "governed"
+   assume a complete stream — so governed logs replay by search: the
+   failure-determinism search (random restarts under the recorded fault
+   plan, accepted when the original failure reproduces, closeness-scored
+   so budget exhaustion still yields the best partial), reported under
+   its own name. The degraded windows are exactly the search regions;
+   everything outside them is pinned by the surviving entries through
+   the closeness score. *)
+let governed ?budget ?jobs ?tuning ?checkpoint ?resume labeled ~spec log =
+  { (failure_det ?budget ?jobs ?tuning ?checkpoint ?resume labeled ~spec log)
+    with model = "governed" }
 
 (* Partial-evidence replay over a stitched shard merge. When the stitch
    is complete this is never the right driver (use the model's own); when
@@ -204,22 +183,14 @@ let governed ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
 let stitched ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
     ?resume ?steer labeled ~spec (st : Stitch.t) =
   let log = st.Stitch.log in
-  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
-    ~score:(Constraints.closeness log)
-    ~make:(fun ~attempt ->
+  restarts "stitched" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec
+    log ~accept:Constraints.failure_matches ~make:(fun ~attempt ~seed ->
       (* the first attempt replays the surviving projection unbiased —
          identical to the uninformed search — so steering can only speed
          up later shots, never cost a first-try reproduction *)
       let steer = if attempt <= 2 then None else steer in
-      let handle =
-        Oracle.partial ?steer ~seed:(budget.base_seed + attempt) log
-      in
+      let handle = Oracle.partial ?steer ~seed log in
       (env_world log handle.Oracle.world, Some handle.Oracle.abort))
-    ~spec
-    ~accept:(Constraints.failure_matches log)
-    labeled
-  |> of_search "stitched"
 
 let pp_outcome ppf o =
   Format.fprintf ppf "%s: %s after %d attempt(s), %d inference steps" o.model

@@ -16,6 +16,14 @@
     - {!rcse} — recorded control-plane subsequence enforced, data plane
       searched until the failure reproduces (§3.1).
 
+    Every searching driver except exhaustive input enumeration is one
+    call of {!Search.random_restarts}: the drivers differ only in the
+    world and streaming abort each attempt runs under and in what they
+    accept; all of them rank rejected runs by {!Constraints.closeness}
+    to the recording and pass the recorded run's length as the
+    attempt-cost estimate. {!value_det} defaults to {!value_budget}, the
+    one small budget behind [Config.default.value_budget] as well.
+
     When the log carries a fault plan (the recorded run executed under an
     adversarial environment), drivers that build their own replay worlds
     (perfect, failure, output random-restarts, rcse) re-inject the plan so
@@ -57,6 +65,10 @@ val exit_deadline : int
 
 val perfect : Label.labeled -> spec:Spec.t -> Log.t -> outcome
 
+(** The default budget of {!value_det}: 10 seeds of at most 100,000
+    steps each, from base seed 1, no deadline. *)
+val value_budget : Search.budget
+
 (** [value_det] tries a few seeds; per-thread value forcing makes each
     attempt cheap. All searching drivers take [jobs] (default 1) and
     [tuning], which only the random-restart searches use: with
@@ -94,8 +106,9 @@ val output_det :
   outcome
 
 (** [priority] (from a static race analysis) biases each attempt's world
-    toward scheduling threads at suspect sites ({!Search.priority_world})
-    — same acceptance test, typically fewer attempts on race failures.
+    toward scheduling threads at suspect sites ({!Mvm.World.prioritized}
+    over {!Search.site_prefer}) — same acceptance test, typically fewer
+    attempts on race failures.
     Omitting it keeps the historical uniform-random attempts, so
     checkpoints from earlier versions resume identically. *)
 val failure_det :
@@ -139,10 +152,11 @@ val rcse :
 (** Replay for logs recorded under an overhead governor
     ({!Ddet_record.Governor}): degraded windows are missing entries by
     design, so the deterministic oracles would misalign. Instead the
-    driver searches — random restarts under the recorded fault plan,
-    accepting any execution that reproduces the recorded failure, with
-    closeness scoring so exhaustion still yields the best partial. Use
-    when {!Ddet_record.Log.governed} holds. *)
+    driver searches: it is {!failure_det} without a [priority] —
+    random restarts under the recorded fault plan, accepting any
+    execution that reproduces the recorded failure, with closeness
+    scoring so exhaustion still yields the best partial — reported as
+    model ["governed"]. Use when {!Ddet_record.Log.governed} holds. *)
 val governed :
   ?budget:Search.budget ->
   ?jobs:int ->

@@ -94,19 +94,26 @@ let wall_cancel = function
    deterministically re-executing that one attempt — if the search ends
    without a hit. Ties keep the earlier candidate, which is also why a
    resumed tracker seeded with the stored best stays faithful: the stored
-   candidate was the earliest of its score. *)
+   candidate was the earliest of its score. [key_of] reads the key from
+   a checkpoint's best record and [prefix_of] writes it back; [ckpt]
+   is the best record for the next checkpoint. *)
 
 type ('k, 'r) cell =
   | B_none
   | B_live of 'r * 'k  (* a partial we have in memory, plus its key *)
   | B_stored of float * int * 'k  (* restored from a checkpoint *)
 
-let track_best (type k) ?stored ~(rerun : k -> Interp.result) score =
+let track_best (type k) ~(key_of : Checkpoint.best -> k option)
+    ~(prefix_of : k -> int array option) ~(rerun : k -> Interp.result) resume
+    score =
   let best : (k, partial) cell ref =
     ref
-      (match stored with
+      (match Option.bind resume (fun c -> c.Checkpoint.best) with
       | None -> B_none
-      | Some (c, a, key) -> B_stored (c, a, key))
+      | Some b -> (
+        match key_of b with
+        | None -> B_none
+        | Some key -> B_stored (b.Checkpoint.b_closeness, b.b_attempt, key)))
   in
   let note attempt key r =
     let c = score r in
@@ -125,13 +132,16 @@ let track_best (type k) ?stored ~(rerun : k -> Interp.result) score =
     | B_stored (c, a, key) ->
       Some { best = rerun key; closeness = c; attempt = a }
   in
-  let peek () =
+  let ckpt () =
+    let record b_closeness b_attempt key =
+      Some { Checkpoint.b_closeness; b_attempt; b_prefix = prefix_of key }
+    in
     match !best with
     | B_none -> None
-    | B_live (p, key) -> Some (p.closeness, p.attempt, key)
-    | B_stored (c, a, key) -> Some (c, a, key)
+    | B_live (p, key) -> record p.closeness p.attempt key
+    | B_stored (c, a, key) -> record c a key
   in
-  (note, get, peek)
+  (note, get, ckpt)
 
 (* every engine, at any jobs, funnels its outcome through these two
    constructors on the calling thread, so this is the one place the
@@ -184,9 +194,6 @@ let site_prefer { sids } =
   List.iter (fun s -> Hashtbl.replace tbl s ()) sids;
   fun (c : World.cand) -> Hashtbl.mem tbl c.World.sid
 
-let priority_world priority ~seed =
-  World.prioritized ~seed ~prefer:(site_prefer priority)
-
 (* ------------------------------------------------------------------ *)
 (* supervision: one attempt's execution may raise (a hostile world
    callback, a resource blip). The search survives it: the attempt is
@@ -231,7 +238,10 @@ let settle incidents = function
 (* ------------------------------------------------------------------ *)
 (* checkpointing plumbing shared by the engines *)
 
-let check_resume ~engine budget = function
+(* one resume check for every engine: a checkpoint resumes only the
+   engine kind that wrote it, from the same origin (the budget's base
+   seed, or a seed scan's [from]) *)
+let check_resume ~engine ~origin = function
   | None -> None
   | Some (ck : Checkpoint.t) ->
     if not (String.equal ck.Checkpoint.engine engine) then
@@ -239,48 +249,22 @@ let check_resume ~engine budget = function
         (Printf.sprintf
            "Search: cannot resume a %S checkpoint with the %S engine"
            ck.Checkpoint.engine engine);
-    if ck.Checkpoint.base_seed <> budget.base_seed then
+    if ck.Checkpoint.base_seed <> origin then
       invalid_arg
         (Printf.sprintf
-           "Search: checkpoint base seed %d does not match budget base seed \
-            %d — a resumed search must re-walk the same attempt sequence"
-           ck.Checkpoint.base_seed budget.base_seed);
+           "Search: checkpoint origin %d does not match this search's %d — \
+            a resumed search must re-walk the same attempt sequence"
+           ck.Checkpoint.base_seed origin);
     Some ck
-
-(* the best-candidate key is the attempt index for seeded restarts and
-   the decision prefix for the odometer engines, hence two monomorphic
-   codecs between the tracker's peek and the checkpoint record *)
-
-let ckpt_best_attempt peek =
-  match peek () with
-  | None -> None
-  | Some (c, a, (_ : int)) ->
-    Some { Checkpoint.b_closeness = c; b_attempt = a; b_prefix = None }
-
-let ckpt_best_prefix peek =
-  match peek () with
-  | None -> None
-  | Some (c, a, p) ->
-    Some { Checkpoint.b_closeness = c; b_attempt = a; b_prefix = Some p }
-
-let stored_attempt = function
-  | Some { Checkpoint.best = Some b; _ } ->
-    Some (b.Checkpoint.b_closeness, b.b_attempt, b.Checkpoint.b_attempt)
-  | _ -> None
-
-let stored_prefix = function
-  | Some { Checkpoint.best = Some b; _ } ->
-    Option.map
-      (fun p -> (b.Checkpoint.b_closeness, b.Checkpoint.b_attempt, p))
-      b.Checkpoint.b_prefix
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* engines *)
 
 let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
     ?checkpoint ?resume budget ~make ~spec ~accept labeled =
-  let resume = check_resume ~engine:"restarts" budget resume in
+  let resume =
+    check_resume ~engine:"restarts" ~origin:budget.base_seed resume
+  in
   let total_steps =
     ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
   in
@@ -294,8 +278,10 @@ let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
     in
     Spec.apply spec r
   in
-  let note, best, peek =
-    track_best ?stored:(stored_attempt resume) ~rerun score
+  let note, best, best_ckpt =
+    track_best
+      ~key_of:(fun b -> Some b.Checkpoint.b_attempt)
+      ~prefix_of:(fun _ -> None) ~rerun resume score
   in
   let frontier attempt () =
     {
@@ -305,7 +291,7 @@ let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
       total_steps = !total_steps;
       pruned = 0;
       prefix = None;
-      best = ckpt_best_attempt peek;
+      best = best_ckpt ();
       seen = [];
     }
   in
@@ -331,8 +317,8 @@ let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
             | None -> abort
             | Some c -> fun e -> if c () then Some "cancelled" else abort e
           in
-          Engine.run_attempt ~ctx ~max_steps:budget.max_steps_per_attempt
-            ~abort ?cancel:wall labeled world)
+          Engine.run_attempt ~max_steps:budget.max_steps_per_attempt ~abort
+            ?cancel:wall ctx world)
   in
   let process attempt run =
     if deadline_passed deadline then
@@ -364,137 +350,60 @@ let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
     ~exhausted:(fun () -> fail ~attempts:(max budget.max_attempts (first - 1)) ())
     ()
 
-let enumerate_inputs ?(score = no_score) ?checkpoint ?resume budget ~spec
-    ~accept labeled =
-  let resume = check_resume ~engine:"inputs" budget resume in
-  let total_steps =
-    ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
-  in
+(* The odometer engines: attempt k+1's prefix is [Engine.advance] of
+   attempt k's prefix and the fan-outs it discovered, so they run in
+   order on the calling thread. One loop serves both; an engine brings
+   its name, its executor and, for the pruned DFS, a seen-set. A probe
+   the executor cut short (pruned or clamped) is not an attempt: its
+   steps count, its subtree is skipped, and the frontier advances
+   without a new attempt. *)
+let odometer ~engine
+    ~(exec :
+       Engine.Seen.t option ->
+       ?wall:(unit -> string option) ->
+       budget:int ->
+       prefix:int array ->
+       Engine.ctx ->
+       Engine.probe) ?seen ?(on_prune = fun ~prefix:_ -> ())
+    ?(score = no_score) ?checkpoint ?resume budget ~spec ~accept labeled =
+  let resume = check_resume ~engine ~origin:budget.base_seed resume in
+  let restored field = match resume with Some c -> field c | None -> 0 in
+  (match (seen, resume) with
+  | Some s, Some c -> List.iter (Engine.Seen.add s) c.Checkpoint.seen
+  | _ -> ());
+  let total_steps = ref (restored (fun c -> c.Checkpoint.total_steps)) in
+  let pruned = ref (restored (fun c -> c.Checkpoint.pruned)) in
   let incidents = ref [] in
   let deadline = deadline_of budget in
   let wall = wall_cancel deadline in
+  let max_steps = budget.max_steps_per_attempt in
   let ctx = Engine.make_ctx labeled in
   let rerun prefix =
+    (* a judged candidate was a completed, unpruned run, so re-executing
+       its prefix without the seen-set reproduces it exactly. The rerun
+       gets a fresh arena, so its trace buffer starts cold rather than at
+       the size the search's last attempt left in [ctx]: the crash
+       bench's parity check compares results with [=], buffer included *)
     Spec.apply spec
-      (Engine.exec_inputs ~budget:budget.max_steps_per_attempt ~prefix labeled)
+      (exec None ~budget:max_steps ~prefix (Engine.make_ctx labeled))
         .Engine.result
   in
-  let note, best, peek =
-    track_best ?stored:(stored_prefix resume) ~rerun score
+  let note, best, best_ckpt =
+    track_best
+      ~key_of:(fun b -> b.Checkpoint.b_prefix)
+      ~prefix_of:Option.some ~rerun resume score
   in
   let frontier attempt prefix () =
     {
-      Checkpoint.engine = "inputs";
-      base_seed = budget.base_seed;
-      attempt;
-      total_steps = !total_steps;
-      pruned = 0;
-      prefix;
-      best = ckpt_best_prefix peek;
-      seen = [];
-    }
-  in
-  let tick attempt prefix =
-    Option.iter
-      (fun s -> Checkpoint.tick s (frontier attempt prefix))
-      checkpoint
-  in
-  let fail ~attempts ~prefix ?deadline_hit () =
-    Option.iter
-      (fun s -> Checkpoint.flush s (frontier attempts prefix))
-      checkpoint;
-    exhausted ~attempts ~total_steps:!total_steps ?deadline_hit
-      ~incidents:(List.rev !incidents) best
-  in
-  let rec go attempt prefix =
-    match prefix with
-    | None -> fail ~attempts:(attempt - 1) ~prefix:None ()
-    | Some prefix ->
-      if attempt > budget.max_attempts then
-        fail ~attempts:(attempt - 1) ~prefix:(Some prefix) ()
-      else if deadline_passed deadline then
-        fail ~attempts:(attempt - 1) ~prefix:(Some prefix) ~deadline_hit:true
-          ()
-      else (
-        match
-          settle incidents
-            (supervise ~attempt ~worker:None (fun () ->
-                 Engine.exec_inputs ~ctx ?wall
-                   ~budget:budget.max_steps_per_attempt ~prefix labeled))
-        with
-        | None ->
-          (* poisoned: without the probe's sizes the odometer cannot
-             advance past this prefix, so the search ends gracefully
-             instead of spinning on a doomed attempt *)
-          fail ~attempts:attempt ~prefix:(Some prefix) ()
-        | Some p ->
-          let r = p.Engine.result in
-          total_steps := !total_steps + r.Interp.steps;
-          let r = Spec.apply spec r in
-          if accept r then
-            accepted ~attempts:attempt ~total_steps:!total_steps
-              ~incidents:(List.rev !incidents) r
-          else begin
-            note attempt prefix r;
-            let next = Engine.advance prefix p.Engine.sizes in
-            tick attempt next;
-            go (attempt + 1) next
-          end)
-  in
-  match resume with
-  | None -> go 1 (Some [||])
-  | Some c -> go (c.Checkpoint.attempt + 1) c.Checkpoint.prefix
-
-let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
-    ?resume budget ~spec ~accept labeled =
-  let resume = check_resume ~engine:"dfs" budget resume in
-  let seen =
-    if prune then begin
-      let seen = Engine.Seen.create () in
-      (match resume with
-      | Some c -> List.iter (Engine.Seen.add seen) c.Checkpoint.seen
-      | None -> ());
-      Some seen
-    end
-    else None
-  in
-  let total_steps =
-    ref (match resume with Some c -> c.Checkpoint.total_steps | None -> 0)
-  in
-  let pruned =
-    ref (match resume with Some c -> c.Checkpoint.pruned | None -> 0)
-  in
-  let incidents = ref [] in
-  let deadline = deadline_of budget in
-  let wall = wall_cancel deadline in
-  let ctx = Engine.make_ctx labeled in
-  let rerun prefix =
-    (* a candidate judged by the search was a completed, unpruned run, so
-       re-executing its prefix without pruning reproduces it exactly *)
-    Spec.apply spec
-      (Engine.exec_schedule ~budget:budget.max_steps_per_attempt ~prefix
-         labeled)
-        .Engine.result
-  in
-  let note, best, peek =
-    track_best ?stored:(stored_prefix resume) ~rerun score
-  in
-  let frontier attempt prefix () =
-    {
-      Checkpoint.engine = "dfs";
+      Checkpoint.engine;
       base_seed = budget.base_seed;
       attempt;
       total_steps = !total_steps;
       pruned = !pruned;
       prefix;
-      best = ckpt_best_prefix peek;
+      best = best_ckpt ();
       seen = (match seen with Some s -> Engine.Seen.elements s | None -> []);
     }
-  in
-  let tick attempt prefix =
-    Option.iter
-      (fun s -> Checkpoint.tick s (frontier attempt prefix))
-      checkpoint
   in
   let fail ~attempts ~prefix ?deadline_hit () =
     Option.iter
@@ -503,34 +412,31 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
     exhausted ~attempts ~total_steps:!total_steps ~pruned:!pruned
       ?deadline_hit ~incidents:(List.rev !incidents) best
   in
-  let rec go attempt prefix =
-    match prefix with
+  let rec go attempt = function
     | None -> fail ~attempts:(attempt - 1) ~prefix:None ()
-    | Some prefix ->
+    | Some prefix as next ->
       if attempt > budget.max_attempts then
-        fail ~attempts:(attempt - 1) ~prefix:(Some prefix) ()
+        fail ~attempts:(attempt - 1) ~prefix:next ()
       else if deadline_passed deadline then
-        fail ~attempts:(attempt - 1) ~prefix:(Some prefix) ~deadline_hit:true
-          ()
+        fail ~attempts:(attempt - 1) ~prefix:next ~deadline_hit:true ()
       else (
         match
           settle incidents
             (supervise ~attempt ~worker:None (fun () ->
-                 Engine.exec_schedule ~ctx ?seen ?wall
-                   ~budget:budget.max_steps_per_attempt ~prefix labeled))
+                 exec seen ?wall ~budget:max_steps ~prefix ctx))
         with
-        | None -> fail ~attempts:attempt ~prefix:(Some prefix) ()
+        | None ->
+          (* poisoned: without the probe's sizes the odometer cannot
+             advance past this prefix, so the search ends gracefully
+             instead of spinning on a doomed attempt *)
+          fail ~attempts:attempt ~prefix:next ()
         | Some p -> (
           match Engine.classify p with
           | Engine.Skipped { steps; sizes } ->
             incr pruned;
             total_steps := !total_steps + steps;
-            (match on_prune with
-            | Some f when p.Engine.early = Engine.Early_pruned -> f ~prefix
-            | _ -> ());
-            let next = Engine.advance prefix sizes in
-            tick (attempt - 1) next;
-            go attempt next
+            if p.Engine.early = Engine.Early_pruned then on_prune ~prefix;
+            advance ~judged:(attempt - 1) prefix sizes
           | Engine.Attempt (r, sizes) ->
             total_steps := !total_steps + r.Interp.steps;
             let r = Spec.apply spec r in
@@ -541,17 +447,33 @@ let dfs_schedules ?(score = no_score) ?(prune = true) ?on_prune ?checkpoint
                 r
             else begin
               note attempt prefix r;
-              let next = Engine.advance prefix sizes in
-              tick attempt next;
-              go (attempt + 1) next
+              advance ~judged:attempt prefix sizes
             end))
+  (* the first [judged] attempts are done: tick, then run the next prefix *)
+  and advance ~judged prefix sizes =
+    let next = Engine.advance prefix sizes in
+    Option.iter (fun s -> Checkpoint.tick s (frontier judged next)) checkpoint;
+    go (judged + 1) next
   in
   match resume with
   | None -> go 1 (Some [||])
   | Some c -> go (c.Checkpoint.attempt + 1) c.Checkpoint.prefix
 
+let enumerate_inputs ?score ?checkpoint ?resume budget ~spec ~accept labeled =
+  odometer ~engine:"inputs" ~exec:(fun _ -> Engine.exec_inputs) ?score
+    ?checkpoint ?resume budget ~spec ~accept labeled
+
+let dfs_schedules ?score ?(prune = true) ?on_prune ?checkpoint ?resume budget
+    ~spec ~accept labeled =
+  odometer ~engine:"dfs"
+    ~exec:(fun seen -> Engine.exec_schedule ?seen)
+    ?seen:(if prune then Some (Engine.Seen.create ()) else None)
+    ?on_prune ?score ?checkpoint ?resume budget ~spec ~accept labeled
+
 let run_schedule_prefix ?(max_steps = 50_000) ~prefix labeled =
-  let p = Engine.exec_schedule ~budget:max_steps ~prefix labeled in
+  let p =
+    Engine.exec_schedule ~budget:max_steps ~prefix (Engine.make_ctx labeled)
+  in
   (p.Engine.result, p.Engine.sizes)
 
 (* ------------------------------------------------------------------ *)
@@ -559,24 +481,9 @@ let run_schedule_prefix ?(max_steps = 50_000) ~prefix labeled =
 
 let scan_engine = "scan"
 
-let check_scan_resume ~from = function
-  | None -> None
-  | Some (ck : Checkpoint.t) ->
-    if not (String.equal ck.Checkpoint.engine scan_engine) then
-      invalid_arg
-        (Printf.sprintf
-           "first_success: cannot resume a %S checkpoint in a seed scan"
-           ck.Checkpoint.engine);
-    if ck.Checkpoint.base_seed <> from then
-      invalid_arg
-        (Printf.sprintf
-           "first_success: checkpoint scan origin %d does not match from=%d"
-           ck.Checkpoint.base_seed from);
-    Some ck
-
 let first_success ?(jobs = 1) ?tuning ?est_attempt_steps ?checkpoint ?resume
     ~from ~count ~f () =
-  let resume = check_scan_resume ~from resume in
+  let resume = check_resume ~engine:scan_engine ~origin:from resume in
   let last = from + count - 1 in
   let frontier i () =
     {

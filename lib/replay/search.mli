@@ -21,8 +21,15 @@
     computed uniformly. Each engine is written once. Random restarts and
     seed scans judge their attempts through one {!Par_search.pool}: an
     in-order loop at [jobs <= 1], the same attempts fanned over OCaml 5
-    domains at [jobs > 1], with outcomes that cannot differ. The odometer
-    engines run in order; they take no [jobs]. *)
+    domains at [jobs > 1], with outcomes that cannot differ. The two
+    odometer engines are one in-order loop — resume, counters,
+    best-candidate tracking, checkpoint ticks and flushes, supervision,
+    and the rule that a pruned or clamped probe is not an attempt — which
+    each calls with only its executor ({!Engine.exec_inputs},
+    {!Engine.exec_schedule}) and, for the pruned DFS, a seen-set; they
+    take no [jobs]. One resume check serves every engine: a checkpoint
+    resumes only the engine kind that wrote it, from the same base seed
+    (a seed scan's [from]). *)
 
 open Mvm
 
@@ -216,20 +223,15 @@ val run_schedule_prefix :
 (**/**)
 
 (** A site-priority hint for attempt worlds: sids a static analysis
-    flagged as race-candidate sites. Searches seeded with
-    {!priority_world} schedule threads sitting at a suspect site first
-    (biased, never exclusive), which tends to surface racy interleavings
-    in fewer attempts. *)
+    flagged as race-candidate sites. Restart searches whose worlds are
+    {!Mvm.World.prioritized} by {!site_prefer} schedule threads sitting
+    at a suspect site first (biased, never exclusive), which tends to
+    surface racy interleavings in fewer attempts. *)
 type site_priority = { sids : int list }
 
 (** [site_prefer p] is the candidate predicate ("next statement is a
     suspect site"). *)
 val site_prefer : site_priority -> Mvm.World.cand -> bool
-
-(** [priority_world p ~seed] is {!Mvm.World.prioritized} over [p]'s
-    sites — a drop-in replacement for [World.random ~seed] in restart
-    searches. *)
-val priority_world : site_priority -> seed:int -> Mvm.World.t
 
 (* deadlines are absolute monotonic instants (Obs.Clock ns), immune to
    wall-clock steps; tests drive them through Obs.Clock.set_source *)

@@ -7,13 +7,18 @@
      fixtures/dist.{NODE.shard,causal}
                                       Sharded_log.save_via ~causal
      fixtures/frontier.ckpt           Checkpoint.write
+     fixtures/{inputs,dfs}.ckpt       Search.enumerate_inputs and
+                                      Search.dfs_schedules, flushing
+                                      through Checkpoint.sink ~every:1
 
    The entry streams (every_kind.log, the shards, the segments and
    seg.header) and dist.causal were first written by the Printf/Scanf
    codec that the allocation-light one replaced (kept as Ref_codec).
    seg.manifest dates from the segment manifest's move to the shared
    manifest grammar (ddet-manifest v2), and frontier.ckpt from
-   checkpoints becoming framed-line files (ddet-ckpt v2).
+   checkpoints becoming framed-line files (ddet-ckpt v2). inputs.ckpt and
+   dfs.ckpt were written by the two odometer engines before they came to
+   share one loop.
 
    Changing anything here orphans the fixtures: the bytes on disk are the
    contract, so the writers must keep reproducing them. *)
@@ -117,8 +122,40 @@ let checkpoint =
     seen = [ 42; 1337; -7 ];
   }
 
+(* two engine frontiers: the file a search flushes when its attempt
+   budget runs out under [Checkpoint.sink ~every:1]. Input enumeration
+   on the paper's adder keeps the largest sum as its best candidate; the
+   pruned DFS on the racy counter never accepts, so its frontier carries
+   a best-candidate prefix, a pruned count and seen digests. They pin
+   what the odometer engines write, not only how a checkpoint encodes. *)
+
+let float_output chan r =
+  match Trace.outputs_on r.Interp.trace chan with
+  | [ Value.Vint n ] -> float_of_int n
+  | _ -> 0.
+
+let inputs_search ~checkpoint =
+  let adder = Ddet_apps.Adder.app () in
+  Search.enumerate_inputs ~checkpoint ~score:(float_output "sum")
+    { Search.max_attempts = 12; max_steps_per_attempt = 1_000; base_seed = 1;
+      deadline_s = None }
+    ~spec:adder.Ddet_apps.App.spec
+    ~accept:(fun r -> r.Interp.failure <> None)
+    adder.Ddet_apps.App.labeled
+
+let dfs_search ~checkpoint =
+  Search.dfs_schedules ~checkpoint
+    ~score:(fun r -> 8. -. float_output "out" r)
+    { Search.max_attempts = 10; max_steps_per_attempt = 5_000; base_seed = 1;
+      deadline_s = None }
+    ~spec:Ddet.Experiment.racy_counter_spec
+    ~accept:(fun _ -> false)
+    Ddet.Experiment.racy_counter
+
 let log_file = "every_kind.log"
 let seg_base = "seg"
 let seg_entries = 8
 let dist_base = "dist"
 let ckpt_file = "frontier.ckpt"
+let inputs_ckpt_file = "inputs.ckpt"
+let dfs_ckpt_file = "dfs.ckpt"

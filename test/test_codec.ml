@@ -1,6 +1,7 @@
 (* Every on-disk evidence format: CRC32 known answers; the committed
    format fixtures, which the writers must reproduce byte for byte and
-   the readers must load; a differential law against the Printf/Scanf
+   the readers must load, including the checkpoints the odometer
+   engines flush; a differential law against the Printf/Scanf
    codec the allocation-light one replaced (Ref_codec), over recorded
    and arbitrary logs, their every-byte truncations and random
    single-byte flips; and a law that the monolithic, segmented and
@@ -147,6 +148,14 @@ let test_checkpoint_fixture () =
     | Error _ -> ()
   done;
   Sys.remove path
+
+(* an odometer engine's flushed frontier, byte for byte *)
+let test_engine_checkpoint file search () =
+  let dir = fresh_dir () in
+  let sink = Checkpoint.sink ~every:1 (Filename.concat dir file) in
+  ignore (search ~checkpoint:sink);
+  check_written dir file;
+  remove_dir dir
 
 (* ------------------------------------------------------------------ *)
 (* the differential law *)
@@ -500,6 +509,12 @@ let () =
           Alcotest.test_case "segment set" `Quick test_segment_fixture;
           Alcotest.test_case "sharded recording" `Quick test_sharded_fixture;
           Alcotest.test_case "search checkpoint" `Quick test_checkpoint_fixture;
+          Alcotest.test_case "input enumeration frontier" `Quick
+            (test_engine_checkpoint Codec_fixtures.inputs_ckpt_file
+               Codec_fixtures.inputs_search);
+          Alcotest.test_case "pruned dfs frontier" `Quick
+            (test_engine_checkpoint Codec_fixtures.dfs_ckpt_file
+               Codec_fixtures.dfs_search);
         ] );
       ( "differential",
         List.map QCheck_alcotest.to_alcotest

@@ -307,7 +307,7 @@ let test_clamped_digit_is_exhausted () =
      clamped decision and report the true fan-out so the odometer carries
      past the dead branch instead of re-running its clamped duplicate *)
   let probe =
-    Engine.exec_schedule ~budget:5_000 ~prefix:[| 99 |] labeled
+    Engine.exec_schedule ~budget:5_000 ~prefix:[| 99 |] (Engine.make_ctx labeled)
   in
   (match probe.Engine.early with
   | Engine.Early_clamped -> ()
