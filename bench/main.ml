@@ -129,10 +129,10 @@ let micro () =
    (cap_domains clamps N to the machine's cores) and an uncapped jobs=N
    row that is honestly labelled "contended" when it oversubscribes the
    machine — oversubscribed rows measure scheduler overhead, not
-   speedup. The DFS engines run in order at any jobs, so they get the
-   sequential row only. Also: a chunk-size sweep of the claim
-   granularity. Optionally dumps machine-readable results to
-   BENCH_search.json (schema 3). *)
+   speedup. The DFS runs in order at any jobs, so it gets the sequential
+   row only. Also: a chunk-size sweep of the claim granularity.
+   Optionally dumps machine-readable results to BENCH_search.json
+   (schema 3). *)
 
 type search_row = {
   workload : string;
@@ -217,11 +217,8 @@ let search_bench ~tiny ~jobs ~json () =
            the odometer engines run in order and take no jobs *)
         let engines =
           [
-            ( "dfs-pruned", false,
+            ( "dfs", false,
               fun _ _ -> Search.dfs_schedules bud ~spec ~accept labeled );
-            ( "dfs-noprune", false,
-              fun _ _ ->
-                Search.dfs_schedules ~prune:false bud ~spec ~accept labeled );
             ( "restarts", true,
               fun tuning j ->
                 Search.random_restarts ~jobs:j ~tuning bud
@@ -302,19 +299,6 @@ let search_bench ~tiny ~jobs ~json () =
     let steps = max 1 r.stats.Ddet_replay.Search.total_steps in
     r.wall_s *. 1e9 /. float_of_int steps
   in
-  (* measured pruning factor: DFS machine-steps burned without pruning
-     over steps burned with it, same workload, sequential *)
-  let pruning_factor workload =
-    let steps engine =
-      List.find
-        (fun r ->
-          r.workload = workload && r.engine = engine
-          && r.sr_mode = "sequential")
-        rows
-      |> fun r -> float_of_int (max 1 r.stats.Ddet_replay.Search.total_steps)
-    in
-    steps "dfs-noprune" /. steps "dfs-pruned"
-  in
   let table_rows =
     List.map
       (fun r ->
@@ -343,17 +327,10 @@ let search_bench ~tiny ~jobs ~json () =
          of %d runs. eff is the domain count after the default cap policy\n\
          (capped rows were clamped to the cores); contended rows switch the\n\
          cap off and oversubscribe the machine on purpose - they price\n\
-         scheduler overhead, not speedup. The DFS engines run in order at\n\
-         any jobs. Outcomes (ok/attempts/pruned/steps) are identical at\n\
-         every jobs value by construction. Pruning\n\
-         factor (DFS steps without pruning / with pruning, sequential):\n\
-         %s.\n"
+         scheduler overhead, not speedup. The DFS runs in order at any\n\
+         jobs. Outcomes (ok/attempts/pruned/steps) are identical at every\n\
+         jobs value by construction.\n"
         cores trials
-        (String.concat ", "
-           (List.map
-              (fun (w, _, _, _) ->
-                Printf.sprintf "%s %.2fx" w (pruning_factor w))
-              cases))
   in
   Ddet_metrics.Report.print_section "SEARCH engine wall-clock" body;
   if sweep <> [] then
@@ -396,19 +373,13 @@ let search_bench ~tiny ~jobs ~json () =
        \  \"policy\": \"default tuning caps jobs at cores \
        (capped rows); contended rows switch the cap off and \
        oversubscribe on purpose - they price scheduler overhead, not \
-       speedup; dfs engines run in order at any jobs (sequential rows \
+       speedup; the dfs runs in order at any jobs (sequential rows \
        only)\",\n\
        \  \"tuning_default\": { \"chunk\": %d, \
        \"window_per_job\": %d, \"spawn_cost_steps\": %d },\n\
-       \  \"pruning_step_factor\": { %s },\n\
        \  \"rows\": [\n%s\n  ],\n  \"chunk_sweep\": [\n%s\n  ]\n}\n"
       cores jobs tiny trials t.Par_search.chunk t.Par_search.window_per_job
       t.Par_search.spawn_cost_steps
-      (String.concat ", "
-         (List.map
-            (fun (w, _, _, _) ->
-              Printf.sprintf "%S: %.3f" w (pruning_factor w))
-            cases))
       (String.concat ",\n" (List.map row_json rows))
       (String.concat ",\n" (List.map sweep_json sweep));
     close_out oc;
@@ -543,12 +514,20 @@ let crash_bench ~tiny ~json () =
             base_seed = 1; deadline_s = None } );
     ]
   in
+  (* the outcome, not the run's buffers: [=] on results would also
+     compare the trace's spare capacity, which depends on how warm the
+     search's arena was when the run happened *)
   let same (a : Search.outcome) (b : Search.outcome) =
-    a.Search.result = b.Search.result
-    && a.Search.partial = b.Search.partial
-    && a.Search.stats.Search.attempts = b.Search.stats.Search.attempts
-    && a.Search.stats.Search.total_steps = b.Search.stats.Search.total_steps
-    && a.Search.stats.Search.pruned = b.Search.stats.Search.pruned
+    let run (r : Interp.result) =
+      ( r.Interp.status, r.Interp.steps, Trace.events r.Interp.trace,
+        r.Interp.outputs, r.Interp.failure )
+    in
+    let partial (p : Search.partial) =
+      (p.Search.closeness, p.Search.attempt, run p.Search.best)
+    in
+    a.Search.stats = b.Search.stats
+    && Option.map run a.Search.result = Option.map run b.Search.result
+    && Option.map partial a.Search.partial = Option.map partial b.Search.partial
   in
   let rows =
     List.concat_map
@@ -583,7 +562,7 @@ let crash_bench ~tiny ~json () =
                 Search.random_restarts ?checkpoint ?resume b
                   ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                   ~spec ~accept labeled );
-            ( "dfs-pruned",
+            ( "dfs",
               fun ?checkpoint ?resume b ->
                 Search.dfs_schedules ?checkpoint ?resume b ~spec ~accept
                   labeled );
@@ -682,8 +661,8 @@ let crash_bench ~tiny ~json () =
        budget flushing its frontier - byte-identical to the file a SIGKILL\n\
        leaves), then resumed to completion; kill+resume is the total\n\
        wall-clock tax of crashing once. parity: the resumed outcome\n\
-       (result, partial, attempts, steps, pruned) equals the\n\
-       uninterrupted run's.\n"
+       (search stats; status, steps, events, outputs and failure of the\n\
+       result and the partial) equals the uninterrupted run's.\n"
   in
   Ddet_metrics.Report.print_section "CRASH checkpoint overhead and resume"
     body;

@@ -613,7 +613,7 @@ let cmd_debug app model seed replays faults jobs chunk spawn_cost deadline
 
 let cmd_classify app =
   let prepared = Session.prepare (Model.Rcse Model.Code_based) app in
-  let training = Session.training_runs Config.default app in
+  let training = Session.training_runs app in
   Format.printf "taint profile (%d training runs):@.%a@."
     (List.length training)
     Ddet_analysis.Taint_profile.pp
@@ -621,7 +621,7 @@ let cmd_classify app =
   (match prepared.Session.plane_map with
   | Some map ->
     Printf.printf "classification (threshold %.1f B/step):\n"
-      Config.default.Config.plane_threshold;
+      Ddet_analysis.Plane.default_threshold;
     List.iter
       (fun (fname, plane) ->
         Printf.printf "  %-24s %s\n" fname (Ddet_analysis.Plane.to_string plane))
@@ -716,7 +716,7 @@ let cmd_analyze app demo threshold nodes json =
     if Ddet_static.Static_report.has_lint_errors report then 1 else 0
 
 let cmd_invariants app =
-  let training = Session.training_runs Config.default app in
+  let training = Session.training_runs app in
   let inv = Ddet_analysis.Invariants.infer training in
   Format.printf "invariants from %d passing training runs:@.%a@."
     (List.length training) Ddet_analysis.Invariants.pp inv;

@@ -14,7 +14,7 @@ let () =
   let app = Bufover.app () in
 
   (* 1. Train invariants on passing runs (pre-release testing). *)
-  let training = Session.training_runs Config.default app in
+  let training = Session.training_runs app in
   let inv = Ddet_analysis.Invariants.infer training in
   Printf.printf "invariants inferred from %d passing runs:\n%s\n"
     (List.length training)

@@ -5,6 +5,8 @@ let equal a b = match a, b with Control, Control | Data, Data -> true | _ -> fal
 
 type map = (string * t) list
 
+let default_threshold = 6.0
+
 (* Strictly greater: a rate exactly at the threshold stays Control. The
    static classifier (Splane) breaks its byte-weight ties the same way,
    so a function sitting exactly on either threshold gets the

@@ -15,6 +15,12 @@ val equal : t -> t -> bool
 (** A total classification: function name to plane. *)
 type map
 
+(** The data rate (input-derived bytes per step) above which a function is
+    data-plane in every session: 6.0 — see the taint-profile calibration
+    in DESIGN.md. The static classifier's byte-weight counterpart is
+    [Splane.default_threshold]. *)
+val default_threshold : float
+
 (** [classify profile ~threshold] assigns [Data] to functions whose rate
     (input-derived bytes per step) {e strictly} exceeds [threshold]: a
     rate equal to the threshold ties toward [Control], matching the

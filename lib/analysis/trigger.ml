@@ -10,9 +10,6 @@ let manual ~name fired = { name; fired }
 let of_race_detector rd =
   { name = "race-detector"; fired = (fun e -> Race_detector.observe rd e <> None) }
 
-let of_invariants inv =
-  { name = "invariants"; fired = (fun e -> Invariants.violation inv e <> None) }
-
 let of_sites ?(name = "static-sites") sids =
   let tbl = Hashtbl.create (List.length sids) in
   List.iter (fun s -> Hashtbl.replace tbl s ()) sids;

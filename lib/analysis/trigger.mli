@@ -24,10 +24,6 @@ val manual : name:string -> (Event.t -> bool) -> t
     a race at the current event. *)
 val of_race_detector : Race_detector.t -> t
 
-(** [of_invariants inv] fires on the events that violate a trained
-    invariant. *)
-val of_invariants : Invariants.t -> t
-
 (** [of_sites sids] fires on every shared read/write at one of the given
     statement sites — how a static race candidate set dials fidelity up
     at suspect code without running a sampling detector. Stateless. *)

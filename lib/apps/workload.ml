@@ -22,9 +22,6 @@ let find_failing_seed ?cause ?(exclusive = false) ?(from = 1) ?(max_seeds = 500)
       if matches r then Some r else None)
     ()
 
-let training_runs ?(n = 5) ?(from = 1000) (app : App.t) =
-  List.init n (fun k -> App.production_run app ~seed:(from + k))
-
 let failure_rate ?(n = 100) ?(from = 1) ?faults (app : App.t) =
   let failures =
     List.init n (fun k ->

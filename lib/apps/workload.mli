@@ -28,12 +28,6 @@ val find_failing_seed :
   App.t ->
   (int * Interp.result) option
 
-(** [training_runs ?n ?from app] is [n] (default 5) seeded production runs
-    — input for invariant inference and plane classification. Training
-    runs are not filtered: like pre-release testing, they may or may not
-    contain failures. *)
-val training_runs : ?n:int -> ?from:int -> App.t -> Interp.result list
-
 (** [failure_rate ?n ?from app] is the fraction of seeds whose run fails —
     workload characterisation for reports. [faults] runs the scan under a
     fault plan. *)

@@ -474,10 +474,8 @@ let search_engines ?config () =
           ]
         in
         [
-          describe "dfs (systematic, pruned)"
+          describe "dfs (systematic)"
             (Search.dfs_schedules budget ~spec ~accept labeled);
-          describe "dfs (systematic, no pruning)"
-            (Search.dfs_schedules ~prune:false budget ~spec ~accept labeled);
           describe "random restarts"
             (Search.random_restarts ~jobs budget
                ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
@@ -493,11 +491,9 @@ let search_engines ?config () =
     ^ "\n\nSystematic schedule enumeration is complete and finds the racy\n\
        counter's lost update without luck — but its frontier grows\n\
        exponentially with threads and steps, so on miniht it burns the\n\
-       whole budget permuting the earliest scheduling decisions. State-hash\n\
-       pruning (the 'pruned' column counts skipped subtrees) collapses\n\
-       interleavings that reconverge to an already-explored state and\n\
-       stretches the same attempt budget further, but the space is still\n\
-       exponential. Seeded random restarts sample the space instead and\n\
+       whole budget permuting the earliest scheduling decisions (the\n\
+       'pruned' column counts probes cut at a clamped decision).\n\
+       Seeded random restarts sample the space instead and\n\
        land on a failing interleaving quickly. This is why the replayers\n\
        use restarts (plus streaming pruning) as their default inference\n\
        engine, and why the paper warns that ultra-relaxed models can need\n\

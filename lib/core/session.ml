@@ -14,33 +14,38 @@ type prepared = {
 }
 
 (* Training models pre-release testing: only passing runs teach the
-   analyses what "normal" looks like. *)
-let training_runs (config : Config.t) (app : App.t) =
+   analyses what "normal" looks like — five of them, scanned upward from
+   seed 1000, well away from the seeds experiments fail on. *)
+let training_runs (app : App.t) =
+  let first = 1000 in
   let rec scan seed acc n =
-    if n = 0 || seed > config.training_seed_base + 300 then List.rev acc
+    if n = 0 || seed > first + 300 then List.rev acc
     else
       let r = App.production_run app ~seed in
       match r.Interp.failure with
       | None -> scan (seed + 1) (r :: acc) (n - 1)
       | Some _ -> scan (seed + 1) acc n
   in
-  scan config.training_seed_base [] config.training_runs
+  scan first [] 5
 
 let code_selector plane_map = Plane.selector plane_map
 
 let data_selector invariants = Invariants.selector invariants
 
-let trigger_selector (config : Config.t) () =
-  Trigger.selector ~sticky:true ~window:config.trigger_window
-    [ Trigger.of_race_detector (Race_detector.create config.race_config) ]
+let trigger_selector () =
+  Trigger.selector ~sticky:true
+    [
+      Trigger.of_race_detector
+        (Race_detector.create Race_detector.default_config);
+    ]
 
 let prepare ?(config = Config.default) model (app : App.t) =
-  let trained = lazy (training_runs config app) in
+  let trained = lazy (training_runs app) in
   let plane_map =
     lazy
       (Plane.classify
          (Taint_profile.of_results (Lazy.force trained))
-         ~threshold:config.plane_threshold)
+         ~threshold:Plane.default_threshold)
   in
   let invariants = lazy (Invariants.infer (Lazy.force trained)) in
   let make_recorder, plane_used, inv_used =
@@ -65,7 +70,7 @@ let prepare ?(config = Config.default) model (app : App.t) =
     | Model.Rcse Model.Trigger_based ->
       ( (fun ?govern () ->
           Rcse_recorder.create ?flight:config.Config.flight_ring ?govern
-            (trigger_selector config ())),
+            (trigger_selector ())),
         false,
         false )
     | Model.Rcse Model.Combined ->
@@ -75,7 +80,7 @@ let prepare ?(config = Config.default) model (app : App.t) =
                [
                  code_selector (Lazy.force plane_map);
                  data_selector (Lazy.force invariants);
-                 trigger_selector config ();
+                 trigger_selector ();
                ])),
         true,
         true )

@@ -150,7 +150,7 @@ val experiment_ensemble :
   seed:int ->
   Ddet_metrics.Utility.assessment
 
-(** [training_runs config app] is the passing runs used to train analyses
-    (scans seeds from [config.training_seed_base]). Exposed for examples
-    and tests. *)
-val training_runs : Config.t -> App.t -> Interp.result list
+(** [training_runs app] is the passing runs used to train analyses: the
+    first five, scanning seeds upward from 1000. Exposed for examples and
+    tests. *)
+val training_runs : App.t -> Interp.result list

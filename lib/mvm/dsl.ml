@@ -22,7 +22,6 @@ let ( >=: ) a b = Binop (Ge, a, b)
 let ( &&: ) a b = Binop (And, a, b)
 let ( ||: ) a b = Binop (Or, a, b)
 let ( ^: ) a b = Binop (Concat, a, b)
-let not_ e = Unop (Not, e)
 let str_len e = Unop (Str_len, e)
 let min_ a b = Binop (Min, a, b)
 let max_ a b = Binop (Max, a, b)

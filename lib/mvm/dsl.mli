@@ -38,7 +38,6 @@ val ( ||: ) : expr -> expr -> expr
 
 (** string concatenation *)
 val ( ^: ) : expr -> expr -> expr
-val not_ : expr -> expr
 val str_len : expr -> expr
 val min_ : expr -> expr -> expr
 val max_ : expr -> expr -> expr

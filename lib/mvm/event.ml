@@ -17,11 +17,6 @@ type kind =
 
 type t = { step : int; tid : int; sid : int; fname : string; kind : kind }
 
-let is_sync t =
-  match t.kind with
-  | Msg_send _ | Msg_recv _ | Lock_acq _ | Lock_rel _ | Spawned _ -> true
-  | Step | Read _ | Write _ | In _ | Out _ | Crashed _ -> false
-
 let is_shared_access t =
   match t.kind with
   | Read _ | Write _ -> true

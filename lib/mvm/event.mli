@@ -34,10 +34,6 @@ type t = {
   kind : kind;
 }
 
-(** [is_sync e] is [true] for synchronisation events (lock, message send and
-    receive, spawn) — the events an ODR-style sync-schedule recorder logs. *)
-val is_sync : t -> bool
-
 (** [is_shared_access e] is [true] for [Read]/[Write] events. *)
 val is_shared_access : t -> bool
 

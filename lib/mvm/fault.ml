@@ -45,32 +45,17 @@ let has_node_faults plan = List.exists is_node_fault plan.faults
 (* ------------------------------------------------------------------ *)
 (* deterministic coins
 
-   Each decision is a pure splitmix64-style hash of the plan seed, a salt
+   Each decision is a pure hash ({!Prng.coin}) of the plan seed, a salt
    distinguishing the fault kind, and the decision's coordinates. Purity
    is load-bearing: the scheduler consults on_try_recv once to decide
    whether a blocked Recv is runnable and again to execute it, within the
    same step — a stream-drawing PRNG would desynchronise the two calls. *)
 
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let mix_int h x =
-  mix64 (Int64.add (Int64.logxor h (Int64.of_int x)) 0x9E3779B97F4A7C15L)
-
 let str_salt s =
   String.fold_left (fun h c -> (h * 31) + Char.code c) (String.length s) s
 
 let coin plan ~salt ~step ~tid ~sid ~chan =
-  let h = mix_int (Int64.of_int plan.seed) salt in
-  let h = mix_int h step in
-  let h = mix_int h tid in
-  let h = mix_int h sid in
-  let h = mix_int h (str_salt chan) in
-  (* top 53 bits as a float in [0, 1) *)
-  Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
+  Prng.coin plan.seed [ salt; step; tid; sid; str_salt chan ]
 
 let salt_drop = 1
 let salt_dup = 2

@@ -99,10 +99,3 @@ let fname_of t sid = (site t sid).fname
 let sites t =
   Hashtbl.fold (fun sid s acc -> (sid, s) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let n_sites t = Hashtbl.length t
-
-let sites_of_fname t fname =
-  sites t
-  |> List.filter_map (fun (sid, s) ->
-         if String.equal s.fname fname then Some sid else None)

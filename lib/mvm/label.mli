@@ -33,9 +33,3 @@ val fname_of : table -> int -> string
 
 (** [sites t] is all (sid, site) pairs in ascending id order. *)
 val sites : table -> (int * site) list
-
-(** [n_sites t] is the number of labelled sites. *)
-val n_sites : table -> int
-
-(** [sites_of_fname t fname] is the ids of all sites inside [fname]. *)
-val sites_of_fname : table -> string -> int list

@@ -34,3 +34,21 @@ let pick t xs =
   match xs with
   | [] -> invalid_arg "Prng.pick: empty list"
   | _ -> List.nth xs (int t (List.length xs))
+
+(* the stateless form: each coordinate steps a splitmix64 state that
+   starts at the previous hash xor the coordinate; the top 53 bits of the
+   result make the float. [next] keeps its own inline copy of the
+   finaliser: it is on the scheduling hot path. *)
+let mix64 z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+let coin seed coords =
+  let h =
+    List.fold_left
+      (fun h x -> mix64 (Int64.add (Int64.logxor h (Int64.of_int x)) golden))
+      (Int64.of_int seed) coords
+  in
+  Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.

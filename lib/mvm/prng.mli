@@ -29,3 +29,10 @@ val float : t -> float
 (** [pick t xs] is a uniformly chosen element of [xs].
     @raise Invalid_argument on the empty list. *)
 val pick : t -> 'a list -> 'a
+
+(** [coin seed coords] is a stateless draw, uniform in [0, 1): the
+    splitmix64 finaliser folded over [seed] and then each of [coords] in
+    order. Equal arguments give equal coins with no generator to thread
+    through, which fault injection needs: a decision may be consulted
+    twice within one step and must come out the same both times. *)
+val coin : int -> int list -> float

@@ -85,14 +85,6 @@ let array_cell_at t region ~index ~init ~step =
       | _ -> acc)
     init t
 
-let accesses_to t region =
-  filter
-    (fun (e : Event.t) ->
-      match e.kind with
-      | Event.Read a | Event.Write a -> String.equal a.region region
-      | _ -> false)
-    t
-
 let sched_points t =
   fold
     (fun acc (e : Event.t) ->

@@ -55,9 +55,6 @@ val scalar_at : t -> string -> init:Value.t -> step:int -> Value.t
     [scalar_at]. *)
 val array_cell_at : t -> string -> index:int -> init:Value.t -> step:int -> Value.t
 
-(** [accesses_to t region] is all read/write events touching [region]. *)
-val accesses_to : t -> string -> Event.t list
-
 (** [sched_points t] is the [(tid, sid)] sequence of all scheduler steps —
     a perfect-determinism schedule log. *)
 val sched_points : t -> (int * int) list

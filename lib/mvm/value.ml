@@ -52,8 +52,6 @@ type tagged = { v : t; taint : Taint.t }
 let untainted v = { v; taint = Taint.empty }
 let tag v taint = { v; taint }
 
-let equal_tagged a b = equal a.v b.v && Taint.equal a.taint b.taint
-
 let pp_tagged ppf { v; taint } =
   if Taint.is_empty taint then pp ppf v
   else Format.fprintf ppf "%a%a" pp v Taint.pp taint

@@ -45,5 +45,4 @@ val untainted : t -> tagged
 (** [tag v taint] builds a tagged value. *)
 val tag : t -> Taint.t -> tagged
 
-val equal_tagged : tagged -> tagged -> bool
 val pp_tagged : Format.formatter -> tagged -> unit

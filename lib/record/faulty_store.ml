@@ -3,9 +3,9 @@
    Wraps a base {!Store.t} and injects faults from a reproducible plan:
    the same plan over the same operation sequence produces exactly the
    same failures, short writes and latency spikes, whatever the wall
-   clock or scheduler does. Decisions are pure splitmix64-style hashes
-   of (plan seed, fault salt, operation index), mirroring
-   {!Mvm.Fault}'s design for the execution-level worlds.
+   clock or scheduler does. Decisions are pure hashes ({!Mvm.Prng.coin})
+   of (plan seed, fault salt, operation index), the coin {!Mvm.Fault}
+   draws for the execution-level worlds.
 
    The fault vocabulary matches what production recorders die of:
 
@@ -176,23 +176,11 @@ let of_string s =
   go 0 [] clauses
 
 (* ------------------------------------------------------------------ *)
-(* deterministic coins (same mixer as Mvm.Fault) *)
-
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let mix_int h x =
-  mix64 (Int64.add (Int64.logxor h (Int64.of_int x)) 0x9E3779B97F4A7C15L)
+(* deterministic coins: the stateless hash Mvm.Fault draws from too *)
 
 let salt_flaky = 11
 
-let coin plan ~salt ~op =
-  let h = mix_int (Int64.of_int plan.seed) salt in
-  let h = mix_int h op in
-  Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
+let coin plan ~salt ~op = Mvm.Prng.coin plan.seed [ salt; op ]
 
 (* ------------------------------------------------------------------ *)
 (* the wrapper *)

@@ -320,19 +320,3 @@ let load ?(lose = []) base =
       }
 
 let all_lost l = not (List.exists shard_ok l.shards)
-
-let pp_loaded ppf l =
-  Format.fprintf ppf "sharded recording %s: %s manifest, %d node(s)" l.base
-    (if l.manifest_complete then "complete"
-     else if l.manifest_found then "damaged"
-     else "no")
-    (List.length l.nodes);
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "@ %-12s %s%s" s.node (status_name s.status)
-        (match (s.status, s.log) with
-        | Salvaged d, Some _ ->
-          Format.asprintf " (%a)" Log_io.pp_damage d
-        | Corrupt e, _ -> Printf.sprintf " (%s)" e
-        | _ -> ""))
-    l.shards

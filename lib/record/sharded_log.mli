@@ -121,5 +121,3 @@ val all_lost : loaded -> bool
 (** [exists base] — a causal manifest or at least one shard file exists
     at the base path; how the CLI distinguishes a sharded recording. *)
 val exists : string -> bool
-
-val pp_loaded : Format.formatter -> loaded -> unit

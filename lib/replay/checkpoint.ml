@@ -14,7 +14,6 @@ type t = {
   pruned : int;
   prefix : int array option;
   best : best option;
-  seen : int list;
 }
 
 let magic = "ddet-ckpt v2"
@@ -30,8 +29,7 @@ let payload_into o t =
   Log_io.add_string o magic;
   Log_io.add_char o '\n';
   let lines = ref 0 in
-  (* [head], then " i" per int straight into the buffer: a DFS
-     frontier's seen-list carries thousands of digests *)
+  (* [head], then " i" per int straight into the buffer *)
   let line head ints =
     incr lines;
     Log_io.framed o
@@ -57,7 +55,6 @@ let payload_into o t =
       | None -> line (head ^ " seed") []
       | Some p -> line (head ^ " prefix") (Array.to_list p))
     t.best;
-  if t.seen <> [] then line "seen" t.seen;
   let n = !lines in
   line "end" [ n ];
   Log_io.out_contents o
@@ -70,11 +67,13 @@ let write_payload path payload =
 let write path t = write_payload path (payload_into (Log_io.out_create 256) t)
 
 (* ------------------------------------------------------------------ *)
-(* parsing *)
+(* parsing: a key outside [keys] is an unrecognised line, which refuses
+   the file. That includes [seen], the digest set the state-hash-pruned
+   DFS used to write: an unpruned search cannot finish that search the
+   way it would have gone. *)
 
 let keys =
-  [ "engine"; "base-seed"; "attempt"; "steps"; "pruned"; "prefix"; "best";
-    "seen" ]
+  [ "engine"; "base-seed"; "attempt"; "steps"; "pruned"; "prefix"; "best" ]
 
 let ints l = try Some (List.map int_of_string l) with Failure _ -> None
 
@@ -124,7 +123,6 @@ let load path =
     let* prefix =
       optional "prefix" (fun l -> Option.map Array.of_list (ints l))
     in
-    let* seen = optional "seen" ints in
     let* best =
       optional "best" (function
         | c :: a :: key -> (
@@ -139,17 +137,7 @@ let load path =
           | _ -> None)
         | _ -> None)
     in
-    Ok
-      {
-        engine;
-        base_seed;
-        attempt;
-        total_steps;
-        pruned;
-        prefix;
-        best;
-        seen = Option.value ~default:[] seen;
-      }
+    Ok { engine; base_seed; attempt; total_steps; pruned; prefix; best }
 
 (* ------------------------------------------------------------------ *)
 (* sink *)
@@ -176,8 +164,8 @@ let path s = s.s_path
 
 (* serialise into the sink's buffer and skip the write entirely when the
    frontier payload is byte-identical to what the file already holds —
-   searches that prune or spin without advancing their odometer used to
-   rewrite the same checkpoint on every tick *)
+   searches that spin without advancing their frontier used to rewrite
+   the same checkpoint on every tick *)
 let persist s frontier =
   let payload = payload_into s.s_buf (frontier ()) in
   match s.s_last with

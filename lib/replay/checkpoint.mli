@@ -2,8 +2,7 @@
 
     A search engine's progress is tiny compared to the work it represents:
     the next decision-vector prefix (or restart attempt index), the
-    counters, the best partial execution's identity, and — for pruning
-    engines — the set of state digests already explored. A checkpoint file
+    counters and the best partial execution's identity. A checkpoint file
     captures exactly that, so a search killed mid-flight (machine crash,
     OOM kill, deadline) can be resumed with [--resume] and provably reach
     the same first-hit outcome as an uninterrupted run: engines judge
@@ -40,7 +39,6 @@ type t = {
   prefix : int array option;
       (** next decision-vector to try, for enumeration engines *)
   best : best option;
-  seen : int list;  (** pruned-state digests to replant (DFS engine) *)
 }
 
 (** [write path t] serialises atomically through the default store.
@@ -48,9 +46,12 @@ type t = {
 val write : string -> t -> unit
 
 (** [load path] parses and validates a checkpoint file. Damage (bad
-    magic, CRC mismatch, unparsable line, missing or wrong [end] count)
-    and an unreadable file are an [Error] naming the problem — a torn
-    checkpoint must never silently resume from the wrong frontier. *)
+    magic, CRC mismatch, unparsable or unknown line, missing or wrong
+    [end] count) and an unreadable file are an [Error] naming the problem
+    — a torn checkpoint must never silently resume from the wrong
+    frontier. A [seen] line, the digest set a state-hash-pruned DFS wrote
+    before pruning was retired, is an unknown line: no engine can finish
+    that search the way it would have gone. *)
 val load : string -> (t, string) result
 
 (** A sink owns the checkpoint path and decides when ticks become writes.

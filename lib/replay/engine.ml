@@ -5,22 +5,6 @@ open Mvm
    its engines from. *)
 
 (* ------------------------------------------------------------------ *)
-(* seen-set: digests of already-covered scheduling states. The DFS adds
-   to it as it runs; a checkpoint persists it so a resumed search can
-   replant it. *)
-
-module Seen = struct
-  type t = (int, unit) Hashtbl.t
-
-  let create () : t = Hashtbl.create 256
-  let mem = Hashtbl.mem
-  let add t d = Hashtbl.replace t d ()
-
-  (* snapshot for checkpointing; replant with [add] on resume *)
-  let elements t = List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) t [])
-end
-
-(* ------------------------------------------------------------------ *)
 (* odometer *)
 
 let advance prefix sizes =
@@ -47,17 +31,16 @@ let advance prefix sizes =
 (* ------------------------------------------------------------------ *)
 (* attempt results *)
 
-type early = Ran | Early_pruned | Early_clamped
+type early = Ran | Early_clamped
 
 type probe = {
   result : Interp.result;
   sizes : int list;
       (* discovered digit fan-outs, shallowest first, already truncated
-         for the pruned/clamped cases so [advance] skips the dead branch *)
+         for the clamped case so [advance] skips the dead branch *)
   early : early;
 }
 
-let reason_pruned = "pruned: scheduling state already covered"
 let reason_clamped = "clamped: decision fan-out shrank below prefix digit"
 
 (* ------------------------------------------------------------------ *)
@@ -84,15 +67,14 @@ let odometer_world prefix sizes =
 
 (* ------------------------------------------------------------------ *)
 (* per-search execution context (the arena): compile the program once,
-   then reuse the interpreter exec state, the pruner's hash tables and a
-   warm trace capacity across every attempt that runs on the same domain.
+   then reuse the interpreter exec state and a warm trace capacity across
+   every attempt that runs on the same domain.
    A ctx must never be shared between concurrent attempts — each pool
    worker builds its own. *)
 
 type ctx = {
   ctx_compiled : Interp.compiled;
   ctx_state : Interp.state;
-  ctx_hash : State_hash.t;
   mutable ctx_cap : int;
       (* last attempt's event count: the next trace starts at the size
          the previous one ended with, so appends almost never regrow *)
@@ -103,16 +85,15 @@ let make_ctx labeled =
   {
     ctx_compiled = compiled;
     ctx_state = Interp.make_state compiled;
-    ctx_hash = State_hash.create ();
     ctx_cap = 0;
   }
 
 (* one attempt's interpreter run on the ctx's compiled program and
    arena; the trace starts at the previous attempt's event count *)
-let run_attempt ?(monitors = []) ~max_steps ~abort ?cancel ctx world =
+let run_attempt ~max_steps ~abort ?cancel ctx world =
   let trace_capacity = if ctx.ctx_cap > 0 then Some ctx.ctx_cap else None in
   let r =
-    Interp.run_compiled ~max_steps ~monitors ~abort ?cancel ?trace_capacity
+    Interp.run_compiled ~max_steps ~abort ?cancel ?trace_capacity
       ~state:ctx.ctx_state ctx.ctx_compiled world
   in
   ctx.ctx_cap <- Trace.length r.Interp.trace;
@@ -133,20 +114,11 @@ let exec_inputs ?wall ~budget:(max_steps : int) ~prefix ctx =
    shallowest digit with room. Decisions with a single candidate are not
    digits: they cannot be varied.
 
-   Two instrumentation duties ride along:
-
-   - clamping: if a prefix digit meets a smaller fan-out than when the
-     prefix was generated, the schedule it denotes duplicates the one
-     with digit [n-1]. The run is cut short and the digit's size is
-     recorded as the *actual* fan-out, so [advance] carries past it
-     instead of re-exploring the same schedule under two prefixes.
-
-   - pruning: at the first decision past the prefix the canonical state
-     digest is compared against [seen]; a hit means another explored
-     subtree already covers every continuation of this state, so the run
-     is cut short and its sizes end at the prefix — the whole subtree is
-     skipped. On a miss, the digest of every post-prefix decision is
-     added to [seen]: those states' subtrees are now covered. *)
+   Clamping: if a prefix digit meets a smaller fan-out than when the
+   prefix was generated, the schedule it denotes duplicates the one with
+   digit [n-1]. The run is cut short and the digit's size is recorded as
+   the *actual* fan-out, so [advance] carries past it instead of
+   re-exploring the same schedule under two prefixes. *)
 
 (* The interpreter builds its candidate list in ascending-tid order, so
    decisions index the candidate list directly — the old List.map |>
@@ -154,9 +126,8 @@ let exec_inputs ?wall ~budget:(max_steps : int) ~prefix ctx =
    measurable per-step allocation on schedule-heavy searches. *)
 let nth_tid cands pos = (List.nth cands pos).World.tid
 
-let schedule_world ?seen ~hash ~prefix ~sizes ~stop () =
+let schedule_world ~prefix ~sizes ~stop =
   let k = ref 0 in
-  State_hash.reset hash;
   let plen = Array.length prefix in
   {
     World.name = "dfs-schedules";
@@ -168,28 +139,16 @@ let schedule_world ?seen ~hash ~prefix ~sizes ~stop () =
           let n = List.length cands in
           let i = !k in
           incr k;
+          sizes := n :: !sizes;
           if i < plen then begin
-            sizes := n :: !sizes;
             let pos = prefix.(i) in
             if pos >= n then begin
-              stop := Some (Early_clamped, reason_clamped);
+              stop := Some reason_clamped;
               nth_tid cands 0
             end
             else nth_tid cands pos
           end
-          else begin
-            (match seen with
-            | None -> sizes := n :: !sizes
-            | Some seen ->
-              let d = State_hash.digest hash in
-              if i = plen && Seen.mem seen d then
-                stop := Some (Early_pruned, reason_pruned)
-              else begin
-                Seen.add seen d;
-                sizes := n :: !sizes
-              end);
-            nth_tid cands 0
-          end);
+          else nth_tid cands 0);
     pick_input =
       (fun ~step:_ ~tid:_ ~chan:_ ~domain ->
         match domain with [] -> Value.unit | v :: _ -> v);
@@ -199,32 +158,26 @@ let schedule_world ?seen ~hash ~prefix ~sizes ~stop () =
     passive_try_recv = true;
   }
 
-let exec_schedule ?seen ?wall ~budget:(max_steps : int) ~prefix ctx =
+let exec_schedule ?wall ~budget:(max_steps : int) ~prefix ctx =
   let sizes = ref [] in
   let stop = ref None in
-  let hash = ctx.ctx_hash in
-  let world = schedule_world ?seen ~hash ~prefix ~sizes ~stop () in
-  let monitors =
-    match seen with None -> [] | Some _ -> [ State_hash.feed hash ]
-  in
+  let world = schedule_world ~prefix ~sizes ~stop in
   let result =
-    run_attempt ~monitors ~max_steps
-      ~abort:(fun _ -> Option.map snd !stop)
-      ?cancel:wall ctx world
+    run_attempt ~max_steps ~abort:(fun _ -> !stop) ?cancel:wall ctx world
   in
-  let early = match !stop with Some (e, _) -> e | None -> Ran in
+  let early = match !stop with Some _ -> Early_clamped | None -> Ran in
   { result; sizes = List.rev !sizes; early }
 
 (* ------------------------------------------------------------------ *)
-(* classification: a pruned or clamped probe is not an attempt *)
+(* classification: a clamped probe is not an attempt *)
 
 type verdict =
   | Attempt of Interp.result * int list  (** judge it; advance with sizes *)
   | Skipped of { steps : int; sizes : int list }
-      (** pruned or clamped: uncounted, advance with the truncated sizes *)
+      (** clamped: uncounted, advance with the truncated sizes *)
 
 let classify probe =
   match probe.early with
-  | Early_clamped | Early_pruned ->
+  | Early_clamped ->
     Skipped { steps = probe.result.Interp.steps; sizes = probe.sizes }
   | Ran -> Attempt (probe.result, probe.sizes)

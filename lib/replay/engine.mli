@@ -5,20 +5,6 @@
 
 open Mvm
 
-(** Digest set of already-covered scheduling states: the DFS pruner's
-    memory. Not thread-safe; one search owns it. *)
-module Seen : sig
-  type t
-
-  val create : unit -> t
-  val mem : t -> int -> bool
-  val add : t -> int -> unit
-
-  (** [elements t] snapshots the digests (sorted) — what a checkpoint
-      persists so a resumed DFS can replant its pruning state. *)
-  val elements : t -> int list
-end
-
 (** [advance prefix sizes] steps the decision odometer: bump the
     shallowest digit with room, reset everything below it, [None] when
     the space is exhausted. [sizes] are the digit fan-outs discovered by
@@ -29,29 +15,24 @@ val advance : int array -> int list -> int array option
 
 type early =
   | Ran  (** the attempt ran to its natural end *)
-  | Early_pruned  (** cut at the checkpoint: state already covered *)
   | Early_clamped  (** cut at a prefix digit whose fan-out shrank *)
 
 type probe = {
   result : Interp.result;
   sizes : int list;
       (** discovered digit fan-outs, shallowest first, already truncated
-          for the pruned/clamped cases so {!advance} skips the dead
-          branch *)
+          for the clamped case so {!advance} skips the dead branch *)
   early : early;
 }
 
 (** Per-search execution context — the arena of the search hot path. It
     holds the program compiled once ({!Interp.compile}), a reusable
-    interpreter exec state, the pruner's hash tables and a warm trace
-    capacity, all reused across every attempt executed with it: attempts
-    stop paying compile cost, table allocation and trace regrowth. Every
-    executor below requires one; a ctx never changes what an attempt
-    does, but its warm trace capacity does show in the result's trace
-    buffer, so a run that must equal a cold one (a rematerialised best
-    candidate) gets a fresh ctx. A ctx must not be shared between
-    concurrent attempts; each pool worker domain builds its own with
-    {!make_ctx}. *)
+    interpreter exec state and a warm trace capacity, all reused across
+    every attempt executed with it: attempts stop paying compile cost and
+    trace regrowth. Every executor below requires one; a ctx never
+    changes what an attempt does (only the spare capacity of the result's
+    trace buffer). A ctx must not be shared between concurrent attempts;
+    each pool worker domain builds its own with {!make_ctx}. *)
 type ctx
 
 (** [make_ctx labeled] compiles the program and allocates its arena. *)
@@ -63,7 +44,6 @@ val make_ctx : Label.labeled -> ctx
     build their own worlds — the odometer engines use {!exec_inputs} and
     {!exec_schedule} instead. *)
 val run_attempt :
-  ?monitors:(Event.t -> unit) list ->
   max_steps:int ->
   abort:(Event.t -> string option) ->
   ?cancel:(unit -> string option) ->
@@ -82,13 +62,12 @@ val exec_inputs :
   ctx ->
   probe
 
-(** [exec_schedule ?seen ~budget ~prefix ctx] runs one schedule-odometer
-    attempt. With [seen], the run is cut short at the first post-prefix
-    decision if its canonical state digest is already in [seen];
-    otherwise the digest of every post-prefix decision is added to
-    [seen]. *)
+(** [exec_schedule ~budget ~prefix ctx] runs one schedule-odometer
+    attempt: decision [k] takes the [prefix.(k)]-th runnable thread, and
+    every decision past the prefix the lowest thread id. A prefix digit
+    that meets a smaller fan-out than it was generated against cuts the
+    run short ([Early_clamped]). *)
 val exec_schedule :
-  ?seen:Seen.t ->
   ?wall:(unit -> string option) ->
   budget:int ->
   prefix:int array ->
@@ -99,8 +78,8 @@ type verdict =
   | Attempt of Interp.result * int list
       (** count and judge it; advance the odometer with these sizes *)
   | Skipped of { steps : int; sizes : int list }
-      (** pruned or clamped: not an attempt; [steps] is the inference
-          work spent before the run was cut short *)
+      (** clamped: not an attempt; [steps] is the inference work spent
+          before the run was cut short *)
 
 (** [classify probe] rules whether a probe counts as an attempt. *)
 val classify : probe -> verdict

@@ -292,7 +292,6 @@ let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
       pruned = 0;
       prefix = None;
       best = best_ckpt ();
-      seen = [];
     }
   in
   let tick attempt =
@@ -305,8 +304,8 @@ let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
   in
   let make_exec ~worker ~cancel =
     (* the search's arena (one per pool worker): program compiled once,
-       interpreter state, hash tables and warm trace capacity reused
-       across every attempt it runs *)
+       interpreter state and warm trace capacity reused across every
+       attempt it runs *)
     let ctx = Engine.make_ctx labeled in
     fun attempt ->
       supervise ~attempt ~worker (fun () ->
@@ -353,24 +352,19 @@ let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
 (* The odometer engines: attempt k+1's prefix is [Engine.advance] of
    attempt k's prefix and the fan-outs it discovered, so they run in
    order on the calling thread. One loop serves both; an engine brings
-   its name, its executor and, for the pruned DFS, a seen-set. A probe
-   the executor cut short (pruned or clamped) is not an attempt: its
-   steps count, its subtree is skipped, and the frontier advances
-   without a new attempt. *)
+   its name and its executor. A probe the executor cut short (a clamped
+   digit) is not an attempt: its steps count, its subtree is skipped, and
+   the frontier advances without a new attempt. *)
 let odometer ~engine
     ~(exec :
-       Engine.Seen.t option ->
        ?wall:(unit -> string option) ->
        budget:int ->
        prefix:int array ->
        Engine.ctx ->
-       Engine.probe) ?seen ?(on_prune = fun ~prefix:_ -> ())
-    ?(score = no_score) ?checkpoint ?resume budget ~spec ~accept labeled =
+       Engine.probe) ?(score = no_score) ?checkpoint ?resume budget ~spec
+    ~accept labeled =
   let resume = check_resume ~engine ~origin:budget.base_seed resume in
   let restored field = match resume with Some c -> field c | None -> 0 in
-  (match (seen, resume) with
-  | Some s, Some c -> List.iter (Engine.Seen.add s) c.Checkpoint.seen
-  | _ -> ());
   let total_steps = ref (restored (fun c -> c.Checkpoint.total_steps)) in
   let pruned = ref (restored (fun c -> c.Checkpoint.pruned)) in
   let incidents = ref [] in
@@ -379,14 +373,9 @@ let odometer ~engine
   let max_steps = budget.max_steps_per_attempt in
   let ctx = Engine.make_ctx labeled in
   let rerun prefix =
-    (* a judged candidate was a completed, unpruned run, so re-executing
-       its prefix without the seen-set reproduces it exactly. The rerun
-       gets a fresh arena, so its trace buffer starts cold rather than at
-       the size the search's last attempt left in [ctx]: the crash
-       bench's parity check compares results with [=], buffer included *)
-    Spec.apply spec
-      (exec None ~budget:max_steps ~prefix (Engine.make_ctx labeled))
-        .Engine.result
+    (* a judged candidate was a completed run, so re-executing its prefix
+       reproduces it exactly *)
+    Spec.apply spec (exec ~budget:max_steps ~prefix ctx).Engine.result
   in
   let note, best, best_ckpt =
     track_best
@@ -402,7 +391,6 @@ let odometer ~engine
       pruned = !pruned;
       prefix;
       best = best_ckpt ();
-      seen = (match seen with Some s -> Engine.Seen.elements s | None -> []);
     }
   in
   let fail ~attempts ~prefix ?deadline_hit () =
@@ -423,7 +411,7 @@ let odometer ~engine
         match
           settle incidents
             (supervise ~attempt ~worker:None (fun () ->
-                 exec seen ?wall ~budget:max_steps ~prefix ctx))
+                 exec ?wall ~budget:max_steps ~prefix ctx))
         with
         | None ->
           (* poisoned: without the probe's sizes the odometer cannot
@@ -435,7 +423,6 @@ let odometer ~engine
           | Engine.Skipped { steps; sizes } ->
             incr pruned;
             total_steps := !total_steps + steps;
-            if p.Engine.early = Engine.Early_pruned then on_prune ~prefix;
             advance ~judged:(attempt - 1) prefix sizes
           | Engine.Attempt (r, sizes) ->
             total_steps := !total_steps + r.Interp.steps;
@@ -460,15 +447,12 @@ let odometer ~engine
   | Some c -> go (c.Checkpoint.attempt + 1) c.Checkpoint.prefix
 
 let enumerate_inputs ?score ?checkpoint ?resume budget ~spec ~accept labeled =
-  odometer ~engine:"inputs" ~exec:(fun _ -> Engine.exec_inputs) ?score
-    ?checkpoint ?resume budget ~spec ~accept labeled
+  odometer ~engine:"inputs" ~exec:Engine.exec_inputs ?score ?checkpoint
+    ?resume budget ~spec ~accept labeled
 
-let dfs_schedules ?score ?(prune = true) ?on_prune ?checkpoint ?resume budget
-    ~spec ~accept labeled =
-  odometer ~engine:"dfs"
-    ~exec:(fun seen -> Engine.exec_schedule ?seen)
-    ?seen:(if prune then Some (Engine.Seen.create ()) else None)
-    ?on_prune ?score ?checkpoint ?resume budget ~spec ~accept labeled
+let dfs_schedules ?score ?checkpoint ?resume budget ~spec ~accept labeled =
+  odometer ~engine:"dfs" ~exec:Engine.exec_schedule ?score ?checkpoint
+    ?resume budget ~spec ~accept labeled
 
 let run_schedule_prefix ?(max_steps = 50_000) ~prefix labeled =
   let p =
@@ -494,7 +478,6 @@ let first_success ?(jobs = 1) ?tuning ?est_attempt_steps ?checkpoint ?resume
       pruned = 0;
       prefix = None;
       best = None;
-      seen = [];
     }
   in
   let tick i =

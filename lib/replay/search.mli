@@ -12,8 +12,7 @@
       assignments under a deterministic schedule (ESD-style synthesis for
       input-dependent bugs). Complete for programs whose only
       nondeterminism is input data.
-    - {!dfs_schedules} — systematic interleaving enumeration with
-      state-hash pruning.
+    - {!dfs_schedules} — systematic interleaving enumeration.
 
     {!first_success} is the seed scan behind workload selection.
 
@@ -24,12 +23,11 @@
     domains at [jobs > 1], with outcomes that cannot differ. The two
     odometer engines are one in-order loop — resume, counters,
     best-candidate tracking, checkpoint ticks and flushes, supervision,
-    and the rule that a pruned or clamped probe is not an attempt — which
-    each calls with only its executor ({!Engine.exec_inputs},
-    {!Engine.exec_schedule}) and, for the pruned DFS, a seen-set; they
-    take no [jobs]. One resume check serves every engine: a checkpoint
-    resumes only the engine kind that wrote it, from the same base seed
-    (a seed scan's [from]). *)
+    and the rule that a clamped probe is not an attempt — which each
+    calls with only its executor ({!Engine.exec_inputs},
+    {!Engine.exec_schedule}); they take no [jobs]. One resume check
+    serves every engine: a checkpoint resumes only the engine kind that
+    wrote it, from the same base seed (a seed scan's [from]). *)
 
 open Mvm
 
@@ -68,9 +66,9 @@ type stats = {
   attempts : int;  (** executions actually run and judged *)
   total_steps : int;  (** VM steps across all attempts (inference work) *)
   pruned : int;
-      (** schedule prefixes skipped by the DFS pruner (state already
-          covered, or a clamped digit); their probe steps are included in
-          [total_steps], but they are not [attempts] *)
+      (** DFS probes cut short at a clamped prefix digit (see
+          {!dfs_schedules}); their steps are included in [total_steps],
+          but they are not [attempts] *)
   success : bool;
   deadline_hit : bool;  (** the wall-clock deadline ended the search *)
   incidents : incident list;
@@ -151,7 +149,7 @@ val enumerate_inputs :
   Label.labeled ->
   outcome
 
-(** [dfs_schedules ?prune budget ~spec ~accept labeled] systematically
+(** [dfs_schedules budget ~spec ~accept labeled] systematically
     enumerates thread interleavings depth-first: each run follows a
     decision prefix and extends it with a default policy (lowest thread
     id), recording the fan-out at every scheduling point; backtracking
@@ -162,25 +160,12 @@ val enumerate_inputs :
     synthesis, complete for small programs, exponential in general (which
     is the point of the ABL-SEARCH comparison against random restarts).
 
-    [prune] (default [true]) enables state-hash subtree pruning — a poor
-    man's partial-order reduction: at the first decision past its prefix,
-    a run whose canonical state digest (see {!State_hash}) was already
-    reached by an explored subtree is cut short and its whole subtree
-    skipped, since every continuation reproduces already-judged status,
-    outputs and failure. Pruning assumes [accept] judges runs through
-    those interleaving-invariant projections (every driver in this
-    repository does); pass [~prune:false] for an accept that inspects raw
-    global event order. Skipped prefixes are counted in [stats.pruned].
     A prefix digit that meets a smaller fan-out than it was generated
     against is treated as an exhausted branch (the schedule it denotes
-    duplicates an already-enumerated one) and also counts as pruned.
-
-    [on_prune] is a debug/test hook invoked with each state-hash-pruned
-    prefix. *)
+    duplicates an already-enumerated one): the probe is cut short and
+    counted in [stats.pruned], not as an attempt. *)
 val dfs_schedules :
   ?score:(Interp.result -> float) ->
-  ?prune:bool ->
-  ?on_prune:(prefix:int array -> unit) ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   budget ->
@@ -211,9 +196,9 @@ val first_success :
   (int * 'a) option
 
 (** [run_schedule_prefix ~prefix labeled] executes the single schedule
-    denoted by [prefix] (default policy past it), with no pruning,
-    returning the run and the discovered decision fan-outs — the tool
-    tests use to check that a pruned prefix really was redundant. *)
+    denoted by [prefix] (default policy past it), returning the run and
+    the discovered decision fan-outs — what tests use to run one point
+    of the DFS's space, such as the default schedule as a baseline. *)
 val run_schedule_prefix :
   ?max_steps:int ->
   prefix:int array ->

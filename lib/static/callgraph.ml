@@ -233,8 +233,6 @@ let entries_reaching t fname =
 
 let accesses t = t.accesses
 
-let prologue_sids t = IS.elements t.prologue
-
 let in_prologue t sid = IS.mem sid t.prologue
 
 (* Two sites can execute in different threads at the same time: they are

@@ -54,10 +54,6 @@ val entries_reaching : t -> string -> entry list
     an access (the interpreter emits no Read event for it). *)
 val accesses : t -> access list
 
-(** Sites in [main]'s leading statements that run before the first
-    possible spawn — single-threaded by construction. *)
-val prologue_sids : t -> int list
-
 val in_prologue : t -> int -> bool
 
 (** [concurrent t a b] holds when sites [a] and [b] can execute in two

@@ -214,9 +214,6 @@ let suspect_sids r =
        (fun c -> [ c.a.Callgraph.sid; c.b.Callgraph.sid ])
        r.candidates)
 
-let lockset_at r sid =
-  Option.map SS.elements (Hashtbl.find_opt r.locksets sid)
-
 let pp_candidate ppf c =
   let locks = function
     | [] -> "{}"

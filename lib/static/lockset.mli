@@ -36,8 +36,4 @@ val candidates : result -> candidate list
     sites handed to the RCSE trigger and the search priority hint. *)
 val suspect_sids : result -> int list
 
-(** Must-held lockset at a site; [None] when the site is statically
-    unreachable. *)
-val lockset_at : result -> int -> string list option
-
 val pp_candidate : Format.formatter -> candidate -> unit

@@ -125,19 +125,6 @@ let code_selector t =
       | P.Control -> Ddet_record.Fidelity_level.High
       | P.Data -> Ddet_record.Fidelity_level.Low)
 
-let node_site_selector t ~node =
-  let sids =
-    match List.find_opt (fun v -> v.node = node) (node_views t) with
-    | Some v -> v.suspects
-    | None -> []
-  in
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun sid -> Hashtbl.replace tbl sid ()) sids;
-  Ddet_record.Fidelity_level.by_site
-    ~name:(Printf.sprintf "static-sites@%s" node) (fun sid ->
-      if Hashtbl.mem tbl sid then Ddet_record.Fidelity_level.High
-      else Ddet_record.Fidelity_level.Low)
-
 (* shard write order: nodes carrying more suspect sites first, map order
    breaking ties — under hostile stores the most diagnostic shard hits
    disk with the fewest writes in front of it *)

@@ -69,13 +69,6 @@ val trigger_selector :
     accesses. *)
 val site_selector : t -> Ddet_record.Fidelity_level.selector
 
-(** [node_site_selector t ~node]: the {!site_selector} restricted to the
-    suspect sites that can execute on [node] — what that node's recorder
-    should run, cheaper than the global selector whenever the races
-    cluster elsewhere. Selects nothing for an unknown node or without
-    [~nodes]. *)
-val node_site_selector : t -> node:string -> Ddet_record.Fidelity_level.selector
-
 (** The static code-based selector: high fidelity in statically
     control-plane functions, no training runs. *)
 val code_selector : t -> Ddet_record.Fidelity_level.selector

@@ -10,15 +10,19 @@
      fixtures/{inputs,dfs}.ckpt       Search.enumerate_inputs and
                                       Search.dfs_schedules, flushing
                                       through Checkpoint.sink ~every:1
+     fixtures/dfs-pruned.ckpt         the state-hash-pruned DFS, since
+                                      retired; Checkpoint.load refuses it
 
    The entry streams (every_kind.log, the shards, the segments and
    seg.header) and dist.causal were first written by the Printf/Scanf
    codec that the allocation-light one replaced (kept as Ref_codec).
    seg.manifest dates from the segment manifest's move to the shared
    manifest grammar (ddet-manifest v2), and frontier.ckpt from
-   checkpoints becoming framed-line files (ddet-ckpt v2). inputs.ckpt and
-   dfs.ckpt were written by the two odometer engines before they came to
-   share one loop.
+   checkpoints losing the pruned DFS's seen line. inputs.ckpt was written
+   by the input odometer before the two odometer engines came to share
+   one loop, and dfs.ckpt by the DFS of that time with its pruning
+   switched off; dfs-pruned.ckpt is the frontier the pruned DFS flushed
+   on the same racy counter at 10 attempts.
 
    Changing anything here orphans the fixtures: the bytes on disk are the
    contract, so the writers must keep reproducing them. *)
@@ -104,9 +108,9 @@ let causal =
       ];
   }
 
-(* a DFS frontier with every optional field: a prefix, a best candidate
-   keyed by its decision prefix, and seen digests, one of them negative
-   (the value test_crash's checkpoint cases use) *)
+(* a DFS frontier with every optional field: a prefix and a best
+   candidate keyed by its decision prefix (the value test_crash's
+   checkpoint cases use) *)
 let checkpoint =
   {
     Checkpoint.engine = "dfs";
@@ -119,15 +123,15 @@ let checkpoint =
       Some
         { Checkpoint.b_closeness = 0.8125; b_attempt = 4;
           b_prefix = Some [| 0; 2 |] };
-    seen = [ 42; 1337; -7 ];
   }
 
 (* two engine frontiers: the file a search flushes when its attempt
    budget runs out under [Checkpoint.sink ~every:1]. Input enumeration
    on the paper's adder keeps the largest sum as its best candidate; the
-   pruned DFS on the racy counter never accepts, so its frontier carries
-   a best-candidate prefix, a pruned count and seen digests. They pin
-   what the odometer engines write, not only how a checkpoint encodes. *)
+   DFS on the racy counter never accepts, so its frontier carries the
+   best-candidate prefix it met at attempt 31 (within 10 attempts the
+   best is still the empty prefix). They pin what the odometer engines
+   write, not only how a checkpoint encodes. *)
 
 let float_output chan r =
   match Trace.outputs_on r.Interp.trace chan with
@@ -146,7 +150,7 @@ let inputs_search ~checkpoint =
 let dfs_search ~checkpoint =
   Search.dfs_schedules ~checkpoint
     ~score:(fun r -> 8. -. float_output "out" r)
-    { Search.max_attempts = 10; max_steps_per_attempt = 5_000; base_seed = 1;
+    { Search.max_attempts = 40; max_steps_per_attempt = 5_000; base_seed = 1;
       deadline_s = None }
     ~spec:Ddet.Experiment.racy_counter_spec
     ~accept:(fun _ -> false)
@@ -159,3 +163,4 @@ let dist_base = "dist"
 let ckpt_file = "frontier.ckpt"
 let inputs_ckpt_file = "inputs.ckpt"
 let dfs_ckpt_file = "dfs.ckpt"
+let pruned_ckpt_file = "dfs-pruned.ckpt"

@@ -157,6 +157,20 @@ let test_engine_checkpoint file search () =
   check_written dir file;
   remove_dir dir
 
+(* the pruned DFS's frontier: its seen digests let a resume replant the
+   pruner, and an unpruned resume cannot finish that search the same way,
+   so the file is refused at the line that carries them *)
+let test_pruned_checkpoint_refused () =
+  let path = fixture Codec_fixtures.pruned_ckpt_file in
+  match Checkpoint.load path with
+  | Ok _ -> Alcotest.fail "a pruned DFS frontier loaded"
+  | Error e ->
+    let seen_line =
+      path ^ ": line 9: unrecognised line (in: \"6c1c90ed seen "
+    in
+    if not (String.starts_with ~prefix:seen_line e) then
+      Alcotest.failf "error does not name the seen line: %s" e
+
 (* ------------------------------------------------------------------ *)
 (* the differential law *)
 
@@ -512,9 +526,11 @@ let () =
           Alcotest.test_case "input enumeration frontier" `Quick
             (test_engine_checkpoint Codec_fixtures.inputs_ckpt_file
                Codec_fixtures.inputs_search);
-          Alcotest.test_case "pruned dfs frontier" `Quick
+          Alcotest.test_case "dfs frontier" `Quick
             (test_engine_checkpoint Codec_fixtures.dfs_ckpt_file
                Codec_fixtures.dfs_search);
+          Alcotest.test_case "pruned dfs frontier refused" `Quick
+            test_pruned_checkpoint_refused;
         ] );
       ( "differential",
         List.map QCheck_alcotest.to_alcotest

@@ -161,9 +161,8 @@ let test_ensemble_is_deterministic () =
 
 let test_training_runs_pass () =
   let app = Miniht.app () in
-  let runs = Session.training_runs Config.default app in
-  Alcotest.(check int) "requested count" Config.default.Config.training_runs
-    (List.length runs);
+  let runs = Session.training_runs app in
+  Alcotest.(check int) "five runs" 5 (List.length runs);
   Alcotest.(check bool) "all passing" true
     (List.for_all (fun (r : Mvm.Interp.result) -> r.Mvm.Interp.failure = None) runs)
 

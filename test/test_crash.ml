@@ -293,6 +293,24 @@ let test_dfs_kill_resume () =
       Search.dfs_schedules ?checkpoint ?resume b ~spec ~accept labeled)
     budget
 
+(* the crash bench's dfs row: the racy counter under its failure log
+   reproduces at attempt 31, so the kills reach attempt 30, where the
+   resumed search must still reach the same outcome *)
+let test_dfs_racy_counter_kill_resume () =
+  let labeled = Experiment.racy_counter
+  and spec = Experiment.racy_counter_spec in
+  let seed = find_failing_seed labeled spec in
+  let log = failure_log labeled spec seed in
+  let accept = Constraints.failure_matches log in
+  let budget =
+    { Search.max_attempts = 3_000; max_steps_per_attempt = 5_000;
+      base_seed = 1; deadline_s = None }
+  in
+  kill_and_resume "dfs/racy-counter"
+    (fun ?checkpoint ?resume b ->
+      Search.dfs_schedules ?checkpoint ?resume b ~spec ~accept labeled)
+    budget
+
 let test_enumerate_kill_resume () =
   let spec = Spec.accept_all in
   let accept r = Trace.outputs_on r.Interp.trace "sum" = [ Value.int 7 ] in
@@ -640,7 +658,6 @@ let some_checkpoint =
       Some
         { Checkpoint.b_closeness = 0.8125; b_attempt = 4;
           b_prefix = Some [| 0; 2 |] };
-    seen = [ 42; 1337; -7 ];
   }
 
 let test_checkpoint_roundtrip () =
@@ -745,6 +762,8 @@ let () =
             test_sigkill_resume;
           Alcotest.test_case "checkpointed seed scan" `Quick
             test_scan_kill_resume;
+          Alcotest.test_case "dfs on the racy counter" `Quick
+            test_dfs_racy_counter_kill_resume;
         ] );
       ( "supervision",
         [

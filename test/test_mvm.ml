@@ -67,6 +67,39 @@ let test_prng_float () =
     if f < 0.0 || f >= 1.0 then Alcotest.fail "float out of [0,1)"
   done
 
+(* the stateless coin both fault planners draw from: the splitmix64
+   finaliser stepped once per coordinate from (hash xor coordinate +
+   golden gamma), written out here so that a change to the fold, the
+   constants or the 53-bit float shows up as changed fault decisions *)
+let test_prng_coin () =
+  let mix64 z =
+    let open Int64 in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+  in
+  let mix_int h x =
+    mix64 (Int64.add (Int64.logxor h (Int64.of_int x)) 0x9E3779B97F4A7C15L)
+  in
+  let reference seed coords =
+    let h = List.fold_left mix_int (Int64.of_int seed) coords in
+    Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
+  in
+  List.iter
+    (fun (seed, coords) ->
+      let c = Prng.coin seed coords in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "coin %d [%s]" seed
+           (String.concat "; " (List.map string_of_int coords)))
+        (reference seed coords) c;
+      if c < 0.0 || c >= 1.0 then Alcotest.fail "coin out of [0,1)")
+    [
+      (11, [ 1; 0; 0; 3; 12345 ]); (11, [ 2; 7; 1; -4; 0 ]); (7, [ 11; 0 ]);
+      (7, [ 11; 59 ]); (0, []); (-3, [ max_int; min_int ]);
+    ];
+  Alcotest.(check bool) "coordinate order matters" false
+    (Prng.coin 5 [ 1; 2 ] = Prng.coin 5 [ 2; 1 ])
+
 (* ------------------------------------------------------------------ *)
 (* Vec *)
 
@@ -844,6 +877,7 @@ let () =
           Alcotest.test_case "pick" `Quick test_prng_pick;
           Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "float range" `Quick test_prng_float;
+          Alcotest.test_case "stateless coin" `Quick test_prng_coin;
         ] );
       ( "vec",
         [

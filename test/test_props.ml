@@ -378,79 +378,6 @@ let prop_scalar_reconstruction =
       | (_, _, last) :: _ -> Value.equal final last)
 
 (* ------------------------------------------------------------------ *)
-(* DFS state-hash pruning *)
-
-let print_pseed pseed = Printf.sprintf "program seed %d" pseed
-
-let dfs_budget =
-  { Search.max_attempts = 40; max_steps_per_attempt = 2_000; base_seed = 1; deadline_s = None }
-
-(* Soundness: every prefix the pruner skips, re-run in full, reproduces
-   the (status, outputs, failure) projection of a run the search had
-   already evaluated — pruning never discards unseen behaviour. *)
-let prop_pruning_sound =
-  QCheck2.Test.make ~name:"dfs pruning only skips already-covered behaviour"
-    ~count:40 ~print:print_pseed
-    QCheck2.Gen.(int_range 1 5_000)
-    (fun pseed ->
-      let labeled = program_of pseed in
-      let evaluated = ref [] in
-      let score r =
-        evaluated := r :: !evaluated;
-        0.0
-      in
-      let pruned = ref [] in
-      let (_ : Search.outcome) =
-        Search.dfs_schedules ~score
-          ~on_prune:(fun ~prefix -> pruned := Array.copy prefix :: !pruned)
-          dfs_budget ~spec:Spec.accept_all
-          ~accept:(fun _ -> false)
-          labeled
-      in
-      let proj (r : Interp.result) =
-        (r.Interp.status, r.Interp.outputs, r.Interp.failure)
-      in
-      let seen = List.map proj !evaluated in
-      List.for_all
-        (fun prefix ->
-          let r, _ =
-            Search.run_schedule_prefix
-              ~max_steps:dfs_budget.Search.max_steps_per_attempt ~prefix
-              labeled
-          in
-          List.mem (proj r) seen)
-        !pruned)
-
-(* Completeness is not traded away: whenever the unpruned DFS reproduces
-   a schedule-dependent deviation within the budget, the pruned DFS does
-   too, in at most as many attempts. *)
-let prop_pruning_preserves_success =
-  QCheck2.Test.make ~name:"dfs pruning preserves reproduction" ~count:40
-    ~print:print_pseed
-    QCheck2.Gen.(int_range 1 5_000)
-    (fun pseed ->
-      let labeled = program_of pseed in
-      let base, _ =
-        Search.run_schedule_prefix
-          ~max_steps:dfs_budget.Search.max_steps_per_attempt ~prefix:[||]
-          labeled
-      in
-      let accept r =
-        r.Interp.outputs <> base.Interp.outputs
-        || r.Interp.failure <> base.Interp.failure
-      in
-      let p =
-        Search.dfs_schedules dfs_budget ~spec:Spec.accept_all ~accept labeled
-      in
-      let n =
-        Search.dfs_schedules ~prune:false dfs_budget ~spec:Spec.accept_all
-          ~accept labeled
-      in
-      (not n.Search.stats.Search.success || p.Search.stats.Search.success)
-      && ((not (n.Search.stats.Search.success && p.Search.stats.Search.success))
-         || p.Search.stats.Search.attempts <= n.Search.stats.Search.attempts))
-
-(* ------------------------------------------------------------------ *)
 (* checkpointed resumable search *)
 
 (* Resume parity, the crash-tolerance contract as a law: kill a search at
@@ -870,9 +797,6 @@ let () =
             prop_taint_union;
             prop_scalar_reconstruction;
           ] );
-      ( "pruning",
-        List.map to_alcotest
-          [ prop_pruning_sound; prop_pruning_preserves_success ] );
       ("crash-tolerance", List.map to_alcotest [ prop_resume_parity ]);
       ( "parallel",
         List.map to_alcotest
