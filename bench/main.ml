@@ -1123,15 +1123,9 @@ let static_bench ~tiny ~json () =
                 ~spec:app.App.spec st
             in
             let plain = run () in
-            let h = Static_report.steer report ~lost:st.Stitch.lost in
-            let steer =
-              {
-                Oracle.lost_tids = h.Static_report.lost_tids;
-                hot_sids = h.Static_report.hot_sids;
-                cold_input_tids = h.Static_report.cold_input_tids;
-              }
+            let steered =
+              run ~steer:(Static_report.steer report ~lost:st.Stitch.lost) ()
             in
-            let steered = run ~steer () in
             ( app.App.name, node,
               (plain.Replayer.result <> None, plain.Replayer.attempts),
               (steered.Replayer.result <> None, steered.Replayer.attempts) ))

@@ -244,12 +244,17 @@ let guard f =
     err "%s" msg;
     1
 
-let with_resume resume k =
+(* the crash flags: [k] gets the checkpoint sink (a write every [every]
+   judged attempts) and the frontier resumed from [resume] *)
+let with_crash_flags checkpoint every resume k =
+  let checkpoint =
+    Option.map (Ddet_replay.Checkpoint.sink ~every:(max 1 every)) checkpoint
+  in
   match resume with
-  | None -> k None
+  | None -> k checkpoint None
   | Some path -> (
     match Ddet_replay.Checkpoint.load path with
-    | Ok c -> k (Some c)
+    | Ok c -> k checkpoint (Some c)
     | Error msg ->
       err "cannot resume from %s: %s" path msg;
       1)
@@ -305,10 +310,7 @@ let config_with ?deadline ?attempts ?overhead_budget ~tuning jobs =
 let cmd_find app cause exclusive faults jobs chunk spawn_cost checkpoint every
     resume =
   guard @@ fun () ->
-  let checkpoint =
-    Option.map (Ddet_replay.Checkpoint.sink ~every:(max 1 every)) checkpoint
-  in
-  with_resume resume @@ fun resume ->
+  with_crash_flags checkpoint every resume @@ fun checkpoint resume ->
   match
     Workload.find_failing_seed ?cause ~exclusive ?faults ~jobs:(max 1 jobs)
       ~tuning:(tuning_of chunk spawn_cost) ?checkpoint ?resume app
@@ -467,10 +469,7 @@ let replay_sharded app model file lose jobs chunk spawn_cost deadline
       Ddet_replay.Replayer.exit_salvaged
     end
     else begin
-      let checkpoint =
-        Option.map (Ddet_replay.Checkpoint.sink ~every:(max 1 every)) checkpoint
-      in
-      with_resume resume @@ fun resume ->
+      with_crash_flags checkpoint every resume @@ fun checkpoint resume ->
       let config =
         config_with ?deadline ?attempts ~tuning:(tuning_of chunk spawn_cost)
           jobs
@@ -510,10 +509,7 @@ let cmd_replay app model file salvage lose jobs chunk spawn_cost deadline
     err "cannot load %s: %s" file msg;
     1
   | Ok (log, damaged) ->
-    let checkpoint =
-      Option.map (Ddet_replay.Checkpoint.sink ~every:(max 1 every)) checkpoint
-    in
-    with_resume resume @@ fun resume ->
+    with_crash_flags checkpoint every resume @@ fun checkpoint resume ->
     let config =
       config_with ?deadline ?attempts ~tuning:(tuning_of chunk spawn_cost) jobs
     in
@@ -527,12 +523,16 @@ let cmd_replay app model file salvage lose jobs chunk spawn_cost deadline
     | None -> ());
     Ddet_replay.Replayer.exit_code ~damaged outcome
 
-(* The distributed experiment in one command: record sharded per node,
-   simulate the named nodes' shards never making it out, stitch the
-   survivors and search — the assessment then reports per-node DF and
-   the honest floor. The shard set lives under a temp base, removed
-   afterwards. *)
-let debug_sharded ~config ?faults ~static_steer app model seed lose =
+(* The distributed session behind debug and report: record sharded per
+   node, save the shard set under a temp base (removed afterwards),
+   reload it as if the [lose] nodes' shards never made it out, stitch
+   the survivors, and replay them through the checkpoint sink and the
+   resumed frontier; the assessment reports per-node DF and the honest
+   floor. [stitched] sees the merge before the replay. Failures are
+   reported here, and [Error] carries the exit code: 4 when every shard
+   is lost, else 1. *)
+let sharded_session ~config ?faults ?checkpoint ?resume ~static_steer
+    ~stitched app model seed lose =
   let prepared = Session.prepare ~config model app in
   let original, log, causal = Session.record_dist ?faults prepared ~seed in
   let base = Filename.temp_file "ddreplay" ".dist" in
@@ -552,29 +552,29 @@ let debug_sharded ~config ?faults ~static_steer app model seed lose =
   if not (Ddet_record.Sharded_log.save_ok report) then begin
     err "sharded save failed:";
     Format.eprintf "@[<v>%a@]@." Ddet_record.Sharded_log.pp_save_report report;
-    1
+    Error 1
   end
   else
     match Ddet_record.Sharded_log.load ~lose base with
     | Error msg ->
       err "cannot reload shard set: %s" msg;
-      1
+      Error 1
     | Ok loaded ->
       let st = Ddet_replay.Stitch.stitch loaded in
-      Format.printf "@[<v>%a@]@." Ddet_replay.Stitch.pp st;
+      stitched st;
       if Ddet_record.Sharded_log.all_lost loaded then begin
         err "every shard is lost or corrupt: no evidence left to replay";
-        Ddet_replay.Replayer.exit_salvaged
+        Error Ddet_replay.Replayer.exit_salvaged
       end
-      else begin
-        let outcome = Session.replay_stitched ~static_steer prepared st in
+      else
+        let outcome =
+          Session.replay_stitched ?checkpoint ?resume ~static_steer prepared st
+        in
         let a =
           Session.assess ~evidence:st.Ddet_replay.Stitch.evidence prepared
             ~original ~log outcome
         in
-        Format.printf "%a@." Ddet_metrics.Utility.pp a;
-        Ddet_replay.Replayer.exit_code outcome
-      end
+        Ok (outcome, a)
 
 let cmd_debug app model seed replays faults jobs chunk spawn_cost deadline
     checkpoint every resume overhead_budget shards lose static_steer =
@@ -583,8 +583,18 @@ let cmd_debug app model seed replays faults jobs chunk spawn_cost deadline
     config_with ?deadline ?overhead_budget ~tuning:(tuning_of chunk spawn_cost)
       jobs
   in
-  if shards || lose <> [] then
-    debug_sharded ~config ?faults ~static_steer app model seed lose
+  if shards || lose <> [] then begin
+    with_crash_flags checkpoint every resume @@ fun checkpoint resume ->
+    match
+      sharded_session ~config ?faults ?checkpoint ?resume ~static_steer
+        ~stitched:(Format.printf "@[<v>%a@]@." Ddet_replay.Stitch.pp)
+        app model seed lose
+    with
+    | Error code -> code
+    | Ok (outcome, a) ->
+      Format.printf "%a@." Ddet_metrics.Utility.pp a;
+      Ddet_replay.Replayer.exit_code outcome
+  end
   else if static_steer then begin
     err "--static-steer requires --shards or --lose-node";
     1
@@ -600,10 +610,7 @@ let cmd_debug app model seed replays faults jobs chunk spawn_cost deadline
   | _ ->
     (* checkpointing identifies ONE search; run a single replay rather
        than the seed-varied ensemble so the frontier stays meaningful *)
-    let checkpoint =
-      Option.map (Ddet_replay.Checkpoint.sink ~every:(max 1 every)) checkpoint
-    in
-    with_resume resume @@ fun resume ->
+    with_crash_flags checkpoint every resume @@ fun checkpoint resume ->
     let prepared = Session.prepare ~config model app in
     let original, log = Session.record ?faults prepared ~seed in
     let outcome = Session.replay ?checkpoint ?resume prepared log in
@@ -744,41 +751,12 @@ let standard_counters =
 (* the debug flow without its prints: every phase runs under the ambient
    tracer, and the outcome comes back for the report header *)
 let run_traced ~config ?faults ~static_steer app model seed lose shards =
-  let prepared = Session.prepare ~config model app in
-  if shards || lose <> [] then begin
-    let original, log, causal = Session.record_dist ?faults prepared ~seed in
-    let base = Filename.temp_file "ddreplay" ".report" in
-    let cleanup () =
-      let dir = Filename.dirname base and name = Filename.basename base in
-      Array.iter
-        (fun f ->
-          if String.starts_with ~prefix:name f then
-            try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir)
-    in
-    Fun.protect ~finally:cleanup @@ fun () ->
-    let report =
-      Ddet_record.Sharded_log.save_via (Ddet_record.Store.default ()) ~base
-        ~causal log
-    in
-    if not (Ddet_record.Sharded_log.save_ok report) then
-      Error "sharded save failed"
-    else
-      match Ddet_record.Sharded_log.load ~lose base with
-      | Error msg -> Error msg
-      | Ok loaded ->
-        if Ddet_record.Sharded_log.all_lost loaded then
-          Error "every shard is lost or corrupt: no evidence left to replay"
-        else begin
-          let st = Ddet_replay.Stitch.stitch loaded in
-          let outcome = Session.replay_stitched ~static_steer prepared st in
-          ignore
-            (Session.assess ~evidence:st.Ddet_replay.Stitch.evidence prepared
-               ~original ~log outcome);
-          Ok outcome
-        end
-  end
+  if shards || lose <> [] then
+    Result.map fst
+      (sharded_session ~config ?faults ~static_steer ~stitched:ignore app
+         model seed lose)
   else begin
+    let prepared = Session.prepare ~config model app in
     let original, log = Session.record ?faults prepared ~seed in
     let outcome = Session.replay prepared log in
     ignore (Session.assess prepared ~original ~log outcome);
@@ -862,9 +840,7 @@ let cmd_report app model seed faults jobs chunk spawn_cost overhead_budget
     run_traced ~config ?faults ~static_steer app model seed lose shards
   in
   match res with
-  | Error msg ->
-    err "%s" msg;
-    1
+  | Error _ -> 1
   | Ok outcome ->
     (match trace with
     | Some file ->

@@ -203,21 +203,6 @@ let shard_priority prepared =
   | None -> []
   | Some report -> Ddet_static.Static_report.shard_priority report
 
-(* Static steering hints for a stitched partial replay, converted to the
-   replay layer's plain record (ddet_replay cannot depend on the static
-   library). *)
-let steer_of prepared (st : Stitch.t) =
-  match static_report prepared with
-  | None -> None
-  | Some report ->
-    let h = Ddet_static.Static_report.steer report ~lost:st.Stitch.lost in
-    Some
-      {
-        Ddet_replay.Oracle.lost_tids = h.Ddet_static.Static_report.lost_tids;
-        hot_sids = h.Ddet_static.Static_report.hot_sids;
-        cold_input_tids = h.Ddet_static.Static_report.cold_input_tids;
-      }
-
 (* Replay over a stitched shard merge. Complete evidence is the original
    log reassembled exactly — the configured model's own replay applies.
    Anything less degrades to partial-evidence search: surviving schedules
@@ -231,7 +216,13 @@ let replay_stitched ?budget ?checkpoint ?resume ?(static_steer = false)
         [ ("lost", Ddet_obs.Tracer.Count (List.length st.Stitch.lost)) ]
     @@ fun () ->
     let budget = Option.value ~default:prepared.config.Config.budget budget in
-    let steer = if static_steer then steer_of prepared st else None in
+    let steer =
+      if static_steer then
+        Option.map
+          (fun r -> Ddet_static.Static_report.steer r ~lost:st.Stitch.lost)
+          (static_report prepared)
+      else None
+    in
     Replayer.stitched ~budget ~jobs:prepared.config.Config.jobs
       ~tuning:prepared.config.Config.tuning ?checkpoint ?resume ?steer
       prepared.app.App.labeled ~spec:prepared.app.App.spec st

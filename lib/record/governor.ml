@@ -40,7 +40,6 @@ type t = {
   warmup : int;
   dwell : int;
   trigger_hold : int;
-  max_level : int;
   high : float;  (* degrade above this *)
   low : float;  (* recover below this *)
   mutable level : int;
@@ -54,7 +53,7 @@ type t = {
 }
 
 let create ?(cost_model = Cost_model.default) ?(warmup = 32) ?(dwell = 16)
-    ?(trigger_hold = 64) ?(max_level = 3) ~budget () =
+    ?(trigger_hold = 64) ~budget () =
   if budget <= 1.0 then invalid_arg "Governor.create: budget must exceed 1.0";
   let high = 1.0 +. ((budget -. 1.0) *. 0.9) in
   {
@@ -63,7 +62,6 @@ let create ?(cost_model = Cost_model.default) ?(warmup = 32) ?(dwell = 16)
     warmup;
     dwell;
     trigger_hold;
-    max_level;
     high;
     low = 1.0 +. ((high -. 1.0) *. 0.6);
     level = 0;
@@ -111,7 +109,7 @@ let on_event g (e : Event.t) =
   if e.step > g.cur_step then g.cur_step <- e.step;
   if g.cur_step >= g.warmup && g.cur_step - g.last_transition >= g.dwell then begin
     let ov = overhead g in
-    if ov > g.high && g.level < g.max_level && g.cur_step >= g.hold_until then
+    if ov > g.high && g.level < 3 && g.cur_step >= g.hold_until then
       transition g (g.level + 1)
         (Printf.sprintf "overhead %.2fx vs budget %.2fx" ov g.budget)
     else if ov < g.low && g.level > 0 then

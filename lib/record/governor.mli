@@ -23,20 +23,19 @@
 
 type t
 
-(** [create ?cost_model ?warmup ?dwell ?trigger_hold ?max_level ~budget ()]
+(** [create ?cost_model ?warmup ?dwell ?trigger_hold ~budget ()]
     — [budget] is the overhead SLO (must exceed 1.0); [warmup] steps
     before the first transition (default 32); [dwell] minimum steps
     between transitions (default 16); [trigger_hold] steps at full
-    fidelity after a trigger boost (default 64); [max_level] caps the
-    ladder (default 3 = failure-only). The governor aims slightly below
-    the budget so the finished log's measured overhead lands within the
-    SLO rather than astride it. *)
+    fidelity after a trigger boost (default 64). The ladder tops out at
+    level 3, failure-only. The governor aims slightly below the budget
+    so the finished log's measured overhead lands within the SLO rather
+    than astride it. *)
 val create :
   ?cost_model:Cost_model.t ->
   ?warmup:int ->
   ?dwell:int ->
   ?trigger_hold:int ->
-  ?max_level:int ->
   budget:float ->
   unit ->
   t

@@ -31,36 +31,18 @@ let exists base =
   || Sys.file_exists (seg_path base 0)
 
 (* ------------------------------------------------------------------ *)
-(* writer *)
+(* saving *)
 
-(* Every byte crosses the pluggable store, and a permanent store error
-   makes the writer sticky-failed: appends become no-ops, the failure is
-   readable via [writer_error], and close skips the manifest — a failed
-   recording must never gain the marker that asserts completeness.
-   Recovery then takes the scan path and reports the honest salvageable
-   prefix. *)
-type writer = {
-  base : string;
-  recorder : string;
-  segment_entries : int;
-  store : Store.t;
-  mutable seg : int;  (* index of the segment being written *)
-  mutable seg_file : string;  (* its path *)
-  mutable count : int;  (* entries in that segment *)
-  mutable open_seg : bool;  (* the segment file has been started *)
-  buf : Log_io.out;  (* exact bytes of the open segment, for its CRC *)
-  mutable sealed : (int * int * string) list;  (* rev (index, entries, crc) *)
-  mutable closed : bool;
-  mutable failed : Store.error option;  (* sticky permanent failure *)
-}
-
-let writer_error w = w.failed
-
-let fail w e = if w.failed = None then w.failed <- Some e
-
-let create ?store ?(segment_entries = 64) ~recorder base =
-  if segment_entries < 1 then invalid_arg "Log_segments.create: segment_entries";
-  let store = match store with Some s -> s | None -> Store.default () in
+(* Every byte crosses the pluggable store, one segment line per append.
+   The first permanent store error ends the save: the failing segment is
+   still sealed, so its handle is released, and the manifest is withheld
+   — a failed recording must never gain the marker that asserts
+   completeness. Recovery then takes the scan path and reports the
+   honest salvageable prefix. *)
+let save_via store ?(segment_entries = 64) base (log : Log.t) =
+  if segment_entries < 1 then
+    invalid_arg "Log_segments.save_via: segment_entries";
+  let ( let* ) = Result.bind in
   store.Store.remove (manifest_path base);
   let rec clean i =
     if store.Store.exists (seg_path base i) then begin
@@ -69,118 +51,60 @@ let create ?store ?(segment_entries = 64) ~recorder base =
     end
   in
   clean 0;
-  let w =
-    {
-      base;
-      recorder;
-      segment_entries;
-      store;
-      seg = 0;
-      seg_file = seg_path base 0;
-      count = 0;
-      open_seg = false;
-      buf = Log_io.out_create 4096;
-      sealed = [];
-      closed = false;
-      failed = None;
-    }
+  (* exact bytes of the segment being written, for its CRC *)
+  let buf = Log_io.out_create 4096 in
+  let put file add =
+    let start = Log_io.out_length buf in
+    add buf;
+    store.Store.append file
+      (Log_io.out_sub buf start (Log_io.out_length buf - start))
+  in
+  (* "<keyword> <n>\n" as one store append *)
+  let put_line file keyword n =
+    put file (fun b ->
+        Log_io.add_string b keyword;
+        Log_io.add_int b n;
+        Log_io.add_char b '\n')
+  in
+  (* segment [i] takes up to [segment_entries] of [entries]; the
+     manifest parts of the sealed segments come back in order *)
+  let rec segments i parts = function
+    | [] -> Ok (List.rev parts)
+    | entries -> (
+      let file = seg_path base i in
+      Log_io.out_clear buf;
+      let rec fill n = function
+        | e :: rest when n < segment_entries ->
+          let* () = put file (fun b -> Log_io.framed b Log_io.add_entry e) in
+          fill (n + 1) rest
+        | rest ->
+          let* () = put_line file "end " n in
+          Ok (n, rest)
+      in
+      let written =
+        let* () = put_line file (seg_magic ^ " ") i in
+        fill 0 entries
+      in
+      match (written, store.Store.seal file) with
+      | Error e, _ | Ok _, Error e -> Error e
+      | Ok (n, rest), Ok () ->
+        segments (i + 1)
+          ((Printf.sprintf "%04d" i, n, Log_io.crc_hex (Log_io.out_contents buf))
+          :: parts)
+          rest)
   in
   (* the header ships before any entry: a recovery that races a crash
      still learns which recorder produced the segments *)
-  (match
-     Store.atomic_write store (header_path base)
-       (Printf.sprintf "%s\nrecorder \"%s\"\n" header_magic
-          (String.escaped recorder))
-   with
-  | Ok () -> ()
-  | Error e -> fail w e);
-  w
-
-(* hand the segment bytes written since [start] to the store; once the
-   writer has failed they are never read again *)
-let put w start =
-  if w.failed = None then
-    match
-      w.store.Store.append w.seg_file
-        (Log_io.out_sub w.buf start (Log_io.out_length w.buf - start))
-    with
-    | Ok () -> ()
-    | Error e -> fail w e
-
-(* "<keyword> <n>\n" as one store append *)
-let put_line w keyword n =
-  let start = Log_io.out_length w.buf in
-  Log_io.add_string w.buf keyword;
-  Log_io.add_int w.buf n;
-  Log_io.add_char w.buf '\n';
-  put w start
-
-let seal w =
-  if w.open_seg then begin
-    put_line w "end " w.count;
-    (* seal (fsync + close) even after a failure, so the handle is
-       released; only a clean segment earns a manifest entry *)
-    (match w.store.Store.seal w.seg_file with
-    | Ok () -> ()
-    | Error e -> fail w e);
-    if w.failed = None then
-      w.sealed <-
-        (w.seg, w.count, Log_io.crc_hex (Log_io.out_contents w.buf))
-        :: w.sealed;
-    w.open_seg <- false;
-    Log_io.out_clear w.buf;
-    w.seg <- w.seg + 1;
-    w.seg_file <- seg_path w.base w.seg;
-    w.count <- 0
-  end
-
-let append w entry =
-  if w.closed then invalid_arg "Log_segments.append: writer is closed";
-  if w.failed = None then begin
-    if not w.open_seg then begin
-      w.open_seg <- true;
-      put_line w (seg_magic ^ " ") w.seg
-    end;
-    let start = Log_io.out_length w.buf in
-    Log_io.framed w.buf Log_io.add_entry entry;
-    put w start;
-    if w.failed = None then begin
-      w.count <- w.count + 1;
-      if w.count >= w.segment_entries then seal w
-    end
-  end
-
-let close w ~base_steps ~failure ?faults () =
-  if not w.closed then begin
-    seal w;
-    w.closed <- true;
-    match w.failed with
-    | Some _ -> ()
-    | None -> (
-      let header =
-        Log.make ?faults ~recorder:w.recorder ~entries:[] ~base_steps ~failure
-          ()
-      in
-      let parts =
-        List.rev_map
-          (fun (i, n, crc) -> (Printf.sprintf "%04d" i, n, crc))
-          w.sealed
-      in
-      match
-        Store.atomic_write w.store (manifest_path w.base)
-          (Log_io.manifest_to_string ~magic:manifest_magic ~part header parts
-             ~order:[] ~edges:[])
-      with
-      | Ok () -> ()
-      | Error e -> fail w e)
-  end
-
-let save_via store ?segment_entries base (log : Log.t) =
-  let w = create ~store ?segment_entries ~recorder:log.Log.recorder base in
-  List.iter (append w) log.Log.entries;
-  close w ~base_steps:log.Log.base_steps ~failure:log.Log.failure
-    ?faults:log.Log.faults ();
-  match writer_error w with Some e -> Error e | None -> Ok ()
+  let* () =
+    Store.atomic_write store (header_path base)
+      (Printf.sprintf "%s\nrecorder \"%s\"\n" header_magic
+         (String.escaped log.Log.recorder))
+  in
+  let* parts = segments 0 [] log.Log.entries in
+  Store.atomic_write store (manifest_path base)
+    (Log_io.manifest_to_string ~magic:manifest_magic ~part
+       { log with Log.entries = [] }
+       parts ~order:[] ~edges:[])
 
 let save ?segment_entries base (log : Log.t) =
   match save_via (Store.default ()) ?segment_entries base log with
@@ -234,7 +158,7 @@ let read_segment base i =
 (* Crash recovery: walk segment files in order; sealed segments are
    recovered whole, the first unsealed one contributes its valid prefix
    and ends the walk, and so does a missing or unreadable one — the
-   writer is strictly sequential, so nothing after a torn segment can be
+   save is strictly sequential, so nothing after a torn segment can be
    trusted to belong to this recording. Returns (found, sealed, entries,
    tail entries). *)
 let rec scan base i acc =

@@ -1,12 +1,12 @@
 (** Segmented log persistence: crash-tolerant recording for long runs.
 
-    {!Log_io.save} is atomic but monolithic — nothing hits the disk until
-    the whole log is written. The segmented writer instead streams
-    entries into fixed-size segment files, sealing each one as soon as
-    it fills, and finishes by writing a manifest (atomically) that names
-    every segment with its byte CRC and carries the log header. Every
-    file is a client of {!Log_io}'s two codecs. The file set for base
-    path [p] is:
+    {!Log_io.save} is atomic but monolithic — nothing of the log is
+    readable until the whole file is renamed into place. {!save_via}
+    instead writes a finished log into fixed-size segment files, one
+    store append per line, sealing each one as soon as it is full, and
+    finishes by writing a manifest (atomically) that names every segment
+    with its byte CRC and carries the log header. Every file is a client
+    of {!Log_io}'s two codecs. The file set for base path [p] is:
 
     {v
     p.header          entry stream "ddet-seg-header v1": the recorder
@@ -27,59 +27,29 @@
     whole recording. A manifest of another version is not read: the
     load takes the same walk. *)
 
-(** Streaming writer. Not thread-safe; one recording each. *)
-type writer
+(** [save_via store ?segment_entries base log] writes [log] as the file
+    set at [base] through [store] (default 64 entries per segment).
+    Stale artifacts of a previous recording under [base] are removed
+    first, and [base.header] is written before any segment so recovery
+    knows the recorder even if the crash comes before the manifest.
 
-(** [create ?store ?segment_entries ~recorder base] starts a segmented
-    recording at [base] (default 64 entries per segment), writing through
-    [store] (default {!Store.default}). Stale artifacts of a previous
-    recording under [base] are removed, and [base.header] is written
-    immediately so recovery knows the recorder even if the crash comes
-    before the manifest. *)
-val create :
-  ?store:Store.t -> ?segment_entries:int -> recorder:string -> string -> writer
-
-(** [append w entry] writes one CRC'd entry line to the current segment
-    (flushed per entry), sealing the segment and opening the next when it
-    reaches [segment_entries].
-
-    A permanent store error makes the writer {e sticky-failed}: this and
-    every later append become no-ops, the error is readable via
-    {!writer_error}, and {!close} skips the manifest — so recovery takes
-    the crash path and reports the honest salvageable prefix instead of
-    trusting a recording that lost bytes. *)
-val append : writer -> Log.entry -> unit
-
-(** The sticky permanent failure, if storage failed mid-recording. *)
-val writer_error : writer -> Store.error option
-
-(** [close w ~base_steps ~failure ?faults ()] seals the tail segment and
-    atomically writes the manifest — unless the writer failed, in which
-    case the manifest is deliberately withheld (it asserts completeness).
-    After a clean close, {!load} reconstructs the full log exactly. *)
-val close :
-  writer ->
-  base_steps:int ->
-  failure:Mvm.Failure.t option ->
-  ?faults:Mvm.Fault.plan ->
-  unit ->
-  unit
-
-(** [save ?segment_entries base log] is the one-shot convenience:
-    create, append every entry, close.
-    @raise Sys_error on a permanent storage failure. *)
-val save : ?segment_entries:int -> string -> Log.t -> unit
-
-(** [save_via store ?segment_entries base log] is {!save} through a
-    pluggable store, with the permanent failure as a typed error. Even on
-    [Error] the sealed segments and tail prefix persisted before the
-    fault remain on disk for {!load} to salvage. *)
+    The first permanent store error ends the save with that error: the
+    failing segment is still sealed, so its handle is released, and the
+    manifest is withheld (it asserts completeness). The sealed segments
+    and tail prefix persisted before the fault remain on disk for
+    {!load} to salvage. After [Ok ()], {!load} reconstructs the full log
+    exactly. *)
 val save_via :
   Store.t ->
   ?segment_entries:int ->
   string ->
   Log.t ->
   (unit, Store.error) result
+
+(** [save ?segment_entries base log] is {!save_via} through
+    {!Store.default}.
+    @raise Sys_error on a permanent storage failure. *)
+val save : ?segment_entries:int -> string -> Log.t -> unit
 
 (** What recovery found. [complete] means the manifest was present,
     intact, and every listed segment validated — the load is the whole

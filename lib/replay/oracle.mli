@@ -54,15 +54,18 @@ val rcse : ?strict:bool -> seed:int -> Log.t -> handle
     outcomes remain free — they are what inference must fill in. *)
 val sync : seed:int -> Log.t -> handle
 
-(** Static steering hints for partial-evidence search, produced by the
-    static layer (plain data so the replay library needs no dependency on
-    it). [lost_tids]/[hot_sids] name the lost threads and the statically
-    interesting decision points; [cold_input_tids] the lost threads whose
-    inputs provably never influenced surviving evidence. *)
+(** Static steering hints for partial-evidence search. The static layer
+    produces them ([Ddet_static.Static_report.steer] returns this record;
+    that library depends on this one, not the other way round). *)
 type steer = {
-  lost_tids : int list;
+  lost_tids : int list;  (** tids of all lost-node threads *)
   hot_sids : int list;
+      (** lost-node decision points worth searching: sends on channels
+          that may still land on a survivor, plus race-suspect sites *)
   cold_input_tids : int list;
+      (** lost threads on nodes with no static path to any survivor —
+          their inputs provably never influenced surviving evidence, so
+          the search pins them instead of enumerating *)
 }
 
 (** The empty hint set: [partial] with it behaves exactly as without. *)

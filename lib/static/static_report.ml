@@ -104,8 +104,6 @@ let msgflow t = Option.map (fun d -> d.flow) t.dist
 let mhp t = Option.map (fun d -> d.mhp) t.dist
 let node_views t = match t.dist with None -> [] | Some d -> d.views
 
-let plane_map t = P.of_assoc (List.map (fun (f, p, _) -> (f, p)) t.planes)
-
 let trigger t = Ddet_analysis.Trigger.of_sites ~name:"static-races" t.suspects
 
 let trigger_selector ?(sticky = true) ?window t =
@@ -118,13 +116,6 @@ let site_selector t =
       if Hashtbl.mem tbl sid then Ddet_record.Fidelity_level.High
       else Ddet_record.Fidelity_level.Low)
 
-let code_selector t =
-  let map = plane_map t in
-  Ddet_record.Fidelity_level.by_function ~name:"static-code" (fun fname ->
-      match P.plane_of map fname with
-      | P.Control -> Ddet_record.Fidelity_level.High
-      | P.Data -> Ddet_record.Fidelity_level.Low)
-
 (* shard write order: nodes carrying more suspect sites first, map order
    breaking ties — under hostile stores the most diagnostic shard hits
    disk with the fewest writes in front of it *)
@@ -136,15 +127,9 @@ let shard_priority t =
     views
   |> List.map (fun v -> v.node)
 
-type steer_hint = {
-  lost_tids : int list;
-  hot_sids : int list;
-  cold_input_tids : int list;
-}
-
 let steer t ~lost =
   match t.dist with
-  | None -> { lost_tids = []; hot_sids = []; cold_input_tids = [] }
+  | None -> Ddet_replay.Oracle.no_steer
   | Some d ->
     let prog = t.labeled.Label.prog in
     let survivors =
@@ -187,7 +172,11 @@ let steer t ~lost =
       List.concat_map (fun n -> Node.members d.map prog n) cold_nodes
       |> List.sort_uniq compare
     in
-    { lost_tids = List.sort_uniq compare lost_tids; hot_sids; cold_input_tids }
+    {
+      Ddet_replay.Oracle.lost_tids = List.sort_uniq compare lost_tids;
+      hot_sids;
+      cold_input_tids;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* JSON dump: hand-rolled, no deps *)

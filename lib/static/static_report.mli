@@ -1,6 +1,6 @@
 (** The aggregate static-analysis report: lockset race candidates, the
     static plane map, and lint findings, plus the RCSE hooks derived from
-    them (a suspect-site trigger, a training-free code selector).
+    them (a suspect-site trigger and its selectors).
 
     With a node map ([analyze ~nodes]) the report goes distributed: race
     candidates are tightened by the node-aware {!Mhp} relation, the
@@ -10,7 +10,6 @@
     partial-evidence steering hints. *)
 
 open Mvm
-module P = Ddet_analysis.Plane
 
 type t
 
@@ -50,9 +49,6 @@ val mhp : t -> Mhp.t option
 (** Per-node views in node declaration order; empty without [~nodes]. *)
 val node_views : t -> node_view list
 
-(** (fname, plane, site weight in bytes), sorted by name. *)
-val plane_map : t -> P.map
-
 (** Fires on shared reads/writes at suspect sites — plug into
     {!Ddet_analysis.Trigger.selector} or combine with dynamic triggers. *)
 val trigger : t -> Ddet_analysis.Trigger.t
@@ -69,32 +65,16 @@ val trigger_selector :
     accesses. *)
 val site_selector : t -> Ddet_record.Fidelity_level.selector
 
-(** The static code-based selector: high fidelity in statically
-    control-plane functions, no training runs. *)
-val code_selector : t -> Ddet_record.Fidelity_level.selector
-
 (** Shard write order for {!Ddet_record.Sharded_log.save_via}: nodes
     carrying more suspect sites first (map order breaks ties), so under
     a hostile store the most diagnostic shard has the fewest writes in
     front of it. Empty without [~nodes]. *)
 val shard_priority : t -> string list
 
-(** Static steering hints for partial-evidence replay after losing
-    nodes. *)
-type steer_hint = {
-  lost_tids : int list;  (** tids of all lost-node threads *)
-  hot_sids : int list;
-      (** lost-node decision points worth searching: sends on channels
-          that may still land on a survivor, plus race-suspect sites *)
-  cold_input_tids : int list;
-      (** lost threads on nodes with no static path to any survivor —
-          their inputs provably never influenced surviving evidence, so
-          the search pins them instead of enumerating *)
-}
-
-(** [steer t ~lost] derives the hints from the {!Msgflow} reachability
-    closure. All-empty without [~nodes]. *)
-val steer : t -> lost:string list -> steer_hint
+(** [steer t ~lost] is the steering for a partial-evidence replay after
+    losing the [lost] nodes, derived from the {!Msgflow} reachability
+    closure. {!Ddet_replay.Oracle.no_steer} without [~nodes]. *)
+val steer : t -> lost:string list -> Ddet_replay.Oracle.steer
 
 (** The whole report as one JSON object: program, races, suspect sids,
     planes, lints, per-node views ([nodes] is [[]] without [~nodes]). *)

@@ -116,6 +116,13 @@ let test_checkpoint_resume () =
   Sys.remove ckpt;
   Sys.remove log
 
+let rm_segmented base =
+  List.iter
+    (fun suffix ->
+      let p = base ^ suffix in
+      if Sys.file_exists p then Sys.remove p)
+    ([ ".header"; ".manifest" ] @ List.init 20 (Printf.sprintf ".%04d.seg"))
+
 let test_segmented_roundtrip () =
   let app, seed, _ = Lazy.force scenario in
   let base = Filename.temp_file "ddet_cli" ".seg" in
@@ -125,12 +132,7 @@ let test_segmented_roundtrip () =
        (Filename.quote base));
   check "replay auto-detects the segment set: exit 0" 0
     (run "replay -a %s -m failure -i %s" app.App.name (Filename.quote base));
-  List.iter
-    (fun suffix ->
-      let p = base ^ suffix in
-      if Sys.file_exists p then Sys.remove p)
-    ([ ".header"; ".manifest" ]
-    @ List.init 20 (Printf.sprintf ".%04d.seg"))
+  rm_segmented base
 
 let run_out fmt =
   Printf.ksprintf
@@ -152,6 +154,56 @@ let contains text needle =
   let n = String.length needle and h = String.length text in
   let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
   go 0
+
+(* A segmented save under an injected store prints its fault trace, op
+   by op: how many operations reached the store, the bytes written and
+   lost, and the operation that failed for good *)
+let record_segmented_faulty plan =
+  let base = Filename.temp_file "ddet_cli" ".seg" in
+  Sys.remove base;
+  let code, text =
+    run_out "record -a miniht -m perfect -s 3 --segments 8 -o %s --io-faults %s"
+      (Filename.quote base) (Filename.quote plan)
+  in
+  (base, code, text)
+
+let test_segmented_torn_append () =
+  let base, code, text =
+    record_segmented_faulty "seed=7,flaky:0.3,torn:60:0.5"
+  in
+  check "torn segment append: exit 4" 4 code;
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (Printf.sprintf "prints %S" line) true
+        (contains text line))
+    [
+      "io-faults: 62 ops, 882 bytes written, 10 lost to short writes, 9 \
+       fault(s) injected (8 transient), 0.0 ms stalled";
+      Printf.sprintf
+        "save failed: append(%s.0004.seg): EIO injected torn write [permanent]"
+        base;
+    ];
+  rm_segmented base
+
+let test_segmented_failed_seal () =
+  let base, code, text = record_segmented_faulty "seed=1,fsyncfail:12" in
+  check "failed first seal: exit 4" 4 code;
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (Printf.sprintf "prints %S" line) true
+        (contains text line))
+    [
+      "io-faults: 13 ops, 215 bytes written, 0 lost to short writes, 1 \
+       fault(s) injected (0 transient), 0.0 ms stalled";
+      Printf.sprintf "save failed: fsync(%s.0000.seg)" base;
+    ];
+  let code, text =
+    run_out "replay -a miniht -m perfect -i %s" (Filename.quote base)
+  in
+  check "replays the sealed prefix: exit 4" 4 code;
+  Alcotest.(check bool) "recovers the first segment" true
+    (contains text "recovered 8 entries (1 complete segment(s))");
+  rm_segmented base
 
 (* A malformed token is a parse error, not an escaped exception: with its
    last entry replaced by a CRC-valid [b:] value that is neither true nor
@@ -206,11 +258,7 @@ let test_unreadable_segment () =
   Alcotest.(check bool) "reports the prefix" true
     (contains text "recovered 4 entries (1 complete segment(s))");
   Sys.rmdir seg1;
-  List.iter
-    (fun suffix ->
-      let p = base ^ suffix in
-      if Sys.file_exists p then Sys.remove p)
-    ([ ".header"; ".manifest" ] @ List.init 20 (Printf.sprintf ".%04d.seg"))
+  rm_segmented base
 
 let test_unreadable_log () =
   let dir = Filename.temp_file "ddet_cli" ".log" in
@@ -321,6 +369,32 @@ let test_sharded_all_lost () =
   in
   check "every shard lost, no evidence: exit 4" 4 code;
   Alcotest.(check bool) "says so" true (contains text "no evidence")
+
+(* sharded debug honours the crash flags: a deadline-cut search leaves a
+   checkpoint, resuming it prints what an uninterrupted run prints, and
+   a resume file that is not there is refused *)
+let test_sharded_debug_checkpoint () =
+  let ckpt = Filename.temp_file "ddet_cli" ".ckpt" in
+  Sys.remove ckpt;
+  let debug = "debug -a msg_server -m failure -s 3 --lose-node p0" in
+  check "deadline-cut sharded debug: exit 5" 5
+    (run "%s --checkpoint %s --deadline 0.0000001" debug (Filename.quote ckpt));
+  Alcotest.(check bool) "the checkpoint file exists" true (Sys.file_exists ckpt);
+  let code, resumed = run_out "%s --resume %s" debug (Filename.quote ckpt) in
+  check "resumed sharded debug: exit 0" 0 code;
+  let code, whole = run_out "%s" debug in
+  check "uninterrupted sharded debug: exit 0" 0 code;
+  Alcotest.(check string) "resume prints the uninterrupted assessment" whole
+    resumed;
+  Sys.remove ckpt
+
+let test_sharded_debug_missing_resume () =
+  let code, text =
+    run_out "debug -a msg_server -m failure -s 3 --lose-node p0 --resume %s"
+      (Filename.quote "/nonexistent/x.ckpt")
+  in
+  check "missing resume file: exit 1" 1 code;
+  Alcotest.(check bool) "says so" true (contains text "cannot resume")
 
 let test_lose_node_needs_shards () =
   let app, seed, _ = Lazy.force scenario in
@@ -532,6 +606,14 @@ let () =
             test_checkpoint_resume;
           Alcotest.test_case "segmented record and replay" `Quick
             test_segmented_roundtrip;
+          Alcotest.test_case "segmented save dies on a torn append" `Quick
+            test_segmented_torn_append;
+          Alcotest.test_case "segmented save dies on its first seal" `Quick
+            test_segmented_failed_seal;
+          Alcotest.test_case "sharded debug checkpoint then resume" `Quick
+            test_sharded_debug_checkpoint;
+          Alcotest.test_case "sharded debug refuses a missing resume file"
+            `Quick test_sharded_debug_missing_resume;
         ] );
       ( "distributed",
         [

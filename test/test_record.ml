@@ -533,16 +533,45 @@ let test_segments_roundtrip () =
   seg_cleanup base
 
 let test_segments_crash_mid_record () =
-  (* the writer dies before [close]: no manifest, unsealed tail — every
-     entry that was appended (each is flushed) must still be recovered *)
+  (* the store dies for good on the append of entry k+1: no manifest,
+     unsealed tail — every entry appended before it (each is flushed)
+     must still be recovered *)
   let _, log = record_with (Full_recorder.create ()) in
   let entries = log.Log.entries in
   let n = List.length entries in
   Alcotest.(check bool) "workload records enough entries" true (n >= 10);
   let base = seg_base () in
-  let w = Log_segments.create ~segment_entries:4 ~recorder:log.Log.recorder base in
   let k = n - 2 in
-  List.iteri (fun i e -> if i < k then Log_segments.append w e) entries;
+  let local = Store.local () in
+  let appended = ref 0 in
+  let append path line =
+    (* a segment's other lines are its magic and its "end N" trailer *)
+    if
+      String.starts_with ~prefix:"ddet-seg " line
+      || String.starts_with ~prefix:"end " line
+    then local.Store.append path line
+    else if !appended = k then
+      Error
+        {
+          Store.e_op = Store.Append;
+          e_path = path;
+          e_kind = Store.Eio "store died";
+          transient = false;
+        }
+    else begin
+      incr appended;
+      local.Store.append path line
+    end
+  in
+  (match
+     Log_segments.save_via { local with Store.append } ~segment_entries:4 base
+       log
+   with
+  | Error e ->
+    Alcotest.(check string) "the save dies on entry k+1"
+      (Printf.sprintf "%s.%04d.seg" base (k / 4))
+      e.Store.e_path
+  | Ok () -> Alcotest.fail "the save outlived its store");
   (match Log_segments.load base with
   | Ok (log', r) ->
     Alcotest.(check bool) "damaged" true (Log_segments.is_damaged r);

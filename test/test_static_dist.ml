@@ -117,12 +117,12 @@ let test_steer_hints () =
     Static_report.analyze ~nodes:msg_map msg_server.App.labeled
   in
   let h = Static_report.steer report ~lost:[ "p0" ] in
-  Alcotest.(check (list int)) "lost tids" [ 1 ] h.Static_report.lost_tids;
+  Alcotest.(check (list int)) "lost tids" [ 1 ] h.Oracle.lost_tids;
   Alcotest.(check bool) "hot sids nonempty" true
-    (h.Static_report.hot_sids <> []);
+    (h.Oracle.hot_sids <> []);
   (* p0 statically reaches the server, so its inputs stay searchable *)
   Alcotest.(check (list int)) "no cold threads" []
-    h.Static_report.cold_input_tids
+    h.Oracle.cold_input_tids
 
 let test_steer_cold_isolated_node () =
   (* a node with no communication sites provably never influenced a
@@ -142,9 +142,9 @@ let test_steer_cold_isolated_node () =
   in
   let report = Static_report.analyze ~nodes:map labeled in
   let h = Static_report.steer report ~lost:[ "b" ] in
-  Alcotest.(check (list int)) "hermit tid lost" [ 1 ] h.Static_report.lost_tids;
+  Alcotest.(check (list int)) "hermit tid lost" [ 1 ] h.Oracle.lost_tids;
   Alcotest.(check (list int)) "hermit inputs pinned" [ 1 ]
-    h.Static_report.cold_input_tids
+    h.Oracle.cold_input_tids
 
 (* ------------------------------------------------------------------ *)
 (* soundness laws on generated node-annotated programs *)
@@ -247,13 +247,7 @@ let test_priority_write_order () =
 let steer_of prepared (st : Stitch.t) =
   match Session.static_report prepared with
   | None -> Alcotest.fail "msg_server must have a static report"
-  | Some report ->
-    let h = Static_report.steer report ~lost:st.Stitch.lost in
-    {
-      Oracle.lost_tids = h.Static_report.lost_tids;
-      hot_sids = h.Static_report.hot_sids;
-      cold_input_tids = h.Static_report.cold_input_tids;
-    }
+  | Some report -> Static_report.steer report ~lost:st.Stitch.lost
 
 (* losing each node in turn: the steered search must reproduce whatever
    the uninformed search reproduces, in no more attempts — the static
