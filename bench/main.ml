@@ -125,21 +125,17 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 (* SEARCH: wall-clock of the inference engines. Per workload/engine: a
    sequential baseline; for random restarts, which run through the
-   lock-free attempt pool, also a jobs=N row under the default tuning
-   (cap_domains clamps N to the machine's cores) and an uncapped jobs=N
-   row that is honestly labelled "contended" when it oversubscribes the
-   machine — oversubscribed rows measure scheduler overhead, not
-   speedup. The DFS runs in order at any jobs, so it gets the sequential
-   row only. Also: a chunk-size sweep of the claim granularity.
-   Optionally dumps machine-readable results to BENCH_search.json
-   (schema 3). *)
+   lock-free attempt pool, also a jobs=N row under the pool's fixed
+   policy (which clamps N to the machine's cores). The DFS runs in order
+   at any jobs, so it gets the sequential row only. Optionally dumps
+   machine-readable results to BENCH_search.json (schema 4). *)
 
 type search_row = {
   workload : string;
   engine : string;
   sr_jobs : int;  (** requested *)
   sr_eff : int;  (** domains actually fanned out (cap policy applied) *)
-  sr_mode : string;  (** sequential | parallel | capped | contended *)
+  sr_mode : string;  (** sequential | parallel | capped *)
   wall_s : float;
   stats : Ddet_replay.Search.stats;
 }
@@ -168,9 +164,6 @@ let search_bench ~tiny ~jobs ~json () =
   let budget full small = if tiny then small else full in
   let trials = if tiny then 1 else 3 in
   let cores = Domain.recommended_domain_count () in
-  let uncapped =
-    { Par_search.default_tuning with Par_search.cap_domains = false }
-  in
   let miniht = Miniht.app () in
   let cases =
     [
@@ -213,15 +206,15 @@ let search_bench ~tiny ~jobs ~json () =
             ~world:(World.random ~seed)
         in
         let accept = Constraints.failure_matches log in
-        (* (engine, runs through the attempt pool, run at tuning/jobs):
-           the odometer engines run in order and take no jobs *)
+        (* (engine, runs through the attempt pool, run at jobs): the
+           odometer engines run in order and take no jobs *)
         let engines =
           [
             ( "dfs", false,
-              fun _ _ -> Search.dfs_schedules bud ~spec ~accept labeled );
+              fun _ -> Search.dfs_schedules bud ~spec ~accept labeled );
             ( "restarts", true,
-              fun tuning j ->
-                Search.random_restarts ~jobs:j ~tuning bud
+              fun j ->
+                Search.random_restarts ~jobs:j bud
                   ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
                   ~spec ~accept labeled );
           ]
@@ -234,55 +227,24 @@ let search_bench ~tiny ~jobs ~json () =
       (fun (workload, engines) ->
         List.concat_map
           (fun (engine, pooled, run) ->
-            let measure ~sr_mode ~tuning j =
-              let o, wall_s = min_time ~trials (fun () -> run tuning j) in
+            let measure ~sr_mode j =
+              let o, wall_s = min_time ~trials (fun () -> run j) in
               {
                 workload; engine; sr_jobs = j;
-                sr_eff = Par_search.effective_jobs ~tuning ~jobs:j None;
+                sr_eff = Par_search.effective_jobs ~jobs:j None;
                 sr_mode; wall_s; stats = o.Search.stats;
               }
             in
-            let seq =
-              measure ~sr_mode:"sequential"
-                ~tuning:Par_search.default_tuning 1
-            in
+            let seq = measure ~sr_mode:"sequential" 1 in
             if jobs <= 1 || not pooled then [ seq ]
             else
               let eff = Par_search.effective_jobs ~jobs None in
-              let capped =
+              [ seq;
                 measure
                   ~sr_mode:(if eff < jobs then "capped" else "parallel")
-                  ~tuning:Par_search.default_tuning jobs
-              in
-              let unc =
-                measure
-                  ~sr_mode:(if jobs > cores then "contended" else "parallel")
-                  ~tuning:uncapped jobs
-              in
-              [ seq; capped; unc ])
+                  jobs ])
           engines)
       prepared
-  in
-  (* chunk sweep: claim granularity at uncapped jobs=N, pooled engines *)
-  let chunks = if tiny then [ 1; 4 ] else [ 1; 2; 4; 8; 16 ] in
-  let sweep =
-    if jobs <= 1 then []
-    else
-      List.concat_map
-        (fun (workload, engines) ->
-          List.concat_map
-            (fun (engine, pooled, run) ->
-              if not pooled then []
-              else
-                List.map
-                  (fun chunk ->
-                    let tuning = { uncapped with Par_search.chunk } in
-                    let o, wall_s = time (fun () -> run tuning jobs) in
-                    ( workload, engine, chunk, wall_s,
-                      o.Search.stats.Ddet_replay.Search.success ))
-                  chunks)
-            engines)
-        prepared
   in
   let base r =
     List.find
@@ -324,26 +286,13 @@ let search_bench ~tiny ~jobs ~json () =
       table_rows
     ^ Printf.sprintf
         "\n\ncores: %d (Domain.recommended_domain_count); wall s is the min\n\
-         of %d runs. eff is the domain count after the default cap policy\n\
-         (capped rows were clamped to the cores); contended rows switch the\n\
-         cap off and oversubscribe the machine on purpose - they price\n\
-         scheduler overhead, not speedup. The DFS runs in order at any\n\
-         jobs. Outcomes (ok/attempts/pruned/steps) are identical at every\n\
-         jobs value by construction.\n"
+         of %d runs. eff is the domain count after the pool's cores cap\n\
+         (capped rows were clamped to the cores). The DFS runs in order at\n\
+         any jobs. Outcomes (ok/attempts/pruned/steps) are identical at\n\
+         every jobs value by construction.\n"
         cores trials
   in
   Ddet_metrics.Report.print_section "SEARCH engine wall-clock" body;
-  if sweep <> [] then
-    Ddet_metrics.Report.print_section "SEARCH chunk sweep (uncapped)"
-      (Ddet_metrics.Report.table
-         ~headers:[ "workload"; "engine"; "chunk"; "wall s"; "ok" ]
-         (List.map
-            (fun (w, e, c, s, ok) ->
-              [
-                w; e; string_of_int c; Printf.sprintf "%.3f" s;
-                (if ok then "yes" else "NO");
-              ])
-            sweep));
   if json then begin
     let file = "BENCH_search.json" in
     let oc = open_out file in
@@ -360,36 +309,27 @@ let search_bench ~tiny ~jobs ~json () =
         r.stats.Ddet_replay.Search.total_steps (attempts_per_s r)
         (ns_per_step r) (speedup r)
     in
-    let sweep_json (w, e, c, s, ok) =
-      Printf.sprintf
-        "    { \"workload\": %S, \"engine\": %S, \"chunk\": %d, \
-         \"wall_s\": %.6f, \"success\": %b }"
-        w e c s ok
-    in
     let t = Par_search.default_tuning in
     Printf.fprintf oc
-      "{\n  \"schema\": 3,\n  \"cores\": %d,\n  \"jobs\": %d,\n\
+      "{\n  \"schema\": 4,\n  \"cores\": %d,\n  \"jobs\": %d,\n\
        \  \"tiny\": %b,\n  \"trials\": %d,\n\
-       \  \"policy\": \"default tuning caps jobs at cores \
-       (capped rows); contended rows switch the cap off and \
-       oversubscribe on purpose - they price scheduler overhead, not \
-       speedup; the dfs runs in order at any jobs (sequential rows \
+       \  \"policy\": \"the pool's fixed policy caps jobs at cores \
+       (capped rows); the dfs runs in order at any jobs (sequential rows \
        only)\",\n\
-       \  \"tuning_default\": { \"chunk\": %d, \
-       \"window_per_job\": %d, \"spawn_cost_steps\": %d },\n\
-       \  \"rows\": [\n%s\n  ],\n  \"chunk_sweep\": [\n%s\n  ]\n}\n"
+       \  \"pool\": { \"chunk\": %d, \"window_per_job\": %d, \
+       \"spawn_cost_steps\": %d },\n\
+       \  \"rows\": [\n%s\n  ]\n}\n"
       cores jobs tiny trials t.Par_search.chunk t.Par_search.window_per_job
       t.Par_search.spawn_cost_steps
-      (String.concat ",\n" (List.map row_json rows))
-      (String.concat ",\n" (List.map sweep_json sweep));
+      (String.concat ",\n" (List.map row_json rows));
     close_out oc;
     Printf.printf "wrote %s\n" file
   end
 
 (* ------------------------------------------------------------------ *)
 (* SANITY: the CI tripwire behind the perf-sanity alias. On smoke
-   budgets, random restarts at jobs=4 under the *default* tuning (cap
-   policy on) must stay within 2x of sequential wall-clock and
+   budgets, random restarts at jobs=4 under the pool's fixed policy
+   (cores cap on) must stay within 2x of sequential wall-clock and
    byte-identical in outcome. Like every replay driver, the search gets
    the recorded run's base_steps as its attempt-cost estimate, so the
    min-work heuristic decides where the attempts run exactly as it does

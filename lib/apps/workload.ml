@@ -1,8 +1,8 @@
 open Mvm
 open Ddet_metrics
 
-let find_failing_seed ?cause ?(exclusive = false) ?(from = 1) ?(max_seeds = 500)
-    ?faults ?(jobs = 1) ?tuning ?checkpoint ?resume (app : App.t) =
+let find_failing_seed ?cause ?(exclusive = false) ?(from = 1) ?faults
+    ?(jobs = 1) ?checkpoint ?resume (app : App.t) =
   let matches r =
     match Root_cause.observed app.App.catalog r with
     | [] -> false
@@ -15,8 +15,7 @@ let find_failing_seed ?cause ?(exclusive = false) ?(from = 1) ?(max_seeds = 500)
   in
   (* seeds are independent, so at jobs > 1 the scan may fan over
      domains; first_success returns the lowest matching seed either way *)
-  Ddet_replay.Search.first_success ~jobs ?tuning ?checkpoint ?resume ~from
-    ~count:max_seeds
+  Ddet_replay.Search.first_success ~jobs ?checkpoint ?resume ~from ~count:500
     ~f:(fun seed ->
       let r = App.production_run ?faults app ~seed in
       if matches r then Some r else None)

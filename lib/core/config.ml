@@ -7,7 +7,6 @@ type t = {
   value_budget : Search.budget;
   flight_ring : int option;
   jobs : int;
-  tuning : Par_search.tuning;
   overhead_budget : float option;
 }
 
@@ -18,6 +17,5 @@ let default =
     value_budget = Replayer.value_budget;
     flight_ring = Some 250;
     jobs = 1;
-    tuning = Par_search.default_tuning;
     overhead_budget = None;
   }

@@ -20,14 +20,10 @@ type t = {
           selections (trigger/data/combined); [None] disables it *)
   jobs : int;
       (** worker domains for random-restart replays and seed scans (see
-          {!Ddet_replay.Par_search.pool}); 1 (the default) keeps
-          everything in order. Input enumeration and the DFS run in order
-          at any [jobs]. Outcomes are identical at any [jobs]; only
-          wall-clock time changes. *)
-  tuning : Par_search.tuning;
-      (** attempt-pool knobs (chunk size, claim window, min-work
-          threshold, cores cap); wall-clock only, never outcomes — see
-          {!Ddet_replay.Par_search.tuning} *)
+          {!Ddet_replay.Par_search.pool}, whose placement policy is
+          fixed); 1 (the default) keeps everything in order. Input
+          enumeration and the DFS run in order at any [jobs]. Outcomes
+          are identical at any [jobs]; only wall-clock time changes. *)
   overhead_budget : float option;
       (** recording-overhead SLO (e.g. [Some 1.3] for "≤1.3x"): recording
           runs under an {!Ddet_record.Governor} that degrades fidelity

@@ -156,13 +156,12 @@ let replay ?budget ?checkpoint ?resume prepared log =
   let spec = prepared.app.App.spec in
   let budget = Option.value ~default:prepared.config.Config.budget budget in
   let jobs = prepared.config.Config.jobs in
-  let tuning = prepared.config.Config.tuning in
   (* A governed log has windows where the governor dropped entries by
      design; the deterministic oracles would misalign against the gaps,
      so any model's replay degrades to failure-directed search over the
      missing windows. *)
   if Log.governed log then
-    Replayer.governed ~budget ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.governed ~budget ~jobs ?checkpoint ?resume labeled ~spec log
   else
   match prepared.model with
   | Model.Perfect -> Replayer.perfect labeled ~spec log
@@ -174,20 +173,20 @@ let replay ?budget ?checkpoint ?resume prepared log =
         Ddet_replay.Search.deadline_s = budget.Ddet_replay.Search.deadline_s
       }
     in
-    Replayer.value_det ~budget ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.value_det ~budget ~jobs ?checkpoint ?resume labeled ~spec log
   | Model.Sync ->
-    Replayer.sync_det ~budget ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.sync_det ~budget ~jobs ?checkpoint ?resume labeled ~spec log
   | Model.Output ->
     Replayer.output_det ~budget ~exhaustive:(not (has_spawn labeled)) ~jobs
-      ~tuning ?checkpoint ?resume labeled ~spec log
+      ?checkpoint ?resume labeled ~spec log
   | Model.Failure_det ->
-    Replayer.failure_det ~budget ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.failure_det ~budget ~jobs ?checkpoint ?resume labeled ~spec log
   | Model.Rcse mode ->
     (* code-based selection records statically-chosen sites, so an
        out-of-order recorded site is real divergence; windowed selections
        revisit their sites outside the window legitimately *)
     let strict = match mode with Model.Code_based -> true | _ -> false in
-    Replayer.rcse ~budget ~strict ~jobs ~tuning ?checkpoint ?resume labeled ~spec log
+    Replayer.rcse ~budget ~strict ~jobs ?checkpoint ?resume labeled ~spec log
 
 (* The app's distributed static report (None for single-node apps).
    Computed per call: analysis cost is a few graph walks, and sessions
@@ -223,9 +222,8 @@ let replay_stitched ?budget ?checkpoint ?resume ?(static_steer = false)
           (static_report prepared)
       else None
     in
-    Replayer.stitched ~budget ~jobs:prepared.config.Config.jobs
-      ~tuning:prepared.config.Config.tuning ?checkpoint ?resume ?steer
-      prepared.app.App.labeled ~spec:prepared.app.App.spec st
+    Replayer.stitched ~budget ~jobs:prepared.config.Config.jobs ?checkpoint
+      ?resume ?steer prepared.app.App.labeled ~spec:prepared.app.App.spec st
 
 let assess ?salvaged ?evidence prepared ~original ~log outcome =
   Ddet_obs.Tracer.span_ "session.assess" @@ fun () ->

@@ -68,8 +68,8 @@ val record_dist :
     config's [jobs] lets random-restart replays run on up to that many
     domains (see {!Ddet_replay.Par_search.pool}) — same outcome at any
     [jobs]; input enumeration always runs in order, and a recorded run
-    shorter than the tuning's min-work threshold keeps the search in
-    order too. [checkpoint] persists the search frontier so
+    shorter than the pool's min-work threshold keeps the search in order
+    too. [checkpoint] persists the search frontier so
     a killed replay can be [resume]d and provably reach the same first-hit
     outcome; see {!Ddet_replay.Checkpoint}. *)
 val replay :

@@ -108,9 +108,9 @@ let generate cfg rng =
     ~main:"main"
     (func "main" [] main_body :: workers)
 
-let generate_nodes ?(n_nodes = 3) cfg rng =
+let generate_nodes cfg rng =
   let labeled = generate cfg rng in
-  let n_nodes = max 1 n_nodes in
+  let n_nodes = 3 in
   let node k = Printf.sprintf "n%d" k in
   let map =
     Node.make

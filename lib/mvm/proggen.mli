@@ -24,10 +24,10 @@ val default : config
     guarded). *)
 val generate : config -> Prng.t -> Label.labeled
 
-(** [generate_nodes ?n_nodes cfg prng] is {!generate} plus a deterministic
-    node map spreading the threads over [n_nodes] (default 3) nodes named
-    [n0..]: [main] on [n0], worker [k] on [n{(k+1) mod n_nodes}]. Workers
+(** [generate_nodes cfg prng] is {!generate} plus a deterministic node
+    map spreading the threads over three nodes named [n0..n2]: [main] on
+    [n0], worker [k] on [n{(k+1) mod 3}]. Workers
     never spawn, so the map is always {!Node.static_tids}-safe. Used by
     the distributed property suites (static soundness laws, shard
     round-trips). *)
-val generate_nodes : ?n_nodes:int -> config -> Prng.t -> Label.labeled * Node.map
+val generate_nodes : config -> Prng.t -> Label.labeled * Node.map

@@ -34,12 +34,14 @@ open Mvm
    replayer treats those windows as search regions and Metrics.Fidelity
    prices them as a DF floor. *)
 
+(* hysteresis, in steps *)
+let warmup = 32 (* before the first transition *)
+let dwell = 16 (* between transitions *)
+let trigger_hold = 64 (* at full fidelity after a trigger boost *)
+
 type t = {
   budget : float;
   cm : Cost_model.t;
-  warmup : int;
-  dwell : int;
-  trigger_hold : int;
   high : float;  (* degrade above this *)
   low : float;  (* recover below this *)
   mutable level : int;
@@ -52,16 +54,12 @@ type t = {
   mutable dropped : int;
 }
 
-let create ?(cost_model = Cost_model.default) ?(warmup = 32) ?(dwell = 16)
-    ?(trigger_hold = 64) ~budget () =
+let create ?(cost_model = Cost_model.default) ~budget () =
   if budget <= 1.0 then invalid_arg "Governor.create: budget must exceed 1.0";
   let high = 1.0 +. ((budget -. 1.0) *. 0.9) in
   {
     budget;
     cm = cost_model;
-    warmup;
-    dwell;
-    trigger_hold;
     high;
     low = 1.0 +. ((high -. 1.0) *. 0.6);
     level = 0;
@@ -100,14 +98,14 @@ let transition g level reason =
 
 let boost g reason =
   if g.level > 0 then transition g 0 reason;
-  g.hold_until <- g.cur_step + g.trigger_hold
+  g.hold_until <- g.cur_step + trigger_hold
 
 (* Called on every event (the governor is a monitor ahead of the
    recorder), so level changes land on the step where pressure actually
    crossed, not on the next admitted entry. *)
 let on_event g (e : Event.t) =
   if e.step > g.cur_step then g.cur_step <- e.step;
-  if g.cur_step >= g.warmup && g.cur_step - g.last_transition >= g.dwell then begin
+  if g.cur_step >= warmup && g.cur_step - g.last_transition >= dwell then begin
     let ov = overhead g in
     if ov > g.high && g.level < 3 && g.cur_step >= g.hold_until then
       transition g (g.level + 1)

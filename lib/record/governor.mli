@@ -23,22 +23,14 @@
 
 type t
 
-(** [create ?cost_model ?warmup ?dwell ?trigger_hold ~budget ()]
-    — [budget] is the overhead SLO (must exceed 1.0); [warmup] steps
-    before the first transition (default 32); [dwell] minimum steps
-    between transitions (default 16); [trigger_hold] steps at full
-    fidelity after a trigger boost (default 64). The ladder tops out at
+(** [create ?cost_model ~budget ()] — [budget] is the overhead SLO (must
+    exceed 1.0). The hysteresis is fixed: 32 steps of warmup before the
+    first transition, at least 16 steps between transitions, and 64
+    steps at full fidelity after a trigger boost. The ladder tops out at
     level 3, failure-only. The governor aims slightly below the budget
     so the finished log's measured overhead lands within the SLO rather
     than astride it. *)
-val create :
-  ?cost_model:Cost_model.t ->
-  ?warmup:int ->
-  ?dwell:int ->
-  ?trigger_hold:int ->
-  budget:float ->
-  unit ->
-  t
+val create : ?cost_model:Cost_model.t -> budget:float -> unit -> t
 
 (** Monitor hook: attach {e before} the recorder's own monitor so the
     step clock and pressure are current when {!admit} runs. *)

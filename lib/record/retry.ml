@@ -4,20 +4,12 @@
    persisted nothing, so re-issuing the identical operation is safe and
    worth a few attempts; a permanent error may have torn the target, so
    it surfaces immediately as a typed failure. Backoff is a fixed
-   geometric schedule — deterministic, so a fault plan plus a policy
-   always yields the same attempt sequence. *)
+   geometric schedule — deterministic, so a fault plan always yields the
+   same attempt sequence. *)
 
-type policy = {
-  max_retries : int;  (* extra attempts after the first *)
-  backoff_s : float;  (* sleep before the first retry *)
-  multiplier : float;
-  max_backoff_s : float;  (* per-sleep cap, bounding total stall *)
-}
-
-let default =
-  { max_retries = 3; backoff_s = 0.001; multiplier = 2.0; max_backoff_s = 0.05 }
-
-let no_retries = { default with max_retries = 0 }
+let max_retries = 3 (* extra attempts after the first *)
+let first_backoff_s = 0.001 (* sleep before the first retry, doubling *)
+let max_backoff_s = 0.05 (* per-sleep cap, bounding total stall *)
 
 type failure = {
   error : Store.error;  (* the error that ended the attempt sequence *)
@@ -32,31 +24,30 @@ let pp_failure ppf f =
 
 let failure_to_string f = Format.asprintf "%a" pp_failure f
 
-let run ?(policy = default) f =
+let run f =
   let rec go attempt backoff =
     match f () with
     | Ok v -> Ok v
-    | Error (e : Store.error) when e.transient && attempt <= policy.max_retries
-      ->
+    | Error (e : Store.error) when e.transient && attempt <= max_retries ->
       Ddet_obs.Tracer.count "store.retries" 1;
-      if backoff > 0. then Unix.sleepf (Float.min backoff policy.max_backoff_s);
-      go (attempt + 1) (backoff *. policy.multiplier)
+      Unix.sleepf (Float.min backoff max_backoff_s);
+      go (attempt + 1) (backoff *. 2.)
     | Error e ->
       Ddet_obs.Tracer.count "store.give_ups" 1;
       Error { error = e; attempts = attempt; gave_up = e.Store.transient }
   in
-  go 1 policy.backoff_s
+  go 1 first_backoff_s
 
 (* After retries are exhausted or a permanent error surfaces, the
    failure crosses back into the Store error type with transient:=false
    — downstream writers must not retry what Retry already gave up on. *)
 let as_store_error f = { f.error with Store.transient = false }
 
-let store ?(policy = default) (base : Store.t) =
-  let retrying f = Result.map_error as_store_error (run ~policy f) in
+let store (base : Store.t) =
+  let retrying f = Result.map_error as_store_error (run f) in
   {
     base with
-    Store.name = Printf.sprintf "%s+retry(%d)" base.Store.name policy.max_retries;
+    Store.name = Printf.sprintf "%s+retry(%d)" base.Store.name max_retries;
     append = (fun path s -> retrying (fun () -> base.Store.append path s));
     fsync = (fun path -> retrying (fun () -> base.Store.fsync path));
     seal = (fun path -> retrying (fun () -> base.Store.seal path));

@@ -1,22 +1,10 @@
 (** Bounded retry with deterministic backoff.
 
     Transient storage errors ({!Store.error.transient}) persisted
-    nothing, so the identical operation is re-issued up to
-    [max_retries] times with a geometric backoff; permanent errors
-    surface immediately. The schedule is deterministic: fault plan +
-    policy always yields the same attempt sequence. *)
-
-type policy = {
-  max_retries : int;  (** extra attempts after the first *)
-  backoff_s : float;  (** sleep before the first retry *)
-  multiplier : float;
-  max_backoff_s : float;  (** per-sleep cap, bounding total stall *)
-}
-
-(** 3 retries, 1 ms initial backoff, doubling, capped at 50 ms. *)
-val default : policy
-
-val no_retries : policy
+    nothing, so the identical operation is re-issued up to 3 times,
+    sleeping 1 ms before the first retry and doubling the sleep up to a
+    50 ms cap; permanent errors surface immediately. The schedule is
+    fixed, so a fault plan always yields the same attempt sequence. *)
 
 type failure = {
   error : Store.error;  (** the error that ended the attempt sequence *)
@@ -27,13 +15,13 @@ type failure = {
 val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
 
-(** [run ?policy f] re-runs [f] on transient errors per [policy]. *)
-val run : ?policy:policy -> (unit -> ('a, Store.error) result) -> ('a, failure) result
+(** [run f] re-runs [f] on transient errors. *)
+val run : (unit -> ('a, Store.error) result) -> ('a, failure) result
 
 (** The failure as a permanent store error ([transient = false]):
     downstream must not retry what Retry already gave up on. *)
 val as_store_error : failure -> Store.error
 
-(** [store ?policy base] wraps every fallible operation of [base] in
-    {!run}. Errors that escape are always permanent. *)
-val store : ?policy:policy -> Store.t -> Store.t
+(** [store base] wraps every fallible operation of [base] in {!run}.
+    Errors that escape are always permanent. *)
+val store : Store.t -> Store.t

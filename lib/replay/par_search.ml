@@ -4,40 +4,29 @@
    in index order, so an outcome cannot depend on [jobs]. *)
 
 (* ------------------------------------------------------------------ *)
-(* tuning *)
+(* placement policy: constants, not arguments *)
 
-type tuning = {
-  chunk : int;
-  window_per_job : int;
-  spawn_cost_steps : int;
-  cap_domains : bool;
-}
+type tuning = { chunk : int; window_per_job : int; spawn_cost_steps : int }
 
-let default_tuning =
-  { chunk = 4; window_per_job = 4; spawn_cost_steps = 15_000; cap_domains = true }
+let default_tuning = { chunk = 4; window_per_job = 4; spawn_cost_steps = 15_000 }
 
-(* claim window: how far past the reducer's frontier workers may claim.
-   Must cover at least one chunk or nobody could ever claim. *)
-let window_of t jobs = max (max 2 t.chunk) (jobs * t.window_per_job)
-
-let effective_jobs ?(tuning = default_tuning) ~jobs est =
-  (* Min-work heuristic: spawning and coordinating worker domains costs
-     roughly [tuning.spawn_cost_steps] interpreter steps' worth of work
-     per search; when the caller's estimate of one attempt (typically the
+let effective_jobs ~jobs est =
+  (* Min-work threshold: spawning and coordinating worker domains costs
+     roughly [spawn_cost_steps] interpreter steps' worth of work per
+     search; when the caller's estimate of one attempt (typically the
      recorded run's base_steps) falls below it, parallel fan-out is a
      guaranteed loss and the pool runs in order on the calling thread.
 
-     Cores cap: with [cap_domains] (the default), jobs is clamped to
-     [Domain.recommended_domain_count ()] — extra domains on an
-     oversubscribed machine only add preemption and cache pressure, and
-     the outcome is identical at any job count by construction. Benches
-     that measure contention deliberately switch the cap off. *)
+     Cores cap: jobs is clamped to [Domain.recommended_domain_count ()]
+     — extra domains on an oversubscribed machine only add preemption and
+     cache pressure, and the outcome is identical at any job count by
+     construction. *)
   let jobs =
-    match est with Some e when e < tuning.spawn_cost_steps -> 1 | _ -> jobs
+    match est with
+    | Some e when e < default_tuning.spawn_cost_steps -> 1
+    | _ -> jobs
   in
-  if tuning.cap_domains then
-    min jobs (max 1 (Domain.recommended_domain_count ()))
-  else jobs
+  min jobs (max 1 (Domain.recommended_domain_count ()))
 
 (* ------------------------------------------------------------------ *)
 (* waiting: spin first — the other side is usually a few hundred ns away
@@ -60,9 +49,12 @@ let idle_backoff idle spins =
 
 (* ------------------------------------------------------------------ *)
 
-let indexed ~tuning ~jobs ~first ~last ~make_exec ~process ~exhausted =
-  let chunk = max 1 tuning.chunk in
-  let window = window_of tuning jobs in
+let indexed ~jobs ~first ~last ~make_exec ~process ~exhausted =
+  let chunk = default_tuning.chunk in
+  (* claim window: how far past the reducer's frontier workers may claim;
+     at jobs >= 2 it spans at least two chunks, so a worker can always
+     claim *)
+  let window = jobs * default_tuning.window_per_job in
   (* Result mailbox: a bounded ring of atomic slots addressed by attempt
      index land mask. Safety of reusing slot [i land mask] between
      attempts [i] and [i + cap]: a worker only claims a range whose low
@@ -155,11 +147,10 @@ let indexed ~tuning ~jobs ~first ~last ~make_exec ~process ~exhausted =
   in
   reduce 0
 
-let pool ?(tuning = default_tuning) ?est_attempt_steps ~jobs ~first ~last
-    ~make_exec ~process ~exhausted () =
-  let jobs = effective_jobs ~tuning ~jobs est_attempt_steps in
-  if jobs > 1 then
-    indexed ~tuning ~jobs ~first ~last ~make_exec ~process ~exhausted
+let pool ?est_attempt_steps ~jobs ~first ~last ~make_exec ~process ~exhausted
+    () =
+  let jobs = effective_jobs ~jobs est_attempt_steps in
+  if jobs > 1 then indexed ~jobs ~first ~last ~make_exec ~process ~exhausted
   else
     let exec = make_exec ~worker:None ~cancel:None in
     let rec go i =

@@ -23,40 +23,32 @@
     wall-clock reproduction time depends on cores, so DE figures derived
     from wall-clock must record the [jobs] used. *)
 
-(** Scheduler tuning. All four knobs change only wall-clock behaviour,
-    never outcomes — the parity law in the test suite checks restarts
-    byte-identical across arbitrary tunings. *)
-type tuning = {
+(** The pool's placement policy. It is fixed: nothing takes one as an
+    argument, and {!default_tuning} holds the constants the pool reads.
+    The policy changes only wall-clock behaviour, never outcomes. *)
+type tuning = private {
   chunk : int;
-      (** attempt indices a worker claims per CAS on the shared frontier.
-          Higher amortises contention on short attempts; lower smooths
-          load imbalance on long ones. *)
+      (** attempt indices a worker claims per CAS on the shared frontier *)
   window_per_job : int;
-      (** claim window, per job: workers may run at most
+      (** claim window, per domain: workers may run at most
           [jobs * window_per_job] attempts ahead of the reducer's
-          frontier (floored at [max 2 chunk]). Bounds wasted work after
-          a first hit. *)
+          frontier, which bounds wasted work after a first hit *)
   spawn_cost_steps : int;
-      (** min-work heuristic: when [est_attempt_steps] falls below this,
-          fan-out is a guaranteed loss and the pool runs in order
-          regardless of [jobs]. *)
-  cap_domains : bool;
-      (** clamp [jobs] to [Domain.recommended_domain_count ()]. Extra
-          domains on an oversubscribed machine only add preemption and
-          cache pressure; outcomes are identical at any job count.
-          Benches that measure contention on purpose switch this off. *)
+      (** min-work threshold: when the attempt-cost estimate falls below
+          it, fan-out is a guaranteed loss and the pool runs in order
+          regardless of [jobs] *)
 }
 
 val default_tuning : tuning
-(** [{ chunk = 4; window_per_job = 4; spawn_cost_steps = 15_000;
-      cap_domains = true }] *)
+(** [{ chunk = 4; window_per_job = 4; spawn_cost_steps = 15_000 }] *)
 
-(** [effective_jobs ?tuning ~jobs est] is the domain count a pool would
-    run on: 1 when the attempt-cost estimate [est] (typically the
-    recorded run's [base_steps]) falls below [tuning.spawn_cost_steps],
-    and at most the machine's recommended domain count under
-    [cap_domains]. *)
-val effective_jobs : ?tuning:tuning -> jobs:int -> int option -> int
+(** [effective_jobs ~jobs est] is the domain count a pool would run on:
+    1 when the attempt-cost estimate [est] (typically the recorded run's
+    [base_steps]) falls below [default_tuning.spawn_cost_steps], and
+    otherwise [jobs] clamped to [Domain.recommended_domain_count ()]
+    (extra domains on an oversubscribed machine only add preemption and
+    cache pressure). *)
+val effective_jobs : jobs:int -> int option -> int
 
 (** [pool ~jobs ~first ~last ~make_exec ~process ~exhausted ()] runs
     attempts [first..last] and feeds them to [process] in index order
@@ -74,10 +66,9 @@ val effective_jobs : ?tuning:tuning -> jobs:int -> int option -> int
     On the in-order path forcing [run] executes the attempt, so checks
     made before forcing it (a deadline) cost no attempt.
 
-    [est_attempt_steps] feeds the min-work heuristic of
+    [est_attempt_steps] feeds the min-work threshold of
     {!effective_jobs}. *)
 val pool :
-  ?tuning:tuning ->
   ?est_attempt_steps:int ->
   jobs:int ->
   first:int ->
@@ -87,4 +78,3 @@ val pool :
   exhausted:(unit -> 'out) ->
   unit ->
   'out
-

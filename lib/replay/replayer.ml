@@ -99,38 +99,38 @@ let value_budget =
    seed (base seed + attempt), is accepted by [accept log], and a
    rejected run is ranked by its closeness to the recording. The
    recorded run's length is the attempt-cost estimate. *)
-let restarts model ~budget ~jobs ?tuning ?checkpoint ?resume ~accept ~make
-    labeled ~spec log =
-  Search.random_restarts ~jobs ?tuning ?est_attempt_steps:(est_of log)
-    ?checkpoint ?resume budget
+let restarts model ~budget ~jobs ?checkpoint ?resume ~accept ~make labeled
+    ~spec log =
+  Search.random_restarts ~jobs ?est_attempt_steps:(est_of log) ?checkpoint
+    ?resume budget
     ~score:(Constraints.closeness log)
     ~make:(fun ~attempt ->
       make ~attempt ~seed:(budget.Search.base_seed + attempt))
     ~spec ~accept:(accept log) labeled
   |> of_search model
 
-let value_det ?(budget = value_budget) ?(jobs = 1) ?tuning ?checkpoint ?resume
-    labeled ~spec log =
-  restarts "value" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec log
+let value_det ?(budget = value_budget) ?(jobs = 1) ?checkpoint ?resume labeled
+    ~spec log =
+  restarts "value" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
     ~accept:Constraints.failure_matches ~make:(fun ~attempt:_ ~seed ->
       let handle = Oracle.value_det ~seed log in
       (handle.Oracle.world, Some handle.Oracle.abort))
 
 let output_det ?(budget = Search.default_budget) ?(exhaustive = true)
-    ?(jobs = 1) ?tuning ?checkpoint ?resume labeled ~spec log =
+    ?(jobs = 1) ?checkpoint ?resume labeled ~spec log =
   if exhaustive then
     Search.enumerate_inputs ?checkpoint ?resume budget
       ~score:(Constraints.closeness log) ~spec
       ~accept:(Constraints.outputs_match log) labeled
     |> of_search "output"
   else
-    restarts "output" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec
-      log ~accept:Constraints.outputs_match ~make:(fun ~attempt:_ ~seed ->
+    restarts "output" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
+      ~accept:Constraints.outputs_match ~make:(fun ~attempt:_ ~seed ->
         ( env_world log (World.random ~seed),
           Some (Constraints.output_prefix_abort log) ))
 
-let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning
-    ?checkpoint ?resume ?priority labeled ~spec log =
+let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint
+    ?resume ?priority labeled ~spec log =
   let attempt_world =
     match priority with
     | None -> fun ~seed -> World.random ~seed
@@ -138,13 +138,13 @@ let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning
       let prefer = Search.site_prefer p in
       fun ~seed -> World.prioritized ~seed ~prefer
   in
-  restarts "failure" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec
-    log ~accept:Constraints.failure_matches ~make:(fun ~attempt:_ ~seed ->
+  restarts "failure" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
+    ~accept:Constraints.failure_matches ~make:(fun ~attempt:_ ~seed ->
       (env_world log (attempt_world ~seed), None))
 
-let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
-    ?resume labeled ~spec log =
-  restarts "sync" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec log
+let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint ?resume
+    labeled ~spec log =
+  restarts "sync" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
     ~accept:Constraints.outputs_match ~make:(fun ~attempt:_ ~seed ->
       let handle = Oracle.sync ~seed log in
       ( handle.Oracle.world,
@@ -153,8 +153,8 @@ let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
              (Constraints.output_prefix_abort log)) ))
 
 let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
-    ?tuning ?checkpoint ?resume labeled ~spec log =
-  restarts "rcse" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec log
+    ?checkpoint ?resume labeled ~spec log =
+  restarts "rcse" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
     ~accept:Constraints.failure_matches ~make:(fun ~attempt:_ ~seed ->
       let handle = Oracle.rcse ~strict ~seed log in
       (env_world log handle.Oracle.world, Some handle.Oracle.abort))
@@ -169,8 +169,8 @@ let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
    its own name. The degraded windows are exactly the search regions;
    everything outside them is pinned by the surviving entries through
    the closeness score. *)
-let governed ?budget ?jobs ?tuning ?checkpoint ?resume labeled ~spec log =
-  { (failure_det ?budget ?jobs ?tuning ?checkpoint ?resume labeled ~spec log)
+let governed ?budget ?jobs ?checkpoint ?resume labeled ~spec log =
+  { (failure_det ?budget ?jobs ?checkpoint ?resume labeled ~spec log)
     with model = "governed" }
 
 (* Partial-evidence replay over a stitched shard merge. When the stitch
@@ -180,11 +180,11 @@ let governed ?budget ?jobs ?tuning ?checkpoint ?resume labeled ~spec log =
    are searched by random restarts under the recorded fault plan, and
    acceptance is the recorded failure — reproduced from partial
    evidence. *)
-let stitched ?(budget = Search.default_budget) ?(jobs = 1) ?tuning ?checkpoint
-    ?resume ?steer labeled ~spec (st : Stitch.t) =
+let stitched ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint ?resume
+    ?steer labeled ~spec (st : Stitch.t) =
   let log = st.Stitch.log in
-  restarts "stitched" ~budget ~jobs ?tuning ?checkpoint ?resume labeled ~spec
-    log ~accept:Constraints.failure_matches ~make:(fun ~attempt ~seed ->
+  restarts "stitched" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
+    ~accept:Constraints.failure_matches ~make:(fun ~attempt ~seed ->
       (* the first attempt replays the surviving projection unbiased —
          identical to the uninformed search — so steering can only speed
          up later shots, never cost a first-try reproduction *)

@@ -70,19 +70,16 @@ val perfect : Label.labeled -> spec:Spec.t -> Log.t -> outcome
 val value_budget : Search.budget
 
 (** [value_det] tries a few seeds; per-thread value forcing makes each
-    attempt cheap. All searching drivers take [jobs] (default 1) and
-    [tuning], which only the random-restart searches use: with
-    [jobs > 1] their attempts go through {!Par_search.pool}, over that
-    many OCaml 5 domains once the recorded run is long enough to pay
-    for them (the min-work heuristic), with outcomes identical at any
-    [jobs]. [tuning] adjusts the pool's knobs (chunk size, claim window,
-    min-work threshold, cores cap) — wall-clock only, never outcomes.
-    Input enumeration ({!output_det} with [exhaustive]) always runs in
-    order. *)
+    attempt cheap. All searching drivers take [jobs] (default 1), which
+    only the random-restart searches use: with [jobs > 1] their attempts
+    go through {!Par_search.pool}, over up to that many OCaml 5 domains
+    (capped at the cores) once the recorded run's [base_steps] reaches
+    the pool's min-work threshold, with outcomes identical at any
+    [jobs]. Input enumeration ({!output_det} with [exhaustive]) always
+    runs in order. *)
 val value_det :
   ?budget:Search.budget ->
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -97,7 +94,6 @@ val output_det :
   ?budget:Search.budget ->
   ?exhaustive:bool ->
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -114,7 +110,6 @@ val output_det :
 val failure_det :
   ?budget:Search.budget ->
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   ?priority:Search.site_priority ->
@@ -126,7 +121,6 @@ val failure_det :
 val sync_det :
   ?budget:Search.budget ->
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -141,7 +135,6 @@ val rcse :
   ?budget:Search.budget ->
   ?strict:bool ->
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -160,7 +153,6 @@ val rcse :
 val governed :
   ?budget:Search.budget ->
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   Label.labeled ->
@@ -191,7 +183,6 @@ val governed :
 val stitched :
   ?budget:Search.budget ->
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   ?steer:Oracle.steer ->

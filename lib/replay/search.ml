@@ -260,7 +260,7 @@ let check_resume ~engine ~origin = function
 (* ------------------------------------------------------------------ *)
 (* engines *)
 
-let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
+let random_restarts ?(jobs = 1) ?est_attempt_steps ?(score = no_score)
     ?checkpoint ?resume budget ~make ~spec ~accept labeled =
   let resume =
     check_resume ~engine:"restarts" ~origin:budget.base_seed resume
@@ -344,7 +344,7 @@ let random_restarts ?(jobs = 1) ?tuning ?est_attempt_steps ?(score = no_score)
   let first =
     match resume with Some c -> c.Checkpoint.attempt + 1 | None -> 1
   in
-  Par_search.pool ?tuning ?est_attempt_steps ~jobs ~first
+  Par_search.pool ?est_attempt_steps ~jobs ~first
     ~last:budget.max_attempts ~make_exec ~process
     ~exhausted:(fun () -> fail ~attempts:(max budget.max_attempts (first - 1)) ())
     ()
@@ -465,8 +465,7 @@ let run_schedule_prefix ?(max_steps = 50_000) ~prefix labeled =
 
 let scan_engine = "scan"
 
-let first_success ?(jobs = 1) ?tuning ?est_attempt_steps ?checkpoint ?resume
-    ~from ~count ~f () =
+let first_success ?(jobs = 1) ?checkpoint ?resume ~from ~count ~f () =
   let resume = check_resume ~engine:scan_engine ~origin:from resume in
   let last = from + count - 1 in
   let frontier i () =
@@ -483,7 +482,7 @@ let first_success ?(jobs = 1) ?tuning ?est_attempt_steps ?checkpoint ?resume
   let tick i =
     Option.iter (fun s -> Checkpoint.tick s (frontier i)) checkpoint
   in
-  Par_search.pool ?tuning ?est_attempt_steps ~jobs
+  Par_search.pool ~jobs
     ~first:(match resume with Some c -> c.Checkpoint.attempt + 1 | None -> from)
     ~last
     ~make_exec:(fun ~worker ~cancel:_ i ->

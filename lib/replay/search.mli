@@ -96,13 +96,13 @@ type outcome = {
     [score] ranks rejected runs for the {!partial} outcome (default:
     rank nothing).
 
-    [jobs] (default 1), [tuning] and [est_attempt_steps] decide where the
-    attempts run (see {!Par_search.pool}). They fan out over up to
-    [jobs] domains only when [jobs > 1], the cores cap leaves more than
-    one, and the attempt-cost estimate [est_attempt_steps] (typically
-    the recorded run's [base_steps]) is absent or at least
-    [tuning.spawn_cost_steps]; [make] must then be callable from any
-    domain. Otherwise they run in order on the calling thread. The
+    [jobs] (default 1) and [est_attempt_steps] decide where the attempts
+    run (see {!Par_search.pool}). They fan out over up to [jobs] domains
+    only when [jobs > 1], the cores cap leaves more than one, and the
+    attempt-cost estimate [est_attempt_steps] (typically the recorded
+    run's [base_steps]) is absent or at least the pool's min-work
+    threshold ({!Par_search.default_tuning}); [make] must then be
+    callable from any domain. Otherwise they run in order on the calling thread. The
     outcome is the same at every [jobs]; only the incidents' [worker]
     field and wall-clock time differ.
 
@@ -124,7 +124,6 @@ type outcome = {
       {!incident} in [stats.incidents]; the search itself survives. *)
 val random_restarts :
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
   ?est_attempt_steps:int ->
   ?score:(Interp.result -> float) ->
   ?checkpoint:Checkpoint.sink ->
@@ -178,15 +177,13 @@ val dfs_schedules :
     and returns the first [Some] with its index — the {e lowest} index
     whose [f] succeeds at every [jobs]. A probe that raises is retried
     once, then poisoned: skipped, like a probe that returned [None].
-    [jobs], [tuning] and [est_attempt_steps] are as for
-    {!random_restarts}; with [jobs > 1], [f] runs on worker domains and
-    higher indices are probed ahead of the lowest unjudged one. Used by
+    [jobs] is as for {!random_restarts}, with no attempt-cost estimate:
+    with [jobs > 1] and at least two cores, [f] runs on worker domains
+    and higher indices are probed ahead of the lowest unjudged one. Used by
     workload seed scans. [checkpoint]/[resume] persist the scan frontier
     under the "scan" engine kind, with [from] as the identity check. *)
 val first_success :
   ?jobs:int ->
-  ?tuning:Par_search.tuning ->
-  ?est_attempt_steps:int ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->
   from:int ->

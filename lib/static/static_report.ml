@@ -106,8 +106,7 @@ let node_views t = match t.dist with None -> [] | Some d -> d.views
 
 let trigger t = Ddet_analysis.Trigger.of_sites ~name:"static-races" t.suspects
 
-let trigger_selector ?(sticky = true) ?window t =
-  Ddet_analysis.Trigger.selector ~sticky ?window [ trigger t ]
+let trigger_selector t = Ddet_analysis.Trigger.selector ~sticky:true [ trigger t ]
 
 let site_selector t =
   let tbl = Hashtbl.create 16 in

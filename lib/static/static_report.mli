@@ -53,11 +53,9 @@ val node_views : t -> node_view list
     {!Ddet_analysis.Trigger.selector} or combine with dynamic triggers. *)
 val trigger : t -> Ddet_analysis.Trigger.t
 
-(** The suspect-site trigger as a ready selector (sticky by default:
-    "increase determinism guarantees onward from the point of
-    detection"). *)
-val trigger_selector :
-  ?sticky:bool -> ?window:int -> t -> Ddet_record.Fidelity_level.selector
+(** The suspect-site trigger as a ready sticky selector ("increase
+    determinism guarantees onward from the point of detection"). *)
+val trigger_selector : t -> Ddet_record.Fidelity_level.selector
 
 (** The site-granular selector: high fidelity exactly at suspect-site
     events and nothing anywhere else — the cheapest static configuration,

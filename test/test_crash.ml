@@ -18,13 +18,32 @@ open Ddet_apps
 
 let jobs = 4
 
-(* cap_domains off and the min-work threshold zeroed: these tests
-   exercise the parallel pool itself, which the cores cap would silently
-   bypass on small CI boxes and the drivers' attempt-cost estimate would
-   bypass everywhere *)
-let tuning =
-  { Par_search.default_tuning with
-    Par_search.cap_domains = false; spawn_cost_steps = 0 }
+(* The fan-out guard: [f ()] runs under a fresh tracer, and with two or
+   more cores the jobs > 1 side of a parity case must have claimed a
+   chunk of the indexed pool, or the case would compare the in-order loop
+   with itself. On one core the pool runs in order, as the product does
+   there. *)
+let fanned_out name f =
+  let t = Ddet_obs.Tracer.create ~capacity:1024 () in
+  let r = Ddet_obs.Tracer.with_current t f in
+  let claims =
+    List.assoc_opt "par.chunk_claims" (Ddet_obs.Tracer.counters t)
+  in
+  if Domain.recommended_domain_count () >= 2 then
+    Alcotest.(check bool) (name ^ ": chunks claimed") true
+      (Option.value ~default:0 claims > 0);
+  r
+
+(* the guard on the jobs > 1 runs of a case that loops over jobs *)
+let pooled name jobs f = if jobs > 1 then fanned_out name f else f ()
+
+(* The replay drivers pass the recorded run's base_steps as the
+   attempt-cost estimate, the only input the placement reads; a log
+   claiming the min-work threshold sends jobs > 1 to the pool, as a
+   long production run would. *)
+let pool_sized (log : Log.t) =
+  { log with
+    Log.base_steps = Par_search.default_tuning.Par_search.spawn_cost_steps }
 
 (* ------------------------------------------------------------------ *)
 (* workloads (as in test_par) *)
@@ -230,8 +249,9 @@ let test_restarts_kill_resume () =
     budget;
   kill_and_resume "restarts/par"
     (fun ?checkpoint ?resume b ->
-      Search.random_restarts ~tuning ~jobs ?checkpoint ?resume b ~make:(make_of b)
-        ~spec ~accept labeled)
+      fanned_out "restarts/par" (fun () ->
+          Search.random_restarts ~jobs ?checkpoint ?resume b ~make:(make_of b)
+            ~spec ~accept labeled))
     budget
 
 (* checkpoints are interchangeable between sequential and parallel runs:
@@ -251,8 +271,9 @@ let test_cross_jobs_resume () =
       ~accept labeled
   in
   let par ?checkpoint ?resume b =
-    Search.random_restarts ~tuning ~jobs ?checkpoint ?resume b ~make:(make_of b)
-      ~spec ~accept labeled
+    fanned_out "cross/par" (fun () ->
+        Search.random_restarts ~jobs ?checkpoint ?resume b ~make:(make_of b)
+          ~spec ~accept labeled)
   in
   let rec pick bs =
     if bs > 20 then Alcotest.fail "cross: no killable base seed"
@@ -339,7 +360,7 @@ let test_replayer_kill_resume_miniht () =
   let app = Miniht.app () in
   let labeled = app.App.labeled and spec = app.App.spec in
   let seed = find_failing_seed labeled spec in
-  let log = failure_log labeled spec seed in
+  let log = pool_sized (failure_log labeled spec seed) in
   let budget =
     { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1;
       deadline_s = None }
@@ -347,28 +368,28 @@ let test_replayer_kill_resume_miniht () =
   List.iter
     (fun jobs ->
       let name = Printf.sprintf "miniht j%d" jobs in
-      let full = Replayer.failure_det ~budget ~jobs ~tuning labeled ~spec log in
+      let search ?checkpoint ?resume budget =
+        pooled name jobs (fun () ->
+            Replayer.failure_det ~budget ~jobs ?checkpoint ?resume labeled
+              ~spec log)
+      in
+      let full = search budget in
       Alcotest.(check bool) (name ^ ": reproduced") true
         (full.Replayer.result <> None);
       let kill_at = full.Replayer.attempts - 1 in
       if kill_at < 1 then Alcotest.fail (name ^ ": nothing to kill");
       let file = Filename.temp_file "ddet_crash" ".ckpt" in
       ignore
-        (Replayer.failure_det
-           ~budget:{ budget with Search.max_attempts = kill_at }
-           ~jobs ~tuning
+        (search
            ~checkpoint:(Checkpoint.sink ~every:1 file)
-           labeled ~spec log);
+           { budget with Search.max_attempts = kill_at });
       let c =
         match Checkpoint.load file with
         | Ok c -> c
         | Error e -> Alcotest.fail (name ^ ": " ^ e)
       in
       Sys.remove file;
-      let resumed =
-        Replayer.failure_det ~budget ~jobs ~tuning ~resume:c labeled ~spec log
-      in
-      check_same_replay name full resumed)
+      check_same_replay name full (search ~resume:c budget))
     [ 1; jobs ]
 
 let drop_plan =
@@ -387,9 +408,14 @@ let test_session_kill_resume_cloudstore () =
     List.iter
       (fun jobs ->
         let name = Printf.sprintf "cloudstore j%d" jobs in
-        let config = { Config.default with Config.jobs; tuning } in
+        let config = { Config.default with Config.jobs } in
         let prepared = Session.prepare ~config Model.Failure_det cloud in
         let _, log = Session.record ~faults:drop_plan prepared ~seed in
+        let log = pool_sized log in
+        let replay ?checkpoint ?resume budget =
+          pooled name jobs (fun () ->
+              Session.replay ~budget ?checkpoint ?resume prepared log)
+        in
         (* pick a base seed whose search needs > 1 attempt, so the kill
            lands mid-flight *)
         let rec pick bs =
@@ -398,7 +424,7 @@ let test_session_kill_resume_cloudstore () =
             let budget =
               { config.Config.budget with Search.base_seed = bs }
             in
-            let full = Session.replay ~budget prepared log in
+            let full = replay budget in
             if full.Replayer.attempts >= 2 then (budget, full)
             else pick (bs + 1)
         in
@@ -409,18 +435,16 @@ let test_session_kill_resume_cloudstore () =
         in
         let file = Filename.temp_file "ddet_crash" ".ckpt" in
         ignore
-          (Session.replay
-             ~budget:{ budget with Search.max_attempts = kill_at }
+          (replay
              ~checkpoint:(Checkpoint.sink ~every:1 file)
-             prepared log);
+             { budget with Search.max_attempts = kill_at });
         let c =
           match Checkpoint.load file with
           | Ok c -> c
           | Error e -> Alcotest.fail (name ^ ": " ^ e)
         in
         Sys.remove file;
-        let resumed = Session.replay ~budget ~resume:c prepared log in
-        check_same_replay name full resumed)
+        check_same_replay name full (replay ~resume:c budget))
       [ 1; jobs ]
 
 (* ------------------------------------------------------------------ *)
@@ -496,7 +520,8 @@ let test_poisoned_attempt_skipped () =
   in
   let s = Search.random_restarts budget ~make ~spec ~accept:never labeled in
   let p =
-    Search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept:never labeled
+    fanned_out "poisoned" (fun () ->
+        Search.random_restarts ~jobs budget ~make ~spec ~accept:never labeled)
   in
   List.iter
     (fun (name, (o : Search.outcome)) ->
@@ -552,7 +577,10 @@ let test_flaky_attempt_requeued () =
 let test_poisoned_scan_probe () =
   let f n = if n = 8 then failwith "probe crash" else if n * n > 50 then Some (n * n) else None in
   let s = Search.first_success ~from:0 ~count:20 ~f () in
-  let p = Search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f () in
+  let p =
+    fanned_out "poisoned scan" (fun () ->
+        Search.first_success ~jobs ~from:0 ~count:20 ~f ())
+  in
   Alcotest.(check (option (pair int int)))
     "sequential scan skips the crashing probe" (Some (9, 81)) s;
   Alcotest.(check (option (pair int int))) "parallel scan agrees" s p
@@ -569,7 +597,8 @@ let test_flaky_scan_probe () =
   in
   let s = Search.first_success ~from:0 ~count:20 ~f:(flaky ()) () in
   let p =
-    Search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f:(flaky ()) ()
+    fanned_out "flaky scan" (fun () ->
+        Search.first_success ~jobs ~from:0 ~count:20 ~f:(flaky ()) ())
   in
   Alcotest.(check (option (pair int int)))
     "sequential scan retries the flaky probe" (Some (8, 64)) s;
@@ -587,7 +616,8 @@ let test_deadline_exhausts_immediately () =
   let make ~attempt = (World.random ~seed:attempt, None) in
   let s = Search.random_restarts budget ~make ~spec ~accept:never labeled in
   let p =
-    Search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept:never labeled
+    fanned_out "deadline" (fun () ->
+        Search.random_restarts ~jobs budget ~make ~spec ~accept:never labeled)
   in
   List.iter
     (fun (name, (o : Search.outcome)) ->
@@ -732,7 +762,8 @@ let test_scan_kill_resume () =
   List.iter
     (fun jobs ->
       let resumed =
-        Search.first_success ~tuning ~jobs ~resume:c ~from:0 ~count:20 ~f ()
+        pooled "resumed scan" jobs (fun () ->
+            Search.first_success ~jobs ~resume:c ~from:0 ~count:20 ~f ())
       in
       Alcotest.(check (option (pair int int)))
         (Printf.sprintf "resumed scan j%d" jobs)

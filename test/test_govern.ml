@@ -68,7 +68,7 @@ let test_retry_absorbs_transient () =
     incr calls;
     if !calls < 3 then Error (flaky_error true) else Ok !calls
   in
-  match Retry.run ~policy:{ Retry.default with Retry.backoff_s = 0. } f with
+  match Retry.run f with
   | Ok 3 -> ()
   | Ok n -> Alcotest.fail (Printf.sprintf "wrong attempt count %d" n)
   | Error f -> Alcotest.fail (Retry.failure_to_string f)
@@ -88,10 +88,10 @@ let test_retry_permanent_is_immediate () =
 
 let test_retry_gives_up () =
   let f () = Error (flaky_error true) in
-  match Retry.run ~policy:{ Retry.no_retries with Retry.max_retries = 2 } f with
+  match Retry.run f with
   | Ok _ -> Alcotest.fail "endless transience succeeded"
   | Error f ->
-    Alcotest.(check int) "first + 2 retries" 3 f.Retry.attempts;
+    Alcotest.(check int) "first + 3 retries" 4 f.Retry.attempts;
     Alcotest.(check bool) "marked as give-up" true f.Retry.gave_up;
     Alcotest.(check bool) "surfaces as permanent" false
       (Retry.as_store_error f).Store.transient
@@ -165,7 +165,7 @@ let plan_gen =
       (int_bound 1000)
       (list_size (int_range 0 3) fault_gen))
 
-(* Any fault plan, any retry policy outcome: the save either round-trips
+(* Any fault plan, any retry outcome: the save either round-trips
    exactly, or fails with a typed PERMANENT error while the disk holds a
    salvageable prefix flagged as damaged. No exceptions, no silent
    corruption, no phantom entries. *)
@@ -175,9 +175,7 @@ let storage_fault_law =
     ~count:120 plan_gen (fun plan ->
       let base = seg_base () in
       let faulty, _stats = Faulty_store.wrap plan (Store.local ()) in
-      let store =
-        Retry.store ~policy:{ Retry.default with Retry.backoff_s = 0. } faulty
-      in
+      let store = Retry.store faulty in
       let saved = Log_segments.save_via store ~segment_entries:8 base log in
       let ok =
         match saved with
@@ -223,7 +221,7 @@ let test_ladder_admits () =
     (Governor.admits 3 (Log.Mark "dial-high"))
 
 let test_governor_degrades_and_marks () =
-  let g = Governor.create ~warmup:4 ~dwell:2 ~budget:1.1 () in
+  let g = Governor.create ~budget:1.1 () in
   let heavy = mk_entry_value () in
   let out = ref [] in
   for step = 1 to 200 do
@@ -254,7 +252,7 @@ let test_governor_degrades_and_marks () =
     (Log.governed_windows log)
 
 let test_trigger_boosts_to_full () =
-  let g = Governor.create ~warmup:4 ~dwell:2 ~trigger_hold:50 ~budget:1.1 () in
+  let g = Governor.create ~budget:1.1 () in
   let heavy = mk_entry_value () in
   for step = 1 to 100 do
     Governor.on_event g

@@ -14,14 +14,32 @@ open Ddet_apps
 
 let jobs = 4
 
-(* cap_domains off: these tests exercise the parallel pools themselves,
-   which the cores cap would silently bypass on small CI boxes *)
-let tuning = { Par_search.default_tuning with Par_search.cap_domains = false }
+(* [f ()] under a fresh tracer, with the chunks the pool claimed *)
+let with_claims f =
+  let t = Ddet_obs.Tracer.create ~capacity:1024 () in
+  let r = Ddet_obs.Tracer.with_current t f in
+  let claims =
+    List.assoc_opt "par.chunk_claims" (Ddet_obs.Tracer.counters t)
+  in
+  (r, Option.value ~default:0 claims)
 
-(* the product drivers pass the recorded run's length as the attempt-cost
-   estimate, which sits below the default min-work threshold; zero it so
-   jobs > 1 really reaches the pool *)
-let pool_tuning = { tuning with Par_search.spawn_cost_steps = 0 }
+(* The fan-out guard: with two or more cores, the jobs > 1 side of a
+   parity case must have reached the indexed pool, or the case would
+   compare the in-order loop with itself. On one core the pool runs in
+   order, as the product does there. *)
+let fanned_out name f =
+  let r, claims = with_claims f in
+  if Domain.recommended_domain_count () >= 2 then
+    Alcotest.(check bool) (name ^ ": chunks claimed") true (claims > 0);
+  r
+
+(* The replay drivers pass the recorded run's base_steps as the
+   attempt-cost estimate, the only input the placement reads; a log
+   claiming the min-work threshold sends jobs > 1 to the pool, as a
+   long production run would. *)
+let pool_sized (log : Log.t) =
+  { log with
+    Log.base_steps = Par_search.default_tuning.Par_search.spawn_cost_steps }
 
 (* ------------------------------------------------------------------ *)
 (* workloads *)
@@ -125,25 +143,29 @@ let test_restarts_parity_counter () =
   in
   let make ~attempt = (World.random ~seed:attempt, None) in
   let s = Search.random_restarts budget ~make ~spec ~accept labeled in
-  let p = Search.random_restarts ~tuning ~jobs budget ~make ~spec ~accept labeled in
+  let p =
+    fanned_out "restarts/counter" (fun () ->
+        Search.random_restarts ~jobs budget ~make ~spec ~accept labeled)
+  in
   Alcotest.(check bool) "restarts reproduce the race" true
     s.Search.stats.Search.success;
   check_same_outcome "restarts/counter" s p
 
 (* the min-work heuristic: an attempt estimated cheaper than a domain
    spawn forces the sequential path, and (by construction — it IS the
-   sequential engine) the outcome is unchanged; a big estimate leaves
-   the parallel path on, also outcome-unchanged by the parity law *)
+   sequential engine) the outcome is unchanged; an estimate at the
+   threshold or above, or none, leaves the fan-out to the cores cap *)
 let test_min_work_heuristic () =
+  let cores = max 1 (Domain.recommended_domain_count ()) in
+  let threshold = Par_search.default_tuning.Par_search.spawn_cost_steps in
   Alcotest.(check int) "tiny estimate forces sequential" 1
-    (Par_search.effective_jobs ~tuning ~jobs:8 (Some 100));
-  Alcotest.(check int) "big estimate keeps the fan-out" 8
-    (Par_search.effective_jobs ~tuning ~jobs:8 (Some 1_000_000));
-  Alcotest.(check int) "no estimate keeps the fan-out" 8
-    (Par_search.effective_jobs ~tuning ~jobs:8 None);
-  Alcotest.(check bool) "cores cap clamps to the machine" true
-    (Par_search.effective_jobs ~jobs:64 None
-    <= max 1 (Domain.recommended_domain_count ()));
+    (Par_search.effective_jobs ~jobs:8 (Some 100));
+  Alcotest.(check int) "the threshold keeps the fan-out" (min 8 cores)
+    (Par_search.effective_jobs ~jobs:8 (Some threshold));
+  Alcotest.(check int) "no estimate keeps the fan-out" (min 8 cores)
+    (Par_search.effective_jobs ~jobs:8 None);
+  Alcotest.(check int) "cores cap clamps to the machine" (min 64 cores)
+    (Par_search.effective_jobs ~jobs:64 None);
   let labeled = counter_prog ~iters:10 and spec = spec_out 20 in
   let seed = find_failing_seed labeled spec in
   let log = failure_log labeled spec seed in
@@ -153,10 +175,12 @@ let test_min_work_heuristic () =
   in
   let make ~attempt = (World.random ~seed:attempt, None) in
   let s = Search.random_restarts budget ~make ~spec ~accept labeled in
-  let p =
-    Search.random_restarts ~tuning ~jobs ~est_attempt_steps:100 budget ~make ~spec
-      ~accept labeled
+  let p, claims =
+    with_claims (fun () ->
+        Search.random_restarts ~jobs ~est_attempt_steps:100 budget ~make ~spec
+          ~accept labeled)
   in
+  Alcotest.(check int) "min-work/counter: no chunk claimed" 0 claims;
   check_same_outcome "min-work/counter" s p
 
 (* The DFS takes no jobs and keeps its arena and counters per search, with
@@ -183,20 +207,23 @@ let test_dfs_parity_counter () =
 
 (* Input enumeration runs in order at any jobs: the output-determinism
    driver enumerates an input-only program whatever [jobs] it is given,
-   even with a tuning that lets every restart reach the pool. *)
+   even from a log long enough to send restarts to the pool. *)
 let test_enumerate_inputs_parity_adder () =
   let _, log =
     Recorder.record (Output_recorder.create ()) adder_prog ~spec:Spec.accept_all
       ~world:(World.random ~seed:7)
   in
+  let log = pool_sized log in
   let budget =
     { Search.max_attempts = 50; max_steps_per_attempt = 1_000; base_seed = 1; deadline_s = None }
   in
   let run jobs =
-    Replayer.output_det ~budget ~exhaustive:true ~jobs ~tuning:pool_tuning
-      adder_prog ~spec:Spec.accept_all log
+    Replayer.output_det ~budget ~exhaustive:true ~jobs adder_prog
+      ~spec:Spec.accept_all log
   in
-  let s = run 1 and p = run jobs in
+  let s = run 1 in
+  let p, claims = with_claims (fun () -> run jobs) in
+  Alcotest.(check int) "inputs/adder: no chunk claimed" 0 claims;
   Alcotest.(check bool) "enumeration reproduces the outputs" true
     (s.Replayer.result <> None);
   Alcotest.(check int) "inputs/adder: attempts" s.Replayer.attempts
@@ -212,12 +239,15 @@ let test_replayer_parity_miniht () =
   let app = Miniht.app () in
   let labeled = app.App.labeled and spec = app.App.spec in
   let seed = find_failing_seed labeled spec in
-  let log = failure_log labeled spec seed in
+  let log = pool_sized (failure_log labeled spec seed) in
   let budget =
     { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None }
   in
   let s = Replayer.failure_det ~budget labeled ~spec log in
-  let p = Replayer.failure_det ~budget ~jobs ~tuning:pool_tuning labeled ~spec log in
+  let p =
+    fanned_out "miniht" (fun () ->
+        Replayer.failure_det ~budget ~jobs labeled ~spec log)
+  in
   Alcotest.(check int) "miniht: attempts" s.Replayer.attempts
     p.Replayer.attempts;
   Alcotest.(check int) "miniht: steps" s.Replayer.total_steps
@@ -243,12 +273,13 @@ let test_session_parity_faulted_cloudstore () =
   | None -> Alcotest.fail "no failing cloudstore seed under the drop plan"
   | Some (seed, _) ->
     let outcome_at jobs =
-      let config = { Config.default with Config.jobs; tuning = pool_tuning } in
+      let config = { Config.default with Config.jobs } in
       let prepared = Session.prepare ~config Model.Failure_det cloud in
       let _, log = Session.record ~faults:drop_plan prepared ~seed in
-      Session.replay prepared log
+      Session.replay prepared (pool_sized log)
     in
-    let s = outcome_at 1 and p = outcome_at jobs in
+    let s = outcome_at 1 in
+    let p = fanned_out "faulted" (fun () -> outcome_at jobs) in
     Alcotest.(check int) "faulted: attempts" s.Replayer.attempts
       p.Replayer.attempts;
     Alcotest.(check int) "faulted: steps" s.Replayer.total_steps
@@ -261,16 +292,25 @@ let test_session_parity_faulted_cloudstore () =
 let test_first_success_parity () =
   let f n = if n * n > 50 then Some (n * n) else None in
   let s = Search.first_success ~from:0 ~count:20 ~f () in
-  let p = Search.first_success ~tuning ~jobs ~from:0 ~count:20 ~f () in
+  let p =
+    fanned_out "scan" (fun () ->
+        Search.first_success ~jobs ~from:0 ~count:20 ~f ())
+  in
   Alcotest.(check (option (pair int int))) "lowest index wins" (Some (8, 64)) s;
   Alcotest.(check (option (pair int int))) "parallel agrees" s p;
-  let none = Search.first_success ~tuning ~jobs ~from:0 ~count:5 ~f () in
+  let none =
+    fanned_out "exhausted scan" (fun () ->
+        Search.first_success ~jobs ~from:0 ~count:5 ~f ())
+  in
   Alcotest.(check (option (pair int int))) "exhausted scan" None none
 
 let test_find_failing_seed_parity () =
   let app = Miniht.app () in
   let s = Workload.find_failing_seed app in
-  let p = Workload.find_failing_seed ~jobs app in
+  let p =
+    fanned_out "find_failing_seed" (fun () ->
+        Workload.find_failing_seed ~jobs app)
+  in
   match (s, p) with
   | Some (s1, r1), Some (s2, r2) ->
     Alcotest.(check int) "same seed" s1 s2;

@@ -492,11 +492,11 @@ let prop_resume_parity =
 (* parallel scheduler parity *)
 
 (* The law of the chunked scheduler: random restarts through the pool
-   at jobs > 1 are byte-identical to the in-order loop at ANY tuning —
-   random chunk sizes, random claim windows. cap_domains is off so the
-   pool genuinely runs even on one-core machines, and spawn_cost_steps
-   is zeroed so the min-work heuristic cannot quietly take the in-order
-   path this law is supposed to contrast with. *)
+   at jobs > 1 are byte-identical to the in-order loop on random
+   programs. No attempt-cost estimate is passed, so the min-work
+   threshold cannot take the in-order path: with two or more cores the
+   pool runs on them; on one core both sides run in order, as the
+   product does there. *)
 let par_budget pseed =
   {
     Search.max_attempts = 12;
@@ -522,13 +522,10 @@ let byte_identical_results (a : Search.outcome) (b : Search.outcome) =
   | _ -> false
 
 let prop_parallel_parity =
-  QCheck2.Test.make
-    ~name:"parallel search equals sequential at any chunk/window" ~count:24
-    ~print:(fun (pseed, chunk, wpj) ->
-      Printf.sprintf "program seed %d, chunk %d, window/job %d" pseed chunk
-        wpj)
-    QCheck2.Gen.(triple (int_range 1 5_000) (int_range 1 8) (int_range 1 8))
-    (fun (pseed, chunk, wpj) ->
+  QCheck2.Test.make ~name:"parallel search equals sequential" ~count:24
+    ~print:(Printf.sprintf "program seed %d")
+    QCheck2.Gen.(int_range 1 5_000)
+    (fun pseed ->
       let labeled = program_of pseed in
       let budget = par_budget pseed in
       let accept = deviation_accept labeled budget in
@@ -536,22 +533,13 @@ let prop_parallel_parity =
         if accept r then 1.0
         else float_of_int (List.length r.Interp.outputs) /. 100.
       in
-      let tuning =
-        {
-          Par_search.chunk;
-          window_per_job = wpj;
-          spawn_cost_steps = 0;
-          cap_domains = false;
-        }
-      in
       let spec = Spec.accept_all in
       let make ~attempt =
         (World.random ~seed:(budget.Search.base_seed + attempt), None)
       in
       let seq = Search.random_restarts ~score budget ~make ~spec ~accept labeled in
       let par =
-        Search.random_restarts ~jobs:3 ~tuning ~score budget ~make ~spec ~accept
-          labeled
+        Search.random_restarts ~jobs:3 ~score budget ~make ~spec ~accept labeled
       in
       same_search_outcome seq par && byte_identical_results seq par)
 
@@ -569,23 +557,13 @@ let prop_parallel_poison_parity =
   QCheck2.Test.make
     ~name:"poisoned attempts leave parallel and sequential in lockstep"
     ~count:20
-    ~print:(fun (pseed, chunk, modk) ->
-      Printf.sprintf "program seed %d, chunk %d, crash every %d-th attempt"
-        pseed chunk modk)
-    QCheck2.Gen.(
-      triple (int_range 1 5_000) (int_range 1 8) (int_range 2 5))
-    (fun (pseed, chunk, modk) ->
+    ~print:(fun (pseed, modk) ->
+      Printf.sprintf "program seed %d, crash every %d-th attempt" pseed modk)
+    QCheck2.Gen.(pair (int_range 1 5_000) (int_range 2 5))
+    (fun (pseed, modk) ->
       let labeled = program_of pseed in
       let budget = par_budget pseed in
       let accept = deviation_accept labeled budget in
-      let tuning =
-        {
-          Par_search.chunk;
-          window_per_job = 4;
-          spawn_cost_steps = 0;
-          cap_domains = false;
-        }
-      in
       let make ~attempt =
         if attempt mod modk = 0 then failwith "injected attempt crash"
         else (World.random ~seed:(budget.Search.base_seed + attempt), None)
@@ -593,8 +571,7 @@ let prop_parallel_poison_parity =
       let spec = Spec.accept_all in
       let seq = Search.random_restarts budget ~make ~spec ~accept labeled in
       let par =
-        Search.random_restarts ~jobs:3 ~tuning budget ~make ~spec ~accept
-          labeled
+        Search.random_restarts ~jobs:3 budget ~make ~spec ~accept labeled
       in
       same_search_outcome seq par
       && byte_identical_results seq par
