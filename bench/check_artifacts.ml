@@ -87,7 +87,7 @@ let () =
   List.iter
     (Printf.eprintf
        "bench wrote %s but no committed copy exists at the repo root —\n\
-        regenerate it (main.exe <section>) and commit the artifact\n")
+        regenerate it (main.exe <section> --json) and commit the artifact\n")
     missing;
   List.iter
     (Printf.eprintf

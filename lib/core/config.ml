@@ -4,7 +4,6 @@ open Ddet_replay
 type t = {
   cost_model : Cost_model.t;
   budget : Search.budget;
-  value_budget : Search.budget;
   flight_ring : int option;
   jobs : int;
   overhead_budget : float option;
@@ -14,7 +13,6 @@ let default =
   {
     cost_model = Cost_model.default;
     budget = Search.default_budget;
-    value_budget = Replayer.value_budget;
     flight_ring = Some 250;
     jobs = 1;
     overhead_budget = None;

@@ -11,10 +11,6 @@ open Ddet_replay
 type t = {
   cost_model : Cost_model.t;
   budget : Search.budget;  (** inference budget for searched replays *)
-  value_budget : Search.budget;
-      (** small budget for value-determinism replay (a handful of seeds);
-          default {!Ddet_replay.Replayer.value_budget}, the budget
-          {!Ddet_replay.Replayer.value_det} defaults to *)
   flight_ring : int option;
       (** capacity of the flight-recorder ring used by windowed RCSE
           selections (trigger/data/combined); [None] disables it *)

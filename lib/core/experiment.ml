@@ -431,78 +431,6 @@ let racy_counter_spec =
       | [ Value.Vint 8 ] -> Ok ()
       | _ -> Error "lost-update")
 
-let search_engines ?config () =
-  let jobs = (Option.value ~default:Config.default config).Config.jobs in
-  let open Ddet_replay in
-  let cases =
-    [
-      (* find a failing seed, record the failure, infer it back. The DFS
-         step cap matters: a systematic scheduler happily spins a polling
-         server for the whole budget, so each attempt is bounded. *)
-      ("racy-counter", racy_counter, racy_counter_spec,
-       { Search.max_attempts = 3_000; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None });
-      ("miniht", (Miniht.app ()).App.labeled, (Miniht.app ()).App.spec,
-       { Search.max_attempts = 300; max_steps_per_attempt = 5_000; base_seed = 1; deadline_s = None });
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun (name, labeled, spec, budget) ->
-        let seed =
-          let rec scan s =
-            if s > 500 then invalid_arg ("no failing seed for " ^ name)
-            else
-              let r = Spec.apply spec (Interp.run labeled (World.random ~seed:s)) in
-              if r.Interp.failure <> None then s else scan (s + 1)
-          in
-          scan 1
-        in
-        let _, log =
-          Ddet_record.Recorder.record
-            (Ddet_record.Failure_recorder.create ())
-            labeled ~spec ~world:(World.random ~seed)
-        in
-        let accept = Constraints.failure_matches log in
-        let describe engine (o : Search.outcome) =
-          [
-            name;
-            engine;
-            (if o.Search.stats.success then "yes" else "NO");
-            string_of_int o.Search.stats.attempts;
-            string_of_int o.Search.stats.pruned;
-            string_of_int o.Search.stats.total_steps;
-          ]
-        in
-        [
-          describe "dfs (systematic)"
-            (Search.dfs_schedules budget ~spec ~accept labeled);
-          describe "random restarts"
-            (Search.random_restarts ~jobs budget
-               ~make:(fun ~attempt -> (World.random ~seed:attempt, None))
-               ~spec ~accept labeled);
-        ])
-      cases
-  in
-  let body =
-    Report.table
-      ~headers:
-        [ "workload"; "engine"; "reproduced"; "attempts"; "pruned"; "steps" ]
-      rows
-    ^ "\n\nSystematic schedule enumeration is complete and finds the racy\n\
-       counter's lost update without luck — but its frontier grows\n\
-       exponentially with threads and steps, so on miniht it burns the\n\
-       whole budget permuting the earliest scheduling decisions (the\n\
-       'pruned' column counts probes cut at a clamped decision).\n\
-       Seeded random restarts sample the space instead and\n\
-       land on a failing interleaving quickly. This is why the replayers\n\
-       use restarts (plus streaming pruning) as their default inference\n\
-       engine, and why the paper warns that ultra-relaxed models can need\n\
-       'prohibitively large post-factum analysis times'. Random restarts\n\
-       accept a jobs knob that may fan attempts over OCaml 5 domains\n\
-       without changing any outcome; the DFS always runs in order.\n"
-  in
-  { title = "ABL-SEARCH systematic vs. randomized inference"; body }
-
 let run_all ?config () =
   [
     render_fig1 (fig1 ?config ());
@@ -513,5 +441,4 @@ let run_all ?config () =
     budget_sweep ?config ();
     flight_sweep ?config ();
     race_detectors ?config ();
-    search_engines ?config ();
   ]

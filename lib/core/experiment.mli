@@ -57,18 +57,13 @@ val flight_sweep : ?config:Config.t -> ?replays:int -> unit -> rendered
     precision (false positives), coverage, and per-access work. *)
 val race_detectors : ?config:Config.t -> unit -> rendered
 
-(** The schedule-only lost-update workload the search comparison runs on:
+(** The schedule-only lost-update workload of the ABL-SEARCH comparison:
     two threads each increment a shared counter four times without locks.
     Exposed so the bench harness can time the engines on it. *)
 val racy_counter : Mvm.Label.labeled
 
 val racy_counter_spec : Mvm.Spec.t
 
-(** [search_engines ()] compares inference strategies — systematic DFS
-    over schedules (ESD-style directed synthesis) against seeded random
-    restarts (PRES-style probabilistic replay) — reproducing a recorded
-    failure on a small racy counter and on miniht. *)
-val search_engines : ?config:Config.t -> unit -> rendered
-
-(** [run_all ()] renders every experiment in order (the bench default). *)
+(** [run_all ()] renders every experiment in order (the bench default,
+    which adds the timed ABL-SEARCH comparison). *)
 val run_all : ?config:Config.t -> unit -> rendered list

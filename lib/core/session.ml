@@ -169,7 +169,7 @@ let replay ?budget ?checkpoint ?resume prepared log =
     (* the value budget inherits the caller's deadline: an explicit
        wall-clock allowance should bound every model's search *)
     let budget =
-      { prepared.config.Config.value_budget with
+      { Replayer.value_budget with
         Ddet_replay.Search.deadline_s = budget.Ddet_replay.Search.deadline_s
       }
     in

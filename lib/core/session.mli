@@ -64,7 +64,8 @@ val record_dist :
 (** [replay ?budget prepared log] reconstructs an execution per the model's
     replay contract. [budget] overrides the config's inference budget (the
     ensemble assessment varies its base seed; a [deadline_s] in it bounds
-    every model's search, including the value model's smaller budget). The
+    every model's search, including the value model's, which otherwise
+    runs {!Ddet_replay.Replayer.value_budget}). The
     config's [jobs] lets random-restart replays run on up to that many
     domains (see {!Ddet_replay.Par_search.pool}) — same outcome at any
     [jobs]; input enumeration always runs in order, and a recorded run

@@ -89,9 +89,6 @@ val domain_of : program -> string -> Value.t list option
     recursing into blocks. *)
 val fold_stmts : ('acc -> string -> stmt -> 'acc) -> 'acc -> program -> 'acc
 
-val pp_binop : Format.formatter -> binop -> unit
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp_program : Format.formatter -> program -> unit
 
 (** [node_kind n] is a short constructor name ("assign", "store", ...) used

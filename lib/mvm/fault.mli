@@ -95,10 +95,8 @@ val partition : groups:string list list -> from_step:int -> until_step:int -> fa
 val node_crash : node:string -> at_step:int -> fault
 val node_restart : node:string -> from_step:int -> until_step:int -> fault
 
-(** [is_node_fault f] / [has_node_faults plan] — does the fault (plan)
-    involve the node-granular constructors, which need {!lower}? *)
-val is_node_fault : fault -> bool
-
+(** [has_node_faults plan] — does the plan involve the node-granular
+    constructors, which need {!lower}? *)
 val has_node_faults : plan -> bool
 
 (** [lower ~map ~prog plan] desugars every node-granular fault into the

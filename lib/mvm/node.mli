@@ -55,11 +55,6 @@ val static_tids : map -> Ast.program -> (int * string) list
 (** [members map prog node] is the tids of [node]'s threads, ascending. *)
 val members : map -> Ast.program -> string -> int list
 
-(** [chan_nodes map prog] is, per message channel, the sorted node names
-    whose threads can reach a [Send]/[Recv]/[Try_recv] on it, channels
-    sorted by name. *)
-val chan_nodes : map -> Ast.program -> (string * string list) list
-
 (** [fname_nodes map prog] maps every function reachable from a thread
     root to the sorted nodes whose threads may execute it (a helper
     called from two roots belongs to both roots' nodes). Functions no

@@ -22,12 +22,6 @@ val ns_of_s : float -> int64
 (** Nanoseconds to seconds, for reporting. *)
 val s_of_ns : int64 -> float
 
-(** [set_source f] replaces the clock source (tests only). *)
-val set_source : (unit -> int64) -> unit
-
-(** Restore the real monotonic source. *)
-val use_real : unit -> unit
-
 (** [with_source f body] runs [body] under source [f], restoring the
     real clock afterwards even on exceptions. *)
 val with_source : (unit -> int64) -> (unit -> 'a) -> 'a

@@ -48,7 +48,6 @@ type stats = {
   stalled_ms : float;  (** total injected latency *)
 }
 
-val zero_stats : stats
 val pp_stats : Format.formatter -> stats -> unit
 
 (** [wrap plan base] is the hostile store plus a live stats reader. *)

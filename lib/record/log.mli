@@ -122,5 +122,4 @@ val entry_count : t -> int
 (** [payload_bytes t] is the total logged value bytes across entries. *)
 val payload_bytes : t -> int
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

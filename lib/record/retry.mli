@@ -12,7 +12,6 @@ type failure = {
   gave_up : bool;  (** true: transient, but retry budget exhausted *)
 }
 
-val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
 
 (** [run f] re-runs [f] on transient errors. *)

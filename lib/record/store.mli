@@ -9,8 +9,6 @@
 
 type op = Write | Append | Fsync | Rename | Remove
 
-val op_name : op -> string
-
 type errkind =
   | Enospc  (** out of space; any prefix already handed over may persist *)
   | Eio of string  (** other I/O failure, with the OS detail *)
@@ -25,7 +23,6 @@ type error = {
   transient : bool;
 }
 
-val errkind_name : errkind -> string
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 

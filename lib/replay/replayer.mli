@@ -22,7 +22,7 @@
     accept; all of them rank rejected runs by {!Constraints.closeness}
     to the recording and pass the recorded run's length as the
     attempt-cost estimate. {!value_det} defaults to {!value_budget}, the
-    one small budget behind [Config.default.value_budget] as well.
+    one small budget every value-model replay runs under.
 
     When the log carries a fault plan (the recorded run executed under an
     adversarial environment), drivers that build their own replay worlds

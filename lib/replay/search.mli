@@ -216,7 +216,7 @@ type site_priority = { sids : int list }
 val site_prefer : site_priority -> Mvm.World.cand -> bool
 
 (* deadlines are absolute monotonic instants (Obs.Clock ns), immune to
-   wall-clock steps; tests drive them through Obs.Clock.set_source *)
+   wall-clock steps; tests drive them through Obs.Clock.with_source *)
 val deadline_reason : string
 val deadline_of : budget -> int64 option
 val deadline_passed : int64 option -> bool

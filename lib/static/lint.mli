@@ -36,7 +36,6 @@ type finding = {
   msg : string;
 }
 
-val severity_name : severity -> string
 val pp_finding : Format.formatter -> finding -> unit
 
 (** Only the [Error]-severity findings (the CI gate and the [analyze]

@@ -34,10 +34,6 @@ val concurrent : t -> Callgraph.access -> Callgraph.access -> bool
     unique-message channel (exposed for tests and reports). *)
 val ordered : t -> Callgraph.access -> Callgraph.access -> bool
 
-(** The nodes whose threads may execute a function (empty for dead
-    code). *)
-val nodes_of_fname : t -> string -> string list
-
 (** The channel orderings found: (chan, (send fname, sid),
     (recv fname, sid)). *)
 val fifos : t -> (string * (string * int) * (string * int)) list

@@ -116,12 +116,22 @@ let test_checkpoint_resume () =
   Sys.remove ckpt;
   Sys.remove log
 
+(* the header, the manifest and every segment present, walking indices
+   as the segmented save's clean-up does; a segment a test replaced by a
+   directory goes too *)
 let rm_segmented base =
+  let rm p = if Sys.is_directory p then Sys.rmdir p else Sys.remove p in
   List.iter
-    (fun suffix ->
-      let p = base ^ suffix in
-      if Sys.file_exists p then Sys.remove p)
-    ([ ".header"; ".manifest" ] @ List.init 20 (Printf.sprintf ".%04d.seg"))
+    (fun p -> if Sys.file_exists p then rm p)
+    [ base ^ ".header"; base ^ ".manifest" ];
+  let rec segments i =
+    let p = Printf.sprintf "%s.%04d.seg" base i in
+    if Sys.file_exists p then begin
+      rm p;
+      segments (i + 1)
+    end
+  in
+  segments 0
 
 let test_segmented_roundtrip () =
   let app, seed, _ = Lazy.force scenario in
@@ -257,7 +267,6 @@ let test_unreadable_segment () =
   check "replays the recovered prefix: exit 4" 4 code;
   Alcotest.(check bool) "reports the prefix" true
     (contains text "recovered 4 entries (1 complete segment(s))");
-  Sys.rmdir seg1;
   rm_segmented base
 
 let test_unreadable_log () =
@@ -584,6 +593,12 @@ let () =
   (ddreplay :=
      let p = Sys.argv.(1) in
      if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p);
+  (* the shard set the distributed cases share outlives each of them *)
+  at_exit (fun () ->
+      if Lazy.is_val dist_scenario then begin
+        let base, _, _ = Lazy.force dist_scenario in
+        rm_sharded base
+      end);
   (* alcotest parses argv itself; hide ours *)
   let argv = [| Sys.argv.(0) |] in
   Alcotest.run ~argv "cli"

@@ -649,6 +649,24 @@ let test_deadline_cancels_long_attempt () =
     (Printf.sprintf "returned promptly (%.2fs)" wall)
     true (wall < 10.)
 
+(* the value model replays under its own small budget, but an explicit
+   deadline from the caller still bounds it *)
+let test_value_replay_inherits_deadline () =
+  let prepared = Session.prepare Model.Value (Miniht.app ()) in
+  let _, log = Session.record prepared ~seed:1 in
+  let o =
+    Session.replay
+      ~budget:{ Search.default_budget with Search.deadline_s = Some 0. }
+      prepared log
+  in
+  Alcotest.(check bool) "deadline hit" true o.Replayer.deadline_hit;
+  Alcotest.(check bool) "no result" true (o.Replayer.result = None);
+  Alcotest.(check int) "no attempts" 0 o.Replayer.attempts;
+  let free = Session.replay prepared log in
+  Alcotest.(check bool) "without the deadline it reproduces" true
+    (free.Replayer.result <> None);
+  Alcotest.(check int) "in one attempt" 1 free.Replayer.attempts
+
 (* ------------------------------------------------------------------ *)
 (* the exit-code contract (pure, no forking) *)
 
@@ -813,6 +831,8 @@ let () =
             test_deadline_exhausts_immediately;
           Alcotest.test_case "deadline cancels a long attempt" `Quick
             test_deadline_cancels_long_attempt;
+          Alcotest.test_case "value replay inherits the session deadline"
+            `Quick test_value_replay_inherits_deadline;
         ] );
       ( "exit-codes",
         [ Alcotest.test_case "contract" `Quick test_exit_codes ] );
