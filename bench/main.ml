@@ -1,24 +1,23 @@
 (* Benchmark harness: regenerates every evaluation artifact of the paper
-   (Fig. 1, Fig. 2, the Sec. 2 narratives, plus the RCSE, search and
-   budget ablations) and runs Bechamel microbenchmarks of the actual
-   recorders.
+   (Fig. 1, Fig. 2, the Sec. 2 narratives, the Sec. 5 open questions,
+   plus the RCSE, search and budget ablations) and runs Bechamel
+   microbenchmarks of the actual recorders.
 
-   Usage: main.exe [fig1|fig2|sec2|ablation|budget|flight|race|search|sanity|crash|governor|static|dist|obs|open|micro|all]
+   Usage: main.exe [paper|ablation|search|sanity|crash|governor|static|dist|obs|micro|all]
                    [--tiny] [--jobs N] [--json]
 
-   --tiny   shrinks every budget so the command finishes in seconds (used
-            by the bench-smoke alias under `dune runtest`)
+   --tiny   shrinks the budgets of search, crash, governor, static, dist
+            and obs so each finishes in seconds (used by the bench-smoke
+            alias under `dune runtest`); paper and ablation always run at
+            full size
    --jobs N times the random restarts at N worker domains as well as at 1
-   --json   search, crash, governor, static, dist and obs also write their
-            rows to BENCH_<section>.json in the current directory; without
-            it no section writes a file *)
+   --json   paper, search, crash, governor, static, dist and obs also
+            write their rows to BENCH_<section>.json in the current
+            directory; without it no section writes a file *)
 
 open Ddet
 open Ddet_apps
 open Ddet_record
-
-let print (r : Experiment.rendered) =
-  Ddet_metrics.Report.print_section r.Experiment.title r.Experiment.body
 
 (* ------------------------------------------------------------------ *)
 (* Reporting. A section builds its rows once, as keyed and typed cells;
@@ -68,7 +67,7 @@ let print_table ~title ?(note = "") rows =
     ^ note)
 
 (* The envelope every artifact carries. [schema] is one constant for all
-   six files: bump it whenever any artifact's layout changes. *)
+   seven files: bump it whenever any artifact's layout changes. *)
 let schema = 5
 
 (* Prints the section's tables and its envelope; with [json], writes them
@@ -141,6 +140,275 @@ let with_temp_base suffix f =
           if String.starts_with ~prefix:name file then
             Sys.remove (Filename.concat dir file))
         (Sys.readdir dir))
+
+(* ------------------------------------------------------------------ *)
+(* PAPER: Fig. 1, Fig. 2, the Sec. 2 narratives, the budget, flight and
+   race ablations and the Sec. 5 open questions. Every cell is
+   deterministic (modelled overhead, step-count DE, seeded searches with
+   no deadline, one domain), so bench-smoke compares the artifact with
+   the committed copy field by field. *)
+
+let assessment_cells (a : Ddet_metrics.Utility.assessment) =
+  [ ("overhead", F (2, a.overhead)); ("df", F (2, a.df)); ("de", F (4, a.de));
+    ("du", F (4, a.du));
+    ("replay_cause", S (Option.value ~default:"-" a.replay_cause)) ]
+
+let app_rows =
+  List.map (fun (r : Experiment.row) ->
+      ("app", S r.app) :: ("model", S r.assessment.model)
+      :: assessment_cells r.assessment)
+
+(* the distinct values, in order of first appearance *)
+let distinct xs =
+  List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
+
+let fig1 () =
+  let rows = Experiment.fig1 () in
+  let app (r : Experiment.row) = r.app
+  and model (r : Experiment.row) = r.assessment.model in
+  (* per-model means over the rows of [apps], titled from those rows *)
+  let means key apps note =
+    let rows = List.filter (fun r -> List.mem (app r) apps) rows in
+    let mean m f =
+      let rs = List.filter (fun r -> model r = m) rows in
+      List.fold_left (fun acc (r : Experiment.row) -> acc +. f r.assessment) 0. rs
+      /. float_of_int (List.length rs)
+    in
+    { title =
+        "FIG1 per-model means over " ^ String.concat ", " (distinct (List.map app rows));
+      key; note;
+      rows =
+        List.map
+          (fun m ->
+            [ ("model", S m); ("overhead", F (2, mean m (fun a -> a.overhead)));
+              ("df", F (2, mean m (fun a -> a.df)));
+              ("du", F (4, mean m (fun a -> a.du))) ])
+          (distinct (List.map model rows)) }
+  in
+  [ means "fig1_all" (distinct (List.map app rows)) "";
+    means "fig1_datacenter" [ "msg_server"; "miniht"; "cloudstore" ]
+      "\n\nThe datacenter applications: the paper's domain, where a\n\
+       control/data-plane split exists.\n";
+    { title = "FIG1 relaxation trend: overhead vs. debugging utility"; key = "fig1_apps";
+      rows = app_rows rows;
+      note =
+        "\n\nExpected shape (paper Fig. 1): overhead falls monotonically along the\n\
+         relaxation sequence perfect > value > sync > output > failure, while\n\
+         debugging utility degrades unpredictably for the ultra-relaxed models;\n\
+         RCSE escapes the curve with near-relaxed overhead and high utility.\n\
+         On applications with no data plane (adder, bufover) selective\n\
+         recording honestly degenerates to full recording: the technique\n\
+         targets datacenter software.\n" } ]
+
+let fig2 () =
+  { title = "FIG2 miniht (Hypertable issue 63): overhead vs. fidelity"; key = "fig2";
+    rows = app_rows (Experiment.fig2 ());
+    note =
+      "\n\nExpected shape (paper Fig. 2): value determinism reaches DF 1 at the\n\
+       highest recording overhead (~3.5x there); failure determinism records\n\
+       nothing (1.0x) but lands at DF 1/3 (three possible root causes: the\n\
+       migration race, a server crash after upload, a dump client OOM); RCSE\n\
+       with control-plane selection reaches DF 1 at a small multiple of\n\
+       no-recording cost, escaping the Fig. 1 trend.\n" }
+
+(* an adder run's inputs, "a=2 b=2" *)
+let adder_inputs (r : Mvm.Interp.result) =
+  let one chan =
+    match Mvm.Trace.inputs_on r.trace chan with
+    | (_, _, v) :: _ -> Mvm.Value.to_string v
+    | [] -> "?"
+  in
+  Printf.sprintf "a=%s b=%s" (one "a") (one "b")
+
+let failure_text (r : Mvm.Interp.result) =
+  Option.fold ~none:"none" ~some:Mvm.Failure.to_string r.failure
+
+let sec2 () =
+  let adder = Experiment.sec2_adder () and drop = Experiment.sec2_drop () in
+  let run (r : Mvm.Interp.result) =
+    match Mvm.Trace.outputs_on r.trace "sum" with
+    | [ v ] -> adder_inputs r ^ " -> sum=" ^ Mvm.Value.to_string v
+    | _ -> adder_inputs r ^ " -> sum=?"
+  in
+  (* the replays whose causes satisfy [p] *)
+  let count p =
+    List.fold_left
+      (fun n (causes, k) -> if Option.fold ~none:false ~some:p causes then n + k else n)
+      0 drop.tally
+  in
+  [ { title = "SEC2-ADDER output determinism loses the failure"; key = "sec2_adder";
+      rows =
+        [ [ ("seed", I adder.row.seed); ("original", S (run adder.original));
+            ("original_failure", S (failure_text adder.original));
+            ("replay", S (Option.fold ~none:"(not reproduced)" ~some:run adder.replay));
+            ( "replay_failure",
+              S (Option.fold ~none:"-" ~some:failure_text adder.replay) );
+            ("df", F (2, adder.row.assessment.df)) ] ];
+      note =
+        "\n\nThe paper's Sec. 2 narrative: an output-deterministic replayer may\n\
+         produce the recorded output 5 from inputs that sum to 5, which is not\n\
+         a failure at all - the developer cannot find the indexing bug.\n" };
+    { title = "SEC2-DROP failure determinism can blame the environment";
+      key = "sec2_drop";
+      rows =
+        List.map
+          (fun (causes, count) ->
+            [ ("seed", I drop.drop_seed); ("dropped", I drop.dropped);
+              ( "replay_causes",
+                S (Option.fold ~none:"(not reproduced)" ~some:(String.concat "+")
+                     causes) );
+              ("count", I count) ])
+          drop.tally;
+      note =
+        Printf.sprintf
+          "\n\nThe original run lost its messages to the buffer race alone (no\n\
+           network congestion); each row counts the failure-determinism replays\n\
+           that blame those causes. %d/%d replays reproduce the drop WITHOUT the\n\
+           buffer race - via congestion, beyond the developer's control. The\n\
+           paper's Sec. 2: such a replay deceives the developer into thinking\n\
+           nothing can be done, and the true root cause stays undiscovered.\n"
+          (count (fun cs -> not (List.mem "buffer-race" cs)))
+          (count (fun _ -> true)) } ]
+
+let abl_budget () =
+  { title = "ABL-BUDGET inference budget vs. debugging efficiency"; key = "budget";
+    rows =
+      List.map
+        (fun (attempts, ({ assessment = a; _ } : Experiment.row)) ->
+          [ ("model", S a.model); ("budget", I attempts); ("df", F (2, a.df));
+            ("de", F (4, a.de)); ("du", F (4, a.du)) ])
+        (Experiment.budget_sweep ());
+    note =
+      "\n\nbudget: the attempts each of 3 replays may spend. The Sec. 3.2\n\
+       efficiency discussion, measured: DF climbs with the budget until it\n\
+       hits the model's fidelity ceiling (1/3 for failure determinism on\n\
+       this bug, 1 for RCSE); past that point extra budget buys nothing.\n\
+       RCSE needs almost no search because the control plane is pinned, so\n\
+       its DE stays near 1 even at tiny budgets.\n" }
+
+let abl_flight () =
+  { title = "ABL-FLIGHT pre-trigger ring capacity vs. fidelity"; key = "flight";
+    rows =
+      List.map
+        (fun (ring, (r : Experiment.row)) ->
+          ("ring", S (Option.fold ~none:"off" ~some:string_of_int ring))
+          :: assessment_cells r.assessment)
+        (Experiment.flight_sweep ());
+    note =
+      "\n\nTrigger-based selection only records *after* the race detector\n\
+       fires, but the root cause lives in the moments before it: without a\n\
+       flight ring the replay may explain the drop with network congestion\n\
+       instead (lower DF). A ring pins the pre-trigger inputs, at a recording\n\
+       cost that grows with the buffered data: the flight-data-recorder\n\
+       compromise of always-on tracing.\n" }
+
+let abl_race () =
+  { title = "ABL-RACE sampling vs. happens-before race detection"; key = "race";
+    rows =
+      List.map
+        (fun (d : Experiment.detection) ->
+          [ ("workload", S d.workload); ("detector", S d.detector); ("races", I d.races);
+            ("work", I d.work) ])
+        (Experiment.race_detectors ());
+    note =
+      "\n\nwork: shared accesses probed (sampling) or vector-clock operations\n\
+       (happens-before). The sampling window detector is cheap but unsound:\n\
+       on the lock-protected counter it reports accesses the lock orders.\n\
+       The happens-before detector is precise, and still finds the real\n\
+       races, but pays vector-clock work on every operation. That is why the\n\
+       paper's trigger (Sec. 3.1.3) cites *low-overhead* race detection,\n\
+       accepting occasional spurious dial-ups.\n" }
+
+(* OPEN-ALLRC and OPEN-DOMAINS, the Sec. 5 open questions *)
+let open_questions () =
+  let miniht = Miniht.app () and adder = Adder.app () in
+  let seed, original = Experiment.find_seed (miniht, Some Miniht.rc_race) in
+  let _, log =
+    Recorder.record (Failure_recorder.create ()) miniht.App.labeled ~spec:miniht.App.spec
+      ~world:(Mvm.World.random ~seed)
+  in
+  let o = Explore.all_root_causes miniht ~log in
+  (* a row per model: its [cells] for [app]'s run at [seed], recorded and
+     replayed once *)
+  let per_model (app : App.t) seed cells =
+    List.map
+      (fun model ->
+        let prepared = Session.prepare model app in
+        let original, log = Session.record prepared ~seed in
+        ("model", S (Model.name model))
+        :: cells ~original (Session.replay prepared log).Ddet_replay.Replayer.result)
+      Model.[ Perfect; Value; Sync; Output; Failure_det; Rcse Code_based ]
+  in
+  let regions = miniht.App.labeled.Mvm.Label.prog.Mvm.Ast.regions in
+  [ { title = "OPEN-ALLRC enumerating every root cause from the failure";
+      key = "open_allrc";
+      rows =
+        [ [ ("seed", I seed); ("failure", S (failure_text original));
+            ("original_steps", I original.steps); ("attempts", I o.attempts);
+            ("steps", I o.total_steps); ("catalog_covered", B o.complete) ] ];
+      note =
+        "\n\nExploration from the failure-determinism log alone, until the\n\
+         catalog is covered or the budget runs out.\n" };
+    { title = "OPEN-ALLRC root causes in order of discovery";
+      key = "open_allrc_witnesses";
+      rows =
+        List.map
+          (fun (w : Explore.witness) ->
+            [ ("root_cause", S w.cause_id); ("found_at_attempt", I w.found_at_attempt);
+              ("cumulative_steps", I w.steps_so_far) ])
+          o.witnesses;
+      note =
+        "\n\nThe first cause surfaces cheaply; covering the catalog costs an\n\
+         order of magnitude more synthesis: finding ALL root-cause-equivalent\n\
+         executions is ideal, but 'the challenge is scaling this approach'.\n" };
+    { title = "OPEN-DOMAINS forensic analysis (adder audit)"; key = "open_forensic";
+      rows =
+        per_model adder (fst (Experiment.find_seed (adder, None)))
+          (fun ~original -> function
+          | None -> [ ("forensic_fidelity", S "-"); ("evidence", S "(not replayed)") ]
+          | Some replay ->
+            [ ("forensic_fidelity", F (2, Frontier.forensic_fidelity ~original ~replay));
+              ("evidence", S ("replayed inputs " ^ adder_inputs replay)) ]);
+      note =
+        "\n\nAn audit must reproduce the exact I/O history (original inputs\n\
+         a=2 b=2 -> 5): forensic_fidelity is the fraction of channels whose\n\
+         input/output sequences match. Output determinism forges the inputs\n\
+         behind the recorded output, so the audit blames the wrong request.\n" };
+    { title = "OPEN-DOMAINS fault tolerance (miniht replica)";
+      key = "open_fault_tolerance";
+      rows =
+        per_model miniht seed (fun ~original -> function
+          | None -> [ ("state_divergence", S "-") ]
+          | Some replay ->
+            [ ( "state_divergence",
+                F (2, Frontier.state_divergence ~regions ~original ~replay) ) ]);
+      note =
+        "\n\nstate_divergence: the fraction of shared cells whose final value\n\
+         differs from the original's. A backup needs 0; models that pin\n\
+         per-thread values or sync order reach it, while the ultra-relaxed\n\
+         ones reach *a* failure state, not *the* state. The sweet spot\n\
+         depends on the domain: the paper's closing question.\n" } ]
+
+let paper ~json () =
+  report ~tiny:false ~json ~trials:1 "paper"
+    (List.concat
+       [ fig1 (); [ fig2 () ]; sec2 (); [ abl_budget (); abl_flight (); abl_race () ];
+         open_questions () ])
+
+(* ABL-RCSE prints through the same table code, but stays out of the
+   artifact: its msg_server rcse-code rows take minutes to search *)
+let ablation () =
+  print_table ~title:"ABL-RCSE selection heuristics compared"
+    (app_rows (Experiment.ablation_rcse ()))
+    ~note:
+      "\n\nReading guide: code-based selection shines when the root cause is\n\
+       control-plane (miniht) and degenerates when it is not (msg_server's\n\
+       buffer race is data-plane; bufover has no plane split, so everything\n\
+       is recorded). Data-based selection needs an invariant related to the\n\
+       root cause (bufover's trained input range catches the overflow).\n\
+       Trigger-based selection needs a detector for the defect class (the\n\
+       race detector fires on msg_server and miniht). Combined selection is\n\
+       the union, at the union's cost: the Sec. 3.1.3 design point.\n"
 
 (* ------------------------------------------------------------------ *)
 (* MICRO: wall-clock cost of the recorders themselves, grounding the
@@ -353,9 +621,9 @@ let search_bench ~tiny ~jobs ~json () =
            'pruned' column counts probes cut at a clamped decision).\n\
            Seeded random restarts sample the space instead and land on a\n\
            failing interleaving quickly. This is why the replayers use\n\
-           restarts (plus streaming pruning) as their default inference\n\
-           engine, and why the paper warns that ultra-relaxed models can\n\
-           need 'prohibitively large post-factum analysis times'.\n";
+           restarts as their default inference engine, and why the paper\n\
+           warns that ultra-relaxed models can need 'prohibitively large\n\
+           post-factum analysis times'.\n";
       };
     ]
 
@@ -683,11 +951,7 @@ let static_bench ~tiny ~json () =
           ];
       ]
   in
-  let failing_seed (app : App.t) =
-    match Workload.find_failing_seed app with
-    | Some (seed, _) -> seed
-    | None -> invalid_arg ("no failing seed for " ^ app.App.name)
-  in
+  let failing_seed app = fst (Experiment.find_seed (app, None)) in
   let msg = Msg_server.app () and mini = Miniht.app () in
   let pick full small = if tiny then small else full in
   (* 1: analysis wall-time per program *)
@@ -1114,8 +1378,6 @@ let obs_bench ~tiny ~json () =
 
 (* ------------------------------------------------------------------ *)
 
-let tiny_config = { Config.default with Config.budget = budget 20 2_000 }
-
 let () =
   let rec parse (cmd, tiny, json, jobs) = function
     | [] -> (cmd, tiny, json, jobs)
@@ -1132,20 +1394,9 @@ let () =
     parse (None, false, false, 1) (List.tl (Array.to_list Sys.argv))
   in
   let cmd = Option.value ~default:"all" cmd in
-  let fig_args f =
-    if tiny then f ?config:(Some tiny_config) ?replays:(Some 1) ()
-    else f ?config:None ?replays:None ()
-  in
   match cmd with
-  | "fig1" -> print (Experiment.render_fig1 (fig_args Experiment.fig1))
-  | "fig2" -> print (Experiment.render_fig2 (fig_args Experiment.fig2))
-  | "sec2" ->
-    print (Experiment.sec2_adder ());
-    print (Experiment.sec2_drop ())
-  | "ablation" -> print (Experiment.render_ablation (Experiment.ablation_rcse ()))
-  | "budget" -> print (Experiment.budget_sweep ())
-  | "flight" -> print (Experiment.flight_sweep ())
-  | "race" -> print (Experiment.race_detectors ())
+  | "paper" -> paper ~json ()
+  | "ablation" -> ablation ()
   | "search" -> search_bench ~tiny ~jobs ~json ()
   | "crash" -> crash_bench ~tiny ~json ()
   | "sanity" -> sanity ()
@@ -1153,18 +1404,14 @@ let () =
   | "dist" -> dist_bench ~tiny ~json ()
   | "obs" -> obs_bench ~tiny ~json ()
   | "static" -> static_bench ~tiny ~json ()
-  | "open" ->
-    print (Explore.experiment ());
-    print (Frontier.experiment ())
   | "micro" -> micro ()
   | "all" ->
-    List.iter print (Experiment.run_all ());
+    paper ~json ();
+    ablation ();
     search_bench ~tiny ~jobs ~json ();
-    print (Explore.experiment ());
-    print (Frontier.experiment ());
     micro ()
   | other ->
     Printf.eprintf
-      "unknown command %S (expected fig1|fig2|sec2|ablation|budget|flight|race|search|sanity|crash|governor|static|dist|obs|open|micro|all)\n"
+      "unknown command %S (expected paper|ablation|search|sanity|crash|governor|static|dist|obs|micro|all)\n"
       other;
     exit 2

@@ -1,5 +1,5 @@
-(** One-call drivers for every evaluation artifact in the paper, returning
-    structured rows that the bench harness renders.
+(** One-call drivers for every evaluation artifact in the paper. Each
+    returns typed rows; the bench harness renders them.
 
     - {!fig1} — the relaxation-trend chart (Fig. 1): runtime overhead vs.
       debugging utility for the chronological model sequence, across the
@@ -15,47 +15,77 @@
     - {!ablation_rcse} — the RCSE variants (§3.1.1-3.1.3) compared on the
       apps where each shines or misfires.
     - {!budget_sweep} — debugging efficiency as a function of the
-      inference budget (the §3.2 efficiency discussion). *)
+      inference budget (the §3.2 efficiency discussion).
+    - {!flight_sweep} — the flight-recorder ring capacity vs. fidelity.
+    - {!race_detectors} — the sampling race detector vs. a precise
+      happens-before detector. *)
 
 open Ddet_metrics
 
 type row = {
   app : string;
   seed : int;  (** production seed of the original failing run *)
-  assessment : Utility.assessment;
+  assessment : Utility.assessment;  (** of an ensemble: its replays' means *)
 }
 
-(** A fully rendered experiment: headline, table, commentary. *)
-type rendered = { title : string; body : string }
+(** [find_seed (app, cause)] is the first production seed of [app] whose
+    failure the catalog attributes (to [cause] alone, when given), and its
+    run: the original execution of each experiment. *)
+val find_seed : Ddet_apps.App.t * string option -> int * Mvm.Interp.result
 
-val fig1 : ?config:Config.t -> ?replays:int -> unit -> row list
-val render_fig1 : row list -> rendered
+(** The apps × {!Model.fig1_sequence}, app-major in the order adder,
+    bufover, msg_server, miniht, cloudstore. *)
+val fig1 : unit -> row list
 
-val fig2 : ?config:Config.t -> ?replays:int -> unit -> row list
-val render_fig2 : row list -> rendered
+(** Value, failure and rcse-code on the miniht migration race, each an
+    ensemble of [replays] (default 5). *)
+val fig2 : ?replays:int -> unit -> row list
 
-val sec2_adder : ?config:Config.t -> unit -> rendered
+(** One recorded run and its replay ([None]: nothing reproduced). *)
+type replayed = {
+  row : row;
+  original : Mvm.Interp.result;
+  replay : Mvm.Interp.result option;
+}
 
-val sec2_drop : ?config:Config.t -> ?replays:int -> unit -> rendered
+(** The adder's first failing run, recorded and replayed under output
+    determinism. *)
+val sec2_adder : unit -> replayed
 
-val ablation_rcse : ?config:Config.t -> ?replays:int -> unit -> row list
-val render_ablation : row list -> rendered
+type drop = {
+  drop_seed : int;  (** the original run: the buffer race alone *)
+  dropped : int;  (** its [sent] output minus its [delivered] output *)
+  tally : (string list option * int) list;
+      (** the causes each of 10 failure-determinism syntheses exhibits
+          ([None]: not reproduced) and how many syntheses did, by count
+          (most first), then by causes *)
+}
 
-(** [budget_sweep ()] varies [max_attempts] for failure-determinism and
-    RCSE inference on the miniht bug and reports DE/DU per budget. *)
-val budget_sweep : ?config:Config.t -> unit -> rendered
+val sec2_drop : unit -> drop
 
-(** [flight_sweep ()] varies the flight-recorder ring capacity for
-    trigger-based RCSE on the msg_server race: fidelity climbs as the ring
-    covers more of the run leading up to the trigger, and so does recording
-    cost — the always-on tracing trade-off. *)
-val flight_sweep : ?config:Config.t -> ?replays:int -> unit -> rendered
+(** The four RCSE selections on miniht, cloudstore, msg_server and
+    bufover. *)
+val ablation_rcse : unit -> row list
 
-(** [race_detectors ()] compares the sampling race detector (the paper's
-    low-overhead trigger) against a precise happens-before detector on a
-    race-free lock-protected workload and on the racy applications:
-    precision (false positives), coverage, and per-access work. *)
-val race_detectors : ?config:Config.t -> unit -> rendered
+(** Failure determinism, then rcse-code, on the miniht race at inference
+    budgets of 1, 2, 3, 5, 10 and 50 attempts: each row pairs the budget
+    with the mean of 3 replays. *)
+val budget_sweep : unit -> (int * row) list
+
+(** Trigger-based RCSE on the msg_server race with no flight ring, then
+    rings of 8, 32, 128 and 512 entries: fidelity climbs as the ring
+    covers more of the run leading up to the trigger, and so does
+    recording cost — the always-on tracing trade-off. *)
+val flight_sweep : unit -> (int option * row) list
+
+(** [work]: shared accesses probed (sampling) or vector-clock
+    operations (happens-before). *)
+type detection = { workload : string; detector : string; races : int; work : int }
+
+(** The sampling race detector (the paper's low-overhead trigger) and a
+    precise happens-before detector over one run each of a race-free
+    lock-protected counter, msg_server and miniht. *)
+val race_detectors : unit -> detection list
 
 (** The schedule-only lost-update workload of the ABL-SEARCH comparison:
     two threads each increment a shared counter four times without locks.
@@ -63,7 +93,3 @@ val race_detectors : ?config:Config.t -> unit -> rendered
 val racy_counter : Mvm.Label.labeled
 
 val racy_counter_spec : Mvm.Spec.t
-
-(** [run_all ()] renders every experiment in order (the bench default,
-    which adds the timed ABL-SEARCH comparison). *)
-val run_all : ?config:Config.t -> unit -> rendered list

@@ -1,5 +1,4 @@
 open Mvm
-open Ddet_record
 open Ddet_replay
 open Ddet_apps
 open Ddet_metrics
@@ -59,54 +58,4 @@ let all_root_causes ?(budget = Search.default_budget) (app : App.t) ~log =
     attempts;
     total_steps = !total_steps;
     complete = Hashtbl.length seen >= wanted;
-  }
-
-let experiment ?config () =
-  ignore config;
-  let app = Miniht.app () in
-  let seed, original =
-    match
-      Workload.find_failing_seed ~cause:Miniht.rc_race ~exclusive:true app
-    with
-    | Some (s, r) -> (s, r)
-    | None -> invalid_arg "no race seed for miniht"
-  in
-  let recorder = Failure_recorder.create () in
-  let _, log =
-    Recorder.record recorder app.App.labeled ~spec:app.App.spec
-      ~world:(World.random ~seed)
-  in
-  let o = all_root_causes app ~log in
-  let rows =
-    List.map
-      (fun w ->
-        [
-          w.cause_id;
-          string_of_int w.found_at_attempt;
-          string_of_int w.steps_so_far;
-        ])
-      o.witnesses
-  in
-  let body =
-    Printf.sprintf
-      "original failure (seed %d): %s\n\n\
-       exploration from the failure descriptor alone:\n%s\n\n\
-       %s after %d attempts (%d VM steps; the original run took %d).\n\n\
-       The first cause surfaces cheaply; covering the catalog costs an\n\
-       order of magnitude more synthesis — measured support for the\n\
-       paper's note that finding ALL root-cause-equivalent executions is\n\
-       ideal but 'the challenge is scaling this approach'.\n"
-      seed
-      (match original.Interp.failure with
-      | Some f -> Mvm.Failure.to_string f
-      | None -> "?")
-      (Report.table
-         ~headers:[ "root cause"; "found at attempt"; "cumulative steps" ]
-         rows)
-      (if o.complete then "catalog covered" else "catalog NOT covered")
-      o.attempts o.total_steps original.Interp.steps
-  in
-  {
-    Experiment.title = "OPEN-ALLRC enumerating every root cause from the failure";
-    body;
   }

@@ -36,7 +36,3 @@ val all_root_causes :
   App.t ->
   log:Ddet_record.Log.t ->
   outcome
-
-(** [experiment ?config ()] runs the exploration on the miniht bug and
-    renders the discovery table. *)
-val experiment : ?config:Config.t -> unit -> Experiment.rendered

@@ -1,6 +1,4 @@
 open Mvm
-open Ddet_apps
-open Ddet_metrics
 
 let input_channels (r : Interp.result) =
   Trace.fold
@@ -59,85 +57,3 @@ let state_divergence ~regions ~(original : Interp.result) ~(replay : Interp.resu
         done)
     regions;
   if !total = 0 then 0.0 else float_of_int !diff /. float_of_int !total
-
-let frontier_models =
-  [
-    Model.Perfect; Model.Value; Model.Sync; Model.Output; Model.Failure_det;
-    Model.Rcse Model.Code_based;
-  ]
-
-let experiment ?config () =
-  (* forensic analysis: the adder audit *)
-  let adder = Adder.app () in
-  let adder_seed, _ =
-    match Workload.find_failing_seed adder with
-    | Some (s, r) -> (s, r)
-    | None -> invalid_arg "no adder seed"
-  in
-  let forensic_rows =
-    List.map
-      (fun model ->
-        let prepared = Session.prepare ?config model adder in
-        let original, log = Session.record prepared ~seed:adder_seed in
-        let outcome = Session.replay prepared log in
-        match outcome.Ddet_replay.Replayer.result with
-        | None -> [ Model.name model; "-"; "(not replayed)" ]
-        | Some replay ->
-          let ff = forensic_fidelity ~original ~replay in
-          let show chan =
-            match inputs_values replay chan with
-            | [ v ] -> Value.to_string v
-            | _ -> "?"
-          in
-          [
-            Model.name model;
-            Report.fx ff;
-            Printf.sprintf "replayed inputs a=%s b=%s" (show "a") (show "b");
-          ])
-      frontier_models
-  in
-  (* fault tolerance: replica state agreement on miniht *)
-  let miniht = Miniht.app () in
-  let ht_seed, _ =
-    match
-      Workload.find_failing_seed ~cause:Miniht.rc_race ~exclusive:true miniht
-    with
-    | Some (s, r) -> (s, r)
-    | None -> invalid_arg "no miniht seed"
-  in
-  let regions = miniht.App.labeled.Label.prog.Ast.regions in
-  let ft_rows =
-    List.map
-      (fun model ->
-        let prepared = Session.prepare ?config model miniht in
-        let original, log = Session.record prepared ~seed:ht_seed in
-        let outcome = Session.replay prepared log in
-        match outcome.Ddet_replay.Replayer.result with
-        | None -> [ Model.name model; "-" ]
-        | Some replay ->
-          [ Model.name model; Report.fx (state_divergence ~regions ~original ~replay) ])
-      frontier_models
-  in
-  let body =
-    "Forensic analysis (adder, original inputs a=2 b=2 -> 5): an audit\n\
-     must reproduce the exact I/O history, scored as the fraction of\n\
-     channels whose input/output sequences match:\n\n"
-    ^ Report.table
-        ~headers:[ "model"; "forensic fidelity"; "evidence the audit would see" ]
-        forensic_rows
-    ^ "\n\nFault tolerance (miniht): a backup replayed from the log must end\n\
-       in the same state; the table shows the fraction of shared cells\n\
-       whose final value differs from the original:\n\n"
-    ^ Report.table ~headers:[ "model"; "state divergence" ] ft_rows
-    ^ "\n\nReading: output determinism is forensically unsound — it forges the\n\
-       inputs behind the recorded output, so the audit blames the wrong\n\
-       request. For fault tolerance, models that pin per-thread values or\n\
-       sync order reach the zero divergence a backup needs, while the\n\
-       ultra-relaxed models reach *a* failure state, not *the* state. The\n\
-       sweet spot depends on the domain — exactly the paper's closing\n\
-       question.\n"
-  in
-  {
-    Experiment.title = "OPEN-DOMAINS forensic analysis and fault tolerance";
-    body;
-  }

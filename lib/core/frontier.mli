@@ -35,7 +35,3 @@ val state_divergence :
   original:Interp.result ->
   replay:Interp.result ->
   float
-
-(** [experiment ?config ()] renders both domain studies: forensic fidelity
-    per model on the adder audit, state divergence per model on miniht. *)
-val experiment : ?config:Config.t -> unit -> Experiment.rendered

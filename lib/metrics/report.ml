@@ -22,8 +22,5 @@ let table ~headers rows =
   in
   String.concat "\n" (render_row headers :: sep :: List.map render_row rows)
 
-let fx v = Printf.sprintf "%.2f" v
-let fx4 v = Printf.sprintf "%.4f" v
-
 let print_section title body =
   Printf.printf "\n=== %s ===\n%s\n" title body

@@ -5,10 +5,5 @@
     have the same arity as [headers]. *)
 val table : headers:string list -> string list list -> string
 
-(** [fx f] formats a float with 2 decimals; [fx4] with 4. *)
-val fx : float -> string
-
-val fx4 : float -> string
-
 (** [print_section title body] prints a titled block to stdout. *)
 val print_section : string -> string -> unit

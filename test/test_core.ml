@@ -272,18 +272,60 @@ let test_fig2_rows_complete () =
       Alcotest.(check string) "all on miniht" "miniht" r.Experiment.app)
     rows
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
+let test_fig2_rows_name_models () =
+  Alcotest.(check (list string)) "value, failure, rcse-code"
+    [ "value"; "failure"; "rcse-code" ]
+    (List.map
+       (fun (r : Experiment.row) -> r.Experiment.assessment.Utility.model)
+       (Experiment.fig2 ~replays:1 ()))
 
-let test_render_produces_tables () =
-  let rows = Experiment.fig2 ~replays:1 () in
-  let rendered = Experiment.render_fig2 rows in
-  Alcotest.(check bool) "mentions all models" true
-    (List.for_all
-       (contains rendered.Experiment.body)
-       [ "value"; "failure"; "rcse" ])
+(* §2: output determinism replays the adder's recorded output 5 from
+   inputs that sum to it, so the replayed execution does not fail *)
+let test_sec2_adder_replays_correct_sum () =
+  let s = Experiment.sec2_adder () in
+  let sum (r : Mvm.Interp.result) = Mvm.Trace.outputs_on r.Mvm.Interp.trace "sum" in
+  let inputs (r : Mvm.Interp.result) =
+    List.map
+      (fun chan ->
+        match Mvm.Trace.inputs_on r.Mvm.Interp.trace chan with
+        | [ (_, _, Mvm.Value.Vint n) ] -> n
+        | _ -> Alcotest.fail ("no single input on " ^ chan))
+      [ "a"; "b" ]
+  in
+  Alcotest.(check bool) "the original fails" true
+    (s.Experiment.original.Mvm.Interp.failure <> None);
+  match s.Experiment.replay with
+  | None -> Alcotest.fail "output determinism found no execution"
+  | Some replay ->
+    Alcotest.(check bool) "the replay does not fail" true
+      (replay.Mvm.Interp.failure = None);
+    Alcotest.(check bool) "same recorded output" true
+      (sum replay = sum s.Experiment.original);
+    Alcotest.(check bool) "the replayed inputs sum to it" true
+      (sum replay = [ Mvm.Value.Vint (List.fold_left ( + ) 0 (inputs replay)) ]);
+    Alcotest.(check (float 1e-9)) "DF 0" 0.0
+      s.Experiment.row.Experiment.assessment.Utility.df
+
+(* §2's drop: the original run's sent minus delivered outputs, and ten
+   syntheses tallied most-blamed first *)
+let test_sec2_drop_counts_what_it_measures () =
+  let d = Experiment.sec2_drop () in
+  let original =
+    App.production_run (Msg_server.app ()) ~seed:d.Experiment.drop_seed
+  in
+  let output chan =
+    match Mvm.Trace.outputs_on original.Mvm.Interp.trace chan with
+    | [ Mvm.Value.Vint n ] -> n
+    | _ -> Alcotest.fail ("no single " ^ chan ^ " output")
+  in
+  Alcotest.(check int) "dropped = sent - delivered"
+    (output "sent" - output "delivered") d.Experiment.dropped;
+  Alcotest.(check bool) "the original dropped messages" true
+    (d.Experiment.dropped > 0);
+  let counts = List.map snd d.Experiment.tally in
+  Alcotest.(check int) "ten syntheses" 10 (List.fold_left ( + ) 0 counts);
+  Alcotest.(check (list int)) "most-blamed first"
+    (List.sort (fun a b -> compare b a) counts) counts
 
 let () =
   Alcotest.run "core"
@@ -322,6 +364,8 @@ let () =
       ( "experiment",
         [
           Alcotest.test_case "fig2 rows" `Quick test_fig2_rows_complete;
-          Alcotest.test_case "render" `Quick test_render_produces_tables;
+          Alcotest.test_case "fig2 rows name models" `Quick test_fig2_rows_name_models;
+          Alcotest.test_case "sec2 adder correct sum" `Quick test_sec2_adder_replays_correct_sum;
+          Alcotest.test_case "sec2 drop counts" `Quick test_sec2_drop_counts_what_it_measures;
         ] );
     ]

@@ -186,10 +186,6 @@ let test_table_ragged_rejected () =
        false
      with Invalid_argument _ -> true)
 
-let test_fx_formats () =
-  Alcotest.(check string) "fx" "1.50" (Report.fx 1.5);
-  Alcotest.(check string) "fx4" "0.1235" (Report.fx4 0.12345)
-
 let () =
   Alcotest.run "metrics"
     [
@@ -221,6 +217,5 @@ let () =
         [
           Alcotest.test_case "alignment" `Quick test_table_alignment;
           Alcotest.test_case "ragged rejected" `Quick test_table_ragged_rejected;
-          Alcotest.test_case "float formats" `Quick test_fx_formats;
         ] );
     ]
