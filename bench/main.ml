@@ -696,8 +696,7 @@ let crash_bench ~tiny ~json () =
   let open Ddet_replay in
   let open Mvm in
   (* the outcome, not the run's buffers: [=] on results would also
-     compare the trace's spare capacity, which depends on how warm the
-     search's arena was when the run happened *)
+     compare the trace's chunks, slots past its length included *)
   let same (a : Search.outcome) (b : Search.outcome) =
     let run (r : Interp.result) =
       ( r.Interp.status, r.Interp.steps, Trace.events r.Interp.trace,
@@ -928,29 +927,6 @@ let static_bench ~tiny ~json () =
   let open Ddet_analysis in
   let open Ddet_static in
   let open Mvm in
-  (* the race-free half of ABL-RACE: the lock-protected counter
-     (Experiment keeps its copy private, so the shape is rebuilt here) *)
-  let locked_counter =
-    let open Mvm.Dsl in
-    program ~name:"locked-counter"
-      ~regions:[ scalar "c" (Value.int 0) ]
-      ~inputs:[] ~main:"main"
-      [
-        func "main" []
-          [
-            spawn "w" []; spawn "w" [];
-            recv "d1" "done"; recv "d2" "done";
-            lock "m"; assign "r" (g "c"); unlock "m"; output "out" (v "r");
-          ];
-        func "w" []
-          [
-            for_ "k" (i 0) (i 6)
-              [ lock "m"; assign "t" (g "c"); store_g "c" (v "t" +: i 1);
-                unlock "m" ];
-            send "done" (i 1);
-          ];
-      ]
-  in
   let failing_seed app = fst (Experiment.find_seed (app, None)) in
   let msg = Msg_server.app () and mini = Miniht.app () in
   let pick full small = if tiny then small else full in
@@ -979,7 +955,7 @@ let static_bench ~tiny ~json () =
           ("lint_errors", I errors);
           ("lint_warnings", I (List.length lints - errors));
         ])
-      ([ ("locked-counter", locked_counter) ]
+      ([ ("locked-counter", Experiment.locked_counter) ]
       @ List.map
           (fun (a : App.t) -> (a.App.name, a.App.labeled))
           [ Adder.app (); Bufover.app (); msg; mini; Cloudstore.app () ]
@@ -1046,7 +1022,7 @@ let static_bench ~tiny ~json () =
             ])
           recorders)
       [
-        ("locked-counter", locked_counter, Spec.accept_all, 5, false);
+        ("locked-counter", Experiment.locked_counter, Spec.accept_all, 5, false);
         ("msg_server", msg.App.labeled, msg.App.spec, failing_seed msg, true);
         ("miniht", mini.App.labeled, mini.App.spec, failing_seed mini, true);
       ]

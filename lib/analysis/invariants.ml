@@ -33,10 +33,13 @@ let infer results =
   in
   { scalar_bounds = to_sorted scalars; input_bounds = to_sorted inputs }
 
-let check bounds key n =
-  match List.assoc_opt key bounds with
-  | Some b when n < b.lo || n > b.hi -> true
-  | Some _ | None -> false
+(* first match by [String.equal]: the data-based selector checks every
+   integer write and input *)
+let rec check bounds key n =
+  match bounds with
+  | [] -> false
+  | (k, b) :: rest ->
+    if String.equal k key then n < b.lo || n > b.hi else check rest key n
 
 let violation t (e : Event.t) =
   match e.kind with
@@ -54,7 +57,7 @@ let selector t =
     Ddet_record.Fidelity_level.name = "data-based";
     level =
       (fun e ->
-        if (not !tripped) && violation t e <> None then tripped := true;
+        if (not !tripped) && Option.is_some (violation t e) then tripped := true;
         if !tripped then Ddet_record.Fidelity_level.High
         else Ddet_record.Fidelity_level.Low);
   }

@@ -19,8 +19,12 @@ let classify profile ~threshold =
 
 let of_assoc l = l
 
-let plane_of map fname =
-  match List.assoc_opt fname map with Some p -> p | None -> Control
+(* first match, as [List.assoc_opt] would, but without polymorphic
+   compare: the code-based selector asks this for every recorded event *)
+let rec plane_of map fname =
+  match map with
+  | [] -> Control
+  | (f, p) :: rest -> if String.equal f fname then p else plane_of rest fname
 
 let to_assoc map = List.sort (fun (a, _) (b, _) -> String.compare a b) map
 

@@ -14,12 +14,26 @@ type report = {
   step : int;
 }
 
-type last = { l_step : int; l_tid : int; l_sid : int; l_write : bool }
+type last = {
+  mutable l_step : int;
+  mutable l_tid : int;
+  mutable l_sid : int;
+  mutable l_write : bool;
+}
+
+(* locations compared without polymorphic compare: every shared access
+   of a recording looks its location up here *)
+module Loc = Hashtbl.Make (struct
+  type t = string * int option
+
+  let equal (r, i) (r', i') = String.equal r r' && Option.equal Int.equal i i'
+  let hash = Hashtbl.hash
+end)
 
 type t = {
   config : config;
   rng : Prng.t;
-  last_access : (string * int option, last) Hashtbl.t;
+  last_access : last Loc.t;
   found : report Vec.t;
 }
 
@@ -27,7 +41,7 @@ let create config =
   {
     config;
     rng = Prng.create config.seed;
-    last_access = Hashtbl.create 64;
+    last_access = Loc.create 64;
     found = Vec.create ();
   }
 
@@ -40,33 +54,42 @@ let observe t (e : Event.t) =
   in
   match access with
   | None -> None
-  | Some (a, is_write) ->
+  | Some (a, is_write) -> (
     let key = (a.region, a.index) in
-    let report =
-      match Hashtbl.find_opt t.last_access key with
-      | Some l
-        when l.l_tid <> e.tid
-             && e.step - l.l_step <= t.config.window
-             && (is_write || l.l_write)
-             && Prng.float t.rng < t.config.sample_rate ->
-        let r =
-          {
-            region = a.region;
-            index = a.index;
-            sid_first = l.l_sid;
-            sid_second = e.sid;
-            tid_first = l.l_tid;
-            tid_second = e.tid;
-            step = e.step;
-          }
-        in
-        Vec.push t.found r;
-        Some r
-      | _ -> None
-    in
-    Hashtbl.replace t.last_access key
-      { l_step = e.step; l_tid = e.tid; l_sid = e.sid; l_write = is_write };
-    report
+    match Loc.find t.last_access key with
+    | exception Not_found ->
+      Loc.add t.last_access key
+        { l_step = e.step; l_tid = e.tid; l_sid = e.sid; l_write = is_write };
+      None
+    | l ->
+      let report =
+        if
+          l.l_tid <> e.tid
+          && e.step - l.l_step <= t.config.window
+          && (is_write || l.l_write)
+          && Prng.float t.rng < t.config.sample_rate
+        then begin
+          let r =
+            {
+              region = a.region;
+              index = a.index;
+              sid_first = l.l_sid;
+              sid_second = e.sid;
+              tid_first = l.l_tid;
+              tid_second = e.tid;
+              step = e.step;
+            }
+          in
+          Vec.push t.found r;
+          Some r
+        end
+        else None
+      in
+      l.l_step <- e.step;
+      l.l_tid <- e.tid;
+      l.l_sid <- e.sid;
+      l.l_write <- is_write;
+      report)
 
 let reports t = Vec.to_list t.found
 

@@ -8,7 +8,10 @@ type t = {
 let manual ~name fired = { name; fired }
 
 let of_race_detector rd =
-  { name = "race-detector"; fired = (fun e -> Race_detector.observe rd e <> None) }
+  {
+    name = "race-detector";
+    fired = (fun e -> Option.is_some (Race_detector.observe rd e));
+  }
 
 let of_sites ?(name = "static-sites") sids =
   let tbl = Hashtbl.create (List.length sids) in

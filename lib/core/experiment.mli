@@ -87,6 +87,12 @@ type detection = { workload : string; detector : string; races : int; work : int
     lock-protected counter, msg_server and miniht. *)
 val race_detectors : unit -> detection list
 
+(** The race-free workload of ABL-RACE: two threads each increment a
+    shared counter six times under one lock; [main] outputs it after both
+    are done. Exposed so the bench's static section measures the same
+    program. *)
+val locked_counter : Mvm.Label.labeled
+
 (** The schedule-only lost-update workload of the ABL-SEARCH comparison:
     two threads each increment a shared counter four times without locks.
     Exposed so the bench harness can time the engines on it. *)

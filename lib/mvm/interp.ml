@@ -466,7 +466,7 @@ let reset_state st =
   Vec.clear st.s_threads
 
 let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
-    ?trace_capacity ?state (c : compiled) (world : World.t) =
+    ?state (c : compiled) (world : World.t) =
   let st =
     match state with
     | None -> make_state c
@@ -481,7 +481,7 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
   let chans = st.s_chans in
   let locks = st.s_locks in
   let threads = st.s_threads in
-  let trace = Trace.create ?capacity:trace_capacity () in
+  let trace = Trace.create () in
   let step_count = ref 0 in
 
   let rec notify e = function
@@ -1034,6 +1034,5 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
   | Crash_at (sid, msg) -> finish (Crashed (Failure.Crash { sid; msg }))
   | Abort_exn reason -> finish (Aborted reason)
 
-let run ?max_steps ?monitors ?abort ?cancel ?trace_capacity labeled world =
-  run_compiled ?max_steps ?monitors ?abort ?cancel ?trace_capacity
-    (compile labeled) world
+let run ?max_steps ?monitors ?abort ?cancel labeled world =
+  run_compiled ?max_steps ?monitors ?abort ?cancel (compile labeled) world

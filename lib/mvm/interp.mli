@@ -29,11 +29,10 @@ type result = {
           applied (see {!Spec.apply}) *)
 }
 
-(** [run ?max_steps ?monitors ?abort ?cancel ?trace_capacity labeled
-    world] compiles the program ({!compile}) and executes it with
-    {!run_compiled} on a fresh arena. Callers that run one program many
-    times can call {!compile} once and {!run_compiled} with a reused
-    {!state}.
+(** [run ?max_steps ?monitors ?abort ?cancel labeled world] compiles the
+    program ({!compile}) and executes it with {!run_compiled} on a fresh
+    arena. Callers that run one program many times can call {!compile}
+    once and {!run_compiled} with a reused {!state}.
 
     [monitors] observe every event as it is emitted (recorders attach
     here). [abort] may return a reason to stop the run early (replay
@@ -42,8 +41,6 @@ type result = {
     step loop only every 128 steps: search engines use it for wall-clock
     deadline checks, whose cost (a system clock read) would be prohibitive
     per event; a [Some reason] finishes the run as [Aborted reason].
-    [trace_capacity] presizes the trace's backing store — search engines
-    pass the previous attempt's event count so appends never reallocate.
     Default [max_steps] is 200_000.
 
     When [world.passive_try_recv] is [true] the interpreter caches its
@@ -57,7 +54,6 @@ val run :
   ?monitors:(Event.t -> unit) list ->
   ?abort:(Event.t -> string option) ->
   ?cancel:(unit -> string option) ->
-  ?trace_capacity:int ->
   Label.labeled ->
   World.t ->
   result
@@ -112,7 +108,6 @@ val run_compiled :
   ?monitors:(Event.t -> unit) list ->
   ?abort:(Event.t -> string option) ->
   ?cancel:(unit -> string option) ->
-  ?trace_capacity:int ->
   ?state:state ->
   compiled ->
   World.t ->

@@ -1,6 +1,6 @@
 type t = Event.t Vec.t
 
-let create ?capacity () = Vec.create ?capacity ()
+let create = Vec.create
 let append = Vec.push
 let length = Vec.length
 let events = Vec.to_list

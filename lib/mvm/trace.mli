@@ -3,10 +3,8 @@
 
 type t
 
-(** [create ()] is an empty trace. [capacity] presizes the backing store —
-    search engines re-executing one program millions of times pass the
-    previous run's event count so appends never reallocate. *)
-val create : ?capacity:int -> unit -> t
+(** [create ()] is an empty trace. *)
+val create : unit -> t
 
 (** [append t e] adds an event (interpreter use). *)
 val append : t -> Event.t -> unit

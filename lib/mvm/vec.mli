@@ -1,13 +1,17 @@
 (** Growable array (OCaml 5.1 has no [Dynarray]; this is the small subset the
-    interpreter and trace need). *)
+    interpreter and trace need).
+
+    The elements live in chunks of at most 256 slots, the largest block the
+    minor heap allocates, hung off a small spine. A vector therefore never
+    holds its fresh elements behind a major-heap array: pushing does not
+    force minor collections, and a vector that dies young is collected
+    without promoting its elements. [get] stays O(1). *)
 
 type 'a t
 
-(** [create ()] is an empty vector. [capacity] is a sizing hint: the first
-    push allocates a backing store of at least that many slots, so hot loops
-    that know their eventual size (the interpreter's trace) skip the
-    doubling cascade. No memory is committed before the first push. *)
-val create : ?capacity:int -> unit -> 'a t
+(** [create ()] is an empty vector. No memory is committed before the
+    first push. *)
+val create : unit -> 'a t
 
 (** [length v] is the number of elements currently stored. *)
 val length : 'a t -> int
@@ -19,9 +23,8 @@ val push : 'a t -> 'a -> unit
     @raise Invalid_argument if [i] is out of bounds. *)
 val get : 'a t -> int -> 'a
 
-(** [clear v] empties the vector without releasing its backing store, so a
-    reused vector (an arena) skips the regrowth cascade on its next fill.
-    Elements are not overwritten until pushed over. *)
+(** [clear v] empties the vector without releasing its chunks, which the
+    next fill reuses. Elements are not overwritten until pushed over. *)
 val clear : 'a t -> unit
 
 (** [iter f v] applies [f] to every element in insertion order. *)

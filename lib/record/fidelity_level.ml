@@ -24,6 +24,7 @@ let any selectors =
     level =
       (fun e ->
         (* evaluate all: stateful selectors must observe every event *)
-        let levels = List.map (fun s -> s.level e) selectors in
-        if List.exists (fun l -> equal l High) levels then High else Low);
+        List.fold_left
+          (fun acc s -> match s.level e with High -> High | Low -> acc)
+          Low selectors);
   }

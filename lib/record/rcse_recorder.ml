@@ -38,7 +38,11 @@ let create ?flight ?govern (selector : Fidelity_level.selector) =
     let level = selector.level e in
     if not (Fidelity_level.equal level !current) then (
       current := level;
-      add (Log.Mark ("dial-" ^ Fidelity_level.to_string level));
+      add
+        (Log.Mark
+           (match level with
+           | Fidelity_level.High -> "dial-high"
+           | Fidelity_level.Low -> "dial-low"));
       (* a dial-up flushes the flight ring: the moments leading up to the
          trigger become part of the recording *)
       match level, ring with

@@ -67,37 +67,21 @@ let odometer_world prefix sizes =
 
 (* ------------------------------------------------------------------ *)
 (* per-search execution context (the arena): compile the program once,
-   then reuse the interpreter exec state and a warm trace capacity across
-   every attempt that runs on the same domain.
+   then reuse the interpreter exec state across every attempt that runs
+   on the same domain.
    A ctx must never be shared between concurrent attempts — each pool
    worker builds its own. *)
 
-type ctx = {
-  ctx_compiled : Interp.compiled;
-  ctx_state : Interp.state;
-  mutable ctx_cap : int;
-      (* last attempt's event count: the next trace starts at the size
-         the previous one ended with, so appends almost never regrow *)
-}
+type ctx = { ctx_compiled : Interp.compiled; ctx_state : Interp.state }
 
 let make_ctx labeled =
   let compiled = Interp.compile labeled in
-  {
-    ctx_compiled = compiled;
-    ctx_state = Interp.make_state compiled;
-    ctx_cap = 0;
-  }
+  { ctx_compiled = compiled; ctx_state = Interp.make_state compiled }
 
-(* one attempt's interpreter run on the ctx's compiled program and
-   arena; the trace starts at the previous attempt's event count *)
+(* one attempt's interpreter run on the ctx's compiled program and arena *)
 let run_attempt ~max_steps ~abort ?cancel ctx world =
-  let trace_capacity = if ctx.ctx_cap > 0 then Some ctx.ctx_cap else None in
-  let r =
-    Interp.run_compiled ~max_steps ~abort ?cancel ?trace_capacity
-      ~state:ctx.ctx_state ctx.ctx_compiled world
-  in
-  ctx.ctx_cap <- Trace.length r.Interp.trace;
-  r
+  Interp.run_compiled ~max_steps ~abort ?cancel ~state:ctx.ctx_state
+    ctx.ctx_compiled world
 
 let exec_inputs ?wall ~budget:(max_steps : int) ~prefix ctx =
   let sizes = ref [] in

@@ -26,23 +26,21 @@ type probe = {
 }
 
 (** Per-search execution context — the arena of the search hot path. It
-    holds the program compiled once ({!Interp.compile}), a reusable
-    interpreter exec state and a warm trace capacity, all reused across
-    every attempt executed with it: attempts stop paying compile cost and
-    trace regrowth. Every executor below requires one; a ctx never
-    changes what an attempt does (only the spare capacity of the result's
-    trace buffer). A ctx must not be shared between concurrent attempts;
-    each pool worker domain builds its own with {!make_ctx}. *)
+    holds the program compiled once ({!Interp.compile}) and a reusable
+    interpreter exec state, both reused across every attempt executed
+    with it: attempts stop paying compile cost. Every executor below
+    requires one; a ctx never changes what an attempt does. A ctx must
+    not be shared between concurrent attempts; each pool worker domain
+    builds its own with {!make_ctx}. *)
 type ctx
 
 (** [make_ctx labeled] compiles the program and allocates its arena. *)
 val make_ctx : Label.labeled -> ctx
 
 (** [run_attempt ~max_steps ~abort ctx world] executes one attempt on
-    [ctx]'s compiled program and arena, warm-starting the trace at the
-    previous attempt's event count. The raw entry point for engines that
-    build their own worlds — the odometer engines use {!exec_inputs} and
-    {!exec_schedule} instead. *)
+    [ctx]'s compiled program and arena. The raw entry point for engines
+    that build their own worlds — the odometer engines use {!exec_inputs}
+    and {!exec_schedule} instead. *)
 val run_attempt :
   max_steps:int ->
   abort:(Event.t -> string option) ->

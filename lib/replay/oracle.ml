@@ -7,15 +7,20 @@ type handle = {
   violated : unit -> bool;
 }
 
+(* Queues are consed per key, then each is reversed once into log order
+   by [reverse_queues]: appending would be quadratic in a queue's length. *)
+let enqueue tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | Some r -> r := v :: !r
+  | None -> Hashtbl.replace tbl key (ref [ v ])
+
+let reverse_queues tbl = Hashtbl.iter (fun _ r -> r := List.rev !r) tbl
+
 (* Per-thread value queues (inputs, logged reads). *)
 let queues_of pairs =
   let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (tid, v) ->
-      match Hashtbl.find_opt tbl tid with
-      | Some r -> r := !r @ [ v ]
-      | None -> Hashtbl.replace tbl tid (ref [ v ]))
-    pairs;
+  List.iter (fun (tid, v) -> enqueue tbl tid v) pairs;
+  reverse_queues tbl;
   tbl
 
 let pop tbl tid =
@@ -289,15 +294,14 @@ let sync ~seed log =
       match key_of_op op with
       | None -> ()
       | Some key ->
-        (match Hashtbl.find_opt orders key with
-        | Some r -> r := !r @ [ (tid, sid) ]
-        | None -> Hashtbl.replace orders key (ref [ (tid, sid) ]));
+        enqueue orders key (tid, sid);
         (match op with
         | Log.Op_send _ | Log.Op_spawn | Log.Op_lock _ ->
           Hashtbl.replace site_key sid key;
           Hashtbl.replace blocking_site sid ()
         | Log.Op_recv _ | Log.Op_unlock _ -> ()))
     (Log.sync_entries log);
+  reverse_queues orders;
   let head key =
     match Hashtbl.find_opt orders key with
     | Some { contents = p :: _ } -> Some p

@@ -304,8 +304,7 @@ let random_restarts ?(jobs = 1) ?est_attempt_steps ?(score = no_score)
   in
   let make_exec ~worker ~cancel =
     (* the search's arena (one per pool worker): program compiled once,
-       interpreter state and warm trace capacity reused across every
-       attempt it runs *)
+       interpreter state reused across every attempt it runs *)
     let ctx = Engine.make_ctx labeled in
     fun attempt ->
       supervise ~attempt ~worker (fun () ->

@@ -137,13 +137,13 @@ let unop_apply op (a : Value.tagged) =
   | Neg -> tag (int (-as_int a.v)) a.taint
   | Str_len -> tag (int (String.length (as_str a.v))) a.taint
 
-let run ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel ?trace_capacity
+let run ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     (labeled : Label.labeled) (world : World.t) : Interp.result =
   let prog = labeled.Label.prog in
   let mem = Memory.create prog.regions in
   let chans = Channel.create () in
   let locks : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let trace = Trace.create ?capacity:trace_capacity () in
+  let trace = Trace.create () in
   let threads : thread Vec.t = Vec.create () in
   let step_count = ref 0 in
 

@@ -125,6 +125,23 @@ let test_vec_fold_filter () =
   Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 3) v);
   Alcotest.(check int) "count" 2 (Vec.count (fun x -> x > 2) v)
 
+type cell = { k : int; sq : int }
+
+(* Every chunk fits the minor heap, so pushing fresh values allocates no
+   major-heap array with a young initializer, which would force a minor
+   collection first. 2,000 records (about 10k words with their chunks)
+   fit the default minor heap many times over. *)
+let test_vec_stays_young () =
+  let v = Vec.create () in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for k = 0 to 1999 do
+    Vec.push v { k; sq = k * k }
+  done;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "minor collections while pushing" 0 (after - before);
+  Alcotest.(check int) "last" (1999 * 1999) (Vec.get v 1999).sq
+
 (* ------------------------------------------------------------------ *)
 (* Taint and values *)
 
@@ -884,6 +901,8 @@ let () =
           Alcotest.test_case "push/get" `Quick test_vec_push_get;
           Alcotest.test_case "list roundtrip" `Quick test_vec_list_roundtrip;
           Alcotest.test_case "fold/filter" `Quick test_vec_fold_filter;
+          Alcotest.test_case "pushes stay on the minor heap" `Quick
+            test_vec_stays_young;
         ] );
       ( "value",
         [

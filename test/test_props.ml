@@ -345,15 +345,44 @@ let prop_prng_deterministic =
       List.init 20 (fun _ -> Prng.int a 1000)
       = List.init 20 (fun _ -> Prng.int b 1000))
 
+(* lengths up to 1,500 cross several 256-slot chunk boundaries; the
+   refill after [clear] runs over the chunks the first fill left *)
 let prop_vec_models_list =
+  let vec_list = QCheck2.Gen.(list_size (int_range 0 1500) small_int) in
   QCheck2.Test.make ~name:"vec behaves like a list" ~count:200
-    QCheck2.Gen.(list small_int)
-    (fun xs ->
+    QCheck2.Gen.(pair vec_list vec_list)
+    (fun (xs, ys) ->
+      let models v xs =
+        let n = List.length xs in
+        let even x = x mod 2 = 0 in
+        let out_of_bounds i =
+          match Vec.get v i with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        Vec.to_list v = xs
+        && Vec.length v = n
+        && List.for_all2 ( = ) (List.init n (Vec.get v)) xs
+        && out_of_bounds (-1) && out_of_bounds n
+        && Vec.fold (fun acc x -> acc + x) 0 v = List.fold_left ( + ) 0 xs
+        && Vec.filter even v = List.filter even xs
+        && Vec.count even v = List.length (List.filter even xs)
+        && Vec.exists (fun x -> x = 7) v = List.mem 7 xs
+        && (let visits = ref 0 in
+            (* a hit only at the last slot: the walk crosses every chunk *)
+            Vec.exists (fun _ -> incr visits; !visits = n) v = (n > 0)
+            && !visits = n)
+        &&
+        let seen = ref [] in
+        Vec.iter (fun x -> seen := x :: !seen) v;
+        List.rev !seen = xs
+      in
       let v = Vec.of_list xs in
-      Vec.to_list v = xs
-      && Vec.length v = List.length xs
-      && Vec.fold (fun acc x -> acc + x) 0 v = List.fold_left ( + ) 0 xs
-      && Vec.filter (fun x -> x mod 2 = 0) v = List.filter (fun x -> x mod 2 = 0) xs)
+      models v xs
+      &&
+      (Vec.clear v;
+       List.iter (Vec.push v) ys;
+       models v ys))
 
 let prop_taint_union =
   QCheck2.Test.make ~name:"taint union is commutative and idempotent" ~count:200
@@ -770,10 +799,10 @@ let () =
           [
             prop_prng_range;
             prop_prng_deterministic;
-            prop_vec_models_list;
             prop_taint_union;
             prop_scalar_reconstruction;
           ] );
+      ("vec", List.map to_alcotest [ prop_vec_models_list ]);
       ("crash-tolerance", List.map to_alcotest [ prop_resume_parity ]);
       ( "parallel",
         List.map to_alcotest
