@@ -4,12 +4,8 @@
    microbenchmarks of the actual recorders.
 
    Usage: main.exe [paper|ablation|search|sanity|crash|governor|static|dist|obs|micro|all]
-                   [--tiny] [--jobs N] [--json]
+                   [--jobs N] [--json]
 
-   --tiny   shrinks the budgets of search, crash, governor, static, dist
-            and obs so each finishes in seconds (used by the bench-smoke
-            alias under `dune runtest`); paper and ablation always run at
-            full size
    --jobs N times the random restarts at N worker domains as well as at 1
    --json   paper, search, crash, governor, static, dist and obs also
             write their rows to BENCH_<section>.json in the current
@@ -32,6 +28,9 @@ type cell =
   | F of int * float  (** decimals, value *)
   | L of string list
   | O of (string * cell) list
+  | W of cell
+      (** machine-dependent (wall-clock, a rate or ratio of it, cores):
+          printed as its inner cell, listed in the envelope's [unchecked] *)
 
 type table = {
   title : string;
@@ -51,12 +50,14 @@ let rec json = function
     ^ String.concat ", "
         (List.map (fun (k, c) -> Printf.sprintf "%S: %s" k (json c)) members)
     ^ " }"
+  | W c -> json c
 
-let text = function
+let rec text = function
   | S s -> s
   | B b -> if b then "yes" else "NO"
   | L [] -> "-"
   | L l -> String.concat "+" l
+  | W c -> text c
   | c -> json c
 
 let print_table ~title ?(note = "") rows =
@@ -68,19 +69,38 @@ let print_table ~title ?(note = "") rows =
 
 (* The envelope every artifact carries. [schema] is one constant for all
    seven files: bump it whenever any artifact's layout changes. *)
-let schema = 5
+let schema = 6
+
+(* the distinct values, in order of first appearance *)
+let distinct xs =
+  List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
+
+(* The keys of a section's [W] cells: "k" for a top-level field, "t.k" for
+   field k of table t's rows. Every row of a table wraps the same keys. *)
+let unchecked fields tables =
+  let keys prefix = List.filter_map (function k, W _ -> Some (prefix ^ k) | _ -> None) in
+  keys "" fields
+  @ List.concat_map
+      (fun t ->
+        match distinct (List.map (keys (t.key ^ ".")) t.rows) with
+        | [] -> []
+        | [ ks ] -> ks
+        | _ ->
+          invalid_arg (Printf.sprintf "report: rows of table %S wrap different keys" t.key))
+      tables
 
 (* Prints the section's tables and its envelope; with [json], writes them
    to BENCH_<name>.json: the envelope, then the section's own top-level
    [fields], then one member per table. *)
-let report ~tiny ~json:write ~trials ?(fields = []) name tables =
+let report ~json:write ~trials ?(fields = []) name tables =
   List.iter (fun t -> print_table ~title:t.title ~note:t.note t.rows) tables;
+  let cores = ("cores", W (I (Domain.recommended_domain_count ()))) in
   let envelope =
     [
       ("schema", I schema);
-      ("cores", I (Domain.recommended_domain_count ()));
-      ("tiny", B tiny);
+      cores;
       ("trials", I trials);
+      ("unchecked", L (unchecked (cores :: fields) tables));
     ]
     @ fields
   in
@@ -157,10 +177,6 @@ let app_rows =
   List.map (fun (r : Experiment.row) ->
       ("app", S r.app) :: ("model", S r.assessment.model)
       :: assessment_cells r.assessment)
-
-(* the distinct values, in order of first appearance *)
-let distinct xs =
-  List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
 
 let fig1 () =
   let rows = Experiment.fig1 () in
@@ -284,7 +300,7 @@ let abl_budget () =
        hits the model's fidelity ceiling (1/3 for failure determinism on\n\
        this bug, 1 for RCSE); past that point extra budget buys nothing.\n\
        RCSE needs almost no search because the control plane is pinned, so\n\
-       its DE stays near 1 even at tiny budgets.\n" }
+       its DE stays near 1 even at the smallest budgets.\n" }
 
 let abl_flight () =
   { title = "ABL-FLIGHT pre-trigger ring capacity vs. fidelity"; key = "flight";
@@ -390,7 +406,7 @@ let open_questions () =
          depends on the domain: the paper's closing question.\n" } ]
 
 let paper ~json () =
-  report ~tiny:false ~json ~trials:1 "paper"
+  report ~json ~trials:1 "paper"
     (List.concat
        [ fig1 (); [ fig2 () ]; sec2 (); [ abl_budget (); abl_flight (); abl_race () ];
          open_questions () ])
@@ -497,14 +513,12 @@ let micro () =
    The DFS step cap matters: a systematic scheduler happily spins a
    polling server for the whole budget, so each attempt is bounded. *)
 
-let search_workloads ~tiny =
-  let pick full small = if tiny then small else full in
+let search_workloads () =
   let miniht = Miniht.app () in
   [
     ( "racy-counter", Experiment.racy_counter, Experiment.racy_counter_spec,
-      pick (budget 3_000 5_000) (budget 40 1_500) );
-    ( "miniht", miniht.App.labeled, miniht.App.spec,
-      pick (budget 300 5_000) (budget 20 1_500) );
+      budget 3_000 5_000 );
+    ("miniht", miniht.App.labeled, miniht.App.spec, budget 300 5_000);
   ]
 
 (* The failing run search, sanity and crash replay: the first seed in
@@ -531,9 +545,9 @@ let failing_log workload labeled spec =
    fixed policy (which clamps N to the machine's cores). The DFS runs in
    order at any jobs, so it gets the sequential row only. *)
 
-let search_bench ~tiny ~jobs ~json () =
+let search_bench ~jobs ~json () =
   let open Ddet_replay in
-  let trials = if tiny then 1 else 3 in
+  let trials = 3 in
   let rows =
     List.concat_map
       (fun (workload, labeled, spec, bud) ->
@@ -563,17 +577,17 @@ let search_bench ~tiny ~jobs ~json () =
                 ("workload", S workload);
                 ("engine", S engine);
                 ("jobs", I j);
-                ("jobs_effective", I (Par_search.effective_jobs ~jobs:j None));
-                ("mode", S mode);
-                ("wall_s", F (6, wall_s));
+                ("jobs_effective", W (I (Par_search.effective_jobs ~jobs:j None)));
+                ("mode", W (S mode));
+                ("wall_s", W (F (6, wall_s)));
                 ("success", B st.Search.success);
                 ("attempts", I st.Search.attempts);
                 ("pruned", I st.Search.pruned);
                 ("steps", I st.Search.total_steps);
                 ( "attempts_per_s",
-                  F (1, float_of_int st.Search.attempts /. wall_s) );
-                ("ns_per_step", F (1, wall_s *. 1e9 /. float_of_int steps));
-                ("speedup_vs_1", F (3, snd seq /. wall_s));
+                  W (F (1, float_of_int st.Search.attempts /. wall_s)) );
+                ("ns_per_step", W (F (1, wall_s *. 1e9 /. float_of_int steps)));
+                ("speedup_vs_1", W (F (3, snd seq /. wall_s)));
               ]
             in
             row 1 "sequential" seq
@@ -584,10 +598,10 @@ let search_bench ~tiny ~jobs ~json () =
                let mode = if eff < jobs then "capped" else "parallel" in
                [ row jobs mode (measure jobs) ]))
           engines)
-      (search_workloads ~tiny)
+      (search_workloads ())
   in
   let t = Par_search.default_tuning in
-  report ~tiny ~json ~trials "search"
+  report ~json ~trials "search"
     ~fields:
       [
         ("jobs", I jobs);
@@ -673,7 +687,7 @@ let sanity () =
             ("parity", B parity);
             ("verdict", S (if ok then "ok" else "VIOLATION"));
           ] ))
-      (search_workloads ~tiny:false)
+      (search_workloads ())
   in
   print_table ~title:"PERF-SANITY restarts at jobs=4 vs. sequential"
     (List.map snd results);
@@ -692,7 +706,7 @@ let sanity () =
    same file a SIGKILL leaves behind), resumes, and checks the resumed
    outcome is identical to the uninterrupted run's. *)
 
-let crash_bench ~tiny ~json () =
+let crash_bench ~json () =
   let open Ddet_replay in
   let open Mvm in
   (* the outcome, not the run's buffers: [=] on results would also
@@ -783,17 +797,17 @@ let crash_bench ~tiny ~json () =
               ("workload", S workload);
               ("engine", S engine);
               ("attempts", I plain.Search.stats.Search.attempts);
-              ("plain_s", F (6, plain_s));
-              ("ckpt_every1_s", F (6, ckpt1_s));
-              ("ckpt_every32_s", F (6, ckpt32_s));
-              ("killed_s", F (6, killed_s));
-              ("resume_s", F (6, resume_s));
+              ("plain_s", W (F (6, plain_s)));
+              ("ckpt_every1_s", W (F (6, ckpt1_s)));
+              ("ckpt_every32_s", W (F (6, ckpt32_s)));
+              ("killed_s", W (F (6, killed_s)));
+              ("resume_s", W (F (6, resume_s)));
               ("parity", B parity);
             ])
           engines)
-      (search_workloads ~tiny)
+      (search_workloads ())
   in
-  report ~tiny ~json ~trials:1 "crash"
+  report ~json ~trials:1 "crash"
     [
       {
         title = "CRASH checkpoint overhead and resume";
@@ -818,13 +832,11 @@ let crash_bench ~tiny ~json () =
    budget AND the original failure still reproducing from the governed
    log, with the honest DF floor reported per degraded window. *)
 
-let governor_bench ~tiny ~json () =
+let governor_bench ~json () =
   let miniht = Miniht.app () in
   let seed = 1 (* the seed scan's first failing miniht seed *) in
-  let models =
-    if tiny then [ Model.Perfect ] else [ Model.Perfect; Model.Sync ]
-  in
-  let budgets = if tiny then [ 1.3 ] else [ 1.2; 1.3; 1.5; 2.0 ] in
+  let models = [ Model.Perfect; Model.Sync ] in
+  let budgets = [ 1.2; 1.3; 1.5; 2.0 ] in
   let record ?budget:overhead_budget model =
     let config = { Config.default with Config.overhead_budget } in
     let prepared = Session.prepare ~config model miniht in
@@ -865,7 +877,7 @@ let governor_bench ~tiny ~json () =
           budgets)
       models
   in
-  report ~tiny ~json ~trials:1 "governor"
+  report ~json ~trials:1 "governor"
     [
       {
         title = "GOVERNOR overhead SLO";
@@ -922,16 +934,15 @@ let dist_recordings () =
    workloads; (3) failure-determinism search attempts with and without
    the static site-priority hint. *)
 
-let static_bench ~tiny ~json () =
+let static_bench ~json () =
   let open Ddet_replay in
   let open Ddet_analysis in
   let open Ddet_static in
   let open Mvm in
   let failing_seed app = fst (Experiment.find_seed (app, None)) in
   let msg = Msg_server.app () and mini = Miniht.app () in
-  let pick full small = if tiny then small else full in
   (* 1: analysis wall-time per program *)
-  let reps = if tiny then 5 else 100 in
+  let reps = 100 in
   let ms_per_analysis ?nodes labeled =
     let _, wall =
       time (fun () ->
@@ -939,7 +950,7 @@ let static_bench ~tiny ~json () =
             ignore (Static_report.analyze ?nodes labeled)
           done)
     in
-    F (4, wall *. 1e3 /. float_of_int reps)
+    W (F (4, wall *. 1e3 /. float_of_int reps))
   in
   let analysis =
     List.map
@@ -964,7 +975,7 @@ let static_bench ~tiny ~json () =
               Proggen.generate Proggen.default (Prng.create s) )))
   in
   (* 2: ABL-RACE recording overhead, with reproduction checks *)
-  let replay_budget = pick (budget 200 20_000) (budget 30 4_000) in
+  let replay_budget = budget 200 20_000 in
   let overhead =
     List.concat_map
       (fun (workload, labeled, spec, seed, failing) ->
@@ -1028,7 +1039,7 @@ let static_bench ~tiny ~json () =
       ]
   in
   (* 3: search attempts saved by the site-priority hint *)
-  let search_budget = pick (budget 500 20_000) (budget 40 4_000) in
+  let search_budget = budget 500 20_000 in
   let priority_search =
     List.map
       (fun ((app : App.t), seed) ->
@@ -1079,7 +1090,7 @@ let static_bench ~tiny ~json () =
         ])
       recordings
   in
-  let steer_budget = pick (budget 400 50_000) (budget 60 20_000) in
+  let steer_budget = budget 400 50_000 in
   let store = Store.default () in
   let steered_search =
     List.concat_map
@@ -1114,7 +1125,7 @@ let static_bench ~tiny ~json () =
           (Mvm.Node.nodes (Option.get app.App.nodes)))
       recordings
   in
-  report ~tiny ~json ~trials:1 "static"
+  report ~json ~trials:1 "static"
     [
       { title = "STATIC analysis wall-time"; key = "analysis"; rows = analysis;
         note = "" };
@@ -1156,11 +1167,11 @@ let static_bench ~tiny ~json () =
    from complete evidence (the model's own replay) down to every
    surviving subset the stitcher can be handed. *)
 
-let dist_bench ~tiny ~json () =
+let dist_bench ~json () =
   let open Ddet_replay in
-  let reps = if tiny then 5 else 50 in
+  let reps = 50 in
   let trials = 3 in
-  let bud = if tiny then budget 60 20_000 else budget 400 50_000 in
+  let bud = budget 400 50_000 in
   let store = Store.default () in
   let results =
     List.map
@@ -1199,9 +1210,9 @@ let dist_bench ~tiny ~json () =
                 + List.fold_left
                     (fun acc n -> acc + file_size (base ^ "." ^ n ^ ".shard"))
                     0 nodes) );
-            ("mono_write_s", F (8, mono_s));
-            ("shard_write_s", F (8, shard_s));
-            ("write_ratio", F (4, shard_s /. mono_s));
+            ("mono_write_s", W (F (8, mono_s)));
+            ("shard_write_s", W (F (8, shard_s)));
+            ("write_ratio", W (F (4, shard_s /. mono_s)));
           ]
         in
         (* replay cost by lost-node count: none, each singleton, and the
@@ -1229,14 +1240,14 @@ let dist_bench ~tiny ~json () =
                 ("reproduced", B (o.Replayer.result <> None));
                 ("attempts", I o.Replayer.attempts);
                 ("steps", I o.Replayer.total_steps);
-                ("wall_s", F (6, wall_s));
+                ("wall_s", W (F (6, wall_s)));
               ])
             lose_sets
         in
         (write, replay))
       (dist_recordings ())
   in
-  report ~tiny ~json ~trials "dist"
+  report ~json ~trials "dist"
     [
       {
         title = "DIST shard-write overhead";
@@ -1267,9 +1278,9 @@ let dist_bench ~tiny ~json () =
    Off/on trials are interleaved so clock noise and GC phase hit both
    variants alike. *)
 
-let obs_bench ~tiny ~json () =
-  let reps = if tiny then 50 else 200 in
-  let trials = if tiny then 3 else 5 in
+let obs_bench ~json () =
+  let reps = 200 in
+  let trials = 5 in
   let overhead_budget = 0.05 in
   let config = { Config.default with Config.budget = budget 40 10_000 } in
   let failing_seed (app : App.t) =
@@ -1318,9 +1329,9 @@ let obs_bench ~tiny ~json () =
             ( "workload",
               S (Printf.sprintf "%s/%s" app.App.name (Model.name model)) );
             ("reps", I reps);
-            ("off_s", F (6, !off));
-            ("on_s", F (6, !on));
-            ("overhead", F (4, overhead));
+            ("off_s", W (F (6, !off)));
+            ("on_s", W (F (6, !on)));
+            ("overhead", W (F (4, overhead)));
             ("events", I (Ddet_obs.Tracer.length t));
             ("dropped", I (Ddet_obs.Tracer.dropped t));
           ] ))
@@ -1335,9 +1346,9 @@ let obs_bench ~tiny ~json () =
   let worst =
     List.fold_left (fun acc (o, _) -> Float.max acc o) neg_infinity measured
   in
-  report ~tiny ~json ~trials "obs"
+  report ~json ~trials "obs"
     ~fields:
-      [ ("worst_overhead", F (4, worst)); ("budget", F (2, overhead_budget)) ]
+      [ ("worst_overhead", W (F (4, worst))); ("budget", F (2, overhead_budget)) ]
     [
       {
         title = "OBS tracer overhead";
@@ -1355,36 +1366,34 @@ let obs_bench ~tiny ~json () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let rec parse (cmd, tiny, json, jobs) = function
-    | [] -> (cmd, tiny, json, jobs)
-    | "--tiny" :: rest -> parse (cmd, true, json, jobs) rest
-    | "--json" :: rest -> parse (cmd, tiny, true, jobs) rest
-    | ("--jobs" | "-j") :: n :: rest ->
-      parse (cmd, tiny, json, int_of_string n) rest
-    | arg :: rest when cmd = None -> parse (Some arg, tiny, json, jobs) rest
+  let rec parse (cmd, json, jobs) = function
+    | [] -> (cmd, json, jobs)
+    | "--json" :: rest -> parse (cmd, true, jobs) rest
+    | ("--jobs" | "-j") :: n :: rest -> parse (cmd, json, int_of_string n) rest
+    | arg :: rest when cmd = None -> parse (Some arg, json, jobs) rest
     | arg :: _ ->
       Printf.eprintf "unexpected argument %S\n" arg;
       exit 2
   in
-  let cmd, tiny, json, jobs =
-    parse (None, false, false, 1) (List.tl (Array.to_list Sys.argv))
+  let cmd, json, jobs =
+    parse (None, false, 1) (List.tl (Array.to_list Sys.argv))
   in
   let cmd = Option.value ~default:"all" cmd in
   match cmd with
   | "paper" -> paper ~json ()
   | "ablation" -> ablation ()
-  | "search" -> search_bench ~tiny ~jobs ~json ()
-  | "crash" -> crash_bench ~tiny ~json ()
+  | "search" -> search_bench ~jobs ~json ()
+  | "crash" -> crash_bench ~json ()
   | "sanity" -> sanity ()
-  | "governor" -> governor_bench ~tiny ~json ()
-  | "dist" -> dist_bench ~tiny ~json ()
-  | "obs" -> obs_bench ~tiny ~json ()
-  | "static" -> static_bench ~tiny ~json ()
+  | "governor" -> governor_bench ~json ()
+  | "dist" -> dist_bench ~json ()
+  | "obs" -> obs_bench ~json ()
+  | "static" -> static_bench ~json ()
   | "micro" -> micro ()
   | "all" ->
     paper ~json ();
     ablation ();
-    search_bench ~tiny ~jobs ~json ();
+    search_bench ~jobs ~json ();
     micro ()
   | other ->
     Printf.eprintf

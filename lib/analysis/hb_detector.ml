@@ -194,6 +194,3 @@ let observe t (e : Event.t) =
 let reports t = Vec.to_list t.found
 
 let vc_operations t = t.ops
-
-let trigger t =
-  { Trigger.name = "hb-race-detector"; fired = (fun e -> observe t e <> None) }

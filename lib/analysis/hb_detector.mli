@@ -31,7 +31,3 @@ val reports : t -> Race_detector.report list
 (** [vc_operations t] counts vector-clock join/copy operations performed —
     the detector's work, for cost comparisons against sampling. *)
 val vc_operations : t -> int
-
-(** [trigger t] adapts the detector as an RCSE trigger (cf.
-    {!Trigger.of_race_detector}). *)
-val trigger : t -> Trigger.t

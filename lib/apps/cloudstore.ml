@@ -2,13 +2,9 @@ open Mvm
 open Mvm.Dsl
 open Ddet_metrics
 
-type params = {
-  n_writers : int;
-  blocks_per_writer : int;
-  payload_len : int;
-}
-
-let default_params = { n_writers = 2; blocks_per_writer = 4; payload_len = 256 }
+let n_writers = 2
+let blocks_per_writer = 4
+let payload_len = 256
 
 let rc_race = "early-ack-race"
 let rc_drop = "replication-drop"
@@ -20,18 +16,18 @@ let writer_name w = Printf.sprintf "writer%d" w
 
 let fault_domain = [ 0; 0; 0; 0; 0; 0; 0; 1 ] |> List.map Value.int
 
-let payload_domain p =
-  [ 'p'; 'q'; 'r' ] |> List.map (fun c -> Value.str (String.make p.payload_len c))
+let payload_domain =
+  [ 'p'; 'q'; 'r' ] |> List.map (fun c -> Value.str (String.make payload_len c))
 
 (* Route a response or acknowledgement to the writer owning block [idv]:
    writer w owns ids [w*B, (w+1)*B). *)
-let route_by_id p idv chan_of =
+let route_by_id idv chan_of =
   let rec chain w =
-    if w = p.n_writers - 1 then [ send (chan_of w) (v "r") ]
+    if w = n_writers - 1 then [ send (chan_of w) (v "r") ]
     else
       [
         if_
-          (v idv <: i ((w + 1) * p.blocks_per_writer))
+          (v idv <: i ((w + 1) * blocks_per_writer))
           [ send (chan_of w) (v "r") ]
           (chain (w + 1));
       ]
@@ -57,7 +53,7 @@ let pick_replica_func =
    asynchronous store-and-forward queue flushed one block per service
    iteration, strictly after pending reads), serves reads from disk_0 and
    drops exactly one replication when the forwarding-link fault fires. *)
-let primary_func p =
+let primary_func =
   let poll =
     [
       try_recv "okw" "bid" "write_0";
@@ -69,7 +65,7 @@ let primary_func p =
           (* the ack names the block it covers, so writers can discard
              stale or duplicated acks during retransmission *)
           assign "r" (v "bid");
-          route_by_id p "bid" ack_chan;
+          route_by_id "bid" ack_chan;
           if_
             ((v "fnet" =: i 1) &&: (v "dropped" =: i 0))
             [ assign "dropped" (i 1) ]
@@ -77,7 +73,7 @@ let primary_func p =
         ];
       try_recv "okr" "rb" "read_0";
       when_ (v "okr")
-        [ assign "r" (idx "disk_0" (v "rb")); route_by_id p "rb" resp_chan ];
+        [ assign "r" (idx "disk_0" (v "rb")); route_by_id "rb" resp_chan ];
       (* flush one pending replication — an acknowledged block reaches
          the secondary strictly later than its ack *)
       try_recv "okf" "fb" "replq";
@@ -107,7 +103,7 @@ let primary_func p =
 
 (* The secondary chunkserver: applies replications (unless its disk
    faulted) and serves reads from disk_1. *)
-let secondary_func p =
+let secondary_func =
   let poll =
     [
       try_recv "okr2" "rid" "repl";
@@ -122,7 +118,7 @@ let secondary_func p =
         ];
       try_recv "okq" "rb" "read_1";
       when_ (v "okq")
-        [ assign "r" (idx "disk_1" (v "rb")); route_by_id p "rb" resp_chan ];
+        [ assign "r" (idx "disk_1" (v "rb")); route_by_id "rb" resp_chan ];
     ]
   in
   func "secondary" []
@@ -146,7 +142,7 @@ let secondary_func p =
 (* Delivery attempts a writer makes before it retransmits an upload. *)
 let ack_patience = 12
 
-let writer_func p w =
+let writer_func w =
   let upload =
     (* one upload per connection: the id/payload pair is serialised *)
     [
@@ -159,10 +155,10 @@ let writer_func p w =
   func (writer_name w) []
     [
       for_ "k" (i 0)
-        (i p.blocks_per_writer)
+        (i blocks_per_writer)
         ([
            input "m" "blk_data";
-           assign "bid" (i (w * p.blocks_per_writer) +: v "k");
+           assign "bid" (i (w * blocks_per_writer) +: v "k");
          ]
         @ upload
         @ [
@@ -189,7 +185,7 @@ let writer_func p w =
           ]);
       (* verify one of our blocks through a load-balanced replica *)
       call ~dest:"vb" "pick_verify" [];
-      assign "b" (i (w * p.blocks_per_writer) +: v "vb");
+      assign "b" (i (w * blocks_per_writer) +: v "vb");
       call ~dest:"rep" "pick_replica" [];
       if_ (v "rep" =: i 0)
         [ send "read_0" (v "b") ]
@@ -206,24 +202,24 @@ let writer_func p w =
         [ send "wdone" (i 0) ];
     ]
 
-let main_func p =
+let main_func =
   func "main" []
     ([ spawn "primary" []; spawn "secondary" [] ]
-    @ List.init p.n_writers (fun w -> spawn (writer_name w) [])
+    @ List.init n_writers (fun w -> spawn (writer_name w) [])
     @ [
         assign "stales" (i 0);
-        for_ "c" (i 0) (i p.n_writers)
+        for_ "c" (i 0) (i n_writers)
           [ recv "d" "wdone"; assign "stales" (v "stales" +: v "d") ];
         send "ctl_p" (i 2);
         recv "ap" "ack_p";
         send "ctl_s" (i 2);
         recv "as_" "ack_s";
-        output "reads" (i p.n_writers);
+        output "reads" (i n_writers);
         output "stales" (v "stales");
       ])
 
-let program p =
-  let total = p.n_writers * p.blocks_per_writer in
+let program () =
+  let total = n_writers * blocks_per_writer in
   program ~name:"cloudstore"
     ~regions:
       [
@@ -234,23 +230,23 @@ let program p =
       ]
     ~inputs:
       [
-        ("blk_data", payload_domain p);
-        ("verify_block", List.init p.blocks_per_writer Value.int);
+        ("blk_data", payload_domain);
+        ("verify_block", List.init blocks_per_writer Value.int);
         ("replica_choice", [ Value.int 0; Value.int 1 ]);
         ("fault_net", fault_domain);
         ("fault_disk", fault_domain);
       ]
     ~main:"main"
     ([
-       main_func p;
-       primary_func p;
-       secondary_func p;
+       main_func;
+       primary_func;
+       secondary_func;
        startup_p_func;
        startup_s_func;
        pick_verify_func;
        pick_replica_func;
      ]
-    @ List.init p.n_writers (writer_func p))
+    @ List.init n_writers writer_func)
 
 let spec =
   Spec.make "acked-blocks-readable" (fun r ->
@@ -262,14 +258,14 @@ let spec =
 (* The transient signature of the race: a read observed 0 in a cell that
    holds 1 by the end of the run — the replication arrived after the
    read. Dropped or disk-faulted replications leave the cell at 0. *)
-let race_cause p =
+let race_cause =
   Root_cause.make ~id:rc_race
     ~descr:
       "a load-balanced read reached the secondary before the replication of \
        an already-acknowledged block"
     (fun r ->
       let t = r.Interp.trace in
-      let total = p.n_writers * p.blocks_per_writer in
+      let total = n_writers * blocks_per_writer in
       let stale_then_present b =
         Trace.exists
           (fun (e : Event.t) ->
@@ -301,23 +297,23 @@ let disk_cause =
     ~descr:"the secondary's disk rejected writes"
     (fun r -> fault_fired r.Interp.trace "fault_disk")
 
-let catalog p =
+let catalog =
   {
     Root_cause.app = "cloudstore";
     failure_sig =
       (function Mvm.Failure.Spec_violation "stale-read" -> true | _ -> false);
-    causes = [ race_cause p; drop_cause; disk_cause ];
+    causes = [ race_cause; drop_cause; disk_cause ];
   }
 
-let app ?(params = default_params) () =
+let app () =
   {
     App.name = "cloudstore";
     descr =
       "replicated block store: early acks race load-balanced reads against \
        the replication pipeline";
-    labeled = program params;
+    labeled = program ();
     spec;
-    catalog = catalog params;
+    catalog;
     control_plane =
       [ "main"; "startup_p"; "startup_s"; "pick_verify"; "pick_replica" ];
     (* deployment: coordinator, the two replicas, one node per writer
@@ -327,13 +323,13 @@ let app ?(params = default_params) () =
         (Mvm.Node.make
            ~nodes:
              ([ "coord"; "primary"; "secondary" ]
-             @ List.init params.n_writers (Printf.sprintf "client%d"))
+             @ List.init n_writers (Printf.sprintf "client%d"))
            ~assign:
              ([
                 ("main", "coord");
                 ("primary", "primary");
                 ("secondary", "secondary");
               ]
-             @ List.init params.n_writers (fun w ->
+             @ List.init n_writers (fun w ->
                    (writer_name w, Printf.sprintf "client%d" w))));
   }

@@ -34,15 +34,7 @@
     own control-plane function — so control-plane RCSE pins the root
     cause. *)
 
-type params = {
-  n_writers : int;  (** default 2 *)
-  blocks_per_writer : int;  (** default 4 *)
-  payload_len : int;  (** default 256 *)
-}
-
-val default_params : params
-
-val app : ?params:params -> unit -> App.t
+val app : unit -> App.t
 
 val rc_race : string
 val rc_drop : string

@@ -2,22 +2,19 @@ open Mvm
 open Mvm.Dsl
 open Ddet_metrics
 
-type params = {
-  messages_per_producer : int;
-  payload_len : int;
-  stagger : int;
-      (** idle iterations producer 1 performs before starting: arrivals are
-          bursty, so the producers only overlap at the burst boundary and
-          the lost-update race is rare — hard to reproduce, like the
-          paper's failures *)
-}
+let messages_per_producer = 6
+let payload_len = 128
 
-let default_params = { messages_per_producer = 6; payload_len = 128; stagger = 18 }
+(* idle iterations producer 1 performs before starting: arrivals are
+   bursty, so the producers only overlap at the burst boundary and the
+   lost-update race is rare — hard to reproduce, like the paper's
+   failures *)
+let stagger = 18
 
 let drop_marker = "DROP"
 
-let net_domain p =
-  let payload c = Value.str (String.make p.payload_len c) in
+let net_domain =
+  let payload c = Value.str (String.make payload_len c) in
   (* one in eight messages is lost to congestion *)
   [
     payload 'a'; payload 'b'; payload 'c'; payload 'd';
@@ -35,14 +32,14 @@ let report_patience = 12
 
 (* Enqueue without synchronisation: read the cursor, get preempted, write —
    the classic lost-update race that overwrites a peer's slot. *)
-let producer p params =
+let producer p =
   func (producer_name p) []
     [
       (* stagger the second producer's burst *)
-      for_ "w" (i 0) (i (p * params.stagger)) [ skip ];
+      for_ "w" (i 0) (i (p * stagger)) [ skip ];
       assign "sent" (i 0);
       for_ "k" (i 0)
-        (i params.messages_per_producer)
+        (i messages_per_producer)
         [
           input "m" "net";
           if_
@@ -77,12 +74,12 @@ let producer p params =
         ];
     ]
 
-let program params =
-  let cap = 2 * params.messages_per_producer * 2 in
+let program () =
+  let cap = 2 * messages_per_producer * 2 in
   program ~name:"msg_server"
     ~regions:
       [ scalar "cursor" (Value.int 0); array "buf" cap (Value.str "") ]
-    ~inputs:[ ("net", net_domain params) ]
+    ~inputs:[ ("net", net_domain) ]
     ~main:"main"
     [
       func "main" []
@@ -124,8 +121,8 @@ let program params =
           output "sent" (v "c0" +: v "c1");
           output "delivered" (g "cursor");
         ];
-      producer 0 params;
-      producer 1 params;
+      producer 0;
+      producer 1;
     ]
 
 let spec =
@@ -169,13 +166,13 @@ let catalog =
     causes = [ buffer_race; congestion ];
   }
 
-let app ?(params = default_params) () =
+let app () =
   {
     App.name = "msg_server";
     descr =
       "server dropping messages: buffer race vs. network congestion — the \
        paper's Sec. 2 multi-root-cause example";
-    labeled = program params;
+    labeled = program ();
     spec;
     catalog;
     control_plane = [ "main" ];

@@ -13,14 +13,4 @@
     app is also the honest counterexample where code-based RCSE misfires
     and trigger-based selection (race detector) is needed. *)
 
-type params = {
-  messages_per_producer : int;  (** default 6 *)
-  payload_len : int;  (** default 128 *)
-  stagger : int;
-      (** producer 1's start delay (idle iterations); bursty arrivals make
-          the race window narrow; default 18 *)
-}
-
-val default_params : params
-
-val app : ?params:params -> unit -> App.t
+val app : unit -> App.t

@@ -11,6 +11,7 @@ type prepared = {
   make_recorder : ?govern:Governor.t -> unit -> Recorder.t;
   plane_map : Plane.map option;
   invariants : Invariants.t option;
+  static : Ddet_static.Static_report.t option Lazy.t;
 }
 
 (* Training models pre-release testing: only passing runs teach the
@@ -92,6 +93,11 @@ let prepare ?(config = Config.default) model (app : App.t) =
     make_recorder;
     plane_map = (if plane_used then Some (Lazy.force plane_map) else None);
     invariants = (if inv_used then Some (Lazy.force invariants) else None);
+    static =
+      lazy
+        (Option.map
+           (fun map -> Ddet_static.Static_report.analyze ~nodes:map app.App.labeled)
+           app.App.nodes);
   }
 
 let governor_of prepared =
@@ -188,14 +194,10 @@ let replay ?budget ?checkpoint ?resume prepared log =
     let strict = match mode with Model.Code_based -> true | _ -> false in
     Replayer.rcse ~budget ~strict ~jobs ?checkpoint ?resume labeled ~spec log
 
-(* The app's distributed static report (None for single-node apps).
-   Computed per call: analysis cost is a few graph walks, and sessions
-   touch it at most once per replay. *)
-let static_report prepared =
-  Option.map
-    (fun map ->
-      Ddet_static.Static_report.analyze ~nodes:map prepared.app.App.labeled)
-    prepared.app.App.nodes
+(* The app's distributed static report (None for single-node apps),
+   analyzed on first use and shared by every later call: it depends only
+   on the app. Forced on the caller's thread, never by a pool worker. *)
+let static_report prepared = Lazy.force prepared.static
 
 let shard_priority prepared =
   match static_report prepared with

@@ -32,6 +32,9 @@ type prepared = {
       (** the trained classification, for RCSE code-based/combined models *)
   invariants : Invariants.t option;
       (** the trained invariants, for RCSE data-based/combined models *)
+  static : Ddet_static.Static_report.t option Lazy.t;
+      (** the app's cross-node static report, analyzed on first use; read
+          it through {!static_report} *)
 }
 
 (** [prepare ?config model app] trains whatever the model needs. *)
@@ -104,7 +107,8 @@ val replay_stitched :
 
 (** The app's distributed static report ([None] without a node map) —
     race candidates tightened by placement, communication lint, per-node
-    views. See {!Ddet_static.Static_report}. *)
+    views. See {!Ddet_static.Static_report}. Analyzed on the first call
+    for [prepared]; every later call returns the same report. *)
 val static_report : prepared -> Ddet_static.Static_report.t option
 
 (** Shard write priority from the static report (empty without a node

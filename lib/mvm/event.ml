@@ -24,20 +24,6 @@ let is_shared_access t =
   | Spawned _ | Crashed _ ->
     false
 
-let kind_name t =
-  match t.kind with
-  | Step -> "step"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | In _ -> "in"
-  | Out _ -> "out"
-  | Msg_send _ -> "send"
-  | Msg_recv _ -> "recv"
-  | Lock_acq _ -> "lock"
-  | Lock_rel _ -> "unlock"
-  | Spawned _ -> "spawn"
-  | Crashed _ -> "crash"
-
 let tainted_bytes (v : Value.tagged) =
   if Taint.is_empty v.taint then 0 else Value.size_bytes v.v
 

@@ -37,9 +37,6 @@ type t = {
 (** [is_shared_access e] is [true] for [Read]/[Write] events. *)
 val is_shared_access : t -> bool
 
-(** [kind_name e] is a short tag for reports ("step", "read", ...). *)
-val kind_name : t -> string
-
 (** [data_bytes e] is the number of input-derived (tainted) bytes the event
     moves; untainted values count zero. Feeds data-rate classification. *)
 val data_bytes : t -> int

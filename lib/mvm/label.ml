@@ -94,7 +94,6 @@ let program p =
 
 let site t sid = Hashtbl.find t sid
 
-let fname_of t sid = (site t sid).fname
 
 let sites t =
   Hashtbl.fold (fun sid s acc -> (sid, s) :: acc) t []

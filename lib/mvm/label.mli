@@ -28,8 +28,5 @@ val program : Ast.program -> labeled
     @raise Not_found for an unknown id. *)
 val site : table -> int -> site
 
-(** [fname_of t sid] is the enclosing function of site [sid]. *)
-val fname_of : table -> int -> string
-
 (** [sites t] is all (sid, site) pairs in ascending id order. *)
 val sites : table -> (int * site) list

@@ -16,8 +16,6 @@ let next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next t }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* keep 62 bits so the native int is always non-negative *)

@@ -12,10 +12,6 @@ val create : int -> t
 (** [copy t] is an independent generator with the same current state. *)
 val copy : t -> t
 
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent from the rest of [t]'s stream. *)
-val split : t -> t
-
 (** [int t bound] is uniform in [0, bound); [bound] must be positive.
     @raise Invalid_argument on non-positive [bound]. *)
 val int : t -> int -> int

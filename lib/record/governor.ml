@@ -50,7 +50,6 @@ type t = {
   mutable last_transition : int;
   mutable hold_until : int;  (* no degrading before this step (boost hold) *)
   mutable pending : Log.entry list;  (* queued Govern entries, in order *)
-  mutable transitions : int;
   mutable dropped : int;
 }
 
@@ -68,12 +67,10 @@ let create ?(cost_model = Cost_model.default) ~budget () =
     last_transition = 0;
     hold_until = 0;
     pending = [];
-    transitions = 0;
     dropped = 0;
   }
 
 let level g = g.level
-let transitions g = g.transitions
 let dropped g = g.dropped
 
 let overhead g =
@@ -93,8 +90,7 @@ let transition g level reason =
         ("step", Ddet_obs.Tracer.Count g.cur_step);
       ];
   g.level <- level;
-  g.last_transition <- g.cur_step;
-  g.transitions <- g.transitions + 1
+  g.last_transition <- g.cur_step
 
 let boost g reason =
   if g.level > 0 then transition g 0 reason;

@@ -47,7 +47,6 @@ val admit : t -> Log.entry -> Log.entry list
 val flush : t -> Log.entry list
 
 val level : t -> int
-val transitions : t -> int
 
 (** Entries suppressed by degradation so far. *)
 val dropped : t -> int

@@ -114,11 +114,6 @@ let stitch (l : Sharded_log.loaded) =
     edges_dropped;
   }
 
-let survivors t =
-  List.filter_map
-    (fun (n, _) -> if List.mem n t.lost then None else Some n)
-    t.evidence
-
 let pp ppf t =
   Format.fprintf ppf "stitched %d entr%s from %d/%d node(s)%s"
     (List.length t.log.Log.entries)

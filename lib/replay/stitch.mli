@@ -43,7 +43,4 @@ type t = {
 
 val stitch : Sharded_log.loaded -> t
 
-(** [survivors t] / [lost t] — node names by evidence fate. *)
-val survivors : t -> string list
-
 val pp : Format.formatter -> t -> unit

@@ -30,10 +30,6 @@ val analyze : map:Node.map -> Callgraph.t -> t
 (** The placement-refined may-happen-in-parallel relation. *)
 val concurrent : t -> Callgraph.access -> Callgraph.access -> bool
 
-(** [ordered t a b]: site [a] happens-before site [b] through a
-    unique-message channel (exposed for tests and reports). *)
-val ordered : t -> Callgraph.access -> Callgraph.access -> bool
-
 (** The channel orderings found: (chan, (send fname, sid),
     (recv fname, sid)). *)
 val fifos : t -> (string * (string * int) * (string * int)) list

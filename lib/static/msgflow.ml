@@ -35,8 +35,6 @@ type t = {
   loops : IS.t;
 }
 
-let kind_name = function Send -> "send" | Recv -> "recv" | Try_recv -> "try_recv"
-
 (* Structural must-precede within one function body. [before(sid)] holds
    every sid whose statement, when it executes at all, has started before
    [sid]'s statement starts: earlier statements of the same block

@@ -34,8 +34,6 @@ type edge = { chan : string; from_node : string; to_node : string }
 
 type t
 
-val kind_name : kind -> string
-
 (** [analyze ~map labeled] builds the graph.
 
     @raise Invalid_argument when a thread root has no node assignment. *)

@@ -13,7 +13,6 @@ type node_view = {
 type dist = {
   map : Node.map;
   flow : Msgflow.t;
-  mhp : Mhp.t;
   views : node_view list;
 }
 
@@ -77,7 +76,7 @@ let analyze ?(threshold_bytes = Splane.default_threshold) ?nodes labeled =
       let ls = Lockset.analyze ~mhp graph in
       let lints = base_lints @ Commlint.run ~map labeled in
       let views = node_views_of labeled map flow (Lockset.suspect_sids ls) in
-      (Some { map; flow; mhp; views }, ls, lints)
+      (Some { map; flow; views }, ls, lints)
   in
   let weights = Splane.analyze ~threshold_bytes prog in
   let planes =
@@ -101,7 +100,6 @@ let suspect_sids t = t.suspects
 let lints t = t.lints
 let has_lint_errors t = Lint.errors t.lints <> []
 let msgflow t = Option.map (fun d -> d.flow) t.dist
-let mhp t = Option.map (fun d -> d.mhp) t.dist
 let node_views t = match t.dist with None -> [] | Some d -> d.views
 
 let trigger t = Ddet_analysis.Trigger.of_sites ~name:"static-races" t.suspects

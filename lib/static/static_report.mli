@@ -1,6 +1,6 @@
 (** The aggregate static-analysis report: lockset race candidates, the
     static plane map, and lint findings, plus the RCSE hooks derived from
-    them (a suspect-site trigger and its selectors).
+    them (suspect-site selectors).
 
     With a node map ([analyze ~nodes]) the report goes distributed: race
     candidates are tightened by the node-aware {!Mhp} relation, the
@@ -43,15 +43,8 @@ val has_lint_errors : t -> bool
 (** The channel-communication graph; [None] without [~nodes]. *)
 val msgflow : t -> Msgflow.t option
 
-(** The node-aware MHP relation; [None] without [~nodes]. *)
-val mhp : t -> Mhp.t option
-
 (** Per-node views in node declaration order; empty without [~nodes]. *)
 val node_views : t -> node_view list
-
-(** Fires on shared reads/writes at suspect sites — plug into
-    {!Ddet_analysis.Trigger.selector} or combine with dynamic triggers. *)
-val trigger : t -> Ddet_analysis.Trigger.t
 
 (** The suspect-site trigger as a ready sticky selector ("increase
     determinism guarantees onward from the point of detection"). *)

@@ -241,6 +241,24 @@ let test_priority_write_order () =
     Alcotest.(check bool) "manifest complete" true
       loaded.Sharded_log.manifest_complete
 
+(* a prepared session analyzes its app once: a second call shares the
+   first report, whose shard order is a fresh analysis's; an app
+   without a node map has none *)
+let test_static_report_shared () =
+  let prepared = Session.prepare Model.Perfect msg_server in
+  (match (Session.static_report prepared, Session.static_report prepared) with
+  | Some a, Some b ->
+    Alcotest.(check bool) "second call returns the same report" true (a == b)
+  | _ -> Alcotest.fail "msg_server must have a static report");
+  let fresh = Static_report.analyze ~nodes:msg_map msg_server.App.labeled in
+  Alcotest.(check (list string))
+    "shard priority of a fresh analysis" (Static_report.shard_priority fresh)
+    (Session.shard_priority prepared);
+  Alcotest.(check (list string))
+    "shard priority" [ "p0"; "p1"; "server" ] (Session.shard_priority prepared);
+  Alcotest.(check bool) "no node map, no report" true
+    (Session.static_report (Session.prepare Model.Perfect (Adder.app ())) = None)
+
 (* ------------------------------------------------------------------ *)
 (* statically-steered partial-evidence search *)
 
@@ -321,6 +339,8 @@ let () =
         [
           Alcotest.test_case "priority-ordered shard writes" `Quick
             test_priority_write_order;
+          Alcotest.test_case "static report analyzed once" `Quick
+            test_static_report_shared;
           Alcotest.test_case "steered search no worse than uninformed" `Slow
             test_steered_no_worse;
         ] );
