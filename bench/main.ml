@@ -704,7 +704,8 @@ let sanity () =
    tax of ticking a checkpoint sink at several intervals, then simulates
    a kill at half the search (truncated budget + flushed frontier — the
    same file a SIGKILL leaves behind), resumes, and checks the resumed
-   outcome is identical to the uninterrupted run's. *)
+   outcome is identical to the uninterrupted run's, reached by judging
+   only the attempts after the kill. *)
 
 let crash_bench ~json () =
   let open Ddet_replay in
@@ -727,6 +728,13 @@ let crash_bench ~json () =
     List.concat_map
       (fun (workload, labeled, spec, bud) ->
         let _, accept = failing_log workload labeled spec in
+        (* attempts judged so far: a resume that drops its frontier
+           re-judges the attempts before the kill *)
+        let judged = ref 0 in
+        let accept r =
+          incr judged;
+          accept r
+        in
         let engines :
             (string
             * (?checkpoint:Checkpoint.sink ->
@@ -789,8 +797,12 @@ let crash_bench ~json () =
                   | Ok c -> c
                   | Error e -> invalid_arg ("bench checkpoint: " ^ e)
                 in
+                judged := 0;
                 let resumed, resume_s = time (fun () -> run ~resume:c bud) in
-                (killed_s, resume_s, same plain resumed)
+                ( killed_s,
+                  resume_s,
+                  same plain resumed
+                  && !judged = plain.Search.stats.Search.attempts - kill_at )
               end
             in
             [
@@ -821,7 +833,8 @@ let crash_bench ~json () =
            resumed to completion; their sum against plain_s is the\n\
            wall-clock tax of crashing once. parity: the resumed outcome\n\
            (search stats; status, steps, events, outputs and failure of the\n\
-           result and the partial) equals the uninterrupted run's.\n";
+           result and the partial) equals the uninterrupted run's, and the\n\
+           resumed run judged only the attempts after the kill.\n";
       };
     ]
 
@@ -1091,7 +1104,7 @@ let static_bench ~json () =
       recordings
   in
   let steer_budget = budget 400 50_000 in
-  let store = Store.default () in
+  let store = Store.local () in
   let steered_search =
     List.concat_map
       (fun ((app : App.t), prepared, log, causal) ->
@@ -1172,7 +1185,7 @@ let dist_bench ~json () =
   let reps = 50 in
   let trials = 3 in
   let bud = budget 400 50_000 in
-  let store = Store.default () in
+  let store = Store.local () in
   let results =
     List.map
       (fun ((app : App.t), prepared, log, causal) ->

@@ -117,12 +117,18 @@ let io_faults_arg =
   Arg.(value & opt (some io_faults_conv) None & info [ "io-faults" ]
          ~docv:"PLAN"
          ~doc:"Save the recording through a deterministically faulty store, \
-               e.g. $(b,seed=7,enospc:4096,torn:3:0.5,fsyncfail:2:t). \
+               e.g. $(b,seed=7,enospc:4096,fsyncfail:1:t). \
                Clauses: enospc:BYTES, torn:OP:KEEP, fsyncfail:OP[:t], \
-               renamefail:OP[:t], flaky:PROB, slow:FROM-TO:MS. Transient \
-               faults are absorbed by bounded retry with backoff; permanent \
-               ones surface as a typed storage error and leave a \
-               salvageable prefix on disk (segmented saves).")
+               renamefail:OP[:t], flaky:PROB, slow:FROM-TO:MS. OP numbers \
+               the save's store operations from 0 (a retried one counts \
+               again): each file is a write then an fsync, and one \
+               replaced atomically (a monolithic log, a segment header, a \
+               manifest) then a rename, so a monolithic save is ops 0-2. \
+               torn acts on a write, fsyncfail on an fsync, renamefail on \
+               a rename. Transient faults are absorbed by \
+               bounded retry with backoff; permanent ones surface as a \
+               typed storage error and leave a salvageable prefix on disk \
+               (segmented saves) or no file (monolithic saves).")
 
 let overhead_budget_arg =
   Arg.(value & opt (some float) None & info [ "overhead-budget" ] ~docv:"X"
@@ -176,7 +182,7 @@ let segments_arg =
   Arg.(value & opt (some int) None & info [ "segments" ] ~docv:"N"
          ~doc:"Save the recording segmented, $(docv) entries per segment, \
                instead of monolithic: crash-tolerant persistence where a \
-               torn write loses at most one unsealed segment. Produces \
+               torn write loses at most the segment being written. Produces \
                FILE.header, FILE.NNNN.seg and FILE.manifest; $(b,replay) \
                detects the segment set automatically.")
 
@@ -334,7 +340,7 @@ let cmd_record app model seed verbose out faults segments shards io_faults
        injector, with bounded retry absorbing transient faults. *)
     let stats, store =
       match io_faults with
-      | None -> (None, Ddet_record.Store.default ())
+      | None -> (None, Ddet_record.Store.local ())
       | Some plan ->
         let faulty, stats =
           Ddet_record.Faulty_store.wrap plan (Ddet_record.Store.local ())
@@ -392,7 +398,7 @@ let cmd_record app model seed verbose out faults segments shards io_faults
       (match segments with
       | Some _ ->
         err
-          "segments sealed before the failure remain at %s; \
+          "segments written before the failure remain at %s; \
            replay recovers that prefix automatically"
           path
       | None -> ());
@@ -514,7 +520,7 @@ let sharded_session ~config ?faults ?checkpoint ?resume ~static_steer
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   let report =
-    Ddet_record.Sharded_log.save_via (Ddet_record.Store.default ()) ~base
+    Ddet_record.Sharded_log.save_via (Ddet_record.Store.local ()) ~base
       ~causal log
   in
   if not (Ddet_record.Sharded_log.save_ok report) then begin

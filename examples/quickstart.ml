@@ -95,7 +95,7 @@ let () =
     (fun log -> Ddet_replay.Replayer.perfect counter ~spec log);
   experiment
     (Ddet_record.Output_recorder.create ())
-    (fun log -> Ddet_replay.Replayer.output_det ~exhaustive:false counter ~spec log);
+    (fun log -> Ddet_replay.Replayer.output_det counter ~spec log);
   print_newline ();
   print_endline
     "perfect determinism pays full recording cost and reproduces the lost\n\

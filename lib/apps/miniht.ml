@@ -2,15 +2,12 @@ open Mvm
 open Mvm.Dsl
 open Ddet_metrics
 
-type params = {
-  n_clients : int;
-  rows_per_client : int;
-  migrate_threshold : int;
-  payload_len : int;
-}
+let n_clients = 3
+let rows_per_client = 8
 
-let default_params =
-  { n_clients = 3; rows_per_client = 8; migrate_threshold = 10; payload_len = 256 }
+(* rows on (server 0, range 0) that trigger the migration *)
+let migrate_threshold = 10
+let payload_len = 256
 
 let rc_race = "migration-commit-race"
 let rc_crash = "server-crash"
@@ -29,8 +26,8 @@ let msg_stop = 2
 
 let fault_domain = [ 0; 0; 0; 0; 0; 0; 0; 1 ] |> List.map Value.int
 
-let row_data_domain p =
-  [ 'x'; 'y'; 'z' ] |> List.map (fun c -> Value.str (String.make p.payload_len c))
+let row_data_domain =
+  [ 'x'; 'y'; 'z' ] |> List.map (fun c -> Value.str (String.make payload_len c))
 
 (* Row-key (range) selection: the range a row belongs to is metadata that
    steers control-plane branches, so it must enter through control-plane
@@ -50,11 +47,11 @@ let route_func =
         [ return (g "owner_1") ];
     ]
 
-let client_func p =
+let client_func =
   func "client" []
     [
       assign "sent" (i 0);
-      for_ "k" (i 0) (i p.rows_per_client)
+      for_ "k" (i 0) (i rows_per_client)
         [
           call ~dest:"r" "pick_range" [];
           input "m" "row_data";
@@ -78,7 +75,7 @@ let client_func p =
 (* The master is event-driven, as in Hypertable: server 0 reports its load
    for range 0 after each commit; crossing the threshold triggers the
    migration. A -1 sentinel from main ends the master's life. *)
-let master_func p =
+let master_func =
   func "master" []
     [
       assign "migrated" (i 0);
@@ -90,7 +87,7 @@ let master_func p =
             [ assign "fin" (i 1) ]
             [
               when_
-                ((v "migrated" =: i 0) &&: (v "c" >=: i p.migrate_threshold))
+                ((v "migrated" =: i 0) &&: (v "c" >=: i migrate_threshold))
                 [
                   (* migrate range 0: ask server 0 to transfer, then flip
                      the map — a client that routed in between commits to
@@ -139,8 +136,7 @@ let shutdown_func s =
 (* The data-plane server loop: drain commit payloads (and, for server 1,
    transferred rows), dispatching control messages to the control-plane
    handler. *)
-let server_func p s =
-  ignore p;
+let server_func s =
   let process r =
     [
       assign "len" (str_len (v "m"));
@@ -204,17 +200,17 @@ let dump_funcs =
       ];
   ]
 
-let main_func p =
+let main_func =
   func "main" []
     ([
        spawn "server0" [];
        spawn "server1" [];
        spawn "master" [];
      ]
-    @ List.init p.n_clients (fun _ -> spawn "client" [])
+    @ List.init n_clients (fun _ -> spawn "client" [])
     @ [
         assign "loaded" (i 0);
-        for_ "c" (i 0) (i p.n_clients)
+        for_ "c" (i 0) (i n_clients)
           [ recv "d" "client_done"; assign "loaded" (v "loaded" +: v "d") ];
         send "load_report" (i (-1));
         recv "md" "master_done";
@@ -235,7 +231,7 @@ let main_func p =
         output "dumped" (v "dumped");
       ])
 
-let program p =
+let program () =
   program ~name:"miniht"
     ~regions:
       [
@@ -251,20 +247,20 @@ let program p =
     ~inputs:
       [
         ("row_range", [ Value.int 0; Value.int 1 ]);
-        ("row_data", row_data_domain p);
+        ("row_data", row_data_domain);
         (fault_crash 0, fault_domain);
         (fault_crash 1, fault_domain);
         ("fault_oom", fault_domain);
       ]
     ~main:"main"
     ([
-       main_func p;
-       master_func p;
-       client_func p;
+       main_func;
+       master_func;
+       client_func;
        pick_range_func;
        route_func;
-       server_func p 0;
-       server_func p 1;
+       server_func 0;
+       server_func 1;
        handle_ctl_func 0;
        handle_ctl_func 1;
        shutdown_func 0;
@@ -334,13 +330,13 @@ let catalog =
     causes = [ race_cause; crash_cause; oom_cause ];
   }
 
-let app ?(params = default_params) () =
+let app () =
   {
     App.name = "miniht";
     descr =
       "mini-Hypertable: concurrent loads race a range migration and rows \
        vanish from dumps (issue 63, the paper's Sec. 4 case study)";
-    labeled = program params;
+    labeled = program ();
     spec;
     catalog;
     control_plane =

@@ -32,17 +32,7 @@
     routing/migration interleaving and the fault inputs, reproducing the
     race itself. *)
 
-type params = {
-  n_clients : int;  (** default 3 *)
-  rows_per_client : int;  (** default 8 *)
-  migrate_threshold : int;
-      (** rows on (server 0, range 0) that trigger the migration; default 10 *)
-  payload_len : int;  (** row payload bytes; default 256 *)
-}
-
-val default_params : params
-
-val app : ?params:params -> unit -> App.t
+val app : unit -> App.t
 
 (** The ids of the three catalog causes, for tests and benches. *)
 

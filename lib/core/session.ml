@@ -143,14 +143,6 @@ let record_dist ?faults prepared ~seed =
   let original, log = record ?faults ~monitor:on_event prepared ~seed in
   (original, log, finish ())
 
-(* Output-determinism inference enumerates input assignments exhaustively
-   when the program is sequential (its only nondeterminism is inputs);
-   concurrent programs need schedule search instead. *)
-let has_spawn labeled =
-  Ast.fold_stmts
-    (fun acc _ s -> acc || match s.Ast.node with Ast.Spawn _ -> true | _ -> false)
-    false labeled.Label.prog
-
 let replay ?budget ?checkpoint ?resume prepared log =
   Ddet_obs.Tracer.span_ "session.replay"
     ~args:
@@ -183,8 +175,7 @@ let replay ?budget ?checkpoint ?resume prepared log =
   | Model.Sync ->
     Replayer.sync_det ~budget ~jobs ?checkpoint ?resume labeled ~spec log
   | Model.Output ->
-    Replayer.output_det ~budget ~exhaustive:(not (has_spawn labeled)) ~jobs
-      ?checkpoint ?resume labeled ~spec log
+    Replayer.output_det ~budget ~jobs ?checkpoint ?resume labeled ~spec log
   | Model.Failure_det ->
     Replayer.failure_det ~budget ~jobs ?checkpoint ?resume labeled ~spec log
   | Model.Rcse mode ->

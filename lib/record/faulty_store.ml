@@ -11,14 +11,19 @@
 
      enospc:N        the disk fills after N payload bytes; writes past
                      the budget persist a prefix and fail permanently
-     torn:K[:F]      operation #K persists only fraction F (default 0.5)
-                     of its payload, then fails permanently
-     fsyncfail:K[:t] fsync #K fails (permanently, or [:t] transiently)
-     renamefail:K[:t] rename #K fails likewise
-     flaky:P         each write/append fails with probability P before
+     torn:K[:F]      operation #K, a write, persists only fraction F
+                     (default 0.5) of its payload, then fails permanently
+     fsyncfail:K[:t] operation #K, an fsync, fails (permanently, or
+                     [:t] transiently)
+     renamefail:K[:t] operation #K, a rename, fails likewise
+     flaky:P         each write fails with probability P before
                      persisting anything — the transient blips Retry
                      absorbs
-     slow:A-B:MS     operations #A..#B each stall MS milliseconds *)
+     slow:A-B:MS     operations #A..#B each stall MS milliseconds
+
+   Operations are the writes, fsyncs and renames that reach the wrapper
+   (a retried one counts again), numbered from 0 in order; removes are
+   not counted. *)
 
 type fault =
   | Disk_full of { after_bytes : int }
@@ -225,19 +230,17 @@ let err st ~op ~path ~kind ~transient =
 (* a short write persists [keep] bytes of the payload through the base
    store before the failure surfaces — a torn tail on disk, exactly what
    the CRC-and-trailer format must survive *)
-let short_write st base ~op ~path ~payload ~keep ~kind =
+let short_write st base ~path ~payload ~keep ~kind =
   let kept = String.sub payload 0 (min keep (String.length payload)) in
   let lost = String.length payload - String.length kept in
-  (match op with
-  | Store.Append -> ignore (base.Store.append path kept)
-  | _ -> ignore (base.Store.write path kept));
+  ignore (base.Store.write path kept);
   st.st <-
     {
       st.st with
       bytes_written = st.st.bytes_written + String.length kept;
       bytes_lost = st.st.bytes_lost + lost;
     };
-  err st ~op ~path ~kind ~transient:false
+  err st ~op:Store.Write ~path ~kind ~transient:false
 
 let wrap plan (base : Store.t) =
   let st = { op = 0; st = zero_stats } in
@@ -278,16 +281,16 @@ let wrap plan (base : Store.t) =
         | _ -> acc)
       None plan.faults
   in
-  let payload_op op path payload k =
+  let write path payload =
     let n = tick () in
     if flaky_prob > 0. && coin plan ~salt:salt_flaky ~op:n < flaky_prob then
       (* a transient blip: nothing persisted, retry is safe *)
-      err st ~op ~path ~kind:(Store.Eio "injected transient fault")
+      err st ~op:Store.Write ~path ~kind:(Store.Eio "injected transient fault")
         ~transient:true
     else
       match torn_at n with
       | Some keep ->
-        short_write st base ~op ~path ~payload
+        short_write st base ~path ~payload
           ~keep:(int_of_float (keep *. float_of_int (String.length payload)))
           ~kind:(Store.Eio "injected torn write")
       | None -> (
@@ -295,9 +298,9 @@ let wrap plan (base : Store.t) =
         | Some budget when st.st.bytes_written + String.length payload > budget
           ->
           let room = max 0 (budget - st.st.bytes_written) in
-          short_write st base ~op ~path ~payload ~keep:room ~kind:Store.Enospc
+          short_write st base ~path ~payload ~keep:room ~kind:Store.Enospc
         | _ -> (
-          match k payload with
+          match base.Store.write path payload with
           | Ok () ->
             st.st <-
               {
@@ -331,17 +334,12 @@ let wrap plan (base : Store.t) =
   let store =
     {
       Store.name = Printf.sprintf "%s+io-faults(%s)" base.Store.name (to_string plan);
-      append =
-        (fun path s -> payload_op Store.Append path s (base.Store.append path));
+      write;
       fsync = (fun path -> plain_op Store.Fsync path fsync_at (fun () -> base.Store.fsync path));
-      seal = (fun path -> plain_op Store.Fsync path fsync_at (fun () -> base.Store.seal path));
-      write =
-        (fun path s -> payload_op Store.Write path s (base.Store.write path));
       rename =
         (fun src dst ->
           plain_op Store.Rename dst rename_at (fun () -> base.Store.rename src dst));
       remove = base.Store.remove;
-      exists = base.Store.exists;
     }
   in
   (store, fun () -> st.st)

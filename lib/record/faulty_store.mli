@@ -5,19 +5,23 @@
     writes and latency spikes, independent of wall clock or scheduler.
     Probabilistic decisions are splitmix64 hashes of
     (seed, salt, operation index), the same construction as
-    {!Mvm.Fault} uses for execution-level fault worlds. *)
+    {!Mvm.Fault} uses for execution-level fault worlds. Operations are
+    the writes, fsyncs and renames that reach the wrapper (a retried one
+    counts again), numbered from 0 in order; removes are not counted. *)
 
 type fault =
   | Disk_full of { after_bytes : int }
       (** the disk fills after this many payload bytes; the write that
           crosses the budget persists a prefix and fails with ENOSPC *)
   | Torn of { at_op : int; keep : float }
-      (** operation [at_op] persists only [keep] of its payload, then
-          fails permanently *)
+      (** operation [at_op], a write, persists only [keep] of its
+          payload, then fails permanently *)
   | Fsync_fail of { at_op : int; transient : bool }
+      (** operation [at_op], an fsync, fails *)
   | Rename_fail of { at_op : int; transient : bool }
+      (** operation [at_op], a rename, fails *)
   | Flaky of { prob : float }
-      (** each write/append fails with probability [prob] before
+      (** each write fails with probability [prob] before
           persisting anything — the transient blips {!Retry} absorbs *)
   | Slow of { from_op : int; until_op : int; ms : float }
       (** operations in [from_op..until_op] each stall [ms] ms *)
@@ -29,7 +33,7 @@ val make : ?seed:int -> fault list -> plan
 val is_empty : plan -> bool
 
 (** Clause grammar, comma-separated (the CLI's [--io-faults] syntax):
-    [seed=7,enospc:4096,torn:3:0.5,fsyncfail:2:t,renamefail:1,flaky:0.1,slow:10-20:5] *)
+    [seed=7,enospc:4096,torn:3:0.5,fsyncfail:1:t,renamefail:2,flaky:0.1,slow:10-20:5] *)
 val to_string : plan -> string
 
 (** [of_string s] parses the clause grammar. An unknown clause name is a

@@ -906,7 +906,7 @@ let read_file path =
 let save_via store path log = Store.atomic_write store path (to_string log)
 
 let save path log =
-  match save_via (Store.default ()) path log with
+  match save_via (Store.local ()) path log with
   | Ok () -> ()
   | Error e -> raise (Sys_error (Store.error_to_string e))
 

@@ -71,8 +71,8 @@ val of_string : ?mode:mode -> string -> (Log.t, string) result
     raises: every bad line is an [Error] or a damage record. *)
 val of_string_report : ?mode:mode -> string -> (Log.t * damage, string) result
 
-(** [save path log] writes the file (v2) {e atomically} through the
-    default {!Store}: the payload goes to a temp file next to [path]
+(** [save path log] writes the file (v2) {e atomically} through
+    {!Store.local}: the payload goes to a temp file next to [path]
     that is fsynced and renamed over it, so a crash mid-write can never
     leave a half-written log behind — readers see the old file or the
     new one, nothing in between.

@@ -3,16 +3,16 @@
      p.header     entry stream "ddet-seg-header v1": the recorder line
                   only, no trailer                      (atomic, first)
      p.NNNN.seg   entry stream "ddet-seg v1 N": CRC'd entry lines,
-                  "end N" trailer
+                  "end N" trailer                (one write + fsync each)
      p.manifest   "ddet-manifest v2" in Log_io's manifest grammar: the
-                  header lines, one segment line per sealed segment,
+                  header lines, one segment line per segment,
                   "end" counts                          (atomic, last)
 
-   Sealed segments are immutable and self-validating (line CRCs + entry
+   Written segments are immutable and self-validating (line CRCs + entry
    trailer); the manifest additionally records each segment's whole-file
-   CRC so post-seal bit rot is caught even when the lines still parse.
-   Only the tail segment is ever in a half-written state, which bounds
-   what a crash can lose. *)
+   CRC so bit rot after the save is caught even when the lines still
+   parse. Only the segment being written is ever in a half-written
+   state, which bounds what a crash can lose. *)
 
 let seg_path base i = Printf.sprintf "%s.%04d.seg" base i
 let manifest_path base = base ^ ".manifest"
@@ -33,65 +33,51 @@ let exists base =
 (* ------------------------------------------------------------------ *)
 (* saving *)
 
-(* Every byte crosses the pluggable store, one segment line per append.
-   The first permanent store error ends the save: the failing segment is
-   still sealed, so its handle is released, and the manifest is withheld
-   — a failed recording must never gain the marker that asserts
-   completeness. Recovery then takes the scan path and reports the
-   honest salvageable prefix. *)
+(* Every byte crosses the pluggable store, one write and one fsync per
+   segment. The first permanent store error ends the save and the
+   manifest is withheld — a failed recording must never gain the marker
+   that asserts completeness. Recovery then takes the scan path and
+   reports the honest salvageable prefix. *)
 let save_via store ?(segment_entries = 64) base (log : Log.t) =
   if segment_entries < 1 then
     invalid_arg "Log_segments.save_via: segment_entries";
   let ( let* ) = Result.bind in
   store.Store.remove (manifest_path base);
   let rec clean i =
-    if store.Store.exists (seg_path base i) then begin
+    if Sys.file_exists (seg_path base i) then begin
       store.Store.remove (seg_path base i);
       clean (i + 1)
     end
   in
   clean 0;
-  (* exact bytes of the segment being written, for its CRC *)
+  (* the segment being written, assembled whole: its bytes are written
+     and CRC'd as one *)
   let buf = Log_io.out_create 4096 in
-  let put file add =
-    let start = Log_io.out_length buf in
-    add buf;
-    store.Store.append file
-      (Log_io.out_sub buf start (Log_io.out_length buf - start))
-  in
-  (* "<keyword> <n>\n" as one store append *)
-  let put_line file keyword n =
-    put file (fun b ->
-        Log_io.add_string b keyword;
-        Log_io.add_int b n;
-        Log_io.add_char b '\n')
+  let put_line keyword n =
+    Log_io.add_string buf keyword;
+    Log_io.add_int buf n;
+    Log_io.add_char buf '\n'
   in
   (* segment [i] takes up to [segment_entries] of [entries]; the
-     manifest parts of the sealed segments come back in order *)
+     manifest parts of the durable segments come back in order *)
   let rec segments i parts = function
     | [] -> Ok (List.rev parts)
-    | entries -> (
-      let file = seg_path base i in
+    | entries ->
       Log_io.out_clear buf;
+      put_line (seg_magic ^ " ") i;
       let rec fill n = function
         | e :: rest when n < segment_entries ->
-          let* () = put file (fun b -> Log_io.framed b Log_io.add_entry e) in
+          Log_io.framed buf Log_io.add_entry e;
           fill (n + 1) rest
-        | rest ->
-          let* () = put_line file "end " n in
-          Ok (n, rest)
+        | rest -> (n, rest)
       in
-      let written =
-        let* () = put_line file (seg_magic ^ " ") i in
-        fill 0 entries
-      in
-      match (written, store.Store.seal file) with
-      | Error e, _ | Ok _, Error e -> Error e
-      | Ok (n, rest), Ok () ->
-        segments (i + 1)
-          ((Printf.sprintf "%04d" i, n, Log_io.crc_hex (Log_io.out_contents buf))
-          :: parts)
-          rest)
+      let n, rest = fill 0 entries in
+      put_line "end " n;
+      let bytes = Log_io.out_contents buf in
+      let* () = Store.durable_write store (seg_path base i) bytes in
+      segments (i + 1)
+        ((Printf.sprintf "%04d" i, n, Log_io.crc_hex bytes) :: parts)
+        rest
   in
   (* the header ships before any entry: a recovery that races a crash
      still learns which recorder produced the segments *)
@@ -107,7 +93,7 @@ let save_via store ?(segment_entries = 64) base (log : Log.t) =
        parts ~order:[] ~edges:[])
 
 let save ?segment_entries base (log : Log.t) =
-  match save_via (Store.default ()) ?segment_entries base log with
+  match save_via (Store.local ()) ?segment_entries base log with
   | Ok () -> ()
   | Error e -> raise (Sys_error (Store.error_to_string e))
 

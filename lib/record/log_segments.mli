@@ -2,11 +2,11 @@
 
     {!Log_io.save} is atomic but monolithic — nothing of the log is
     readable until the whole file is renamed into place. {!save_via}
-    instead writes a finished log into fixed-size segment files, one
-    store append per line, sealing each one as soon as it is full, and
-    finishes by writing a manifest (atomically) that names every segment
-    with its byte CRC and carries the log header. Every file is a client
-    of {!Log_io}'s two codecs. The file set for base path [p] is:
+    instead writes a finished log into fixed-size segment files, each
+    with one store write and one fsync, and finishes by writing a
+    manifest (atomically) that names every segment with its byte CRC and
+    carries the log header. Every file is a client of {!Log_io}'s two
+    codecs. The file set for base path [p] is:
 
     {v
     p.header          entry stream "ddet-seg-header v1": the recorder
@@ -33,12 +33,11 @@
     first, and [base.header] is written before any segment so recovery
     knows the recorder even if the crash comes before the manifest.
 
-    The first permanent store error ends the save with that error: the
-    failing segment is still sealed, so its handle is released, and the
-    manifest is withheld (it asserts completeness). The sealed segments
-    and tail prefix persisted before the fault remain on disk for
-    {!load} to salvage. After [Ok ()], {!load} reconstructs the full log
-    exactly. *)
+    The first permanent store error ends the save with that error, and
+    the manifest is withheld (it asserts completeness). The segments
+    and the torn tail's prefix persisted before the fault remain on disk
+    for {!load} to salvage. After [Ok ()], {!load} reconstructs the full
+    log exactly. *)
 val save_via :
   Store.t ->
   ?segment_entries:int ->
@@ -47,7 +46,7 @@ val save_via :
   (unit, Store.error) result
 
 (** [save ?segment_entries base log] is {!save_via} through
-    {!Store.default}.
+    {!Store.local}.
     @raise Sys_error on a permanent storage failure. *)
 val save : ?segment_entries:int -> string -> Log.t -> unit
 

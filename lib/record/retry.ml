@@ -48,9 +48,7 @@ let store (base : Store.t) =
   {
     base with
     Store.name = Printf.sprintf "%s+retry(%d)" base.Store.name max_retries;
-    append = (fun path s -> retrying (fun () -> base.Store.append path s));
-    fsync = (fun path -> retrying (fun () -> base.Store.fsync path));
-    seal = (fun path -> retrying (fun () -> base.Store.seal path));
     write = (fun path s -> retrying (fun () -> base.Store.write path s));
+    fsync = (fun path -> retrying (fun () -> base.Store.fsync path));
     rename = (fun src dst -> retrying (fun () -> base.Store.rename src dst));
   }

@@ -197,12 +197,13 @@ let save_via ?(priority = []) store ~base ~(causal : Causal.t) (log : Log.t) =
     prioritized
     @ List.filter (fun (n, _, _) -> not (List.mem n priority)) shards
   in
-  (* every shard is written even when an earlier one fails: shards are
-     independent evidence, and partial persistence is the useful case *)
+  (* every shard is written and fsynced even when an earlier one fails:
+     shards are independent evidence, and partial persistence is the
+     useful case *)
   let written =
     List.map
       (fun (node, _, bytes) ->
-        (node, store.Store.write (shard_path base node) bytes))
+        (node, Store.durable_write store (shard_path base node) bytes))
       write_order
   in
   (* report and manifest stay in node order regardless of write order *)

@@ -19,12 +19,13 @@
                        (atomic, written last)
     v}
 
-    Shards are written with a plain (non-atomic) store write: shard loss
-    is survivable {e by design}, so atomicity buys nothing, and a torn
-    write leaves exactly the partial evidence the stitcher is built to
-    handle. The manifest is atomic. Every byte crosses the given
-    {!Store.t}, so {!Faulty_store} plans corrupt individual shards
-    independently — the loss model this module exists for.
+    Each shard is a plain (non-atomic) store write followed by its
+    fsync: shard loss is survivable {e by design}, so atomicity buys
+    nothing, and a torn write leaves exactly the partial evidence the
+    stitcher is built to handle. The manifest is atomic. Every byte
+    crosses the given {!Store.t}, so {!Faulty_store} plans corrupt
+    individual shards independently — the loss model this module exists
+    for.
 
     The manifest carries two views of cross-node order: the Lamport-style
     send/recv {!Causal.edge}s (per-channel sequence matching — the causal
@@ -87,9 +88,9 @@ val pp_save_report : Format.formatter -> save_report -> unit
     full header (recorder, base steps, failure, faults). *)
 val split : causal:Causal.t -> Log.t -> (string * Log.t) list
 
-(** [save_via ?priority store ~base ~causal log] writes every shard
-    (continuing past individual failures — shards fail independently,
-    that is the point) and then the manifest. The manifest records the
+(** [save_via ?priority store ~base ~causal log] writes and fsyncs
+    every shard (continuing past individual failures — shards fail
+    independently, that is the point) and then the manifest. The manifest records the
     CRC of what each shard {e should} contain, so a torn shard write is
     detected at load time even though the save carried on.
 

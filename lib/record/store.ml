@@ -1,22 +1,19 @@
 (* Pluggable storage under the record stack.
 
    Everything the recorder persists — monolithic logs, segments,
-   manifests, checkpoints — goes through this interface, so a single
-   implementation swap subjects the whole pipeline to hostile I/O
-   (see Faulty_store) or absorbs transient faults (see Retry). The
-   operation set is deliberately small and POSIX-shaped: append to an
-   open handle, fsync it, seal (close) it, write a whole file, rename,
-   remove. Atomic replacement is derived from those primitives here so
-   an injected rename or fsync fault exercises the real atomic path. *)
+   shards, manifests, checkpoints — goes through this interface, so a
+   single implementation swap subjects the whole pipeline to hostile
+   I/O (see Faulty_store) or absorbs transient faults (see Retry). The
+   operation set is deliberately small, whole-file and POSIX-shaped:
+   write a file, fsync it, rename, remove. A store holds no state, and
+   durability is an explicit fsync, so an injected fsync fault reaches
+   every durable file. Atomic replacement is derived from those
+   primitives here so an injected rename or fsync fault exercises the
+   real atomic path. *)
 
-type op = Write | Append | Fsync | Rename | Remove
+type op = Write | Fsync | Rename
 
-let op_name = function
-  | Write -> "write"
-  | Append -> "append"
-  | Fsync -> "fsync"
-  | Rename -> "rename"
-  | Remove -> "remove"
+let op_name = function Write -> "write" | Fsync -> "fsync" | Rename -> "rename"
 
 type errkind =
   | Enospc  (** out of space; any prefix already handed over may persist *)
@@ -43,24 +40,17 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 type t = {
   name : string;
-  append : string -> string -> (unit, error) result;
-      (** append bytes to [path], opening a write handle on first use *)
-  fsync : string -> (unit, error) result;
-      (** flush and fsync [path]'s open handle (no-op if none) *)
-  seal : string -> (unit, error) result;
-      (** flush, fsync and close [path]'s open handle *)
   write : string -> string -> (unit, error) result;
-      (** create/truncate [path] with exactly these bytes, then seal it *)
+      (** create/truncate [path] with exactly these bytes; no sync *)
+  fsync : string -> (unit, error) result;  (** make [path]'s bytes durable *)
   rename : string -> string -> (unit, error) result;
   remove : string -> unit;  (** best-effort; missing files are fine *)
-  exists : string -> bool;
 }
 
 (* ------------------------------------------------------------------ *)
 (* the real filesystem *)
 
 let local () =
-  let handles : (string, out_channel) Hashtbl.t = Hashtbl.create 8 in
   let wrap op path f =
     try Ok (f ()) with
     | Sys_error d -> Error { e_op = op; e_path = path; e_kind = Eio d; transient = false }
@@ -75,83 +65,38 @@ let local () =
           transient = false;
         }
   in
-  let handle path =
-    match Hashtbl.find_opt handles path with
-    | Some oc -> oc
-    | None ->
-      let oc = open_out path in
-      Hashtbl.replace handles path oc;
-      oc
-  in
-  let sync oc =
-    flush oc;
-    Unix.fsync (Unix.descr_of_out_channel oc)
-  in
   {
     name = "local";
-    append =
-      (fun path s ->
-        wrap Append path (fun () ->
-            let oc = handle path in
-            output_string oc s;
-            (* flush (not fsync) per append: a crash loses at most the
-               line being written, without paying a sync per entry *)
-            flush oc));
-    fsync =
-      (fun path ->
-        wrap Fsync path (fun () ->
-            match Hashtbl.find_opt handles path with
-            | Some oc -> sync oc
-            | None -> ()));
-    seal =
-      (fun path ->
-        wrap Fsync path (fun () ->
-            match Hashtbl.find_opt handles path with
-            | Some oc ->
-              Hashtbl.remove handles path;
-              sync oc;
-              close_out oc
-            | None -> ()));
     write =
       (fun path s ->
         wrap Write path (fun () ->
-            (match Hashtbl.find_opt handles path with
-            | Some oc ->
-              Hashtbl.remove handles path;
-              close_out_noerr oc
-            | None -> ());
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
+            (* flushed here: the close that follows swallows errors *)
+            Out_channel.with_open_bin path (fun oc ->
                 output_string oc s;
-                sync oc)));
+                flush oc)));
+    fsync =
+      (fun path ->
+        wrap Fsync path (fun () ->
+            (* fsync syncs the file, whichever descriptor asks *)
+            let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () -> Unix.fsync fd)));
     rename = (fun src dst -> wrap Rename dst (fun () -> Sys.rename src dst));
     remove = (fun path -> try Sys.remove path with Sys_error _ -> ());
-    exists = Sys.file_exists;
   }
 
-(* one shared local store: handles are keyed by path, so sharing is safe
-   and lets independent writers (log + checkpoint) coexist *)
-let the_local = lazy (local ())
-let default () = Lazy.force the_local
-
 (* ------------------------------------------------------------------ *)
-(* derived: atomic whole-file replacement through the store *)
+(* derived: durable and atomic whole-file writes through the store *)
+
+let durable_write store path s =
+  Result.bind (store.write path s) (fun () -> store.fsync path)
 
 let atomic_write store path s =
-  let ( let* ) = Result.bind in
   let tmp = path ^ ".tmp" in
-  let* () =
-    match store.write tmp s with
-    | Ok () -> Ok ()
-    | Error e ->
-      (* a torn temp file must not survive to be mistaken for data *)
-      store.remove tmp;
-      Error e
+  let written =
+    Result.bind (durable_write store tmp s) (fun () -> store.rename tmp path)
   in
-  match store.rename tmp path with
-  | Ok () -> Ok ()
-  | Error e ->
-    store.remove tmp;
-    Error e
+  (* a torn temp file must not survive to be mistaken for data *)
+  if Result.is_error written then store.remove tmp;
+  written

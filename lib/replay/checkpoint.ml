@@ -60,7 +60,7 @@ let payload_into o t =
   Log_io.out_contents o
 
 let write_payload path payload =
-  match Store.atomic_write (Store.default ()) path payload with
+  match Store.atomic_write (Store.local ()) path payload with
   | Ok () -> ()
   | Error e -> raise (Sys_error (Store.error_to_string e))
 

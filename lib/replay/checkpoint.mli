@@ -41,7 +41,7 @@ type t = {
   best : best option;
 }
 
-(** [write path t] serialises atomically through the default store.
+(** [write path t] serialises atomically through {!Ddet_record.Store.local}.
     @raise Sys_error on a storage failure. *)
 val write : string -> t -> unit
 

@@ -137,13 +137,12 @@ let value_det ~seed log =
   let never = ref false in
   { world; abort = abort_of never; violated = (fun () -> !never) }
 
-(* Generic partial-schedule enforcement shared by RCSE and sync replay:
-   the recorded (tid, sid) subsequence must occur in order. The log cursor
-   advances on *observed events* (via the abort hook, which sees every
-   event), not on scheduling decisions — a forced try_recv that finds an
-   empty queue emits nothing and must not consume a log entry. An event
-   matching a *later* entry means this interleaving cannot match the log:
-   the attempt is flagged and aborted.
+(* RCSE replay: the recorded (tid, sid) subsequence must occur in order.
+   The log cursor advances on *observed events* (via the abort hook,
+   which sees every event), not on scheduling decisions — a forced
+   try_recv that finds an empty queue emits nothing and must not consume
+   a log entry. A step matching a *later* entry means this interleaving
+   cannot match the log: the attempt is flagged and aborted.
 
    Scheduling is tiered: (1) a candidate at the head entry is forced;
    (2) otherwise candidates whose next site appears nowhere in the pending
@@ -151,8 +150,15 @@ let value_det ~seed log =
    so they cannot produce an out-of-order logged event); (3) otherwise a
    risky candidate runs — either harmlessly (a poll that emits nothing)
    or producing the violation that aborts the attempt. Tier 3 prevents
-   livelock when the replay has genuinely diverged. *)
-let subsequence ~name ~seed ~points ~event_matches ~marked_inputs ~strict log =
+   livelock when the replay has genuinely diverged.
+
+   Windowed (trigger/invariant) logs record a time slice whose sites also
+   execute legitimately outside the window, so schedule enforcement is
+   only meaningful for statically selected (code-based) logs; windowed
+   replay ([strict:false]) pins the recorded inputs by site and searches
+   the schedule. *)
+let rcse ?(strict = true) ~seed log =
+  let points = if strict then Log.cp_sched_points log else [] in
   let rng = Prng.create seed in
   let remaining = ref points in
   let pending : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
@@ -170,32 +176,26 @@ let subsequence ~name ~seed ~points ~event_matches ~marked_inputs ~strict log =
   let is_pending p = Hashtbl.mem pending p in
   let violated = ref false in
   let cp_inputs =
-    if marked_inputs then
-      queues_of
-        (List.filter_map
-           (function
-             | Log.Cp_input { tid; sid; value; _ } -> Some (tid, (sid, value))
-             | _ -> None)
-           log.Log.entries)
-    else
-      queues_of
-        (List.filter_map
-           (function
-             | Log.Input { tid; value; _ } -> Some (tid, (0, value))
-             | _ -> None)
-           log.Log.entries)
+    queues_of
+      (List.filter_map
+         (function
+           | Log.Cp_input { tid; sid; value; _ } -> Some (tid, (sid, value))
+           | _ -> None)
+         log.Log.entries)
   in
   (* the site each thread is currently executing, set at pick time: input
      forcing aligns logged input sites against it *)
   let cur_sid : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let advance (e : Event.t) =
-    if event_matches e then
+    match e.Event.kind with
+    | Event.Step -> (
       let p = (e.Event.tid, e.Event.sid) in
       match !remaining with
       | h :: tl when h = p ->
         remaining := tl;
         take_pending p
-      | _ -> if strict && is_pending p then violated := true
+      | _ -> if strict && is_pending p then violated := true)
+    | _ -> ()
   in
   let abort e =
     advance e;
@@ -231,9 +231,7 @@ let subsequence ~name ~seed ~points ~event_matches ~marked_inputs ~strict log =
     in
     let forced =
       match head with
-      | Some (s, v)
-        when (not marked_inputs)
-             || Hashtbl.find_opt cur_sid tid = Some s ->
+      | Some (s, v) when Hashtbl.find_opt cur_sid tid = Some s ->
         ignore (pop cp_inputs tid);
         Some v
       | Some _ | None -> None
@@ -244,7 +242,7 @@ let subsequence ~name ~seed ~points ~event_matches ~marked_inputs ~strict log =
   in
   let world =
     {
-      World.name = Printf.sprintf "replay:%s(seed=%d)" name seed;
+      World.name = Printf.sprintf "replay:rcse(seed=%d)" seed;
       pick_thread;
       pick_input;
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
@@ -254,17 +252,6 @@ let subsequence ~name ~seed ~points ~event_matches ~marked_inputs ~strict log =
     }
   in
   { world; abort; violated = (fun () -> !violated) }
-
-let rcse ?(strict = true) ~seed log =
-  (* windowed (trigger/invariant) logs record a time slice whose sites also
-     execute legitimately outside the window, so schedule enforcement is
-     only meaningful for statically selected (code-based) logs; windowed
-     replay pins the recorded inputs by site and searches the schedule *)
-  let points = if strict then Log.cp_sched_points log else [] in
-  subsequence ~name:"rcse" ~seed ~points
-    ~event_matches:(fun (e : Event.t) ->
-      match e.Event.kind with Event.Step -> true | _ -> false)
-    ~marked_inputs:true ~strict log
 
 (* Sync-schedule replay enforces *per-object* operation orders, which is
    what an ODR-style logger records: per-channel send and consume orders,
@@ -366,7 +353,7 @@ let sync ~seed log =
 
 (* Partial-evidence replay over a stitched shard merge. The merged log
    is dense for surviving threads (a perfect recorder logs every one of
-   their steps), so the subsequence scheduler above would starve them:
+   their steps), so the RCSE subsequence scheduler above would starve them:
    all their sites are "pending", only lost-node threads ever look safe,
    and one stalled head wedges the run. Instead the partial oracle
    steers softly — when the merged order's head is an eligible

@@ -116,9 +116,17 @@ let value_det ?(budget = value_budget) ?(jobs = 1) ?checkpoint ?resume labeled
       let handle = Oracle.value_det ~seed log in
       (handle.Oracle.world, Some handle.Oracle.abort))
 
-let output_det ?(budget = Search.default_budget) ?(exhaustive = true)
-    ?(jobs = 1) ?checkpoint ?resume labeled ~spec log =
-  if exhaustive then
+(* A sequential program's only nondeterminism is its inputs, so input
+   enumeration covers it exhaustively; a program that spawns needs
+   schedule search instead. *)
+let output_det ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint
+    ?resume labeled ~spec log =
+  let spawns =
+    Ast.fold_stmts
+      (fun acc _ s -> acc || match s.Ast.node with Ast.Spawn _ -> true | _ -> false)
+      false labeled.Label.prog
+  in
+  if not spawns then
     Search.enumerate_inputs ?checkpoint ?resume budget
       ~score:(Constraints.closeness log) ~spec
       ~accept:(Constraints.outputs_match log) labeled

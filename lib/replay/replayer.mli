@@ -7,8 +7,8 @@
     - {!perfect} — deterministic re-execution from the full log;
     - {!value_det} — per-thread forced values, free schedule (iDNA);
     - {!output_det} — search for any execution with the recorded outputs
-      (ODR light); uses input enumeration when [exhaustive], else random
-      restarts with output-prefix pruning;
+      (ODR light); uses input enumeration when the program spawns no
+      thread, else random restarts with output-prefix pruning;
     - {!failure_det} — search for any execution with the recorded failure
       (ESD execution synthesis);
     - {!sync_det} — recorded sync order and inputs enforced, race outcomes
@@ -75,8 +75,8 @@ val value_budget : Search.budget
     go through {!Par_search.pool}, over up to that many OCaml 5 domains
     (capped at the cores) once the recorded run's [base_steps] reaches
     the pool's min-work threshold, with outcomes identical at any
-    [jobs]. Input enumeration ({!output_det} with [exhaustive]) always
-    runs in order. *)
+    [jobs]. Input enumeration ({!output_det} of a program that spawns
+    no thread) always runs in order. *)
 val value_det :
   ?budget:Search.budget ->
   ?jobs:int ->
@@ -87,12 +87,11 @@ val value_det :
   Log.t ->
   outcome
 
-(** [output_det ~exhaustive] — when [exhaustive] (default true) and the
-    program's only recorded nondeterminism is inputs, enumerate input
-    assignments; otherwise random restarts with output-prefix pruning. *)
+(** [output_det] — when the program spawns no thread, its only
+    nondeterminism is inputs, so input assignments are enumerated;
+    otherwise random restarts with output-prefix pruning. *)
 val output_det :
   ?budget:Search.budget ->
-  ?exhaustive:bool ->
   ?jobs:int ->
   ?checkpoint:Checkpoint.sink ->
   ?resume:Checkpoint.t ->

@@ -132,10 +132,3 @@ let classify ?threshold_bytes prog =
        (fun (fname, wt) ->
          (fname, if wt > w.threshold_bytes then P.Data else P.Control))
        w.funcs)
-
-let selector ?threshold_bytes prog =
-  let map = classify ?threshold_bytes prog in
-  Ddet_record.Fidelity_level.by_function ~name:"static-code" (fun fname ->
-      match P.plane_of map fname with
-      | P.Control -> Ddet_record.Fidelity_level.High
-      | P.Data -> Ddet_record.Fidelity_level.Low)

@@ -23,9 +23,3 @@ val analyze : ?threshold_bytes:int -> Ast.program -> weights
 val weights : weights -> (string * int) list
 
 val classify : ?threshold_bytes:int -> Ast.program -> Ddet_analysis.Plane.map
-
-(** The RCSE code-based selector derived purely statically: high fidelity
-    exactly in (statically) control-plane functions. Named
-    ["static-code"]. *)
-val selector :
-  ?threshold_bytes:int -> Ast.program -> Ddet_record.Fidelity_level.selector

@@ -201,14 +201,6 @@ let test_miniht_migration_happens () =
   let n = List.length migrated in
   Alcotest.(check bool) "migration rate plausible" true (n > 5 && n < 45)
 
-let test_miniht_custom_params () =
-  let params = { Miniht.default_params with Miniht.n_clients = 2; rows_per_client = 4 } in
-  let app = Miniht.app ~params () in
-  let r = App.production_run app ~seed:1 in
-  match Trace.outputs_on r.Interp.trace "loaded" with
-  | [ Value.Vint 8 ] -> ()
-  | _ -> Alcotest.fail "2 clients x 4 rows must load 8"
-
 (* ------------------------------------------------------------------ *)
 (* cloudstore *)
 
@@ -340,7 +332,6 @@ let () =
           Alcotest.test_case "catalog total" `Quick test_miniht_catalog_total;
           Alcotest.test_case "predicate precision" `Quick test_miniht_race_predicate_precision;
           Alcotest.test_case "migration happens" `Quick test_miniht_migration_happens;
-          Alcotest.test_case "custom params" `Quick test_miniht_custom_params;
         ] );
       ( "cloudstore",
         [

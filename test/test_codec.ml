@@ -95,7 +95,7 @@ let test_sharded_fixture () =
   let dir = fresh_dir () in
   let prefix = Codec_fixtures.dist_base ^ "." in
   let report =
-    Sharded_log.save_via (Store.default ())
+    Sharded_log.save_via (Store.local ())
       ~base:(Filename.concat dir Codec_fixtures.dist_base)
       ~causal:Codec_fixtures.causal Codec_fixtures.every_kind
   in
@@ -497,7 +497,7 @@ let prop_layouts =
         }
       in
       let report =
-        Sharded_log.save_via (Store.default ()) ~base:path ~causal log
+        Sharded_log.save_via (Store.local ()) ~base:path ~causal log
       in
       if not (Sharded_log.save_ok report) then
         QCheck2.Test.fail_report "sharded save failed";

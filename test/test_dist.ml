@@ -111,7 +111,7 @@ let test_roundtrip () =
   Alcotest.(check int) "split conserves entries"
     (List.length log.Log.entries) total;
   let base = fresh_base () in
-  let report = Sharded_log.save_via (Store.default ()) ~base ~causal log in
+  let report = Sharded_log.save_via (Store.local ()) ~base ~causal log in
   Alcotest.(check bool) "save ok" true (Sharded_log.save_ok report);
   let loaded =
     match Sharded_log.load base with Ok l -> l | Error e -> Alcotest.fail e
@@ -143,15 +143,22 @@ let test_partial_evidence_reproduces () =
   in
   let base = fresh_base () in
   (* corrupt one shard on its way to disk: deterministic torn write on
-     payload op 2 (p1's shard) through the hostile-store layer *)
+     op 4 (p1's shard; each shard is a write and an fsync, in node order)
+     through the hostile-store layer *)
   let io_plan =
-    match Faulty_store.of_string "seed=3,torn:2:0.4" with
+    match Faulty_store.of_string "seed=3,torn:4:0.4" with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
   let faulty, _stats = Faulty_store.wrap io_plan (Store.local ()) in
   let report = Sharded_log.save_via faulty ~base ~causal log in
-  Alcotest.(check bool) "a shard write failed" false (Sharded_log.save_ok report);
+  Alcotest.(check (list string)) "only p1's shard write failed" [ "p1" ]
+    (List.filter_map
+       (function
+         | node, Error e when e.Store.e_op = Store.Write -> Some node
+         | node, Error _ -> Some ("non-write " ^ node)
+         | _, Ok () -> None)
+       report.Sharded_log.shard_results);
   (* and delete another node's shard outright *)
   Sys.remove (base ^ ".p0.shard");
   let loaded =
@@ -200,7 +207,7 @@ let test_partial_evidence_reproduces () =
 let test_all_lost_is_honest () =
   let _prepared, _original, log, causal = record_failing () in
   let base = fresh_base () in
-  ignore (Sharded_log.save_via (Store.default ()) ~base ~causal log);
+  ignore (Sharded_log.save_via (Store.local ()) ~base ~causal log);
   let loaded =
     match Sharded_log.load ~lose:[ "server"; "p0"; "p1" ] base with
     | Ok l -> l
@@ -216,7 +223,7 @@ let test_all_lost_is_honest () =
 let test_lose_each_node () =
   let prepared, original, log, causal = record_failing () in
   let base = fresh_base () in
-  ignore (Sharded_log.save_via (Store.default ()) ~base ~causal log);
+  ignore (Sharded_log.save_via (Store.local ()) ~base ~causal log);
   List.iter
     (fun node ->
       let loaded =
@@ -255,7 +262,7 @@ let test_lose_each_node () =
 let test_manifest_truncation_sweep () =
   let _prepared, _original, log, causal = record_failing () in
   let base = fresh_base () in
-  ignore (Sharded_log.save_via (Store.default ()) ~base ~causal log);
+  ignore (Sharded_log.save_via (Store.local ()) ~base ~causal log);
   let manifest_path = base ^ ".causal" in
   let whole =
     let ic = open_in_bin manifest_path in
@@ -309,7 +316,7 @@ let test_manifest_truncation_sweep () =
 let test_manifest_bitflip () =
   let _prepared, _original, log, causal = record_failing () in
   let base = fresh_base () in
-  ignore (Sharded_log.save_via (Store.default ()) ~base ~causal log);
+  ignore (Sharded_log.save_via (Store.local ()) ~base ~causal log);
   let manifest_path = base ^ ".causal" in
   let whole =
     let ic = open_in_bin manifest_path in
@@ -352,7 +359,7 @@ let test_unreadable_shard () =
       ()
   in
   let base = fresh_base () in
-  ignore (Sharded_log.save_via (Store.default ()) ~base ~causal log);
+  ignore (Sharded_log.save_via (Store.local ()) ~base ~causal log);
   let p0 = base ^ ".p0.shard" in
   Sys.remove p0;
   Unix.mkdir p0 0o755;
@@ -395,7 +402,7 @@ let test_sibling_recording () =
     (fun b ->
       Alcotest.(check bool) (b ^ " saved") true
         (Sharded_log.save_ok
-           (Sharded_log.save_via (Store.default ()) ~base:b ~causal log)))
+           (Sharded_log.save_via (Store.local ()) ~base:b ~causal log)))
     [ sibling; base ];
   (match Sharded_log.load sibling with
   | Ok l ->
@@ -432,7 +439,7 @@ let test_cloudstore_partition () =
   in
   let _original, log, causal = scan 1 in
   let base = fresh_base () in
-  let report = Sharded_log.save_via (Store.default ()) ~base ~causal log in
+  let report = Sharded_log.save_via (Store.local ()) ~base ~causal log in
   Alcotest.(check bool) "save ok" true (Sharded_log.save_ok report);
   let loaded =
     match Sharded_log.load ~lose:[ "secondary" ] base with

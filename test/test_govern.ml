@@ -5,8 +5,10 @@
      deterministic injection, transient absorption;
    - the storage-fault law (qcheck): ANY fault plan applied to a save
      either succeeds with a byte-exact round-trip or fails with a typed
-     permanent error leaving a salvageable prefix — never an exception,
-     never silent corruption;
+     permanent error leaving a salvageable prefix (segmented) or no file
+     at all (monolithic) — never an exception, never silent corruption;
+   - durability: every file a save writes is fsynced before the save
+     renames it or returns, in every layout;
    - the governor: ladder semantics, trigger boost, and the end-to-end
      acceptance run — a 1.3x budget on miniht keeps the measured
      overhead within budget while the original failure still reproduces
@@ -31,7 +33,7 @@ let seg_cleanup base =
     (fun suffix ->
       let p = base ^ suffix in
       if Stdlib.Sys.file_exists p then Stdlib.Sys.remove p)
-    ([ ".header"; ".manifest"; "" ]
+    ([ ".header"; ".manifest"; ""; ".log"; ".log.tmp" ]
     @ List.init 128 (Printf.sprintf ".%04d.seg"))
 
 let rec is_prefix a b =
@@ -56,7 +58,7 @@ let record_miniht ?overhead_budget model =
 
 let flaky_error transient =
   {
-    Store.e_op = Store.Append;
+    Store.e_op = Store.Write;
     e_path = "x";
     e_kind = Store.Eio "blip";
     transient;
@@ -165,19 +167,24 @@ let plan_gen =
       (int_bound 1000)
       (list_size (int_range 0 3) fault_gen))
 
+(* the store every save below goes through: [plan]'s faults, with
+   bounded retry absorbing the transient ones *)
+let hostile plan = Retry.store (fst (Faulty_store.wrap plan (Store.local ())))
+
 (* Any fault plan, any retry outcome: the save either round-trips
    exactly, or fails with a typed PERMANENT error while the disk holds a
-   salvageable prefix flagged as damaged. No exceptions, no silent
-   corruption, no phantom entries. *)
+   salvageable prefix flagged as damaged (segmented) or nothing at all
+   (monolithic: the atomic write leaves the whole log or no file). No
+   exceptions, no silent corruption, no phantom entries. *)
 let storage_fault_law =
   let _, _, log = record_miniht Model.Perfect in
   QCheck2.Test.make ~name:"storage-fault law: salvageable or typed failure"
     ~count:120 plan_gen (fun plan ->
       let base = seg_base () in
-      let faulty, _stats = Faulty_store.wrap plan (Store.local ()) in
-      let store = Retry.store faulty in
-      let saved = Log_segments.save_via store ~segment_entries:8 base log in
-      let ok =
+      let saved =
+        Log_segments.save_via (hostile plan) ~segment_entries:8 base log
+      in
+      let segmented =
         match saved with
         | Ok () -> (
           match Log_segments.load base with
@@ -198,8 +205,124 @@ let storage_fault_law =
                write (the header) failed *)
             not (Log_segments.exists base))
       in
+      let path = base ^ ".log" in
+      let monolithic =
+        match Log_io.save_via (hostile plan) path log with
+        | Ok () -> Log_io.load path = Ok log
+        | Error e ->
+          (not e.Store.transient)
+          && (not (Sys.file_exists path))
+          && not (Sys.file_exists (path ^ ".tmp"))
+      in
       seg_cleanup base;
-      ok)
+      segmented && monolithic)
+
+(* op 1 of a monolithic save is the temp file's fsync: the fault must
+   fail the save with nothing left behind *)
+let test_fsyncfail_monolithic () =
+  let _, _, log = record_miniht Model.Perfect in
+  let path = seg_base () ^ ".log" in
+  let plan =
+    match Faulty_store.of_string "fsyncfail:1" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let faulty, stats = Faulty_store.wrap plan (Store.local ()) in
+  (match Log_io.save_via (Retry.store faulty) path log with
+  | Ok () -> Alcotest.fail "the save outlived its fsync fault"
+  | Error e ->
+    Alcotest.(check bool) "a permanent fsync error on the temp file" true
+      (e.Store.e_op = Store.Fsync
+      && e.Store.e_path = path ^ ".tmp"
+      && not e.Store.transient));
+  Alcotest.(check int) "the fault fired once" 1 (stats ()).Faulty_store.injected;
+  Alcotest.(check bool) "no target" false (Sys.file_exists path);
+  Alcotest.(check bool) "no temp file" false (Sys.file_exists (path ^ ".tmp"))
+
+(* ------------------------------------------------------------------ *)
+(* durability *)
+
+(* a write whose bytes never reach the disk is an error, not [Ok]: the
+   local store must not lose the failure of its last flush *)
+let test_local_write_reports_full_disk () =
+  if Sys.file_exists "/dev/full" then
+    match (Store.local ()).Store.write "/dev/full" "evidence" with
+    | Ok () -> Alcotest.fail "a write to a full device succeeded"
+    | Error e ->
+      Alcotest.(check bool) "a permanent write error" true
+        (e.Store.e_op = Store.Write && not e.Store.transient)
+
+type step = W of string | F of string | R of string * string
+
+(* the local store, noting every write, fsync and rename in order *)
+let noting () =
+  let local = Store.local () in
+  let steps = ref [] in
+  let note s = steps := s :: !steps in
+  ( {
+      local with
+      Store.write =
+        (fun p b ->
+          note (W p);
+          local.Store.write p b);
+      fsync =
+        (fun p ->
+          note (F p);
+          local.Store.fsync p);
+      rename =
+        (fun src dst ->
+          note (R (src, dst));
+          local.Store.rename src dst);
+    },
+    fun () -> List.rev !steps )
+
+(* every written path is fsynced after its last write, and before a
+   rename moves it *)
+let rec durable = function
+  | [] -> true
+  | W p :: rest ->
+    let rec synced = function
+      | F q :: _ when q = p -> true
+      | (W q | R (q, _)) :: _ when q = p -> false
+      | _ :: rest -> synced rest
+      | [] -> false
+    in
+    synced rest && durable rest
+  | _ :: rest -> durable rest
+
+let test_every_layout_durable () =
+  let _, _, log = record_miniht Model.Perfect in
+  let check_save layout expected save =
+    let store, steps = noting () in
+    save store;
+    let steps = steps () in
+    Alcotest.(check (list string))
+      (layout ^ ": the files written") expected
+      (List.filter_map (function W p -> Some p | _ -> None) steps);
+    Alcotest.(check bool)
+      (layout ^ ": each fsynced before its rename or the return")
+      true (durable steps)
+  in
+  let base = seg_base () in
+  check_save "monolithic" [ base ^ ".log.tmp" ] (fun store ->
+      Result.get_ok (Log_io.save_via store (base ^ ".log") log));
+  let n_segs = (List.length log.Log.entries + 7) / 8 in
+  check_save "segmented"
+    ((base ^ ".header.tmp")
+     :: List.init n_segs (Printf.sprintf "%s.%04d.seg" base)
+    @ [ base ^ ".manifest.tmp" ])
+    (fun store ->
+      Result.get_ok (Log_segments.save_via store ~segment_entries:8 base log));
+  seg_cleanup base;
+  let prepared = Session.prepare Model.Perfect (Msg_server.app ()) in
+  let _, log, causal = Session.record_dist prepared ~seed:1 in
+  let shards =
+    List.map (Printf.sprintf "%s.%s.shard" base) [ "server"; "p0"; "p1" ]
+  in
+  check_save "sharded" (shards @ [ base ^ ".causal.tmp" ]) (fun store ->
+      Alcotest.(check bool) "sharded save ok" true
+        (Sharded_log.save_ok (Sharded_log.save_via store ~base ~causal log)));
+  List.iter Sys.remove ((base ^ ".causal") :: shards)
 
 (* ------------------------------------------------------------------ *)
 (* governor unit semantics *)
@@ -368,6 +491,12 @@ let () =
           Alcotest.test_case "injection is deterministic" `Quick
             test_faulty_injection_deterministic;
           QCheck_alcotest.to_alcotest storage_fault_law;
+          Alcotest.test_case "fsyncfail:1 fails a monolithic save" `Quick
+            test_fsyncfail_monolithic;
+          Alcotest.test_case "every layout fsyncs what it writes" `Quick
+            test_every_layout_durable;
+          Alcotest.test_case "a full disk fails a local write" `Quick
+            test_local_write_reports_full_disk;
         ] );
       ( "governor",
         [

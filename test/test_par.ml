@@ -218,7 +218,7 @@ let test_enumerate_inputs_parity_adder () =
     { Search.max_attempts = 50; max_steps_per_attempt = 1_000; base_seed = 1; deadline_s = None }
   in
   let run jobs =
-    Replayer.output_det ~budget ~exhaustive:true ~jobs adder_prog
+    Replayer.output_det ~budget ~jobs adder_prog
       ~spec:Spec.accept_all log
   in
   let s = run 1 in

@@ -533,50 +533,56 @@ let test_segments_roundtrip () =
   seg_cleanup base
 
 let test_segments_crash_mid_record () =
-  (* the store dies for good on the append of entry k+1: no manifest,
-     unsealed tail — every entry appended before it (each is flushed)
-     must still be recovered *)
+  (* the store dies for good on the write of the segment holding entry
+     k+1, tearing it inside that entry's line: no manifest, a torn tail
+     — every complete line before the tear must still be recovered *)
   let _, log = record_with (Full_recorder.create ()) in
   let entries = log.Log.entries in
   let n = List.length entries in
   Alcotest.(check bool) "workload records enough entries" true (n >= 10);
   let base = seg_base () in
   let k = n - 2 in
+  let torn = Printf.sprintf "%s.%04d.seg" base (k / 4) in
   let local = Store.local () in
-  let appended = ref 0 in
-  let append path line =
-    (* a segment's other lines are its magic and its "end N" trailer *)
-    if
-      String.starts_with ~prefix:"ddet-seg " line
-      || String.starts_with ~prefix:"end " line
-    then local.Store.append path line
-    else if !appended = k then
+  let fired = ref false in
+  let write path bytes =
+    if path <> torn then local.Store.write path bytes
+    else begin
+      fired := true;
+      (* past the magic line and the segment's entries before entry
+         k+1, then half of that entry's line *)
+      let rec skip pos lines =
+        if lines = 0 then pos
+        else skip (String.index_from bytes pos '\n' + 1) (lines - 1)
+      in
+      let line = skip 0 (1 + (k mod 4)) in
+      let cut = (line + String.index_from bytes line '\n') / 2 in
+      ignore (local.Store.write path (String.sub bytes 0 cut));
       Error
         {
-          Store.e_op = Store.Append;
+          Store.e_op = Store.Write;
           e_path = path;
           e_kind = Store.Eio "store died";
           transient = false;
         }
-    else begin
-      incr appended;
-      local.Store.append path line
     end
   in
   (match
-     Log_segments.save_via { local with Store.append } ~segment_entries:4 base
+     Log_segments.save_via { local with Store.write } ~segment_entries:4 base
        log
    with
   | Error e ->
-    Alcotest.(check string) "the save dies on entry k+1"
-      (Printf.sprintf "%s.%04d.seg" base (k / 4))
-      e.Store.e_path
+    Alcotest.(check bool) "the torn write happened" true !fired;
+    Alcotest.(check bool) "the save dies on the write of entry k+1's segment"
+      true
+      (e.Store.e_op = Store.Write && e.Store.e_path = torn)
   | Ok () -> Alcotest.fail "the save outlived its store");
   (match Log_segments.load base with
   | Ok (log', r) ->
     Alcotest.(check bool) "damaged" true (Log_segments.is_damaged r);
     Alcotest.(check bool) "incomplete" false r.Log_segments.complete;
-    Alcotest.(check int) "every flushed entry recovered" k r.Log_segments.entries;
+    Alcotest.(check int) "every complete line before the tear recovered" k
+      r.Log_segments.entries;
     Alcotest.(check int) "sealed segments recovered whole" (k / 4)
       r.Log_segments.segments_complete;
     Alcotest.(check bool) "a prefix of the recording" true

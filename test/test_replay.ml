@@ -322,7 +322,7 @@ let test_output_det_reproduces_outputs () =
   let seed = find_failing_seed () in
   let _, log = record_counter seed (Output_recorder.create ()) in
   let outcome =
-    Replayer.output_det ~exhaustive:false (counter_prog ~iters:10)
+    Replayer.output_det (counter_prog ~iters:10)
       ~spec:spec_out_20 log
   in
   match outcome.Replayer.result with

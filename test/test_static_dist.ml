@@ -214,10 +214,6 @@ let test_priority_write_order () =
         (fun p b ->
           capture p;
           s.Store.write p b);
-      append =
-        (fun p b ->
-          capture p;
-          s.Store.append p b);
     }
   in
   let priority = Session.shard_priority prepared in
@@ -273,7 +269,7 @@ let steer_of prepared (st : Stitch.t) =
 let test_steered_no_worse () =
   let prepared, original, log, causal = record_failing () in
   let base = fresh_base () in
-  ignore (Sharded_log.save_via (Store.default ()) ~base ~causal log);
+  ignore (Sharded_log.save_via (Store.local ()) ~base ~causal log);
   List.iter
     (fun node ->
       let loaded =
