@@ -706,6 +706,15 @@ let cmd_invariants app =
    phases, counters expose what each layer did, and the exports are the
    human table, --json, and --trace (Chrome trace-event JSON). *)
 
+(* What a replay that did not reproduce spent its budget on: attempts
+   cut by the step cap or by an abort hook, and RCSE picks that found the
+   log head at no candidate (stalls) or ran a risky candidate. *)
+let miss_counters =
+  [
+    "search.step_cap_hits"; "search.aborted"; "oracle.rcse_stalls";
+    "oracle.rcse_risky";
+  ]
+
 (* Pre-register the standard counter set so every report exposes the
    same schema: a counter nothing bumped reads 0 instead of vanishing
    from the output. *)
@@ -718,6 +727,7 @@ let standard_counters =
     "stitch.edges_dropped"; "store.retries"; "store.give_ups";
     "oracle.cursor_stalls"; "oracle.steer_hot_picks"; "oracle.cold_pins";
   ]
+  @ miss_counters
 
 (* the debug flow without its prints: every phase runs under the ambient
    tracer, and the outcome comes back for the report header *)
@@ -795,6 +805,16 @@ let report_human ~app ~model outcome t =
         Printf.printf "%-28s %9.3f ms\n" name (float_of_int v /. 1e6)
       else Printf.printf "%-28s %12d\n" name v)
     (T.counters t);
+  (if outcome.Ddet_replay.Replayer.result = None then
+     let counters = T.counters t in
+     let value name = Option.value ~default:0 (List.assoc_opt name counters) in
+     let largest =
+       List.fold_left
+         (fun best name -> if value name > value best then name else best)
+         (List.hd miss_counters) miss_counters
+     in
+     Printf.printf "\nnot reproduced; largest miss counter: %s = %d\n" largest
+       (value largest));
   Printf.printf "\nevents: %d (%d dropped)\n" (T.length t) (T.dropped t)
 
 let cmd_report app model seed faults jobs overhead_budget shards lose

@@ -47,7 +47,7 @@ let has_node_faults plan = List.exists is_node_fault plan.faults
 
    Each decision is a pure hash ({!Prng.coin}) of the plan seed, a salt
    distinguishing the fault kind, and the decision's coordinates. Purity
-   is load-bearing: the scheduler consults on_try_recv once to decide
+   is load-bearing: the scheduler may consult on_try_recv once to decide
    whether a blocked Recv is runnable and again to execute it, within the
    same step — a stream-drawing PRNG would desynchronise the two calls. *)
 
@@ -221,6 +221,11 @@ let chan_decision plan ~step ~tid ~sid ~chan ~last =
   in
   go plan.faults
 
+let has_duplicate plan =
+  List.exists
+    (function Chan { action = Duplicate _; _ } -> true | _ -> false)
+    plan.faults
+
 let descheduled plan ~step tid =
   List.exists
     (function
@@ -255,9 +260,12 @@ let inject plan (w : World.t) =
     {
       w with
       World.name = Printf.sprintf "%s+faults(%s)" w.World.name (to_string plan);
-      (* chan_decision hashes the step, so a blocked recv can become
-         runnable as time advances: the candidate cache must stay off *)
-      passive_try_recv = false;
+      (* chan_decision forces a value only for [Duplicate], which can
+         wake a blocked recv on an empty queue; drops and delays only
+         make polls miss. Without a [Duplicate] clause the faulted world
+         is as passive as the one it wraps, and keeps the candidate
+         cache *)
+      passive_try_recv = w.World.passive_try_recv && not (has_duplicate plan);
       pick_thread =
         (fun ~step cands ->
           match

@@ -113,7 +113,10 @@ val has_node_faults : plan -> bool
 val lower : map:Node.map -> prog:Ast.program -> plan -> plan
 
 (** [inject plan w] wraps [w] so it runs under the plan's adversity.
-    [inject none w == w].
+    [inject none w == w]. Only [Duplicate] makes the wrapper's
+    [on_try_recv] answer [Force_value], so the injected world is passive
+    ({!World.t.passive_try_recv}) exactly when [w] is and the plan has no
+    [Duplicate] clause.
 
     @raise Invalid_argument when [plan] still contains node-granular
     faults — {!lower} it first; injection has no topology to interpret

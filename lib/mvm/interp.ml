@@ -558,10 +558,11 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
   (* A thread is a scheduling candidate iff its next instruction can
      execute now; this makes blocked threads invisible to the scheduler
      and turns "no candidates, live threads" into exact deadlock
-     detection. Under a passive world [on_try_recv] is the constant
-     [Default], so the candidacy probe of a blocked receive never calls
-     it: the hook call is skipped without changing a single observable
-     answer. A non-passive world is asked at every probe. *)
+     detection. A passive world's [on_try_recv] never answers
+     [Force_value], so a blocked receive on an empty queue is not
+     runnable whatever it answers: the hook call is skipped without
+     changing a single observable answer. A non-passive world is asked at
+     every probe. *)
   let executable tid (i : instr) =
     match i.i_op with
     | O_recv (_, ch) ->
@@ -603,9 +604,9 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
      the executing thread's own entry, so under a passive world (see
      World.passive_try_recv) the cached list is patched in place instead
      of being rebuilt — most steps are local. Any instruction that
-     touches channels, locks or the thread table invalidates the cache;
-     non-passive worlds bypass it entirely, so replay oracles keep their
-     exact per-step semantics. *)
+     touches channels, locks or the thread table invalidates the cache.
+     Non-passive worlds bypass it entirely: a forced receive can wake a
+     thread with no channel operation at all. *)
   let cand_cache : World.cand list ref = ref [] in
   let cache_valid = ref false in
   let candidates () =

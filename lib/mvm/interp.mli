@@ -43,12 +43,17 @@ type result = {
     per event; a [Some reason] finishes the run as [Aborted reason].
     Default [max_steps] is 200_000.
 
-    When [world.passive_try_recv] is [true] the interpreter caches its
+    When [world.passive_try_recv] is [true] ([on_try_recv] never
+    answers [Force_value]) the interpreter caches its
     scheduling-candidate set between steps, patching only the executing
     thread's entry after purely thread-local statements; channel, lock and
-    spawn operations rebuild it. The cached list is observationally
-    identical to the recomputed one, so worlds see the same candidates in
-    the same order either way. *)
+    spawn operations rebuild it. A blocked receive's candidacy then
+    depends on its queue alone, so the world is not asked about it: a
+    [Force_fail] or [Default] answer leaves the receive blocked either
+    way. The cached list is observationally identical to the recomputed
+    one, so worlds see the same candidates in the same order either way;
+    the replay oracles (sync, RCSE, partial and perfect replay are
+    passive) are held to that by a law against the reference walker. *)
 val run :
   ?max_steps:int ->
   ?monitors:(Event.t -> unit) list ->

@@ -43,15 +43,18 @@ type t = {
           the success of a poll is part of a thread's observed values /
           per-object operation order. *)
   passive_try_recv : bool;
-      (** [true] promises that [on_try_recv] is the constant [Default]
-          answer — it never forces a poll outcome and its result does not
-          depend on [step] or any oracle cursor. Under that promise a
-          blocked [Recv] on an empty channel can only become runnable
-          through a channel operation, which lets the interpreter cache
-          its scheduling-candidate set between steps (the search fast
-          path). Worlds with a stateful or forcing [on_try_recv] (replay
-          oracles, fault plans) must leave this [false]; the interpreter
-          then recomputes candidates every step, exactly as before. *)
+      (** [true] promises only what the interpreter relies on:
+          [on_try_recv] never answers [Force_value]. A blocked [Recv] on
+          an empty channel then becomes runnable only through a channel
+          operation, so the interpreter may cache its scheduling-candidate
+          set between steps (the search fast path) and skip the candidacy
+          probe of blocked receives. The answer may still be stateful —
+          a [Force_fail] or [Default] that depends on [step] or an oracle
+          cursor — because it matters only when a receive executes, and
+          every executing receive still asks. A world that can force a
+          receive to succeed (value-determinism replay, a fault plan with
+          [Duplicate]) must leave this [false]; the interpreter then asks
+          it about every blocked receive at every step. *)
 }
 
 and try_recv_decision = Default | Force_fail | Force_value of Value.tagged

@@ -197,6 +197,7 @@ type stats = {
   injected : int;  (** operations that failed by injection *)
   injected_transient : int;  (** of those, transient ones *)
   stalled_ms : float;  (** total injected latency *)
+  never_fired : fault list;  (** indexed clauses that have not fired *)
 }
 
 let zero_stats =
@@ -207,6 +208,7 @@ let zero_stats =
     injected = 0;
     injected_transient = 0;
     stalled_ms = 0.;
+    never_fired = [];
   }
 
 let pp_stats ppf s =
@@ -214,7 +216,12 @@ let pp_stats ppf s =
     "%d ops, %d bytes written, %d lost to short writes, %d fault(s) injected \
      (%d transient), %.1f ms stalled"
     s.ops s.bytes_written s.bytes_lost s.injected s.injected_transient
-    s.stalled_ms
+    s.stalled_ms;
+  match s.never_fired with
+  | [] -> ()
+  | fs ->
+    Format.fprintf ppf ", never fired: %s"
+      (String.concat " " (List.map fault_to_string fs))
 
 type state = { mutable op : int; mutable st : stats }
 
@@ -244,6 +251,12 @@ let short_write st base ~path ~payload ~keep ~kind =
 
 let wrap plan (base : Store.t) =
   let st = { op = 0; st = zero_stats } in
+  (* which of the plan's clauses have failed their operation: a [torn],
+     [fsyncfail] or [renamefail] whose index lands on an operation of
+     another kind never fires, and the stats say so instead of the plan
+     weakening silently *)
+  let clauses = Array.of_list plan.faults in
+  let fired = Array.make (Array.length clauses) false in
   let stalls n =
     List.fold_left
       (fun acc -> function
@@ -263,10 +276,21 @@ let wrap plan (base : Store.t) =
     end;
     n
   in
+  (* the first clause of a kind at operation [n], marked fired *)
+  let at n select =
+    let rec go k =
+      if k = Array.length clauses then None
+      else
+        match select clauses.(k) with
+        | Some (at_op, v) when at_op = n ->
+          fired.(k) <- true;
+          Some v
+        | _ -> go (k + 1)
+    in
+    go 0
+  in
   let torn_at n =
-    List.find_map
-      (function Torn { at_op; keep } when at_op = n -> Some keep | _ -> None)
-      plan.faults
+    at n (function Torn { at_op; keep } -> Some (at_op, keep) | _ -> None)
   in
   let flaky_prob =
     List.fold_left
@@ -318,18 +342,24 @@ let wrap plan (base : Store.t) =
     | None -> k ()
   in
   let fsync_at n =
-    List.find_map
-      (function
-        | Fsync_fail { at_op; transient } when at_op = n -> Some transient
-        | _ -> None)
-      plan.faults
+    at n (function
+      | Fsync_fail { at_op; transient } -> Some (at_op, transient)
+      | _ -> None)
   in
   let rename_at n =
-    List.find_map
-      (function
-        | Rename_fail { at_op; transient } when at_op = n -> Some transient
-        | _ -> None)
-      plan.faults
+    at n (function
+      | Rename_fail { at_op; transient } -> Some (at_op, transient)
+      | _ -> None)
+  in
+  let stats () =
+    let never_fired =
+      List.filteri
+        (fun k -> function
+          | Torn _ | Fsync_fail _ | Rename_fail _ -> not fired.(k)
+          | Disk_full _ | Flaky _ | Slow _ -> false)
+        plan.faults
+    in
+    { st.st with never_fired }
   in
   let store =
     {
@@ -342,4 +372,4 @@ let wrap plan (base : Store.t) =
       remove = base.Store.remove;
     }
   in
-  (store, fun () -> st.st)
+  (store, stats)

@@ -50,8 +50,15 @@ type stats = {
   injected : int;  (** operations failed by injection *)
   injected_transient : int;  (** of those, transient ones *)
   stalled_ms : float;  (** total injected latency *)
+  never_fired : fault list;
+      (** the indexed clauses ([Torn], [Fsync_fail], [Rename_fail]) that
+          have not failed their operation, in plan order: one whose index
+          lands on an operation of another kind (a [torn] on an fsync, an
+          [fsyncfail] on a write) never fires *)
 }
 
+(** [pp_stats] prints one line; it ends with [", never fired: "] and the
+    clauses when [never_fired] is not empty. *)
 val pp_stats : Format.formatter -> stats -> unit
 
 (** [wrap plan base] is the hostile store plus a live stats reader. *)

@@ -18,13 +18,15 @@ let outputs_match log (r : Interp.result) =
          && List.for_all2 Value.equal vs1 vs2)
        logged got
 
+(* The reason strings are built only when an attempt is cut, once per
+   attempt: a matching output costs one string-keyed lookup. *)
 let output_prefix_abort log =
-  let expected : (string, Value.t list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (c, vs) -> Hashtbl.replace expected c (ref vs)) (Log.outputs log);
+  let expected = Tbl.Str.create 8 in
+  List.iter (fun (c, vs) -> Tbl.Str.replace expected c (ref vs)) (Log.outputs log);
   fun (e : Event.t) ->
     match e.kind with
     | Event.Out io -> (
-      match Hashtbl.find_opt expected io.chan with
+      match Tbl.Str.find_opt expected io.chan with
       | None -> Some ("unexpected output channel " ^ io.chan)
       | Some r -> (
         match !r with

@@ -7,43 +7,71 @@ type handle = {
   violated : unit -> bool;
 }
 
-(* Queues are consed per key, then each is reversed once into log order
-   by [reverse_queues]: appending would be quadratic in a queue's length. *)
-let enqueue tbl key v =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := v :: !r
-  | None -> Hashtbl.replace tbl key (ref [ v ])
+(* Every hook below runs per event or per scheduling candidate. None of
+   them hashes or compares polymorphically, builds a string or allocates
+   a tuple to look something up: tables are the monomorphic [Tbl]
+   instances, a (tid, sid) key is one packed int ([Tbl.pair]), and pairs
+   are compared field by field. *)
 
-let reverse_queues tbl = Hashtbl.iter (fun _ r -> r := List.rev !r) tbl
-
-(* Per-thread value queues (inputs, logged reads). *)
+(* Queues are consed per key, then each is reversed once into log order:
+   appending would be quadratic in a queue's length. *)
 let queues_of pairs =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (tid, v) -> enqueue tbl tid v) pairs;
-  reverse_queues tbl;
+  let tbl = Tbl.Int.create 8 in
+  List.iter
+    (fun (tid, v) ->
+      match Tbl.Int.find_opt tbl tid with
+      | Some r -> r := v :: !r
+      | None -> Tbl.Int.replace tbl tid (ref [ v ]))
+    pairs;
+  Tbl.Int.iter (fun _ r -> r := List.rev !r) tbl;
   tbl
 
+(* Per-thread value queues (inputs, logged reads). *)
 let pop tbl tid =
-  match Hashtbl.find_opt tbl tid with
+  match Tbl.Int.find_opt tbl tid with
   | Some ({ contents = v :: tl } as r) ->
     r := tl;
     Some v
   | Some { contents = [] } | None -> None
 
-let input_queues log tids_of =
+let input_queues log =
   queues_of
     (List.filter_map
-       (function
-         | Log.Input { tid; value; _ } when tids_of = `All -> Some (tid, value)
-         | Log.Cp_input { tid; value; _ } when tids_of = `Cp -> Some (tid, value)
-         | _ -> None)
+       (function Log.Input { tid; value; _ } -> Some (tid, value) | _ -> None)
        log.Log.entries)
+
+(* whether thread [t] is a candidate at site [s] *)
+let rec has_cand t s = function
+  | [] -> false
+  | (c : World.cand) :: rest ->
+    (c.World.tid = t && c.World.sid = s) || has_cand t s rest
+
+let rec count_where ok n = function
+  | [] -> n
+  | c :: rest -> count_where ok (if ok c then n + 1 else n) rest
+
+let rec nth_where ok k = function
+  | [] -> invalid_arg "Oracle.nth_where"
+  | c :: rest ->
+    if not (ok c) then nth_where ok k rest
+    else if k = 0 then c
+    else nth_where ok (k - 1) rest
+
+let no_cand = { World.tid = -1; sid = -1; fname = "" }
+
+(* [Prng.pick rng (List.filter ok cands)] without building the list: the
+   same draw ([Prng.int] of the filtered length) selects the same
+   candidate. [no_cand], drawing nothing, when no candidate is [ok]. *)
+let pick_where rng ok cands =
+  match count_where ok 0 cands with
+  | 0 -> no_cand
+  | n -> nth_where ok (Prng.int rng n) cands
 
 let abort_of violated = fun _ -> if !violated then Some "log-divergence" else None
 
 let perfect log =
   let remaining = ref (Log.sched_points log) in
-  let inputs = input_queues log `All in
+  let inputs = input_queues log in
   let violated = ref false in
   let world =
     {
@@ -51,18 +79,15 @@ let perfect log =
       pick_thread =
         (fun ~step:_ cands ->
           match !remaining with
-          | (t, s) :: tl -> (
-            match
-              List.find_opt
-                (fun c -> c.World.tid = t && c.World.sid = s)
-                cands
-            with
-            | Some _ ->
+          | (t, s) :: tl ->
+            if has_cand t s cands then begin
               remaining := tl;
               t
-            | None ->
+            end
+            else begin
               violated := true;
-              (List.hd cands).World.tid)
+              (List.hd cands).World.tid
+            end
           | [] -> (List.hd cands).World.tid);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
@@ -91,12 +116,16 @@ let value_det ~seed log =
            | _ -> None)
          log.Log.entries)
   in
-  let peek tbl tid =
-    match Hashtbl.find_opt tbl tid with
-    | Some { contents = v :: _ } -> Some v
-    | Some { contents = [] } | None -> None
+  (* a read or receive at [sid] observes the head of its thread's log
+     when the head was observed at [sid], and consumes it *)
+  let observe ~tid ~sid ~actual =
+    match Tbl.Int.find_opt reads tid with
+    | Some ({ contents = (s, _, v) :: tl } as r) when s = sid ->
+      r := tl;
+      Value.untainted v
+    | Some _ | None -> actual
   in
-  let inputs = input_queues log `All in
+  let inputs = input_queues log in
   let world =
     {
       World.name = Printf.sprintf "replay:value(seed=%d)" seed;
@@ -108,18 +137,8 @@ let value_det ~seed log =
           | None -> ( match domain with [] -> Value.unit | v :: _ -> v));
       on_read =
         (fun ~step:_ ~tid ~sid ~region:_ ~index:_ ~actual ->
-          match peek reads tid with
-          | Some (s, _, v) when s = sid ->
-            ignore (pop reads tid);
-            Value.untainted v
-          | Some _ | None -> actual);
-      on_recv =
-        (fun ~step:_ ~tid ~sid ~chan:_ ~actual ->
-          match peek reads tid with
-          | Some (s, _, v) when s = sid ->
-            ignore (pop reads tid);
-            Value.untainted v
-          | Some _ | None -> actual);
+          observe ~tid ~sid ~actual);
+      on_recv = (fun ~step:_ ~tid ~sid ~chan:_ ~actual -> observe ~tid ~sid ~actual);
       on_try_recv =
         (fun ~step:_ ~tid ~sid ~chan:_ ->
           (* pure peek: the poll outcome is part of the thread's observed
@@ -127,9 +146,12 @@ let value_det ~seed log =
              receive succeeded here; the log advances in on_recv. An
              exhausted log means the thread observed nothing more in its
              recorded life, so later polls miss rather than drain backlog
-             the original never saw *)
-          match peek reads tid with
-          | Some (s, Log.Msg, v) when s = sid -> World.Force_value (Value.untainted v)
+             the original never saw. Forcing a receive to succeed is what
+             keeps this world off the candidate cache: a blocked receive
+             becomes runnable without a channel operation *)
+          match Tbl.Int.find_opt reads tid with
+          | Some { contents = (s, Log.Msg, v) :: _ } when s = sid ->
+            World.Force_value (Value.untainted v)
           | Some _ | None -> World.Force_fail);
       passive_try_recv = false;
     }
@@ -150,7 +172,12 @@ let value_det ~seed log =
    so they cannot produce an out-of-order logged event); (3) otherwise a
    risky candidate runs — either harmlessly (a poll that emits nothing)
    or producing the violation that aborts the attempt. Tier 3 prevents
-   livelock when the replay has genuinely diverged.
+   livelock when the replay has genuinely diverged. The tracer counts the
+   picks whose head entry is at no candidate (oracle.rcse_stalls) and the
+   tier-3 picks (oracle.rcse_risky): on msg_server's code-based logs
+   nearly every pick stalls and none is risky, the head's thread never
+   reaching its site while the others run safely to the step cap
+   (ROADMAP item 1).
 
    Windowed (trigger/invariant) logs record a time slice whose sites also
    execute legitimately outside the window, so schedule enforcement is
@@ -161,19 +188,21 @@ let rcse ?(strict = true) ~seed log =
   let points = if strict then Log.cp_sched_points log else [] in
   let rng = Prng.create seed in
   let remaining = ref points in
-  let pending : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
+  (* the multiset of [remaining], by packed (tid, sid) *)
+  let pending = Tbl.Int.create 32 in
   List.iter
-    (fun p ->
-      Hashtbl.replace pending p
-        (1 + Option.value ~default:0 (Hashtbl.find_opt pending p)))
+    (fun (t, s) ->
+      let k = Tbl.pair t s in
+      Tbl.Int.replace pending k
+        (1 + Option.value ~default:0 (Tbl.Int.find_opt pending k)))
     points;
-  let take_pending p =
-    match Hashtbl.find_opt pending p with
-    | Some 1 -> Hashtbl.remove pending p
-    | Some n -> Hashtbl.replace pending p (n - 1)
+  let take_pending k =
+    match Tbl.Int.find_opt pending k with
+    | Some 1 -> Tbl.Int.remove pending k
+    | Some n -> Tbl.Int.replace pending k (n - 1)
     | None -> ()
   in
-  let is_pending p = Hashtbl.mem pending p in
+  let is_pending tid sid = Tbl.Int.mem pending (Tbl.pair tid sid) in
   let violated = ref false in
   let cp_inputs =
     queues_of
@@ -183,62 +212,61 @@ let rcse ?(strict = true) ~seed log =
            | _ -> None)
          log.Log.entries)
   in
-  (* the site each thread is currently executing, set at pick time: input
-     forcing aligns logged input sites against it *)
-  let cur_sid : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* handles resolved once per oracle, as in [partial]. A stall is a pick
+     whose log head is pending but not at any candidate; a risky pick is
+     tier 3 *)
+  let c_stalls = Ddet_obs.Tracer.handle "oracle.rcse_stalls" in
+  let c_risky = Ddet_obs.Tracer.handle "oracle.rcse_risky" in
+  (* the thread the last pick ran and its site. Inputs execute in the
+     step of the thread just picked, so input forcing aligns logged input
+     sites against [cur_sid] *)
+  let cur_tid = ref (-1) and cur_sid = ref 0 in
+  let run tid sid =
+    cur_tid := tid;
+    cur_sid := sid;
+    tid
+  in
+  let run_cand (c : World.cand) = run c.World.tid c.World.sid in
   let advance (e : Event.t) =
     match e.Event.kind with
     | Event.Step -> (
-      let p = (e.Event.tid, e.Event.sid) in
       match !remaining with
-      | h :: tl when h = p ->
+      | (t, s) :: tl when t = e.Event.tid && s = e.Event.sid ->
         remaining := tl;
-        take_pending p
-      | _ -> if strict && is_pending p then violated := true)
+        take_pending (Tbl.pair t s)
+      | _ -> if strict && is_pending e.Event.tid e.Event.sid then violated := true)
     | _ -> ()
   in
   let abort e =
     advance e;
     if !violated then Some "log-divergence" else None
   in
+  let safe (c : World.cand) = not (is_pending c.World.tid c.World.sid) in
   let pick_thread ~step:_ cands =
-    let head = match !remaining with p :: _ -> Some p | [] -> None in
-    let forced =
-      match head with
-      | Some (t, s) ->
-        List.find_opt (fun c -> c.World.tid = t && c.World.sid = s) cands
-      | None -> None
-    in
-    match forced with
-    | Some c ->
-      Hashtbl.replace cur_sid c.World.tid c.World.sid;
-      c.World.tid
-    | None -> (
-      let safe =
-        List.filter (fun c -> not (is_pending (c.World.tid, c.World.sid))) cands
-      in
-      let c =
-        match safe with [] -> Prng.pick rng cands | _ -> Prng.pick rng safe
-      in
-      Hashtbl.replace cur_sid c.World.tid c.World.sid;
-      c.World.tid)
+    match !remaining with
+    | [] ->
+      (* nothing pending: every candidate is safe *)
+      run_cand (Prng.pick rng cands)
+    | (t, s) :: _ ->
+      if has_cand t s cands then run t s
+      else begin
+        Ddet_obs.Tracer.bump c_stalls 1;
+        let c = pick_where rng safe cands in
+        if c != no_cand then run_cand c
+        else begin
+          Ddet_obs.Tracer.bump c_risky 1;
+          run_cand (Prng.pick rng cands)
+        end
+      end
   in
   let pick_input ~step:_ ~tid ~chan:_ ~domain =
-    let head =
-      match Hashtbl.find_opt cp_inputs tid with
-      | Some { contents = v :: _ } -> Some v
-      | Some { contents = [] } | None -> None
-    in
-    let forced =
-      match head with
-      | Some (s, v) when Hashtbl.find_opt cur_sid tid = Some s ->
-        ignore (pop cp_inputs tid);
-        Some v
-      | Some _ | None -> None
-    in
-    match forced with
-    | Some v -> v
-    | None -> ( match domain with [] -> Value.unit | _ -> Prng.pick rng domain)
+    match Tbl.Int.find_opt cp_inputs tid with
+    | Some ({ contents = (s, v) :: tl } as r)
+      when tid = !cur_tid && s = !cur_sid ->
+      r := tl;
+      v
+    | Some _ | None -> (
+      match domain with [] -> Value.unit | _ -> Prng.pick rng domain)
   in
   let world =
     {
@@ -261,78 +289,86 @@ let rcse ?(strict = true) ~seed log =
    scheduled when it is next in its object's order; an event that still
    comes out of order (or was never recorded at all) aborts the attempt.
    Plain shared-memory access order is deliberately unconstrained: data-race
-   outcomes are what this scheme must infer (searched by restarts). *)
+   outcomes are what this scheme must infer (searched by restarts). The
+   oracle only ever forces a poll to miss, never a receive to succeed, so
+   its world is passive and runs on the interpreter's candidate cache. *)
 let sync ~seed log =
   let rng = Prng.create seed in
-  let orders : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let key_of_op = function
-    | Log.Op_send c -> Some ("s:" ^ c)
-    | Log.Op_recv c -> Some ("r:" ^ c)
-    | Log.Op_spawn -> Some "spawn"
-    | Log.Op_lock m -> Some ("l:" ^ m)
-    | Log.Op_unlock _ -> None
+  (* per-object orders: per channel for sends and for receives, per lock
+     for acquisitions, one for spawns *)
+  let sends = Tbl.Str.create 8
+  and recvs = Tbl.Str.create 8
+  and locks = Tbl.Str.create 8
+  and spawns = ref [] in
+  let order_of tbl key =
+    match Tbl.Str.find_opt tbl key with
+    | Some r -> r
+    | None ->
+      let r = ref [] in
+      Tbl.Str.replace tbl key r;
+      r
   in
-  (* site -> object key: lets the scheduler hold back a send/spawn/lock
-     statement until it is next in its object's order *)
-  let site_key : (int, string) Hashtbl.t = Hashtbl.create 32 in
-  let blocking_site : (int, unit) Hashtbl.t = Hashtbl.create 32 in
+  (* site -> the order its statement is held to: lets the scheduler hold
+     back a send/spawn/lock statement until it is next in that order *)
+  let site_order = Tbl.Int.create 32 in
   List.iter
     (fun (tid, sid, op) ->
-      match key_of_op op with
-      | None -> ()
-      | Some key ->
-        enqueue orders key (tid, sid);
-        (match op with
-        | Log.Op_send _ | Log.Op_spawn | Log.Op_lock _ ->
-          Hashtbl.replace site_key sid key;
-          Hashtbl.replace blocking_site sid ()
-        | Log.Op_recv _ | Log.Op_unlock _ -> ()))
+      let push r = r := (tid, sid) :: !r in
+      let hold r =
+        push r;
+        Tbl.Int.replace site_order sid r
+      in
+      match op with
+      | Log.Op_send c -> hold (order_of sends c)
+      | Log.Op_spawn -> hold spawns
+      | Log.Op_lock m -> hold (order_of locks m)
+      | Log.Op_recv c -> push (order_of recvs c)
+      | Log.Op_unlock _ -> ())
     (Log.sync_entries log);
-  reverse_queues orders;
-  let head key =
-    match Hashtbl.find_opt orders key with
-    | Some { contents = p :: _ } -> Some p
-    | Some { contents = [] } | None -> None
-  in
+  let in_log_order _ r = r := List.rev !r in
+  List.iter (Tbl.Str.iter in_log_order) [ sends; recvs; locks ];
+  in_log_order () spawns;
   let violated_set = ref false in
-  let advance key p ok_unlogged =
-    match Hashtbl.find_opt orders key with
-    | Some ({ contents = h :: tl } as r) when h = p -> r := tl
-    | Some _ -> violated_set := true
-    | None -> if not ok_unlogged then violated_set := true
+  let advance r (e : Event.t) =
+    match !r with
+    | (t, s) :: tl when t = e.Event.tid && s = e.Event.sid -> r := tl
+    | _ -> violated_set := true
+  in
+  (* an operation on an object the log never mentions is divergence too *)
+  let advance_on tbl key e =
+    match Tbl.Str.find_opt tbl key with
+    | Some r -> advance r e
+    | None -> violated_set := true
   in
   let abort (e : Event.t) =
     (match e.Event.kind with
-    | Event.Msg_send io -> advance ("s:" ^ io.Event.chan) (e.Event.tid, e.Event.sid) false
-    | Event.Msg_recv io -> advance ("r:" ^ io.Event.chan) (e.Event.tid, e.Event.sid) false
-    | Event.Spawned _ -> advance "spawn" (e.Event.tid, e.Event.sid) false
-    | Event.Lock_acq m -> advance ("l:" ^ m) (e.Event.tid, e.Event.sid) false
+    | Event.Msg_send io -> advance_on sends io.Event.chan e
+    | Event.Msg_recv io -> advance_on recvs io.Event.chan e
+    | Event.Spawned _ -> advance spawns e
+    | Event.Lock_acq m -> advance_on locks m e
     | Event.Step | Event.Read _ | Event.Write _ | Event.In _ | Event.Out _
     | Event.Lock_rel _ | Event.Crashed _ ->
       ());
     if !violated_set then Some "sync-order-divergence" else None
   in
-  let inputs = input_queues log `All in
+  let inputs = input_queues log in
   let allowed (c : World.cand) =
-    if not (Hashtbl.mem blocking_site c.World.sid) then true
-    else
-      match Hashtbl.find_opt site_key c.World.sid with
-      | None -> true
-      | Some key -> (
-        match head key with
-        | Some (t, s) -> t = c.World.tid && s = c.World.sid
-        | None -> false)
+    match Tbl.Int.find_opt site_order c.World.sid with
+    | Some { contents = (t, s) :: _ } -> t = c.World.tid && s = c.World.sid
+    | Some { contents = [] } -> false
+    | None -> true
   in
   let world =
     {
       World.name = Printf.sprintf "replay:sync(seed=%d)" seed;
       pick_thread =
         (fun ~step:_ cands ->
-          match List.filter allowed cands with
-          | [] ->
+          let c = pick_where rng allowed cands in
+          if c != no_cand then c.World.tid
+          else begin
             violated_set := true;
             (Prng.pick rng cands).World.tid
-          | ok -> (Prng.pick rng ok).World.tid);
+          end);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
           match pop inputs tid with
@@ -342,11 +378,13 @@ let sync ~seed log =
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
       on_try_recv =
         (fun ~step:_ ~tid ~sid:_ ~chan ->
-          match head ("r:" ^ chan) with
-          | Some (t, _) when t = tid -> World.Default
-          | Some _ -> World.Force_fail
-          | None -> World.Force_fail);
-      passive_try_recv = false;
+          match Tbl.Str.find_opt recvs chan with
+          | Some { contents = (t, _) :: _ } when t = tid -> World.Default
+          | Some _ | None -> World.Force_fail);
+      (* the poll only ever misses by force: a blocked receive still
+         becomes runnable only through a send, so the candidate cache
+         holds *)
+      passive_try_recv = true;
     }
   in
   { world; abort; violated = (fun () -> !violated_set) }
@@ -374,10 +412,10 @@ let no_steer = { lost_tids = []; hot_sids = []; cold_input_tids = [] }
 let partial ?(steer = no_steer) ~seed log =
   let rng = Prng.create seed in
   let remaining = ref (Log.sched_points log) in
-  let inputs = input_queues log `All in
+  let inputs = input_queues log in
   let mem_tbl xs =
-    let t = Hashtbl.create (List.length xs + 1) in
-    List.iter (fun x -> Hashtbl.replace t x ()) xs;
+    let t = Tbl.Int.create (List.length xs + 1) in
+    List.iter (fun x -> Tbl.Int.replace t x ()) xs;
     t
   in
   let lost = mem_tbl steer.lost_tids in
@@ -388,6 +426,9 @@ let partial ?(steer = no_steer) ~seed log =
   let c_stalls = Ddet_obs.Tracer.handle "oracle.cursor_stalls" in
   let c_hot = Ddet_obs.Tracer.handle "oracle.steer_hot_picks" in
   let c_cold = Ddet_obs.Tracer.handle "oracle.cold_pins" in
+  let is_hot (c : World.cand) =
+    Tbl.Int.mem lost c.World.tid && Tbl.Int.mem hot c.World.sid
+  in
   (* on a cursor stall, prefer a lost thread sitting at a statically hot
      site: those are the only decision points whose order the search
      actually needs to explore *)
@@ -396,17 +437,12 @@ let partial ?(steer = no_steer) ~seed log =
        under partial evidence, not divergence — but its frequency is
        exactly the cost of the lost node, so the trace counts it *)
     if stalled then Ddet_obs.Tracer.bump c_stalls 1;
-    let hot_cands =
-      List.filter
-        (fun (c : World.cand) ->
-          Hashtbl.mem lost c.World.tid && Hashtbl.mem hot c.World.sid)
-        cands
-    in
-    match hot_cands with
-    | [] -> (Prng.pick rng cands).World.tid
-    | hc ->
+    let c = pick_where rng is_hot cands in
+    if c == no_cand then (Prng.pick rng cands).World.tid
+    else begin
       Ddet_obs.Tracer.bump c_hot 1;
-      (Prng.pick rng hc).World.tid
+      c.World.tid
+    end
   in
   let advance (e : Event.t) =
     match e.Event.kind with
@@ -426,14 +462,8 @@ let partial ?(steer = no_steer) ~seed log =
       pick_thread =
         (fun ~step:_ cands ->
           match !remaining with
-          | (t, s) :: _ -> (
-            match
-              List.find_opt
-                (fun c -> c.World.tid = t && c.World.sid = s)
-                cands
-            with
-            | Some c -> c.World.tid
-            | None -> pick_free ~stalled:true cands)
+          | (t, s) :: _ ->
+            if has_cand t s cands then t else pick_free ~stalled:true cands
           | [] -> pick_free ~stalled:false cands);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
@@ -442,7 +472,7 @@ let partial ?(steer = no_steer) ~seed log =
           | None -> (
             match domain with
             | [] -> Value.unit
-            | v :: _ when Hashtbl.mem cold tid ->
+            | v :: _ when Tbl.Int.mem cold tid ->
               (* statically cold: this thread's inputs provably never
                  reached a survivor, so pin them instead of searching *)
               Ddet_obs.Tracer.bump c_cold 1;

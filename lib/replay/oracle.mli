@@ -42,7 +42,11 @@ val value_det : seed:int -> Log.t -> handle
     invariant-driven) record a time slice, so the same sites also run
     legitimately outside the window: with [strict:false] the schedule log
     is not enforced at all — the recorded inputs are still pinned by site,
-    and the acceptance constraint judges each searched schedule. *)
+    and the acceptance constraint judges each searched schedule.
+
+    Under a tracer, a pick whose head entry is at no candidate bumps
+    [oracle.rcse_stalls], and a pick with no safe candidate left (a risky
+    one) also bumps [oracle.rcse_risky]. *)
 val rcse : ?strict:bool -> seed:int -> Log.t -> handle
 
 (** [sync ~seed log] replays a sync-schedule log by enforcing *per-object*
@@ -51,7 +55,9 @@ val rcse : ?strict:bool -> seed:int -> Log.t -> handle
     try_recv whose thread is not the channel's next recorded consumer is
     forced to miss; sends/spawns/locks are scheduled only in recorded
     order; inputs are fed back per-thread. Plain shared-memory race
-    outcomes remain free — they are what inference must fill in. *)
+    outcomes remain free — they are what inference must fill in. The
+    oracle forces misses only, never a receive to succeed, so its world
+    is passive ({!Mvm.World.t.passive_try_recv}); {!value_det}'s is not. *)
 val sync : seed:int -> Log.t -> handle
 
 (** Static steering hints for partial-evidence search. The static layer

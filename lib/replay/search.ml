@@ -190,9 +190,9 @@ let no_score : Interp.result -> float = fun _ -> 0.
 type site_priority = { sids : int list }
 
 let site_prefer { sids } =
-  let tbl = Hashtbl.create (List.length sids) in
-  List.iter (fun s -> Hashtbl.replace tbl s ()) sids;
-  fun (c : World.cand) -> Hashtbl.mem tbl c.World.sid
+  let tbl = Tbl.Int.create (List.length sids) in
+  List.iter (fun s -> Tbl.Int.replace tbl s ()) sids;
+  fun (c : World.cand) -> Tbl.Int.mem tbl c.World.sid
 
 (* ------------------------------------------------------------------ *)
 (* supervision: one attempt's execution may raise (a hostile world
@@ -302,6 +302,10 @@ let random_restarts ?(jobs = 1) ?est_attempt_steps ?(score = no_score)
     exhausted ~attempts ~total_steps:!total_steps ?deadline_hit
       ~incidents:(List.rev !incidents) best
   in
+  (* why judged attempts ended short of a verdict: the step cap, or an
+     abort hook. A deadline-cut attempt is never judged *)
+  let c_cap = Ddet_obs.Tracer.handle "search.step_cap_hits" in
+  let c_aborted = Ddet_obs.Tracer.handle "search.aborted" in
   let make_exec ~worker ~cancel =
     (* the search's arena (one per pool worker): program compiled once,
        interpreter state reused across every attempt it runs *)
@@ -329,6 +333,10 @@ let random_restarts ?(jobs = 1) ?est_attempt_steps ?(score = no_score)
         `Continue
       | Some r ->
         total_steps := !total_steps + r.Interp.steps;
+        (match r.Interp.status with
+        | Interp.Step_limit -> Ddet_obs.Tracer.bump c_cap 1
+        | Interp.Aborted _ -> Ddet_obs.Tracer.bump c_aborted 1
+        | Interp.Done | Interp.Crashed _ | Interp.Deadlock -> ());
         let r = Spec.apply spec r in
         if accept r then
           `Stop

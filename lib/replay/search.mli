@@ -121,7 +121,12 @@ type outcome = {
       a restarts checkpoint written at one [jobs] resumes at any other.
     - supervision — an attempt whose execution raises is retried up to a
       bounded number of times, then poisoned (skipped) with an
-      {!incident} in [stats.incidents]; the search itself survives. *)
+      {!incident} in [stats.incidents]; the search itself survives.
+
+    Under a tracer, each judged attempt that ran into the step cap bumps
+    the counter [search.step_cap_hits] and each one an abort hook cut
+    short bumps [search.aborted], on the calling thread: a search that
+    exhausts its budget says which of the two spent it. *)
 val random_restarts :
   ?jobs:int ->
   ?est_attempt_steps:int ->

@@ -431,6 +431,22 @@ let test_io_faults_unknown_clause () =
   Alcotest.(check bool) "lists valid clauses" true
     (contains text "torn:OP[:KEEP]")
 
+(* an indexed clause that lands on another operation kind is named, not
+   silently ignored: op 1 of a monolithic save is the temp file's fsync,
+   so a tear there never fires and the save succeeds *)
+let test_io_faults_never_fired () =
+  let log = Filename.temp_file "ddet_cli" ".log" in
+  let code, text =
+    run_out "record -a miniht -m perfect -s 3 -o %s --io-faults %s"
+      (Filename.quote log) (Filename.quote "torn:1:0.5")
+  in
+  Sys.remove log;
+  check "the save succeeds: exit 0" 0 code;
+  Alcotest.(check bool) "names the clause" true
+    (contains text
+       "0 fault(s) injected (0 transient), 0.0 ms stalled, never fired: \
+        torn:1:0.5")
+
 (* static analysis subcommand: report shape and the lint exit contract *)
 
 let test_analyze_clean () =
@@ -523,15 +539,19 @@ let report_golden =
       "  {\"name\":\"govern.transitions\",\"value\":0},";
       "  {\"name\":\"oracle.cold_pins\",\"value\":0},";
       "  {\"name\":\"oracle.cursor_stalls\",\"value\":0},";
+      "  {\"name\":\"oracle.rcse_risky\",\"value\":0},";
+      "  {\"name\":\"oracle.rcse_stalls\",\"value\":0},";
       "  {\"name\":\"oracle.steer_hot_picks\",\"value\":0},";
       "  {\"name\":\"record.entries.book\",\"value\":0},";
       "  {\"name\":\"record.entries.sched\",\"value\":0},";
       "  {\"name\":\"record.entries.sync\",\"value\":0},";
       "  {\"name\":\"record.entries.value\",\"value\":2},";
+      "  {\"name\":\"search.aborted\",\"value\":0},";
       "  {\"name\":\"search.attempts\",\"value\":1},";
       "  {\"name\":\"search.deadline_hits\",\"value\":0},";
       "  {\"name\":\"search.incidents\",\"value\":0},";
       "  {\"name\":\"search.pruned\",\"value\":0},";
+      "  {\"name\":\"search.step_cap_hits\",\"value\":0},";
       "  {\"name\":\"search.steps\",\"value\":5},";
       "  {\"name\":\"stitch.edges_dropped\",\"value\":0},";
       "  {\"name\":\"stitch.edges_enforced\",\"value\":0},";
@@ -646,6 +666,8 @@ let () =
             test_lose_node_needs_shards;
           Alcotest.test_case "124: unknown io-fault clause" `Quick
             test_io_faults_unknown_clause;
+          Alcotest.test_case "0: an io-fault clause that never fires" `Quick
+            test_io_faults_never_fired;
         ] );
       ( "analyze",
         [

@@ -239,6 +239,27 @@ let test_fsyncfail_monolithic () =
   Alcotest.(check bool) "no target" false (Sys.file_exists path);
   Alcotest.(check bool) "no temp file" false (Sys.file_exists (path ^ ".tmp"))
 
+(* op 1 of a monolithic save is an fsync, so a tear indexed there never
+   fires: the save succeeds and the stats name the clause instead of the
+   plan weakening without a word *)
+let test_torn_on_fsync_never_fires () =
+  let _, _, log = record_miniht Model.Perfect in
+  let path = seg_base () ^ ".log" in
+  let plan =
+    match Faulty_store.of_string "torn:1:0.5" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let faulty, stats = Faulty_store.wrap plan (Store.local ()) in
+  (match Log_io.save_via faulty path log with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "a tear on an fsync failed the save");
+  Sys.remove path;
+  let s = stats () in
+  Alcotest.(check int) "nothing injected" 0 s.Faulty_store.injected;
+  Alcotest.(check bool) "the clause never fired" true
+    (s.Faulty_store.never_fired = plan.Faulty_store.faults)
+
 (* ------------------------------------------------------------------ *)
 (* durability *)
 
@@ -493,6 +514,8 @@ let () =
           QCheck_alcotest.to_alcotest storage_fault_law;
           Alcotest.test_case "fsyncfail:1 fails a monolithic save" `Quick
             test_fsyncfail_monolithic;
+          Alcotest.test_case "torn:1 on a monolithic save never fires" `Quick
+            test_torn_on_fsync_never_fires;
           Alcotest.test_case "every layout fsyncs what it writes" `Quick
             test_every_layout_durable;
           Alcotest.test_case "a full disk fails a local write" `Quick

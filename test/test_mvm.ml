@@ -858,6 +858,42 @@ let unit_reads_prog =
 
 let test_compiled_parity_sink () = check_parity sink_prog
 
+(* Only [Duplicate] makes a fault world force a receive to succeed, so
+   only a plan with a [Duplicate] clause takes a passive world off the
+   candidate cache. Here a duplicate is the only way the worker's second
+   receive can complete: a faulted world that claimed to be passive would
+   leave it blocked on the compiled interpreter, while the walker, which
+   asks the world about every blocked receive, runs it. *)
+let dup_prog =
+  program ~name:"dup" ~regions:[] ~inputs:[] ~main:"main"
+    [
+      func "worker" []
+        [ recv "x" "ch"; recv "y" "ch"; output "out" (v "x" +: v "y") ];
+      func "main" [] [ spawn "worker" []; send "ch" (i 20) ];
+    ]
+
+let test_fault_world_passivity () =
+  let world plan = Fault.inject plan (World.random ~seed:3) in
+  let dup = Fault.make ~seed:1 [ Fault.duplicate ~prob:1.0 "ch" ] in
+  Alcotest.(check bool) "a duplicating world is not passive" false
+    (world dup).World.passive_try_recv;
+  List.iter
+    (fun plan ->
+      Alcotest.(check bool)
+        (Fault.to_string plan ^ " keeps the cache")
+        true (world plan).World.passive_try_recv)
+    [
+      Fault.make ~seed:1 [ Fault.drop ~prob:0.5 "ch" ];
+      Fault.make ~seed:1
+        [
+          Fault.delay ~chan:"ch" ~from_step:0 ~until_step:5;
+          Fault.stall ~tid:1 ~from_step:0 ~until_step:3;
+        ];
+    ];
+  let r = Interp.run dup_prog (world dup) in
+  check_status "done" r;
+  same_result "dup" (Ref_interp.run dup_prog (world dup)) r
+
 let test_compiled_parity_unit_reads () =
   check_parity unit_reads_prog;
   Alcotest.(check (list value_testable))
@@ -998,5 +1034,7 @@ let () =
             test_compiled_state_isolation;
           Alcotest.test_case "unit-reads parity" `Quick
             test_compiled_parity_unit_reads;
+          Alcotest.test_case "fault worlds keep the cache unless they duplicate"
+            `Quick test_fault_world_passivity;
         ] );
     ]

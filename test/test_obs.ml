@@ -179,6 +179,92 @@ let test_engine_deadline_no_sleep () =
       Alcotest.(check bool) "well before the attempt budget" true
         (outcome.Search.stats.Search.attempts < 100))
 
+(* ------------------------------------------------------------------ *)
+(* a replay that misses says why (ROADMAP item 1): the search counts
+   judged attempts cut by the step cap apart from those an abort hook
+   cut, and the RCSE oracle counts the picks that found the log head at
+   no candidate (stalls) and those that had to run a risky candidate *)
+
+(* [f]'s result under a fresh tracer, and the tracer's counter lookup *)
+let traced f =
+  let t = T.create () in
+  let r = T.with_current t f in
+  (r, fun name -> Option.value ~default:0 (List.assoc_opt name (T.counters t)))
+
+let three_attempts = { Ddet_replay.Search.default_budget with max_attempts = 3 }
+
+(* msg_server's code-based RCSE replay livelocks: each attempt runs into
+   the 50,000-step cap, no abort hook cuts one short, and the oracle
+   keeps finding the log's head entry at no candidate while other
+   threads run on safely *)
+let test_rcse_livelock_counters () =
+  let outcome, value =
+    traced (fun () ->
+        let prepared =
+          Session.prepare (Model.Rcse Model.Code_based) (Msg_server.app ())
+        in
+        let _, log = Session.record prepared ~seed:1 in
+        Session.replay ~budget:three_attempts prepared log)
+  in
+  Alcotest.(check bool) "not reproduced" true
+    (outcome.Ddet_replay.Replayer.result = None);
+  Alcotest.(check int) "search.attempts" 3 (value "search.attempts");
+  Alcotest.(check int) "search.step_cap_hits" 3 (value "search.step_cap_hits");
+  Alcotest.(check int) "search.aborted" 0 (value "search.aborted");
+  Alcotest.(check int) "search.steps" 150_000 (value "search.steps");
+  Alcotest.(check bool) "oracle.rcse_stalls > 0" true
+    (value "oracle.rcse_stalls" > 0)
+
+(* cloudstore's sync replay of seed 16 leaves the recorded per-object
+   orders in each of its first three attempts: the abort hook ends every
+   one, well short of the step cap *)
+let test_sync_abort_counters () =
+  let outcome, value =
+    traced (fun () ->
+        let prepared = Session.prepare Model.Sync (Cloudstore.app ()) in
+        let _, log = Session.record prepared ~seed:16 in
+        Session.replay ~budget:three_attempts prepared log)
+  in
+  Alcotest.(check bool) "not reproduced" true
+    (outcome.Ddet_replay.Replayer.result = None);
+  Alcotest.(check int) "search.attempts" 3 (value "search.attempts");
+  Alcotest.(check int) "search.aborted" 3 (value "search.aborted");
+  Alcotest.(check int) "search.step_cap_hits" 0 (value "search.step_cap_hits")
+
+(* no shipped log drives RCSE to tier 3, so this one is built: every
+   step of a perfect recording of miniht as a strict RCSE schedule,
+   behind a head entry of a thread no run spawns. Each attempt's first
+   pick stalls with its only candidate pending, runs it anyway (a risky
+   pick), and the step it takes comes out of log order, which aborts the
+   attempt *)
+let test_rcse_risky_counters () =
+  let app = Miniht.app () in
+  let _, perfect =
+    Session.record (Session.prepare Model.Perfect app) ~seed:1
+  in
+  let log =
+    let open Ddet_record.Log in
+    {
+      perfect with
+      entries =
+        Cp_sched { tid = 1_000; sid = 0 }
+        :: List.map
+             (fun (tid, sid) -> Cp_sched { tid; sid })
+             (sched_points perfect);
+    }
+  in
+  let outcome, value =
+    traced (fun () ->
+        Ddet_replay.Replayer.rcse ~budget:three_attempts app.App.labeled
+          ~spec:app.App.spec log)
+  in
+  Alcotest.(check bool) "not reproduced" true
+    (outcome.Ddet_replay.Replayer.result = None);
+  Alcotest.(check int) "search.aborted" 3 (value "search.aborted");
+  Alcotest.(check int) "search.step_cap_hits" 0 (value "search.step_cap_hits");
+  Alcotest.(check int) "oracle.rcse_stalls" 3 (value "oracle.rcse_stalls");
+  Alcotest.(check int) "oracle.rcse_risky" 3 (value "oracle.rcse_risky")
+
 let () =
   Alcotest.run "obs"
     [
@@ -205,5 +291,14 @@ let () =
             test_deadline_fires_exactly_at_allowance;
           Alcotest.test_case "engine stops on fake clock, no sleep" `Quick
             test_engine_deadline_no_sleep;
+        ] );
+      ( "miss-counters",
+        [
+          Alcotest.test_case "an RCSE livelock names its cause" `Quick
+            test_rcse_livelock_counters;
+          Alcotest.test_case "aborted attempts are not step-cap hits" `Quick
+            test_sync_abort_counters;
+          Alcotest.test_case "a head no thread reaches forces risky picks"
+            `Quick test_rcse_risky_counters;
         ] );
     ]

@@ -616,7 +616,8 @@ let prop_parallel_poison_parity =
    asks for the same status, steps, events, outputs and failure; for a
    recording, also the same log bytes. Plain random worlds and the
    perfect oracle are passive and exercise the compiled interpreter's
-   candidate cache; fault-injected worlds take the uncached path. *)
+   candidate cache; so do fault-injected worlds, except under a plan with
+   a [Duplicate] clause, which take the uncached path. *)
 
 let parity_apps =
   [|
@@ -773,6 +774,110 @@ let prop_perfect_replay_parity =
          = ((not (handle.Oracle.violated ()))
            && Constraints.failure_matches log reference))
 
+(* Oracle worlds: every replay oracle, built twice from the same log and
+   seed, runs once through the library interpreter (which caches its
+   candidate set when the world is passive) and once through the walker
+   (which asks the world about every blocked receive). Each run gets its
+   own copy of the abort hook [Replayer] attaches to that oracle and the
+   environment [Replayer] wraps it in. A passive world whose
+   [on_try_recv] could answer [Force_value] would make a blocked receive
+   runnable for the walker only, so the two runs would part. The log
+   comes from the model's own recorder, through
+   [Session.prepare]/[record] under the case's plan; partial replay
+   steers over a perfect log, as over a complete stitch. *)
+type oracle_case = {
+  o_name : string;
+  o_model : Ddet.Model.t;
+  o_build : seed:int -> Log.t -> Oracle.handle;
+  o_env : bool;  (** [Replayer] re-injects the log's fault plan *)
+  o_abort : Log.t -> Oracle.handle -> Event.t -> string option;
+}
+
+let own_abort _ (h : Oracle.handle) = h.Oracle.abort
+
+let oracle_cases =
+  [|
+    {
+      o_name = "value";
+      o_model = Ddet.Model.Value;
+      o_build = (fun ~seed log -> Oracle.value_det ~seed log);
+      o_env = false;
+      o_abort = own_abort;
+    };
+    {
+      o_name = "sync";
+      o_model = Ddet.Model.Sync;
+      o_build = (fun ~seed log -> Oracle.sync ~seed log);
+      o_env = false;
+      o_abort =
+        (fun log h ->
+          Constraints.both h.Oracle.abort (Constraints.output_prefix_abort log));
+    };
+    {
+      o_name = "rcse strict";
+      o_model = Ddet.Model.Rcse Ddet.Model.Code_based;
+      o_build = (fun ~seed log -> Oracle.rcse ~strict:true ~seed log);
+      o_env = true;
+      o_abort = own_abort;
+    };
+    {
+      o_name = "rcse windowed";
+      o_model = Ddet.Model.Rcse Ddet.Model.Combined;
+      o_build = (fun ~seed log -> Oracle.rcse ~strict:false ~seed log);
+      o_env = true;
+      o_abort = own_abort;
+    };
+    {
+      o_name = "partial";
+      o_model = Ddet.Model.Perfect;
+      o_build = (fun ~seed log -> Oracle.partial ~seed log);
+      o_env = true;
+      o_abort = own_abort;
+    };
+  |]
+
+(* training an RCSE model is the costly part of a case: once per pair *)
+let prepared_tbl = Hashtbl.create 16
+
+let prepared_for ai oi =
+  match Hashtbl.find_opt prepared_tbl (ai, oi) with
+  | Some p -> p
+  | None ->
+    let p = Ddet.Session.prepare oracle_cases.(oi).o_model parity_apps.(ai) in
+    Hashtbl.replace prepared_tbl (ai, oi) p;
+    p
+
+(* every attempt of the pinned replay budget runs at most this long *)
+let oracle_max_steps = 20_000
+
+let prop_oracle_parity =
+  QCheck2.Test.make ~name:"oracle worlds match the reference walker"
+    ~count:100
+    ~print:(fun (case, oi) ->
+      Printf.sprintf "%s, oracle %s" (print_parity case) oracle_cases.(oi).o_name)
+    QCheck2.Gen.(pair parity_gen (int_range 0 (Array.length oracle_cases - 1)))
+    (fun (((ai, seed, _) as case), oi) ->
+      let app, plan, _ = parity_case case in
+      let oc = oracle_cases.(oi) in
+      let _, log = Ddet.Session.record ~faults:plan (prepared_for ai oi) ~seed in
+      let labeled = app.Ddet_apps.App.labeled in
+      let world (h : Oracle.handle) =
+        match log.Log.faults with
+        | Some plan when oc.o_env -> Fault.inject plan h.Oracle.world
+        | _ -> h.Oracle.world
+      in
+      let lib_h = oc.o_build ~seed log and ref_h = oc.o_build ~seed log in
+      let lib =
+        Interp.run ~max_steps:oracle_max_steps ~abort:(oc.o_abort log lib_h)
+          labeled (world lib_h)
+      in
+      let reference =
+        Ref_interp.run ~max_steps:oracle_max_steps
+          ~abort:(oc.o_abort log ref_h) labeled (world ref_h)
+      in
+      same_run lib reference
+      && lib_h.Oracle.violated () = ref_h.Oracle.violated ())
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "props"
@@ -814,4 +919,5 @@ let () =
             prop_recording_parity;
             prop_perfect_replay_parity;
           ] );
+      ("oracle-worlds", List.map to_alcotest [ prop_oracle_parity ]);
     ]

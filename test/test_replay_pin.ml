@@ -1,0 +1,145 @@
+(* Every searched replay, pinned: for miniht, cloudstore and msg_server
+   under each model whose replay searches (value, sync, output, failure
+   and the four RCSE variants), replaying each of the app's three failing
+   seeds that test_rcse_pin records must reach the same verdict after the
+   same number of attempts and inference steps, and judge the same run.
+   The oracles decide every one of these numbers, so a rewrite of an
+   oracle, of its hooks or of the interpreter's candidate cache that
+   changes one scheduling decision fails here, naming app, model and seed.
+
+   One budget serves every case: at most 8 attempts of at most 20,000
+   steps each, from base seed 1, no deadline. The value model replays
+   under its own fixed budget ([Replayer.value_budget], 10 x 100,000):
+   [Session.replay] passes on only a budget's deadline to it. Under the
+   default budget msg_server's rcse-code replay runs 2,000 attempts of
+   50,000 steps (ROADMAP item 1); under this one the whole suite runs in
+   about a second on a 2-vCPU host.
+
+   Each pin is [Session.replay ~budget (Session.prepare model app) log]
+   of [Session.record ... ~seed]'s log with the default config: whether
+   it reproduced, [attempts], [total_steps] and [Log_io.crc_hex] of
+   [Format.asprintf "%a" Trace.pp] of the judged run's trace (the
+   accepted run, or the best partial candidate). They are not
+   regenerated: a change that moves one is a change to what replay
+   does, and needs its own justification. *)
+
+open Ddet
+open Ddet_apps
+open Ddet_record
+open Ddet_replay
+
+let budget =
+  {
+    Search.max_attempts = 8;
+    max_steps_per_attempt = 20_000;
+    base_seed = 1;
+    deadline_s = None;
+  }
+
+(* (app, model, failing seed, reproduced, attempts, total steps, CRC32 of
+   the judged run's printed trace) *)
+let pins =
+  [
+    ("miniht", "value", 1, true, 1, 761, "52c24d61");
+    ("miniht", "value", 5, true, 1, 754, "6a5a77c6");
+    ("miniht", "value", 8, true, 1, 733, "66c2786a");
+    ("miniht", "sync", 1, true, 4, 3299, "b6442107");
+    ("miniht", "sync", 5, true, 1, 888, "6c3d127c");
+    ("miniht", "sync", 8, true, 5, 3561, "62c4520f");
+    ("miniht", "output", 1, false, 8, 6369, "7bb8dda8");
+    ("miniht", "output", 5, true, 4, 3207, "9405e8fb");
+    ("miniht", "output", 8, true, 7, 5591, "9de464ef");
+    ("miniht", "failure", 1, true, 4, 3210, "9405e8fb");
+    ("miniht", "failure", 5, true, 4, 3210, "9405e8fb");
+    ("miniht", "failure", 8, true, 4, 3210, "9405e8fb");
+    ("miniht", "rcse-code", 1, true, 1, 795, "7c0b62b4");
+    ("miniht", "rcse-code", 5, true, 1, 876, "3d66cbcb");
+    ("miniht", "rcse-code", 8, true, 1, 819, "69c5d0cc");
+    ("miniht", "rcse-data", 1, true, 2, 1610, "d5bfa975");
+    ("miniht", "rcse-data", 5, true, 1, 860, "36320a57");
+    ("miniht", "rcse-data", 8, true, 1, 867, "cc3b7f26");
+    ("miniht", "rcse-trigger", 1, true, 2, 1610, "d5bfa975");
+    ("miniht", "rcse-trigger", 5, true, 1, 860, "36320a57");
+    ("miniht", "rcse-trigger", 8, true, 4, 3210, "9405e8fb");
+    ("miniht", "rcse", 1, true, 2, 1610, "d5bfa975");
+    ("miniht", "rcse", 5, true, 1, 860, "36320a57");
+    ("miniht", "rcse", 8, true, 1, 867, "cc3b7f26");
+    ("cloudstore", "value", 9, true, 1, 527, "d68dd7c3");
+    ("cloudstore", "value", 14, true, 1, 517, "50dca790");
+    ("cloudstore", "value", 16, true, 1, 543, "32980172");
+    ("cloudstore", "sync", 9, true, 1, 995, "4fb4fc21");
+    ("cloudstore", "sync", 14, true, 1, 987, "181f62ad");
+    ("cloudstore", "sync", 16, false, 8, 6234, "24251148");
+    ("cloudstore", "output", 9, true, 8, 7403, "b9261dc1");
+    ("cloudstore", "output", 14, false, 8, 7402, "31d38818");
+    ("cloudstore", "output", 16, true, 8, 7403, "b9261dc1");
+    ("cloudstore", "failure", 9, true, 8, 7410, "b9261dc1");
+    ("cloudstore", "failure", 14, true, 8, 7410, "b9261dc1");
+    ("cloudstore", "failure", 16, true, 8, 7410, "b9261dc1");
+    ("cloudstore", "rcse-code", 9, true, 1, 962, "cf4f8781");
+    ("cloudstore", "rcse-code", 14, true, 1, 980, "5ef6344e");
+    ("cloudstore", "rcse-code", 16, false, 8, 7355, "72b2aa74");
+    ("cloudstore", "rcse-data", 9, true, 1, 972, "ed227406");
+    ("cloudstore", "rcse-data", 14, true, 1, 912, "c89d1293");
+    ("cloudstore", "rcse-data", 16, true, 8, 7410, "b9261dc1");
+    ("cloudstore", "rcse-trigger", 9, true, 8, 7410, "b9261dc1");
+    ("cloudstore", "rcse-trigger", 14, true, 8, 7410, "b9261dc1");
+    ("cloudstore", "rcse-trigger", 16, true, 8, 7410, "b9261dc1");
+    ("cloudstore", "rcse", 9, true, 1, 972, "ed227406");
+    ("cloudstore", "rcse", 14, true, 1, 912, "c89d1293");
+    ("cloudstore", "rcse", 16, false, 8, 7371, "39b7f3ea");
+    ("msg_server", "value", 1, true, 1, 222, "cd32d8aa");
+    ("msg_server", "value", 3, true, 1, 219, "60f1e51c");
+    ("msg_server", "value", 4, true, 1, 219, "4ce96820");
+    ("msg_server", "sync", 1, true, 1, 349, "523f62e7");
+    ("msg_server", "sync", 3, true, 1, 330, "f805eddd");
+    ("msg_server", "sync", 4, true, 1, 330, "8ab59def");
+    ("msg_server", "output", 1, true, 8, 2580, "5c134e80");
+    ("msg_server", "output", 3, true, 2, 691, "78fc46b8");
+    ("msg_server", "output", 4, true, 2, 691, "78fc46b8");
+    ("msg_server", "failure", 1, true, 2, 696, "78fc46b8");
+    ("msg_server", "failure", 3, true, 2, 696, "78fc46b8");
+    ("msg_server", "failure", 4, true, 2, 696, "78fc46b8");
+    ("msg_server", "rcse-code", 1, false, 8, 160000, "e6042c2d");
+    ("msg_server", "rcse-code", 3, false, 8, 160000, "812ae9b6");
+    ("msg_server", "rcse-code", 4, false, 8, 160000, "812ae9b6");
+    ("msg_server", "rcse-data", 1, true, 2, 696, "78fc46b8");
+    ("msg_server", "rcse-data", 3, true, 2, 696, "78fc46b8");
+    ("msg_server", "rcse-data", 4, true, 2, 696, "78fc46b8");
+    ("msg_server", "rcse-trigger", 1, true, 1, 349, "523f62e7");
+    ("msg_server", "rcse-trigger", 3, true, 2, 696, "78fc46b8");
+    ("msg_server", "rcse-trigger", 4, true, 1, 330, "8ab59def");
+    ("msg_server", "rcse", 1, true, 1, 349, "523f62e7");
+    ("msg_server", "rcse", 3, true, 1, 330, "f805eddd");
+    ("msg_server", "rcse", 4, true, 1, 330, "8ab59def");
+  ]
+
+let app_of = function
+  | "miniht" -> Miniht.app ()
+  | "cloudstore" -> Cloudstore.app ()
+  | "msg_server" -> Msg_server.app ()
+  | name -> invalid_arg ("test_replay_pin: unknown app " ^ name)
+
+let model_of name =
+  match Model.of_string name with Ok m -> m | Error e -> invalid_arg e
+
+let pin (app, model, seed, reproduced, attempts, steps, crc) =
+  Alcotest.test_case (Printf.sprintf "%s %s seed %d" app model seed) `Quick
+    (fun () ->
+      let prepared = Session.prepare (model_of model) (app_of app) in
+      let _, log = Session.record prepared ~seed in
+      let o = Session.replay ~budget prepared log in
+      let judged =
+        match (o.Replayer.result, o.Replayer.partial) with
+        | Some r, _ -> r
+        | None, Some p -> p.Search.best
+        | None, None -> Alcotest.fail "the replay judged no run"
+      in
+      Alcotest.(check bool) "reproduced" reproduced (o.Replayer.result <> None);
+      Alcotest.(check int) "attempts" attempts o.Replayer.attempts;
+      Alcotest.(check int) "inference steps" steps o.Replayer.total_steps;
+      Alcotest.(check string) "judged trace CRC" crc
+        (Log_io.crc_hex
+           (Format.asprintf "%a" Mvm.Trace.pp judged.Mvm.Interp.trace)))
+
+let () = Alcotest.run "replay-pin" [ ("replays", List.map pin pins) ]
