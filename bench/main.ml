@@ -141,6 +141,15 @@ let min_time ~trials f =
   done;
   (Option.get !out, !best)
 
+(* the [p]-quantile of [xs], interpolating linearly between ranks *)
+let quantile xs p =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let pos = p *. float_of_int (Array.length a - 1) in
+  let lo = int_of_float pos in
+  let hi = min (lo + 1) (Array.length a - 1) in
+  a.(lo) +. ((a.(hi) -. a.(lo)) *. (pos -. float_of_int lo))
+
 (* a search budget from base seed 1, with no deadline *)
 let budget max_attempts max_steps_per_attempt =
   { Ddet_replay.Search.max_attempts; max_steps_per_attempt; base_seed = 1;
@@ -539,6 +548,119 @@ let failing_log workload labeled spec =
   (log, Ddet_replay.Constraints.failure_matches log)
 
 (* ------------------------------------------------------------------ *)
+(* ORACLES: what a replay oracle costs per step against the program it
+   steers. Per app and oracle: the log its model records of the app's
+   first failing seed, and the first attempt a replay driver runs on it
+   (the oracle built from the log under seed 2, its abort hook attached,
+   judged as the driver judges it). The attempt is timed [runs] times,
+   each timing paired with one of the recorded seed's random-world run,
+   the original execution, on the same arena and in alternating order;
+   the per-step costs are the medians over the step counts. Steps and
+   the verdict are deterministic; the timings are not. *)
+
+let oracle_table () =
+  let open Ddet_replay in
+  let runs = 200 in
+  let seed = 2 in
+  (* name, model, and the attempt: world, abort hook, acceptance *)
+  let oracles =
+    [
+      ( "perfect", Model.Perfect,
+        fun log ->
+          let h = Oracle.perfect log in
+          ( h.Oracle.world, h.Oracle.abort,
+            fun r -> (not (h.Oracle.violated ())) && Constraints.failure_matches log r ) );
+      ( "value", Model.Value,
+        fun log ->
+          let h = Oracle.value_det ~seed log in
+          (h.Oracle.world, h.Oracle.abort, Constraints.failure_matches log) );
+      ( "sync", Model.Sync,
+        fun log ->
+          let h = Oracle.sync ~seed log in
+          ( h.Oracle.world,
+            Constraints.both h.Oracle.abort (Constraints.output_prefix_abort log),
+            Constraints.outputs_match log ) );
+      ( "rcse-strict", Model.Rcse Model.Code_based,
+        fun log ->
+          let h = Oracle.rcse ~strict:true ~seed log in
+          (h.Oracle.world, h.Oracle.abort, Constraints.failure_matches log) );
+      ( "rcse-windowed", Model.Rcse Model.Combined,
+        fun log ->
+          let h = Oracle.rcse ~strict:false ~seed log in
+          (h.Oracle.world, h.Oracle.abort, Constraints.failure_matches log) );
+    ]
+  in
+  let timed f = snd (time f) in
+  let rows =
+    List.concat_map
+      (fun (app : App.t) ->
+        let rec failing seed =
+          if (App.production_run app ~seed).Mvm.Interp.failure <> None then seed
+          else failing (seed + 1)
+        in
+        let recorded = failing 1 in
+        let c = Mvm.Interp.compile app.App.labeled in
+        let state = Mvm.Interp.make_state c in
+        let original () =
+          Mvm.Interp.run_compiled ~state c (Mvm.World.random ~seed:recorded)
+        in
+        let base_steps = (original ()).Mvm.Interp.steps in
+        List.map
+          (fun (oracle, model, attempt) ->
+            let _, log = Session.record (Session.prepare model app) ~seed:recorded in
+            let replay () =
+              let world, abort, accept = attempt log in
+              (Mvm.Interp.run_compiled ~abort ~state c world, accept)
+            in
+            let r, accept = replay () in
+            let reproduced = accept (Mvm.Spec.apply app.App.spec r) in
+            (* start from a collected heap, so what earlier rows left on
+               it does not bias one side, and alternate the order: a
+               fixed one lets one side absorb the GC debt the other ran
+               up *)
+            Gc.full_major ();
+            let samples =
+              List.init runs (fun k ->
+                  if k land 1 = 0 then
+                    let a = timed replay in
+                    (a, timed original)
+                  else
+                    let b = timed original in
+                    (timed replay, b))
+            in
+            let per_step times steps =
+              quantile times 0.5 *. 1e9 /. float_of_int (max 1 steps)
+            in
+            let ns = per_step (List.map fst samples) r.Mvm.Interp.steps in
+            let random_ns = per_step (List.map snd samples) base_steps in
+            [
+              ("app", S app.App.name);
+              ("oracle", S oracle);
+              ("steps", I r.Mvm.Interp.steps);
+              ("reproduced", B reproduced);
+              ("ns_per_step", W (F (1, ns)));
+              ("random_ns_per_step", W (F (1, random_ns)));
+              ("ratio", W (F (2, ns /. random_ns)));
+            ])
+          oracles)
+      [ Miniht.app (); Cloudstore.app () ]
+  in
+  {
+    title = "ORACLES replay attempt cost per step against a random world";
+    key = "oracles";
+    rows;
+    note =
+      Printf.sprintf
+        "\n\nOne attempt of each oracle on its model's log of the app's first\n\
+         failing seed (attempt seed %d), and the recorded seed's random-world\n\
+         run, each timed %d times, interleaved on one arena. ns_per_step and\n\
+         random_ns_per_step are the median times over the step counts; ratio\n\
+         is their quotient: 1.00 means the oracle steers at the\n\
+         interpreter's own speed.\n"
+        seed runs;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* SEARCH (ABL-SEARCH): wall-clock and outcome of the inference engines.
    Per workload/engine: a sequential row; for random restarts, which run
    through the lock-free attempt pool, also a jobs=N row under the pool's
@@ -639,6 +761,7 @@ let search_bench ~jobs ~json () =
            warns that ultra-relaxed models can need 'prohibitively large\n\
            post-factum analysis times'.\n";
       };
+      oracle_table ();
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1288,12 +1411,18 @@ let dist_bench ~json () =
    ambient tracer absent and installed; the preallocated ring and the
    one-ref-read disabled path exist precisely so the enabled figure
    stays within 5% of wall time — the number this section measures.
-   Off/on trials are interleaved so clock noise and GC phase hit both
-   variants alike. *)
+   Blocks of [reps] sessions run in [pairs] untraced/traced pairs, the
+   pair's order alternating so clock noise and GC phase hit both
+   variants alike, and each pair gives one paired overhead (on/off - 1).
+   On a shared host one pair's overhead swings by more than the budget,
+   so a row reports the median and the quartiles of its pairs, and the
+   verdict says whether they resolve the budget: over it only when the
+   lower quartile exceeds it, unresolved when the quartiles straddle
+   it. *)
 
 let obs_bench ~json () =
-  let reps = 200 in
-  let trials = 5 in
+  let reps = 100 in
+  let pairs = 12 in
   let overhead_budget = 0.05 in
   let config = { Config.default with Config.budget = budget 40 10_000 } in
   let failing_seed (app : App.t) =
@@ -1313,6 +1442,11 @@ let obs_bench ~json () =
       ignore (Session.assess prepared ~original ~log outcome)
     done
   in
+  let verdict q1 q3 =
+    if q1 > overhead_budget then "over budget"
+    else if q3 > overhead_budget then "unresolved"
+    else "within"
+  in
   let measured =
     List.map
       (fun ((app : App.t), model) ->
@@ -1321,30 +1455,34 @@ let obs_bench ~json () =
         (* warm both paths once: training runs, lazy plane maps *)
         run ();
         let t = Ddet_obs.Tracer.create () in
-        let off = ref infinity and on = ref infinity in
-        let measure_off () =
+        let off () =
           Ddet_obs.Tracer.set_current None;
-          let _, s = time run in
-          if s < !off then off := s
-        and measure_on () =
-          let _, s = time (fun () -> Ddet_obs.Tracer.with_current t run) in
-          if s < !on then on := s
+          snd (time run)
+        and on () = snd (time (fun () -> Ddet_obs.Tracer.with_current t run)) in
+        let blocks =
+          List.init pairs (fun i ->
+              if i land 1 = 0 then
+                let o = off () in
+                (o, on ())
+              else
+                let n = on () in
+                (off (), n))
         in
-        (* alternate the order across trials: a fixed order lets one
-           variant absorb the GC debt the other just ran up *)
-        for i = 1 to trials do
-          if i land 1 = 0 then begin measure_on (); measure_off () end
-          else begin measure_off (); measure_on () end
-        done;
-        let overhead = (!on /. !off) -. 1. in
-        ( overhead,
+        let overheads = List.map (fun (o, n) -> (n /. o) -. 1.) blocks in
+        let q1 = quantile overheads 0.25 and q3 = quantile overheads 0.75 in
+        let median = quantile overheads 0.5 in
+        ( (median, q1, q3),
           [
             ( "workload",
               S (Printf.sprintf "%s/%s" app.App.name (Model.name model)) );
             ("reps", I reps);
-            ("off_s", W (F (6, !off)));
-            ("on_s", W (F (6, !on)));
-            ("overhead", W (F (4, overhead)));
+            ("pairs", I pairs);
+            ("off_s", W (F (6, quantile (List.map fst blocks) 0.5)));
+            ("on_s", W (F (6, quantile (List.map snd blocks) 0.5)));
+            ("overhead", W (F (4, median)));
+            ("overhead_q1", W (F (4, q1)));
+            ("overhead_q3", W (F (4, q3)));
+            ("verdict", W (S (verdict q1 q3)));
             ("events", I (Ddet_obs.Tracer.length t));
             ("dropped", I (Ddet_obs.Tracer.dropped t));
           ] ))
@@ -1357,11 +1495,21 @@ let obs_bench ~json () =
       ]
   in
   let worst =
-    List.fold_left (fun acc (o, _) -> Float.max acc o) neg_infinity measured
+    List.fold_left (fun acc ((m, _, _), _) -> Float.max acc m) neg_infinity measured
   in
-  report ~json ~trials "obs"
+  let verdicts = List.map (fun ((_, q1, q3), _) -> verdict q1 q3) measured in
+  let overall =
+    if List.mem "over budget" verdicts then "over budget"
+    else if List.mem "unresolved" verdicts then "unresolved"
+    else "within"
+  in
+  report ~json ~trials:pairs "obs"
     ~fields:
-      [ ("worst_overhead", W (F (4, worst))); ("budget", F (2, overhead_budget)) ]
+      [
+        ("worst_overhead", W (F (4, worst)));
+        ("budget", F (2, overhead_budget));
+        ("verdict", W (S overall));
+      ]
     [
       {
         title = "OBS tracer overhead";
@@ -1369,10 +1517,16 @@ let obs_bench ~json () =
         rows = List.map snd measured;
         note =
           Printf.sprintf
-            "\n\noff_s/on_s: %d sessions per trial with the tracer absent and\n\
-             installed, min of the trials; overhead is on/off - 1.%s\n"
-            reps
-            (if worst <= overhead_budget then "" else "\n** OVER BUDGET **");
+            "\n\n%d untraced/traced pairs of %d-session blocks, alternating\n\
+             which runs first. off_s/on_s are the median block times;\n\
+             overhead is the median of the pairs' on/off - 1, and q1/q3 its\n\
+             quartiles. A row is over the %.0f%% budget only when q1 exceeds\n\
+             it, and unresolved when q1 and q3 straddle it.%s\n"
+            pairs reps (overhead_budget *. 100.)
+            (match overall with
+            | "over budget" -> "\n** OVER BUDGET **"
+            | "unresolved" -> "\n(unresolved: the quartiles straddle the budget)"
+            | _ -> "");
       };
     ]
 

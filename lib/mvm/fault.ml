@@ -262,10 +262,15 @@ let inject plan (w : World.t) =
       World.name = Printf.sprintf "%s+faults(%s)" w.World.name (to_string plan);
       (* chan_decision forces a value only for [Duplicate], which can
          wake a blocked recv on an empty queue; drops and delays only
-         make polls miss. Without a [Duplicate] clause the faulted world
-         is as passive as the one it wraps, and keeps the candidate
-         cache *)
-      passive_try_recv = w.World.passive_try_recv && not (has_duplicate plan);
+         make polls miss. Without a [Duplicate] clause a never-forcing
+         world stays never-forcing and keeps the candidate cache. Over a
+         world that forces per thread the plan's step-dependent misses
+         would decide when that thread's forced receive can run, which
+         is no longer a function of the thread's own steps *)
+      forcing =
+        (match w.World.forcing with
+        | World.Never when not (has_duplicate plan) -> World.Never
+        | World.Never | World.Own_steps | World.Anything -> World.Anything);
       pick_thread =
         (fun ~step cands ->
           match

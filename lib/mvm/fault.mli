@@ -114,9 +114,11 @@ val lower : map:Node.map -> prog:Ast.program -> plan -> plan
 
 (** [inject plan w] wraps [w] so it runs under the plan's adversity.
     [inject none w == w]. Only [Duplicate] makes the wrapper's
-    [on_try_recv] answer [Force_value], so the injected world is passive
-    ({!World.t.passive_try_recv}) exactly when [w] is and the plan has no
-    [Duplicate] clause.
+    [on_try_recv] answer [Force_value], so a non-empty plan keeps the
+    {!World.forcing} promise [Never] exactly when [w] declares it and the
+    plan has no [Duplicate] clause; otherwise the injected world declares
+    [Anything] (the plan's step-dependent misses would also break a
+    wrapped [Own_steps] promise).
 
     @raise Invalid_argument when [plan] still contains node-granular
     faults — {!lower} it first; injection has no topology to interpret

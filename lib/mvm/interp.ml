@@ -553,21 +553,29 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     match th.c_frames with [] -> no_instr | f :: _ -> resolve_frame f
   in
 
-  let use_cache = world.World.passive_try_recv in
+  (* The world's forcing promise (World.forcing) decides what the
+     candidate set may keep between steps. Under [Never] a blocked
+     receive on an empty queue is not runnable whatever [on_try_recv]
+     answers, so the hook is not asked about it: skipping the call
+     changes no observable answer. Under [Own_steps] and [Anything] it is
+     asked; under [Anything] at every probe of every step, because a
+     forced receive can wake a thread with no channel operation at all. *)
+  let use_cache, ask_blocked =
+    match world.World.forcing with
+    | World.Never -> (true, false)
+    | World.Own_steps -> (true, true)
+    | World.Anything -> (false, true)
+  in
 
   (* A thread is a scheduling candidate iff its next instruction can
      execute now; this makes blocked threads invisible to the scheduler
      and turns "no candidates, live threads" into exact deadlock
-     detection. A passive world's [on_try_recv] never answers
-     [Force_value], so a blocked receive on an empty queue is not
-     runnable whatever it answers: the hook call is skipped without
-     changing a single observable answer. A non-passive world is asked at
-     every probe. *)
+     detection. *)
   let executable tid (i : instr) =
     match i.i_op with
     | O_recv (_, ch) ->
       (not (Queue.is_empty (Array.unsafe_get chans ch)))
-      || ((not use_cache)
+      || (ask_blocked
          &&
          match
            world.World.on_try_recv ~step:!step_count ~tid ~sid:i.i_sid
@@ -601,12 +609,15 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
   in
 
   (* Candidate cache. A purely thread-local instruction can only change
-     the executing thread's own entry, so under a passive world (see
-     World.passive_try_recv) the cached list is patched in place instead
-     of being rebuilt — most steps are local. Any instruction that
-     touches channels, locks or the thread table invalidates the cache.
-     Non-passive worlds bypass it entirely: a forced receive can wake a
-     thread with no channel operation at all. *)
+     the executing thread's own entry, so unless the world may force
+     anything (see World.forcing) the cached list is patched in place
+     instead of being rebuilt — most steps are local. Any instruction
+     that touches channels, locks or the thread table invalidates the
+     cache. Under [Own_steps] a blocked receive's forced answer can
+     change only through its own thread's steps, so the rebuild and the
+     stepping thread's patch ask the world ([executable]) and every other
+     entry stays exact. Under [Anything] the cache is bypassed: a forced
+     receive can wake any thread at any step. *)
   let cand_cache : World.cand list ref = ref [] in
   let cache_valid = ref false in
   let candidates () =

@@ -43,17 +43,26 @@ type result = {
     per event; a [Some reason] finishes the run as [Aborted reason].
     Default [max_steps] is 200_000.
 
-    When [world.passive_try_recv] is [true] ([on_try_recv] never
-    answers [Force_value]) the interpreter caches its
-    scheduling-candidate set between steps, patching only the executing
-    thread's entry after purely thread-local statements; channel, lock and
-    spawn operations rebuild it. A blocked receive's candidacy then
-    depends on its queue alone, so the world is not asked about it: a
-    [Force_fail] or [Default] answer leaves the receive blocked either
-    way. The cached list is observationally identical to the recomputed
-    one, so worlds see the same candidates in the same order either way;
-    the replay oracles (sync, RCSE, partial and perfect replay are
-    passive) are held to that by a law against the reference walker. *)
+    How much of the scheduling-candidate set survives a step follows
+    the world's {!World.forcing} promise:
+    - [Never] (random worlds, the search engines' worlds, perfect, sync,
+      RCSE and partial replay): the set is cached between steps, and
+      only the executing thread's entry is patched after a purely
+      thread-local statement; channel, lock and spawn operations rebuild
+      it. A blocked receive's candidacy depends on its queue alone, so
+      the world is not asked about it: a [Force_fail] or [Default]
+      answer leaves the receive blocked either way.
+    - [Own_steps] (value replay): the same cache, but the rebuild asks
+      [on_try_recv] about every blocked receive, and the patch asks
+      about the executing thread's own receive; no other thread's
+      answer can have changed.
+    - [Anything] (a fault plan with [Duplicate]): no cache; every step
+      recomputes the set and asks about every blocked receive.
+
+    The cached list is observationally identical to the recomputed one,
+    so worlds see the same candidates in the same order either way; the
+    replay oracles are held to that by a law against the reference
+    walker. *)
 val run :
   ?max_steps:int ->
   ?monitors:(Event.t -> unit) list ->

@@ -10,10 +10,11 @@ type t = {
     actual:Value.tagged -> Value.tagged;
   on_try_recv : step:int -> tid:int -> sid:int -> chan:string ->
     try_recv_decision;
-  passive_try_recv : bool;
+  forcing : forcing;
 }
 
 and try_recv_decision = Default | Force_fail | Force_value of Value.tagged
+and forcing = Never | Own_steps | Anything
 
 let identity_read ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual = actual
 let identity_recv ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual = actual
@@ -36,7 +37,7 @@ let random ~seed =
     on_read = identity_read;
     on_recv = identity_recv;
     on_try_recv = default_try_recv;
-    passive_try_recv = true;
+    forcing = Never;
   }
 
 (* Biased, not deterministic: a hot candidate wins 3 draws out of 4, the
@@ -65,7 +66,7 @@ let prioritized ~seed ~prefer =
     on_read = identity_read;
     on_recv = identity_recv;
     on_try_recv = default_try_recv;
-    passive_try_recv = true;
+    forcing = Never;
   }
 
 let round_robin () =
@@ -91,5 +92,5 @@ let round_robin () =
     on_read = identity_read;
     on_recv = identity_recv;
     on_try_recv = default_try_recv;
-    passive_try_recv = true;
+    forcing = Never;
   }

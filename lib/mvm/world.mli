@@ -42,22 +42,39 @@ type t = {
           advances its log. Value- and sync-determinism replay need this:
           the success of a poll is part of a thread's observed values /
           per-object operation order. *)
-  passive_try_recv : bool;
-      (** [true] promises only what the interpreter relies on:
-          [on_try_recv] never answers [Force_value]. A blocked [Recv] on
-          an empty channel then becomes runnable only through a channel
-          operation, so the interpreter may cache its scheduling-candidate
-          set between steps (the search fast path) and skip the candidacy
-          probe of blocked receives. The answer may still be stateful —
-          a [Force_fail] or [Default] that depends on [step] or an oracle
-          cursor — because it matters only when a receive executes, and
-          every executing receive still asks. A world that can force a
-          receive to succeed (value-determinism replay, a fault plan with
-          [Duplicate]) must leave this [false]; the interpreter then asks
-          it about every blocked receive at every step. *)
+  forcing : forcing;
+      (** the world's promise about when [on_try_recv] answers
+          [Force_value]; the interpreter trusts it to decide how much of
+          its scheduling-candidate set survives a step (see {!forcing}) *)
 }
 
 and try_recv_decision = Default | Force_fail | Force_value of Value.tagged
+
+(** When [on_try_recv] may force a receive to succeed. A blocked [Recv]
+    on an empty channel is a scheduling candidate only if its queue fills
+    or the world forces it, so the promise bounds what can wake a blocked
+    thread between two steps:
+
+    - [Never]: [on_try_recv] never answers [Force_value]. A blocked
+      receive wakes only through a channel operation. The answer may
+      still be stateful (a [Force_fail] or [Default] that depends on
+      [step] or an oracle cursor): it matters only when a receive
+      executes, and every executing receive still asks. The random,
+      prioritized and round-robin worlds, the search engines' worlds and
+      the perfect, sync, RCSE and partial replay oracles declare it; so
+      does a fault-injected world whose plan has no [Duplicate] clause
+      and whose wrapped world declares it.
+    - [Own_steps]: the answer for thread [t] depends only on state that
+      [t]'s own steps change — never on [step], nor on what other
+      threads do — so it can change only when [t] itself runs. The
+      value-determinism oracle declares it: its answer for [t] peeks at
+      [t]'s observation queue, and only [t]'s reads and receives
+      advance that queue.
+    - [Anything]: no promise; the world may force any receive at any
+      step. A fault plan with [Duplicate] (a retransmitted copy of the
+      last delivery on a channel can wake any receiver) declares it, as
+      does a fault plan over a world that forces at all. *)
+and forcing = Never | Own_steps | Anything
 
 (** [random ~seed] resolves both schedule and inputs uniformly at random
     from a deterministic PRNG — the model of an uncontrolled production

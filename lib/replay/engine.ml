@@ -139,7 +139,7 @@ let schedule_world ~prefix ~sizes ~stop =
     on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
     on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
     on_try_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ -> World.Default);
-    passive_try_recv = true;
+    forcing = World.Never;
   }
 
 let exec_schedule ?wall ~budget:(max_steps : int) ~prefix ctx =

@@ -10,8 +10,8 @@ type handle = {
 (* Every hook below runs per event or per scheduling candidate. None of
    them hashes or compares polymorphically, builds a string or allocates
    a tuple to look something up: tables are the monomorphic [Tbl]
-   instances, a (tid, sid) key is one packed int ([Tbl.pair]), and pairs
-   are compared field by field. *)
+   instances or arrays indexed by site, and (tid, sid) pairs are
+   compared field by field. *)
 
 (* Queues are consed per key, then each is reversed once into log order:
    appending would be quadratic in a queue's length. *)
@@ -99,7 +99,7 @@ let perfect log =
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
       on_try_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ -> World.Default);
-      passive_try_recv = true;
+      forcing = World.Never;
     }
   in
   { world; abort = abort_of violated; violated = (fun () -> !violated) }
@@ -107,12 +107,14 @@ let perfect log =
 let value_det ~seed log =
   let rng = Prng.create seed in
   (* per-thread per-instruction observation log: (site, kind, value) in the
-     thread's observation order *)
+     thread's observation order, each value tagged once here rather than
+     at every read that observes it *)
   let reads =
     queues_of
       (List.filter_map
          (function
-           | Log.Read_val { tid; sid; kind; value } -> Some (tid, (sid, kind, value))
+           | Log.Read_val { tid; sid; kind; value } ->
+             Some (tid, (sid, kind, Value.untainted value))
            | _ -> None)
          log.Log.entries)
   in
@@ -122,7 +124,7 @@ let value_det ~seed log =
     match Tbl.Int.find_opt reads tid with
     | Some ({ contents = (s, _, v) :: tl } as r) when s = sid ->
       r := tl;
-      Value.untainted v
+      v
     | Some _ | None -> actual
   in
   let inputs = input_queues log in
@@ -146,18 +148,44 @@ let value_det ~seed log =
              receive succeeded here; the log advances in on_recv. An
              exhausted log means the thread observed nothing more in its
              recorded life, so later polls miss rather than drain backlog
-             the original never saw. Forcing a receive to succeed is what
-             keeps this world off the candidate cache: a blocked receive
-             becomes runnable without a channel operation *)
+             the original never saw. The answer for [tid] reads only
+             [tid]'s queue, which only [tid]'s own reads and receives
+             advance, so a blocked receive this world forces can change
+             its mind only when its own thread runs: the candidate cache
+             holds, asking about it when it patches that thread *)
           match Tbl.Int.find_opt reads tid with
           | Some { contents = (s, Log.Msg, v) :: _ } when s = sid ->
-            World.Force_value (Value.untainted v)
+            World.Force_value v
           | Some _ | None -> World.Force_fail);
-      passive_try_recv = false;
+      forcing = World.Own_steps;
     }
   in
   let never = ref false in
   { world; abort = abort_of never; violated = (fun () -> !never) }
+
+(* Strict RCSE's multiset of pending (tid, sid) pairs, indexed by site:
+   slot [sid land (slots - 1)] lists the pairs of the sites sharing it,
+   each with the count of its entries the cursor has not passed. A query
+   compares ints down one short list, hashing nothing. The table has a
+   fixed number of slots, however large the sids the log names: a
+   program with more sites than slots only shares slots, and an
+   out-of-program pair (a sid the labeller never gives, a tid no run
+   spawns) sits in some slot where no event or candidate ever matches
+   it. 256 slots keep the table on the minor heap, and give every
+   shipped app's sites a slot of their own. *)
+type pending = { p_tid : int; p_sid : int; mutable p_left : int }
+
+let pending_slots = 256
+
+let rec find_pending tid sid = function
+  | [] -> raise Not_found
+  | p :: rest ->
+    if p.p_tid = tid && p.p_sid = sid then p else find_pending tid sid rest
+
+let rec is_pending_in tid sid = function
+  | [] -> false
+  | p :: rest ->
+    (p.p_tid = tid && p.p_sid = sid && p.p_left > 0) || is_pending_in tid sid rest
 
 (* RCSE replay: the recorded (tid, sid) subsequence must occur in order.
    The log cursor advances on *observed events* (via the abort hook,
@@ -188,21 +216,22 @@ let rcse ?(strict = true) ~seed log =
   let points = if strict then Log.cp_sched_points log else [] in
   let rng = Prng.create seed in
   let remaining = ref points in
-  (* the multiset of [remaining], by packed (tid, sid) *)
-  let pending = Tbl.Int.create 32 in
+  let slots = Array.make pending_slots [] in
+  let mask = pending_slots - 1 in
   List.iter
     (fun (t, s) ->
-      let k = Tbl.pair t s in
-      Tbl.Int.replace pending k
-        (1 + Option.value ~default:0 (Tbl.Int.find_opt pending k)))
+      let k = s land mask in
+      match find_pending t s slots.(k) with
+      | p -> p.p_left <- p.p_left + 1
+      | exception Not_found ->
+        slots.(k) <- { p_tid = t; p_sid = s; p_left = 1 } :: slots.(k))
     points;
-  let take_pending k =
-    match Tbl.Int.find_opt pending k with
-    | Some 1 -> Tbl.Int.remove pending k
-    | Some n -> Tbl.Int.replace pending k (n - 1)
-    | None -> ()
+  (* the cursor's head is always in the table: it came from [points] *)
+  let take_pending t s =
+    let p = find_pending t s slots.(s land mask) in
+    p.p_left <- p.p_left - 1
   in
-  let is_pending tid sid = Tbl.Int.mem pending (Tbl.pair tid sid) in
+  let is_pending tid sid = is_pending_in tid sid slots.(sid land mask) in
   let violated = ref false in
   let cp_inputs =
     queues_of
@@ -233,7 +262,7 @@ let rcse ?(strict = true) ~seed log =
       match !remaining with
       | (t, s) :: tl when t = e.Event.tid && s = e.Event.sid ->
         remaining := tl;
-        take_pending (Tbl.pair t s)
+        take_pending t s
       | _ -> if strict && is_pending e.Event.tid e.Event.sid then violated := true)
     | _ -> ()
   in
@@ -276,7 +305,7 @@ let rcse ?(strict = true) ~seed log =
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
       on_try_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ -> World.Default);
-      passive_try_recv = true;
+      forcing = World.Never;
     }
   in
   { world; abort; violated = (fun () -> !violated) }
@@ -291,7 +320,7 @@ let rcse ?(strict = true) ~seed log =
    Plain shared-memory access order is deliberately unconstrained: data-race
    outcomes are what this scheme must infer (searched by restarts). The
    oracle only ever forces a poll to miss, never a receive to succeed, so
-   its world is passive and runs on the interpreter's candidate cache. *)
+   its world never forces and runs on the interpreter's candidate cache. *)
 let sync ~seed log =
   let rng = Prng.create seed in
   (* per-object orders: per channel for sends and for receives, per lock
@@ -384,7 +413,7 @@ let sync ~seed log =
       (* the poll only ever misses by force: a blocked receive still
          becomes runnable only through a send, so the candidate cache
          holds *)
-      passive_try_recv = true;
+      forcing = World.Never;
     }
   in
   { world; abort; violated = (fun () -> !violated_set) }
@@ -481,7 +510,7 @@ let partial ?(steer = no_steer) ~seed log =
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
       on_try_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ -> World.Default);
-      passive_try_recv = true;
+      forcing = World.Never;
     }
   in
   { world; abort; violated = (fun () -> false) }

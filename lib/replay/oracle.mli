@@ -26,7 +26,12 @@ val perfect : Log.t -> handle
 (** [value_det ~seed log] replays a value-determinism log: thread schedule
     is free (seeded random), but every shared read, message receive and
     input of thread [t] observes the recorded per-thread value sequence.
-    Cross-thread causality is not enforced — iDNA's relaxation. *)
+    Cross-thread causality is not enforced — iDNA's relaxation. A receive
+    whose thread's next logged observation is a message at its site is
+    forced to succeed with that message, so the world forces receives;
+    it declares {!Mvm.World.forcing} [Own_steps], since only [t]'s own
+    reads and receives advance [t]'s observations, and keeps the
+    interpreter's candidate cache. *)
 val value_det : seed:int -> Log.t -> handle
 
 (** [rcse ~seed log] replays an RCSE log: the recorded [Cp_sched]
@@ -44,6 +49,11 @@ val value_det : seed:int -> Log.t -> handle
     is not enforced at all — the recorded inputs are still pinned by site,
     and the acceptance constraint judges each searched schedule.
 
+    Whether a pair is still pending is read from a table indexed by
+    site, whose size is fixed, never taken from the log: a pair outside
+    the program (a negative or huge sid, a tid no run spawns) is held
+    like any other and simply never matches.
+
     Under a tracer, a pick whose head entry is at no candidate bumps
     [oracle.rcse_stalls], and a pick with no safe candidate left (a risky
     one) also bumps [oracle.rcse_risky]. *)
@@ -57,7 +67,8 @@ val rcse : ?strict:bool -> seed:int -> Log.t -> handle
     order; inputs are fed back per-thread. Plain shared-memory race
     outcomes remain free — they are what inference must fill in. The
     oracle forces misses only, never a receive to succeed, so its world
-    is passive ({!Mvm.World.t.passive_try_recv}); {!value_det}'s is not. *)
+    declares {!Mvm.World.forcing} [Never], as {!perfect}, {!rcse} and
+    {!partial} do. *)
 val sync : seed:int -> Log.t -> handle
 
 (** Static steering hints for partial-evidence search. The static layer

@@ -208,7 +208,8 @@ let run ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
   let lock_owner m = Hashtbl.find_opt locks m in
 
   (* A thread is a scheduling candidate iff its next statement can execute
-     now. The world is asked about every blocked receive, passive or not. *)
+     now. The world is asked about every blocked receive at every step,
+     whatever its forcing promise. *)
   let executable tid s =
     match s.node with
     | Recv (_, ch) ->

@@ -742,9 +742,9 @@ let check_parity ?(seeds = [ 1; 2; 3; 4; 5 ]) (labeled : Label.labeled) =
   List.iter
     (fun sd ->
       go (fun () -> World.random ~seed:sd);
-      (* the uncached (non-passive) candidate path must agree too *)
-      go (fun () ->
-          { (World.random ~seed:sd) with World.passive_try_recv = false }))
+      (* the uncached candidate path (a world that may force anything)
+         must agree too *)
+      go (fun () -> { (World.random ~seed:sd) with World.forcing = World.Anything }))
     seeds
 
 let sink_prog =
@@ -858,12 +858,104 @@ let unit_reads_prog =
 
 let test_compiled_parity_sink () = check_parity sink_prog
 
+(* ------------------------------------------------------------------ *)
+(* The forcing promise (World.forcing): what may wake a blocked receive
+   between steps decides what the candidate cache may keep, so each
+   promise must give the walker's run on the compiled interpreter. *)
+
+let forcing_name = function
+  | World.Never -> "never"
+  | World.Own_steps -> "own steps"
+  | World.Anything -> "anything"
+
+let forcing_testable =
+  Alcotest.testable (fun ppf f -> Format.pp_print_string ppf (forcing_name f)) ( = )
+
+(* The worker's receive completes only through a value the world forces
+   for it, from state only the worker's own steps change: its second read
+   of [s] arms the force, and its receive consumes it. Meanwhile main
+   and the spinner take purely local steps, which patch the cache
+   instead of rebuilding it, so only the stepping thread's patch can put
+   the worker back among the candidates. *)
+let forced_prog =
+  program ~name:"forced"
+    ~regions:[ scalar "s" (Value.int 1) ]
+    ~inputs:[] ~main:"main"
+    [
+      func "worker" []
+        [
+          assign "a" (g "s");
+          assign "b" (g "s");
+          recv "x" "ch";
+          output "out" (v "x" +: v "a" +: v "b");
+        ];
+      func "spin" [ "n" ]
+        [
+          assign "i" (i 0);
+          while_ (v "i" <: v "n") [ assign "i" (v "i" +: i 1) ];
+          output "spun" (v "i");
+        ];
+      func "main" []
+        [
+          spawn "worker" [];
+          spawn "spin" [ i 6 ];
+          assign "k" (i 0);
+          while_ (v "k" <: i 4) [ assign "k" (v "k" +: i 1) ];
+          output "main" (v "k");
+        ];
+    ]
+
+(* a random world that keeps [forcing]: unless that promise is [Never],
+   a thread that has read twice and not yet received is forced 40 *)
+let forcing_world forcing ~seed =
+  let reads = Array.make 4 0 and received = Array.make 4 false in
+  {
+    (World.random ~seed) with
+    World.name = "forcing";
+    on_read =
+      (fun ~step:_ ~tid ~sid:_ ~region:_ ~index:_ ~actual ->
+        reads.(tid) <- reads.(tid) + 1;
+        actual);
+    on_recv =
+      (fun ~step:_ ~tid ~sid:_ ~chan:_ ~actual ->
+        received.(tid) <- true;
+        actual);
+    on_try_recv =
+      (fun ~step:_ ~tid ~sid:_ ~chan:_ ->
+        if forcing <> World.Never && reads.(tid) >= 2 && not received.(tid)
+        then World.Force_value (Value.untainted (Value.int 40))
+        else World.Default);
+    forcing;
+  }
+
+let test_forcing_promises () =
+  let c = Interp.compile forced_prog in
+  let state = Interp.make_state c in
+  List.iter
+    (fun (forcing, status, out) ->
+      for seed = 1 to 8 do
+        let name = Printf.sprintf "%s, seed %d" (forcing_name forcing) seed in
+        let r = Interp.run_compiled ~state c (forcing_world forcing ~seed) in
+        same_result name
+          (Ref_interp.run forced_prog (forcing_world forcing ~seed))
+          r;
+        check_status status r;
+        Alcotest.(check (list value_testable)) (name ^ ": out") out (outputs_on r "out")
+      done)
+    [
+      (World.Never, "deadlock", []);
+      (World.Own_steps, "done", [ Value.int 42 ]);
+      (World.Anything, "done", [ Value.int 42 ]);
+    ]
+
 (* Only [Duplicate] makes a fault world force a receive to succeed, so
-   only a plan with a [Duplicate] clause takes a passive world off the
-   candidate cache. Here a duplicate is the only way the worker's second
-   receive can complete: a faulted world that claimed to be passive would
-   leave it blocked on the compiled interpreter, while the walker, which
-   asks the world about every blocked receive, runs it. *)
+   only a plan with a [Duplicate] clause takes a never-forcing world off
+   the candidate cache; a plan over a world that forces per thread
+   declares [Anything], since its step-dependent misses decide when the
+   forced receive may run. Here a duplicate is the only way the worker's
+   second receive can complete: a faulted world that claimed never to
+   force would leave it blocked on the compiled interpreter, while the
+   walker, which asks the world about every blocked receive, runs it. *)
 let dup_prog =
   program ~name:"dup" ~regions:[] ~inputs:[] ~main:"main"
     [
@@ -872,24 +964,30 @@ let dup_prog =
       func "main" [] [ spawn "worker" []; send "ch" (i 20) ];
     ]
 
-let test_fault_world_passivity () =
+let test_fault_world_forcing () =
   let world plan = Fault.inject plan (World.random ~seed:3) in
   let dup = Fault.make ~seed:1 [ Fault.duplicate ~prob:1.0 "ch" ] in
-  Alcotest.(check bool) "a duplicating world is not passive" false
-    (world dup).World.passive_try_recv;
+  let drop = Fault.make ~seed:1 [ Fault.drop ~prob:0.5 "ch" ] in
+  Alcotest.check forcing_testable "a duplicating world may force anything"
+    World.Anything (world dup).World.forcing;
   List.iter
     (fun plan ->
-      Alcotest.(check bool)
-        (Fault.to_string plan ^ " keeps the cache")
-        true (world plan).World.passive_try_recv)
+      Alcotest.check forcing_testable
+        (Fault.to_string plan ^ " never forces")
+        World.Never (world plan).World.forcing)
     [
-      Fault.make ~seed:1 [ Fault.drop ~prob:0.5 "ch" ];
+      drop;
       Fault.make ~seed:1
         [
           Fault.delay ~chan:"ch" ~from_step:0 ~until_step:5;
           Fault.stall ~tid:1 ~from_step:0 ~until_step:3;
         ];
     ];
+  let own = forcing_world World.Own_steps ~seed:3 in
+  Alcotest.check forcing_testable "the empty plan keeps an own-steps world's promise"
+    World.Own_steps (Fault.inject Fault.none own).World.forcing;
+  Alcotest.check forcing_testable "a plan over an own-steps world may force anything"
+    World.Anything (Fault.inject drop own).World.forcing;
   let r = Interp.run dup_prog (world dup) in
   check_status "done" r;
   same_result "dup" (Ref_interp.run dup_prog (world dup)) r
@@ -1034,7 +1132,13 @@ let () =
             test_compiled_state_isolation;
           Alcotest.test_case "unit-reads parity" `Quick
             test_compiled_parity_unit_reads;
-          Alcotest.test_case "fault worlds keep the cache unless they duplicate"
-            `Quick test_fault_world_passivity;
+        ] );
+      ( "forcing",
+        [
+          Alcotest.test_case "each forcing promise runs as on the walker"
+            `Quick test_forcing_promises;
+          Alcotest.test_case
+            "fault worlds never force unless they duplicate or wrap a forcing world"
+            `Quick test_fault_world_forcing;
         ] );
     ]

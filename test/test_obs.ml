@@ -233,37 +233,99 @@ let test_sync_abort_counters () =
 
 (* no shipped log drives RCSE to tier 3, so this one is built: every
    step of a perfect recording of miniht as a strict RCSE schedule,
-   behind a head entry of a thread no run spawns. Each attempt's first
-   pick stalls with its only candidate pending, runs it anyway (a risky
-   pick), and the step it takes comes out of log order, which aborts the
-   attempt *)
-let test_rcse_risky_counters () =
-  let app = Miniht.app () in
-  let _, perfect =
-    Session.record (Session.prepare Model.Perfect app) ~seed:1
+   behind a head entry [(tid, sid)] that no run reaches *)
+let headed_log =
+  let perfect =
+    lazy
+      (snd
+         (Session.record (Session.prepare Model.Perfect (Miniht.app ())) ~seed:1))
   in
-  let log =
+  fun (tid, sid) ->
     let open Ddet_record.Log in
+    let perfect = Lazy.force perfect in
     {
       perfect with
       entries =
-        Cp_sched { tid = 1_000; sid = 0 }
+        Cp_sched { tid; sid }
         :: List.map
              (fun (tid, sid) -> Cp_sched { tid; sid })
              (sched_points perfect);
     }
-  in
-  let outcome, value =
-    traced (fun () ->
-        Ddet_replay.Replayer.rcse ~budget:three_attempts app.App.labeled
-          ~spec:app.App.spec log)
-  in
+
+let replay_headed log =
+  let app = Miniht.app () in
+  traced (fun () ->
+      Ddet_replay.Replayer.rcse ~budget:three_attempts app.App.labeled
+        ~spec:app.App.spec log)
+
+(* a thread no run spawns heads the log: each attempt's first pick
+   stalls with its only candidate pending, runs it anyway (a risky
+   pick), and the step it takes comes out of log order, which aborts the
+   attempt *)
+let test_rcse_risky_counters () =
+  let outcome, value = replay_headed (headed_log (1_000, 0)) in
   Alcotest.(check bool) "not reproduced" true
     (outcome.Ddet_replay.Replayer.result = None);
   Alcotest.(check int) "search.aborted" 3 (value "search.aborted");
   Alcotest.(check int) "search.step_cap_hits" 0 (value "search.step_cap_hits");
   Alcotest.(check int) "oracle.rcse_stalls" 3 (value "oracle.rcse_stalls");
   Alcotest.(check int) "oracle.rcse_risky" 3 (value "oracle.rcse_risky")
+
+(* Strict RCSE's table of pending pairs is indexed by site, and its size
+   never comes from the log: a head naming a pair outside every program
+   (a sid of max_int, a negative sid, a tid of 2^40) replays exactly as
+   the unreachable small pair above does, and the oracle built from it
+   is no larger. Its size is read as the words a minor collection
+   promotes while the oracle is live; an oracle that sized its table
+   from the largest sid in the log would fail to build, or outgrow the
+   small pair's by the table. *)
+let test_rcse_out_of_program_heads () =
+  let oracle_words log =
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    let h = Ddet_replay.Oracle.rcse ~strict:true ~seed:2 log in
+    Gc.minor ();
+    let words = (Gc.quick_stat ()).Gc.major_words -. before in
+    ignore (Sys.opaque_identity h);
+    words
+  in
+  let small = headed_log (1_000, 0) in
+  let small_words = oracle_words small in
+  let ref_outcome, ref_value = replay_headed small in
+  let judged (o : Ddet_replay.Replayer.outcome) =
+    match o.Ddet_replay.Replayer.partial with
+    | Some p ->
+      ( p.Ddet_replay.Search.attempt,
+        p.Ddet_replay.Search.closeness,
+        Mvm.Trace.events p.Ddet_replay.Search.best.Mvm.Interp.trace )
+    | None -> Alcotest.fail "a built log replays to a partial candidate"
+  in
+  List.iter
+    (fun (name, pair) ->
+      let log = headed_log pair in
+      let words = oracle_words log in
+      if words > small_words +. 64. then
+        Alcotest.failf "%s: the oracle holds %.0f words, the small pair's %.0f"
+          name words small_words;
+      let outcome, value = replay_headed log in
+      Alcotest.(check bool) (name ^ ": not reproduced") true
+        (outcome.Ddet_replay.Replayer.result = None);
+      Alcotest.(check int) (name ^ ": attempts") ref_outcome.Ddet_replay.Replayer.attempts
+        outcome.Ddet_replay.Replayer.attempts;
+      Alcotest.(check int) (name ^ ": steps")
+        ref_outcome.Ddet_replay.Replayer.total_steps
+        outcome.Ddet_replay.Replayer.total_steps;
+      Alcotest.(check bool) (name ^ ": judged run") true
+        (judged ref_outcome = judged outcome);
+      List.iter
+        (fun c -> Alcotest.(check int) (name ^ ": " ^ c) (ref_value c) (value c))
+        [ "search.aborted"; "search.step_cap_hits"; "oracle.rcse_stalls";
+          "oracle.rcse_risky" ])
+    [
+      ("sid max_int", (1, max_int));
+      ("tid 2^40", (1 lsl 40, 1));
+      ("negative sid", (1, -1));
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -300,5 +362,8 @@ let () =
             test_sync_abort_counters;
           Alcotest.test_case "a head no thread reaches forces risky picks"
             `Quick test_rcse_risky_counters;
+          Alcotest.test_case
+            "an out-of-program head replays as an unreachable one, table unsized"
+            `Quick test_rcse_out_of_program_heads;
         ] );
     ]

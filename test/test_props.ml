@@ -615,9 +615,10 @@ let prop_parallel_poison_parity =
    reference walker (Ref_interp) under an identically built world — and
    asks for the same status, steps, events, outputs and failure; for a
    recording, also the same log bytes. Plain random worlds and the
-   perfect oracle are passive and exercise the compiled interpreter's
-   candidate cache; so do fault-injected worlds, except under a plan with
-   a [Duplicate] clause, which take the uncached path. *)
+   perfect oracle never force a receive and exercise the compiled
+   interpreter's candidate cache; so do fault-injected worlds, except
+   under a plan with a [Duplicate] clause, which may force anything and
+   take the uncached path. *)
 
 let parity_apps =
   [|
@@ -776,12 +777,13 @@ let prop_perfect_replay_parity =
 
 (* Oracle worlds: every replay oracle, built twice from the same log and
    seed, runs once through the library interpreter (which caches its
-   candidate set when the world is passive) and once through the walker
-   (which asks the world about every blocked receive). Each run gets its
-   own copy of the abort hook [Replayer] attaches to that oracle and the
-   environment [Replayer] wraps it in. A passive world whose
-   [on_try_recv] could answer [Force_value] would make a blocked receive
-   runnable for the walker only, so the two runs would part. The log
+   candidate set unless the world may force anything) and once through
+   the walker (which asks the world about every blocked receive at every
+   step). Each run gets its own copy of the abort hook [Replayer]
+   attaches to that oracle and the environment [Replayer] wraps it in. A
+   world that forced more than its {!World.forcing} promise allows would
+   make a blocked receive runnable for the walker only, so the two runs
+   would part. The log
    comes from the model's own recorder, through
    [Session.prepare]/[record] under the case's plan; partial replay
    steers over a perfect log, as over a complete stitch. *)
