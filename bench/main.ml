@@ -1295,13 +1295,56 @@ let static_bench ~json () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* DIST: the cost of distributed evidence. Two measurements on the apps
-   with node maps: (1) write overhead of per-node sharding (N shard
-   writes + the causal manifest) vs one monolithic atomic write of the
-   same log; (2) partial-evidence replay cost as a function of how many
-   node shards were lost — attempts, inference steps and wall-clock,
-   from complete evidence (the model's own replay) down to every
-   surviving subset the stitcher can be handed. *)
+(* DIST: the cost of evidence. Three measurements: (1) on the apps with
+   node maps, write overhead of per-node sharding (N shard writes + the
+   causal manifest) vs one monolithic atomic write of the same log; (2)
+   partial-evidence replay cost as a function of how many node shards
+   were lost — attempts, inference steps and wall-clock, from complete
+   evidence (the model's own replay) down to every surviving subset the
+   stitcher can be handed; (3) the monolithic codec's cost per byte,
+   encode ([Log_io.to_string]) and decode ([Log_io.of_string], CRC
+   check included), on the recording of one fixed failing seed per app
+   under each model the perfbench mixes replay. *)
+
+(* each row's encode and decode, timed alternately [codec_reps] times:
+   the medians resist the shared host's noise *)
+let codec_reps = 150
+
+let codec_rows () =
+  List.concat_map
+    (fun ((app : App.t), seed, models) ->
+      List.map
+        (fun name ->
+          let model =
+            match Model.of_string name with Ok m -> m | Error e -> invalid_arg e
+          in
+          let _, log = Session.record (Session.prepare model app) ~seed in
+          let bytes = String.length (Log_io.to_string log) in
+          if Log_io.of_string (Log_io.to_string log) <> Ok log then
+            invalid_arg ("codec: the log does not round-trip: " ^ app.App.name);
+          let encode = ref [] and decode = ref [] in
+          for _ = 1 to codec_reps do
+            let s, e = time (fun () -> Log_io.to_string log) in
+            let _, d = time (fun () -> Log_io.of_string s) in
+            encode := e :: !encode;
+            decode := d :: !decode
+          done;
+          let ns_per_byte xs = quantile xs 0.5 *. 1e9 /. float_of_int bytes in
+          [
+            ("app", S app.App.name);
+            ("model", S name);
+            ("seed", I seed);
+            ("bytes", I bytes);
+            ("entries", I (List.length log.Log.entries));
+            ("encode_ns_per_byte", W (F (2, ns_per_byte !encode)));
+            ("decode_ns_per_byte", W (F (2, ns_per_byte !decode)));
+          ])
+        models)
+    [
+      (Miniht.app (), 1, [ "perfect"; "value"; "rcse-code"; "sync"; "rcse" ]);
+      (Cloudstore.app (), 9, [ "perfect"; "value"; "rcse-code"; "sync"; "rcse" ]);
+      (Msg_server.app (), 1, [ "perfect"; "value" ]);
+    ]
 
 let dist_bench ~json () =
   let open Ddet_replay in
@@ -1403,6 +1446,14 @@ let dist_bench ~json () =
           "\n\nlost '-' is complete evidence (the model's own replay); every\n\
            other row drops those nodes' shards and pays partial-evidence\n\
            search for what died with them.\n";
+      };
+      {
+        title = "DIST monolithic codec cost per byte";
+        key = "codec";
+        rows = codec_rows ();
+        note =
+          "\n\nOne recording per row, of a fixed failing seed; the rates are\n\
+           medians over alternating encode/decode reps of that log.\n";
       };
     ]
 

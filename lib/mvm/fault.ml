@@ -201,10 +201,12 @@ let lower ~map ~prog plan =
 (* ------------------------------------------------------------------ *)
 (* injection *)
 
-let chan_decision plan ~step ~tid ~sid ~chan ~last =
+(* [actions] are the plan's clauses on [chan], in plan order: the first
+   that fires decides *)
+let chan_decision plan actions ~step ~tid ~sid ~chan ~last =
   let rec go = function
     | [] -> World.Default
-    | Chan { chan = c; action } :: rest when String.equal c chan -> (
+    | action :: rest -> (
       match action with
       | Drop p when coin plan ~salt:salt_drop ~step ~tid ~sid ~chan < p ->
         World.Force_fail
@@ -217,31 +219,39 @@ let chan_decision plan ~step ~tid ~sid ~chan ~last =
         | Some v -> World.Force_value v
         | None -> go rest)
       | Drop _ | Duplicate _ | Delay _ -> go rest)
-    | _ :: rest -> go rest
   in
-  go plan.faults
+  go actions
 
 let has_duplicate plan =
   List.exists
     (function Chan { action = Duplicate _; _ } -> true | _ -> false)
     plan.faults
 
-let descheduled plan ~step tid =
-  List.exists
-    (function
-      | Stall { tid = t; from_step; until_step } ->
-        t = tid && step >= from_step && step < until_step
-      | Crash { tid = t; at_step } -> t = tid && step >= at_step
-      | Chan _ | Perturb _ | Partition _ | Node_crash _ | Node_restart _ ->
-        false)
-    plan.faults
+(* [clauses] are the plan's Stall and Crash clauses; a direct loop, so
+   the per-step check allocates nothing *)
+let rec descheduled clauses ~step tid =
+  match clauses with
+  | [] -> false
+  | Stall { tid = t; from_step; until_step } :: rest ->
+    (t = tid && step >= from_step && step < until_step)
+    || descheduled rest ~step tid
+  | Crash { tid = t; at_step } :: rest ->
+    (t = tid && step >= at_step) || descheduled rest ~step tid
+  | (Chan _ | Perturb _ | Partition _ | Node_crash _ | Node_restart _) :: rest
+    ->
+    descheduled rest ~step tid
 
-let perturb_prob plan chan =
+let rec any_descheduled clauses ~step = function
+  | [] -> false
+  | (c : World.cand) :: rest ->
+    descheduled clauses ~step c.tid || any_descheduled clauses ~step rest
+
+let perturb_prob clauses chan =
   List.fold_left
     (fun acc -> function
       | Perturb { chan = c; prob } when String.equal c chan -> Float.max acc prob
       | _ -> acc)
-    0. plan.faults
+    0. clauses
 
 let inject plan (w : World.t) =
   if has_node_faults plan then
@@ -252,10 +262,30 @@ let inject plan (w : World.t) =
          (to_string plan));
   if is_empty plan then w
   else
-    (* last message delivered per channel, for Duplicate. Mutated only in
-       on_recv — which the interpreter calls strictly after every
-       on_try_recv consultation of the same step — so on_try_recv stays
-       pure within a step. *)
+    (* The plan is split once, here, so no per-step hook walks clauses
+       that cannot apply to it: the scheduler sees only the Stall and
+       Crash clauses, and a delivery attempt only its channel's own. *)
+    let desched =
+      List.filter (function Stall _ | Crash _ -> true | _ -> false) plan.faults
+    in
+    let perturbs =
+      List.filter (function Perturb _ -> true | _ -> false) plan.faults
+    in
+    let by_chan : (string, chan_action list) Hashtbl.t = Hashtbl.create 8 in
+    List.iter
+      (function
+        | Chan { chan; action } ->
+          let earlier = Option.value ~default:[] (Hashtbl.find_opt by_chan chan) in
+          Hashtbl.replace by_chan chan (earlier @ [ action ])
+        | Stall _ | Crash _ | Perturb _ | Partition _ | Node_crash _
+        | Node_restart _ ->
+          ())
+      plan.faults;
+    let duplicates = has_duplicate plan in
+    (* last message delivered per channel, for Duplicate, the only clause
+       that reads it. Mutated only in on_recv — which the interpreter
+       calls strictly after every on_try_recv consultation of the same
+       step — so on_try_recv stays pure within a step. *)
     let last_delivered : (string, Value.tagged) Hashtbl.t = Hashtbl.create 8 in
     {
       w with
@@ -269,20 +299,27 @@ let inject plan (w : World.t) =
          is no longer a function of the thread's own steps *)
       forcing =
         (match w.World.forcing with
-        | World.Never when not (has_duplicate plan) -> World.Never
+        | World.Never when not duplicates -> World.Never
         | World.Never | World.Own_steps | World.Anything -> World.Anything);
       pick_thread =
-        (fun ~step cands ->
-          match
-            List.filter
-              (fun c -> not (descheduled plan ~step c.World.tid))
-              cands
-          with
-          | [] -> w.World.pick_thread ~step cands
-          | alive -> w.World.pick_thread ~step alive);
+        (match desched with
+        | [] -> w.World.pick_thread
+        | _ ->
+          fun ~step cands ->
+            if not (any_descheduled desched ~step cands) then
+              w.World.pick_thread ~step cands
+            else
+              match
+                List.filter
+                  (fun (c : World.cand) -> not (descheduled desched ~step c.tid))
+                  cands
+              with
+              | [] -> w.World.pick_thread ~step cands
+              | alive -> w.World.pick_thread ~step alive);
       pick_input =
-        (fun ~step ~tid ~chan ~domain ->
-          let p = perturb_prob plan chan in
+        (if perturbs = [] then w.World.pick_input
+         else fun ~step ~tid ~chan ~domain ->
+          let p = perturb_prob perturbs chan in
           if
             p > 0. && domain <> []
             && coin plan ~salt:salt_perturb ~step ~tid ~sid:0 ~chan < p
@@ -296,16 +333,21 @@ let inject plan (w : World.t) =
             List.nth domain (min k (n - 1))
           else w.World.pick_input ~step ~tid ~chan ~domain);
       on_recv =
-        (fun ~step ~tid ~sid ~chan ~actual ->
-          let v = w.World.on_recv ~step ~tid ~sid ~chan ~actual in
-          Hashtbl.replace last_delivered chan v;
-          v);
+        (if not duplicates then w.World.on_recv
+         else fun ~step ~tid ~sid ~chan ~actual ->
+           let v = w.World.on_recv ~step ~tid ~sid ~chan ~actual in
+           Hashtbl.replace last_delivered chan v;
+           v);
       on_try_recv =
-        (fun ~step ~tid ~sid ~chan ->
-          match
-            chan_decision plan ~step ~tid ~sid ~chan ~last:(fun () ->
-                Hashtbl.find_opt last_delivered chan)
-          with
-          | World.Default -> w.World.on_try_recv ~step ~tid ~sid ~chan
-          | decision -> decision);
+        (if Hashtbl.length by_chan = 0 then w.World.on_try_recv
+         else fun ~step ~tid ~sid ~chan ->
+          match Hashtbl.find_opt by_chan chan with
+          | None -> w.World.on_try_recv ~step ~tid ~sid ~chan
+          | Some actions -> (
+            match
+              chan_decision plan actions ~step ~tid ~sid ~chan ~last:(fun () ->
+                  Hashtbl.find_opt last_delivered chan)
+            with
+            | World.Default -> w.World.on_try_recv ~step ~tid ~sid ~chan
+            | decision -> decision));
     }

@@ -153,7 +153,7 @@ type compiled = {
   c_lock_names : string array;  (* interned mutex names *)
 }
 
-let compile (labeled : Label.labeled) : compiled =
+let lower (labeled : Label.labeled) : compiled =
   let prog = labeled.Label.prog in
   (* Regions: last declaration of a name wins. *)
   let sc_ids = Hashtbl.create 16 and ar_ids = Hashtbl.create 16 in
@@ -401,6 +401,32 @@ let compile (labeled : Label.labeled) : compiled =
     c_chan_names = inv_names ch_ids (Hashtbl.length ch_ids);
     c_lock_names = inv_names lk_ids (Hashtbl.length lk_ids);
   }
+
+(* Each domain keeps the programs it compiled last, most recently used
+   first, keyed on the labelled program's physical identity: a session
+   runs one program for its production run, its recording and its
+   replay, and a benchmark mix alternates between a few, so each is
+   lowered once per domain and every run pays the same. The list is
+   bounded by a constant and belongs to one domain, so it needs no lock
+   and cannot grow with the programs a test generates. *)
+let cache_size = 8
+
+let compiled_cache : (Label.labeled * compiled) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let compile labeled =
+  let cache = Domain.DLS.get compiled_cache in
+  match !cache with
+  | (l, c) :: _ when l == labeled -> c
+  | entries -> (
+    match List.find_opt (fun (l, _) -> l == labeled) entries with
+    | Some ((_, c) as hit) ->
+      cache := hit :: List.filter (fun e -> e != hit) entries;
+      c
+    | None ->
+      let c = lower labeled in
+      cache := (labeled, c) :: List.filteri (fun i _ -> i < cache_size - 1) entries;
+      c)
 
 (* A slot never assigned holds this sentinel; reading it is the
    "unbound variable" crash. The test is physical equality, so the

@@ -30,9 +30,10 @@ type result = {
 }
 
 (** [run ?max_steps ?monitors ?abort ?cancel labeled world] compiles the
-    program ({!compile}) and executes it with {!run_compiled} on a fresh
-    arena. Callers that run one program many times can call {!compile}
-    once and {!run_compiled} with a reused {!state}.
+    program ({!compile}, so a program this domain has run recently is
+    not lowered again) and executes it with {!run_compiled} on a fresh
+    arena. Callers that run one program many times can also reuse a
+    {!state} across {!run_compiled} calls.
 
     [monitors] observe every event as it is emitted (recorders attach
     here). [abort] may return a reason to stop the run early (replay
@@ -92,11 +93,17 @@ val status_to_string : status -> string
     [compiled] value may be shared by concurrent runs on many domains. *)
 type compiled
 
-(** [compile labeled] lowers the program. The program must be validated
-    (every [Label.program] is): compilation resolves region names
-    eagerly and raises [Invalid_argument] on an undeclared region.
-    Unknown call targets and arity mismatches are kept as runtime
-    crashes: a run crashes only when it reaches the call. *)
+(** [compile labeled] lowers the program, once per domain: each domain
+    keeps the last 8 programs it compiled, keyed on the physical
+    identity of [labeled], and returns the kept value for a program it
+    holds. A session's production run, recording and replay, and
+    {!run} and the search engines' per-worker arenas, all share this
+    one compile path, so they all reuse one compiled program per
+    domain. The program must be validated (every [Label.program] is):
+    compilation resolves region names eagerly and raises
+    [Invalid_argument] on an undeclared region. Unknown call targets
+    and arity mismatches are kept as runtime crashes: a run crashes only
+    when it reaches the call. *)
 val compile : Label.labeled -> compiled
 
 (** Reusable execution state (a per-domain arena): region tables,

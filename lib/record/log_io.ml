@@ -3,26 +3,54 @@ open Mvm
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte
    range. The checksum guards each entry line against the bit rot and
-   truncation a log suffers on its way off the production machine. The
-   running value fits a native int, so the per-byte step allocates
-   nothing. *)
+   truncation a log suffers on its way off the production machine.
 
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+   Slicing-by-8: [crc_tables] holds 8 tables of 256 entries, table k
+   advancing a byte's contribution through k further zero bytes, so one
+   step folds 8 input bytes (two little-endian 32-bit reads) with 8
+   lookups; the tail is folded byte by byte with table 0. The running
+   value fits a native int, so no step allocates. *)
+
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
 
 let crc32 s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Log_io.crc32";
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
+  let t = crc_tables in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let words_end = pos + len - 8 in
+  while !i <= words_end do
+    let lo = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
     c :=
-      Array.unsafe_get crc_table
-        ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      Array.unsafe_get t (0x700 lor (lo land 0xFF))
+      lxor Array.unsafe_get t (0x600 lor ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x500 lor ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (0x400 lor (lo lsr 24))
+      lxor Array.unsafe_get t (0x300 lor (hi land 0xFF))
+      lxor Array.unsafe_get t (0x200 lor ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x100 lor ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s j)) land 0xFF)
       lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
@@ -39,17 +67,29 @@ let crc_hex s =
   put_hex8 b 0 (crc32 s 0 (String.length s));
   Bytes.unsafe_to_string b
 
-let rec hex_from s pos k acc =
-  if k = 8 then acc
-  else
-    match String.unsafe_get s (pos + k) with
-    | '0' .. '9' as c -> hex_from s pos (k + 1) ((acc lsl 4) + Char.code c - 48)
-    | 'a' .. 'f' as c -> hex_from s pos (k + 1) ((acc lsl 4) + Char.code c - 87)
-    | _ -> -1
+(* each byte's value as a lowercase hex digit, or -1 *)
+let hex_digits =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> c - 48
+      | 'a' .. 'f' -> c - 87
+      | _ -> -1)
 
-(* the value of the 8 lowercase hex digits at [pos], or -1 *)
+(* the value of the 8 lowercase hex digits at [pos], or -1; a bad digit
+   shows in the sign of the digits or-ed together *)
 let read_hex8 s pos =
-  if pos < 0 || pos > String.length s - 8 then -1 else hex_from s pos 0 0
+  if pos < 0 || pos > String.length s - 8 then -1
+  else begin
+    let v = ref 0 and bad = ref 0 in
+    for k = 0 to 7 do
+      let d =
+        Array.unsafe_get hex_digits (Char.code (String.unsafe_get s (pos + k)))
+      in
+      bad := !bad lor d;
+      v := (!v lsl 4) lor (d land 0xF)
+    done;
+    if !bad < 0 then -1 else !v
+  end
 
 let crc_matches hex s pos len =
   String.length hex = 8 && read_hex8 hex 0 = crc32 s pos len
@@ -259,93 +299,135 @@ let rec is_blank s ls le =
   | ' ' | '\012' | '\n' | '\r' | '\t' -> is_blank s (ls + 1) le
   | _ -> false
 
-type frame = Unframed | Bad_crc | Framed
-
-(* The one framing verifier. A framed line starts with 8 lowercase hex
-   digits and a space; header keywords and trailers never do, so the
-   classification is unambiguous. The body starts at [ls + 9]. *)
-let check_frame s ls le =
-  if le - ls < 9 || String.unsafe_get s (ls + 8) <> ' ' then Unframed
-  else
-    let stored = read_hex8 s ls in
-    if stored < 0 then Unframed
-    else if stored = crc32 s (ls + 9) (le - ls - 9) then Framed
-    else Bad_crc
+(* The one framing check: the CRC stored at the start of the line from
+   [ls] when it is framed, else -1. A framed line starts with 8
+   lowercase hex digits and a space, so it is at least 9 bytes long and
+   its body starts at [ls + 9]; header keywords and trailers never start
+   so, and the classification is unambiguous. *)
+let framed_crc s ls =
+  if ls + 9 <= String.length s && String.unsafe_get s (ls + 8) = ' ' then
+    read_hex8 s ls
+  else -1
 
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
 exception Parse of string
 
-(* A decoder reads one string in place. A line is first split into
-   space-separated tokens, kept as ranges. A double quote opens an
-   OCaml-escaped span that runs to the matching close quote and does not
-   end the token; the token's text is its bytes minus each span's
+(* A reader decodes a line in place, left to right, straight from the
+   bytes, with no token list: a line ends at the next '\n' or at the end
+   of the string, and its fields are separated by spaces. A double quote
+   opens an OCaml-escaped span that runs to the matching close quote and
+   does not end the field; a field's text is its bytes minus each span's
    closing quote, so both bare strings ([mark "a b"]) and typed values
-   ([s:"a b"]) are single tokens. [quote] is -1 for a token without
-   quotes, the index of the opening quote when the token holds one span
-   that closes on its last byte, and -2 otherwise. *)
-type decoder = {
+   ([s:"a b"]) are single fields. The field last read is s[a, b), and
+   [quote] is -1 for a field without quotes, the index of the opening
+   quote when the field holds one span that closes on its last byte, and
+   -2 otherwise.
+
+   A line's error is deferred to its end, so the one reported follows
+   the format's precedence whatever the order fields are read in: an
+   unterminated quote anywhere on the line, then a wrong field count,
+   then the rightmost bad field (the order the format's error reports
+   were defined by: OCaml evaluates a record's fields right to left). *)
+type reader = {
   s : string;
-  mutable ntok : int;
-  mutable start : int array;
-  mutable stop : int array;
-  mutable quote : int array;
+  mutable pos : int;  (* the next byte to read *)
+  mutable a : int;
+  mutable b : int;
+  mutable quote : int;
+  mutable fields : int;  (* fields read on this line *)
+  mutable unterminated : bool;
+  mutable error : string;  (* the rightmost bad field's error, or [no_error] *)
   scratch : Buffer.t;
 }
 
-let decoder s =
-  {
-    s;
-    ntok = 0;
-    start = Array.make 8 0;
-    stop = Array.make 8 0;
-    quote = Array.make 8 0;
-    scratch = Buffer.create 64;
-  }
+(* compared physically: a line without a bad field costs no string
+   comparison and no write barrier *)
+let no_error = ""
 
-let rec close_quote s j le =
-  if j >= le then raise (Parse "unterminated string")
+let reader s =
+  { s; pos = 0; a = 0; b = 0; quote = -1; fields = 0; unterminated = false;
+    error = no_error; scratch = Buffer.create 64 }
+
+let[@inline] start_line r pos =
+  r.pos <- pos;
+  r.fields <- 0;
+  r.unterminated <- false;
+  if r.error != no_error then r.error <- no_error
+
+let[@inline] is_end s i = i = String.length s || String.unsafe_get s i = '\n'
+
+(* the index of the quote that closes a span whose body starts at [j],
+   or -1 if the line ends first *)
+let rec close_quote s j =
+  if is_end s j then -1
   else
     match String.unsafe_get s j with
     | '"' -> j
-    | '\\' when j + 1 < le -> close_quote s (j + 2) le
-    | _ -> close_quote s (j + 1) le
+    | '\\' when not (is_end s (j + 1)) -> close_quote s (j + 2)
+    | _ -> close_quote s (j + 1)
 
-let push_token d a b q =
-  if d.ntok = Array.length d.start then begin
-    let grow arr = Array.append arr arr in
-    d.start <- grow d.start;
-    d.stop <- grow d.stop;
-    d.quote <- grow d.quote
-  end;
-  d.start.(d.ntok) <- a;
-  d.stop.(d.ntok) <- b;
-  d.quote.(d.ntok) <- q;
-  d.ntok <- d.ntok + 1
-
-let rec tokens_from d le i =
-  if i < le then
-    if String.unsafe_get d.s i = ' ' then tokens_from d le (i + 1)
-    else token d le i i (-1) 0 (-1)
-
-(* the token that started at [a]; [i] is the next byte to read *)
-and token d le a i quote spans last_close =
-  if i = le || String.unsafe_get d.s i = ' ' then begin
-    push_token d a i
+(* the field that started at [a]; [i] is the next byte to read. An
+   unterminated span makes the rest of the line the field. *)
+let rec field r a i quote spans last_close =
+  let s = r.s in
+  if is_end s i || String.unsafe_get s i = ' ' then begin
+    r.a <- a;
+    r.b <- i;
+    r.pos <- i;
+    r.quote <-
       (if spans = 0 then -1
        else if spans = 1 && last_close = i - 1 then quote
-       else -2);
-    tokens_from d le i
+       else -2)
   end
-  else if String.unsafe_get d.s i = '"' then
-    let j = close_quote d.s (i + 1) le in
-    token d le a (j + 1) (if spans = 0 then i else quote) (spans + 1) j
-  else token d le a (i + 1) quote spans last_close
+  else if String.unsafe_get s i = '"' then
+    let j = close_quote s (i + 1) in
+    if j < 0 then begin
+      let e = line_end s i in
+      r.unterminated <- true;
+      r.a <- a;
+      r.b <- e;
+      r.pos <- e;
+      r.quote <- -2
+    end
+    else field r a (j + 1) (if spans = 0 then i else quote) (spans + 1) j
+  else field r a (i + 1) quote spans last_close
 
-let tokenize d ls le =
-  d.ntok <- 0;
-  tokens_from d le ls
+let rec spaces_from s i =
+  if i < String.length s && String.unsafe_get s i = ' ' then
+    spaces_from s (i + 1)
+  else i
+
+(* fields are one space apart: that case costs no call *)
+let[@inline] skip_spaces s i =
+  if i < String.length s && String.unsafe_get s i = ' ' then
+    if i + 1 < String.length s && String.unsafe_get s (i + 1) = ' ' then
+      spaces_from s (i + 2)
+    else i + 1
+  else i
+
+(* reads the next field; false at the end of the line *)
+let next r =
+  let i = skip_spaces r.s r.pos in
+  r.pos <- i;
+  if is_end r.s i then false
+  else begin
+    r.fields <- r.fields + 1;
+    field r i i (-1) 0 (-1);
+    true
+  end
+
+(* reads the rest of the line, then raises its tokenizing error *)
+let finish_line r =
+  if not (is_end r.s r.pos) then
+    while next r do
+      ()
+    done;
+  if r.unterminated then raise (Parse "unterminated string")
+
+(* raises the rightmost bad field's error *)
+let field_errors r = if r.error != no_error then raise (Parse r.error)
 
 (* s[a, a + |kw|) = kw *)
 let rec range_is s a kw i =
@@ -353,21 +435,21 @@ let rec range_is s a kw i =
   || String.unsafe_get s (a + i) = String.unsafe_get kw i
      && range_is s a kw (i + 1)
 
-let tok_is d k kw =
-  d.stop.(k) - d.start.(k) = String.length kw
-  && range_is d.s d.start.(k) kw 0
+let[@inline] field_is r kw =
+  r.b - r.a = String.length kw && range_is r.s r.a kw 0
 
-(* the token's text: its bytes minus each span's closing quote *)
-let tok_string d k =
-  let s = d.s and a = d.start.(k) and b = d.stop.(k) in
-  if d.quote.(k) = -1 then String.sub s a (b - a)
+(* the field's text: its bytes minus each span's closing quote *)
+let field_text r =
+  let s = r.s and a = r.a and b = r.b in
+  if r.quote = -1 then String.sub s a (b - a)
   else begin
-    let buf = d.scratch in
+    let buf = r.scratch in
     Buffer.clear buf;
     let rec go i =
       if i < b then
         if String.unsafe_get s i = '"' then begin
-          let j = close_quote s (i + 1) b in
+          let j = close_quote s (i + 1) in
+          let j = if j < 0 || j > b then b else j in
           Buffer.add_substring buf s i (j - i);
           go (j + 1)
         end
@@ -389,7 +471,7 @@ let int_slow s a b =
   | None -> raise (Parse "int_of_string")
 
 (* the sign is applied on the fast path only: [int_slow] reads the whole
-   token, sign included *)
+   field, sign included *)
 let rec int_digits s a b neg i acc =
   if i = b then if neg then -acc else acc
   else
@@ -404,7 +486,42 @@ let int_in s a b =
   if b - d0 < 1 || b - d0 > 18 then int_slow s a b
   else int_digits s a b neg d0 0
 
-let tok_int d k = int_in d.s d.start.(k) d.stop.(k)
+(* The next field as an int, its digits read as the field is found; 0
+   with the error deferred when it is not one, or when the line has no
+   more fields (the field count catches that). A byte other than a digit
+   or a delimiter sends the field to [field] and [int_in]. *)
+let rec int_digits_field r a d0 i acc =
+  let s = r.s in
+  let c = if i < String.length s then String.unsafe_get s i else '\n' in
+  if c >= '0' && c <= '9' then
+    int_digits_field r a d0 (i + 1) ((acc * 10) + Char.code c - 48)
+  else if (c = ' ' || c = '\n') && i > d0 && i - d0 <= 18 then begin
+    r.pos <- i;
+    if d0 > a then -acc else acc
+  end
+  else begin
+    field r a i (-1) 0 (-1);
+    match int_in s a r.b with
+    | n -> n
+    | exception Parse msg ->
+      r.error <- msg;
+      0
+  end
+
+let int_field r =
+  let s = r.s in
+  let a = skip_spaces s r.pos in
+  if is_end s a then begin
+    r.pos <- a;
+    0
+  end
+  else begin
+    r.fields <- r.fields + 1;
+    let d0 = if String.unsafe_get s a = '-' then a + 1 else a in
+    int_digits_field r a d0 d0 0
+  end
+
+let text_field r = if next r then field_text r else ""
 
 (* [Scanf.unescaped] of src[p, q), error messages included. Scanf reads
    the text wrapped in double quotes, w = '"' ^ text ^ '"', and reports
@@ -416,11 +533,11 @@ let rec unescaped_range src i q =
      | '"' | '\\' -> false
      | _ -> unescaped_range src (i + 1) q
 
-let unescape d src p q =
+let unescape r src p q =
   let n = q - p in
   if unescaped_range src p q then String.sub src p n
   else begin
-    let buf = d.scratch in
+    let buf = r.scratch in
     Buffer.clear buf;
     let w j =
       if j = 0 || j = n + 1 then '"' else String.unsafe_get src (p + j - 1)
@@ -494,24 +611,31 @@ let unescape d src p q =
     stop 1
   end
 
-(* the token's text from raw offset [p] (no quote before it) as a quoted
+(* the field's text from raw offset [p] (no quote before it) as a quoted
    string *)
-let quoted_from d k p =
-  if d.quote.(k) = p then unescape d d.s (p + 1) (d.stop.(k) - 1)
+let quoted_from r p =
+  if r.quote = p then unescape r r.s (p + 1) (r.b - 1)
   else
-    let tok = tok_string d k in
-    let off = p - d.start.(k) in
+    let tok = field_text r in
+    let off = p - r.a in
     let rest = String.sub tok off (String.length tok - off) in
     if String.length rest > 0 && rest.[0] = '"' then
-      unescape d rest 1 (String.length rest)
+      unescape r rest 1 (String.length rest)
     else raise (Parse ("expected quoted string, got " ^ rest))
 
-let tok_quoted d k = quoted_from d k d.start.(k)
+let quoted_field r =
+  if not (next r) then ""
+  else
+    match quoted_from r r.a with
+    | q -> q
+    | exception Parse msg ->
+      r.error <- msg;
+      ""
 
-let bad_value d k = Parse ("bad value token " ^ tok_string d k)
+let bad_value r = raise (Parse ("bad value token " ^ field_text r))
 
-let dec_value d k =
-  let s = d.s and a = d.start.(k) and b = d.stop.(k) in
+let field_value r =
+  let s = r.s and a = r.a and b = r.b in
   if b - a = 1 && String.unsafe_get s a = 'u' then Value.unit
   else if b - a > 2 && String.unsafe_get s (a + 1) = ':' then
     match String.unsafe_get s a with
@@ -519,84 +643,173 @@ let dec_value d k =
     | 'b' ->
       if b - a = 6 && range_is s (a + 2) "true" 0 then Value.bool true
       else if b - a = 7 && range_is s (a + 2) "false" 0 then Value.bool false
-      else raise (bad_value d k)
-    | 's' -> Value.str (quoted_from d k (a + 2))
-    | _ -> raise (bad_value d k)
-  else raise (bad_value d k)
+      else bad_value r
+    | 's' -> Value.str (quoted_from r (a + 2))
+    | _ -> bad_value r
+  else bad_value r
 
-(* Fields are decoded right to left, the order OCaml evaluates a record's
-   fields in, which is the order the format's error reports were defined
-   by: a line with two bad fields names the rightmost one. *)
-let dec_failure d k0 =
-  let n = d.ntok - k0 in
-  if n = 3 && tok_is d k0 "crash" then
-    let msg = tok_quoted d (k0 + 2) in
-    Failure.Crash { sid = tok_int d (k0 + 1); msg }
-  else if n = 2 && tok_is d k0 "spec" then
-    Failure.Spec_violation (tok_quoted d (k0 + 1))
-  else if n = 1 && tok_is d k0 "hang" then Failure.Hang
+let value_field r =
+  if not (next r) then Value.unit
   else
-    raise
-      (Parse
-         ("bad failure: "
-         ^ String.concat " " (List.init n (fun i -> tok_string d (k0 + i)))))
+    match field_value r with
+    | v -> v
+    | exception Parse msg ->
+      r.error <- msg;
+      Value.unit
 
-let dec_kind d k =
-  if tok_is d k "mem" then Log.Mem
-  else if tok_is d k "msg" then Log.Msg
-  else raise (Parse ("bad read kind " ^ tok_string d k))
+let kind_field r =
+  if not (next r) then Log.Mem
+  else if field_is r "mem" then Log.Mem
+  else if field_is r "msg" then Log.Msg
+  else begin
+    r.error <- "bad read kind " ^ field_text r;
+    Log.Mem
+  end
 
-let dec_op d k =
-  if tok_is d k "send" then Log.Op_send (tok_string d (k + 1))
-  else if tok_is d k "recv" then Log.Op_recv (tok_string d (k + 1))
-  else if tok_is d k "spawn" then Log.Op_spawn
-  else if tok_is d k "lock" then Log.Op_lock (tok_string d (k + 1))
-  else if tok_is d k "unlock" then Log.Op_unlock (tok_string d (k + 1))
-  else raise (Parse ("bad sync op " ^ tok_string d k))
+(* the operation and its object, two fields *)
+let op_fields r =
+  if not (next r) then Log.Op_spawn
+  else if field_is r "spawn" then begin
+    ignore (next r);
+    Log.Op_spawn
+  end
+  else
+    let op =
+      if field_is r "send" then fun c -> Log.Op_send c
+      else if field_is r "recv" then fun c -> Log.Op_recv c
+      else if field_is r "lock" then fun c -> Log.Op_lock c
+      else if field_is r "unlock" then fun c -> Log.Op_unlock c
+      else begin
+        r.error <- "bad sync op " ^ field_text r;
+        fun _ -> Log.Op_spawn
+      end
+    in
+    op (text_field r)
 
-(* the entry on the tokenized line s[ls, le) *)
-let dec_tokens d ls le =
-  let n = d.ntok in
-  if n = 0 then raise (Parse ("bad entry: " ^ String.sub d.s ls (le - ls)))
-  else if n = 3 && tok_is d 0 "sched" then
-    let sid = tok_int d 2 in
-    Log.Sched { tid = tok_int d 1; sid }
-  else if n = 5 && tok_is d 0 "readval" then
-    let value = dec_value d 4 in
-    let kind = dec_kind d 3 in
-    let sid = tok_int d 2 in
-    Log.Read_val { tid = tok_int d 1; sid; kind; value }
-  else if n = 4 && tok_is d 0 "input" then
-    let value = dec_value d 3 in
-    Log.Input { tid = tok_int d 1; chan = tok_string d 2; value }
-  else if n = 5 && tok_is d 0 "sync" then
-    let op = dec_op d 3 in
-    let sid = tok_int d 2 in
-    Log.Sync { tid = tok_int d 1; sid; op }
-  else if n = 3 && tok_is d 0 "output" then
-    let value = dec_value d 2 in
-    Log.Output { chan = tok_string d 1; value }
-  else if n = 3 && tok_is d 0 "cpsched" then
-    let sid = tok_int d 2 in
-    Log.Cp_sched { tid = tok_int d 1; sid }
-  else if n = 5 && tok_is d 0 "cpinput" then
-    let value = dec_value d 4 in
-    let chan = tok_string d 3 in
-    let sid = tok_int d 2 in
-    Log.Cp_input { tid = tok_int d 1; sid; chan; value }
-  else if tok_is d 0 "faildesc" then Log.Failure_desc (dec_failure d 1)
-  else if n = 2 && tok_is d 0 "flight" then
-    Log.Flight_note { buffered = tok_int d 1 }
-  else if n = 2 && tok_is d 0 "mark" then Log.Mark (tok_quoted d 1)
-  else if n = 4 && tok_is d 0 "govern" then
-    let reason = tok_quoted d 3 in
-    let level = tok_int d 2 in
-    Log.Govern { step = tok_int d 1; level; reason }
-  else raise (Parse ("bad entry: " ^ String.sub d.s ls (le - ls)))
+(* The failure in every field after the keyword, which must hold exactly
+   one failure's fields; a line that does not is named by the texts of
+   all of them. *)
+let failure_fields r =
+  let start = r.pos and before = r.fields in
+  let shape =
+    if not (next r) then None
+    else if field_is r "crash" then
+      let sid = int_field r in
+      let msg = quoted_field r in
+      Some (3, Failure.Crash { sid; msg })
+    else if field_is r "spec" then Some (2, Failure.Spec_violation (quoted_field r))
+    else if field_is r "hang" then Some (1, Failure.Hang)
+    else None
+  in
+  finish_line r;
+  match shape with
+  | Some (n, f) when r.fields - before = n ->
+    field_errors r;
+    f
+  | _ ->
+    r.pos <- start;
+    let rec texts acc = if next r then texts (field_text r :: acc) else acc in
+    raise (Parse ("bad failure: " ^ String.concat " " (List.rev (texts []))))
 
-let dec_entry d ls le =
-  tokenize d ls le;
-  dec_tokens d ls le
+(* The entry on the line whose body starts at [ls]: the keyword, then
+   the fields its entry kind has, whatever their count; the deferred
+   error is raised once the whole line is read, else [e] is the entry. *)
+let bad_entry r ls =
+  finish_line r;
+  raise (Parse ("bad entry: " ^ String.sub r.s ls (r.pos - ls)))
+
+let entry r ls n e =
+  finish_line r;
+  if r.fields <> n then bad_entry r ls;
+  field_errors r;
+  e
+
+let dec_entry r ls =
+  start_line r ls;
+  if not (next r) then bad_entry r ls
+  else if field_is r "sched" then
+    let tid = int_field r in
+    let sid = int_field r in
+    entry r ls 3 (Log.Sched { tid; sid })
+  else if field_is r "readval" then
+    let tid = int_field r in
+    let sid = int_field r in
+    let kind = kind_field r in
+    let value = value_field r in
+    entry r ls 5 (Log.Read_val { tid; sid; kind; value })
+  else if field_is r "cpsched" then
+    let tid = int_field r in
+    let sid = int_field r in
+    entry r ls 3 (Log.Cp_sched { tid; sid })
+  else if field_is r "sync" then
+    let tid = int_field r in
+    let sid = int_field r in
+    let op = op_fields r in
+    entry r ls 5 (Log.Sync { tid; sid; op })
+  else if field_is r "input" then
+    let tid = int_field r in
+    let chan = text_field r in
+    let value = value_field r in
+    entry r ls 4 (Log.Input { tid; chan; value })
+  else if field_is r "output" then
+    let chan = text_field r in
+    let value = value_field r in
+    entry r ls 3 (Log.Output { chan; value })
+  else if field_is r "cpinput" then
+    let tid = int_field r in
+    let sid = int_field r in
+    let chan = text_field r in
+    let value = value_field r in
+    entry r ls 5 (Log.Cp_input { tid; sid; chan; value })
+  else if field_is r "faildesc" then Log.Failure_desc (failure_fields r)
+  else if field_is r "flight" then
+    let buffered = int_field r in
+    entry r ls 2 (Log.Flight_note { buffered })
+  else if field_is r "mark" then
+    let m = quoted_field r in
+    entry r ls 2 (Log.Mark m)
+  else if field_is r "govern" then
+    let step = int_field r in
+    let level = int_field r in
+    let reason = quoted_field r in
+    entry r ls 4 (Log.Govern { step; level; reason })
+  else bad_entry r ls
+
+(* [h] updated by the header line whose keyword the reader has just
+   read, or [None] when the line is no header line: a header keyword
+   with the wrong field count is none *)
+let header_fields r (h : Log.t) =
+  let header n update =
+    finish_line r;
+    if r.fields <> n then None
+    else begin
+      field_errors r;
+      Some (update ())
+    end
+  in
+  if field_is r "recorder" then
+    let recorder = quoted_field r in
+    header 2 (fun () -> { h with recorder })
+  else if field_is r "base-steps" then
+    let base_steps = int_field r in
+    header 2 (fun () -> { h with base_steps })
+  else if field_is r "failure" then begin
+    let start = r.pos in
+    if next r && field_is r "none" && (finish_line r; r.fields = 2) then
+      Some { h with failure = None }
+    else begin
+      r.pos <- start;
+      r.fields <- 1;
+      Some { h with failure = Some (failure_fields r) }
+    end
+  end
+  else if field_is r "faults" then
+    let plan = quoted_field r in
+    header 2 (fun () ->
+        match Fault.of_string plan with
+        | Ok p -> { h with faults = Some p }
+        | Error e -> raise (Parse ("bad fault plan: " ^ e)))
+  else header (-1) (fun () -> h)
 
 (* ------------------------------------------------------------------ *)
 (* modes, damage reports *)
@@ -636,35 +849,20 @@ let line_error n reason text =
 let no_header =
   Log.make ~recorder:"unknown" ~entries:[] ~base_steps:0 ~failure:None ()
 
-(* [h] updated by the header line on the tokenized line, if it is one *)
-let header_tokens d (h : Log.t) =
-  let n = d.ntok in
-  if n = 2 && tok_is d 0 "recorder" then
-    Some { h with recorder = tok_quoted d 1 }
-  else if n = 2 && tok_is d 0 "base-steps" then
-    Some { h with base_steps = tok_int d 1 }
-  else if n = 2 && tok_is d 0 "failure" && tok_is d 1 "none" then
-    Some { h with failure = None }
-  else if n > 0 && tok_is d 0 "failure" then
-    Some { h with failure = Some (dec_failure d 1) }
-  else if n = 2 && tok_is d 0 "faults" then
-    match Fault.of_string (tok_quoted d 1) with
-    | Ok p -> Some { h with faults = Some p }
-    | Error e -> raise (Parse ("bad fault plan: " ^ e))
-  else None
-
 (* ------------------------------------------------------------------ *)
 (* the entry stream: a magic line, header lines, [<crc8> <entry>] lines,
    then [end N]. Monolithic logs and shards, segments and the segment
    header file differ only in their magic. *)
 
-(* One pass over the string in both modes. Strict turns the first
-   problem into an Error and reads no further; Salvage records it and
-   keeps the valid prefix, reading on unless [until_damage]. The first
-   non-blank line is the magic; a body line is framed, a header line or
-   the [end N] trailer. *)
+(* One pass over the string in both modes, each line read once: a
+   framed line is decoded as its end is found, then its body's CRC is
+   checked, and a bad CRC outranks whatever the decode found. Strict
+   turns the first problem into an Error and reads no further; Salvage
+   records it and keeps the valid prefix, reading on unless
+   [until_damage]. The first non-blank line is the magic; a body line is
+   framed, a header line or the [end N] trailer. *)
 let read_stream ~magic ?(until_damage = false) ?(mode = Strict) s =
-  let d = decoder s in
+  let r = reader s in
   let hdr = ref no_header in
   let entries = ref [] and count = ref 0 and corrupt = ref [] in
   let trailer = ref None and strict_error = ref None in
@@ -687,40 +885,75 @@ let read_stream ~magic ?(until_damage = false) ?(mode = Strict) s =
     if not (String.equal m magic) then
       problem n (if mode = Strict then "bad magic: " ^ m else "bad magic") ls le
   in
-  let body_line n ls le =
-    match check_frame s ls le with
-    | Framed -> (
-      match dec_entry d (ls + 9) le with
-      | e ->
+  (* the framed line from [ls], its CRC [stored]; returns where it ends *)
+  let crc_problem n ls le =
+    problem n
+      ("crc mismatch (stored " ^ String.sub s ls 8 ^ ", computed "
+      ^ crc_hex (String.sub s (ls + 9) (le - ls - 9))
+      ^ ")")
+      ls le
+  in
+  let framed_line n ls stored =
+    match dec_entry r (ls + 9) with
+    | e ->
+      let le = r.pos in
+      if crc32 s (ls + 9) (le - ls - 9) <> stored then crc_problem n ls le
+      else begin
         entries := e :: !entries;
         incr count
-      | exception Parse msg -> problem n msg ls le)
-    | Bad_crc ->
-      problem n
-        ("crc mismatch (stored " ^ String.sub s ls 8 ^ ", computed "
-        ^ crc_hex (String.sub s (ls + 9) (le - ls - 9))
-        ^ ")")
-        ls le
-    | Unframed -> (
-      match tokenize d ls le with
-      | exception Parse msg -> problem n msg ls le
-      | () ->
-        if d.ntok = 2 && tok_is d 0 "end" then
-          match tok_int d 1 with
-          | c -> trailer := Some c
-          | exception Parse _ -> problem n "bad trailer count" ls le
-        else
-          match header_tokens d !hdr with
-          | Some h -> hdr := h
-          | None -> problem n "unrecognised line" ls le
-          | exception Parse msg -> problem n msg ls le)
+      end;
+      le
+    | exception Parse msg ->
+      let le = line_end s r.pos in
+      if crc32 s (ls + 9) (le - ls - 9) <> stored then crc_problem n ls le
+      else problem n msg ls le;
+      le
   in
-  iter_lines s (fun n ls le ->
-      if not (is_blank s ls le) then begin
+  let unframed_line n ls le =
+    start_line r ls;
+    ignore (next r);
+    match
+      if field_is r "end" then begin
+        let c = int_field r in
+        finish_line r;
+        if r.fields <> 2 then None
+        else if r.error != no_error then raise (Parse "bad trailer count")
+        else begin
+          trailer := Some c;
+          Some !hdr
+        end
+      end
+      else header_fields r !hdr
+    with
+    | Some h -> hdr := h
+    | None -> problem n "unrecognised line" ls le
+    | exception Parse msg -> problem n msg ls le
+  in
+  let ls = ref 0 and n = ref 1 and more = ref true in
+  while !more do
+    let stored =
+      if !magic_seen && not !stopped then framed_crc s !ls else -1
+    in
+    let le =
+      if stored >= 0 then begin
         incr total_lines;
-        if not !magic_seen then magic_line n ls le
-        else if not !stopped then body_line n ls le
-      end);
+        framed_line !n !ls stored
+      end
+      else
+        let le = line_end s !ls in
+        if not (is_blank s !ls le) then begin
+          incr total_lines;
+          if not !magic_seen then magic_line !n !ls le
+          else if not !stopped then unframed_line !n !ls le
+        end;
+        le
+    in
+    if le < String.length s then begin
+      ls := le + 1;
+      incr n
+    end
+    else more := false
+  done;
   if !total_lines = 0 then Error "empty log"
   else
     match !strict_error with
@@ -769,14 +1002,15 @@ let read_framed ~magic mode s line =
             error := Some (line_error n ("bad magic: " ^ m) text)
         end
         else
-          match check_frame s ls le with
-          | Framed -> (
+          let stored = framed_crc s ls in
+          if stored < 0 then problem n "unframed line" ls le
+          else if stored <> crc32 s (ls + 9) (le - ls - 9) then
+            problem n "crc mismatch" ls le
+          else
             match line (String.sub s (ls + 9) (le - ls - 9)) with
             | true -> ()
             | false -> problem n "unrecognised line" ls le
-            | exception Parse msg -> problem n msg ls le)
-          | Bad_crc -> problem n "crc mismatch" ls le
-          | Unframed -> problem n "unframed line" ls le);
+            | exception Parse msg -> problem n msg ls le);
   match !error with
   | Some e -> Error e
   | None -> if !magic_seen then Ok !corrupt else Error "empty file"
@@ -842,32 +1076,49 @@ let manifest_of_string ~magic ~part s =
   let push r x =
     r := x :: !r;
     true
+  and push_all r xs =
+    r := List.rev_append xs !r;
+    true
+  and push_one r x =
+    r := Some x;
+    true
   in
   let line body =
-    let d = decoder body in
-    tokenize d 0 (String.length body);
-    let n = d.ntok and kw = tok_is d 0 in
-    if n = 5 && kw part then
-      push parts
-        {
-          index = tok_int d 1;
-          name = tok_string d 2;
-          entries = tok_int d 3;
-          crc = tok_string d 4;
-        }
-    else if n = 2 && kw "order" then begin
-      order := List.rev_append (runs_of (tok_string d 1)) !order;
-      true
+    let r = reader body in
+    start_line r 0;
+    if not (next r) then false
+    else if field_is r part then begin
+      let index = int_field r in
+      let name = text_field r in
+      let entries = int_field r in
+      let crc = text_field r in
+      finish_line r;
+      r.fields = 5 && (field_errors r; push parts { index; name; entries; crc })
     end
-    else if n = 6 && kw "edge" then
-      push edges
-        (tok_quoted d 1, tok_int d 2, tok_int d 3, tok_int d 4, tok_int d 5)
-    else if n = 4 && kw "end" then begin
-      trailer := Some (tok_int d 1, tok_int d 2, tok_int d 3);
-      true
+    else if field_is r "order" then begin
+      let runs = text_field r in
+      finish_line r;
+      r.fields = 2 && push_all order (runs_of runs)
+    end
+    else if field_is r "edge" then begin
+      let chan = quoted_field r in
+      let six = int_field r in
+      let sseq = int_field r in
+      let rix = int_field r in
+      let rseq = int_field r in
+      finish_line r;
+      r.fields = 6 && (field_errors r; push edges (chan, six, sseq, rix, rseq))
+    end
+    else if field_is r "end" then begin
+      let n_parts = int_field r in
+      let n_entries = int_field r in
+      let n_edges = int_field r in
+      finish_line r;
+      r.fields = 4
+      && (field_errors r; push_one trailer (n_parts, n_entries, n_edges))
     end
     else
-      match header_tokens d !hdr with
+      match header_fields r !hdr with
       | Some h ->
         hdr := h;
         true

@@ -22,6 +22,18 @@
     bit-rotted or half-written, and the reader must be able to tell —
     and to keep going.
 
+    The checksum is CRC32 (IEEE 802.3, reflected polynomial
+    0xEDB88320), computed slicing-by-8: 8 bytes per step through an
+    8 x 256 table, the tail byte by byte, with no allocation. Every
+    writer frames its lines with it and every reader checks them.
+
+    The entry-stream reader reads each line once: it finds the line's
+    end while decoding its fields straight from the bytes, then checks
+    the body's CRC, which outranks whatever the decode found. A line's
+    error is deferred to its end, so the one reported follows the
+    format's precedence: an unterminated quote anywhere on the line,
+    then a wrong field count, then the rightmost bad field.
+
     Two loading modes implement the paper's graceful-degradation stance
     (DF should fall to 1/n, not to 0, when fidelity is lost):
 

@@ -60,6 +60,36 @@ let test_crc_known_answers () =
   Alcotest.(check bool) "a range is checked against its own bytes" true
     (Log_io.crc_matches "cbf43926" "xx123456789yy" 2 9)
 
+(* Every (pos, len) range of strings of 0 to 64 bytes, so every
+   alignment of the 8-byte steps and every tail length: [crc_hex] and
+   [crc_matches] agree with the reference's byte-at-a-time Int32 CRC,
+   and a stored CRC one bit off never matches. *)
+let prop_crc_ranges =
+  QCheck2.Test.make ~name:"crc_hex and crc_matches agree on every range"
+    ~count:100 ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(string_size (int_bound 64))
+    (fun s ->
+      let n = String.length s in
+      for pos = 0 to n do
+        for len = 0 to n - pos do
+          let sub = String.sub s pos len in
+          let expected = Ref_codec.crc_hex sub in
+          let off_by_one =
+            String.mapi
+              (fun i c -> if i = 7 then if c = '0' then '1' else '0' else c)
+              expected
+          in
+          if
+            Log_io.crc_hex sub <> expected
+            || (not (Log_io.crc_matches expected s pos len))
+            || Log_io.crc_matches off_by_one s pos len
+          then
+            QCheck2.Test.fail_reportf "range (%d, %d) of %S: crc %s, expected %s"
+              pos len s (Log_io.crc_hex sub) expected
+        done
+      done;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* fixtures *)
 
@@ -431,6 +461,104 @@ let test_underscored_negative () =
       (log.Log.entries = [ Log.Sched { tid = -1000; sid = 2 } ])
   | Error e -> Alcotest.fail e
 
+(* Documents at the edges of the line and field grammar, each decoded
+   as the reference decodes it: the same log, damage record and error
+   string, in both modes. The reference raises on none of them, so each
+   comparison is exact. *)
+let framed body = Ref_codec.crc_hex body ^ " " ^ body
+
+let doc lines = String.concat "\n" lines
+
+let head = [ "ddet-log v2"; "recorder \"r\""; "base-steps 3"; "failure none" ]
+
+let boundary_docs =
+  [
+    (* CRLF line ends: the CR is part of each line, so a frame computed
+       without it mismatches and one computed with it decodes "2\r" *)
+    String.concat "\r\n" (head @ [ framed "sched 1 2"; "end 1"; "" ]);
+    doc (head @ [ framed "sched 1 2\r"; "end 1"; "" ]);
+    (* a last line without '\n': the trailer, then an entry *)
+    doc (head @ [ framed "sched 1 2"; "end 1" ]);
+    doc (head @ [ framed "sched 1 2" ]);
+    (* blank lines of tabs, form feeds and CRs *)
+    doc (head @ [ "\t\t"; "\012"; "\r"; " \t\012\r "; framed "sched 1 2"; "end 1"; "" ]);
+    (* an unterminated quote at a line end and at the end of the file *)
+    doc (head @ [ framed "mark \"abc"; "end 0"; "" ]);
+    doc (head @ [ "end 0"; framed "mark \"abc" ]);
+    doc [ "ddet-log v2"; "recorder \"r"; "end 0"; "" ];
+    (* a backslash just before '\n' escapes nothing: the quote stays
+       unterminated, and the next line's quotes are its own *)
+    doc (head @ [ framed "mark \"ab\\"; "recorder \"r2\""; "end 0"; "" ]);
+    doc (head @ [ framed "mark \"ab\\\\\""; "end 1"; "" ]);
+    (* a 9-byte framed line: an empty body *)
+    doc (head @ [ framed ""; "end 0"; "" ]);
+    (* 8 hex digits with no space after them are no frame *)
+    doc (head @ [ "0123abcd"; "0123abcdsched 1 2"; Ref_codec.crc_hex ""; "end 0"; "" ]);
+    (* ints in every spelling int_of_string accepts, and 19 digits *)
+    doc
+      (head
+      @ [
+          framed "sched 0x1f 1_000"; framed "sched +5 -1_000";
+          framed "sched 1234567890123456789 -4611686018427387904";
+          framed "sched 9999999999999999999 0";
+          framed "flight 0b101"; "end 5"; "";
+        ]);
+    doc [ "ddet-log v2"; "base-steps 0x1f"; "failure none"; "end +0"; "" ];
+    doc [ "ddet-log v2"; "base-steps 1_0"; "end 0x"; "" ];
+    (* two bad fields on one line: the rightmost is named *)
+    doc
+      (head
+      @ [
+          framed "readval 1 2 bad i:zz"; framed "readval x 2 bad i:3";
+          framed "sync x 2 bogus c"; framed "govern x 1 noquote";
+          framed "input x c q"; framed "cpinput 1 y c s:zz";
+          framed "sched x y"; "end 0"; "";
+        ]);
+    doc [ "ddet-log v2"; "failure crash x noquote"; "end 0"; "" ];
+    (* precedence: an unterminated quote outranks a wrong field count,
+       which outranks a bad field *)
+    doc
+      (head
+      @ [
+          framed "sched x 2 3"; framed "readval 1 2 bad"; framed "sched 1 2 3 \"x";
+          framed "sched x \"y"; "base-steps x y"; "recorder noquote \"z"; "end 0"; "";
+        ]);
+    (* extra fields after a valid entry or header line *)
+    doc
+      (head
+      @ [
+          framed "sched 1 2 3"; framed "mark \"a\" \"b\""; framed "flight 3 4";
+          framed "sync 1 2 spawn - x"; "recorder \"a\" extra"; "end 1 2";
+          "end 0"; "";
+        ]);
+    (* mark, govern and faildesc lines with escapes, good and bad *)
+    doc
+      (head
+      @ [
+          framed "mark \"a\\\"b\\\\c\\n\\t\\x41\\065\\r\"";
+          framed "govern 7 2 \"r\\\\\\\"q\"";
+          framed "faildesc crash 3 \"m\\x41\\\"\"";
+          framed "faildesc spec \"t\\n\""; framed "faildesc hang";
+          framed "mark \"\\q\""; framed "mark \"\\999\"";
+          framed "govern 1 2 \"\\x4\""; framed "faildesc bogus 1";
+          framed "faildesc crash 3 \"m\" extra"; framed "faildesc";
+          framed "mark \"a\"b\"c\""; framed "mark x\"a b\"";
+          "failure crash 3 \"a\\\"b\""; "end 5"; "";
+        ]);
+  ]
+
+let test_boundary_docs () =
+  List.iter
+    (fun s ->
+      List.iter
+        (fun mode ->
+          match Ref_codec.of_string_report ~mode s with
+          | _ -> ignore (agrees mode s)
+          | exception e ->
+            Alcotest.failf "the reference raises %s on %S" (Printexc.to_string e) s)
+        [ Log_io.Strict; Log_io.Salvage ])
+    boundary_docs
+
 (* ------------------------------------------------------------------ *)
 (* one log, every layout *)
 
@@ -516,7 +644,10 @@ let () =
   Alcotest.run "codec"
     [
       ( "crc",
-        [ Alcotest.test_case "known answers" `Quick test_crc_known_answers ] );
+        [
+          Alcotest.test_case "known answers" `Quick test_crc_known_answers;
+          QCheck_alcotest.to_alcotest prop_crc_ranges;
+        ] );
       ( "fixtures",
         [
           Alcotest.test_case "v2 log" `Quick test_log_fixture;
@@ -538,6 +669,7 @@ let () =
         @ [
             Alcotest.test_case "underscored negative int" `Quick
               test_underscored_negative;
+            Alcotest.test_case "boundary documents" `Quick test_boundary_docs;
           ] );
       ("layouts", [ QCheck_alcotest.to_alcotest prop_layouts ]);
     ]

@@ -1017,6 +1017,52 @@ let test_compiled_state_isolation () =
   let r2 = Interp.run_compiled ~state c (World.random ~seed:7) in
   same_result "state-isolation" r1 r2
 
+(* [Interp.compile] lowers a program once per domain: the same labelled
+   program gives back the same compiled value, including after the
+   domain has compiled a few others in between, as a session's runs and
+   a benchmark mix's sessions alternate. *)
+let proggen pseed = Proggen.generate Proggen.default (Prng.create pseed)
+
+let test_compile_once () =
+  let p = proggen 1 and q = proggen 2 and r = proggen 3 in
+  let c = Interp.compile p in
+  Alcotest.(check bool) "same program, same compiled value" true
+    (Interp.compile p == c);
+  let cq = Interp.compile q and cr = Interp.compile r in
+  Alcotest.(check bool) "kept while alternating" true
+    (Interp.compile p == c && Interp.compile q == cq && Interp.compile r == cr);
+  Alcotest.(check bool) "a structurally equal copy is another program" false
+    (Interp.compile (proggen 1) == c)
+
+(* The cache is bounded by a constant (8 programs): after 32 other
+   programs the first is lowered afresh. *)
+let test_compile_cache_bounded () =
+  let p = proggen 1 in
+  let c = Interp.compile p in
+  for pseed = 100 to 131 do
+    ignore (Interp.compile (proggen pseed))
+  done;
+  let again = Interp.compile p in
+  Alcotest.(check bool) "evicted: a fresh compiled value" false (again == c);
+  same_result "the fresh value runs the same"
+    (Interp.run_compiled c (World.random ~seed:3))
+    (Interp.run_compiled again (World.random ~seed:3))
+
+(* each domain keeps its own cache *)
+let test_compile_per_domain () =
+  let p = proggen 4 in
+  let c = Interp.compile p in
+  let fresh, cached =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let d = Interp.compile p in
+           (d != c, Interp.compile p == d)))
+  in
+  Alcotest.(check bool) "a spawned domain compiles its own copy" true fresh;
+  Alcotest.(check bool) "and reuses it" true cached;
+  Alcotest.(check bool) "the first domain's copy stays" true
+    (Interp.compile p == c)
+
 let () =
   Alcotest.run "mvm"
     [
@@ -1132,6 +1178,12 @@ let () =
             test_compiled_state_isolation;
           Alcotest.test_case "unit-reads parity" `Quick
             test_compiled_parity_unit_reads;
+          Alcotest.test_case "compiled once per domain" `Quick
+            test_compile_once;
+          Alcotest.test_case "compile cache bounded" `Quick
+            test_compile_cache_bounded;
+          Alcotest.test_case "a domain compiles its own copy" `Quick
+            test_compile_per_domain;
         ] );
       ( "forcing",
         [

@@ -671,6 +671,145 @@ let parity_plans (app : Ddet_apps.App.t) =
          (fun s -> Ddet_apps.App.lower_faults app (Result.get_ok (Fault.of_string s)))
          node)
 
+(* Production runs under every plan, pinned: each parity app under each
+   of its [parity_plans] for seeds 1-8 must end in the same status after
+   the same number of steps, with the same trace ([Log_io.crc_hex] of
+   [Format.asprintf "%a" Trace.pp] of it). How [Fault.inject] consults
+   its plan is an implementation detail; which thread it deschedules,
+   which delivery it fails and which message it duplicates is not, and a
+   change to one such decision fails here, naming app, plan and seed.
+   The pins are not regenerated to make a rewrite pass. *)
+
+(* (app, plan index, seed, status, steps, CRC32 of the printed trace) *)
+let fault_pins =
+  [
+    ("miniht", 0, 1, "done", 817, "c3ff891c");
+    ("miniht", 0, 2, "done", 788, "7bb8dda8");
+    ("miniht", 0, 3, "done", 802, "7a750ffd");
+    ("miniht", 0, 4, "done", 770, "6062f8f5");
+    ("miniht", 0, 5, "done", 850, "9405e8fb");
+    ("miniht", 0, 6, "done", 780, "00e14462");
+    ("miniht", 0, 7, "done", 770, "ca8ceccb");
+    ("miniht", 0, 8, "done", 837, "9de464ef");
+    ("miniht", 1, 1, "done", 760, "ff5b82d9");
+    ("miniht", 1, 2, "done", 781, "cf536ee9");
+    ("miniht", 1, 3, "done", 745, "1b9f1f36");
+    ("miniht", 1, 4, "done", 743, "7595846d");
+    ("miniht", 1, 5, "done", 740, "f7c9b4e6");
+    ("miniht", 1, 6, "done", 738, "3ab3f391");
+    ("miniht", 1, 7, "done", 739, "ad0e4d86");
+    ("miniht", 1, 8, "done", 735, "4e1e641c");
+    ("cloudstore", 0, 1, "done", 878, "e825d7f8");
+    ("cloudstore", 0, 2, "done", 1025, "31d38818");
+    ("cloudstore", 0, 3, "done", 1030, "0bfbd506");
+    ("cloudstore", 0, 4, "done", 929, "bc177025");
+    ("cloudstore", 0, 5, "done", 922, "06203df6");
+    ("cloudstore", 0, 6, "done", 877, "7e29c282");
+    ("cloudstore", 0, 7, "done", 919, "521c0ff7");
+    ("cloudstore", 0, 8, "done", 883, "5a12ec66");
+    ("cloudstore", 1, 1, "step-limit", 200000, "729a772a");
+    ("cloudstore", 1, 2, "step-limit", 200000, "106df79b");
+    ("cloudstore", 1, 3, "done", 1147, "75a1ef0c");
+    ("cloudstore", 1, 4, "done", 910, "deb20c74");
+    ("cloudstore", 1, 5, "done", 1068, "bde9d5b8");
+    ("cloudstore", 1, 6, "step-limit", 200000, "4fbe76ec");
+    ("cloudstore", 1, 7, "step-limit", 200000, "0ce16dd6");
+    ("cloudstore", 1, 8, "step-limit", 200000, "867591fb");
+    ("cloudstore", 2, 1, "done", 879, "13bd3c58");
+    ("cloudstore", 2, 2, "done", 1025, "c2838d91");
+    ("cloudstore", 2, 3, "done", 999, "2a20dcaa");
+    ("cloudstore", 2, 4, "done", 951, "e7a388ab");
+    ("cloudstore", 2, 5, "done", 915, "f86303dd");
+    ("cloudstore", 2, 6, "done", 877, "b759cec0");
+    ("cloudstore", 2, 7, "done", 919, "2cc17190");
+    ("cloudstore", 2, 8, "done", 883, "70d4fff0");
+    ("msg_server", 0, 1, "done", 338, "71aa8465");
+    ("msg_server", 0, 2, "done", 347, "ef5bb774");
+    ("msg_server", 0, 3, "done", 349, "78fc46b8");
+    ("msg_server", 0, 4, "done", 338, "f75635b9");
+    ("msg_server", 0, 5, "done", 304, "b2c11840");
+    ("msg_server", 0, 6, "done", 302, "7fb2e251");
+    ("msg_server", 0, 7, "done", 310, "05c36bf2");
+    ("msg_server", 0, 8, "done", 341, "3f74fa4d");
+    ("msg_server", 1, 1, "done", 320, "2ffa622d");
+    ("msg_server", 1, 2, "done", 339, "466f26cb");
+    ("msg_server", 1, 3, "step-limit", 200000, "39b283f0");
+    ("msg_server", 1, 4, "done", 346, "6fad8ddd");
+    ("msg_server", 1, 5, "step-limit", 200000, "ba526792");
+    ("msg_server", 1, 6, "done", 297, "308c4a5d");
+    ("msg_server", 1, 7, "step-limit", 200000, "5065bd3c");
+    ("msg_server", 1, 8, "step-limit", 200000, "5e66d6fa");
+    ("msg_server", 2, 1, "done", 338, "71aa8465");
+    ("msg_server", 2, 2, "done", 347, "5d4eedc6");
+    ("msg_server", 2, 3, "done", 349, "b53ac59d");
+    ("msg_server", 2, 4, "done", 338, "f75635b9");
+    ("msg_server", 2, 5, "done", 304, "b2c11840");
+    ("msg_server", 2, 6, "done", 302, "7fb2e251");
+    ("msg_server", 2, 7, "done", 310, "05c36bf2");
+    ("msg_server", 2, 8, "done", 341, "1f36818a");
+    ("adder", 0, 1, "done", 5, "d182a910");
+    ("adder", 0, 2, "done", 5, "eb4f0d1f");
+    ("adder", 0, 3, "done", 5, "3169124a");
+    ("adder", 0, 4, "done", 5, "ba9a3592");
+    ("adder", 0, 5, "done", 5, "1cbe217e");
+    ("adder", 0, 6, "done", 5, "36719a89");
+    ("adder", 0, 7, "done", 5, "38f2a53f");
+    ("adder", 0, 8, "done", 5, "932fb890");
+    ("adder", 1, 1, "done", 5, "f25abf66");
+    ("adder", 1, 2, "done", 5, "f25abf66");
+    ("adder", 1, 3, "done", 5, "36719a89");
+    ("adder", 1, 4, "done", 5, "ae9541bf");
+    ("adder", 1, 5, "done", 5, "a0318f99");
+    ("adder", 1, 6, "done", 5, "ae9541bf");
+    ("adder", 1, 7, "done", 5, "a148b510");
+    ("adder", 1, 8, "done", 5, "a148b510");
+    ("bufover", 0, 1, "crashed: crash@5: array buf index 8 out of bounds (length 8)", 28, "8e8e1a49");
+    ("bufover", 0, 2, "done", 5, "83ddff3a");
+    ("bufover", 0, 3, "done", 11, "3e3ce6c4");
+    ("bufover", 0, 4, "crashed: crash@5: array buf index 8 out of bounds (length 8)", 28, "54236a6a");
+    ("bufover", 0, 5, "crashed: crash@5: array buf index 8 out of bounds (length 8)", 28, "5a4bb66d");
+    ("bufover", 0, 6, "done", 23, "7b6e9ed8");
+    ("bufover", 0, 7, "done", 26, "e9e6f07c");
+    ("bufover", 0, 8, "done", 5, "83ddff3a");
+    ("bufover", 1, 1, "done", 8, "9ab901c5");
+    ("bufover", 1, 2, "done", 8, "9ab901c5");
+    ("bufover", 1, 3, "done", 8, "9ab901c5");
+    ("bufover", 1, 4, "done", 8, "9ab901c5");
+    ("bufover", 1, 5, "done", 8, "9ab901c5");
+    ("bufover", 1, 6, "done", 8, "9ab901c5");
+    ("bufover", 1, 7, "done", 8, "9ab901c5");
+    ("bufover", 1, 8, "done", 8, "9ab901c5");
+  ]
+
+let fault_pin_cases =
+  List.map
+    (fun ai ->
+      let app = parity_apps.(ai) in
+      let name = app.Ddet_apps.App.name in
+      let plans = parity_plans app in
+      List.init (Array.length plans) (fun pi ->
+          Alcotest.test_case (Printf.sprintf "%s plan %d" name pi) `Quick
+            (fun () ->
+              let pins =
+                List.filter (fun (a, p, _, _, _, _) -> a = name && p = pi) fault_pins
+              in
+              Alcotest.(check int) "seeds pinned" 8 (List.length pins);
+              List.iter
+                (fun (_, _, seed, status, steps, crc) ->
+                  let r =
+                    Ddet_apps.App.production_run ~faults:plans.(pi) app ~seed
+                  in
+                  let what = Printf.sprintf "seed %d: " seed in
+                  Alcotest.(check string) (what ^ "status") status
+                    (Interp.status_to_string r.Interp.status);
+                  Alcotest.(check int) (what ^ "steps") steps r.Interp.steps;
+                  Alcotest.(check string) (what ^ "trace crc") crc
+                    (Log_io.crc_hex
+                       (Format.asprintf "%a" Trace.pp r.Interp.trace)))
+                pins)))
+    (List.init (Array.length parity_apps) Fun.id)
+  |> List.concat
+
 let same_run (a : Interp.result) (b : Interp.result) =
   a.Interp.status = b.Interp.status
   && a.Interp.steps = b.Interp.steps
@@ -922,4 +1061,5 @@ let () =
             prop_perfect_replay_parity;
           ] );
       ("oracle-worlds", List.map to_alcotest [ prop_oracle_parity ]);
+      ("fault-pins", fault_pin_cases);
     ]
