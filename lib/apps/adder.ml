@@ -32,7 +32,7 @@ let spec =
       match
         ( first_input r.Interp.trace "a",
           first_input r.Interp.trace "b",
-          Trace.outputs_on r.Interp.trace "sum" )
+          Interp.outputs_on r "sum" )
       with
       | Some (Value.Vint a), Some (Value.Vint b), [ Value.Vint s ] ->
         if s = a + b then Ok () else Error "wrong-sum"

@@ -250,7 +250,7 @@ let program () =
 
 let spec =
   Spec.make "acked-blocks-readable" (fun r ->
-      match Trace.outputs_on r.Interp.trace "stales" with
+      match Interp.outputs_on r "stales" with
       | [ Value.Vint 0 ] -> Ok ()
       | [ Value.Vint n ] when n > 0 -> Error "stale-read"
       | _ -> Error "malformed-io")

@@ -271,8 +271,8 @@ let program () =
 let spec =
   Spec.make "dump-returns-all-rows" (fun r ->
       match
-        ( Trace.outputs_on r.Interp.trace "loaded",
-          Trace.outputs_on r.Interp.trace "dumped" )
+        ( Interp.outputs_on r "loaded",
+          Interp.outputs_on r "dumped" )
       with
       | [ Value.Vint loaded ], [ Value.Vint dumped ] ->
         if dumped < loaded then Error "missing-rows"

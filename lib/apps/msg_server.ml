@@ -128,8 +128,8 @@ let program () =
 let spec =
   Spec.make "all-sent-delivered" (fun r ->
       match
-        ( Trace.outputs_on r.Interp.trace "sent",
-          Trace.outputs_on r.Interp.trace "delivered" )
+        ( Interp.outputs_on r "sent",
+          Interp.outputs_on r "delivered" )
       with
       | [ Value.Vint sent ], [ Value.Vint delivered ] ->
         if delivered < sent then Error "dropped-messages"

@@ -227,24 +227,37 @@ let has_duplicate plan =
     (function Chan { action = Duplicate _; _ } -> true | _ -> false)
     plan.faults
 
-(* [clauses] are the plan's Stall and Crash clauses; a direct loop, so
-   the per-step check allocates nothing *)
-let rec descheduled clauses ~step tid =
-  match clauses with
-  | [] -> false
-  | Stall { tid = t; from_step; until_step } :: rest ->
-    (t = tid && step >= from_step && step < until_step)
-    || descheduled rest ~step tid
-  | Crash { tid = t; at_step } :: rest ->
-    (t = tid && step >= at_step) || descheduled rest ~step tid
-  | (Chan _ | Perturb _ | Partition _ | Node_crash _ | Node_restart _) :: rest
-    ->
-    descheduled rest ~step tid
+(* The Stall and Crash clauses as windows of steps. The set of
+   descheduled threads changes only at a step where some clause starts
+   or ends, so [window clauses step] is the widest [lo, hi) around
+   [step] that no clause boundary splits, with the tids descheduled
+   throughout it. The scheduler recomputes it only when a step leaves
+   the window it holds. *)
+type window = { lo : int; hi : int; out : int list }
 
-let rec any_descheduled clauses ~step = function
+let window clauses step =
+  let bound w b =
+    if b <= step then { w with lo = Int.max w.lo b }
+    else { w with hi = Int.min w.hi b }
+  in
+  List.fold_left
+    (fun w -> function
+      | Stall { tid; from_step; until_step } ->
+        let w = bound (bound w from_step) until_step in
+        if step >= from_step && step < until_step then { w with out = tid :: w.out }
+        else w
+      | Crash { tid; at_step } ->
+        let w = bound w at_step in
+        if step >= at_step then { w with out = tid :: w.out } else w
+      | Chan _ | Perturb _ | Partition _ | Node_crash _ | Node_restart _ -> w)
+    { lo = min_int; hi = max_int; out = [] }
+    clauses
+
+let rec is_out tid = function [] -> false | t :: rest -> t = tid || is_out tid rest
+
+let rec any_out out = function
   | [] -> false
-  | (c : World.cand) :: rest ->
-    descheduled clauses ~step c.tid || any_descheduled clauses ~step rest
+  | (c : World.cand) :: rest -> is_out c.tid out || any_out out rest
 
 let perturb_prob clauses chan =
   List.fold_left
@@ -305,17 +318,29 @@ let inject plan (w : World.t) =
         (match desched with
         | [] -> w.World.pick_thread
         | _ ->
+          let current = ref (window desched 0) in
           fun ~step cands ->
-            if not (any_descheduled desched ~step cands) then
-              w.World.pick_thread ~step cands
-            else
-              match
-                List.filter
-                  (fun (c : World.cand) -> not (descheduled desched ~step c.tid))
-                  cands
-              with
-              | [] -> w.World.pick_thread ~step cands
-              | alive -> w.World.pick_thread ~step alive);
+            let win = !current in
+            let win =
+              if step >= win.lo && step < win.hi then win
+              else begin
+                let win = window desched step in
+                current := win;
+                win
+              end
+            in
+            match win.out with
+            | [] -> w.World.pick_thread ~step cands
+            | out -> (
+              if not (any_out out cands) then w.World.pick_thread ~step cands
+              else
+                match
+                  List.filter
+                    (fun (c : World.cand) -> not (is_out c.tid out))
+                    cands
+                with
+                | [] -> w.World.pick_thread ~step cands
+                | alive -> w.World.pick_thread ~step alive));
       pick_input =
         (if perturbs = [] then w.World.pick_input
          else fun ~step ~tid ~chan ~domain ->

@@ -100,7 +100,7 @@ and aop =
   | A_if of cexpr * catomic array * catomic array
   | A_while of cexpr * catomic array
   | A_input of int * string * Value.t list * Taint.t
-  | A_output of string * cexpr
+  | A_output of int * cexpr  (* interned output channel *)
   | A_send of int * cexpr
   | A_recv of int * int
   | A_try_recv of int * int * int
@@ -119,7 +119,7 @@ type op =
   | O_while of cexpr * int  (* false jumps past the loop, true falls through *)
   | O_jmp of int  (* silent control transfer: never a step, never an event *)
   | O_input of int * string * Value.t list * Taint.t
-  | O_output of string * cexpr
+  | O_output of int * cexpr  (* interned output channel *)
   | O_send of int * cexpr  (* message channels and locks are interned: *)
   | O_recv of int * int  (* their names appear only as statement      *)
   | O_try_recv of int * int * int  (* literals, so every queue/owner lookup  *)
@@ -151,6 +151,8 @@ type compiled = {
   c_array_len : int array;
   c_chan_names : string array;  (* interned Send/Recv/Try_recv channels *)
   c_lock_names : string array;  (* interned mutex names *)
+  c_out_names : string array;  (* interned Output channels *)
+  c_out_sorted : int array;  (* output channel ids in name order *)
 }
 
 let lower (labeled : Label.labeled) : compiled =
@@ -195,6 +197,7 @@ let lower (labeled : Label.labeled) : compiled =
      Queues are created up front, one per interned name; an untouched
      queue is simply empty. *)
   let ch_ids = Hashtbl.create 16 and lk_ids = Hashtbl.create 16 in
+  let out_ids = Hashtbl.create 16 in
   let intern ids r =
     match Hashtbl.find_opt ids r with
     | Some i -> i
@@ -205,6 +208,7 @@ let lower (labeled : Label.labeled) : compiled =
   in
   let chan_id ch = intern ch_ids ch in
   let lock_id m = intern lk_ids m in
+  let out_id ch = intern out_ids ch in
   (* Functions: first declaration of a name wins, as in [find_func]. *)
   let fn_ids = Hashtbl.create 16 in
   let fn_arr = Array.of_list prog.funcs in
@@ -287,7 +291,7 @@ let lower (labeled : Label.labeled) : compiled =
           let xs = slot x in
           let ch, domain, taint = input_parts ch in
           A_input (xs, ch, domain, taint)
-        | Output (ch, e) -> A_output (ch, cexpr e)
+        | Output (ch, e) -> A_output (out_id ch, cexpr e)
         | Send (ch, e) -> A_send (chan_id ch, cexpr e)
         | Recv (x, ch) -> A_recv (slot x, chan_id ch)
         | Try_recv (ok, x, ch) ->
@@ -358,7 +362,7 @@ let lower (labeled : Label.labeled) : compiled =
         let xs = slot x in
         let ch, domain, taint = input_parts ch in
         push sid (O_input (xs, ch, domain, taint))
-      | Output (ch, e) -> push sid (O_output (ch, cexpr e))
+      | Output (ch, e) -> push sid (O_output (out_id ch, cexpr e))
       | Send (ch, e) -> push sid (O_send (chan_id ch, cexpr e))
       | Recv (x, ch) -> push sid (O_recv (slot x, chan_id ch))
       | Try_recv (ok, x, ch) ->
@@ -388,6 +392,11 @@ let lower (labeled : Label.labeled) : compiled =
     }
   in
   Array.iteri (fun i f -> cfuncs.(i) <- compile_func i f) fn_arr;
+  let out_names = inv_names out_ids (Hashtbl.length out_ids) in
+  let out_sorted = Array.init (Array.length out_names) Fun.id in
+  Array.stable_sort
+    (fun a b -> String.compare out_names.(a) out_names.(b))
+    out_sorted;
   {
     c_funcs = cfuncs;
     c_main = resolve_callee prog.main 0;
@@ -400,6 +409,8 @@ let lower (labeled : Label.labeled) : compiled =
     c_array_len = Array.init (Vec.length ar) (fun i -> fst !(Vec.get ar i));
     c_chan_names = inv_names ch_ids (Hashtbl.length ch_ids);
     c_lock_names = inv_names lk_ids (Hashtbl.length lk_ids);
+    c_out_names = out_names;
+    c_out_sorted = out_sorted;
   }
 
 (* Each domain keeps the programs it compiled last, most recently used
@@ -440,9 +451,8 @@ let compile labeled =
 let unbound : Value.tagged =
   Value.tag Value.unit (Sys.opaque_identity Taint.empty)
 
-(* "No next instruction" sentinel, compared physically: returning it
-   instead of [None] keeps the per-step resolve/normalize path from
-   allocating an option. Real [O_jmp] instructions are consumed inside
+(* "No next instruction" sentinel, compared physically: a finished
+   thread's [c_next]. Real [O_jmp] instructions are consumed inside
    [resolve_frame], so the sentinel can never be confused with one. *)
 let no_instr : instr = { i_sid = -1; i_op = O_jmp (-1) }
 
@@ -453,7 +463,17 @@ type cframe = {
   c_dest : int;  (* slot in the caller's frame, or -1 *)
 }
 
-type cthread = { c_tid : int; mutable c_frames : cframe list }
+(* A thread's next instruction and its scheduling candidate are resolved
+   once, right after it steps or is spawned ([refresh]): the step loop,
+   the candidate set and the next step read them without walking the
+   frame stack. [c_cand] is the one candidate record the thread ever
+   has; [refresh] moves it to [c_next]'s site in place. *)
+type cthread = {
+  c_tid : int;
+  mutable c_frames : cframe list;
+  mutable c_next : instr;  (* [no_instr] once the thread has finished *)
+  c_cand : World.cand;
+}
 
 (* The arena: every piece of exec state whose shape depends only on the
    compiled program, reusable across runs on the same domain. The trace is
@@ -466,6 +486,8 @@ type state = {
   s_chans : Value.tagged Queue.t array;  (* indexed by interned chan id *)
   s_locks : int array;  (* owner tid by interned lock id; -1 = free *)
   s_threads : cthread Vec.t;
+  s_outs : Value.t list array;
+      (* values emitted per interned output channel, latest first *)
 }
 
 let make_state c =
@@ -479,6 +501,7 @@ let make_state c =
       Array.init (Array.length c.c_chan_names) (fun _ -> Queue.create ());
     s_locks = Array.make (max 1 (Array.length c.c_lock_names)) (-1);
     s_threads = Vec.create ();
+    s_outs = Array.make (Array.length c.c_out_names) [];
   }
 
 let reset_state st =
@@ -489,7 +512,8 @@ let reset_state st =
     st.s_arrays;
   Array.iter Queue.clear st.s_chans;
   Array.fill st.s_locks 0 (Array.length st.s_locks) (-1);
-  Vec.clear st.s_threads
+  Vec.clear st.s_threads;
+  Array.fill st.s_outs 0 (Array.length st.s_outs) []
 
 let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     ?state (c : compiled) (world : World.t) =
@@ -507,6 +531,7 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
   let chans = st.s_chans in
   let locks = st.s_locks in
   let threads = st.s_threads in
+  let outs = st.s_outs in
   let trace = Trace.create () in
   let step_count = ref 0 in
 
@@ -526,24 +551,6 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       match check e with None -> () | Some reason -> raise (Abort_exn reason))
   in
 
-  let make_cframe cf argv c_dest =
-    let c_locals = Array.make (max cf.cf_nslots 1) unbound in
-    Array.blit argv 0 c_locals 0 (Array.length argv);
-    { c_fn = cf; c_locals; c_pc = 0; c_dest }
-  in
-
-  let spawn_cthread callee argv =
-    match callee with
-    | Callee_bad msg -> raise (Crash_exn msg)
-    | Callee i ->
-      let tid = Vec.length threads in
-      Vec.push threads
-        { c_tid = tid; c_frames = [ make_cframe c.c_funcs.(i) argv (-1) ] };
-      tid
-  in
-
-  ignore (spawn_cthread c.c_main [||]);
-
   (* Silent jumps carry no step: resolve them before anything looks at a
      frame's next instruction. Returns [no_instr] (physically) when the
      frame is exhausted. *)
@@ -558,26 +565,57 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
         resolve_frame f
       | i -> i
   in
-  (* Implicit returns: pop frames whose instructions are exhausted,
-     binding unit to the caller's destination slot, until the next
-     instruction (if any) is exposed. *)
-  let rec normalize th =
+  (* Resolve the thread's next instruction after it stepped or was
+     spawned: implicit returns pop frames whose instructions are
+     exhausted, binding unit to the caller's destination slot, until the
+     next instruction (if any) is exposed; the candidate record moves to
+     its site. Popping eagerly instead of when the scheduler next looks
+     is unobservable: only the thread itself reads its frames. *)
+  let rec refresh th =
     match th.c_frames with
-    | [] -> ()
+    | [] -> th.c_next <- no_instr
     | f :: callers ->
-      if resolve_frame f == no_instr then begin
+      let i = resolve_frame f in
+      if i == no_instr then begin
         th.c_frames <- callers;
         (match callers with
         | caller :: _ when f.c_dest >= 0 ->
           caller.c_locals.(f.c_dest) <- Value.untainted Value.unit
         | _ -> ());
-        normalize th
+        refresh th
+      end
+      else begin
+        th.c_next <- i;
+        World.set_site th.c_cand ~sid:i.i_sid ~fname:f.c_fn.cf_name
       end
   in
-  let next_instr th =
-    normalize th;
-    match th.c_frames with [] -> no_instr | f :: _ -> resolve_frame f
+
+  let make_cframe cf argv c_dest =
+    let c_locals = Array.make (max cf.cf_nslots 1) unbound in
+    Array.blit argv 0 c_locals 0 (Array.length argv);
+    { c_fn = cf; c_locals; c_pc = 0; c_dest }
   in
+
+  let spawn_cthread callee argv =
+    match callee with
+    | Callee_bad msg -> raise (Crash_exn msg)
+    | Callee i ->
+      let tid = Vec.length threads in
+      let cf = c.c_funcs.(i) in
+      let th =
+        {
+          c_tid = tid;
+          c_frames = [ make_cframe cf argv (-1) ];
+          c_next = no_instr;
+          c_cand = World.cand ~tid ~sid:(-1) ~fname:cf.cf_name;
+        }
+      in
+      refresh th;
+      Vec.push threads th;
+      tid
+  in
+
+  ignore (spawn_cthread c.c_main [||]);
 
   (* The world's forcing promise (World.forcing) decides what the
      candidate set may keep between steps. Under [Never] a blocked
@@ -615,35 +653,33 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     | _ -> true
   in
 
+  let runnable th = th.c_next != no_instr && executable th.c_tid th.c_next in
+
+  (* The candidates in thread order: each runnable thread's own record,
+     already at its next site. *)
   let rebuild_candidates () =
     let rec build k acc =
       if k < 0 then acc
       else
         let th = Vec.get threads k in
-        let i = next_instr th in
-        if i != no_instr && executable th.c_tid i then
-          build (k - 1)
-            ({
-               World.tid = th.c_tid;
-               sid = i.i_sid;
-               fname = (List.hd th.c_frames).c_fn.cf_name;
-             }
-            :: acc)
+        if runnable th then build (k - 1) (th.c_cand :: acc)
         else build (k - 1) acc
     in
     build (Vec.length threads - 1) []
   in
 
   (* Candidate cache. A purely thread-local instruction can only change
-     the executing thread's own entry, so unless the world may force
-     anything (see World.forcing) the cached list is patched in place
-     instead of being rebuilt — most steps are local. Any instruction
-     that touches channels, locks or the thread table invalidates the
-     cache. Under [Own_steps] a blocked receive's forced answer can
-     change only through its own thread's steps, so the rebuild and the
-     stepping thread's patch ask the world ([executable]) and every other
-     entry stays exact. Under [Anything] the cache is bypassed: a forced
-     receive can wake any thread at any step. *)
+     the executing thread's own entry, and [refresh] has already moved
+     that entry's record to the thread's next site, so unless the world
+     may force anything (see World.forcing) the cached list changes only
+     when the thread no longer runs: it blocked or finished. Any
+     instruction that touches channels, locks or the thread table
+     invalidates the cache. Under [Own_steps] a blocked receive's forced
+     answer can change only through its own thread's steps, so the
+     rebuild and the stepping thread's check ask the world
+     ([executable]) and every other entry stays exact. Under [Anything]
+     the cache is bypassed: a forced receive can wake any thread at any
+     step. *)
   let cand_cache : World.cand list ref = ref [] in
   let cache_valid = ref false in
   let candidates () =
@@ -670,33 +706,13 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       false
   in
 
-  (* Closure-free replace/remove keep the cache patch allocation-light:
-     a tid occurs at most once, so the untouched suffix is shared instead
-     of re-consed. The produced list is the one List.map / List.filter
-     would build. *)
-  let rec replace_cand tid cnd = function
-    | [] -> []
-    | (c0 : World.cand) :: rest ->
-      if c0.World.tid = tid then cnd :: rest
-      else c0 :: replace_cand tid cnd rest
-  in
+  (* A tid occurs at most once, so the untouched suffix is shared instead
+     of re-consed. The produced list is the one List.filter would
+     build. *)
   let rec remove_cand tid = function
     | [] -> []
     | (c0 : World.cand) :: rest ->
       if c0.World.tid = tid then rest else c0 :: remove_cand tid rest
-  in
-  let patch_candidate th =
-    let i = next_instr th in
-    if i != no_instr && executable th.c_tid i then
-      let cnd =
-        {
-          World.tid = th.c_tid;
-          sid = i.i_sid;
-          fname = (List.hd th.c_frames).c_fn.cf_name;
-        }
-      in
-      cand_cache := replace_cand th.c_tid cnd !cand_cache
-    else cand_cache := remove_cand th.c_tid !cand_cache
   in
 
   (* Array indices are consumed as bare ints: the [tagged] record that
@@ -842,6 +858,14 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     f.c_locals.(xs) <- v;
     emit ~tid:th.c_tid ~sid ~fname:f.c_fn.cf_name (Event.In { chan = ch; value = v })
   in
+  (* outputs are gathered per channel as they are emitted, so the result
+     needs no pass over the trace *)
+  let do_output th (f : cframe) ~sid k ce =
+    let v = ceval th f ~sid ce in
+    outs.(k) <- v.Value.v :: outs.(k);
+    emit ~tid:th.c_tid ~sid ~fname:f.c_fn.cf_name
+      (Event.Out { chan = c.c_out_names.(k); value = v })
+  in
   let do_send th f ~sid ch ce =
     let v = ceval th f ~sid ce in
     Queue.push v chans.(ch);
@@ -938,9 +962,7 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
         a_exec th f budget s
       end
     | A_input (xs, ch, domain, taint) -> do_input th f ~sid xs ch domain taint
-    | A_output (ch, ce) ->
-      let v = ceval th f ~sid ce in
-      emit ~tid:th.c_tid ~sid ~fname:f.c_fn.cf_name (Event.Out { chan = ch; value = v })
+    | A_output (k, ce) -> do_output th f ~sid k ce
     | A_send (ch, ce) -> do_send th f ~sid ch ce
     | A_recv (xs, ch) -> do_recv th f ~sid xs ch
     | A_try_recv (oks, xs, ch) -> do_try_recv th f ~sid oks xs ch
@@ -966,9 +988,7 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       if not (cond_true th f ~sid cc) then f.c_pc <- exitp
     | O_jmp _ -> assert false (* resolved before dispatch *)
     | O_input (xs, ch, domain, taint) -> do_input th f ~sid xs ch domain taint
-    | O_output (ch, ce) ->
-      let v = ceval th f ~sid ce in
-      emit ~tid:th.c_tid ~sid ~fname:f.c_fn.cf_name (Event.Out { chan = ch; value = v })
+    | O_output (k, ce) -> do_output th f ~sid k ce
     | O_send (ch, ce) -> do_send th f ~sid ch ce
     | O_recv (xs, ch) -> do_recv th f ~sid xs ch
     | O_try_recv (oks, xs, ch) -> do_try_recv th f ~sid oks xs ch
@@ -1002,25 +1022,25 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       a_block th f budget body
   in
 
+  (* [th] is a candidate, so its next instruction is resolved and its
+     top frame is the one that instruction belongs to *)
   let exec_step th =
-    let i = next_instr th in
-    if i == no_instr then assert false
-    else begin
-      let f = List.hd th.c_frames in
-      emit ~tid:th.c_tid ~sid:i.i_sid ~fname:f.c_fn.cf_name Event.Step;
-      f.c_pc <- f.c_pc + 1;
-      (try exec_op th f i with
-      | Crash_exn msg ->
-        emit ~tid:th.c_tid ~sid:i.i_sid ~fname:f.c_fn.cf_name
-          (Event.Crashed msg);
-        raise (Crash_at (i.i_sid, msg))
-      | Value.Type_error msg ->
-        emit ~tid:th.c_tid ~sid:i.i_sid ~fname:f.c_fn.cf_name
-          (Event.Crashed msg);
-        raise (Crash_at (i.i_sid, msg)));
-      if use_cache && !cache_valid then
-        if local_op i.i_op then patch_candidate th else cache_valid := false
-    end
+    let i = th.c_next in
+    let f = List.hd th.c_frames in
+    emit ~tid:th.c_tid ~sid:i.i_sid ~fname:f.c_fn.cf_name Event.Step;
+    f.c_pc <- f.c_pc + 1;
+    (try exec_op th f i with
+    | Crash_exn msg ->
+      emit ~tid:th.c_tid ~sid:i.i_sid ~fname:f.c_fn.cf_name (Event.Crashed msg);
+      raise (Crash_at (i.i_sid, msg))
+    | Value.Type_error msg ->
+      emit ~tid:th.c_tid ~sid:i.i_sid ~fname:f.c_fn.cf_name (Event.Crashed msg);
+      raise (Crash_at (i.i_sid, msg)));
+    refresh th;
+    if use_cache && !cache_valid then
+      if not (local_op i.i_op) then cache_valid := false
+      else if not (runnable th) then
+        cand_cache := remove_cand th.c_tid !cand_cache
   in
 
   let finish status =
@@ -1030,7 +1050,15 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       | Deadlock | Step_limit -> Some Failure.Hang
       | Done | Aborted _ -> None
     in
-    { status; trace; steps = !step_count; outputs = Trace.outputs trace; failure }
+    let outputs =
+      Array.fold_right
+        (fun k acc ->
+          match outs.(k) with
+          | [] -> acc
+          | vs -> (c.c_out_names.(k), List.rev vs) :: acc)
+        c.c_out_sorted []
+    in
+    { status; trace; steps = !step_count; outputs; failure }
   in
 
   (* Cooperative cancellation, polled in the step loop rather than per
@@ -1074,3 +1102,9 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
 
 let run ?max_steps ?monitors ?abort ?cancel labeled world =
   run_compiled ?max_steps ?monitors ?abort ?cancel (compile labeled) world
+
+let rec assoc_chan chan = function
+  | [] -> []
+  | (c, vs) :: rest -> if String.equal c chan then vs else assoc_chan chan rest
+
+let outputs_on r chan = assoc_chan chan r.outputs

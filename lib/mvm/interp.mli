@@ -22,7 +22,10 @@ type result = {
   status : status;
   trace : Trace.t;
   steps : int;  (** scheduler steps executed *)
-  outputs : (string * Value.t list) list;  (** per-channel, emission order *)
+  outputs : (string * Value.t list) list;
+      (** per-channel, emission order, channels sorted by name: gathered
+          as each [Out] event is emitted, so it equals
+          [Trace.outputs trace] without a pass over the trace *)
   failure : Failure.t option;
       (** [Crashed f] yields [Some f]; [Deadlock]/[Step_limit] yield
           [Some Hang]; [Done] yields [None] until an I/O specification is
@@ -44,26 +47,31 @@ type result = {
     per event; a [Some reason] finishes the run as [Aborted reason].
     Default [max_steps] is 200_000.
 
-    How much of the scheduling-candidate set survives a step follows
-    the world's {!World.forcing} promise:
+    Each thread's next instruction and its one {!World.cand} record are
+    resolved once, right after the thread steps or is spawned; the
+    interpreter moves the record to the thread's next site in place
+    (which is why a candidate is valid only during the [pick_thread]
+    call that receives it). How much of the scheduling-candidate set
+    survives a step follows the world's {!World.forcing} promise:
     - [Never] (random worlds, the search engines' worlds, perfect, sync,
-      RCSE and partial replay): the set is cached between steps, and
-      only the executing thread's entry is patched after a purely
-      thread-local statement; channel, lock and spawn operations rebuild
-      it. A blocked receive's candidacy depends on its queue alone, so
-      the world is not asked about it: a [Force_fail] or [Default]
-      answer leaves the receive blocked either way.
+      RCSE and partial replay): the list is cached between steps. After
+      a purely thread-local statement it changes only if the executing
+      thread blocked or finished, which drops its entry; channel, lock
+      and spawn operations rebuild it. A blocked receive's candidacy
+      depends on its queue alone, so the world is not asked about it: a
+      [Force_fail] or [Default] answer leaves the receive blocked
+      either way.
     - [Own_steps] (value replay): the same cache, but the rebuild asks
-      [on_try_recv] about every blocked receive, and the patch asks
-      about the executing thread's own receive; no other thread's
-      answer can have changed.
+      [on_try_recv] about every blocked receive, and the check after a
+      local step asks about the executing thread's own receive; no
+      other thread's answer can have changed.
     - [Anything] (a fault plan with [Duplicate]): no cache; every step
       recomputes the set and asks about every blocked receive.
 
     The cached list is observationally identical to the recomputed one,
     so worlds see the same candidates in the same order either way; the
-    replay oracles are held to that by a law against the reference
-    walker. *)
+    replay oracles, and what every world sees inside [pick_thread], are
+    held to that by laws against the reference walker. *)
 val run :
   ?max_steps:int ->
   ?monitors:(Event.t -> unit) list ->
@@ -75,6 +83,13 @@ val run :
 
 (** [status_to_string s] is a short human-readable tag. *)
 val status_to_string : status -> string
+
+(** [outputs_on r chan] is the values [r] emitted on [chan], in order
+    ([[]] for a channel it never wrote): [Trace.outputs_on r.trace chan]
+    read from {!result.outputs}, with no pass over the trace. I/O
+    specifications read it, since {!Spec.apply} judges every production
+    run, recording and replay attempt. *)
+val outputs_on : result -> string -> Value.t list
 
 (** {1 Compiled form}
 

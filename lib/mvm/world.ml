@@ -1,4 +1,12 @@
-type cand = { tid : int; sid : int; fname : string }
+type cand = { tid : int; mutable sid : int; mutable fname : string }
+
+let cand ~tid ~sid ~fname = { tid; sid; fname }
+
+(* a thread changes function far less often than it steps: writing the
+   name only when it moves spares the write barrier *)
+let set_site c ~sid ~fname =
+  c.sid <- sid;
+  if c.fname != fname then c.fname <- fname
 
 type t = {
   name : string;

@@ -9,14 +9,29 @@
 
 (** A scheduling candidate: a runnable thread together with the site it is
     about to execute. Oracles use the site to align partial schedule logs
-    ("thread t may only run when it is at the next logged site"). *)
-type cand = { tid : int; sid : int; fname : string }
+    ("thread t may only run when it is at the next logged site").
+
+    The record is private: a world reads and matches it anywhere and
+    builds one only through {!cand}. The interpreter owns one candidate
+    per thread and moves it to the thread's next site in place
+    ({!set_site}), so a candidate is valid only during the [pick_thread]
+    call that receives it: a world must not keep one, or the list
+    holding it, past that call. It keeps what it needs ([tid], [sid])
+    instead. *)
+type cand = private { tid : int; mutable sid : int; mutable fname : string }
+
+(** [cand ~tid ~sid ~fname] is a fresh candidate. *)
+val cand : tid:int -> sid:int -> fname:string -> cand
+
+(** [set_site c ~sid ~fname] moves [c] to a new site (interpreter use). *)
+val set_site : cand -> sid:int -> fname:string -> unit
 
 type t = {
   name : string;
   pick_thread : step:int -> cand list -> int;
       (** choose the tid of the next thread to run; must be one of the
-          candidates *)
+          candidates. The list and its records are the interpreter's and
+          valid only during this call (see {!cand}) *)
   pick_input : step:int -> tid:int -> chan:string -> domain:Value.t list -> Value.t;
       (** choose the value an input statement consumes; normally from
           [domain] *)

@@ -49,12 +49,10 @@ let accumulator ~name ?govern () =
     (match govern with
     | Some g -> List.iter (Vec.push entries) (Governor.flush g)
     | None -> ());
+    (* the descriptor goes last: pushed before the one copy into a list,
+       not appended to the copy *)
+    Option.iter (fun f -> Vec.push entries (Log.Failure_desc f)) r.failure;
     let entries = Vec.to_list entries in
-    let entries =
-      match r.failure with
-      | Some f -> entries @ [ Log.Failure_desc f ]
-      | None -> entries
-    in
     tally entries;
     Log.make ~recorder:name ~entries ~base_steps:r.steps ~failure:r.failure ()
   in

@@ -57,7 +57,7 @@ let rec nth_where ok k = function
     else if k = 0 then c
     else nth_where ok (k - 1) rest
 
-let no_cand = { World.tid = -1; sid = -1; fname = "" }
+let no_cand = World.cand ~tid:(-1) ~sid:(-1) ~fname:""
 
 (* [Prng.pick rng (List.filter ok cands)] without building the list: the
    same draw ([Prng.int] of the filtered length) selects the same
@@ -69,8 +69,15 @@ let pick_where rng ok cands =
 
 let abort_of violated = fun _ -> if !violated then Some "log-divergence" else None
 
+(* the log from its next [Sched] entry on: the perfect oracle's cursor
+   walks the log's own entries instead of a copied schedule *)
+let rec to_sched = function
+  | Log.Sched _ :: _ as l -> l
+  | _ :: rest -> to_sched rest
+  | [] -> []
+
 let perfect log =
-  let remaining = ref (Log.sched_points log) in
+  let remaining = ref (to_sched log.Log.entries) in
   let inputs = input_queues log in
   let violated = ref false in
   let world =
@@ -79,16 +86,16 @@ let perfect log =
       pick_thread =
         (fun ~step:_ cands ->
           match !remaining with
-          | (t, s) :: tl ->
+          | Log.Sched { tid = t; sid = s } :: tl ->
             if has_cand t s cands then begin
-              remaining := tl;
+              remaining := to_sched tl;
               t
             end
             else begin
               violated := true;
               (List.hd cands).World.tid
             end
-          | [] -> (List.hd cands).World.tid);
+          | _ -> (List.hd cands).World.tid);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
           match pop inputs tid with
@@ -310,6 +317,42 @@ let rcse ?(strict = true) ~seed log =
   in
   { world; abort; violated = (fun () -> !violated) }
 
+(* Sync replay's tables are indexed by site like strict RCSE's pending
+   table, with the same fixed number of slots: slot [sid land
+   (pending_slots - 1)] lists the sites sharing it. An order is an
+   object's recorded (tid, sid) pairs not yet matched. *)
+type order = (int * int) list ref
+
+(* a site the scheduler holds back until it is next in [h_order]: a
+   send, spawn or lock the log records there *)
+type held = { h_sid : int; mutable h_order : order }
+
+(* the order of the object the events at site [s_sid] touch, looked up
+   by the object's name [s_name] once *)
+type seen = { s_sid : int; s_name : string; s_order : order }
+
+let rec find_held sid = function
+  | [] -> None
+  | h :: rest -> if h.h_sid = sid then Some h else find_held sid rest
+
+(* whether a candidate at (tid, sid) may run: a held site only when it
+   is next in its order, any other site always *)
+let rec held_allows tid sid = function
+  | [] -> true
+  | h :: rest -> (
+    if h.h_sid <> sid then held_allows tid sid rest
+    else match !(h.h_order) with (t, s) :: _ -> t = tid && s = sid | [] -> false)
+
+let no_seen = { s_sid = min_int; s_name = ""; s_order = ref [] }
+
+(* compared physically: the interpreter hands every event of a site the
+   same name string, so one comparison finds the memo; another string
+   with the same contents only costs one more lookup *)
+let rec find_seen sid name = function
+  | [] -> no_seen
+  | m :: rest ->
+    if m.s_sid = sid && m.s_name == name then m else find_seen sid name rest
+
 (* Sync-schedule replay enforces *per-object* operation orders, which is
    what an ODR-style logger records: per-channel send and consume orders,
    the global spawn order (it assigns thread ids) and per-lock acquisition
@@ -320,7 +363,14 @@ let rcse ?(strict = true) ~seed log =
    Plain shared-memory access order is deliberately unconstrained: data-race
    outcomes are what this scheme must infer (searched by restarts). The
    oracle only ever forces a poll to miss, never a receive to succeed, so
-   its world never forces and runs on the interpreter's candidate cache. *)
+   its world never forces and runs on the interpreter's candidate cache.
+
+   No hook hashes. The scheduler reads the held sites from a table
+   indexed by site. The abort hook and the poll find an event's order by
+   its site too: a statement's channel or lock is a literal, so the first
+   event at a site looks its object up by name and the site keeps the
+   answer. An object the log never mentions gets an empty order, which
+   no event matches: it aborts, and its polls miss. *)
 let sync ~seed log =
   let rng = Prng.create seed in
   (* per-object orders: per channel for sends and for receives, per lock
@@ -337,44 +387,62 @@ let sync ~seed log =
       Tbl.Str.replace tbl key r;
       r
   in
-  (* site -> the order its statement is held to: lets the scheduler hold
-     back a send/spawn/lock statement until it is next in that order *)
-  let site_order = Tbl.Int.create 32 in
+  let mask = pending_slots - 1 in
+  (* a site logged twice with different objects is held to the last *)
+  let held = Array.make pending_slots [] in
+  let hold_at sid r =
+    let k = sid land mask in
+    match find_held sid held.(k) with
+    | Some h -> h.h_order <- r
+    | None -> held.(k) <- { h_sid = sid; h_order = r } :: held.(k)
+  in
   List.iter
-    (fun (tid, sid, op) ->
-      let push r = r := (tid, sid) :: !r in
-      let hold r =
-        push r;
-        Tbl.Int.replace site_order sid r
-      in
-      match op with
-      | Log.Op_send c -> hold (order_of sends c)
-      | Log.Op_spawn -> hold spawns
-      | Log.Op_lock m -> hold (order_of locks m)
-      | Log.Op_recv c -> push (order_of recvs c)
-      | Log.Op_unlock _ -> ())
-    (Log.sync_entries log);
+    (function
+      | Log.Sync { tid; sid; op } -> (
+        let push r = r := (tid, sid) :: !r in
+        let hold r =
+          push r;
+          hold_at sid r
+        in
+        match op with
+        | Log.Op_send c -> hold (order_of sends c)
+        | Log.Op_spawn -> hold spawns
+        | Log.Op_lock m -> hold (order_of locks m)
+        | Log.Op_recv c -> push (order_of recvs c)
+        | Log.Op_unlock _ -> ())
+      | _ -> ())
+    log.Log.entries;
   let in_log_order _ r = r := List.rev !r in
   List.iter (Tbl.Str.iter in_log_order) [ sends; recvs; locks ];
   in_log_order () spawns;
+  (* per kind of event, the order each site's object has *)
+  let sent_at = Array.make pending_slots []
+  and recv_at = Array.make pending_slots []
+  and locked_at = Array.make pending_slots [] in
+  let order_at seen tbl sid name =
+    let k = sid land mask in
+    let m = find_seen sid name seen.(k) in
+    if m != no_seen then m.s_order
+    else begin
+      let order =
+        match Tbl.Str.find_opt tbl name with Some r -> r | None -> ref []
+      in
+      seen.(k) <- { s_sid = sid; s_name = name; s_order = order } :: seen.(k);
+      order
+    end
+  in
   let violated_set = ref false in
   let advance r (e : Event.t) =
     match !r with
     | (t, s) :: tl when t = e.Event.tid && s = e.Event.sid -> r := tl
     | _ -> violated_set := true
   in
-  (* an operation on an object the log never mentions is divergence too *)
-  let advance_on tbl key e =
-    match Tbl.Str.find_opt tbl key with
-    | Some r -> advance r e
-    | None -> violated_set := true
-  in
   let abort (e : Event.t) =
     (match e.Event.kind with
-    | Event.Msg_send io -> advance_on sends io.Event.chan e
-    | Event.Msg_recv io -> advance_on recvs io.Event.chan e
+    | Event.Msg_send io -> advance (order_at sent_at sends e.Event.sid io.Event.chan) e
+    | Event.Msg_recv io -> advance (order_at recv_at recvs e.Event.sid io.Event.chan) e
     | Event.Spawned _ -> advance spawns e
-    | Event.Lock_acq m -> advance_on locks m e
+    | Event.Lock_acq m -> advance (order_at locked_at locks e.Event.sid m) e
     | Event.Step | Event.Read _ | Event.Write _ | Event.In _ | Event.Out _
     | Event.Lock_rel _ | Event.Crashed _ ->
       ());
@@ -382,10 +450,7 @@ let sync ~seed log =
   in
   let inputs = input_queues log in
   let allowed (c : World.cand) =
-    match Tbl.Int.find_opt site_order c.World.sid with
-    | Some { contents = (t, s) :: _ } -> t = c.World.tid && s = c.World.sid
-    | Some { contents = [] } -> false
-    | None -> true
+    held_allows c.World.tid c.World.sid held.(c.World.sid land mask)
   in
   let world =
     {
@@ -406,10 +471,10 @@ let sync ~seed log =
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
       on_try_recv =
-        (fun ~step:_ ~tid ~sid:_ ~chan ->
-          match Tbl.Str.find_opt recvs chan with
-          | Some { contents = (t, _) :: _ } when t = tid -> World.Default
-          | Some _ | None -> World.Force_fail);
+        (fun ~step:_ ~tid ~sid ~chan ->
+          match !(order_at recv_at recvs sid chan) with
+          | (t, _) :: _ when t = tid -> World.Default
+          | _ -> World.Force_fail);
       (* the poll only ever misses by force: a blocked receive still
          becomes runnable only through a send, so the candidate cache
          holds *)

@@ -68,7 +68,15 @@ val rcse : ?strict:bool -> seed:int -> Log.t -> handle
     outcomes remain free — they are what inference must fill in. The
     oracle forces misses only, never a receive to succeed, so its world
     declares {!Mvm.World.forcing} [Never], as {!perfect}, {!rcse} and
-    {!partial} do. *)
+    {!partial} do.
+
+    No hook hashes. Which sites are held to an order is read from a
+    table indexed by site, of the same fixed size as {!rcse}'s. An
+    event's object (a channel or lock) is a literal of its statement,
+    so the abort hook and [on_try_recv] look a site's order up by name
+    the first time the site touches it and keep it per site. An object
+    the log never mentions has an empty order: its events abort the
+    attempt with ["sync-order-divergence"] and its polls miss. *)
 val sync : seed:int -> Log.t -> handle
 
 (** Static steering hints for partial-evidence search. The static layer

@@ -231,7 +231,7 @@ let run ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       (fun acc th ->
         match next_stmt th with
         | Some s when executable th.tid s ->
-          { World.tid = th.tid; sid = s.sid; fname = (List.hd th.frames).fname }
+          World.cand ~tid:th.tid ~sid:s.sid ~fname:(List.hd th.frames).fname
           :: acc
         | _ -> acc)
       [] threads

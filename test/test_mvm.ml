@@ -100,6 +100,23 @@ let test_prng_coin () =
   Alcotest.(check bool) "coordinate order matters" false
     (Prng.coin 5 [ 1; 2 ] = Prng.coin 5 [ 2; 1 ])
 
+(* The stream every world and search draws from, pinned by value: a
+   rewrite of the generator's state or of [int] must draw these numbers,
+   or every seeded schedule in the repository moves. *)
+let test_prng_stream_pinned () =
+  List.iter
+    (fun (seed, expected) ->
+      let rng = Prng.create seed in
+      let got = List.init 5 (fun _ -> Prng.int rng 1_000_000_007) in
+      Alcotest.(check (list int)) (Printf.sprintf "seed %d" seed) expected got)
+    [
+      (0, [ 649787358; 618087613; 14556641; 853315927; 173460857 ]);
+      (1, [ 510577084; 691428183; 225004110; 110728840; 940077132 ]);
+      (42, [ 249768340; 869527453; 121944468; 953467420; 307808447 ]);
+      (-1, [ 884022725; 812190104; 495831006; 318753401; 88616733 ]);
+      (max_int, [ 709070576; 457746305; 727620844; 805444455; 799274113 ]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Vec *)
 
@@ -141,6 +158,35 @@ let test_vec_stays_young () =
   let after = (Gc.quick_stat ()).Gc.minor_collections in
   Alcotest.(check int) "minor collections while pushing" 0 (after - before);
   Alcotest.(check int) "last" (1999 * 1999) (Vec.get v 1999).sq
+
+(* ------------------------------------------------------------------ *)
+(* Allocation *)
+
+(* minor-heap words [f] allocates; reading the counter allocates
+   nothing, so an empty [f] reads 0 *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Every random world and search draws on each scheduling decision: the
+   generator's state is unboxed, so a draw allocates nothing. *)
+let test_prng_draws_allocate_nothing () =
+  let rng = Prng.create 17 and xs = [ 1; 2; 3; 4; 5 ] in
+  let sum = ref 0 in
+  Alcotest.(check (float 0.)) "an empty measurement" 0.
+    (minor_words_of (fun () -> ()));
+  Alcotest.(check (float 0.)) "10,000 Prng.int" 0.
+    (minor_words_of (fun () ->
+         for _ = 1 to 10_000 do
+           sum := !sum + Prng.int rng 1_000
+         done));
+  Alcotest.(check (float 0.)) "10,000 Prng.pick" 0.
+    (minor_words_of (fun () ->
+         for _ = 1 to 10_000 do
+           sum := !sum + Prng.pick rng xs
+         done));
+  Alcotest.(check bool) "draws were made" true (!sum > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Taint and values *)
@@ -1075,6 +1121,8 @@ let () =
           Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "float range" `Quick test_prng_float;
           Alcotest.test_case "stateless coin" `Quick test_prng_coin;
+          Alcotest.test_case "stream pinned by value" `Quick
+            test_prng_stream_pinned;
         ] );
       ( "vec",
         [
@@ -1083,6 +1131,11 @@ let () =
           Alcotest.test_case "fold/filter" `Quick test_vec_fold_filter;
           Alcotest.test_case "pushes stay on the minor heap" `Quick
             test_vec_stays_young;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "PRNG draws allocate nothing" `Quick
+            test_prng_draws_allocate_nothing;
         ] );
       ( "value",
         [

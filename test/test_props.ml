@@ -633,19 +633,24 @@ let parity_apps =
    plan built from the program's own channels; and, for apps with a node
    map, the partition plans the distributed-evidence suite records
    under, lowered as a session lowers them. *)
+(* the channels [pick] finds in [prog]'s statements, first use first *)
+let program_chans pick prog =
+  Ast.fold_stmts
+    (fun acc _ (st : Ast.stmt) ->
+      match pick st.Ast.node with
+      | Some c when not (List.mem c acc) -> c :: acc
+      | _ -> acc)
+    [] prog
+  |> List.rev
+
+let sent_chans = program_chans (function Ast.Send (c, _) -> Some c | _ -> None)
+
 let parity_plans (app : Ddet_apps.App.t) =
   let prog = app.Ddet_apps.App.labeled.Label.prog in
-  let chans pick =
-    Ast.fold_stmts
-      (fun acc _ (st : Ast.stmt) ->
-        match pick st.Ast.node with
-        | Some c when not (List.mem c acc) -> c :: acc
-        | _ -> acc)
-      [] prog
-    |> List.rev
+  let sent = sent_chans prog in
+  let inputs =
+    program_chans (function Ast.Input (_, c) -> Some c | _ -> None) prog
   in
-  let sent = chans (function Ast.Send (c, _) -> Some c | _ -> None) in
-  let inputs = chans (function Ast.Input (_, c) -> Some c | _ -> None) in
   let nth_or l k f = match List.nth_opt l k with Some c -> [ f c ] | None -> [] in
   let generic =
     Fault.make ~seed:11
@@ -1019,6 +1024,224 @@ let prop_oracle_parity =
       same_run lib reference
       && lib_h.Oracle.violated () = ref_h.Oracle.violated ())
 
+(* The candidate contract: the compiled interpreter hands each world one
+   record per thread and moves it in place, so what a world may rely on
+   is what it reads inside [pick_thread]. A wrapper copies out the
+   (tid, sid, fname) of every candidate in each call; the copies from
+   the compiled interpreter must equal the reference walker's, which
+   builds fresh records at every step. Programs are Proggen's and the
+   parity apps; worlds are a random one ([Never]), value replay of the
+   run's own recording ([Own_steps]: it forces receives) and a random
+   one under a plan duplicating on every sent channel ([Anything]: a
+   duplicate can wake a blocked receive). *)
+let snapshotting (w : World.t) =
+  let snaps = ref [] in
+  let snapshot (c : World.cand) = (c.World.tid, c.World.sid, c.World.fname) in
+  let pick_thread ~step cands =
+    snaps := List.map snapshot cands :: !snaps;
+    w.World.pick_thread ~step cands
+  in
+  ({ w with World.pick_thread }, fun () -> List.rev !snaps)
+
+let dup_everywhere ~seed (labeled : Label.labeled) =
+  Fault.make ~seed
+    (List.map (Fault.duplicate ~prob:0.3) (sent_chans labeled.Label.prog))
+
+let snapshot_gen =
+  QCheck2.Gen.(
+    triple
+      (oneof
+         [
+           map (fun ai -> `App ai) (int_range 0 (Array.length parity_apps - 1));
+           map (fun p -> `Gen p) (int_range 1 5_000);
+         ])
+      (int_range 1 1_000) (int_range 0 2))
+
+let print_snapshot (prog, seed, fi) =
+  Printf.sprintf "%s, seed %d, %s"
+    (match prog with
+    | `App ai -> parity_apps.(ai).Ddet_apps.App.name
+    | `Gen p -> Printf.sprintf "proggen %d" p)
+    seed
+    [| "never"; "own steps"; "anything" |].(fi)
+
+let prop_candidate_snapshots =
+  QCheck2.Test.make
+    ~name:"candidates seen inside pick_thread match the reference walker"
+    ~count:90 ~print:print_snapshot snapshot_gen (fun (prog, seed, fi) ->
+      let labeled =
+        match prog with
+        | `App ai -> parity_apps.(ai).Ddet_apps.App.labeled
+        | `Gen p -> program_of p
+      in
+      let world =
+        match fi with
+        | 0 -> fun () -> World.random ~seed
+        | 1 ->
+          let _, log = record_run (Value_recorder.create ()) labeled seed in
+          fun () -> (Oracle.value_det ~seed:(seed + 1) log).Oracle.world
+        | _ ->
+          (* a program that sends nothing gets an empty plan: declare
+             [Anything] anyway, which promises nothing *)
+          let plan = dup_everywhere ~seed labeled in
+          fun () ->
+            {
+              (Fault.inject plan (World.random ~seed)) with
+              World.forcing = World.Anything;
+            }
+      in
+      let lib_w, lib_snaps = snapshotting (world ()) in
+      let ref_w, ref_snaps = snapshotting (world ()) in
+      let lib = Interp.run ~max_steps:oracle_max_steps labeled lib_w in
+      let reference = Ref_interp.run ~max_steps:oracle_max_steps labeled ref_w in
+      same_run lib reference && lib_snaps () = ref_snaps ())
+
+(* Allocation per step of a production run (the run and its judging by
+   the app's spec), over seeds 1-8 after a warm-up run that compiles the
+   program. The candidate records, the candidate list and the PRNG
+   allocate nothing per step; what is left is the trace's events and the
+   values the program computes. Adder's and bufover's runs are 5-20
+   steps, so their per-run set-up outweighs any per-step cost and they
+   are not bounded here. *)
+let words_per_step_bound = 24.
+
+let alloc_cases =
+  List.map
+    (fun ai ->
+      let app = parity_apps.(ai) in
+      Alcotest.test_case
+        (Printf.sprintf "%s production run: at most %.0f minor words per step"
+           app.Ddet_apps.App.name words_per_step_bound)
+        `Quick (fun () ->
+          ignore (Ddet_apps.App.production_run app ~seed:1);
+          let steps = ref 0 in
+          let before = Gc.minor_words () in
+          for seed = 1 to 8 do
+            steps :=
+              !steps + (Ddet_apps.App.production_run app ~seed).Interp.steps
+          done;
+          let per_step = (Gc.minor_words () -. before) /. float_of_int !steps in
+          if per_step > words_per_step_bound then
+            Alcotest.failf "%.1f minor words per step over %d steps" per_step
+              !steps))
+    [ 0; 1; 2 ]
+
+(* The sync oracle against the string-keyed one it replaced
+   ([Ref_sync]): both are built from the same log and seed and consulted
+   in lock step, each on every hook call and every event, inside one run
+   on the library interpreter. The run follows the library oracle's
+   answers; the first hook or event where the two differ is the
+   mismatch. The run carries the abort [Replayer.sync_det] attaches, so
+   it ends where a searched attempt ends. *)
+let same_decision a b =
+  match (a, b) with
+  | World.Default, World.Default | World.Force_fail, World.Force_fail -> true
+  | World.Force_value x, World.Force_value y -> Value.equal x.Value.v y.Value.v
+  | (World.Default | World.Force_fail | World.Force_value _), _ -> false
+
+let sync_lockstep labeled ~seed log =
+  let lib = Oracle.sync ~seed log and reference = Ref_sync.sync ~seed log in
+  let lw = lib.Oracle.world and rw = reference.Oracle.world in
+  let events = ref 0 and mismatch = ref None in
+  let differ what =
+    if !mismatch = None then
+      mismatch := Some (Printf.sprintf "%s (after %d events)" what !events)
+  in
+  let world =
+    {
+      lw with
+      World.name = "sync-lockstep";
+      pick_thread =
+        (fun ~step cands ->
+          let a = lw.World.pick_thread ~step cands in
+          let b = rw.World.pick_thread ~step cands in
+          if a <> b then differ (Printf.sprintf "step %d: picks %d and %d" step a b);
+          a);
+      pick_input =
+        (fun ~step ~tid ~chan ~domain ->
+          let a = lw.World.pick_input ~step ~tid ~chan ~domain in
+          let b = rw.World.pick_input ~step ~tid ~chan ~domain in
+          if not (Value.equal a b) then
+            differ (Printf.sprintf "step %d: inputs on %s differ" step chan);
+          a);
+      on_try_recv =
+        (fun ~step ~tid ~sid ~chan ->
+          let a = lw.World.on_try_recv ~step ~tid ~sid ~chan in
+          let b = rw.World.on_try_recv ~step ~tid ~sid ~chan in
+          if not (same_decision a b) then
+            differ (Printf.sprintf "step %d: poll answers on %s differ" step chan);
+          a);
+    }
+  in
+  let verdicts (e : Event.t) =
+    incr events;
+    let a = lib.Oracle.abort e and b = reference.Oracle.abort e in
+    if a <> b then differ (Printf.sprintf "step %d: abort verdicts differ" e.Event.step);
+    a
+  in
+  let r =
+    Interp.run ~max_steps:oracle_max_steps
+      ~abort:(Constraints.both verdicts (Constraints.output_prefix_abort log))
+      labeled world
+  in
+  if lib.Oracle.violated () <> reference.Oracle.violated () then
+    differ "final violated flags differ";
+  (r, !events, !mismatch)
+
+let sync_log ai seed =
+  snd (Ddet.Session.record (Ddet.Session.prepare Ddet.Model.Sync parity_apps.(ai)) ~seed)
+
+let sync_reference_cases =
+  List.init (Array.length parity_apps) (fun ai ->
+      let app = parity_apps.(ai) in
+      Alcotest.test_case
+        (Printf.sprintf "%s, seeds 1-8, attempts 1-3" app.Ddet_apps.App.name)
+        `Quick (fun () ->
+          for seed = 1 to 8 do
+            let log = sync_log ai seed in
+            for attempt = 1 to 3 do
+              let _, events, mismatch =
+                sync_lockstep app.Ddet_apps.App.labeled ~seed:(1 + attempt) log
+              in
+              let what = Printf.sprintf "seed %d, attempt %d" seed attempt in
+              Alcotest.(check (option string)) what None mismatch;
+              if events = 0 then Alcotest.failf "%s: no event reached the oracles" what
+            done
+          done))
+  @ [
+      Alcotest.test_case "a channel the log omits aborts both at one event"
+        `Quick (fun () ->
+          let ai = 0 in
+          let log = sync_log ai 1 in
+          let chan =
+            match
+              List.find_map
+                (function _, _, Log.Op_send c -> Some c | _ -> None)
+                (Log.sync_entries log)
+            with
+            | Some c -> c
+            | None -> Alcotest.fail "the recording has no send"
+          in
+          let log =
+            {
+              log with
+              Log.entries =
+                List.filter
+                  (function
+                    | Log.Sync { op = Log.Op_send c | Log.Op_recv c; _ } ->
+                      not (String.equal c chan)
+                    | _ -> true)
+                  log.Log.entries;
+            }
+          in
+          let r, _, mismatch =
+            sync_lockstep parity_apps.(ai).Ddet_apps.App.labeled ~seed:2 log
+          in
+          Alcotest.(check (option string)) "same answers throughout" None mismatch;
+          Alcotest.(check string) "status" "aborted: sync-order-divergence"
+            (Interp.status_to_string r.Interp.status));
+    ]
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "props"
@@ -1049,6 +1272,7 @@ let () =
             prop_scalar_reconstruction;
           ] );
       ("vec", List.map to_alcotest [ prop_vec_models_list ]);
+      ("alloc", alloc_cases);
       ("crash-tolerance", List.map to_alcotest [ prop_resume_parity ]);
       ( "parallel",
         List.map to_alcotest
@@ -1061,5 +1285,7 @@ let () =
             prop_perfect_replay_parity;
           ] );
       ("oracle-worlds", List.map to_alcotest [ prop_oracle_parity ]);
+      ("candidates", List.map to_alcotest [ prop_candidate_snapshots ]);
+      ("sync-reference", sync_reference_cases);
       ("fault-pins", fault_pin_cases);
     ]

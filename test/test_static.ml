@@ -508,7 +508,7 @@ let test_by_site_selector () =
     (Ddet_record.Fidelity_level.to_string (sel.Ddet_record.Fidelity_level.level (ev 4)))
 
 let test_prioritized_world () =
-  let mk tid sid = { World.tid; sid; fname = "f" } in
+  let mk tid sid = World.cand ~tid ~sid ~fname:"f" in
   let cands = [ mk 0 10; mk 1 20 ] in
   let w = World.prioritized ~seed:42 ~prefer:(fun c -> c.World.sid = 20) in
   let hot = ref 0 in
