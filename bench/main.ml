@@ -1,14 +1,14 @@
 (* Benchmark harness: regenerates every evaluation artifact of the paper
    (Fig. 1, Fig. 2, the Sec. 2 narratives, the Sec. 5 open questions,
-   plus the RCSE, search and budget ablations) and runs Bechamel
-   microbenchmarks of the actual recorders.
+   plus the RCSE, search and budget ablations) and times the actual
+   recorders.
 
    Usage: main.exe [paper|ablation|search|sanity|crash|governor|static|dist|obs|micro|all]
                    [--jobs N] [--json]
 
    --jobs N times the random restarts at N worker domains as well as at 1
-   --json   paper, search, crash, governor, static, dist and obs also
-            write their rows to BENCH_<section>.json in the current
+   --json   paper, search, crash, governor, static, dist, obs and micro
+            also write their rows to BENCH_<section>.json in the current
             directory; without it no section writes a file *)
 
 open Ddet
@@ -437,85 +437,67 @@ let ablation () =
 
 (* ------------------------------------------------------------------ *)
 (* MICRO: wall-clock cost of the recorders themselves, grounding the
-   cost model's claim that entry volume drives recording cost. *)
+   cost model's claim that entry volume drives recording cost. Each row
+   records one fixed failing seed (the codec table's) under one model,
+   alternating [micro_reps] times an unrecorded production run of the
+   seed and its recording, as a session makes it (Session.record); the
+   medians resist the shared host's noise. The log's entries, bytes and
+   modeled overhead reproduce exactly; the times do not. *)
 
-let micro () =
-  let open Bechamel in
-  let app = Miniht.app () in
-  let spec = app.App.spec in
-  let labeled = app.App.labeled in
-  let seed = 42 in
-  let rcse_prepared = Session.prepare (Model.Rcse Model.Code_based) app in
-  let recorders =
+let micro_reps = 150
+
+let micro_models =
+  [ "perfect"; "value"; "sync"; "output"; "failure"; "rcse-code"; "rcse-data";
+    "rcse-trigger"; "rcse" ]
+
+let micro_rows () =
+  List.concat_map
+    (fun ((app : App.t), seed) ->
+      List.map
+        (fun name ->
+          let model =
+            match Model.of_string name with Ok m -> m | Error e -> invalid_arg e
+          in
+          let prepared = Session.prepare model app in
+          let _, log = Session.record prepared ~seed in
+          let run = ref [] and recorded = ref [] in
+          for _ = 1 to micro_reps do
+            run := snd (time (fun () -> App.production_run app ~seed)) :: !run;
+            recorded := snd (time (fun () -> Session.record prepared ~seed)) :: !recorded
+          done;
+          let run_s = quantile !run 0.5 and record_s = quantile !recorded 0.5 in
+          [
+            ("app", S app.App.name);
+            ("recorder", S name);
+            ("seed", I seed);
+            ("entries", I (Log.entry_count log));
+            ("bytes", I (Log.payload_bytes log));
+            ("modeled_x", F (2, Cost_model.overhead Cost_model.default log));
+            ("run_us", W (F (1, run_s *. 1e6)));
+            ("record_us", W (F (1, record_s *. 1e6)));
+            ("measured_x", W (F (2, record_s /. run_s)));
+          ])
+        micro_models)
+    [ (Miniht.app (), 1); (Cloudstore.app (), 9) ]
+
+let micro ~json () =
+  report ~json ~trials:micro_reps "micro"
     [
-      ("perfect", fun () -> Full_recorder.create ());
-      ("value", fun () -> Value_recorder.create ());
-      ("sync", fun () -> Sync_recorder.create ());
-      ("output", fun () -> Output_recorder.create ());
-      ("failure", fun () -> Failure_recorder.create ());
-      ("rcse-code", fun () -> rcse_prepared.Session.make_recorder ());
+      {
+        title = "MICRO recorder wall-clock vs. cost model";
+        key = "recorders";
+        rows = micro_rows ();
+        note =
+          "\n\nmeasured_x is a recording's in-process wall-clock over the\n\
+           unrecorded run's (medians of alternating reps): the monitoring\n\
+           callbacks, the selectors every RCSE event passes through, and\n\
+           the entries kept. modeled_x prices what a production\n\
+           implementation would pay to persist each entry class\n\
+           (CREW-order schedule points, per-byte value logging - see\n\
+           Cost_model) on the same log's entries and bytes, which is why\n\
+           the experiments report modeled overhead.\n";
+      };
     ]
-  in
-  let test name run =
-    Test.make ~name
-      (Staged.stage (fun () -> run (Mvm.World.random ~seed)))
-  in
-  let tests =
-    test "baseline" (fun world -> ignore (Mvm.Interp.run labeled world))
-    :: List.map
-         (fun (name, create) ->
-           test name (fun world ->
-               ignore (Recorder.record (create ()) labeled ~spec ~world)))
-         recorders
-  in
-  let grouped = Test.make_grouped ~name:"recorders" ~fmt:"%s/%s" tests in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let time_of name =
-    match Hashtbl.find_opt results ("recorders/" ^ name) with
-    | Some o -> (
-      match Analyze.OLS.estimates o with Some [ t ] -> t | _ -> nan)
-    | None -> nan
-  in
-  let baseline = time_of "baseline" in
-  let rows =
-    List.map
-      (fun (name, create) ->
-        let _, log =
-          Recorder.record (create ()) labeled ~spec
-            ~world:(Mvm.World.random ~seed)
-        in
-        let t = time_of name in
-        [
-          ("recorder", S name);
-          ("ns_per_run", F (0, t));
-          ("measured_x", F (2, t /. baseline));
-          ("entries", I (Log.entry_count log));
-          ("bytes", I (Log.payload_bytes log));
-          ("modeled_x", F (2, Cost_model.overhead Cost_model.default log));
-        ])
-      recorders
-  in
-  print_table ~title:"MICRO recorder wall-clock vs. cost model" rows
-    ~note:
-      (Printf.sprintf
-         "\n\nbaseline (no recorder): %.0f ns per miniht production run.\n\
-          The measured column is this harness's in-process monitoring cost:\n\
-          every recorder sees every event, and selective recorders also\n\
-          evaluate their selector per event, so wall-clock deltas here stay\n\
-          small and reflect callback work. The modeled column instead prices\n\
-          what a production implementation would pay to persist each entry\n\
-          class (CREW-order schedule points, per-byte value logging - see\n\
-          Cost_model) applied to the measured entry counts and bytes in this\n\
-          table - which is why the experiments report modeled overhead.\n"
-         baseline)
 
 (* ------------------------------------------------------------------ *)
 (* The search workloads shared by search and crash, with their budgets.
@@ -1607,12 +1589,12 @@ let () =
   | "dist" -> dist_bench ~json ()
   | "obs" -> obs_bench ~json ()
   | "static" -> static_bench ~json ()
-  | "micro" -> micro ()
+  | "micro" -> micro ~json ()
   | "all" ->
     paper ~json ();
     ablation ();
     search_bench ~jobs ~json ();
-    micro ()
+    micro ~json ()
   | other ->
     Printf.eprintf
       "unknown command %S (expected paper|ablation|search|sanity|crash|governor|static|dist|obs|micro|all)\n"

@@ -20,7 +20,7 @@ let classify profile ~threshold =
 let of_assoc l = l
 
 (* first match, as [List.assoc_opt] would, but without polymorphic
-   compare: the code-based selector asks this for every recorded event *)
+   compare; the code-based selector asks it once per site and name *)
 let rec plane_of map fname =
   match map with
   | [] -> Control

@@ -7,7 +7,16 @@
     location within a short window, at least one access being a write, and
     the (seeded) sampler selects the pair, it reports a race. Sampling
     models the production-overhead constraint: a full happens-before
-    detector would defeat the purpose. *)
+    detector would defeat the purpose.
+
+    As the race trigger, the detector sees every shared access of an RCSE
+    recording, so it keeps each region's last accesses in per-region
+    slots — one for the scalar, a growable array indexed by array index —
+    and finds a region's slots through a per-site {!Mvm.Site_memo}: an
+    access whose site last touched the same (physically equal) region
+    name costs an array read and a pointer comparison, with no key built
+    and nothing hashed. The slots, the sampler's draws and the reports
+    are those of a table keyed by [(region, index)]. *)
 
 open Mvm
 

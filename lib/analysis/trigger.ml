@@ -36,6 +36,9 @@ let large_input ~chan ~threshold =
         | _ -> false);
   }
 
+(* in order, up to the first trigger that fires, as [List.exists] *)
+let rec fires e = function [] -> false | t :: rest -> t.fired e || fires e rest
+
 let selector ?(sticky = false) ?(window = 500) triggers =
   let high_until = ref (-1) in
   let name =
@@ -45,7 +48,7 @@ let selector ?(sticky = false) ?(window = 500) triggers =
     Ddet_record.Fidelity_level.name;
     level =
       (fun (e : Event.t) ->
-        let fired = List.exists (fun t -> t.fired e) triggers in
+        let fired = fires e triggers in
         if fired then
           high_until := if sticky then max_int else max !high_until (e.step + window);
         if e.step <= !high_until then Ddet_record.Fidelity_level.High

@@ -14,7 +14,9 @@ open Mvm
 
 type t = {
   name : string;
-  fired : Event.t -> bool;  (** stateful; called on every event in order *)
+  fired : Event.t -> bool;
+      (** may be stateful; called in event order, but under {!selector}
+          only on the events where no earlier trigger of its list fired *)
 }
 
 (** [manual ~name f] wraps a predicate. *)
@@ -35,6 +37,9 @@ val of_sites : ?name:string -> int list -> t
 val large_input : chan:string -> threshold:int -> t
 
 (** [selector ?sticky ?window triggers] builds the combined selector.
-    Default [window] is 500 steps; default [sticky] is [false]. *)
+    Default [window] is 500 steps; default [sticky] is [false]. On each
+    event the triggers are asked in list order up to the first that fires:
+    the ones after it do not see that event, so a stateful trigger that
+    must see every event (a race detector) goes first. *)
 val selector :
   ?sticky:bool -> ?window:int -> t list -> Ddet_record.Fidelity_level.selector

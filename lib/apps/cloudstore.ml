@@ -257,45 +257,52 @@ let spec =
 
 (* The transient signature of the race: a read observed 0 in a cell that
    holds 1 by the end of the run — the replication arrived after the
-   read. Dropped or disk-faulted replications leave the cell at 0. *)
+   read. Dropped or disk-faulted replications leave the cell at 0. One
+   pass over the trace collects both halves for every block. *)
 let race_cause =
   Root_cause.make ~id:rc_race
     ~descr:
       "a load-balanced read reached the secondary before the replication of \
        an already-acknowledged block"
     (fun r ->
-      let t = r.Interp.trace in
       let total = n_writers * blocks_per_writer in
+      let read_zero = Array.make total false in
+      let final = Array.make total (Value.int 0) in
+      Trace.iter
+        (fun (e : Event.t) ->
+          match e.Event.kind with
+          | Event.Read { region = "disk_1"; index = Some i; value }
+            when i >= 0 && i < total ->
+            if Value.equal value.Value.v (Value.int 0) then read_zero.(i) <- true
+          | Event.Write { region = "disk_1"; index = Some i; value }
+            when i >= 0 && i < total ->
+            final.(i) <- value.Value.v
+          | _ -> ())
+        r.Interp.trace;
       let stale_then_present b =
-        Trace.exists
-          (fun (e : Event.t) ->
-            match e.Event.kind with
-            | Event.Read { region = "disk_1"; index = Some i; value }
-              when i = b ->
-              Value.equal value.Value.v (Value.int 0)
-            | _ -> false)
-          t
-        && Value.equal
-             (Trace.array_cell_at t "disk_1" ~index:b ~init:(Value.int 0)
-                ~step:max_int)
-             (Value.int 1)
+        read_zero.(b) && Value.equal final.(b) (Value.int 1)
       in
       List.exists stale_then_present (List.init total (fun b -> b)))
 
-let fault_fired trace chan =
-  List.exists
-    (fun (_, _, v) -> Value.equal v (Value.int 1))
-    (Trace.inputs_on trace chan)
+(* did an input on [chan] deliver the fault value 1? *)
+let fault_fired chan (r : Interp.result) =
+  Trace.exists
+    (fun (e : Event.t) ->
+      match e.kind with
+      | Event.In io ->
+        String.equal io.chan chan && Value.equal io.value.Value.v (Value.int 1)
+      | _ -> false)
+    r.Interp.trace
 
 let drop_cause =
   Root_cause.make ~id:rc_drop
     ~descr:"the forwarding link dropped a replication; the block never arrives"
-    (fun r -> fault_fired r.Interp.trace "fault_net")
+    (fault_fired "fault_net")
 
 let disk_cause =
   Root_cause.make ~id:rc_disk
     ~descr:"the secondary's disk rejected writes"
-    (fun r -> fault_fired r.Interp.trace "fault_disk")
+    (fault_fired "fault_disk")
 
 let catalog =
   {

@@ -280,19 +280,19 @@ let spec =
         else Ok ()
       | _ -> Error "malformed-io")
 
-let final_int trace region =
-  match Trace.scalar_at trace region ~init:(Value.int 0) ~step:max_int with
-  | Value.Vint n -> n
-  | _ -> 0
+(* The race predicate's regions, st_s_r for each (server, range) and
+   then the ownership map, with their initial values: their final values
+   are read in one pass over the trace. *)
+let race_regions = [| st 0 0; st 0 1; st 1 0; st 1 1; "owner_0"; "owner_1" |]
+let race_inits = [| 0; 0; 0; 0; 0; 1 |]
 
-let final_owner trace r =
-  match
-    Trace.scalar_at trace
-      (Printf.sprintf "owner_%d" r)
-      ~init:(Value.int r) ~step:max_int
-  with
-  | Value.Vint n -> n
-  | _ -> r
+let region_slot region =
+  let rec go k =
+    if k = Array.length race_regions then -1
+    else if String.equal race_regions.(k) region then k
+    else go (k + 1)
+  in
+  go 0
 
 let race_cause =
   Root_cause.make ~id:rc_race
@@ -300,26 +300,40 @@ let race_cause =
       "rows committed to a range server concurrently with the migration of \
        their range end up on a non-owner and are ignored by dumps"
     (fun r ->
-      let t = r.Interp.trace in
-      let stranded s rng = final_int t (st s rng) > 0 && final_owner t rng <> s in
+      let final = Array.map Value.int race_inits in
+      Trace.iter
+        (fun (e : Event.t) ->
+          match e.kind with
+          | Event.Write { region; index = None; value } ->
+            let k = region_slot region in
+            if k >= 0 then final.(k) <- value.Value.v
+          | _ -> ())
+        r.Interp.trace;
+      (* a non-integer final value reads as the region's initial one *)
+      let int k = match final.(k) with Value.Vint n -> n | _ -> race_inits.(k) in
+      let stranded s rng = int ((2 * s) + rng) > 0 && int (4 + rng) <> s in
       stranded 0 0 || stranded 0 1 || stranded 1 0 || stranded 1 1)
 
-let fault_fired trace chan =
-  List.exists
-    (fun (_, _, v) -> Value.equal v (Value.int 1))
-    (Trace.inputs_on trace chan)
+(* did an input on one of [chans] deliver the fault value 1? *)
+let fault_fired chans (r : Interp.result) =
+  Trace.exists
+    (fun (e : Event.t) ->
+      match e.kind with
+      | Event.In io ->
+        List.exists (String.equal io.chan) chans
+        && Value.equal io.value.Value.v (Value.int 1)
+      | _ -> false)
+    r.Interp.trace
 
 let crash_cause =
   Root_cause.make ~id:rc_crash
     ~descr:"a range server crashed after upload, losing its rows (expected)"
-    (fun r ->
-      fault_fired r.Interp.trace (fault_crash 0)
-      || fault_fired r.Interp.trace (fault_crash 1))
+    (fault_fired [ fault_crash 0; fault_crash 1 ])
 
 let oom_cause =
   Root_cause.make ~id:rc_oom
     ~descr:"the dump client ran out of memory and truncated the dump"
-    (fun r -> fault_fired r.Interp.trace "fault_oom")
+    (fault_fired [ "fault_oom" ])
 
 let catalog =
   {

@@ -20,7 +20,10 @@ let observed catalog (r : Interp.result) =
     List.filter (fun c -> c.holds r) catalog.causes
   | Some _ | None -> []
 
-let primary catalog r =
-  match observed catalog r with [] -> None | c :: _ -> Some c
+(* the first cause that holds: the ones after it are not evaluated *)
+let primary catalog (r : Interp.result) =
+  match r.failure with
+  | Some f when catalog.failure_sig f -> List.find_opt (fun c -> c.holds r) catalog.causes
+  | Some _ | None -> None
 
 let n_causes catalog = List.length catalog.causes

@@ -35,7 +35,8 @@ val make : id:string -> descr:string -> (Interp.result -> bool) -> t
 val observed : catalog -> Interp.result -> t list
 
 (** [primary catalog r] is the first observed cause, if any — the one a
-    developer following the replay would find. *)
+    developer following the replay would find. Causes after it are not
+    evaluated. *)
 val primary : catalog -> Interp.result -> t option
 
 (** [n_causes catalog] is the catalog size — the [n] in the paper's

@@ -54,8 +54,12 @@ let has_node_faults plan = List.exists is_node_fault plan.faults
 let str_salt s =
   String.fold_left (fun h c -> (h * 31) + Char.code c) (String.length s) s
 
-let coin plan ~salt ~step ~tid ~sid ~chan =
-  Prng.coin plan.seed [ salt; step; tid; sid; str_salt chan ]
+(* [Prng.coin plan.seed [salt; step; tid; sid; chan_salt]], where
+   [chan_salt] is [str_salt] of the channel, computed once per channel;
+   inlined, so a draw allocates nothing *)
+let[@inline] coin plan ~salt ~step ~tid ~sid ~chan_salt =
+  float_of_int (Prng.coin_bits5 plan.seed salt step tid sid chan_salt)
+  /. 9007199254740992.
 
 let salt_drop = 1
 let salt_dup = 2
@@ -201,26 +205,74 @@ let lower ~map ~prog plan =
 (* ------------------------------------------------------------------ *)
 (* injection *)
 
-(* [actions] are the plan's clauses on [chan], in plan order: the first
-   that fires decides *)
-let chan_decision plan actions ~step ~tid ~sid ~chan ~last =
-  let rec go = function
-    | [] -> World.Default
-    | action :: rest -> (
-      match action with
-      | Drop p when coin plan ~salt:salt_drop ~step ~tid ~sid ~chan < p ->
-        World.Force_fail
-      | Delay { from_step; until_step }
-        when step >= from_step && step < until_step ->
-        World.Force_fail
-      | Duplicate p when coin plan ~salt:salt_dup ~step ~tid ~sid ~chan < p
-        -> (
-        match last () with
-        | Some v -> World.Force_value v
-        | None -> go rest)
-      | Drop _ | Duplicate _ | Delay _ -> go rest)
+(* What the plan says about one channel: its [Chan] clauses in plan
+   order, the largest probability of its [Perturb] clauses (0. without
+   any), its salt, computed once, and, for [Duplicate], the last message
+   delivered on it. [last] is mutated only in on_recv — which the
+   interpreter calls strictly after every on_try_recv consultation of
+   the same step — so on_try_recv stays pure within a step. The channel
+   table is a list of these, searched by name: a plan names few
+   channels. *)
+type chan_faults = {
+  chan : string;
+  salt : int;
+  actions : chan_action list;
+  perturb : float;
+  mutable last : Value.tagged option;
+}
+
+(* what [faults_on] finds for a channel no clause names *)
+let unfaulted = { chan = ""; salt = 0; actions = []; perturb = 0.; last = None }
+
+let rec faults_on chan = function
+  | [] -> unfaulted
+  | c :: rest -> if String.equal c.chan chan then c else faults_on chan rest
+
+(* one record per channel a [Chan] or [Perturb] clause names, first use
+   first *)
+let chan_table plan =
+  let for_chan chan =
+    {
+      chan;
+      salt = str_salt chan;
+      actions =
+        List.filter_map
+          (function
+            | Chan { chan = c; action } when String.equal c chan -> Some action
+            | _ -> None)
+          plan.faults;
+      perturb =
+        List.fold_left
+          (fun acc -> function
+            | Perturb { chan = c; prob } when String.equal c chan -> Float.max acc prob
+            | _ -> acc)
+          0. plan.faults;
+      last = None;
+    }
   in
-  go actions
+  List.fold_left
+    (fun acc -> function
+      | (Chan { chan; _ } | Perturb { chan; _ }) when faults_on chan acc == unfaulted ->
+        acc @ [ for_chan chan ]
+      | _ -> acc)
+    [] plan.faults
+
+(* the first of [actions] that fires decides *)
+let rec chan_decision plan c actions ~step ~tid ~sid =
+  match actions with
+  | [] -> World.Default
+  | action :: rest -> (
+    match action with
+    | Drop p when coin plan ~salt:salt_drop ~step ~tid ~sid ~chan_salt:c.salt < p ->
+      World.Force_fail
+    | Delay { from_step; until_step } when step >= from_step && step < until_step ->
+      World.Force_fail
+    | Duplicate p when coin plan ~salt:salt_dup ~step ~tid ~sid ~chan_salt:c.salt < p
+      -> (
+      match c.last with
+      | Some v -> World.Force_value v
+      | None -> chan_decision plan c rest ~step ~tid ~sid)
+    | Drop _ | Duplicate _ | Delay _ -> chan_decision plan c rest ~step ~tid ~sid)
 
 let has_duplicate plan =
   List.exists
@@ -259,13 +311,6 @@ let rec any_out out = function
   | [] -> false
   | (c : World.cand) :: rest -> is_out c.tid out || any_out out rest
 
-let perturb_prob clauses chan =
-  List.fold_left
-    (fun acc -> function
-      | Perturb { chan = c; prob } when String.equal c chan -> Float.max acc prob
-      | _ -> acc)
-    0. clauses
-
 let inject plan (w : World.t) =
   if has_node_faults plan then
     invalid_arg
@@ -281,25 +326,9 @@ let inject plan (w : World.t) =
     let desched =
       List.filter (function Stall _ | Crash _ -> true | _ -> false) plan.faults
     in
-    let perturbs =
-      List.filter (function Perturb _ -> true | _ -> false) plan.faults
-    in
-    let by_chan : (string, chan_action list) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (function
-        | Chan { chan; action } ->
-          let earlier = Option.value ~default:[] (Hashtbl.find_opt by_chan chan) in
-          Hashtbl.replace by_chan chan (earlier @ [ action ])
-        | Stall _ | Crash _ | Perturb _ | Partition _ | Node_crash _
-        | Node_restart _ ->
-          ())
-      plan.faults;
+    let chans = chan_table plan in
+    let has clause = List.exists clause plan.faults in
     let duplicates = has_duplicate plan in
-    (* last message delivered per channel, for Duplicate, the only clause
-       that reads it. Mutated only in on_recv — which the interpreter
-       calls strictly after every on_try_recv consultation of the same
-       step — so on_try_recv stays pure within a step. *)
-    let last_delivered : (string, Value.tagged) Hashtbl.t = Hashtbl.create 8 in
     {
       w with
       World.name = Printf.sprintf "%s+faults(%s)" w.World.name (to_string plan);
@@ -342,37 +371,36 @@ let inject plan (w : World.t) =
                 | [] -> w.World.pick_thread ~step cands
                 | alive -> w.World.pick_thread ~step alive));
       pick_input =
-        (if perturbs = [] then w.World.pick_input
+        (if not (has (function Perturb _ -> true | _ -> false)) then w.World.pick_input
          else fun ~step ~tid ~chan ~domain ->
-          let p = perturb_prob perturbs chan in
+          let c = faults_on chan chans in
+          let p = c.perturb and chan_salt = c.salt in
           if
             p > 0. && domain <> []
-            && coin plan ~salt:salt_perturb ~step ~tid ~sid:0 ~chan < p
+            && coin plan ~salt:salt_perturb ~step ~tid ~sid:0 ~chan_salt < p
           then
             let n = List.length domain in
             let k =
               int_of_float
-                (coin plan ~salt:salt_perturb_ix ~step ~tid ~sid:0 ~chan
+                (coin plan ~salt:salt_perturb_ix ~step ~tid ~sid:0 ~chan_salt
                 *. float_of_int n)
             in
             List.nth domain (min k (n - 1))
           else w.World.pick_input ~step ~tid ~chan ~domain);
+      (* the last delivery is kept only on channels with clauses: only
+         their [Duplicate]s read it *)
       on_recv =
         (if not duplicates then w.World.on_recv
          else fun ~step ~tid ~sid ~chan ~actual ->
            let v = w.World.on_recv ~step ~tid ~sid ~chan ~actual in
-           Hashtbl.replace last_delivered chan v;
+           let c = faults_on chan chans in
+           if c != unfaulted then c.last <- Some v;
            v);
       on_try_recv =
-        (if Hashtbl.length by_chan = 0 then w.World.on_try_recv
+        (if not (has (function Chan _ -> true | _ -> false)) then w.World.on_try_recv
          else fun ~step ~tid ~sid ~chan ->
-          match Hashtbl.find_opt by_chan chan with
-          | None -> w.World.on_try_recv ~step ~tid ~sid ~chan
-          | Some actions -> (
-            match
-              chan_decision plan actions ~step ~tid ~sid ~chan ~last:(fun () ->
-                  Hashtbl.find_opt last_delivered chan)
-            with
-            | World.Default -> w.World.on_try_recv ~step ~tid ~sid ~chan
-            | decision -> decision));
+          let c = faults_on chan chans in
+          match chan_decision plan c c.actions ~step ~tid ~sid with
+          | World.Default -> w.World.on_try_recv ~step ~tid ~sid ~chan
+          | decision -> decision);
     }

@@ -44,16 +44,20 @@ let pick t xs =
    starts at the previous hash xor the coordinate; the top 53 bits of the
    result make the float. [next] keeps its own inline copy of the
    finaliser: it is on the scheduling hot path. *)
-let mix64 z =
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let[@inline] mix h x = mix64 (Int64.add (Int64.logxor h (Int64.of_int x)) golden)
+
 let coin seed coords =
-  let h =
-    List.fold_left
-      (fun h x -> mix64 (Int64.add (Int64.logxor h (Int64.of_int x)) golden))
-      (Int64.of_int seed) coords
-  in
+  let h = List.fold_left mix (Int64.of_int seed) coords in
   Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
+
+(* the five steps inline: the state stays unboxed and the 53 bits leave
+   as an immediate int *)
+let coin_bits5 seed a b c d e =
+  let h = mix (mix (mix (mix (mix (Int64.of_int seed) a) b) c) d) e in
+  Int64.to_int (Int64.shift_right_logical h 11)

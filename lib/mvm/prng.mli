@@ -32,3 +32,9 @@ val pick : t -> 'a list -> 'a
     through, which fault injection needs: a decision may be consulted
     twice within one step and must come out the same both times. *)
 val coin : int -> int list -> float
+
+(** [coin_bits5 seed a b c d e] is the 53-bit integer behind
+    [coin seed [a; b; c; d; e]] (the coin is it divided by 2{^53}). It
+    allocates nothing: fault injection draws one per delivery attempt on
+    a faulted channel. *)
+val coin_bits5 : int -> int -> int -> int -> int -> int -> int

@@ -12,19 +12,24 @@ let always level =
   { name = "always-" ^ to_string level; level = (fun _ -> level) }
 
 let by_function ~name f =
-  { name; level = (fun (e : Mvm.Event.t) -> f e.fname) }
+  let memo = Mvm.Site_memo.create () in
+  {
+    name;
+    level = (fun (e : Mvm.Event.t) -> Mvm.Site_memo.find memo e.sid e.fname f);
+  }
 
 let by_site ~name f =
   { name; level = (fun (e : Mvm.Event.t) -> f e.sid) }
 
+(* every constituent, in order: stateful selectors must observe every
+   event, whatever an earlier one answered *)
+let rec any_level e acc = function
+  | [] -> acc
+  | s :: rest -> (
+    match s.level e with
+    | High -> any_level e High rest
+    | Low -> any_level e acc rest)
+
 let any selectors =
   let name = String.concat "+" (List.map (fun s -> s.name) selectors) in
-  {
-    name;
-    level =
-      (fun e ->
-        (* evaluate all: stateful selectors must observe every event *)
-        List.fold_left
-          (fun acc s -> match s.level e with High -> High | Low -> acc)
-          Low selectors);
-  }
+  { name; level = (fun e -> any_level e Low selectors) }

@@ -12,18 +12,17 @@ let ring_push ring e =
   Queue.push e ring.q;
   if Queue.length ring.q > ring.capacity then ignore (Queue.pop ring.q)
 
-let entries_of_event (e : Event.t) =
+(* [k] gets the entry a high-fidelity window logs for [e], if there is
+   one: built directly, no list per event *)
+let with_entry k (e : Event.t) =
   match e.kind with
-  | Event.Step -> [ Log.Cp_sched { tid = e.tid; sid = e.sid } ]
+  | Event.Step -> k (Log.Cp_sched { tid = e.tid; sid = e.sid })
   | Event.In io ->
-    [
-      Log.Cp_input
-        { tid = e.tid; sid = e.sid; chan = io.chan; value = io.value.Value.v };
-    ]
-  | Event.Out io -> [ Log.Output { chan = io.chan; value = io.value.Value.v } ]
+    k (Log.Cp_input { tid = e.tid; sid = e.sid; chan = io.chan; value = io.value.Value.v })
+  | Event.Out io -> k (Log.Output { chan = io.chan; value = io.value.Value.v })
   | Event.Read _ | Event.Write _ | Event.Msg_send _ | Event.Msg_recv _
   | Event.Lock_acq _ | Event.Lock_rel _ | Event.Spawned _ | Event.Crashed _ ->
-    []
+    ()
 
 let create ?flight ?govern (selector : Fidelity_level.selector) =
   let name = "rcse:" ^ selector.name in
@@ -34,6 +33,7 @@ let create ?flight ?govern (selector : Fidelity_level.selector) =
       (fun capacity -> { capacity; q = Queue.create (); buffered_total = 0 })
       flight
   in
+  let push_ring = match ring with Some ring -> ring_push ring | None -> ignore in
   let on_event (e : Event.t) =
     let level = selector.level e in
     if not (Fidelity_level.equal level !current) then (
@@ -57,10 +57,9 @@ let create ?flight ?govern (selector : Fidelity_level.selector) =
          windowed log's schedule is not enforceable across the window
          boundary anyway, so buffering it would be pure cost *)
       match ring, e.kind with
-      | Some ring, (Event.In _ | Event.Out _) ->
-        List.iter (ring_push ring) (entries_of_event e)
+      | Some _, (Event.In _ | Event.Out _) -> with_entry push_ring e
       | Some _, _ | None, _ -> ())
-    | Fidelity_level.High -> List.iter add (entries_of_event e)
+    | Fidelity_level.High -> with_entry add e
   in
   let finalize result =
     (match ring with

@@ -100,6 +100,31 @@ let test_prng_coin () =
   Alcotest.(check bool) "coordinate order matters" false
     (Prng.coin 5 [ 1; 2 ] = Prng.coin 5 [ 2; 1 ])
 
+(* Coins at the coordinates fault injection draws at ([salt; step; tid;
+   sid; channel salt]), pinned by value: a change to the coin or to the
+   way the injector feeds it moves every faulted run. The five-coordinate
+   form must give the same numbers. *)
+let test_fault_coins_pinned () =
+  List.iter
+    (fun (seed, coords, expected) ->
+      let what =
+        Printf.sprintf "coin %d [%s]" seed (String.concat "; " (List.map string_of_int coords))
+      in
+      Alcotest.(check (float 0.)) what expected (Prng.coin seed coords);
+      match coords with
+      | [ a; b; c; d; e ] ->
+        Alcotest.(check (float 0.)) (what ^ ", five-coordinate form") expected
+          (float_of_int (Prng.coin_bits5 seed a b c d e) /. 9007199254740992.)
+      | _ -> Alcotest.fail "five coordinates")
+    [
+      (11, [ 1; 37; 2; 14; 235782421 ], 0x1.ae972f22c275cp-1);
+      (11, [ 2; 512; 0; 3; 7190899 ], 0x1.0573f2545b694p-3);
+      (5, [ 3; 90; 1; 0; 327727248780311 ], 0x1.9af41eb280219p-1);
+      (5, [ 4; 90; 1; 0; 327727248780311 ], 0x1.8b5458a2d0746p-1);
+      (0, [ 1; 0; 0; 0; 0 ], 0x1.a461e8d7c5f64p-3);
+      (-7, [ 2; max_int; -1; 199; min_int ], 0x1.1c0374a0f9cf8p-4);
+    ]
+
 (* The stream every world and search draws from, pinned by value: a
    rewrite of the generator's state or of [int] must draw these numbers,
    or every seeded schedule in the repository moves. *)
@@ -187,6 +212,35 @@ let test_prng_draws_allocate_nothing () =
            sum := !sum + Prng.pick rng xs
          done));
   Alcotest.(check bool) "draws were made" true (!sum > 0)
+
+(* A faulted channel's delivery attempt draws one coin per clause and
+   the injector keeps each channel's clauses and salt in a table built
+   once, so deciding a delivery allocates nothing. *)
+let test_fault_decisions_allocate_nothing () =
+  let plan =
+    Fault.make ~seed:11
+      [ Fault.drop ~prob:0.3 "ack_0"; Fault.delay ~chan:"ack_0" ~from_step:5 ~until_step:9 ]
+  in
+  let w = Fault.inject plan (World.random ~seed:3) in
+  let fails = ref 0 and sum = ref 0 in
+  let poll step chan =
+    match w.World.on_try_recv ~step ~tid:1 ~sid:4 ~chan with
+    | World.Force_fail -> incr fails
+    | World.Default | World.Force_value _ -> ()
+  in
+  poll 0 "ack_0";
+  Alcotest.(check (float 0.)) "10,000 Prng.coin_bits5" 0.
+    (minor_words_of (fun () ->
+         for k = 1 to 10_000 do
+           sum := !sum lxor Prng.coin_bits5 11 1 k 2 3 4
+         done));
+  Alcotest.(check (float 0.)) "10,000 delivery decisions" 0.
+    (minor_words_of (fun () ->
+         for step = 1 to 5_000 do
+           poll step "ack_0";
+           poll step "ack_1"
+         done));
+  Alcotest.(check bool) "some deliveries failed" true (!fails > 0 && !sum <> 0)
 
 (* ------------------------------------------------------------------ *)
 (* Taint and values *)
@@ -1121,6 +1175,8 @@ let () =
           Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "float range" `Quick test_prng_float;
           Alcotest.test_case "stateless coin" `Quick test_prng_coin;
+          Alcotest.test_case "fault coins pinned by value" `Quick
+            test_fault_coins_pinned;
           Alcotest.test_case "stream pinned by value" `Quick
             test_prng_stream_pinned;
         ] );
@@ -1136,6 +1192,8 @@ let () =
         [
           Alcotest.test_case "PRNG draws allocate nothing" `Quick
             test_prng_draws_allocate_nothing;
+          Alcotest.test_case "fault delivery decisions allocate nothing" `Quick
+            test_fault_decisions_allocate_nothing;
         ] );
       ( "value",
         [

@@ -1126,6 +1126,45 @@ let alloc_cases =
               !steps))
     [ 0; 1; 2 ]
 
+(* Allocation per step of an RCSE recording (the combined selector: the
+   code-based and data-based selectors and the race trigger, each event
+   through all three) above the production run of the same seed, over
+   seeds 1-8 after a warm-up recording. What is left above the run is
+   the log's entries, the race detector's reports and per-location
+   state, and each selector's memo tables, made once per recording; the
+   selectors allocate nothing per event. Each bound sits between the
+   name-keyed selectors' figure (miniht 20.7, cloudstore 14.3,
+   msg_server 21.9) and the memo's (8.5, 4.4, 13.6). *)
+let rcse_words_above_bounds = [| 14.; 9.; 17. |]
+
+let rcse_alloc_cases =
+  List.map
+    (fun ai ->
+      let app = parity_apps.(ai) in
+      let bound = rcse_words_above_bounds.(ai) in
+      Alcotest.test_case
+        (Printf.sprintf
+           "%s rcse recording: at most %.0f minor words per step above its run"
+           app.Ddet_apps.App.name bound)
+        `Quick (fun () ->
+          let p = Ddet.Session.prepare (Ddet.Model.Rcse Ddet.Model.Combined) app in
+          ignore (Ddet.Session.record p ~seed:1);
+          let steps = ref 0 and above = ref 0. in
+          for seed = 1 to 8 do
+            let w0 = Gc.minor_words () in
+            let r = Ddet_apps.App.production_run app ~seed in
+            let w1 = Gc.minor_words () in
+            ignore (Ddet.Session.record p ~seed);
+            let w2 = Gc.minor_words () in
+            above := !above +. (w2 -. w1) -. (w1 -. w0);
+            steps := !steps + r.Interp.steps
+          done;
+          let per_step = !above /. float_of_int !steps in
+          if per_step > bound then
+            Alcotest.failf "%.1f minor words per step above the run over %d steps"
+              per_step !steps))
+    [ 0; 1; 2 ]
+
 (* The sync oracle against the string-keyed one it replaced
    ([Ref_sync]): both are built from the same log and seed and consulted
    in lock step, each on every hook call and every event, inside one run
@@ -1242,6 +1281,229 @@ let sync_reference_cases =
             (Interp.status_to_string r.Interp.status));
     ]
 
+(* ------------------------------------------------------------------ *)
+(* root-cause verdicts against the predicates they replaced
+
+   Every cause of every parity app's catalog is evaluated on production
+   runs (seeds 1-400: 2,000 runs, on which each cause holds at least
+   once) and on the perfect and value replays of the first three failing
+   ones, by the library and by [Ref_causes]; each cause's [holds] and the
+   catalog's [primary] must agree on every run. *)
+
+module Rc = Ddet_metrics.Root_cause
+
+let check_verdicts what (c : Rc.catalog) (r : Interp.result) =
+  let reference = Ref_causes.catalog c in
+  List.iter2
+    (fun (cause : Rc.t) (ref_cause : Rc.t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s holds" what cause.Rc.id)
+        (ref_cause.Rc.holds r) (cause.Rc.holds r))
+    c.Rc.causes reference.Rc.causes;
+  let id = Option.map (fun (cause : Rc.t) -> cause.Rc.id) in
+  Alcotest.(check (option string))
+    (what ^ ": primary")
+    (id (Ref_causes.primary reference r))
+    (id (Rc.primary c r))
+
+let verdict_cases =
+  List.init (Array.length parity_apps) (fun ai ->
+      let app = parity_apps.(ai) in
+      let name = app.Ddet_apps.App.name in
+      let catalog = app.Ddet_apps.App.catalog in
+      Alcotest.test_case
+        (Printf.sprintf "%s, seeds 1-400 and three failing seeds' replays" name)
+        `Quick (fun () ->
+          let failing = ref [] in
+          for seed = 1 to 400 do
+            let r = Ddet_apps.App.production_run app ~seed in
+            check_verdicts (Printf.sprintf "seed %d" seed) catalog r;
+            if r.Interp.failure <> None && List.length !failing < 3 then
+              failing := seed :: !failing
+          done;
+          List.iter
+            (fun model ->
+              let prepared = Ddet.Session.prepare model app in
+              List.iter
+                (fun seed ->
+                  let _, log = Ddet.Session.record prepared ~seed in
+                  let o = Ddet.Session.replay prepared log in
+                  let what =
+                    Printf.sprintf "%s replay of seed %d" (Ddet.Model.name model) seed
+                  in
+                  match (o.Replayer.result, o.Replayer.partial) with
+                  | Some r, _ | None, Some { Search.best = r; _ } ->
+                    check_verdicts what catalog r
+                  | None, None -> Alcotest.failf "%s: no run" what)
+                (List.rev !failing))
+            [ Ddet.Model.Perfect; Ddet.Model.Value ]))
+
+(* ------------------------------------------------------------------ *)
+(* RCSE selectors against the name-keyed ones they replaced
+
+   The library's selectors find what they know about an event's
+   function, region or channel through a per-site memo; [Ref_select]
+   holds the name-keyed versions they replaced. Both are fed the same
+   event stream: the code-based, data-based, sticky and windowed trigger
+   selectors and their [any] must give the same level at every event,
+   the race detectors the same reports in the same order, and two
+   counting triggers behind the race trigger must be asked on the same
+   events (a trigger is skipped where an earlier one fired). *)
+
+open Ddet_analysis
+
+let selector_lockstep ~map ~inv (events : Event.t list) =
+  let cfg = Race_detector.default_config in
+  let counting seen =
+    Trigger.manual ~name:"counting" (fun (e : Event.t) ->
+        seen := e.Event.step :: !seen;
+        e.Event.step mod 7 = 0)
+  in
+  let lib_rd = List.init 3 (fun _ -> Race_detector.create cfg) in
+  let ref_rd = List.init 3 (fun _ -> Ref_select.race_detector cfg) in
+  let lib_seen = [ ref []; ref [] ] and ref_seen = [ ref []; ref [] ] in
+  let lib =
+    match lib_rd with
+    | [ a; b; c ] ->
+      [
+        ("code-based", Plane.selector map);
+        ("data-based", Invariants.selector inv);
+        ("sticky trigger", Trigger.selector ~sticky:true [ Trigger.of_race_detector a ]);
+        ( "windowed triggers",
+          Trigger.selector ~window:9
+            (Trigger.of_race_detector b :: List.map counting lib_seen) );
+        ( "any",
+          Fidelity_level.any
+            [
+              Plane.selector map;
+              Invariants.selector inv;
+              Trigger.selector ~sticky:true [ Trigger.of_race_detector c ];
+            ] );
+      ]
+    | _ -> assert false
+  in
+  let reference =
+    match ref_rd with
+    | [ a; b; c ] ->
+      [
+        Ref_select.code_based map;
+        Ref_select.data_based inv;
+        Ref_select.trigger_selector ~sticky:true [ Ref_select.race_trigger a ];
+        Ref_select.trigger_selector ~window:9
+          (Ref_select.race_trigger b :: List.map counting ref_seen);
+        Ref_select.any
+          [
+            Ref_select.code_based map;
+            Ref_select.data_based inv;
+            Ref_select.trigger_selector ~sticky:true [ Ref_select.race_trigger c ];
+          ];
+      ]
+    | _ -> assert false
+  in
+  let mismatch = ref None in
+  List.iteri
+    (fun k (e : Event.t) ->
+      List.iter2
+        (fun (name, (s : Fidelity_level.selector)) (r : Fidelity_level.selector) ->
+          let a = s.Fidelity_level.level e and b = r.Fidelity_level.level e in
+          if !mismatch = None && not (Fidelity_level.equal a b) then
+            mismatch :=
+              Some
+                (Format.asprintf "%s: event %d (%a): %s against %s" name k Event.pp e
+                   (Fidelity_level.to_string a) (Fidelity_level.to_string b)))
+        lib reference)
+    events;
+  List.iteri
+    (fun k (a, b) ->
+      if !mismatch = None && Race_detector.reports a <> Ref_select.reports b then
+        mismatch := Some (Printf.sprintf "race detector %d: reports differ" k))
+    (List.combine lib_rd ref_rd);
+  List.iteri
+    (fun k (a, b) ->
+      if !mismatch = None && !a <> !b then
+        mismatch := Some (Printf.sprintf "counting trigger %d: events seen differ" k))
+    (List.combine lib_seen ref_seen);
+  !mismatch
+
+let selector_app_cases =
+  List.init (Array.length parity_apps) (fun ai ->
+      let app = parity_apps.(ai) in
+      Alcotest.test_case
+        (Printf.sprintf "%s, seeds 1-8" app.Ddet_apps.App.name)
+        `Quick (fun () ->
+          let p = Ddet.Session.prepare (Ddet.Model.Rcse Ddet.Model.Combined) app in
+          let map = Option.get p.Ddet.Session.plane_map in
+          let inv = Option.get p.Ddet.Session.invariants in
+          for seed = 1 to 8 do
+            let r = Ddet_apps.App.production_run app ~seed in
+            Alcotest.(check (option string))
+              (Printf.sprintf "seed %d" seed) None
+              (selector_lockstep ~map ~inv (Trace.events r.Interp.trace))
+          done))
+
+(* a generated program's functions alternate between the planes, so both
+   answers occur; its invariants come from three other seeds' runs *)
+let prop_selectors_proggen =
+  QCheck2.Test.make ~name:"selectors match the name-keyed ones on generated programs"
+    ~count:40 ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
+      let labeled = program_of pseed in
+      let map =
+        Plane.of_assoc
+          (List.mapi
+             (fun k (f : Ast.func) ->
+               (f.Ast.fname, if k mod 2 = 0 then Plane.Data else Plane.Control))
+             labeled.Label.prog.Ast.funcs)
+      in
+      let inv =
+        Invariants.infer
+          (List.map
+             (fun seed -> Interp.run labeled (World.random ~seed))
+             [ wseed + 1; wseed + 2; wseed + 3 ])
+      in
+      let r = Interp.run labeled (World.random ~seed:wseed) in
+      match selector_lockstep ~map ~inv (Trace.events r.Interp.trace) with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_report m)
+
+(* Hand-built streams: a few sids, some 256 apart (they share a memo
+   slot), each seen under several names, given either as one shared
+   string or as a fresh copy, with scalar and array accesses, inputs and
+   steps from three threads. *)
+let hand_built_events seed =
+  let rng = Prng.create seed in
+  let name pool =
+    let s = List.nth pool (Prng.int rng (List.length pool)) in
+    if Prng.bool rng then s else Bytes.to_string (Bytes.of_string s)
+  in
+  let value () = Value.untainted (Value.int (Prng.int rng 12 - 2)) in
+  List.init 400 (fun step ->
+      let sid = List.nth [ 1; 2; 3; 257; 259; 511 ] (Prng.int rng 6) in
+      let index () = if Prng.bool rng then None else Some (Prng.int rng 4) in
+      let access () = { Event.region = name [ "x"; "y"; "n" ]; index = index (); value = value () } in
+      let kind =
+        match Prng.int rng 5 with
+        | 0 -> Event.Step
+        | 1 -> Event.Read (access ())
+        | 2 -> Event.Write (access ())
+        | 3 -> Event.In { chan = name [ "n"; "m" ]; value = value () }
+        | _ -> Event.Write { (access ()) with index = None }
+      in
+      { Event.step; tid = Prng.int rng 3; sid; fname = name [ "a"; "b"; "c" ]; kind })
+
+let prop_selectors_hand_built =
+  QCheck2.Test.make ~name:"selectors match the name-keyed ones on hand-built events"
+    ~count:60 ~print:string_of_int QCheck2.Gen.(int_range 1 100_000) (fun seed ->
+      let map = Plane.of_assoc [ ("a", Plane.Data); ("b", Plane.Control); ("c", Plane.Data) ] in
+      let inv =
+        {
+          Invariants.scalar_bounds = [ ("x", { Invariants.lo = 0; hi = 8 }) ];
+          input_bounds = [ ("n", { Invariants.lo = -1; hi = 9 }); ("m", { Invariants.lo = 0; hi = 6 }) ];
+        }
+      in
+      match selector_lockstep ~map ~inv (hand_built_events seed) with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_report m)
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "props"
@@ -1272,7 +1534,7 @@ let () =
             prop_scalar_reconstruction;
           ] );
       ("vec", List.map to_alcotest [ prop_vec_models_list ]);
-      ("alloc", alloc_cases);
+      ("alloc", alloc_cases @ rcse_alloc_cases);
       ("crash-tolerance", List.map to_alcotest [ prop_resume_parity ]);
       ( "parallel",
         List.map to_alcotest
@@ -1288,4 +1550,8 @@ let () =
       ("candidates", List.map to_alcotest [ prop_candidate_snapshots ]);
       ("sync-reference", sync_reference_cases);
       ("fault-pins", fault_pin_cases);
+      ("verdicts", verdict_cases);
+      ( "selectors",
+        selector_app_cases
+        @ List.map to_alcotest [ prop_selectors_proggen; prop_selectors_hand_built ] );
     ]
