@@ -3,7 +3,7 @@
    plus the RCSE, search and budget ablations) and times the actual
    recorders.
 
-   Usage: main.exe [paper|ablation|search|sanity|crash|governor|static|dist|obs|micro|all]
+   Usage: main.exe [paper|search|sanity|crash|governor|static|dist|obs|micro|all]
                    [--jobs N] [--json]
 
    --jobs N times the random restarts at N worker domains as well as at 1
@@ -171,8 +171,8 @@ let with_temp_base suffix f =
         (Sys.readdir dir))
 
 (* ------------------------------------------------------------------ *)
-(* PAPER: Fig. 1, Fig. 2, the Sec. 2 narratives, the budget, flight and
-   race ablations and the Sec. 5 open questions. Every cell is
+(* PAPER: Fig. 1, Fig. 2, the Sec. 2 narratives, the budget, flight,
+   race and RCSE ablations and the Sec. 5 open questions. Every cell is
    deterministic (modelled overhead, step-count DE, seeded searches with
    no deadline, one domain), so bench-smoke compares the artifact with
    the committed copy field by field. *)
@@ -414,18 +414,10 @@ let open_questions () =
          ones reach *a* failure state, not *the* state. The sweet spot\n\
          depends on the domain: the paper's closing question.\n" } ]
 
-let paper ~json () =
-  report ~json ~trials:1 "paper"
-    (List.concat
-       [ fig1 (); [ fig2 () ]; sec2 (); [ abl_budget (); abl_flight (); abl_race () ];
-         open_questions () ])
-
-(* ABL-RCSE prints through the same table code, but stays out of the
-   artifact: its msg_server rcse-code rows take minutes to search *)
-let ablation () =
-  print_table ~title:"ABL-RCSE selection heuristics compared"
-    (app_rows (Experiment.ablation_rcse ()))
-    ~note:
+let abl_rcse () =
+  { title = "ABL-RCSE selection heuristics compared"; key = "rcse";
+    rows = app_rows (Experiment.ablation_rcse ());
+    note =
       "\n\nReading guide: code-based selection shines when the root cause is\n\
        control-plane (miniht) and degenerates when it is not (msg_server's\n\
        buffer race is data-plane; bufover has no plane split, so everything\n\
@@ -433,7 +425,14 @@ let ablation () =
        root cause (bufover's trained input range catches the overflow).\n\
        Trigger-based selection needs a detector for the defect class (the\n\
        race detector fires on msg_server and miniht). Combined selection is\n\
-       the union, at the union's cost: the Sec. 3.1.3 design point.\n"
+       the union, at the union's cost: the Sec. 3.1.3 design point.\n" }
+
+let paper ~json () =
+  report ~json ~trials:1 "paper"
+    (List.concat
+       [ fig1 (); [ fig2 () ]; sec2 ();
+         [ abl_budget (); abl_flight (); abl_race (); abl_rcse () ];
+         open_questions () ])
 
 (* ------------------------------------------------------------------ *)
 (* MICRO: wall-clock cost of the recorders themselves, grounding the
@@ -1581,7 +1580,6 @@ let () =
   let cmd = Option.value ~default:"all" cmd in
   match cmd with
   | "paper" -> paper ~json ()
-  | "ablation" -> ablation ()
   | "search" -> search_bench ~jobs ~json ()
   | "crash" -> crash_bench ~json ()
   | "sanity" -> sanity ()
@@ -1592,11 +1590,10 @@ let () =
   | "micro" -> micro ~json ()
   | "all" ->
     paper ~json ();
-    ablation ();
     search_bench ~jobs ~json ();
     micro ~json ()
   | other ->
     Printf.eprintf
-      "unknown command %S (expected paper|ablation|search|sanity|crash|governor|static|dist|obs|micro|all)\n"
+      "unknown command %S (expected paper|search|sanity|crash|governor|static|dist|obs|micro|all)\n"
       other;
     exit 2

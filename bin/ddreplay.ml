@@ -707,12 +707,15 @@ let cmd_invariants app =
    human table, --json, and --trace (Chrome trace-event JSON). *)
 
 (* What a replay that did not reproduce spent its budget on: attempts
-   cut by the step cap or by an abort hook, and RCSE picks that found the
-   log head at no candidate (stalls) or ran a risky candidate. *)
+   cut by the step cap or by an abort hook, RCSE picks that found the
+   log head at no candidate (stalls) or ran a risky candidate, and strict
+   RCSE attempts ended because the head's thread stood at a later logged
+   site (held) or the head waited longer than the recorded run
+   (starved). *)
 let miss_counters =
   [
     "search.step_cap_hits"; "search.aborted"; "oracle.rcse_stalls";
-    "oracle.rcse_risky";
+    "oracle.rcse_risky"; "oracle.rcse_held"; "oracle.rcse_starved";
   ]
 
 (* Pre-register the standard counter set so every report exposes the
@@ -779,6 +782,27 @@ let report_json ~mask ~app ~model outcome t =
        (T.dropped t));
   Buffer.contents b
 
+(* the [oracle.rcse_diverged] instant, in words: where the first attempt
+   strict RCSE ended left its log *)
+let divergence_line t =
+  let module T = Ddet_obs.Tracer in
+  List.find_map
+    (fun (e : T.ev) ->
+      if e.T.kind <> T.I || not (String.equal e.T.name "oracle.rcse_diverged")
+      then None
+      else
+        let arg k =
+          match List.assoc_opt k e.T.args with Some (T.Count n) -> n | _ -> -1
+        in
+        let tid = arg "tid" and sid = arg "sid" and at = arg "stands_at" in
+        Some
+          (Printf.sprintf "attempt %d left the log at step %d: t%d must run s%d next but %s"
+             (arg "attempt") (arg "step") tid sid
+             (if at >= 0 then
+                Printf.sprintf "stands at s%d, which the log records later" at
+              else "could not run it for more picks than the recorded run took steps")))
+    (T.events t)
+
 let report_human ~app ~model outcome t =
   let module T = Ddet_obs.Tracer in
   Printf.printf "session: %s under %s — %s, %d attempt(s)\n\n" app.App.name
@@ -815,6 +839,7 @@ let report_human ~app ~model outcome t =
      in
      Printf.printf "\nnot reproduced; largest miss counter: %s = %d\n" largest
        (value largest));
+  Option.iter print_endline (divergence_line t);
   Printf.printf "\nevents: %d (%d dropped)\n" (T.length t) (T.dropped t)
 
 let cmd_report app model seed faults jobs overhead_budget shards lose

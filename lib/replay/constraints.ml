@@ -7,6 +7,10 @@ let failure_matches log (r : Interp.result) =
   | None, None -> true
   | Some _, None | None, Some _ -> false
 
+let failure_reproduced log (r : Interp.result) =
+  (match r.status with Interp.Aborted _ -> false | _ -> true)
+  && failure_matches log r
+
 let outputs_match log (r : Interp.result) =
   let logged = Log.outputs log in
   let got = r.outputs in

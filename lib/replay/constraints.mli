@@ -10,6 +10,12 @@ open Ddet_record
     (failure determinism's guarantee). *)
 val failure_matches : Log.t -> Interp.result -> bool
 
+(** [failure_reproduced log r] — the run ran to its end, not cut short by
+    an abort hook, and {!failure_matches}: an aborted run has no failure
+    of its own, which {!failure_matches} alone would take for a passing
+    recording's. *)
+val failure_reproduced : Log.t -> Interp.result -> bool
+
 (** [outputs_match log r] — the run's per-channel outputs equal the logged
     ones exactly (output determinism's guarantee). *)
 val outputs_match : Log.t -> Interp.result -> bool

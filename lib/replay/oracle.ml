@@ -1,11 +1,16 @@
 open Mvm
 open Ddet_record
 
+type divergence = { step : int; head_tid : int; head_sid : int; stands_at : int }
+
 type handle = {
   world : World.t;
   abort : Event.t -> string option;
   violated : unit -> bool;
+  diverged : unit -> divergence option;
 }
+
+let never_diverged () = None
 
 (* Every hook below runs per event or per scheduling candidate. None of
    them hashes or compares polymorphically, builds a string or allocates
@@ -109,7 +114,12 @@ let perfect log =
       forcing = World.Never;
     }
   in
-  { world; abort = abort_of violated; violated = (fun () -> !violated) }
+  {
+    world;
+    abort = abort_of violated;
+    violated = (fun () -> !violated);
+    diverged = never_diverged;
+  }
 
 let value_det ~seed log =
   let rng = Prng.create seed in
@@ -168,7 +178,12 @@ let value_det ~seed log =
     }
   in
   let never = ref false in
-  { world; abort = abort_of never; violated = (fun () -> !never) }
+  {
+    world;
+    abort = abort_of never;
+    violated = (fun () -> !never);
+    diverged = never_diverged;
+  }
 
 (* Strict RCSE's multiset of pending (tid, sid) pairs, indexed by site:
    slot [sid land (slots - 1)] lists the pairs of the sites sharing it,
@@ -205,20 +220,30 @@ let rec is_pending_in tid sid = function
    (2) otherwise candidates whose next site appears nowhere in the pending
    log are safe (a statement only emits events carrying its own site id,
    so they cannot produce an out-of-order logged event); (3) otherwise a
-   risky candidate runs — either harmlessly (a poll that emits nothing)
-   or producing the violation that aborts the attempt. Tier 3 prevents
-   livelock when the replay has genuinely diverged. The tracer counts the
-   picks whose head entry is at no candidate (oracle.rcse_stalls) and the
-   tier-3 picks (oracle.rcse_risky): on msg_server's code-based logs
-   nearly every pick stalls and none is risky, the head's thread never
-   reaching its site while the others run safely to the step cap
-   (ROADMAP item 1).
+   risky candidate runs, and the step it takes at its pending site aborts
+   the attempt. The tracer counts the picks whose head entry is at no
+   candidate (oracle.rcse_stalls) and the tier-3 picks
+   (oracle.rcse_risky).
+
+   Under [strict], a stalled pick also asks whether the log can still be
+   followed, and declares divergence when it cannot, so the next event
+   ends the attempt through the same abort:
+   - rule 1 (held head): the head's thread is a candidate at another
+     site still pending. Every step emits its site, so that thread's
+     next step is out of log order, and it cannot reach the head's site
+     without taking it. Found in the walk that looks for the head.
+   - rule 2 (starved head): the head has been at no candidate for more
+     picks in a row than the recorded run took steps, as when its thread
+     is blocked behind held threads. The bound is the log's own
+     [base_steps]; a log without it skips the rule.
+   Each bumps its counter (oracle.rcse_held, oracle.rcse_starved) once
+   for the attempt it ends, and [diverged] says where.
 
    Windowed (trigger/invariant) logs record a time slice whose sites also
    execute legitimately outside the window, so schedule enforcement is
    only meaningful for statically selected (code-based) logs; windowed
    replay ([strict:false]) pins the recorded inputs by site and searches
-   the schedule. *)
+   the schedule: it has no cursor, so neither rule applies. *)
 let rcse ?(strict = true) ~seed log =
   let points = if strict then Log.cp_sched_points log else [] in
   let rng = Prng.create seed in
@@ -240,6 +265,7 @@ let rcse ?(strict = true) ~seed log =
   in
   let is_pending tid sid = is_pending_in tid sid slots.(sid land mask) in
   let violated = ref false in
+  let diverged = ref None in
   let cp_inputs =
     queues_of
       (List.filter_map
@@ -253,6 +279,8 @@ let rcse ?(strict = true) ~seed log =
      tier 3 *)
   let c_stalls = Ddet_obs.Tracer.handle "oracle.rcse_stalls" in
   let c_risky = Ddet_obs.Tracer.handle "oracle.rcse_risky" in
+  let c_held = Ddet_obs.Tracer.handle "oracle.rcse_held" in
+  let c_starved = Ddet_obs.Tracer.handle "oracle.rcse_starved" in
   (* the thread the last pick ran and its site. Inputs execute in the
      step of the thread just picked, so input forcing aligns logged input
      sites against [cur_sid] *)
@@ -278,17 +306,54 @@ let rcse ?(strict = true) ~seed log =
     if !violated then Some "log-divergence" else None
   in
   let safe (c : World.cand) = not (is_pending c.World.tid c.World.sid) in
-  let pick_thread ~step:_ cands =
+  (* One walk per pick whose log head is (t, s): [at_head] when thread
+     [t] is a candidate at [s]; [held] when it is a candidate at a site
+     still pending (rule 1), left in [held_at]; otherwise the number of
+     safe candidates. Each thread is a candidate at most once *)
+  let at_head = -1 and held = -2 and held_at = ref 0 in
+  let rec walk t s n = function
+    | [] -> n
+    | (c : World.cand) :: rest ->
+      if c.World.tid = t then
+        if c.World.sid = s then at_head
+        else if is_pending t c.World.sid then begin
+          held_at := c.World.sid;
+          held
+        end
+        else walk t s (n + 1) rest
+      else walk t s (if safe c then n + 1 else n) rest
+  in
+  (* consecutive picks the head has been at no candidate: rule 2 fires
+     past the recorded run's length *)
+  let starved = ref 0 and starve_bound = log.Log.base_steps in
+  let diverge counter ~step t s stands_at =
+    violated := true;
+    diverged := Some { step; head_tid = t; head_sid = s; stands_at };
+    Ddet_obs.Tracer.bump counter 1
+  in
+  let pick_thread ~step cands =
     match !remaining with
     | [] ->
       (* nothing pending: every candidate is safe *)
       run_cand (Prng.pick rng cands)
     | (t, s) :: _ ->
-      if has_cand t s cands then run t s
+      let n = walk t s 0 cands in
+      if n = at_head then begin
+        starved := 0;
+        run t s
+      end
       else begin
         Ddet_obs.Tracer.bump c_stalls 1;
-        let c = pick_where rng safe cands in
-        if c != no_cand then run_cand c
+        incr starved;
+        if n = held then begin
+          diverge c_held ~step t s !held_at;
+          run t !held_at
+        end
+        else if starve_bound > 0 && !starved > starve_bound then begin
+          diverge c_starved ~step t s (-1);
+          run_cand (List.hd cands)
+        end
+        else if n > 0 then run_cand (nth_where safe (Prng.int rng n) cands)
         else begin
           Ddet_obs.Tracer.bump c_risky 1;
           run_cand (Prng.pick rng cands)
@@ -315,7 +380,12 @@ let rcse ?(strict = true) ~seed log =
       forcing = World.Never;
     }
   in
-  { world; abort; violated = (fun () -> !violated) }
+  {
+    world;
+    abort;
+    violated = (fun () -> !violated);
+    diverged = (fun () -> !diverged);
+  }
 
 (* Sync replay's tables are indexed by site like strict RCSE's pending
    table, with the same fixed number of slots: slot [sid land
@@ -481,7 +551,12 @@ let sync ~seed log =
       forcing = World.Never;
     }
   in
-  { world; abort; violated = (fun () -> !violated_set) }
+  {
+    world;
+    abort;
+    violated = (fun () -> !violated_set);
+    diverged = never_diverged;
+  }
 
 (* Partial-evidence replay over a stitched shard merge. The merged log
    is dense for surviving threads (a perfect recorder logs every one of
@@ -578,4 +653,4 @@ let partial ?(steer = no_steer) ~seed log =
       forcing = World.Never;
     }
   in
-  { world; abort; violated = (fun () -> false) }
+  { world; abort; violated = (fun () -> false); diverged = never_diverged }

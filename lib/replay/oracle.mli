@@ -10,12 +10,26 @@
 open Mvm
 open Ddet_record
 
+(** Where strict {!rcse} found that an attempt can no longer follow its
+    log. *)
+type divergence = {
+  step : int;  (** the pick that found it *)
+  head_tid : int;
+  head_sid : int;  (** the log head, at no candidate *)
+  stands_at : int;
+      (** the pending site the head's thread stands at (rule 1), or -1
+          (rule 2) *)
+}
+
 (** A replay world plus its divergence detector. *)
 type handle = {
   world : World.t;
   abort : Event.t -> string option;
       (** returns a reason once the run has diverged from the log *)
   violated : unit -> bool;  (** true once divergence was detected *)
+  diverged : unit -> divergence option;
+      (** where a rule of strict {!rcse} ended the attempt; [None] for
+          every other oracle *)
 }
 
 (** [perfect log] replays a perfect-determinism log: the full recorded
@@ -54,9 +68,31 @@ val value_det : seed:int -> Log.t -> handle
     the program (a negative or huge sid, a tid no run spawns) is held
     like any other and simply never matches.
 
+    Under [strict], an attempt that can no longer follow the log is
+    declared divergent at the pick that finds it, and its next event
+    aborts it, as an out-of-order site would. Two rules find it at a
+    pick whose log head (t, s) is at no candidate:
+    - {b held head} (exact): thread t is a candidate at another site s'
+      whose (t, s') is still pending. Every step emits its own site, so
+      t's next step emits (t, s') ahead of its place in the log, which
+      strict mode already counts as divergence; and t cannot reach s
+      without taking that step.
+    - {b starved head} (backstop): the head has been at no candidate
+      for more picks in a row than the log's [base_steps]. It catches a
+      head whose thread is blocked behind held threads, which rule 1
+      cannot see. The original run took [base_steps] steps in all, so
+      its head never waited longer; the bound comes from the log, and a
+      log without it ([base_steps <= 0]) skips the rule.
+    Before a rule fires, every decision is the one the oracle made
+    without them, so an attempt that follows the log runs as before:
+    only attempts that could not reproduce it end sooner. Windowed
+    replay ([strict:false]) has no cursor and neither rule applies.
+
     Under a tracer, a pick whose head entry is at no candidate bumps
     [oracle.rcse_stalls], and a pick with no safe candidate left (a risky
-    one) also bumps [oracle.rcse_risky]. *)
+    one) also bumps [oracle.rcse_risky]. An attempt a rule ends bumps
+    [oracle.rcse_held] (rule 1) or [oracle.rcse_starved] (rule 2) once,
+    and [diverged] returns where. *)
 val rcse : ?strict:bool -> seed:int -> Log.t -> handle
 
 (** [sync ~seed log] replays a sync-schedule log by enforcing *per-object*

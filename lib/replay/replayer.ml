@@ -160,12 +160,50 @@ let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint ?resume
           (Constraints.both handle.Oracle.abort
              (Constraints.output_prefix_abort log)) ))
 
+(* An attempt the oracle aborted is rejected whatever the log holds
+   ([Constraints.failure_reproduced]).
+
+   Under a tracer, the instant [oracle.rcse_diverged] says where the
+   first judged attempt a rule of strict RCSE ended left its log.
+   Attempts may run on pool workers, which write no trace: each notes its
+   divergence as its abort fires, the lowest attempt wins, and the
+   calling thread emits the instant once the search is over. *)
 let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
     ?checkpoint ?resume labeled ~spec log =
-  restarts "rcse" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
-    ~accept:Constraints.failure_matches ~make:(fun ~attempt:_ ~seed ->
-      let handle = Oracle.rcse ~strict ~seed log in
-      (env_world log handle.Oracle.world, Some handle.Oracle.abort))
+  let module T = Ddet_obs.Tracer in
+  let traced = T.current () <> None in
+  let first = Atomic.make None in
+  let rec note attempt (d : Oracle.divergence) =
+    match Atomic.get first with
+    | Some (a, _) when a <= attempt -> ()
+    | cur ->
+      if not (Atomic.compare_and_set first cur (Some (attempt, d))) then
+        note attempt d
+  in
+  let o =
+    restarts "rcse" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
+      ~accept:Constraints.failure_reproduced ~make:(fun ~attempt ~seed ->
+        let h = Oracle.rcse ~strict ~seed log in
+        let noting e =
+          match h.Oracle.abort e with
+          | None -> None
+          | Some _ as reason ->
+            Option.iter (note attempt) (h.Oracle.diverged ());
+            reason
+        in
+        (env_world log h.Oracle.world, Some (if traced then noting else h.Oracle.abort)))
+  in
+  (match Atomic.get first with
+  | Some (a, d) when a <= o.attempts ->
+    T.instant_ "oracle.rcse_diverged"
+      ~args:
+        [
+          ("attempt", T.Count a); ("step", T.Count d.Oracle.step);
+          ("tid", T.Count d.Oracle.head_tid); ("sid", T.Count d.Oracle.head_sid);
+          ("stands_at", T.Count d.Oracle.stands_at);
+        ]
+  | Some _ | None -> ());
+  o
 
 (* A governed log has windows where the governor dialled fidelity down
    and entries are missing by design. The deterministic oracles (value,

@@ -129,7 +129,14 @@ val sync_det :
 
 (** [strict] (default true) treats out-of-order recorded sites as
     divergence; pass [false] for windowed (trigger/invariant) logs — see
-    {!Oracle.rcse}. *)
+    {!Oracle.rcse}. An attempt is accepted when it reproduces the
+    recorded failure (or, for a log that recorded none, runs to its end
+    without one); an attempt the oracle aborted is never accepted. Under
+    a tracer, the first judged attempt strict RCSE ended where the log
+    could no longer be followed is reported by the instant
+    [oracle.rcse_diverged] (args [attempt], [step], [tid] and [sid] of
+    the log head, and [stands_at], the site the head's thread stands at
+    or -1). *)
 val rcse :
   ?budget:Search.budget ->
   ?strict:bool ->

@@ -137,4 +137,9 @@ let sync ~seed log =
       forcing = World.Never;
     }
   in
-  { Oracle.world; abort; violated = (fun () -> !violated_set) }
+  {
+    Oracle.world;
+    abort;
+    violated = (fun () -> !violated_set);
+    diverged = (fun () -> None);
+  }

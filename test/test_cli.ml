@@ -539,8 +539,10 @@ let report_golden =
       "  {\"name\":\"govern.transitions\",\"value\":0},";
       "  {\"name\":\"oracle.cold_pins\",\"value\":0},";
       "  {\"name\":\"oracle.cursor_stalls\",\"value\":0},";
+      "  {\"name\":\"oracle.rcse_held\",\"value\":0},";
       "  {\"name\":\"oracle.rcse_risky\",\"value\":0},";
       "  {\"name\":\"oracle.rcse_stalls\",\"value\":0},";
+      "  {\"name\":\"oracle.rcse_starved\",\"value\":0},";
       "  {\"name\":\"oracle.steer_hot_picks\",\"value\":0},";
       "  {\"name\":\"record.entries.book\",\"value\":0},";
       "  {\"name\":\"record.entries.sched\",\"value\":0},";
@@ -582,6 +584,16 @@ let test_report_human () =
       "govern.transitions";
       "stitch.edges_enforced";
     ]
+
+(* msg_server's rcse-code replay reproduces nothing: the report ends by
+   naming where its first attempt left the log *)
+let test_report_names_divergence () =
+  let code, text = run_out "report -a msg_server -m rcse-code -s 1" in
+  check "report: exit 0" 0 code;
+  Alcotest.(check bool) "closing line names the held head and its site" true
+    (contains text
+       "attempt 1 left the log at step 74: t0 must run s11 next but stands at \
+        s14, which the log records later")
 
 let test_report_trace_export () =
   let out = Filename.temp_file "ddet_cli" ".trace.json" in
@@ -695,6 +707,8 @@ let () =
             test_report_json_golden;
           Alcotest.test_case "human profile covers the phases" `Quick
             test_report_human;
+          Alcotest.test_case "a strict RCSE miss names where it left the log"
+            `Quick test_report_names_divergence;
           Alcotest.test_case "--trace exports chrome json" `Quick
             test_report_trace_export;
           Alcotest.test_case "errors carry the ddreplay: prefix" `Quick

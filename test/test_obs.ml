@@ -183,43 +183,77 @@ let test_engine_deadline_no_sleep () =
 (* a replay that misses says why (ROADMAP item 1): the search counts
    judged attempts cut by the step cap apart from those an abort hook
    cut, and the RCSE oracle counts the picks that found the log head at
-   no candidate (stalls) and those that had to run a risky candidate *)
+   no candidate (stalls), those that had to run a risky candidate, and
+   the strict attempts it ended because the log could no longer be
+   followed: the head's thread stood at a later logged site (held), or
+   the head waited longer than the recorded run (starved) *)
 
-(* [f]'s result under a fresh tracer, and the tracer's counter lookup *)
+(* [f]'s result under a fresh tracer, the tracer's counter lookup, and
+   the args of its [oracle.rcse_diverged] instants *)
 let traced f =
   let t = T.create () in
   let r = T.with_current t f in
-  (r, fun name -> Option.value ~default:0 (List.assoc_opt name (T.counters t)))
+  ( r,
+    (fun name -> Option.value ~default:0 (List.assoc_opt name (T.counters t))),
+    List.filter_map
+      (fun (e : T.ev) ->
+        if e.T.kind = T.I && e.T.name = "oracle.rcse_diverged" then Some e.T.args
+        else None)
+      (T.events t) )
 
 let three_attempts = { Ddet_replay.Search.default_budget with max_attempts = 3 }
 
-(* msg_server's code-based RCSE replay livelocks: each attempt runs into
-   the 50,000-step cap, no abort hook cuts one short, and the oracle
-   keeps finding the log's head entry at no candidate while other
-   threads run on safely *)
-let test_rcse_livelock_counters () =
-  let outcome, value =
-    traced (fun () ->
-        let prepared =
-          Session.prepare (Model.Rcse Model.Code_based) (Msg_server.app ())
-        in
-        let _, log = Session.record prepared ~seed:1 in
-        Session.replay ~budget:three_attempts prepared log)
-  in
+let replay_rcse_code app ~seed =
+  traced (fun () ->
+      let prepared = Session.prepare (Model.Rcse Model.Code_based) app in
+      let _, log = Session.record prepared ~seed in
+      Session.replay ~budget:three_attempts prepared log)
+
+(* each attempt of msg_server's code-based RCSE replay follows the log
+   for 74 steps, then finds the head (t0, s11) at no candidate while t0
+   stands at s14, which the log records later: rule 1 ends it there,
+   not at the step cap *)
+let test_rcse_held_counters () =
+  let outcome, value, diverged = replay_rcse_code (Msg_server.app ()) ~seed:1 in
   Alcotest.(check bool) "not reproduced" true
     (outcome.Ddet_replay.Replayer.result = None);
   Alcotest.(check int) "search.attempts" 3 (value "search.attempts");
-  Alcotest.(check int) "search.step_cap_hits" 3 (value "search.step_cap_hits");
-  Alcotest.(check int) "search.aborted" 0 (value "search.aborted");
-  Alcotest.(check int) "search.steps" 150_000 (value "search.steps");
-  Alcotest.(check bool) "oracle.rcse_stalls > 0" true
-    (value "oracle.rcse_stalls" > 0)
+  Alcotest.(check int) "search.step_cap_hits" 0 (value "search.step_cap_hits");
+  Alcotest.(check int) "search.aborted" 3 (value "search.aborted");
+  Alcotest.(check int) "oracle.rcse_held" 3 (value "oracle.rcse_held");
+  Alcotest.(check int) "oracle.rcse_starved" 0 (value "oracle.rcse_starved");
+  if value "search.steps" >= 1_000 then
+    Alcotest.failf "search.steps %d, not under 1,000" (value "search.steps");
+  Alcotest.(check (list (list (pair string int))))
+    "one instant: attempt 1's divergence"
+    [ [ ("attempt", 1); ("step", 74); ("tid", 0); ("sid", 11); ("stands_at", 14) ] ]
+    (List.map
+       (List.map (function k, T.Count n -> (k, n) | k, T.Ns _ -> (k, -1)))
+       diverged)
+
+(* miniht seed 110052's head thread blocks behind threads that run on
+   safely, so no candidate is ever held: rule 2 ends each attempt once
+   the head has waited at no candidate longer than the recorded run *)
+let test_rcse_starved_counters () =
+  let outcome, value, diverged = replay_rcse_code (Miniht.app ()) ~seed:110_052 in
+  Alcotest.(check bool) "not reproduced" true
+    (outcome.Ddet_replay.Replayer.result = None);
+  Alcotest.(check int) "search.step_cap_hits" 0 (value "search.step_cap_hits");
+  Alcotest.(check int) "search.aborted" 3 (value "search.aborted");
+  Alcotest.(check int) "oracle.rcse_starved" 3 (value "oracle.rcse_starved");
+  Alcotest.(check int) "oracle.rcse_held" 0 (value "oracle.rcse_held");
+  match diverged with
+  | [ args ] ->
+    Alcotest.(check bool) "the instant names attempt 1 and no site" true
+      (List.assoc_opt "attempt" args = Some (T.Count 1)
+      && List.assoc_opt "stands_at" args = Some (T.Count (-1)))
+  | l -> Alcotest.failf "%d oracle.rcse_diverged instants, not 1" (List.length l)
 
 (* cloudstore's sync replay of seed 16 leaves the recorded per-object
    orders in each of its first three attempts: the abort hook ends every
    one, well short of the step cap *)
 let test_sync_abort_counters () =
-  let outcome, value =
+  let outcome, value, _ =
     traced (fun () ->
         let prepared = Session.prepare Model.Sync (Cloudstore.app ()) in
         let _, log = Session.record prepared ~seed:16 in
@@ -263,7 +297,7 @@ let replay_headed log =
    pick), and the step it takes comes out of log order, which aborts the
    attempt *)
 let test_rcse_risky_counters () =
-  let outcome, value = replay_headed (headed_log (1_000, 0)) in
+  let outcome, value, _ = replay_headed (headed_log (1_000, 0)) in
   Alcotest.(check bool) "not reproduced" true
     (outcome.Ddet_replay.Replayer.result = None);
   Alcotest.(check int) "search.aborted" 3 (value "search.aborted");
@@ -291,7 +325,7 @@ let test_rcse_out_of_program_heads () =
   in
   let small = headed_log (1_000, 0) in
   let small_words = oracle_words small in
-  let ref_outcome, ref_value = replay_headed small in
+  let ref_outcome, ref_value, _ = replay_headed small in
   let judged (o : Ddet_replay.Replayer.outcome) =
     match o.Ddet_replay.Replayer.partial with
     | Some p ->
@@ -307,7 +341,7 @@ let test_rcse_out_of_program_heads () =
       if words > small_words +. 64. then
         Alcotest.failf "%s: the oracle holds %.0f words, the small pair's %.0f"
           name words small_words;
-      let outcome, value = replay_headed log in
+      let outcome, value, _ = replay_headed log in
       Alcotest.(check bool) (name ^ ": not reproduced") true
         (outcome.Ddet_replay.Replayer.result = None);
       Alcotest.(check int) (name ^ ": attempts") ref_outcome.Ddet_replay.Replayer.attempts
@@ -320,7 +354,7 @@ let test_rcse_out_of_program_heads () =
       List.iter
         (fun c -> Alcotest.(check int) (name ^ ": " ^ c) (ref_value c) (value c))
         [ "search.aborted"; "search.step_cap_hits"; "oracle.rcse_stalls";
-          "oracle.rcse_risky" ])
+          "oracle.rcse_risky"; "oracle.rcse_held"; "oracle.rcse_starved" ])
     [
       ("sid max_int", (1, max_int));
       ("tid 2^40", (1 lsl 40, 1));
@@ -356,8 +390,10 @@ let () =
         ] );
       ( "miss-counters",
         [
-          Alcotest.test_case "an RCSE livelock names its cause" `Quick
-            test_rcse_livelock_counters;
+          Alcotest.test_case "a held RCSE head ends the attempt and names its site"
+            `Quick test_rcse_held_counters;
+          Alcotest.test_case "a starved RCSE head ends the attempt" `Quick
+            test_rcse_starved_counters;
           Alcotest.test_case "aborted attempts are not step-cap hits" `Quick
             test_sync_abort_counters;
           Alcotest.test_case "a head no thread reaches forces risky picks"

@@ -1282,6 +1282,99 @@ let sync_reference_cases =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* strict RCSE against the oracle that ran doomed attempts to the end
+
+   [Ref_rcse] is strict RCSE before it declared divergence where the log
+   can no longer be followed. Each attempt of the pinned replay budget
+   (8 attempts of at most 20,000 steps, from base seed 1) runs once under
+   each oracle, judged as [Replayer.rcse] judges it: the spec, then
+   [Constraints.failure_reproduced]. Whenever the reference accepts attempt n, the library
+   accepts it with the same steps and trace; an attempt the reference
+   rejects, the library rejects in no more steps. *)
+
+let rcse_attempts = 8
+
+let trace_crc (r : Interp.result) =
+  Log_io.crc_hex (Format.asprintf "%a" Trace.pp r.Interp.trace)
+
+(* [None] when attempts 1-8 of [log]'s strict replay obey the law, else
+   the first that does not *)
+let rcse_law labeled ~spec log =
+  let run world abort =
+    Spec.apply spec (Interp.run ~max_steps:oracle_max_steps ~abort labeled world)
+  in
+  let accepted = Constraints.failure_reproduced log in
+  let rec attempt n =
+    if n > rcse_attempts then None
+    else
+      let seed = 1 + n in
+      let lib = Oracle.rcse ~strict:true ~seed log
+      and reference = Ref_rcse.rcse ~strict:true ~seed log in
+      let a = run lib.Oracle.world lib.Oracle.abort
+      and b = run reference.Ref_rcse.world reference.Ref_rcse.abort in
+      let broken what =
+        Some
+          (Printf.sprintf "attempt %d: %s (library %d steps, %s; reference %d steps, %s)"
+             n what a.Interp.steps
+             (Interp.status_to_string a.Interp.status)
+             b.Interp.steps
+             (Interp.status_to_string b.Interp.status))
+      in
+      if accepted b then
+        if not (accepted a) then broken "the reference accepts, the library rejects"
+        else if a.Interp.steps <> b.Interp.steps || trace_crc a <> trace_crc b then
+          broken "both accept, with different runs"
+        else attempt (n + 1)
+      else if accepted a then broken "the reference rejects, the library accepts"
+      else if a.Interp.steps > b.Interp.steps then
+        broken "both reject, the library in more steps"
+      else attempt (n + 1)
+  in
+  attempt 1
+
+(* seeds 1-16 hold cloudstore's three pinned failures (9, 14, 16) *)
+let rcse_law_seeds = List.init 16 (fun k -> k + 1) @ [ 100_006; 110_064 ]
+
+let rcse_reference_cases =
+  List.map
+    (fun (app : Ddet_apps.App.t) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s, seeds 1-16, 100006 and 110064" app.Ddet_apps.App.name)
+        `Quick (fun () ->
+          let prepared =
+            Ddet.Session.prepare (Ddet.Model.Rcse Ddet.Model.Code_based) app
+          in
+          List.iter
+            (fun seed ->
+              let _, log = Ddet.Session.record prepared ~seed in
+              Alcotest.(check (option string))
+                (Printf.sprintf "seed %d" seed)
+                None
+                (rcse_law app.Ddet_apps.App.labeled ~spec:app.Ddet_apps.App.spec log))
+            rcse_law_seeds))
+    [ parity_apps.(0); parity_apps.(1); parity_apps.(2) ]
+
+let prop_rcse_reference_proggen =
+  QCheck2.Test.make ~name:"strict RCSE against the reference on generated programs"
+    ~count:60 ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
+      let labeled = program_of pseed in
+      let map =
+        Ddet_analysis.Plane.of_assoc
+          (List.mapi
+             (fun k (f : Ast.func) ->
+               ( f.Ast.fname,
+                 if k mod 2 = 0 then Ddet_analysis.Plane.Control
+                 else Ddet_analysis.Plane.Data ))
+             labeled.Label.prog.Ast.funcs)
+      in
+      let _, log =
+        record_run (Rcse_recorder.create (Ddet_analysis.Plane.selector map)) labeled wseed
+      in
+      match rcse_law labeled ~spec:Spec.accept_all log with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_report m)
+
+(* ------------------------------------------------------------------ *)
 (* root-cause verdicts against the predicates they replaced
 
    Every cause of every parity app's catalog is evaluated on production
@@ -1549,6 +1642,8 @@ let () =
       ("oracle-worlds", List.map to_alcotest [ prop_oracle_parity ]);
       ("candidates", List.map to_alcotest [ prop_candidate_snapshots ]);
       ("sync-reference", sync_reference_cases);
+      ( "rcse-reference",
+        rcse_reference_cases @ [ to_alcotest prop_rcse_reference_proggen ] );
       ("fault-pins", fault_pin_cases);
       ("verdicts", verdict_cases);
       ( "selectors",
