@@ -535,7 +535,7 @@ let failing_log workload labeled spec =
    (the oracle built from the log under seed 2, its abort hook attached,
    judged as the driver judges it). The attempt is timed [runs] times,
    each timing paired with one of the recorded seed's random-world run,
-   the original execution, on the same arena and in alternating order;
+   the original execution, alternating on one domain;
    the per-step costs are the medians over the step counts. Steps and
    the verdict are deterministic; the timings are not. *)
 
@@ -581,9 +581,8 @@ let oracle_table () =
         in
         let recorded = failing 1 in
         let c = Mvm.Interp.compile app.App.labeled in
-        let state = Mvm.Interp.make_state c in
         let original () =
-          Mvm.Interp.run_compiled ~state c (Mvm.World.random ~seed:recorded)
+          Mvm.Interp.run_compiled c (Mvm.World.random ~seed:recorded)
         in
         let base_steps = (original ()).Mvm.Interp.steps in
         List.map
@@ -591,7 +590,7 @@ let oracle_table () =
             let _, log = Session.record (Session.prepare model app) ~seed:recorded in
             let replay () =
               let world, abort, accept = attempt log in
-              (Mvm.Interp.run_compiled ~abort ~state c world, accept)
+              (Mvm.Interp.run_compiled ~abort c world, accept)
             in
             let r, accept = replay () in
             let reproduced = accept (Mvm.Spec.apply app.App.spec r) in
@@ -634,7 +633,7 @@ let oracle_table () =
       Printf.sprintf
         "\n\nOne attempt of each oracle on its model's log of the app's first\n\
          failing seed (attempt seed %d), and the recorded seed's random-world\n\
-         run, each timed %d times, interleaved on one arena. ns_per_step and\n\
+         run, each timed %d times, alternating on one domain. ns_per_step and\n\
          random_ns_per_step are the median times over the step counts; ratio\n\
          is their quotient: 1.00 means the oracle steers at the\n\
          interpreter's own speed.\n"

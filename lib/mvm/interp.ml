@@ -475,63 +475,25 @@ type cthread = {
   c_cand : World.cand;
 }
 
-(* The arena: every piece of exec state whose shape depends only on the
-   compiled program, reusable across runs on the same domain. The trace is
-   deliberately NOT part of it — accepted results retain their traces
-   beyond the run that produced them. *)
-type state = {
-  s_c : compiled;
-  s_scalars : Value.tagged array;
-  s_arrays : Value.tagged array array;
-  s_chans : Value.tagged Queue.t array;  (* indexed by interned chan id *)
-  s_locks : int array;  (* owner tid by interned lock id; -1 = free *)
-  s_threads : cthread Vec.t;
-  s_outs : Value.t list array;
-      (* values emitted per interned output channel, latest first *)
-}
-
-let make_state c =
-  {
-    s_c = c;
-    s_scalars = Array.copy c.c_scalar_init;
-    s_arrays =
-      Array.init (Array.length c.c_array_len) (fun i ->
-          Array.make c.c_array_len.(i) c.c_array_init.(i));
-    s_chans =
-      Array.init (Array.length c.c_chan_names) (fun _ -> Queue.create ());
-    s_locks = Array.make (max 1 (Array.length c.c_lock_names)) (-1);
-    s_threads = Vec.create ();
-    s_outs = Array.make (Array.length c.c_out_names) [];
-  }
-
-let reset_state st =
-  let c = st.s_c in
-  Array.blit c.c_scalar_init 0 st.s_scalars 0 (Array.length st.s_scalars);
-  Array.iteri
-    (fun i a -> Array.fill a 0 (Array.length a) c.c_array_init.(i))
-    st.s_arrays;
-  Array.iter Queue.clear st.s_chans;
-  Array.fill st.s_locks 0 (Array.length st.s_locks) (-1);
-  Vec.clear st.s_threads;
-  Array.fill st.s_outs 0 (Array.length st.s_outs) []
-
+(* Each run builds its own exec state from the compiled program's
+   initial values (19 to 115 minor words on the shipped apps); reusing
+   it across runs saved no measurable time (DESIGN §7). *)
 let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
-    ?state (c : compiled) (world : World.t) =
-  let st =
-    match state with
-    | None -> make_state c
-    | Some s ->
-      if s.s_c != c then
-        invalid_arg "Interp.run_compiled: state built for a different program";
-      reset_state s;
-      s
+    (c : compiled) (world : World.t) =
+  let scalars = Array.copy c.c_scalar_init in
+  let arrays =
+    Array.init (Array.length c.c_array_len) (fun i ->
+        Array.make c.c_array_len.(i) c.c_array_init.(i))
   in
-  let scalars = st.s_scalars in
-  let arrays = st.s_arrays in
-  let chans = st.s_chans in
-  let locks = st.s_locks in
-  let threads = st.s_threads in
-  let outs = st.s_outs in
+  (* indexed by interned chan id *)
+  let chans =
+    Array.init (Array.length c.c_chan_names) (fun _ -> Queue.create ())
+  in
+  (* owner tid by interned lock id; -1 = free *)
+  let locks = Array.make (max 1 (Array.length c.c_lock_names)) (-1) in
+  let threads = Vec.create () in
+  (* values emitted per interned output channel, latest first *)
+  let outs = Array.make (Array.length c.c_out_names) [] in
   let trace = Trace.create () in
   let step_count = ref 0 in
 

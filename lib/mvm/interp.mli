@@ -34,9 +34,9 @@ type result = {
 
 (** [run ?max_steps ?monitors ?abort ?cancel labeled world] compiles the
     program ({!compile}, so a program this domain has run recently is
-    not lowered again) and executes it with {!run_compiled} on a fresh
-    arena. Callers that run one program many times can also reuse a
-    {!state} across {!run_compiled} calls.
+    not lowered again) and executes it with {!run_compiled}. Every run
+    builds its own exec state; the compiled program is the only thing
+    runs share.
 
     [monitors] observe every event as it is emitted (recorders attach
     here). [abort] may return a reason to stop the run early (replay
@@ -111,40 +111,24 @@ type compiled
 (** [compile labeled] lowers the program, once per domain: each domain
     keeps the last 8 programs it compiled, keyed on the physical
     identity of [labeled], and returns the kept value for a program it
-    holds. A session's production run, recording and replay, and
-    {!run} and the search engines' per-worker arenas, all share this
-    one compile path, so they all reuse one compiled program per
-    domain. The program must be validated (every [Label.program] is):
-    compilation resolves region names eagerly and raises
-    [Invalid_argument] on an undeclared region. Unknown call targets
-    and arity mismatches are kept as runtime crashes: a run crashes only
-    when it reaches the call. *)
+    holds. Every {!run} (a session's production run, recording and
+    replay, and every search attempt) goes through it, so they all
+    reuse one compiled program per domain. The program must be
+    validated (every [Label.program] is): compilation resolves region
+    names eagerly and raises [Invalid_argument] on an undeclared region.
+    Unknown call targets and arity mismatches are kept as runtime
+    crashes: a run crashes only when it reaches the call. *)
 val compile : Label.labeled -> compiled
 
-(** Reusable execution state (a per-domain arena): region tables,
-    channel queues, lock table and thread vector, all sized for one
-    compiled program. Passing one to consecutive {!run_compiled} calls
-    hoists those allocations out of the per-attempt loop; the trace is
-    deliberately not part of the arena, because accepted results retain
-    their traces beyond the run that produced them. A state must not be
-    shared between concurrent runs. *)
-type state
-
-(** [make_state c] is a fresh arena for [c]. *)
-val make_state : compiled -> state
-
-(** [run_compiled c world] executes the compiled program; all optional
-    arguments behave exactly as on {!run}. [state] (re)uses an arena
-    built by {!make_state} for the same [compiled] value — it is reset
-    on entry, so no state leaks between runs.
-    @raise Invalid_argument if [state] was built for a different
-    program. *)
+(** [run_compiled c world] executes the compiled program on exec state
+    of its own (region tables, channel queues, lock table and threads,
+    built from [c]'s initial values); all optional arguments behave
+    exactly as on {!run}. *)
 val run_compiled :
   ?max_steps:int ->
   ?monitors:(Event.t -> unit) list ->
   ?abort:(Event.t -> string option) ->
   ?cancel:(unit -> string option) ->
-  ?state:state ->
   compiled ->
   World.t ->
   result

@@ -65,30 +65,10 @@ let odometer_world prefix sizes =
         | None -> ( match domain with [] -> Value.unit | v :: _ -> v));
   }
 
-(* ------------------------------------------------------------------ *)
-(* per-search execution context (the arena): compile the program once,
-   then reuse the interpreter exec state across every attempt that runs
-   on the same domain.
-   A ctx must never be shared between concurrent attempts — each pool
-   worker builds its own. *)
-
-type ctx = { ctx_compiled : Interp.compiled; ctx_state : Interp.state }
-
-let make_ctx labeled =
-  let compiled = Interp.compile labeled in
-  { ctx_compiled = compiled; ctx_state = Interp.make_state compiled }
-
-(* one attempt's interpreter run on the ctx's compiled program and arena *)
-let run_attempt ~max_steps ~abort ?cancel ctx world =
-  Interp.run_compiled ~max_steps ~abort ?cancel ~state:ctx.ctx_state
-    ctx.ctx_compiled world
-
-let exec_inputs ?wall ~budget:(max_steps : int) ~prefix ctx =
+let exec_inputs ?wall ~budget:(max_steps : int) ~prefix labeled =
   let sizes = ref [] in
   let world = odometer_world prefix sizes in
-  let result =
-    run_attempt ~max_steps ~abort:(fun _ -> None) ?cancel:wall ctx world
-  in
+  let result = Interp.run ~max_steps ?cancel:wall labeled world in
   { result; sizes = List.rev !sizes; early = Ran }
 
 (* ------------------------------------------------------------------ *)
@@ -142,12 +122,12 @@ let schedule_world ~prefix ~sizes ~stop =
     forcing = World.Never;
   }
 
-let exec_schedule ?wall ~budget:(max_steps : int) ~prefix ctx =
+let exec_schedule ?wall ~budget:(max_steps : int) ~prefix labeled =
   let sizes = ref [] in
   let stop = ref None in
   let world = schedule_world ~prefix ~sizes ~stop in
   let result =
-    run_attempt ~max_steps ~abort:(fun _ -> !stop) ?cancel:wall ctx world
+    Interp.run ~max_steps ~abort:(fun _ -> !stop) ?cancel:wall labeled world
   in
   let early = match !stop with Some _ -> Early_clamped | None -> Ran in
   { result; sizes = List.rev !sizes; early }

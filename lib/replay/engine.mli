@@ -1,7 +1,9 @@
 (** Shared machinery of the search engines: decision odometers,
     instrumented worlds, and single-attempt executors, which {!Search}
-    composes into its engines. Every executor runs on a caller-supplied
-    arena ({!ctx}); there is no arena-less path. *)
+    composes into its engines. An executor runs its attempt with
+    {!Interp.run}, like every other run: the program is compiled once
+    per domain ({!Interp.compile}), and nothing else carries over from
+    one attempt to the next. *)
 
 open Mvm
 
@@ -25,31 +27,7 @@ type probe = {
   early : early;
 }
 
-(** Per-search execution context — the arena of the search hot path. It
-    holds the program compiled once ({!Interp.compile}) and a reusable
-    interpreter exec state, both reused across every attempt executed
-    with it: attempts stop paying compile cost. Every executor below
-    requires one; a ctx never changes what an attempt does. A ctx must
-    not be shared between concurrent attempts; each pool worker domain
-    builds its own with {!make_ctx}. *)
-type ctx
-
-(** [make_ctx labeled] compiles the program and allocates its arena. *)
-val make_ctx : Label.labeled -> ctx
-
-(** [run_attempt ~max_steps ~abort ctx world] executes one attempt on
-    [ctx]'s compiled program and arena. The raw entry point for engines
-    that build their own worlds — the odometer engines use {!exec_inputs}
-    and {!exec_schedule} instead. *)
-val run_attempt :
-  max_steps:int ->
-  abort:(Event.t -> string option) ->
-  ?cancel:(unit -> string option) ->
-  ctx ->
-  World.t ->
-  Interp.result
-
-(** [exec_inputs ~budget ~prefix ctx] runs one input-odometer attempt;
+(** [exec_inputs ~budget ~prefix labeled] runs one input-odometer attempt;
     [budget] is the step cap. [wall] is forwarded to {!Interp.run}'s
     [cancel] (polled every 128 steps): deadline budgets use it to cut a
     long attempt mid-run. *)
@@ -57,10 +35,10 @@ val exec_inputs :
   ?wall:(unit -> string option) ->
   budget:int ->
   prefix:int array ->
-  ctx ->
+  Label.labeled ->
   probe
 
-(** [exec_schedule ~budget ~prefix ctx] runs one schedule-odometer
+(** [exec_schedule ~budget ~prefix labeled] runs one schedule-odometer
     attempt: decision [k] takes the [prefix.(k)]-th runnable thread, and
     every decision past the prefix the lowest thread id. A prefix digit
     that meets a smaller fan-out than it was generated against cuts the
@@ -69,7 +47,7 @@ val exec_schedule :
   ?wall:(unit -> string option) ->
   budget:int ->
   prefix:int array ->
-  ctx ->
+  Label.labeled ->
   probe
 
 type verdict =

@@ -387,8 +387,8 @@ let rcse ?(strict = true) ~seed log =
     diverged = (fun () -> !diverged);
   }
 
-(* Sync replay's tables are indexed by site like strict RCSE's pending
-   table, with the same fixed number of slots: slot [sid land
+(* Sync replay's held table is indexed by site like strict RCSE's
+   pending table, with the same fixed number of slots: slot [sid land
    (pending_slots - 1)] lists the sites sharing it. An order is an
    object's recorded (tid, sid) pairs not yet matched. *)
 type order = (int * int) list ref
@@ -396,10 +396,6 @@ type order = (int * int) list ref
 (* a site the scheduler holds back until it is next in [h_order]: a
    send, spawn or lock the log records there *)
 type held = { h_sid : int; mutable h_order : order }
-
-(* the order of the object the events at site [s_sid] touch, looked up
-   by the object's name [s_name] once *)
-type seen = { s_sid : int; s_name : string; s_order : order }
 
 let rec find_held sid = function
   | [] -> None
@@ -412,16 +408,6 @@ let rec held_allows tid sid = function
   | h :: rest -> (
     if h.h_sid <> sid then held_allows tid sid rest
     else match !(h.h_order) with (t, s) :: _ -> t = tid && s = sid | [] -> false)
-
-let no_seen = { s_sid = min_int; s_name = ""; s_order = ref [] }
-
-(* compared physically: the interpreter hands every event of a site the
-   same name string, so one comparison finds the memo; another string
-   with the same contents only costs one more lookup *)
-let rec find_seen sid name = function
-  | [] -> no_seen
-  | m :: rest ->
-    if m.s_sid = sid && m.s_name == name then m else find_seen sid name rest
 
 (* Sync-schedule replay enforces *per-object* operation orders, which is
    what an ODR-style logger records: per-channel send and consume orders,
@@ -438,9 +424,10 @@ let rec find_seen sid name = function
    No hook hashes. The scheduler reads the held sites from a table
    indexed by site. The abort hook and the poll find an event's order by
    its site too: a statement's channel or lock is a literal, so the first
-   event at a site looks its object up by name and the site keeps the
-   answer. An object the log never mentions gets an empty order, which
-   no event matches: it aborts, and its polls miss. *)
+   event at a site looks its object up by name and a [Site_memo] keeps
+   the answer. An object the log never mentions gets an empty order,
+   created once, which no event matches: it aborts, and its polls
+   miss. *)
 let sync ~seed log =
   let rng = Prng.create seed in
   (* per-object orders: per channel for sends and for receives, per lock
@@ -486,21 +473,12 @@ let sync ~seed log =
   List.iter (Tbl.Str.iter in_log_order) [ sends; recvs; locks ];
   in_log_order () spawns;
   (* per kind of event, the order each site's object has *)
-  let sent_at = Array.make pending_slots []
-  and recv_at = Array.make pending_slots []
-  and locked_at = Array.make pending_slots [] in
-  let order_at seen tbl sid name =
-    let k = sid land mask in
-    let m = find_seen sid name seen.(k) in
-    if m != no_seen then m.s_order
-    else begin
-      let order =
-        match Tbl.Str.find_opt tbl name with Some r -> r | None -> ref []
-      in
-      seen.(k) <- { s_sid = sid; s_name = name; s_order = order } :: seen.(k);
-      order
-    end
-  in
+  let sent_at = Site_memo.create ()
+  and recv_at = Site_memo.create ()
+  and locked_at = Site_memo.create () in
+  let send_order = order_of sends
+  and recv_order = order_of recvs
+  and lock_order = order_of locks in
   let violated_set = ref false in
   let advance r (e : Event.t) =
     match !r with
@@ -509,10 +487,13 @@ let sync ~seed log =
   in
   let abort (e : Event.t) =
     (match e.Event.kind with
-    | Event.Msg_send io -> advance (order_at sent_at sends e.Event.sid io.Event.chan) e
-    | Event.Msg_recv io -> advance (order_at recv_at recvs e.Event.sid io.Event.chan) e
+    | Event.Msg_send io ->
+      advance (Site_memo.find sent_at e.Event.sid io.Event.chan send_order) e
+    | Event.Msg_recv io ->
+      advance (Site_memo.find recv_at e.Event.sid io.Event.chan recv_order) e
     | Event.Spawned _ -> advance spawns e
-    | Event.Lock_acq m -> advance (order_at locked_at locks e.Event.sid m) e
+    | Event.Lock_acq m ->
+      advance (Site_memo.find locked_at e.Event.sid m lock_order) e
     | Event.Step | Event.Read _ | Event.Write _ | Event.In _ | Event.Out _
     | Event.Lock_rel _ | Event.Crashed _ ->
       ());
@@ -542,7 +523,7 @@ let sync ~seed log =
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
       on_try_recv =
         (fun ~step:_ ~tid ~sid ~chan ->
-          match !(order_at recv_at recvs sid chan) with
+          match !(Site_memo.find recv_at sid chan recv_order) with
           | (t, _) :: _ when t = tid -> World.Default
           | _ -> World.Force_fail);
       (* the poll only ever misses by force: a blocked receive still

@@ -55,12 +55,13 @@ val effective_jobs : jobs:int -> int option -> int
     until it returns [`Stop]; [exhausted ()] is the result when none
     does.
 
-    [make_exec ~worker ~cancel] builds one executor per domain — the
-    place for a per-domain arena. [worker] is [None] on the in-order
-    path and [Some w] on worker domain [w]; [cancel] is [None] on the
-    in-order path and otherwise turns true once the search has stopped,
-    so a long attempt may abandon itself. An executor must not raise on
-    a worker domain: the seeded engines wrap it in their supervision.
+    [make_exec ~worker ~cancel] builds one executor per domain, which
+    runs every attempt that domain claims. [worker] is [None] on the
+    in-order path and [Some w] on worker domain [w]; [cancel] is [None]
+    on the in-order path and otherwise turns true once the search has
+    stopped, so a long attempt may abandon itself. An executor must not
+    raise on a worker domain: the seeded engines wrap it in their
+    supervision.
 
     [process i run] judges attempt [i]; forcing [run] yields its result.
     On the in-order path forcing [run] executes the attempt, so checks

@@ -306,21 +306,17 @@ let random_restarts ?(jobs = 1) ?est_attempt_steps ?(score = no_score)
      abort hook. A deadline-cut attempt is never judged *)
   let c_cap = Ddet_obs.Tracer.handle "search.step_cap_hits" in
   let c_aborted = Ddet_obs.Tracer.handle "search.aborted" in
-  let make_exec ~worker ~cancel =
-    (* the search's arena (one per pool worker): program compiled once,
-       interpreter state reused across every attempt it runs *)
-    let ctx = Engine.make_ctx labeled in
-    fun attempt ->
-      supervise ~attempt ~worker (fun () ->
-          let world, abort = make ~attempt in
-          let abort = match abort with Some a -> a | None -> fun _ -> None in
-          let abort =
-            match cancel with
-            | None -> abort
-            | Some c -> fun e -> if c () then Some "cancelled" else abort e
-          in
-          Engine.run_attempt ~max_steps:budget.max_steps_per_attempt ~abort
-            ?cancel:wall ctx world)
+  let make_exec ~worker ~cancel attempt =
+    supervise ~attempt ~worker (fun () ->
+        let world, abort = make ~attempt in
+        let abort = match abort with Some a -> a | None -> fun _ -> None in
+        let abort =
+          match cancel with
+          | None -> abort
+          | Some c -> fun e -> if c () then Some "cancelled" else abort e
+        in
+        Interp.run ~max_steps:budget.max_steps_per_attempt ~abort ?cancel:wall
+          labeled world)
   in
   let process attempt run =
     if deadline_passed deadline then
@@ -367,7 +363,7 @@ let odometer ~engine
        ?wall:(unit -> string option) ->
        budget:int ->
        prefix:int array ->
-       Engine.ctx ->
+       Label.labeled ->
        Engine.probe) ?(score = no_score) ?checkpoint ?resume budget ~spec
     ~accept labeled =
   let resume = check_resume ~engine ~origin:budget.base_seed resume in
@@ -378,11 +374,10 @@ let odometer ~engine
   let deadline = deadline_of budget in
   let wall = wall_cancel deadline in
   let max_steps = budget.max_steps_per_attempt in
-  let ctx = Engine.make_ctx labeled in
   let rerun prefix =
     (* a judged candidate was a completed run, so re-executing its prefix
        reproduces it exactly *)
-    Spec.apply spec (exec ~budget:max_steps ~prefix ctx).Engine.result
+    Spec.apply spec (exec ~budget:max_steps ~prefix labeled).Engine.result
   in
   let note, best, best_ckpt =
     track_best
@@ -418,7 +413,7 @@ let odometer ~engine
         match
           settle incidents
             (supervise ~attempt ~worker:None (fun () ->
-                 exec ?wall ~budget:max_steps ~prefix ctx))
+                 exec ?wall ~budget:max_steps ~prefix labeled))
         with
         | None ->
           (* poisoned: without the probe's sizes the odometer cannot
@@ -460,12 +455,6 @@ let enumerate_inputs ?score ?checkpoint ?resume budget ~spec ~accept labeled =
 let dfs_schedules ?score ?checkpoint ?resume budget ~spec ~accept labeled =
   odometer ~engine:"dfs" ~exec:Engine.exec_schedule ?score ?checkpoint
     ?resume budget ~spec ~accept labeled
-
-let run_schedule_prefix ?(max_steps = 50_000) ~prefix labeled =
-  let p =
-    Engine.exec_schedule ~budget:max_steps ~prefix (Engine.make_ctx labeled)
-  in
-  (p.Engine.result, p.Engine.sizes)
 
 (* ------------------------------------------------------------------ *)
 (* seed scans *)

@@ -197,16 +197,6 @@ val first_success :
   unit ->
   (int * 'a) option
 
-(** [run_schedule_prefix ~prefix labeled] executes the single schedule
-    denoted by [prefix] (default policy past it), returning the run and
-    the discovered decision fan-outs — what tests use to run one point
-    of the DFS's space, such as the default schedule as a baseline. *)
-val run_schedule_prefix :
-  ?max_steps:int ->
-  prefix:int array ->
-  Label.labeled ->
-  Interp.result * int list
-
 (**/**)
 
 (** A site-priority hint for attempt worlds: sids a static analysis

@@ -812,8 +812,7 @@ let test_proggen_runs_clean () =
 (* ------------------------------------------------------------------ *)
 (* Compiled interpreter parity: Interp.run_compiled must reproduce the
    reference AST walker (Ref_interp) byte for byte — same events, steps,
-   outputs, failure — on every program and world, with the arena state
-   reused across runs. *)
+   outputs, failure — on every program and world. *)
 
 let same_result name (a : Interp.result) (b : Interp.result) =
   Alcotest.(check string)
@@ -830,12 +829,10 @@ let same_result name (a : Interp.result) (b : Interp.result) =
 
 let check_parity ?(seeds = [ 1; 2; 3; 4; 5 ]) (labeled : Label.labeled) =
   let c = Interp.compile labeled in
-  (* one arena for every run of this program: also exercises the reset *)
-  let state = Interp.make_state c in
   let name = labeled.Label.prog.Ast.name in
   let go world_of =
     let r_ast = Ref_interp.run ~max_steps:50_000 labeled (world_of ()) in
-    let r_c = Interp.run_compiled ~max_steps:50_000 ~state c (world_of ()) in
+    let r_c = Interp.run_compiled ~max_steps:50_000 c (world_of ()) in
     same_result name r_ast r_c
   in
   go (fun () -> World.round_robin ());
@@ -1030,12 +1027,11 @@ let forcing_world forcing ~seed =
 
 let test_forcing_promises () =
   let c = Interp.compile forced_prog in
-  let state = Interp.make_state c in
   List.iter
     (fun (forcing, status, out) ->
       for seed = 1 to 8 do
         let name = Printf.sprintf "%s, seed %d" (forcing_name forcing) seed in
-        let r = Interp.run_compiled ~state c (forcing_world forcing ~seed) in
+        let r = Interp.run_compiled c (forcing_world forcing ~seed) in
         same_result name
           (Ref_interp.run forced_prog (forcing_world forcing ~seed))
           r;
@@ -1109,13 +1105,16 @@ let test_compiled_parity_corpus () =
   done
 
 let test_compiled_state_isolation () =
-  (* A reused arena must leak nothing between runs: running a mutating
-     program twice on one state gives identical results. *)
+  (* Runs share the compiled program, never their exec state: running a
+     mutating program twice on one compiled value, and once more through
+     [Interp.run] (which takes the same value from the compile cache),
+     gives identical results. *)
   let c = Interp.compile sink_prog in
-  let state = Interp.make_state c in
-  let r1 = Interp.run_compiled ~state c (World.random ~seed:7) in
-  let r2 = Interp.run_compiled ~state c (World.random ~seed:7) in
-  same_result "state-isolation" r1 r2
+  let r1 = Interp.run_compiled c (World.random ~seed:7) in
+  let r2 = Interp.run_compiled c (World.random ~seed:7) in
+  let r3 = Interp.run sink_prog (World.random ~seed:7) in
+  same_result "state-isolation" r1 r2;
+  same_result "state-isolation via run" r1 r3
 
 (* [Interp.compile] lowers a program once per domain: the same labelled
    program gives back the same compiled value, including after the

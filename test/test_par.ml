@@ -327,9 +327,7 @@ let test_clamped_digit_is_exhausted () =
   (* digit 99 can never be a real branch index: the probe must stop at the
      clamped decision and report the true fan-out so the odometer carries
      past the dead branch instead of re-running its clamped duplicate *)
-  let probe =
-    Engine.exec_schedule ~budget:5_000 ~prefix:[| 99 |] (Engine.make_ctx labeled)
-  in
+  let probe = Engine.exec_schedule ~budget:5_000 ~prefix:[| 99 |] labeled in
   (match probe.Engine.early with
   | Engine.Early_clamped -> ()
   | Engine.Ran -> Alcotest.fail "out-of-range digit should clamp");

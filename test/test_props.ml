@@ -458,9 +458,10 @@ let prop_resume_parity =
           deadline_s = None;
         }
       in
-      let base, _ =
-        Search.run_schedule_prefix
-          ~max_steps:budget.Search.max_steps_per_attempt ~prefix:[||] labeled
+      let base =
+        (Engine.exec_schedule ~budget:budget.Search.max_steps_per_attempt
+           ~prefix:[||] labeled)
+          .Engine.result
       in
       let accept r =
         r.Interp.outputs <> base.Interp.outputs
@@ -535,9 +536,10 @@ let par_budget pseed =
   }
 
 let deviation_accept labeled budget =
-  let base, _ =
-    Search.run_schedule_prefix ~max_steps:budget.Search.max_steps_per_attempt
-      ~prefix:[||] labeled
+  let base =
+    (Engine.exec_schedule ~budget:budget.Search.max_steps_per_attempt
+       ~prefix:[||] labeled)
+      .Engine.result
   in
   fun (r : Interp.result) ->
     r.Interp.outputs <> base.Interp.outputs
