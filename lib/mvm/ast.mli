@@ -58,8 +58,10 @@ and node =
   | Fail of string  (** unconditional crash *)
   | Yield
   | Atomic of block
-      (** execute the whole block in one scheduler step; blocking inside an
-          atomic block is a runtime error *)
+      (** execute the whole block in one scheduler step. Inside it, a
+          [Recv] or [Lock] that would block crashes the run, as do
+          [Spawn], [Call], [Return] and the 10,000th statement reached
+          (each loop test and each nested [Atomic] counts) *)
 
 and block = stmt list
 

@@ -90,8 +90,6 @@ let to_string plan =
   String.concat ","
     (Printf.sprintf "seed=%d" plan.seed :: List.map fault_to_string plan.faults)
 
-let pp ppf plan = Format.pp_print_string ppf (to_string plan)
-
 let parse_prob clause s =
   match float_of_string_opt s with
   | Some p when p >= 0. && p <= 1. -> Ok p

@@ -136,5 +136,3 @@ val to_string : plan -> string
 (** [of_string s] parses the syntax above. Errors name the offending
     clause. *)
 val of_string : string -> (plan, string) result
-
-val pp : Format.formatter -> plan -> unit

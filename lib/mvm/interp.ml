@@ -71,9 +71,9 @@ let unop_apply op (a : Value.tagged) =
 (* lowers each function body to a flat instruction array with         *)
 (* pre-resolved jump targets, integer local slots, integer region ids *)
 (* and pre-resolved callees; [run_compiled] executes the small-step   *)
-(* semantics over that form. Atomic blocks keep a nested (tree)       *)
-(* encoding because they execute inside a single scheduler step and   *)
-(* never suspend mid-block.                                           *)
+(* semantics over that form. An atomic body sits inline right after   *)
+(* its [O_atomic] marker and runs to the marker's end within one      *)
+(* scheduler step, through the same [exec_op] as every other step.    *)
 (* ------------------------------------------------------------------ *)
 
 type cexpr =
@@ -89,26 +89,6 @@ type cexpr =
    arity mismatch) still crashes at execution time, after argument
    evaluation, so a run that never reaches the call is unaffected. *)
 type callee = Callee of int | Callee_bad of string
-
-type catomic = { a_sid : int; a_op : aop }
-
-and aop =
-  | A_skip
-  | A_assign of int * cexpr
-  | A_store of int * cexpr * cexpr
-  | A_store_scalar of int * cexpr
-  | A_if of cexpr * catomic array * catomic array
-  | A_while of cexpr * catomic array
-  | A_input of int * string * Value.t list * Taint.t
-  | A_output of int * cexpr  (* interned output channel *)
-  | A_send of int * cexpr
-  | A_recv of int * int
-  | A_try_recv of int * int * int
-  | A_lock of int
-  | A_unlock of int
-  | A_assert of cexpr * string
-  | A_crash of string
-  | A_atomic of catomic array
 
 type op =
   | O_skip
@@ -130,7 +110,7 @@ type op =
   | O_return of cexpr
   | O_assert of cexpr * string
   | O_fail of string
-  | O_atomic of catomic array
+  | O_atomic of int  (* the end of the body that follows inline *)
 
 type instr = { i_sid : int; i_op : op }
 
@@ -266,55 +246,14 @@ let lower (labeled : Label.labeled) : compiled =
       let domain = Option.value ~default:[] (domain_of prog ch) in
       (ch, domain, Taint.singleton ch)
     in
-    (* Atomic bodies stay a tree: they run inside one scheduler step.
-       An atomic block (a step budget) forbids operations that could
-       block or grow the frame stack mid-step; atomic blocks are for
-       small read-modify-write sequences. *)
-    let rec catomic_of (s : stmt) =
-      let a_op =
-        match s.node with
-        | Skip | Yield -> A_skip
-        | Assign (x, e) -> A_assign (slot x, cexpr e)
-        | Store (r, ie, e) ->
-          let rid = array_id r in
-          let ci = cexpr ie in
-          A_store (rid, ci, cexpr e)
-        | Store_scalar (r, e) -> A_store_scalar (scalar_id r, cexpr e)
-        | If (c, b1, b2) ->
-          let cc = cexpr c in
-          let cb1 = ablock b1 in
-          A_if (cc, cb1, ablock b2)
-        | While (c, b) ->
-          let cc = cexpr c in
-          A_while (cc, ablock b)
-        | Input (x, ch) ->
-          let xs = slot x in
-          let ch, domain, taint = input_parts ch in
-          A_input (xs, ch, domain, taint)
-        | Output (ch, e) -> A_output (out_id ch, cexpr e)
-        | Send (ch, e) -> A_send (chan_id ch, cexpr e)
-        | Recv (x, ch) -> A_recv (slot x, chan_id ch)
-        | Try_recv (ok, x, ch) ->
-          let oks = slot ok in
-          A_try_recv (oks, slot x, chan_id ch)
-        | Lock m -> A_lock (lock_id m)
-        | Unlock m -> A_unlock (lock_id m)
-        | Spawn _ -> A_crash "spawn inside atomic"
-        | Call _ -> A_crash "call inside atomic"
-        | Return _ -> A_crash "return inside atomic"
-        | Assert (e, msg) -> A_assert (cexpr e, msg)
-        | Fail msg -> A_crash msg
-        | Atomic b -> A_atomic (ablock b)
-      in
-      { a_sid = s.sid; a_op }
-    and ablock b = Array.of_list (List.map catomic_of b) in
     let rec stmt_size (s : stmt) =
       match s.node with
       | If (_, b1, b2) -> 2 + block_size b1 + block_size b2
       | While (_, b) -> 2 + block_size b
+      | Atomic b -> 1 + block_size b
       | Skip | Assign _ | Store _ | Store_scalar _ | Input _ | Output _
       | Send _ | Recv _ | Try_recv _ | Lock _ | Unlock _ | Spawn _ | Call _
-      | Return _ | Assert _ | Fail _ | Yield | Atomic _ ->
+      | Return _ | Assert _ | Fail _ | Yield ->
         1
     and block_size b = List.fold_left (fun n s -> n + stmt_size s) 0 b in
     let n = block_size f.body in
@@ -324,9 +263,13 @@ let lower (labeled : Label.labeled) : compiled =
       code.(!pos) <- { i_sid = sid; i_op = op };
       incr pos
     in
-    let rec cstmt (s : stmt) =
+    (* An atomic body runs within one scheduler step ([exec_atomic]):
+       inside it, what could grow or pop the frame stack crashes. *)
+    let rec cstmt ~atomic (s : stmt) =
       let sid = s.sid in
       match s.node with
+      | (Spawn _ | Call _ | Return _) when atomic ->
+        push sid (O_fail (node_kind s.node ^ " inside atomic"))
       | Skip | Yield -> push sid O_skip
       | Assign (x, e) ->
         let xs = slot x in
@@ -340,11 +283,11 @@ let lower (labeled : Label.labeled) : compiled =
         let cc = cexpr c in
         let p = !pos in
         incr pos;
-        cblock b1;
+        cblock ~atomic b1;
         let q = !pos in
         incr pos;
         let elsep = !pos in
-        cblock b2;
+        cblock ~atomic b2;
         let endp = !pos in
         code.(p) <- { i_sid = sid; i_op = O_br (cc, elsep) };
         code.(q) <- { i_sid = sid; i_op = O_jmp endp }
@@ -352,7 +295,7 @@ let lower (labeled : Label.labeled) : compiled =
         let cc = cexpr c in
         let p = !pos in
         incr pos;
-        cblock b;
+        cblock ~atomic b;
         let q = !pos in
         incr pos;
         let exitp = !pos in
@@ -380,9 +323,13 @@ let lower (labeled : Label.labeled) : compiled =
       | Return e -> push sid (O_return (cexpr e))
       | Assert (e, msg) -> push sid (O_assert (cexpr e, msg))
       | Fail msg -> push sid (O_fail msg)
-      | Atomic b -> push sid (O_atomic (ablock b))
-    and cblock b = List.iter cstmt b in
-    cblock f.body;
+      | Atomic b ->
+        let p = !pos in
+        incr pos;
+        cblock ~atomic:true b;
+        code.(p) <- { i_sid = sid; i_op = O_atomic !pos }
+    and cblock ~atomic b = List.iter (cstmt ~atomic) b in
+    cblock ~atomic:false f.body;
     let cf = cfuncs.(fi) in
     cf.cf_code <- Array.sub code 0 n;
     {
@@ -791,8 +738,9 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     end
   in
 
-  (* Shared statement bodies, used both as top-level steps and inside
-     atomic blocks. *)
+  (* The statements [exec_op] runs. A receive or lock that would block
+     is reached only inside an atomic body: as a thread's next
+     instruction it would not be a candidate. *)
   let do_store th f ~sid rid ci ce =
     let i = ceval_int th f ~sid ci in
     let v = ceval th f ~sid ce in
@@ -906,38 +854,7 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     else raise (Crash_exn ("unlock of mutex " ^ c.c_lock_names.(m) ^ " not held"))
   in
 
-  let rec a_exec th (f : cframe) budget (s : catomic) =
-    decr budget;
-    if !budget <= 0 then raise (Crash_exn "atomic budget exhausted");
-    let sid = s.a_sid in
-    match s.a_op with
-    | A_skip -> ()
-    | A_assign (xs, e) -> Array.unsafe_set f.c_locals xs (ceval th f ~sid e)
-    | A_store (rid, ci, ce) -> do_store th f ~sid rid ci ce
-    | A_store_scalar (rid, ce) -> do_store_scalar th f ~sid rid ce
-    | A_if (cc, b1, b2) ->
-      let cond = cond_true th f ~sid cc in
-      a_block th f budget (if cond then b1 else b2)
-    | A_while (cc, body) ->
-      if cond_true th f ~sid cc then begin
-        a_block th f budget body;
-        a_exec th f budget s
-      end
-    | A_input (xs, ch, domain, taint) -> do_input th f ~sid xs ch domain taint
-    | A_output (k, ce) -> do_output th f ~sid k ce
-    | A_send (ch, ce) -> do_send th f ~sid ch ce
-    | A_recv (xs, ch) -> do_recv th f ~sid xs ch
-    | A_try_recv (oks, xs, ch) -> do_try_recv th f ~sid oks xs ch
-    | A_lock m -> do_lock th f ~sid m
-    | A_unlock m -> do_unlock th f ~sid m
-    | A_assert (ce, msg) ->
-      if not (cond_true th f ~sid ce) then
-        raise (Crash_exn ("assertion failed: " ^ msg))
-    | A_crash msg -> raise (Crash_exn msg)
-    | A_atomic body -> a_block th f budget body
-  and a_block th f budget body = Array.iter (a_exec th f budget) body in
-
-  let exec_op th (f : cframe) (i : instr) =
+  let rec exec_op th (f : cframe) (i : instr) =
     let sid = i.i_sid in
     match i.i_op with
     | O_skip -> ()
@@ -979,9 +896,24 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       if not (cond_true th f ~sid ce) then
         raise (Crash_exn ("assertion failed: " ^ msg))
     | O_fail msg -> raise (Crash_exn msg)
-    | O_atomic body ->
-      let budget = ref atomic_budget in
-      a_block th f budget body
+    | O_atomic endp -> exec_atomic th f endp atomic_budget
+  (* An atomic body runs from [f.c_pc] to [endp] within the one step.
+     Every statement reached spends one unit of the budget, each loop
+     test and a nested marker included; a silent jump spends none. *)
+  and exec_atomic th f endp left =
+    if f.c_pc < endp then
+      let i = Array.unsafe_get f.c_fn.cf_code f.c_pc in
+      match i.i_op with
+      | O_jmp t ->
+        f.c_pc <- t;
+        exec_atomic th f endp left
+      | op ->
+        let left = left - 1 in
+        if left <= 0 then raise (Crash_exn "atomic budget exhausted");
+        f.c_pc <- f.c_pc + 1;
+        (* a nested body follows its marker inline, under the same budget *)
+        (match op with O_atomic _ -> () | _ -> exec_op th f i);
+        exec_atomic th f endp left
   in
 
   (* [th] is a candidate, so its next instruction is resolved and its

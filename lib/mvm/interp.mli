@@ -97,7 +97,10 @@ val outputs_on : result -> string -> Value.t list
     instruction arrays with pre-resolved jump targets, integer local
     slots, integer region ids and pre-resolved call targets, so no step
     pays for function lookup by name, hashtable locals, block entry or
-    input-domain lookups. The reference AST walker in [test/] executes
+    input-domain lookups. An [atomic] body is lowered the same way,
+    inline right after a marker that holds its end, and runs within the
+    marker's one step through the same statement executor as every
+    other step. The reference AST walker in [test/] executes
     the statement tree directly and recomputes the candidate set at
     every step; the parity tests in [test_mvm] (over the proggen corpus)
     and the laws in [test_props] (over production runs, recordings and

@@ -185,9 +185,3 @@ let cut_channels map prog ~groups =
       let gs = List.filter_map group_of users |> List.sort_uniq compare in
       if List.length gs >= 2 then Some chan else None)
     (chan_nodes map prog)
-
-let pp ppf map =
-  Format.fprintf ppf "nodes: %s" (String.concat ", " map.node_list);
-  List.iter
-    (fun (f, n) -> Format.fprintf ppf "@ %s -> %s" f n)
-    map.assign

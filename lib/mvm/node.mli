@@ -69,5 +69,3 @@ val fname_nodes : map -> Ast.program -> (string * string list) list
     all). Result sorted by channel name. *)
 val cut_channels :
   map -> Ast.program -> groups:string list list -> string list
-
-val pp : Format.formatter -> map -> unit

@@ -92,10 +92,3 @@ let monitor ~map ~main_fname () =
     }
   in
   (on_event, finish)
-
-let pp ppf t =
-  Format.fprintf ppf "nodes %s;" (String.concat ", " t.nodes);
-  List.iter
-    (fun (tid, n) -> Format.fprintf ppf "@ tid %d on %s" tid n)
-    t.tid_node;
-  Format.fprintf ppf "@ %d cross-node edge(s)" (List.length t.edges)

@@ -51,5 +51,3 @@ val node_of_tid : t -> int -> string
     assignment in [map]. *)
 val monitor :
   map:Node.map -> main_fname:string -> unit -> (Event.t -> unit) * (unit -> t)
-
-val pp : Format.formatter -> t -> unit

@@ -35,9 +35,7 @@ type fault =
 
 type plan = { seed : int; faults : fault list }
 
-let none = { seed = 0; faults = [] }
 let make ?(seed = 0) faults = { seed; faults }
-let is_empty plan = plan.faults = []
 
 (* ------------------------------------------------------------------ *)
 (* rendering / parsing (the CLI's --io-faults syntax) *)
@@ -56,8 +54,6 @@ let fault_to_string = function
 let to_string plan =
   String.concat ","
     (Printf.sprintf "seed=%d" plan.seed :: List.map fault_to_string plan.faults)
-
-let pp ppf plan = Format.pp_print_string ppf (to_string plan)
 
 let parse_num clause s =
   match int_of_string_opt s with

@@ -28,9 +28,7 @@ type fault =
 
 type plan = { seed : int; faults : fault list }
 
-val none : plan
 val make : ?seed:int -> fault list -> plan
-val is_empty : plan -> bool
 
 (** Clause grammar, comma-separated (the CLI's [--io-faults] syntax):
     [seed=7,enospc:4096,torn:3:0.5,fsyncfail:1:t,renamefail:2,flaky:0.1,slow:10-20:5] *)
@@ -40,8 +38,6 @@ val to_string : plan -> string
     hard error whose message lists every valid clause form — a typo in an
     injection plan must never silently weaken the test. *)
 val of_string : string -> (plan, string) result
-
-val pp : Format.formatter -> plan -> unit
 
 type stats = {
   ops : int;  (** operations that reached the wrapper *)

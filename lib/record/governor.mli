@@ -51,8 +51,5 @@ val level : t -> int
 (** Entries suppressed by degradation so far. *)
 val dropped : t -> int
 
-(** The running overhead estimate. *)
-val overhead : t -> float
-
 (** [admits level e] — the pure ladder: does [level] admit [e]? *)
 val admits : int -> Log.entry -> bool

@@ -100,10 +100,8 @@ let crc_matches hex s pos len =
 type out = { mutable bytes : Bytes.t; mutable len : int }
 
 let out_create n = { bytes = Bytes.create n; len = 0 }
-let out_length o = o.len
 let out_clear o = o.len <- 0
 let out_contents o = Bytes.sub_string o.bytes 0 o.len
-let out_sub o pos len = Bytes.sub_string o.bytes pos len
 
 let reserve o n =
   let need = o.len + n in
@@ -523,104 +521,30 @@ let int_field r =
 
 let text_field r = if next r then field_text r else ""
 
-(* [Scanf.unescaped] of src[p, q), error messages included. Scanf reads
-   the text wrapped in double quotes, w = '"' ^ text ^ '"', and reports
-   positions in w; [w j] below is that byte. Lines hold no '\n', so the
-   escaped-newline rule never applies. *)
+(* [Scanf.unescaped] of src[p, q), its errors raised as [Parse]: a span
+   with no quote or backslash is its own text *)
 let rec unescaped_range src i q =
   i = q
   || match String.unsafe_get src i with
      | '"' | '\\' -> false
      | _ -> unescaped_range src (i + 1) q
 
-let unescape r src p q =
-  let n = q - p in
-  if unescaped_range src p q then String.sub src p n
-  else begin
-    let buf = r.scratch in
-    Buffer.clear buf;
-    let w j =
-      if j = 0 || j = n + 1 then '"' else String.unsafe_get src (p + j - 1)
-    in
-    let fail count msg =
-      Parse
-        ("scanf: bad input at char number " ^ string_of_int count ^ ": " ^ msg)
-    in
-    let illegal count c =
-      fail count ("illegal escape character '" ^ Char.escaped c ^ "'")
-    in
-    let digit c = c >= '0' && c <= '9' in
-    let hex c = digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') in
-    let hex_value c =
-      if digit c then Char.code c - 48 else (Char.code c lor 32) - 87
-    in
-    let rec stop j =
-      if j > n + 1 then
-        raise
-          (fail (n + 2)
-             "scanning of a String failed: premature end of file occurred \
-              before end of token")
-      else
-        match w j with
-        | '"' ->
-          if j = n + 1 then Buffer.contents buf
-          else raise (fail (j + 1) "end of input not found")
-        | '\\' -> escape (j + 1)
-        | c -> Buffer.add_char buf c; stop (j + 1)
-    (* [w j] follows a backslash *)
-    and escape j =
-      match w j with
-      | '\r' ->
-        (* not followed by '\n': Scanf keeps the CR and drops the next byte *)
-        Buffer.add_char buf '\r';
-        stop (j + 2)
-      | ('\\' | '\'' | '"' | 'n' | 't' | 'b' | 'r') as c ->
-        Buffer.add_char buf
-          (match c with
-          | 'n' -> '\n'
-          | 't' -> '\t'
-          | 'b' -> '\b'
-          | 'r' -> '\r'
-          | c -> c);
-        stop (j + 1)
-      | '0' .. '9' as c0 ->
-        let c1 = w (j + 1) in
-        if not (digit c1) then raise (illegal (j + 1) c1);
-        let c2 = w (j + 2) in
-        if not (digit c2) then raise (illegal (j + 2) c2);
-        let code =
-          (100 * (Char.code c0 - 48)) + (10 * (Char.code c1 - 48))
-          + Char.code c2 - 48
-        in
-        if code > 255 then
-          raise
-            (fail (j + 2)
-               ("bad character decimal encoding \\"
-               ^ String.init 3 (fun i -> [| c0; c1; c2 |].(i))));
-        Buffer.add_char buf (Char.chr code);
-        stop (j + 3)
-      | 'x' ->
-        let c1 = w (j + 1) in
-        if not (hex c1) then raise (illegal (j + 1) c1);
-        let c2 = w (j + 2) in
-        if not (hex c2) then raise (illegal (j + 2) c2);
-        Buffer.add_char buf (Char.chr ((16 * hex_value c1) + hex_value c2));
-        stop (j + 3)
-      | c -> raise (illegal j c)
-    in
-    stop 1
-  end
+let unescape src p q =
+  let text = String.sub src p (q - p) in
+  if unescaped_range src p q then text
+  else
+    try Scanf.unescaped text with Scanf.Scan_failure msg -> raise (Parse msg)
 
 (* the field's text from raw offset [p] (no quote before it) as a quoted
    string *)
 let quoted_from r p =
-  if r.quote = p then unescape r r.s (p + 1) (r.b - 1)
+  if r.quote = p then unescape r.s (p + 1) (r.b - 1)
   else
     let tok = field_text r in
     let off = p - r.a in
     let rest = String.sub tok off (String.length tok - off) in
     if String.length rest > 0 && rest.[0] = '"' then
-      unescape r rest 1 (String.length rest)
+      unescape rest 1 (String.length rest)
     else raise (Parse ("expected quoted string, got " ^ rest))
 
 let quoted_field r =

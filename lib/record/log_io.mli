@@ -125,10 +125,8 @@ val crc_matches : string -> string -> int -> int -> bool
 type out
 
 val out_create : int -> out
-val out_length : out -> int
 val out_clear : out -> unit
 val out_contents : out -> string
-val out_sub : out -> int -> int -> string
 val add_char : out -> char -> unit
 val add_string : out -> string -> unit
 val add_int : out -> int -> unit

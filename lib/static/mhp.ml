@@ -125,13 +125,3 @@ let concurrent t a b =
 
 let fifos t =
   List.map (fun f -> (f.chan, (f.send_fname, f.send_sid), (f.recv_fname, f.recv_sid))) t.fifos
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>single-threaded nodes: %s@,fifo orderings:@,"
-    (match t.single_nodes with [] -> "none" | ns -> String.concat ", " ns);
-  List.iter
-    (fun f ->
-      Fmt.pf ppf "  %s: %s#%d -> %s#%d@," f.chan f.send_fname f.send_sid
-        f.recv_fname f.recv_sid)
-    t.fifos;
-  Fmt.pf ppf "@]"

@@ -33,5 +33,3 @@ val concurrent : t -> Callgraph.access -> Callgraph.access -> bool
 (** The channel orderings found: (chan, (send fname, sid),
     (recv fname, sid)). *)
 val fifos : t -> (string * (string * int) * (string * int)) list
-
-val pp : Format.formatter -> t -> unit

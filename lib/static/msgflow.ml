@@ -164,7 +164,6 @@ let analyze ~map (labeled : Label.labeled) =
   { map; labeled; sites; edges; cross; reach; before; loops = loops_of prog }
 
 let sites t = t.sites
-let edges t = t.edges
 let cross_edges t = t.cross
 
 let channels t =
@@ -214,16 +213,3 @@ let precedes t ~fname a b =
     | None -> false)
 
 let in_loop t sid = IS.mem sid t.loops
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>channels:@,";
-  List.iter
-    (fun c ->
-      let names k = String.concat "," (List.map (fun (s : site) -> Printf.sprintf "#%d" s.sid) (k t c)) in
-      Fmt.pf ppf "  %-10s send {%s} recv {%s}@," c (names senders) (names receivers))
-    (channels t);
-  Fmt.pf ppf "cross-node edges:@,";
-  List.iter
-    (fun e -> Fmt.pf ppf "  %s: %s -> %s@," e.chan e.from_node e.to_node)
-    t.cross;
-  Fmt.pf ppf "@]"

@@ -51,14 +51,13 @@ val senders : t -> string -> site list
 (** May-receive sites of a channel ([Recv] and [Try_recv]). *)
 val receivers : t -> string -> site list
 
-(** Every (channel, sender-node, receiver-node) triple, including
-    same-node pairs; sorted and deduplicated. *)
-val edges : t -> edge list
-
 (** The edges whose endpoints differ — the cross-node over-approximation
     the soundness law quantifies over. *)
 val cross_edges : t -> edge list
 
+(** [has_edge t ~chan ~from_node ~to_node]: the triple is among the
+    (channel, sender-node, receiver-node) edges, same-node pairs
+    included. *)
 val has_edge : t -> chan:string -> from_node:string -> to_node:string -> bool
 
 (** [reaches t a b]: a nonempty path of cross-node edges leads from node
@@ -86,5 +85,3 @@ val precedes : t -> fname:string -> int -> int -> bool
 
 (** The site sits inside a [While] body. *)
 val in_loop : t -> int -> bool
-
-val pp : Format.formatter -> t -> unit

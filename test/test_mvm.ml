@@ -909,6 +909,14 @@ let crash_progs =
     one "deadlock" [ recv "x" "never" ];
     one "atomic-recv" [ atomic [ recv "x" "never" ] ];
     one "atomic-budget" [ atomic [ while_ (b true) [ skip ] ] ];
+    (* the writes before "atomic budget exhausted" pin what the budget
+       counts: each loop test and each nested atomic, never a jump *)
+    one "atomic-budget-writes"
+      [ atomic [ while_ (b true) [ store_g "c" (g "c" +: i 1) ] ] ];
+    one "atomic-budget-nested"
+      [ atomic [ while_ (b true) [ atomic [ store_g "c" (g "c" +: i 1) ] ] ] ];
+    one "atomic-return" [ atomic [ store_g "c" (i 1); return (i 0) ] ];
+    one "atomic-relock" [ lock "m"; atomic [ lock "m" ] ];
     program ~name:"oob-load"
       ~regions:[ array "buf" 4 (Value.int 0) ]
       ~inputs:[] ~main:"main"
