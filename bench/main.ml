@@ -349,7 +349,7 @@ let open_questions () =
   let miniht = Miniht.app () and adder = Adder.app () in
   let seed, original = Experiment.find_seed (miniht, Some Miniht.rc_race) in
   let _, log =
-    Recorder.record (Failure_recorder.create ()) miniht.App.labeled ~spec:miniht.App.spec
+    Recorder.record Recorder.failure miniht.App.labeled ~spec:miniht.App.spec
       ~world:(Mvm.World.random ~seed)
   in
   let o = Explore.all_root_causes miniht ~log in
@@ -523,7 +523,7 @@ let failing_log workload labeled spec =
       if r.Mvm.Interp.failure <> None then seed else scan (seed + 1)
   in
   let _, log =
-    Recorder.record (Failure_recorder.create ()) labeled ~spec
+    Recorder.record Recorder.failure labeled ~spec
       ~world:(world (scan 1))
   in
   (log, Ddet_replay.Constraints.failure_matches log)
@@ -1100,22 +1100,22 @@ let static_bench ~json () =
           [
             ( "rcse+static-sites",
               (fun () ->
-                Rcse_recorder.create (Static_report.site_selector report)),
+                Recorder.rcse (Static_report.site_selector report)),
               `Rcse );
             ( "rcse+static-trigger",
               (fun () ->
-                Rcse_recorder.create (Static_report.trigger_selector report)),
+                Recorder.rcse (Static_report.trigger_selector report)),
               `Rcse );
             ( "rcse+sampling-trigger",
               (fun () ->
-                Rcse_recorder.create
+                Recorder.rcse
                   (Trigger.selector ~sticky:true
                      [
                        Trigger.of_race_detector
                          (Race_detector.create Race_detector.default_config);
                      ])),
               `Rcse );
-            ("value-det", (fun () -> Value_recorder.create ()), `Value);
+            ("value-det", (fun () -> Recorder.value), `Value);
           ]
         in
         List.map
@@ -1162,7 +1162,7 @@ let static_bench ~json () =
         let report = Static_report.analyze app.App.labeled in
         let priority = { Search.sids = Static_report.suspect_sids report } in
         let _, log =
-          Recorder.record (Failure_recorder.create ()) app.App.labeled
+          Recorder.record Recorder.failure app.App.labeled
             ~spec:app.App.spec ~world:(World.random ~seed)
         in
         let search ?priority () =
@@ -1519,7 +1519,7 @@ let obs_bench ~json () =
           ] ))
       [
         (* deterministic oracle replay: recording dominates, spans and
-           the per-entry accumulator tally are the cost *)
+           the record driver's per-entry tally are the cost *)
         (Msg_server.app (), Model.Perfect);
         (* failure-directed search: counter bumps on the hot attempt loop *)
         (Miniht.app (), Model.Failure_det);

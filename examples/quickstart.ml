@@ -91,10 +91,10 @@ let () =
     Printf.printf "%s\n" (Format.asprintf "%a" Ddet_metrics.Utility.pp a)
   in
   experiment
-    (Ddet_record.Full_recorder.create ())
+    Ddet_record.Recorder.perfect
     (fun log -> Ddet_replay.Replayer.perfect counter ~spec log);
   experiment
-    (Ddet_record.Output_recorder.create ())
+    Ddet_record.Recorder.output
     (fun log -> Ddet_replay.Replayer.output_det counter ~spec log);
   print_newline ();
   print_endline

@@ -10,9 +10,6 @@ type t = {
   nodes : Node.map option;
 }
 
-let run ?max_steps app world =
-  Spec.apply app.spec (Interp.run ?max_steps app.labeled world)
-
 (* Node-granular faults are sugar over thread/channel primitives; they
    desugar against the app's deployment map before any world is built.
    An app with no map cannot interpret them, and saying so beats a
@@ -28,6 +25,7 @@ let lower_faults app plan =
            "app %S has no node map; node-granular faults (%s) need one"
            app.name (Fault.to_string plan))
 
-let production_run ?max_steps ?(faults = Fault.none) app ~seed =
-  run ?max_steps app
-    (Fault.inject (lower_faults app faults) (World.random ~seed))
+let production_run ?(faults = Fault.none) app ~seed =
+  Spec.apply app.spec
+    (Interp.run app.labeled
+       (Fault.inject (lower_faults app faults) (World.random ~seed)))

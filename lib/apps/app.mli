@@ -20,10 +20,6 @@ type t = {
           sharded recording then do not apply *)
 }
 
-(** [run ?max_steps app world] executes the app and judges it with its own
-    specification. *)
-val run : ?max_steps:int -> t -> World.t -> Interp.result
-
 (** [lower_faults app plan] desugars any node-granular faults in [plan]
     against the app's node map ({!Mvm.Fault.lower}); plans without node
     faults pass through untouched.
@@ -32,10 +28,10 @@ val run : ?max_steps:int -> t -> World.t -> Interp.result
     no node map. *)
 val lower_faults : t -> Fault.plan -> Fault.plan
 
-(** [production_run app ~seed] is [run] under a seeded random world — the
-    model of an uncontrolled production environment. [faults] (default
+(** [production_run app ~seed] executes the app under a seeded random
+    world — the model of an uncontrolled production environment — and
+    judges it with its own specification. [faults] (default
     {!Fault.none}) additionally injects an adversarial fault plan: lossy
     channels, stalled threads, perturbed inputs — or node-granular faults
     (partitions, node crashes), lowered via {!lower_faults} first. *)
-val production_run :
-  ?max_steps:int -> ?faults:Fault.plan -> t -> seed:int -> Interp.result
+val production_run : ?faults:Fault.plan -> t -> seed:int -> Interp.result

@@ -8,7 +8,7 @@ type prepared = {
   app : App.t;
   model : Model.t;
   config : Config.t;
-  make_recorder : ?govern:Governor.t -> unit -> Recorder.t;
+  make_recorder : unit -> Recorder.t;
   plane_map : Plane.map option;
   invariants : Invariants.t option;
   static : Ddet_static.Static_report.t option Lazy.t;
@@ -49,34 +49,30 @@ let prepare ?(config = Config.default) model (app : App.t) =
          ~threshold:Plane.default_threshold)
   in
   let invariants = lazy (Invariants.infer (Lazy.force trained)) in
+  let fixed recorder = ((fun () -> recorder), false, false) in
+  let flight = config.Config.flight_ring in
   let make_recorder, plane_used, inv_used =
     match model with
-    | Model.Perfect -> (Full_recorder.create, false, false)
-    | Model.Value -> (Value_recorder.create, false, false)
-    | Model.Sync -> (Sync_recorder.create, false, false)
-    | Model.Output -> (Output_recorder.create, false, false)
-    | Model.Failure_det -> (Failure_recorder.create, false, false)
+    | Model.Perfect -> fixed Recorder.perfect
+    | Model.Value -> fixed Recorder.value
+    | Model.Sync -> fixed Recorder.sync
+    | Model.Output -> fixed Recorder.output
+    | Model.Failure_det -> fixed Recorder.failure
     | Model.Rcse Model.Code_based ->
       (* static selection: no flight ring needed *)
-      ( (fun ?govern () ->
-          Rcse_recorder.create ?govern (code_selector (Lazy.force plane_map))),
+      ( (fun () -> Recorder.rcse (code_selector (Lazy.force plane_map))),
         true,
         false )
     | Model.Rcse Model.Data_based ->
-      ( (fun ?govern () ->
-          Rcse_recorder.create ?flight:config.Config.flight_ring ?govern
-            (data_selector (Lazy.force invariants))),
+      ( (fun () ->
+          Recorder.rcse ?flight (data_selector (Lazy.force invariants))),
         false,
         true )
     | Model.Rcse Model.Trigger_based ->
-      ( (fun ?govern () ->
-          Rcse_recorder.create ?flight:config.Config.flight_ring ?govern
-            (trigger_selector ())),
-        false,
-        false )
+      ((fun () -> Recorder.rcse ?flight (trigger_selector ())), false, false)
     | Model.Rcse Model.Combined ->
-      ( (fun ?govern () ->
-          Rcse_recorder.create ?flight:config.Config.flight_ring ?govern
+      ( (fun () ->
+          Recorder.rcse ?flight
             (Fidelity_level.any
                [
                  code_selector (Lazy.force plane_map);
@@ -100,12 +96,6 @@ let prepare ?(config = Config.default) model (app : App.t) =
            app.App.nodes);
   }
 
-let governor_of prepared =
-  Option.map
-    (fun budget ->
-      Governor.create ~cost_model:prepared.config.Config.cost_model ~budget ())
-    prepared.config.Config.overhead_budget
-
 let record ?(faults = Fault.none) ?monitor prepared ~seed =
   Ddet_obs.Tracer.span_ "session.record"
     ~args:[ ("seed", Ddet_obs.Tracer.Count seed) ]
@@ -115,10 +105,14 @@ let record ?(faults = Fault.none) ?monitor prepared ~seed =
      so replay re-creates the environment with no node knowledge *)
   let faults = App.lower_faults prepared.app faults in
   let world = Fault.inject faults (World.random ~seed) in
-  let govern = governor_of prepared in
+  let govern =
+    Option.map
+      (fun budget ->
+        Governor.create ~cost_model:prepared.config.Config.cost_model ~budget ())
+      prepared.config.Config.overhead_budget
+  in
   let original, log =
-    Recorder.record ?govern ?monitor
-      (prepared.make_recorder ?govern ())
+    Recorder.record ?govern ?monitor (prepared.make_recorder ())
       prepared.app.App.labeled ~spec:prepared.app.App.spec ~world
   in
   (* the plan ships with the log: replay must re-create the adversarial
@@ -228,12 +222,6 @@ let assess ?salvaged ?evidence prepared ~original ~log outcome =
   (* the replayer knows only its mechanism; name the configured model so
      RCSE variants stay distinguishable in reports *)
   { a with Ddet_metrics.Utility.model = Model.name prepared.model }
-
-let experiment ?config ?faults model app ~seed =
-  let prepared = prepare ?config model app in
-  let original, log = record ?faults prepared ~seed in
-  let outcome = replay prepared log in
-  assess prepared ~original ~log outcome
 
 let experiment_ensemble ?config ?faults ?(replays = 5) model app ~seed =
   let prepared = prepare ?config model app in

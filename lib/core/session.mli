@@ -13,7 +13,7 @@
     + {!assess} the outcome: recording overhead, debugging fidelity,
       efficiency and utility (§3.2).
 
-    {!experiment} chains all four. *)
+    {!experiment_ensemble} chains all four. *)
 
 open Mvm
 open Ddet_record
@@ -24,10 +24,9 @@ type prepared = {
   app : App.t;
   model : Model.t;
   config : Config.t;
-  make_recorder : ?govern:Governor.t -> unit -> Recorder.t;
+  make_recorder : unit -> Recorder.t;
       (** fresh recorder per recording: selectors and triggers are
-          stateful. With [govern], the recorder's entries route through
-          that governor's admission gate (see {!Ddet_record.Governor}). *)
+          stateful *)
   plane_map : Plane.map option;
       (** the trained classification, for RCSE code-based/combined models *)
   invariants : Invariants.t option;
@@ -45,7 +44,9 @@ val prepare : ?config:Config.t -> Model.t -> App.t -> prepared
     run executes under that adversarial fault plan — node-granular faults
     are lowered against the app's node map first — and the (lowered) plan
     is stamped into the log so replay can re-create the environment.
-    [monitor] attaches one extra event observer to the recording run. *)
+    [monitor] attaches one extra event observer to the recording run.
+    With the config's [overhead_budget], the run records under a fresh
+    {!Ddet_record.Governor} with that budget. *)
 val record :
   ?faults:Fault.plan ->
   ?monitor:(Event.t -> unit) ->
@@ -130,22 +131,14 @@ val assess :
   Ddet_replay.Replayer.outcome ->
   Ddet_metrics.Utility.assessment
 
-(** [experiment ?config ?faults model app ~seed] = prepare, record,
-    replay, assess — optionally under an injected fault plan. *)
-val experiment :
-  ?config:Config.t ->
-  ?faults:Fault.plan ->
-  Model.t ->
-  App.t ->
-  seed:int ->
-  Ddet_metrics.Utility.assessment
-
 (** [experiment_ensemble ?config ?replays model app ~seed] records once and
     replays [replays] times (default 5) with independent search seeds,
     averaging DF, DE and DU. Debug determinism demands *consistently*
     reproducing the failure and root cause (§3), and a single search can
     get lucky; the ensemble estimates the expectation. The reported replay
-    cause is the modal one across the ensemble. *)
+    cause is the modal one across the ensemble. [~replays:1] is one plain
+    prepare, record, replay and assess; [faults] runs the recording under
+    an injected fault plan. *)
 val experiment_ensemble :
   ?config:Config.t ->
   ?faults:Fault.plan ->

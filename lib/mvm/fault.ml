@@ -329,7 +329,6 @@ let inject plan (w : World.t) =
     let duplicates = has_duplicate plan in
     {
       w with
-      World.name = Printf.sprintf "%s+faults(%s)" w.World.name (to_string plan);
       (* chan_decision forces a value only for [Duplicate], which can
          wake a blocked recv on an empty queue; drops and delays only
          make polls miss. Without a [Duplicate] clause a never-forcing
@@ -337,7 +336,7 @@ let inject plan (w : World.t) =
          world that forces per thread the plan's step-dependent misses
          would decide when that thread's forced receive can run, which
          is no longer a function of the thread's own steps *)
-      forcing =
+      World.forcing =
         (match w.World.forcing with
         | World.Never when not duplicates -> World.Never
         | World.Never | World.Own_steps | World.Anything -> World.Anything);

@@ -109,7 +109,7 @@ val has_node_faults : plan -> bool
     for the node plan inside a recorded log.
 
     @raise Invalid_argument when the map cannot place a thread (see
-    {!Node.static_tids}). *)
+    {!Node.members}). *)
 val lower : map:Node.map -> prog:Ast.program -> plan -> plan
 
 (** [inject plan w] wraps [w] so it runs under the plan's adversity.

@@ -115,7 +115,7 @@ let static_tids map (prog : Ast.program) =
       if i > 0 && spawns_in_tree prog root <> [] then
         invalid_arg
           (Printf.sprintf
-             "Node.static_tids: spawned thread %S spawns; tid order would \
+             "Node: spawned thread %S spawns; tid order would \
               depend on the schedule"
              root))
     roots;

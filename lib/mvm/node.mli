@@ -42,17 +42,14 @@ val nodes : map -> string list
     function [fname], if any. *)
 val node_of_fname : map -> string -> string option
 
-(** [static_tids map prog] is the [(tid, node)] assignment implied by
-    [prog]'s spawn order: tid 0 is [main]'s node, tid [k] the node of the
+(** [members map prog node] is the tids of [node]'s threads, ascending.
+    Tids follow [prog]'s spawn order: tid 0 runs [main], tid [k] the
     [k]-th [Spawn] target met walking [main] in program order (calls
     inlined, both branches of conditionals visited).
 
     @raise Invalid_argument when a function outside [main]'s call tree
     spawns (tid order would depend on the schedule), or when [main] or a
     spawned function has no node assignment. *)
-val static_tids : map -> Ast.program -> (int * string) list
-
-(** [members map prog node] is the tids of [node]'s threads, ascending. *)
 val members : map -> Ast.program -> string -> int list
 
 (** [fname_nodes map prog] maps every function reachable from a thread

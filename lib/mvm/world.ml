@@ -9,7 +9,6 @@ let set_site c ~sid ~fname =
   if c.fname != fname then c.fname <- fname
 
 type t = {
-  name : string;
   pick_thread : step:int -> cand list -> int;
   pick_input : step:int -> tid:int -> chan:string -> domain:Value.t list -> Value.t;
   on_read : step:int -> tid:int -> sid:int -> region:string ->
@@ -31,7 +30,6 @@ let default_try_recv ~step:_ ~tid:_ ~sid:_ ~chan:_ = Default
 let random ~seed =
   let rng = Prng.create seed in
   {
-    name = Printf.sprintf "random(seed=%d)" seed;
     pick_thread =
       (fun ~step:_ cands ->
         match cands with
@@ -55,7 +53,6 @@ let random ~seed =
 let prioritized ~seed ~prefer =
   let rng = Prng.create seed in
   {
-    name = Printf.sprintf "prioritized(seed=%d)" seed;
     pick_thread =
       (fun ~step:_ cands ->
         match cands with
@@ -80,7 +77,6 @@ let prioritized ~seed ~prefer =
 let round_robin () =
   let last = ref (-1) in
   {
-    name = "round-robin";
     pick_thread =
       (fun ~step:_ cands ->
         match cands with

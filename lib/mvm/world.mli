@@ -27,7 +27,6 @@ val cand : tid:int -> sid:int -> fname:string -> cand
 val set_site : cand -> sid:int -> fname:string -> unit
 
 type t = {
-  name : string;
   pick_thread : step:int -> cand list -> int;
       (** choose the tid of the next thread to run; must be one of the
           candidates. The list and its records are the interpreter's and

@@ -110,12 +110,15 @@ let on_event g (e : Event.t) =
       transition g (g.level - 1) (Printf.sprintf "pressure cleared (%.2fx)" ov)
   end
 
-let admits level (entry : Log.entry) =
+(* the highest ladder level that still admits an entry *)
+let tier (entry : Log.entry) =
   match entry with
-  | Log.Failure_desc _ | Log.Mark _ | Log.Govern _ | Log.Flight_note _ -> true
-  | Log.Sched _ | Log.Cp_sched _ -> level <= 0
-  | Log.Input _ | Log.Read_val _ | Log.Cp_input _ | Log.Output _ -> level <= 1
-  | Log.Sync _ -> level <= 2
+  | Log.Sched _ | Log.Cp_sched _ -> 0
+  | Log.Input _ | Log.Read_val _ | Log.Cp_input _ | Log.Output _ -> 1
+  | Log.Sync _ -> 2
+  | Log.Failure_desc _ | Log.Mark _ | Log.Govern _ | Log.Flight_note _ -> 3
+
+let admits level entry = tier entry >= level
 
 let is_trigger_mark = function
   | Log.Mark m ->

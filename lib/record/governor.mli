@@ -36,14 +36,15 @@ val create : ?cost_model:Cost_model.t -> budget:float -> unit -> t
     step clock and pressure are current when {!admit} runs. *)
 val on_event : t -> Mvm.Event.t -> unit
 
-(** [admit g e] is the admission gate recorders route every entry
-    through: the entries to actually record — any queued [Govern]
-    transition entries, then [e] itself if the current ladder level
-    admits it. Admitted cost is accounted here. *)
+(** [admit g e] is the admission gate: the entries to actually record —
+    any queued [Govern] transition entries, then [e] itself if the
+    current ladder level admits it. Admitted cost is accounted here.
+    {!Recorder.record}, the one place a recording is handed its
+    governor, routes every entry a recorder emits through it. *)
 val admit : t -> Log.entry -> Log.entry list
 
-(** Drain queued [Govern] entries at finalize time (a transition with no
-    later admitted entry must still reach the log). *)
+(** Drain queued [Govern] entries at the end of a recording (a
+    transition with no later admitted entry must still reach the log). *)
 val flush : t -> Log.entry list
 
 val level : t -> int
@@ -51,5 +52,12 @@ val level : t -> int
 (** Entries suppressed by degradation so far. *)
 val dropped : t -> int
 
-(** [admits level e] — the pure ladder: does [level] admit [e]? *)
+(** [tier e] is the highest ladder level that still admits [e]: 0 for
+    schedule points, 1 for logged values, 2 for sync operations, 3 for
+    bookkeeping. The gate and the recording driver's per-class entry
+    tally both read it. *)
+val tier : Log.entry -> int
+
+(** [admits level e] — the pure ladder: does [level] admit [e]? It is
+    [tier e >= level]. *)
 val admits : int -> Log.entry -> bool

@@ -53,8 +53,7 @@ let odometer_world prefix sizes =
   let k = ref 0 in
   {
     base with
-    World.name = "enumerate-inputs";
-    pick_input =
+    World.pick_input =
       (fun ~step:_ ~tid:_ ~chan:_ ~domain ->
         let n = max 1 (List.length domain) in
         let pos = if !k < Array.length prefix then prefix.(!k) else 0 in
@@ -94,8 +93,7 @@ let schedule_world ~prefix ~sizes ~stop =
   let k = ref 0 in
   let plen = Array.length prefix in
   {
-    World.name = "dfs-schedules";
-    pick_thread =
+    World.pick_thread =
       (fun ~step:_ cands ->
         match cands with
         | [ only ] -> only.World.tid

@@ -87,8 +87,7 @@ let perfect log =
   let violated = ref false in
   let world =
     {
-      World.name = "replay:perfect";
-      pick_thread =
+      World.pick_thread =
         (fun ~step:_ cands ->
           match !remaining with
           | Log.Sched { tid = t; sid = s } :: tl ->
@@ -147,8 +146,7 @@ let value_det ~seed log =
   let inputs = input_queues log in
   let world =
     {
-      World.name = Printf.sprintf "replay:value(seed=%d)" seed;
-      pick_thread = (fun ~step:_ cands -> (Prng.pick rng cands).World.tid);
+      World.pick_thread = (fun ~step:_ cands -> (Prng.pick rng cands).World.tid);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
           match pop inputs tid with
@@ -371,8 +369,7 @@ let rcse ?(strict = true) ~seed log =
   in
   let world =
     {
-      World.name = Printf.sprintf "replay:rcse(seed=%d)" seed;
-      pick_thread;
+      World.pick_thread;
       pick_input;
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);
@@ -505,8 +502,7 @@ let sync ~seed log =
   in
   let world =
     {
-      World.name = Printf.sprintf "replay:sync(seed=%d)" seed;
-      pick_thread =
+      World.pick_thread =
         (fun ~step:_ cands ->
           let c = pick_where rng allowed cands in
           if c != no_cand then c.World.tid
@@ -608,8 +604,7 @@ let partial ?(steer = no_steer) ~seed log =
   in
   let world =
     {
-      World.name = Printf.sprintf "replay:partial(seed=%d)" seed;
-      pick_thread =
+      World.pick_thread =
         (fun ~step:_ cands ->
           match !remaining with
           | (t, s) :: _ ->

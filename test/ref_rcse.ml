@@ -194,8 +194,7 @@ let rcse ?(strict = true) ~seed log =
   in
   let world =
     {
-      World.name = Printf.sprintf "replay:rcse(seed=%d)" seed;
-      pick_thread;
+      World.pick_thread;
       pick_input;
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);

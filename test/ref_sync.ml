@@ -113,8 +113,7 @@ let sync ~seed log =
   in
   let world =
     {
-      World.name = Printf.sprintf "replay:sync-reference(seed=%d)" seed;
-      pick_thread =
+      World.pick_thread =
         (fun ~step:_ cands ->
           let t = pick_where rng allowed cands in
           if t >= 0 then t

@@ -260,13 +260,13 @@ let law_holds ~flips seed log =
 
 let recorders =
   [|
-    (fun () -> Full_recorder.create ());
-    (fun () -> Value_recorder.create ());
-    (fun () -> Sync_recorder.create ());
-    (fun () -> Output_recorder.create ());
-    (fun () -> Failure_recorder.create ());
+    (fun () -> Recorder.perfect);
+    (fun () -> Recorder.value);
+    (fun () -> Recorder.sync);
+    (fun () -> Recorder.output);
+    (fun () -> Recorder.failure);
     (fun () ->
-      Rcse_recorder.create (Fidelity_level.always Fidelity_level.High));
+      Recorder.rcse (Fidelity_level.always Fidelity_level.High));
   |]
 
 let recorded (pseed, wseed, r) =

@@ -98,7 +98,7 @@ let test_every_model_runs_end_to_end () =
   let seed = Lazy.force miniht_seed in
   List.iter
     (fun model ->
-      let a = Session.experiment model app ~seed in
+      let a = Session.experiment_ensemble ~replays:1 model app ~seed in
       Alcotest.(check bool)
         (Model.name model ^ " overhead sane")
         true
@@ -133,7 +133,7 @@ let test_adder_output_loses_failure () =
   match Workload.find_failing_seed app with
   | None -> Alcotest.fail "no adder seed"
   | Some (seed, _) ->
-    let a = Session.experiment Model.Output app ~seed in
+    let a = Session.experiment_ensemble ~replays:1 Model.Output app ~seed in
     Alcotest.(check (float 1e-9)) "DF 0: replay is a correct sum" 0.0
       a.Utility.df
 
@@ -143,7 +143,7 @@ let test_perfect_always_full_fidelity () =
       match Workload.find_failing_seed app with
       | None -> Alcotest.fail ("no seed for " ^ app.App.name)
       | Some (seed, _) ->
-        let a = Session.experiment Model.Perfect app ~seed in
+        let a = Session.experiment_ensemble ~replays:1 Model.Perfect app ~seed in
         Alcotest.(check (float 1e-9)) (app.App.name ^ " DF") 1.0 a.Utility.df;
         Alcotest.(check (float 1e-9)) (app.App.name ^ " DE") 1.0 a.Utility.de)
     [
@@ -174,7 +174,7 @@ let test_explore_covers_catalog () =
   let seed = Lazy.force miniht_seed in
   let _, log =
     Ddet_record.Recorder.record
-      (Ddet_record.Failure_recorder.create ())
+      Ddet_record.Recorder.failure
       app.App.labeled ~spec:app.App.spec
       ~world:(Mvm.World.random ~seed)
   in
@@ -196,7 +196,7 @@ let test_explore_respects_budget () =
   let seed = Lazy.force miniht_seed in
   let _, log =
     Ddet_record.Recorder.record
-      (Ddet_record.Failure_recorder.create ())
+      Ddet_record.Recorder.failure
       app.App.labeled ~spec:app.App.spec
       ~world:(Mvm.World.random ~seed)
   in

@@ -93,7 +93,7 @@ let find_failing_seed labeled spec =
 
 let failure_log labeled spec seed =
   let _, log =
-    Recorder.record (Failure_recorder.create ()) labeled ~spec
+    Recorder.record Recorder.failure labeled ~spec
       ~world:(World.random ~seed)
   in
   log

@@ -1016,8 +1016,7 @@ let forcing_world forcing ~seed =
   let reads = Array.make 4 0 and received = Array.make 4 false in
   {
     (World.random ~seed) with
-    World.name = "forcing";
-    on_read =
+    World.on_read =
       (fun ~step:_ ~tid ~sid:_ ~region:_ ~index:_ ~actual ->
         reads.(tid) <- reads.(tid) + 1;
         actual);

@@ -91,7 +91,7 @@ let find_failing_seed labeled spec =
 
 let failure_log labeled spec seed =
   let _, log =
-    Recorder.record (Failure_recorder.create ()) labeled ~spec
+    Recorder.record Recorder.failure labeled ~spec
       ~world:(World.random ~seed)
   in
   log
@@ -210,7 +210,7 @@ let test_dfs_parity_counter () =
    even from a log long enough to send restarts to the pool. *)
 let test_enumerate_inputs_parity_adder () =
   let _, log =
-    Recorder.record (Output_recorder.create ()) adder_prog ~spec:Spec.accept_all
+    Recorder.record Recorder.output adder_prog ~spec:Spec.accept_all
       ~world:(World.random ~seed:7)
   in
   let log = pool_sized log in

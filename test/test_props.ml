@@ -37,7 +37,7 @@ let prop_perfect_roundtrip =
   QCheck2.Test.make ~name:"perfect record/replay reproduces the schedule"
     ~count:60 ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
       let labeled = program_of pseed in
-      let original, log = record_run (Full_recorder.create ()) labeled wseed in
+      let original, log = record_run Recorder.perfect labeled wseed in
       let outcome = Replayer.perfect labeled ~spec:Spec.accept_all log in
       match outcome.Replayer.result with
       | None -> false
@@ -52,7 +52,7 @@ let prop_value_thread_projection =
   QCheck2.Test.make ~name:"value replay preserves per-thread read projections"
     ~count:60 ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
       let labeled = program_of pseed in
-      let original, log = record_run (Value_recorder.create ()) labeled wseed in
+      let original, log = record_run Recorder.value labeled wseed in
       let handle = Oracle.value_det ~seed:(wseed + 1) log in
       let replay =
         Interp.run ~max_steps:100_000 labeled handle.Oracle.world
@@ -83,7 +83,7 @@ let prop_value_outputs =
   QCheck2.Test.make ~name:"value replay reproduces per-thread outputs"
     ~count:60 ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
       let labeled = program_of pseed in
-      let original, log = record_run (Value_recorder.create ()) labeled wseed in
+      let original, log = record_run Recorder.value labeled wseed in
       let handle = Oracle.value_det ~seed:(wseed + 7) log in
       let replay = Interp.run ~max_steps:100_000 labeled handle.Oracle.world in
       List.for_all
@@ -96,7 +96,7 @@ let prop_rcse_full_fidelity_roundtrip =
     ~count:40 ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
       let labeled = program_of pseed in
       let recorder =
-        Rcse_recorder.create (Fidelity_level.always Fidelity_level.High)
+        Recorder.rcse (Fidelity_level.always Fidelity_level.High)
       in
       let original, log = record_run recorder labeled wseed in
       let handle = Oracle.rcse ~seed:1 log in
@@ -113,8 +113,8 @@ let prop_recording_deterministic =
   QCheck2.Test.make ~name:"recording is deterministic" ~count:60
     ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
       let labeled = program_of pseed in
-      let _, log1 = record_run (Value_recorder.create ()) labeled wseed in
-      let _, log2 = record_run (Value_recorder.create ()) labeled wseed in
+      let _, log1 = record_run Recorder.value labeled wseed in
+      let _, log2 = record_run Recorder.value labeled wseed in
       log1.Log.entries = log2.Log.entries)
 
 (* Output-determinism acceptance: the original execution trivially
@@ -124,7 +124,7 @@ let prop_output_constraint_reflexive =
   QCheck2.Test.make ~name:"output constraints accept the original run"
     ~count:60 ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
       let labeled = program_of pseed in
-      let original, log = record_run (Output_recorder.create ()) labeled wseed in
+      let original, log = record_run Recorder.output labeled wseed in
       let abort = Constraints.output_prefix_abort log in
       let streaming_ok = ref true in
       Trace.iter
@@ -140,11 +140,11 @@ let prop_log_io_roundtrip =
       let labeled = program_of pseed in
       let recorder =
         match pseed mod 5 with
-        | 0 -> Full_recorder.create ()
-        | 1 -> Value_recorder.create ()
-        | 2 -> Sync_recorder.create ()
-        | 3 -> Output_recorder.create ()
-        | _ -> Rcse_recorder.create (Fidelity_level.always Fidelity_level.High)
+        | 0 -> Recorder.perfect
+        | 1 -> Recorder.value
+        | 2 -> Recorder.sync
+        | 3 -> Recorder.output
+        | _ -> Recorder.rcse (Fidelity_level.always Fidelity_level.High)
       in
       let _, log = record_run recorder labeled wseed in
       match Log_io.of_string (Log_io.to_string log) with
@@ -193,7 +193,7 @@ let prop_salvage_single_line_corruption =
     QCheck2.Gen.(pair scenario_gen (int_range 0 10_000))
     (fun ((pseed, wseed), line) ->
       let labeled = program_of pseed in
-      let _, log = record_run (Full_recorder.create ()) labeled wseed in
+      let _, log = record_run Recorder.perfect labeled wseed in
       let lines =
         String.split_on_char '\n' (Log_io.to_string log)
         |> List.filter (fun l -> String.length l > 0)
@@ -856,18 +856,20 @@ let prop_production_parity =
 
 let parity_recorders =
   [|
-    (fun () -> Full_recorder.create ());
-    (fun () -> Value_recorder.create ());
-    (fun () -> Sync_recorder.create ());
-    (fun () -> Output_recorder.create ());
-    (fun () -> Failure_recorder.create ());
-    (fun () -> Rcse_recorder.create (Fidelity_level.always Fidelity_level.High));
+    (fun () -> Recorder.perfect);
+    (fun () -> Recorder.value);
+    (fun () -> Recorder.sync);
+    (fun () -> Recorder.output);
+    (fun () -> Recorder.failure);
+    (fun () -> Recorder.rcse (Fidelity_level.always Fidelity_level.High));
   |]
 
 (* the log a session ships: the plan rides in the header *)
 let with_plan plan log =
   if Fault.is_empty plan then log else { log with Log.faults = Some plan }
 
+(* one recording driver, run once over the interpreter and once over the
+   reference walker (its [~run]): the same judged run, the same log bytes *)
 let prop_recording_parity =
   QCheck2.Test.make
     ~name:"recordings match the reference walker, log bytes included"
@@ -880,13 +882,11 @@ let prop_recording_parity =
       let lib, lib_log =
         Recorder.record (parity_recorders.(ri) ()) labeled ~spec ~world:(world ())
       in
-      let recorder = parity_recorders.(ri) () in
-      let reference =
-        Spec.apply spec
-          (Ref_interp.run ~monitors:[ recorder.Recorder.on_event ] labeled
-             (world ()))
+      let reference, ref_log =
+        Recorder.record
+          ~run:(fun ~monitors labeled world -> Ref_interp.run ~monitors labeled world)
+          (parity_recorders.(ri) ()) labeled ~spec ~world:(world ())
       in
-      let ref_log = recorder.Recorder.finalize reference in
       same_run lib reference
       && Log_io.to_string (with_plan plan lib_log)
          = Log_io.to_string (with_plan plan ref_log))
@@ -900,7 +900,7 @@ let prop_perfect_replay_parity =
       let app, plan, world = parity_case case in
       let labeled = app.Ddet_apps.App.labeled and spec = app.Ddet_apps.App.spec in
       let _, log =
-        Recorder.record (Full_recorder.create ()) labeled ~spec ~world:(world ())
+        Recorder.record Recorder.perfect labeled ~spec ~world:(world ())
       in
       let log = with_plan plan log in
       let outcome = Replayer.perfect labeled ~spec log in
@@ -1080,7 +1080,7 @@ let prop_candidate_snapshots =
         match fi with
         | 0 -> fun () -> World.random ~seed
         | 1 ->
-          let _, log = record_run (Value_recorder.create ()) labeled seed in
+          let _, log = record_run Recorder.value labeled seed in
           fun () -> (Oracle.value_det ~seed:(seed + 1) log).Oracle.world
         | _ ->
           (* a program that sends nothing gets an empty plan: declare
@@ -1191,8 +1191,7 @@ let sync_lockstep labeled ~seed log =
   let world =
     {
       lw with
-      World.name = "sync-lockstep";
-      pick_thread =
+      World.pick_thread =
         (fun ~step cands ->
           let a = lw.World.pick_thread ~step cands in
           let b = rw.World.pick_thread ~step cands in
@@ -1370,7 +1369,7 @@ let prop_rcse_reference_proggen =
              labeled.Label.prog.Ast.funcs)
       in
       let _, log =
-        record_run (Rcse_recorder.create (Ddet_analysis.Plane.selector map)) labeled wseed
+        record_run (Recorder.rcse (Ddet_analysis.Plane.selector map)) labeled wseed
       in
       match rcse_law labeled ~spec:Spec.accept_all log with
       | None -> true

@@ -9,7 +9,14 @@
    The CRCs are [Log_io.crc_hex (Log_io.to_string log)] of
    [Session.record (Session.prepare model app) ~seed], with the default
    config. They are not regenerated: a change that moves one is a change
-   to what RCSE records, and needs its own justification. *)
+   to what RCSE records, and needs its own justification.
+
+   The [governed] group pins recordings made under the overhead governor
+   the same way: miniht and cloudstore under perfect, sync and rcse with
+   an [overhead_budget] of 1.3, on the same failing seeds. The governor's
+   admission gate, the [Govern] entries it queues and flushes, and their
+   order against [Flight_note] and [Failure_desc] decide every byte of
+   these logs. *)
 
 open Ddet
 open Ddet_apps
@@ -65,15 +72,47 @@ let app_of = function
 let model_of name =
   match Model.of_string name with Ok m -> m | Error e -> invalid_arg e
 
-let pin (app, model, seed, crc, bytes) =
+(* the same, recorded with [overhead_budget = Some 1.3]: every one of
+   these logs carries Govern entries *)
+let governed_pins =
+  [
+    ("miniht", "perfect", 1, "00da56ca", 1933);
+    ("miniht", "perfect", 5, "8dfb0305", 1294);
+    ("miniht", "perfect", 8, "ac6706f8", 2140);
+    ("miniht", "sync", 1, "22f82d9d", 1423);
+    ("miniht", "sync", 5, "20a57f0e", 1872);
+    ("miniht", "sync", 8, "149bcbec", 1388);
+    ("miniht", "rcse", 1, "39b40edb", 19452);
+    ("miniht", "rcse", 5, "da21f175", 18993);
+    ("miniht", "rcse", 8, "5c9da53f", 19560);
+    ("cloudstore", "perfect", 9, "e30aa555", 1561);
+    ("cloudstore", "perfect", 14, "8d9e2038", 1556);
+    ("cloudstore", "perfect", 16, "c6257c6e", 1564);
+    ("cloudstore", "sync", 9, "8dea9c1b", 2130);
+    ("cloudstore", "sync", 14, "d94e66e0", 2693);
+    ("cloudstore", "sync", 16, "4fa9fb77", 2345);
+    ("cloudstore", "rcse", 9, "4f336f62", 2632);
+    ("cloudstore", "rcse", 14, "a8d23b23", 2533);
+    ("cloudstore", "rcse", 16, "68f01351", 5050);
+  ]
+
+let pin ?overhead_budget (app, model, seed, crc, bytes) =
   Alcotest.test_case (Printf.sprintf "%s %s seed %d" app model seed) `Quick
     (fun () ->
-      let prepared = Session.prepare (model_of model) (app_of app) in
+      let config = { Config.default with Config.overhead_budget } in
+      let prepared = Session.prepare ~config (model_of model) (app_of app) in
       let original, log = Session.record prepared ~seed in
       Alcotest.(check bool) "the seed fails" true
         (original.Mvm.Interp.failure <> None);
+      Alcotest.(check bool) "governed" (overhead_budget <> None)
+        (Log.governed log);
       let s = Log_io.to_string log in
       Alcotest.(check int) "log bytes" bytes (String.length s);
       Alcotest.(check string) "log CRC" crc (Log_io.crc_hex s))
 
-let () = Alcotest.run "rcse-pin" [ ("recordings", List.map pin pins) ]
+let () =
+  Alcotest.run "rcse-pin"
+    [
+      ("recordings", List.map (fun p -> pin p) pins);
+      ("governed", List.map (pin ~overhead_budget:1.3) governed_pins);
+    ]

@@ -44,7 +44,7 @@ let record_with recorder =
 (* Log structure per recorder *)
 
 let test_full_records_schedule () =
-  let result, log = record_with (Full_recorder.create ()) in
+  let result, log = record_with Recorder.perfect in
   Alcotest.(check (list (pair int int)))
     "schedule equals trace schedule"
     (Trace.sched_points result.Interp.trace)
@@ -53,12 +53,12 @@ let test_full_records_schedule () =
     (List.length (Log.sched_points log))
 
 let test_full_records_inputs () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   Alcotest.(check (list value_testable)) "main's input logged" [ Value.int 1 ]
     (Log.inputs_for log 0)
 
 let test_value_records_reads_and_recvs () =
-  let result, log = record_with (Value_recorder.create ()) in
+  let result, log = record_with Recorder.value in
   let logged = List.map (fun (_, _, v) -> v) (Log.reads_for log 0) in
   let traced = Trace.reads_by result.Interp.trace 0 in
   (* thread 0's Read_val stream = its shared reads plus its one recv *)
@@ -66,7 +66,7 @@ let test_value_records_reads_and_recvs () =
     (List.length traced + 1) (List.length logged)
 
 let test_value_read_kinds () =
-  let _, log = record_with (Value_recorder.create ()) in
+  let _, log = record_with Recorder.value in
   let kinds = List.map (fun (_, k, _) -> k) (Log.reads_for log 0) in
   Alcotest.(check bool) "contains a Msg entry (the recv)" true
     (List.exists (fun k -> k = Log.Msg) kinds);
@@ -74,13 +74,13 @@ let test_value_read_kinds () =
     (List.exists (fun k -> k = Log.Mem) kinds)
 
 let test_output_records_outputs () =
-  let result, log = record_with (Output_recorder.create ()) in
+  let result, log = record_with Recorder.output in
   Alcotest.(check bool) "logged outputs equal run outputs" true
     (Log.outputs log = result.Interp.outputs);
   Alcotest.(check int) "nothing else logged" 1 (Log.entry_count log)
 
 let test_failure_records_nothing_on_success () =
-  let _, log = record_with (Failure_recorder.create ()) in
+  let _, log = record_with Recorder.failure in
   Alcotest.(check int) "empty log" 0 (Log.entry_count log)
 
 let test_failure_records_descriptor () =
@@ -89,7 +89,7 @@ let test_failure_records_descriptor () =
       [ func "main" [] [ fail "kaput" ] ]
   in
   let result, log =
-    Recorder.record (Failure_recorder.create ()) p ~spec:Spec.accept_all
+    Recorder.record Recorder.failure p ~spec:Spec.accept_all
       ~world:(World.round_robin ())
   in
   (match Log.recorded_failure log with
@@ -100,7 +100,7 @@ let test_failure_records_descriptor () =
   Alcotest.(check int) "only the descriptor" 1 (Log.entry_count log)
 
 let test_sync_ops () =
-  let _, log = record_with (Sync_recorder.create ()) in
+  let _, log = record_with Recorder.sync in
   let ops = List.map (fun (_, _, op) -> op) (Log.sync_entries log) in
   let has op = List.exists (fun o -> o = op) ops in
   Alcotest.(check bool) "spawn" true (has Log.Op_spawn);
@@ -110,7 +110,7 @@ let test_sync_ops () =
   Alcotest.(check bool) "recv" true (has (Log.Op_recv "done"))
 
 let test_sync_records_inputs_and_outputs () =
-  let _, log = record_with (Sync_recorder.create ()) in
+  let _, log = record_with Recorder.sync in
   Alcotest.(check (list value_testable)) "inputs" [ Value.int 1 ]
     (Log.inputs_for log 0);
   Alcotest.(check bool) "outputs" true (Log.outputs log <> [])
@@ -123,7 +123,7 @@ let high_in fname =
       if String.equal f fname then Fidelity_level.High else Fidelity_level.Low)
 
 let test_rcse_selects_by_function () =
-  let result, log = record_with (Rcse_recorder.create (high_in "w")) in
+  let result, log = record_with (Recorder.rcse (high_in "w")) in
   let cp = Log.cp_sched_points log in
   (* every recorded point belongs to thread 1 (the only "w" thread) *)
   Alcotest.(check bool) "only w's steps recorded" true
@@ -137,12 +137,12 @@ let test_rcse_selects_by_function () =
   Alcotest.(check int) "all of w's steps recorded" w_steps (List.length cp)
 
 let test_rcse_low_records_nothing () =
-  let _, log = record_with (Rcse_recorder.create (Fidelity_level.always Fidelity_level.Low)) in
+  let _, log = record_with (Recorder.rcse (Fidelity_level.always Fidelity_level.Low)) in
   Alcotest.(check int) "empty" 0 (Log.entry_count log)
 
 let test_rcse_high_equals_full_schedule () =
   let result, log =
-    record_with (Rcse_recorder.create (Fidelity_level.always Fidelity_level.High))
+    record_with (Recorder.rcse (Fidelity_level.always Fidelity_level.High))
   in
   Alcotest.(check (list (pair int int)))
     "always-high records the full schedule"
@@ -160,14 +160,14 @@ let test_rcse_marks_transitions () =
           if !flip then Fidelity_level.High else Fidelity_level.Low);
     }
   in
-  let _, log = record_with (Rcse_recorder.create selector) in
+  let _, log = record_with (Recorder.rcse selector) in
   let marks =
     List.filter (function Log.Mark _ -> true | _ -> false) log.Log.entries
   in
   Alcotest.(check bool) "transitions leave marks" true (List.length marks >= 2)
 
 let test_rcse_cp_inputs_have_sites () =
-  let _, log = record_with (Rcse_recorder.create (high_in "main")) in
+  let _, log = record_with (Recorder.rcse (high_in "main")) in
   match Log.cp_inputs_for log 0 with
   | [ (sid, v) ] ->
     Alcotest.(check bool) "site is positive" true (sid > 0);
@@ -190,14 +190,14 @@ let dial_on_output () =
   }
 
 let test_flight_flushes_on_dial_up () =
-  let _, log = record_with (Rcse_recorder.create ~flight:100 (dial_on_output ())) in
+  let _, log = record_with (Recorder.rcse ~flight:100 (dial_on_output ())) in
   (* the input consumed long before the dial-up must be in the log *)
   match Log.cp_inputs_for log 0 with
   | [ (_, v) ] -> Alcotest.check value_testable "pre-trigger input flushed" (Value.int 1) v
   | _ -> Alcotest.fail "expected the flushed pre-trigger input"
 
 let test_no_flight_loses_pre_trigger () =
-  let _, log = record_with (Rcse_recorder.create (dial_on_output ())) in
+  let _, log = record_with (Recorder.rcse (dial_on_output ())) in
   Alcotest.(check (list (pair int value_testable))) "no pre-trigger input" []
     (Log.cp_inputs_for log 0)
 
@@ -215,7 +215,7 @@ let test_flight_ring_bounded () =
           ];
       ]
   in
-  let recorder = Rcse_recorder.create ~flight:1 (dial_on_output ()) in
+  let recorder = Recorder.rcse ~flight:1 (dial_on_output ()) in
   let _, log =
     Recorder.record recorder p ~spec:Spec.accept_all ~world:(World.round_robin ())
   in
@@ -223,7 +223,7 @@ let test_flight_ring_bounded () =
     (List.length (Log.cp_inputs_for log 0))
 
 let test_flight_note_and_tax () =
-  let _, log = record_with (Rcse_recorder.create ~flight:100 (dial_on_output ())) in
+  let _, log = record_with (Recorder.rcse ~flight:100 (dial_on_output ())) in
   let note =
     List.find_opt (function Log.Flight_note _ -> true | _ -> false) log.Log.entries
   in
@@ -247,7 +247,7 @@ let test_flight_note_and_tax () =
 (* log serialization *)
 
 let test_log_io_roundtrip () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   match Log_io.of_string (Log_io.to_string log) with
   | Ok log' ->
     Alcotest.(check bool) "entries preserved" true (log'.Log.entries = log.Log.entries);
@@ -258,16 +258,15 @@ let test_log_io_roundtrip () =
 
 let test_log_io_roundtrip_every_recorder () =
   List.iter
-    (fun make ->
-      let _, log = record_with (make ()) in
+    (fun recorder ->
+      let _, log = record_with recorder in
       match Log_io.of_string (Log_io.to_string log) with
       | Ok log' ->
         Alcotest.(check bool) "roundtrip" true (log'.Log.entries = log.Log.entries)
       | Error e -> Alcotest.fail e)
     [
-      Full_recorder.create; Value_recorder.create; Sync_recorder.create;
-      Output_recorder.create; Failure_recorder.create;
-      (fun () -> Rcse_recorder.create (Fidelity_level.always Fidelity_level.High));
+      Recorder.perfect; Recorder.value; Recorder.sync; Recorder.output;
+      Recorder.failure; Recorder.rcse (Fidelity_level.always Fidelity_level.High);
     ]
 
 let test_log_io_escapes () =
@@ -294,7 +293,7 @@ let test_log_io_rejects_garbage () =
 
 let test_log_io_v2_canonical () =
   (* serialisation is canonical: parse + re-serialise is byte-for-byte *)
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let s = Log_io.to_string log in
   match Log_io.of_string s with
   | Ok log' -> Alcotest.(check string) "byte-for-byte" s (Log_io.to_string log')
@@ -325,7 +324,7 @@ let an_entry_index lines =
   | None -> Alcotest.fail "no entry line found"
 
 let test_log_io_strict_rejects_crc_mismatch () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let lines = String.split_on_char '\n' (Log_io.to_string log) in
   let ix = an_entry_index lines in
   let damaged =
@@ -366,7 +365,7 @@ let drop_trailer s =
   |> String.concat "\n"
 
 let test_log_io_trailer_guards_truncation () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let headless = drop_trailer (Log_io.to_string log) in
   (match Log_io.of_string headless with
   | Error _ -> ()
@@ -379,7 +378,7 @@ let test_log_io_trailer_guards_truncation () =
   | Error e -> Alcotest.fail e
 
 let test_log_io_salvage_keeps_valid_prefix () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let lines = String.split_on_char '\n' (Log_io.to_string log) in
   let ix = an_entry_index lines in
   let damaged =
@@ -410,7 +409,7 @@ let rec is_prefix a b =
   | _ :: _, [] -> false
 
 let test_log_io_salvage_every_truncation () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let s = Log_io.to_string log in
   for n = 0 to String.length s do
     let cut = String.sub s 0 n in
@@ -451,7 +450,7 @@ let with_bad_bool s =
   )
 
 let bad_bool_log () =
-  let _, log = record_with (Value_recorder.create ()) in
+  let _, log = record_with Recorder.value in
   (log, with_bad_bool (Log_io.to_string log))
 
 let check_bad_bool_strict () =
@@ -479,7 +478,7 @@ let check_bad_bool_salvage () =
   | Error e -> Alcotest.fail e
 
 let test_log_io_file () =
-  let _, log = record_with (Value_recorder.create ()) in
+  let _, log = record_with Recorder.value in
   let path = Stdlib.Filename.temp_file "ddet" ".log" in
   Log_io.save path log;
   (match Log_io.load path with
@@ -517,7 +516,7 @@ let seg_cleanup base =
     ([ ".header"; ".manifest" ] @ List.init 64 (Printf.sprintf ".%04d.seg"))
 
 let test_segments_roundtrip () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let base = seg_base () in
   Log_segments.save ~segment_entries:8 base log;
   Alcotest.(check bool) "exists sees the file set" true (Log_segments.exists base);
@@ -536,7 +535,7 @@ let test_segments_crash_mid_record () =
   (* the store dies for good on the write of the segment holding entry
      k+1, tearing it inside that entry's line: no manifest, a torn tail
      — every complete line before the tear must still be recovered *)
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let entries = log.Log.entries in
   let n = List.length entries in
   Alcotest.(check bool) "workload records enough entries" true (n >= 10);
@@ -598,7 +597,7 @@ let test_segments_missing_manifest () =
   (* crash in the gap between sealing the tail and writing the manifest:
      all segments are sealed, so recovery loses nothing but must still
      report the load as damaged (the header metadata is degraded) *)
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let base = seg_base () in
   Log_segments.save ~segment_entries:8 base log;
   Stdlib.Sys.remove (base ^ ".manifest");
@@ -617,7 +616,7 @@ let test_segments_corrupt_segment_detected () =
   (* bit rot inside a sealed segment: the manifest's whole-file CRC must
      catch it and recovery must stop at the damaged segment rather than
      trust anything after it *)
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let base = seg_base () in
   Log_segments.save ~segment_entries:4 base log;
   let seg0 = base ^ ".0000.seg" in
@@ -641,7 +640,7 @@ let test_segments_corrupt_segment_detected () =
 let test_segments_unreadable_segment () =
   (* a segment that cannot be read ends the recovery walk as a deleted
      one does: the sealed segments before it, flagged as damaged *)
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let base = seg_base () in
   Log_segments.save ~segment_entries:4 base log;
   let seg1 = base ^ ".0001.seg" in
@@ -674,7 +673,7 @@ let write_file path s =
    any cut, recovery must fall back to the sealed-segment scan and lose
    nothing — but any cut that degrades the manifest must be flagged *)
 let test_segments_manifest_every_truncation () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let base = seg_base () in
   Log_segments.save ~segment_entries:4 base log;
   let manifest = read_file (base ^ ".manifest") in
@@ -699,7 +698,7 @@ let test_segments_manifest_every_truncation () =
    window): the sealed segments alone must still yield every entry, with
    the load flagged as damaged; a torn header degrades metadata only *)
 let test_segments_header_every_truncation () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let base = seg_base () in
   Log_segments.save ~segment_entries:4 base log;
   Stdlib.Sys.remove (base ^ ".manifest");
@@ -725,7 +724,7 @@ let test_segments_header_every_truncation () =
    prefix at most, and never an entry from the sealed segments after it
    (the writer is sequential; nothing past a tear can be trusted) *)
 let test_segments_unsealed_every_truncation () =
-  let _, log = record_with (Full_recorder.create ()) in
+  let _, log = record_with Recorder.perfect in
   let base = seg_base () in
   Log_segments.save ~segment_entries:4 base log;
   Stdlib.Sys.remove (base ^ ".manifest");

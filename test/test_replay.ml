@@ -51,7 +51,7 @@ let find_failing_seed () =
   let rec scan seed =
     if seed > 500 then failwith "no failing seed for counter"
     else
-      let r, _ = record_counter seed (Output_recorder.create ()) in
+      let r, _ = record_counter seed Recorder.output in
       if r.Interp.failure <> None then seed else scan (seed + 1)
   in
   scan 1
@@ -61,7 +61,7 @@ let find_failing_seed () =
 
 let test_perfect_roundtrip () =
   let seed = find_failing_seed () in
-  let original, log = record_counter seed (Full_recorder.create ()) in
+  let original, log = record_counter seed Recorder.perfect in
   let outcome = Replayer.perfect (counter_prog ~iters:10) ~spec:spec_out_20 log in
   match outcome.Replayer.result with
   | None -> Alcotest.fail "perfect replay diverged"
@@ -74,7 +74,7 @@ let test_perfect_roundtrip () =
       (Trace.sched_points replay.Interp.trace)
 
 let test_perfect_detects_corrupt_log () =
-  let _, log = record_counter 1 (Full_recorder.create ()) in
+  let _, log = record_counter 1 Recorder.perfect in
   (* corrupt the schedule: swap the first two entries *)
   let entries =
     match log.Log.entries with
@@ -93,7 +93,7 @@ let test_perfect_detects_corrupt_log () =
 
 let test_value_reproduces_failure () =
   let seed = find_failing_seed () in
-  let original, log = record_counter seed (Value_recorder.create ()) in
+  let original, log = record_counter seed Recorder.value in
   let outcome = Replayer.value_det (counter_prog ~iters:10) ~spec:spec_out_20 log in
   match outcome.Replayer.result with
   | None -> Alcotest.fail "value replay failed"
@@ -103,7 +103,7 @@ let test_value_reproduces_failure () =
 
 let test_value_preserves_thread_projection () =
   let seed = find_failing_seed () in
-  let original, log = record_counter seed (Value_recorder.create ()) in
+  let original, log = record_counter seed Recorder.value in
   let outcome = Replayer.value_det (counter_prog ~iters:10) ~spec:spec_out_20 log in
   match outcome.Replayer.result with
   | None -> Alcotest.fail "value replay failed"
@@ -134,7 +134,7 @@ let test_value_forces_try_recv_outcomes () =
       ]
   in
   let original, log =
-    Recorder.record (Value_recorder.create ()) p ~spec:Spec.accept_all
+    Recorder.record Recorder.value p ~spec:Spec.accept_all
       ~world:(World.random ~seed:7)
   in
   let outcome = Replayer.value_det p ~spec:Spec.accept_all log in
@@ -148,11 +148,11 @@ let test_value_forces_try_recv_outcomes () =
 (* constraints *)
 
 let test_outputs_match () =
-  let r, log = record_counter 1 (Output_recorder.create ()) in
+  let r, log = record_counter 1 Recorder.output in
   Alcotest.(check bool) "run matches own log" true (Constraints.outputs_match log r)
 
 let test_output_prefix_abort_fires () =
-  let _, log = record_counter 1 (Output_recorder.create ()) in
+  let _, log = record_counter 1 Recorder.output in
   let abort = Constraints.output_prefix_abort log in
   let bad =
     {
@@ -163,7 +163,7 @@ let test_output_prefix_abort_fires () =
   Alcotest.(check bool) "mismatching output aborts" true (abort bad <> None)
 
 let test_output_prefix_accepts_match () =
-  let r, log = record_counter 1 (Output_recorder.create ()) in
+  let r, log = record_counter 1 Recorder.output in
   let abort = Constraints.output_prefix_abort log in
   let ok = ref true in
   Trace.iter (fun e -> if abort e <> None then ok := false) r.Interp.trace;
@@ -175,7 +175,7 @@ let test_failure_matches () =
       [ func "main" [] [ fail "kaput" ] ]
   in
   let r, log =
-    Recorder.record (Failure_recorder.create ()) p ~spec:Spec.accept_all
+    Recorder.record Recorder.failure p ~spec:Spec.accept_all
       ~world:(World.round_robin ())
   in
   Alcotest.(check bool) "matches itself" true (Constraints.failure_matches log r)
@@ -310,7 +310,7 @@ let test_dfs_fixed_inputs () =
 
 let test_failure_det_reproduces () =
   let seed = find_failing_seed () in
-  let _, log = record_counter seed (Failure_recorder.create ()) in
+  let _, log = record_counter seed Recorder.failure in
   let outcome = Replayer.failure_det (counter_prog ~iters:10) ~spec:spec_out_20 log in
   match outcome.Replayer.result with
   | Some r ->
@@ -320,7 +320,7 @@ let test_failure_det_reproduces () =
 
 let test_output_det_reproduces_outputs () =
   let seed = find_failing_seed () in
-  let _, log = record_counter seed (Output_recorder.create ()) in
+  let _, log = record_counter seed Recorder.output in
   let outcome =
     Replayer.output_det (counter_prog ~iters:10)
       ~spec:spec_out_20 log
@@ -332,7 +332,7 @@ let test_output_det_reproduces_outputs () =
 
 let test_sync_det_reproduces () =
   let seed = find_failing_seed () in
-  let _, log = record_counter seed (Sync_recorder.create ()) in
+  let _, log = record_counter seed Recorder.sync in
   let outcome = Replayer.sync_det (counter_prog ~iters:10) ~spec:spec_out_20 log in
   match outcome.Replayer.result with
   | Some r ->
@@ -343,7 +343,7 @@ let test_rcse_empty_log_is_free_search () =
   let seed = find_failing_seed () in
   let _, log =
     record_counter seed
-      (Rcse_recorder.create (Fidelity_level.always Fidelity_level.Low))
+      (Recorder.rcse (Fidelity_level.always Fidelity_level.Low))
   in
   let outcome = Replayer.rcse (counter_prog ~iters:10) ~spec:spec_out_20 log in
   (* with nothing recorded, RCSE degenerates to failure-determinism search *)
@@ -357,7 +357,7 @@ let test_rcse_full_log_replays_immediately () =
   let seed = find_failing_seed () in
   let original, log =
     record_counter seed
-      (Rcse_recorder.create (Fidelity_level.always Fidelity_level.High))
+      (Recorder.rcse (Fidelity_level.always Fidelity_level.High))
   in
   let outcome = Replayer.rcse (counter_prog ~iters:10) ~spec:spec_out_20 log in
   Alcotest.(check int) "one attempt suffices" 1 outcome.Replayer.attempts;

@@ -547,7 +547,7 @@ let test_static_trigger_end_to_end () =
   Alcotest.(check bool) "msg_server has suspect sites" true
     (Static_report.suspect_sids report <> []);
   let recorder =
-    Ddet_record.Rcse_recorder.create (Static_report.trigger_selector report)
+    Ddet_record.Recorder.rcse (Static_report.trigger_selector report)
   in
   let original, log =
     Ddet_record.Recorder.record recorder app.labeled ~spec:app.spec
@@ -564,7 +564,7 @@ let test_static_trigger_end_to_end () =
      suspect sites themselves — must also reproduce *)
   let original, log =
     Ddet_record.Recorder.record
-      (Ddet_record.Rcse_recorder.create (Static_report.site_selector report))
+      (Ddet_record.Recorder.rcse (Static_report.site_selector report))
       app.labeled ~spec:app.spec ~world:(World.random ~seed)
   in
   Alcotest.(check bool) "site-selector recording fails too" true
@@ -587,7 +587,7 @@ let test_priority_search () =
   in
   let _, log =
     Ddet_record.Recorder.record
-      (Ddet_record.Failure_recorder.create ())
+      Ddet_record.Recorder.failure
       app.labeled ~spec:app.spec ~world:(World.random ~seed)
   in
   let o =
