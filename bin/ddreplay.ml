@@ -329,7 +329,8 @@ let cmd_record app model seed verbose out faults segments shards io_faults
   | [] -> ()
   | ws ->
     Printf.printf
-      "governor: %d degraded window(s); replay searches those regions\n"
+      "governor: %d degraded window(s); replay is failure-directed search \
+       over the whole run\n"
       (List.length ws));
   if verbose then Format.printf "%a@." Ddet_record.Log.pp log;
   match out with

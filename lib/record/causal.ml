@@ -34,7 +34,7 @@ let monitor ~map ~main_fname () =
      sends as (seq, node) — the k-th receive pairs with the k-th send *)
   let sends : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let recvs : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let pending : (string, (int * string) Queue.t) Hashtbl.t = Hashtbl.create 8 in
+  let unmatched : (string, (int * string) Queue.t) Hashtbl.t = Hashtbl.create 8 in
   let edges = ref [] in
   let bump tbl chan =
     let n = 1 + Option.value ~default:0 (Hashtbl.find_opt tbl chan) in
@@ -42,11 +42,11 @@ let monitor ~map ~main_fname () =
     n
   in
   let queue_of chan =
-    match Hashtbl.find_opt pending chan with
+    match Hashtbl.find_opt unmatched chan with
     | Some q -> q
     | None ->
       let q = Queue.create () in
-      Hashtbl.replace pending chan q;
+      Hashtbl.replace unmatched chan q;
       q
   in
   let node_of tid =

@@ -29,10 +29,10 @@ open Mvm
    high) boosts straight back to full fidelity and holds there: the
    moments after a trigger are the ones worth paying for.
 
-   Every transition emits a Log.Govern entry, so the log itself says
-   which step ranges are degraded, to what level, and why — the
-   replayer treats those windows as search regions and Metrics.Fidelity
-   prices them as a DF floor. *)
+   Every transition writes a Log.Govern entry at the step where it
+   happens, so the log itself says which step ranges are degraded, to
+   what level, and why. Metrics.Utility prices those windows as a DF
+   floor; replay does not search them (Replayer.governed). *)
 
 (* hysteresis, in steps *)
 let warmup = 32 (* before the first transition *)
@@ -49,8 +49,8 @@ type t = {
   mutable admitted_cost : float;
   mutable last_transition : int;
   mutable hold_until : int;  (* no degrading before this step (boost hold) *)
-  mutable pending : Log.entry list;  (* queued Govern entries, in order *)
   mutable dropped : int;
+  c_dropped : Ddet_obs.Tracer.counter option;  (* resolved once: admit is hot *)
 }
 
 let create ?(cost_model = Cost_model.default) ~budget () =
@@ -66,19 +66,15 @@ let create ?(cost_model = Cost_model.default) ~budget () =
     admitted_cost = 0.0;
     last_transition = 0;
     hold_until = 0;
-    pending = [];
     dropped = 0;
+    c_dropped = Ddet_obs.Tracer.handle "govern.dropped";
   }
 
 let level g = g.level
 let dropped g = g.dropped
 
-let overhead g =
-  let base = g.cm.Cost_model.step_cost *. float_of_int (max 1 g.cur_step) in
-  (base +. g.admitted_cost) /. base
-
-let transition g level reason =
-  g.pending <- g.pending @ [ Log.Govern { step = g.cur_step; level; reason } ];
+let transition g emit level reason =
+  emit (Log.Govern { step = g.cur_step; level; reason });
   (* the ladder move is part of the session's observable story: the
      trace shows when and to what level fidelity degraded *)
   Ddet_obs.Tracer.count "govern.transitions" 1;
@@ -92,22 +88,25 @@ let transition g level reason =
   g.level <- level;
   g.last_transition <- g.cur_step
 
-let boost g reason =
-  if g.level > 0 then transition g 0 reason;
+let boost g emit reason =
+  if g.level > 0 then transition g emit 0 reason;
   g.hold_until <- g.cur_step + trigger_hold
 
 (* Called on every event (the governor is a monitor ahead of the
    recorder), so level changes land on the step where pressure actually
    crossed, not on the next admitted entry. *)
-let on_event g (e : Event.t) =
+let on_event g emit (e : Event.t) =
   if e.step > g.cur_step then g.cur_step <- e.step;
   if g.cur_step >= warmup && g.cur_step - g.last_transition >= dwell then begin
-    let ov = overhead g in
+    (* pressure, computed here so no float is boxed per event *)
+    let base = g.cm.Cost_model.step_cost *. float_of_int g.cur_step in
+    let ov = (base +. g.admitted_cost) /. base in
     if ov > g.high && g.level < 3 && g.cur_step >= g.hold_until then
-      transition g (g.level + 1)
+      transition g emit (g.level + 1)
         (Printf.sprintf "overhead %.2fx vs budget %.2fx" ov g.budget)
     else if ov < g.low && g.level > 0 then
-      transition g (g.level - 1) (Printf.sprintf "pressure cleared (%.2fx)" ov)
+      transition g emit (g.level - 1)
+        (Printf.sprintf "pressure cleared (%.2fx)" ov)
   end
 
 (* the highest ladder level that still admits an entry *)
@@ -121,25 +120,16 @@ let tier (entry : Log.entry) =
 let admits level entry = tier entry >= level
 
 let is_trigger_mark = function
-  | Log.Mark m ->
-    String.length m >= 9 && String.equal (String.sub m 0 9) "dial-high"
+  | Log.Mark m -> String.starts_with ~prefix:"dial-high" m
   | _ -> false
 
-let admit g entry =
-  if is_trigger_mark entry then boost g "trigger fired";
-  let kept = admits g.level entry in
-  if not kept then begin
+let admit g emit entry =
+  if is_trigger_mark entry then boost g emit "trigger fired";
+  if admits g.level entry then begin
+    emit entry;
+    g.admitted_cost <- g.admitted_cost +. Cost_model.entry_cost g.cm entry
+  end
+  else begin
     g.dropped <- g.dropped + 1;
-    Ddet_obs.Tracer.count "govern.dropped" 1
-  end;
-  let out = g.pending @ (if kept then [ entry ] else []) in
-  g.pending <- [];
-  List.iter
-    (fun e -> g.admitted_cost <- g.admitted_cost +. Cost_model.entry_cost g.cm e)
-    out;
-  out
-
-let flush g =
-  let out = g.pending in
-  g.pending <- [];
-  out
+    Ddet_obs.Tracer.bump g.c_dropped 1
+  end

@@ -16,10 +16,11 @@
     [Govern]) always passes. Hysteresis — a warmup before the first
     move, a dwell between moves, separated up/down thresholds — stops
     flapping; a trigger firing (an RCSE selector dialing high) boosts
-    straight back to level 0 and holds. Every transition emits a
+    straight back to level 0 and holds. Every transition writes a
     {!Log.entry.Govern} entry so the log honestly marks its degraded
-    windows: the replayer searches them, and the fidelity metrics price
-    them as a DF floor instead of pretending the data is there. *)
+    windows, and the fidelity metrics price them as a DF floor instead
+    of pretending the data is there. Replay does not search the windows:
+    it is failure-directed random restarts over the whole run. *)
 
 type t
 
@@ -32,20 +33,19 @@ type t
     than astride it. *)
 val create : ?cost_model:Cost_model.t -> budget:float -> unit -> t
 
-(** Monitor hook: attach {e before} the recorder's own monitor so the
-    step clock and pressure are current when {!admit} runs. *)
-val on_event : t -> Mvm.Event.t -> unit
+(** [on_event g emit e] is the monitor hook: attach it {e before} the
+    recorder's own monitor so the step clock and pressure are current
+    when {!admit} runs. A ladder transition writes its [Govern] entry to
+    [emit] at the step where it happens. *)
+val on_event : t -> (Log.entry -> unit) -> Mvm.Event.t -> unit
 
-(** [admit g e] is the admission gate: the entries to actually record —
-    any queued [Govern] transition entries, then [e] itself if the
-    current ladder level admits it. Admitted cost is accounted here.
-    {!Recorder.record}, the one place a recording is handed its
-    governor, routes every entry a recorder emits through it. *)
-val admit : t -> Log.entry -> Log.entry list
-
-(** Drain queued [Govern] entries at the end of a recording (a
-    transition with no later admitted entry must still reach the log). *)
-val flush : t -> Log.entry list
+(** [admit g emit e] is the admission gate: [e] goes to [emit], its cost
+    accounted, if the current ladder level admits it, and counts as
+    dropped otherwise; a trigger mark boosts the ladder to level 0
+    first. {!Recorder.record}, the one place a recording is handed its
+    governor, routes every entry a recorder emits through it, with the
+    sink it gives {!on_event}. *)
+val admit : t -> (Log.entry -> unit) -> Log.entry -> unit
 
 val level : t -> int
 

@@ -79,8 +79,8 @@ let outputs t =
 
 (* Degraded windows, derived from the Govern transition entries: each
    window is [(start_step, end_step, level)] with level > 0, closed by
-   the next transition or the end of the run. Replay treats these spans
-   as search regions; the fidelity metrics report a DF floor for them. *)
+   the next transition or the end of the run. The fidelity metrics
+   report a DF floor for them; replay searches the whole run. *)
 let governed_windows t =
   let rec go acc open_w = function
     | [] -> (

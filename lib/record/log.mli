@@ -54,8 +54,8 @@ type entry =
       (** overhead-governor transition: from [step] onward the recording
           runs at degradation-ladder [level] (0 = full fidelity for this
           recorder, higher = coarser) because of [reason]. These entries
-          delimit the degraded windows the replayer treats as search
-          regions and the fidelity metrics price as a DF floor. *)
+          delimit the degraded windows the fidelity metrics price as a
+          DF floor. *)
 
 type t = {
   recorder : string;  (** name of the recorder that produced this log *)

@@ -172,25 +172,19 @@ let record ?govern ?monitor
     recorder labeled ~spec ~world =
   let entries : Log.entry Vec.t = Vec.create () in
   let push e = Vec.push entries e in
-  let emit =
-    match govern with
-    | None -> push
-    | Some g -> fun e -> List.iter push (Governor.admit g e)
-  in
+  let emit = match govern with None -> push | Some g -> Governor.admit g push in
   let on_event, finish = recorder.attach emit in
   (* the governor's monitor runs first, so its step clock and pressure
-     are current by the time an entry reaches its gate; an extra monitor
-     (e.g. the causal monitor) slots in next so it sees the stream the
-     recorder is about to gate *)
+     are current by the time an entry reaches its gate, and a transition
+     lands ahead of that event's entries; an extra monitor (e.g. the
+     causal monitor) slots in next so it sees the stream the recorder is
+     about to gate *)
   let monitors =
-    (match govern with Some g -> [ Governor.on_event g ] | None -> [])
+    (match govern with Some g -> [ Governor.on_event g push ] | None -> [])
     @ Option.to_list monitor @ [ on_event ]
   in
   let result = Spec.apply spec (run ~monitors labeled world) in
   finish ();
-  (* drain any queued Govern transition: a level change with no later
-     admitted entry must still reach the log *)
-  Option.iter (fun g -> List.iter push (Governor.flush g)) govern;
   (* the descriptor goes last, past the gate: pushed before the one copy
      into a list, not appended to the copy *)
   Option.iter (fun f -> push (Log.Failure_desc f)) result.failure;

@@ -81,14 +81,14 @@ val rcse : ?flight:int -> Fidelity_level.selector -> t
     overhead pressure are current when an entry reaches its admission
     gate; [monitor] (e.g. {!Causal.monitor}), which sees the full,
     ungated event stream; then the recorder's. With [govern], every entry
-    the recorder emits passes {!Governor.admit} — degraded windows drop
-    entries and gain [Govern] markers — and after the recorder's
-    end-of-run hook {!Governor.flush} drains a transition no later entry
-    carried. The failure descriptor of the judged run goes last, after
-    the gate: the governor can never suppress the failure itself. Under
-    an installed tracer the log's entries are tallied per ladder tier
-    ({!Governor.tier}) into the [record.entries.sched], [.value], [.sync]
-    and [.book] counters.
+    the recorder emits passes {!Governor.admit}, and degraded windows
+    drop entries. Each ladder transition writes its [Govern] entry into
+    the log at the step where it happens, so nothing is left to drain
+    after the run. The failure descriptor of the judged run goes last,
+    after the recorder's end-of-run hook and past the gate: the governor
+    can never suppress the failure itself. Under an installed tracer the
+    log's entries are tallied per ladder tier ({!Governor.tier}) into the
+    [record.entries.sched], [.value], [.sync] and [.book] counters.
 
     [run] is the interpreter the run goes through, [Interp.run] by
     default; a test substitutes its reference walker here to compare log

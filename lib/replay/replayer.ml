@@ -212,9 +212,9 @@ let rcse ?(budget = Search.default_budget) ?(strict = true) ?(jobs = 1)
    failure-determinism search (random restarts under the recorded fault
    plan, accepted when the original failure reproduces, closeness-scored
    so budget exhaustion still yields the best partial), reported under
-   its own name. The degraded windows are exactly the search regions;
-   everything outside them is pinned by the surviving entries through
-   the closeness score. *)
+   its own name. It searches the whole run, not the degraded windows,
+   and no surviving entry steers it: the closeness score reads only the
+   failure and the outputs. *)
 let governed ?budget ?jobs ?checkpoint ?resume labeled ~spec log =
   { (failure_det ?budget ?jobs ?checkpoint ?resume labeled ~spec log)
     with model = "governed" }

@@ -81,6 +81,11 @@ let wall_cancel = function
           Some deadline_reason
         else None)
 
+(* a run the poll cut is not an attempt: nothing judges it, and the
+   search ends as the deadline check before it would have *)
+let cut_by_deadline (r : Interp.result) =
+  r.Interp.status = Interp.Aborted deadline_reason
+
 (* ------------------------------------------------------------------ *)
 (* Best-effort tracking: when no attempt is accepted, the outcome still
    carries the highest-scoring candidate seen, so an exhausted budget
@@ -327,6 +332,8 @@ let random_restarts ?(jobs = 1) ?est_attempt_steps ?(score = no_score)
         (* poisoned: this attempt is lost, the search is not *)
         tick attempt;
         `Continue
+      | Some r when cut_by_deadline r ->
+        `Stop (fail ~attempts:(attempt - 1) ~deadline_hit:true ())
       | Some r ->
         total_steps := !total_steps + r.Interp.steps;
         (match r.Interp.status with
@@ -357,7 +364,8 @@ let random_restarts ?(jobs = 1) ?est_attempt_steps ?(score = no_score)
    order on the calling thread. One loop serves both; an engine brings
    its name and its executor. A probe the executor cut short (a clamped
    digit) is not an attempt: its steps count, its subtree is skipped, and
-   the frontier advances without a new attempt. *)
+   the frontier advances without a new attempt. Nor is a probe the
+   deadline cut, whose fan-outs are truncated: it ends the search. *)
 let odometer ~engine
     ~(exec :
        ?wall:(unit -> string option) ->
@@ -420,6 +428,8 @@ let odometer ~engine
              advance past this prefix, so the search ends gracefully
              instead of spinning on a doomed attempt *)
           fail ~attempts:attempt ~prefix:next ()
+        | Some p when cut_by_deadline p.Engine.result ->
+          fail ~attempts:(attempt - 1) ~prefix:next ~deadline_hit:true ()
         | Some p -> (
           match Engine.classify p with
           | Engine.Skipped { steps; sizes } ->

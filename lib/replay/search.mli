@@ -42,7 +42,9 @@ type budget = {
           every 128 steps inside an attempt. On expiry the search
           degrades to its partial outcome with [stats.deadline_hit]
           set, the paper's graceful-degradation stance applied to time:
-          DF falls to 1/n instead of the debugger hanging. *)
+          DF falls to 1/n instead of the debugger hanging. A run the
+          poll cuts is never judged: it ends the search as the check
+          before it would have, so a resumed search re-runs it. *)
 }
 
 val default_budget : budget

@@ -368,15 +368,15 @@ let test_governor_degrades_and_marks () =
   let g = Governor.create ~budget:1.1 () in
   let heavy = mk_entry_value () in
   let out = ref [] in
+  let emit e = out := e :: !out in
   for step = 1 to 200 do
-    Governor.on_event g
+    Governor.on_event g emit
       { Mvm.Event.step; tid = 0; sid = 0; fname = "f"; kind = Mvm.Event.Step };
     (* several heavy entries per step: pressure far above any budget *)
     for _ = 1 to 4 do
-      out := List.rev_append (Governor.admit g heavy) !out
+      Governor.admit g emit heavy
     done
   done;
-  out := List.rev_append (Governor.flush g) !out;
   let entries = List.rev !out in
   Alcotest.(check bool) "reached the failure-only tier" true
     (Governor.level g = 3);
@@ -399,18 +399,18 @@ let test_trigger_boosts_to_full () =
   let g = Governor.create ~budget:1.1 () in
   let heavy = mk_entry_value () in
   for step = 1 to 100 do
-    Governor.on_event g
+    Governor.on_event g ignore
       { Mvm.Event.step; tid = 0; sid = 0; fname = "f"; kind = Mvm.Event.Step };
-    ignore (Governor.admit g heavy)
+    Governor.admit g ignore heavy
   done;
   Alcotest.(check bool) "degraded before the trigger" true (Governor.level g > 0);
-  ignore (Governor.admit g (Log.Mark "dial-high"));
+  Governor.admit g ignore (Log.Mark "dial-high");
   Alcotest.(check int) "trigger boosts to full fidelity" 0 (Governor.level g);
   (* inside the hold the governor must not re-degrade *)
   for step = 101 to 120 do
-    Governor.on_event g
+    Governor.on_event g ignore
       { Mvm.Event.step; tid = 0; sid = 0; fname = "f"; kind = Mvm.Event.Step };
-    ignore (Governor.admit g heavy)
+    Governor.admit g ignore heavy
   done;
   Alcotest.(check int) "hold pins full fidelity" 0 (Governor.level g)
 

@@ -179,6 +179,65 @@ let test_engine_deadline_no_sleep () =
       Alcotest.(check bool) "well before the attempt budget" true
         (outcome.Search.stats.Search.attempts < 100))
 
+(* A run the deadline's poll cut short is not an attempt: nothing judges
+   it, and the search ends as the deadline check before it would have.
+   Under a clock that advances 1 ms per read, a 1.5 ms deadline falls at
+   2.5 ms: attempt 1 passes the check before it (2 ms) and is cut by the
+   poll at its first step (3 ms). *)
+let cut_at_first_attempt f =
+  let tight =
+    { Ddet_replay.Search.default_budget with deadline_s = Some 0.0015 }
+  in
+  Clock.with_source (fake_clock 1_000_000L) (fun () -> f tight)
+
+(* miniht seed 1000 passes, so the cut run, empty and failure-free,
+   would "reproduce" it if it were judged *)
+let test_deadline_cut_not_accepted () =
+  let prepared = Session.prepare Model.Failure_det (Miniht.app ()) in
+  let _, log = Session.record prepared ~seed:1000 in
+  let o =
+    cut_at_first_attempt (fun budget -> Session.replay ~budget prepared log)
+  in
+  Alcotest.(check bool) "nothing reproduced" true
+    (o.Ddet_replay.Replayer.result = None);
+  Alcotest.(check bool) "deadline_hit" true o.Ddet_replay.Replayer.deadline_hit;
+  Alcotest.(check int) "no attempt" 0 o.Ddet_replay.Replayer.attempts
+
+(* the input odometer must not advance from the cut probe's truncated
+   fan-outs: its checkpoint re-runs attempt 1 *)
+let test_deadline_cut_resumes () =
+  let open Ddet_replay in
+  let app = Adder.app () in
+  let seed =
+    match Workload.find_failing_seed app with
+    | Some (seed, _) -> seed
+    | None -> Alcotest.fail "adder has no failing seed"
+  in
+  let prepared = Session.prepare Model.Output app in
+  let _, log = Session.record prepared ~seed in
+  let full = Session.replay prepared log in
+  let file = Filename.temp_file "ddet_obs" ".ckpt" in
+  let cut =
+    cut_at_first_attempt (fun budget ->
+        Session.replay ~budget ~checkpoint:(Checkpoint.sink ~every:1 file)
+          prepared log)
+  in
+  let resume =
+    match Checkpoint.load file with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  Sys.remove file;
+  let resumed = Session.replay ~resume prepared log in
+  Alcotest.(check bool) "deadline_hit" true cut.Replayer.deadline_hit;
+  Alcotest.(check bool) "uninterrupted run reproduces" true
+    (full.Replayer.result <> None);
+  Alcotest.(check bool) "resumed verdict" true (resumed.Replayer.result <> None);
+  Alcotest.(check int) "resumed attempts" full.Replayer.attempts
+    resumed.Replayer.attempts;
+  Alcotest.(check int) "resumed steps" full.Replayer.total_steps
+    resumed.Replayer.total_steps
+
 (* ------------------------------------------------------------------ *)
 (* a replay that misses says why (ROADMAP item 1): the search counts
    judged attempts cut by the step cap apart from those an abort hook
@@ -387,6 +446,10 @@ let () =
             test_deadline_fires_exactly_at_allowance;
           Alcotest.test_case "engine stops on fake clock, no sleep" `Quick
             test_engine_deadline_no_sleep;
+          Alcotest.test_case "a run the deadline cut is never accepted" `Quick
+            test_deadline_cut_not_accepted;
+          Alcotest.test_case "a run the deadline cut resumes from its checkpoint"
+            `Quick test_deadline_cut_resumes;
         ] );
       ( "miss-counters",
         [

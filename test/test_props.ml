@@ -1128,28 +1128,19 @@ let alloc_cases =
               !steps))
     [ 0; 1; 2 ]
 
-(* Allocation per step of an RCSE recording (the combined selector: the
-   code-based and data-based selectors and the race trigger, each event
-   through all three) above the production run of the same seed, over
-   seeds 1-8 after a warm-up recording. What is left above the run is
-   the log's entries, the race detector's reports and per-location
-   state, and each selector's memo tables, made once per recording; the
-   selectors allocate nothing per event. Each bound sits between the
-   name-keyed selectors' figure (miniht 20.7, cloudstore 14.3,
-   msg_server 21.9) and the memo's (8.5, 4.4, 13.6). *)
-let rcse_words_above_bounds = [| 14.; 9.; 17. |]
-
-let rcse_alloc_cases =
+(* Allocation per step of a recording above the production run of the
+   same seed, over seeds 1-8 after a warm-up recording. *)
+let recording_alloc_cases what ?config model bounds =
   List.map
     (fun ai ->
       let app = parity_apps.(ai) in
-      let bound = rcse_words_above_bounds.(ai) in
+      let bound = bounds.(ai) in
       Alcotest.test_case
         (Printf.sprintf
-           "%s rcse recording: at most %.0f minor words per step above its run"
-           app.Ddet_apps.App.name bound)
+           "%s %s recording: at most %.0f minor words per step above its run"
+           app.Ddet_apps.App.name what bound)
         `Quick (fun () ->
-          let p = Ddet.Session.prepare (Ddet.Model.Rcse Ddet.Model.Combined) app in
+          let p = Ddet.Session.prepare ?config model app in
           ignore (Ddet.Session.record p ~seed:1);
           let steps = ref 0 and above = ref 0. in
           for seed = 1 to 8 do
@@ -1166,6 +1157,31 @@ let rcse_alloc_cases =
             Alcotest.failf "%.1f minor words per step above the run over %d steps"
               per_step !steps))
     [ 0; 1; 2 ]
+
+(* The RCSE recording here is the combined selector's: the code-based
+   and data-based selectors and the race trigger, each event through all
+   three. What is left above the run is the log's entries, the race
+   detector's reports and per-location state, and each selector's memo
+   tables, made once per recording; the selectors allocate nothing per
+   event. Each bound sits between the name-keyed selectors' figure
+   (miniht 20.7, cloudstore 14.3, msg_server 21.9) and the memo's (8.5,
+   4.4, 13.6). *)
+let rcse_alloc_cases =
+  recording_alloc_cases "rcse"
+    (Ddet.Model.Rcse Ddet.Model.Combined)
+    [| 14.; 9.; 17. |]
+
+(* The perfect recording under a 1.3x overhead budget: the governor's
+   gate writes each entry it admits straight into the recording and
+   each transition's [Govern] entry at its step, and counts a drop on a
+   counter handle resolved once. Each bound sits between the figure when
+   the gate returned a list per entry, queued its transitions and looked
+   its drop counter up by name (miniht 15.7, cloudstore 14.4, msg_server
+   15.8) and the direct write's (4.9, 4.1, 5.8). *)
+let governed_alloc_cases =
+  recording_alloc_cases "governed perfect"
+    ~config:{ Ddet.Config.default with Ddet.Config.overhead_budget = Some 1.3 }
+    Ddet.Model.Perfect [| 10.; 9.; 11. |]
 
 (* The sync oracle against the string-keyed one it replaced
    ([Ref_sync]): both are built from the same log and seed and consulted
@@ -1628,7 +1644,7 @@ let () =
             prop_scalar_reconstruction;
           ] );
       ("vec", List.map to_alcotest [ prop_vec_models_list ]);
-      ("alloc", alloc_cases @ rcse_alloc_cases);
+      ("alloc", alloc_cases @ rcse_alloc_cases @ governed_alloc_cases);
       ("crash-tolerance", List.map to_alcotest [ prop_resume_parity ]);
       ( "parallel",
         List.map to_alcotest

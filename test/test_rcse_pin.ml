@@ -14,9 +14,9 @@
    The [governed] group pins recordings made under the overhead governor
    the same way: miniht and cloudstore under perfect, sync and rcse with
    an [overhead_budget] of 1.3, on the same failing seeds. The governor's
-   admission gate, the [Govern] entries it queues and flushes, and their
-   order against [Flight_note] and [Failure_desc] decide every byte of
-   these logs. *)
+   admission gate, the [Govern] entries it writes at each transition,
+   and their order against [Flight_note] and [Failure_desc] decide every
+   byte of these logs. *)
 
 open Ddet
 open Ddet_apps
