@@ -559,7 +559,7 @@ let oracle_table () =
         fun log ->
           let h = Oracle.sync ~seed log in
           ( h.Oracle.world,
-            Constraints.both h.Oracle.abort (Constraints.output_prefix_abort log),
+            Constraints.both h.Oracle.abort (Constraints.output_prefix_abort log ()),
             Constraints.outputs_match log ) );
       ( "rcse-strict", Model.Rcse Model.Code_based,
         fun log ->

@@ -305,9 +305,9 @@ let window clauses step =
 
 let rec is_out tid = function [] -> false | t :: rest -> t = tid || is_out tid rest
 
-let rec any_out out = function
-  | [] -> false
-  | (c : World.cand) :: rest -> is_out c.tid out || any_out out rest
+(* whether a candidate from index [k] up to [n] is descheduled *)
+let rec any_out out (cands : World.cand array) n k =
+  k < n && (is_out cands.(k).tid out || any_out out cands n (k + 1))
 
 let inject plan (w : World.t) =
   if has_node_faults plan then
@@ -345,7 +345,11 @@ let inject plan (w : World.t) =
         | [] -> w.World.pick_thread
         | _ ->
           let current = ref (window desched 0) in
-          fun ~step cands ->
+          (* the live candidates compacted in thread order, and each one's
+             index in the interpreter's array: scratch reused at every
+             step, grown only when more threads are candidates *)
+          let live = ref [||] and back = ref [||] in
+          fun ~step cands n ->
             let win = !current in
             let win =
               if step >= win.lo && step < win.hi then win
@@ -356,17 +360,31 @@ let inject plan (w : World.t) =
               end
             in
             match win.out with
-            | [] -> w.World.pick_thread ~step cands
-            | out -> (
-              if not (any_out out cands) then w.World.pick_thread ~step cands
-              else
-                match
-                  List.filter
-                    (fun (c : World.cand) -> not (is_out c.tid out))
-                    cands
-                with
-                | [] -> w.World.pick_thread ~step cands
-                | alive -> w.World.pick_thread ~step alive));
+            | [] -> w.World.pick_thread ~step cands n
+            | out ->
+              if not (any_out out cands n 0) then w.World.pick_thread ~step cands n
+              else begin
+                if Array.length !live < n then begin
+                  live := Array.make n cands.(0);
+                  back := Array.make n 0
+                end;
+                let lv = !live and bk = !back in
+                let m = ref 0 in
+                for k = 0 to n - 1 do
+                  let c = cands.(k) in
+                  if not (is_out c.tid out) then begin
+                    lv.(!m) <- c;
+                    bk.(!m) <- k;
+                    incr m
+                  end
+                done;
+                if !m = 0 then w.World.pick_thread ~step cands n
+                else
+                  (* an index outside the live ones maps to one outside
+                     the interpreter's, which it refuses *)
+                  let i = w.World.pick_thread ~step lv !m in
+                  if i < 0 || i >= !m then -1 else bk.(i)
+              end);
       pick_input =
         (if not (has (function Perturb _ -> true | _ -> false)) then w.World.pick_input
          else fun ~step ~tid ~chan ~domain ->

@@ -422,6 +422,12 @@ type cthread = {
   c_cand : World.cand;
 }
 
+(* Filler for the thread table's and the candidate array's spare slots:
+   never run, never a candidate and never written, so one copy serves
+   every run on every domain. *)
+let no_cand = World.cand ~tid:(-1) ~sid:(-1) ~fname:""
+let no_thread = { c_tid = -1; c_frames = []; c_next = no_instr; c_cand = no_cand }
+
 (* Each run builds its own exec state from the compiled program's
    initial values (19 to 115 minor words on the shipped apps); reusing
    it across runs saved no measurable time (DESIGN §7). *)
@@ -438,7 +444,11 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
   in
   (* owner tid by interned lock id; -1 = free *)
   let locks = Array.make (max 1 (Array.length c.c_lock_names)) (-1) in
-  let threads = Vec.create () in
+  (* The thread table, indexed by tid, and the candidate array the world
+     picks from. They grow together, so a rebuild always has room for
+     every thread. *)
+  let threads = ref (Array.make 8 no_thread) and nthreads = ref 0 in
+  let cands = ref (Array.make 8 no_cand) and ncands = ref 0 in
   (* values emitted per interned output channel, latest first *)
   let outs = Array.make (Array.length c.c_out_names) [] in
   let trace = Trace.create () in
@@ -509,7 +519,16 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     match callee with
     | Callee_bad msg -> raise (Crash_exn msg)
     | Callee i ->
-      let tid = Vec.length threads in
+      let tid = !nthreads in
+      if tid = Array.length !threads then begin
+        let grow a fill =
+          let b = Array.make (2 * tid) fill in
+          Array.blit a 0 b 0 tid;
+          b
+        in
+        threads := grow !threads no_thread;
+        cands := grow !cands no_cand
+      end;
       let cf = c.c_funcs.(i) in
       let th =
         {
@@ -520,7 +539,8 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
         }
       in
       refresh th;
-      Vec.push threads th;
+      !threads.(tid) <- th;
+      nthreads := tid + 1;
       tid
   in
 
@@ -564,23 +584,28 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
 
   let runnable th = th.c_next != no_instr && executable th.c_tid th.c_next in
 
-  (* The candidates in thread order: each runnable thread's own record,
-     already at its next site. *)
+  (* The candidates in thread order, written over the array in place:
+     each runnable thread's own record, already at its next site. A slot
+     that already holds the record is not written again, which spares the
+     write barrier on the common rebuild that finds the set unchanged. *)
   let rebuild_candidates () =
-    let rec build k acc =
-      if k < 0 then acc
-      else
-        let th = Vec.get threads k in
-        if runnable th then build (k - 1) (th.c_cand :: acc)
-        else build (k - 1) acc
-    in
-    build (Vec.length threads - 1) []
+    let ths = !threads and cs = !cands in
+    let n = ref 0 in
+    for k = 0 to !nthreads - 1 do
+      let th = Array.unsafe_get ths k in
+      if runnable th then begin
+        if Array.unsafe_get cs !n != th.c_cand then
+          Array.unsafe_set cs !n th.c_cand;
+        incr n
+      end
+    done;
+    ncands := !n
   in
 
   (* Candidate cache. A purely thread-local instruction can only change
      the executing thread's own entry, and [refresh] has already moved
      that entry's record to the thread's next site, so unless the world
-     may force anything (see World.forcing) the cached list changes only
+     may force anything (see World.forcing) the cached set changes only
      when the thread no longer runs: it blocked or finished. Any
      instruction that touches channels, locks or the thread table
      invalidates the cache. Under [Own_steps] a blocked receive's forced
@@ -588,18 +613,16 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
      rebuild and the stepping thread's check ask the world
      ([executable]) and every other entry stays exact. Under [Anything]
      the cache is bypassed: a forced receive can wake any thread at any
-     step. *)
-  let cand_cache : World.cand list ref = ref [] in
+     step. [candidates ()] is the number of candidates, the first slots
+     of [!cands]. *)
   let cache_valid = ref false in
   let candidates () =
     if not use_cache then rebuild_candidates ()
-    else if !cache_valid then !cand_cache
-    else begin
-      let cs = rebuild_candidates () in
-      cand_cache := cs;
-      cache_valid := true;
-      cs
-    end
+    else if not !cache_valid then begin
+      rebuild_candidates ();
+      cache_valid := true
+    end;
+    !ncands
   in
 
   (* Instructions that cannot affect any OTHER thread's runnability:
@@ -615,13 +638,12 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       false
   in
 
-  (* A tid occurs at most once, so the untouched suffix is shared instead
-     of re-consed. The produced list is the one List.filter would
-     build. *)
-  let rec remove_cand tid = function
-    | [] -> []
-    | (c0 : World.cand) :: rest ->
-      if c0.World.tid = tid then rest else c0 :: remove_cand tid rest
+  (* Drop the candidate at index [k], keeping the rest in thread
+     order. *)
+  let remove_cand k =
+    let n = !ncands - 1 in
+    Array.blit !cands (k + 1) !cands k (n - k);
+    ncands := n
   in
 
   (* Array indices are consumed as bare ints: the [tagged] record that
@@ -916,9 +938,9 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
         exec_atomic th f endp left
   in
 
-  (* [th] is a candidate, so its next instruction is resolved and its
-     top frame is the one that instruction belongs to *)
-  let exec_step th =
+  (* [th] is the candidate at index [k], so its next instruction is
+     resolved and its top frame is the one that instruction belongs to *)
+  let exec_step th k =
     let i = th.c_next in
     let f = List.hd th.c_frames in
     emit ~tid:th.c_tid ~sid:i.i_sid ~fname:f.c_fn.cf_name Event.Step;
@@ -933,8 +955,7 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     refresh th;
     if use_cache && !cache_valid then
       if not (local_op i.i_op) then cache_valid := false
-      else if not (runnable th) then
-        cand_cache := remove_cand th.c_tid !cand_cache
+      else if not (runnable th) then remove_cand k
   in
 
   let finish status =
@@ -964,31 +985,33 @@ let run_compiled ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
     | Some check when !step_count land 127 = 0 -> check ()
     | _ -> None
   in
-  let rec mem_tid tid = function
-    | [] -> false
-    | (cd : World.cand) :: rest -> cd.World.tid = tid || mem_tid tid rest
+  let alive () =
+    let rec from k =
+      k < !nthreads && (!threads.(k).c_frames <> [] || from (k + 1))
+    in
+    from 0
   in
+  (* the world's index is the one thing checked per step: every slot
+     below [n] holds a candidate whose tid is in the thread table *)
   let rec loop () =
     if !step_count >= max_steps then finish Step_limit
     else
       match cancelled () with
       | Some reason -> finish (Aborted reason)
-      | None -> (
-        match candidates () with
-        | [] ->
-          let alive = Vec.exists (fun th -> th.c_frames <> []) threads in
-          if alive then finish Deadlock else finish Done
-        | cands -> (
-          let tid = world.World.pick_thread ~step:!step_count cands in
-          match Vec.get threads tid with
-          | exception Invalid_argument _ ->
-            invalid_arg "Interp: world picked an unknown thread"
-          | th ->
-            if not (mem_tid tid cands) then
-              invalid_arg "Interp: world picked a non-candidate thread";
-            exec_step th;
-            incr step_count;
-            loop ()))
+      | None ->
+        let n = candidates () in
+        if n = 0 then (if alive () then finish Deadlock else finish Done)
+        else begin
+          let cs = !cands in
+          let k = world.World.pick_thread ~step:!step_count cs n in
+          if k < 0 || k >= n then
+            invalid_arg "Interp: world picked a non-candidate thread";
+          exec_step
+            (Array.unsafe_get !threads (Array.unsafe_get cs k).World.tid)
+            k;
+          incr step_count;
+          loop ()
+        end
   in
   try loop () with
   | Crash_at (sid, msg) -> finish (Crashed (Failure.Crash { sid; msg }))

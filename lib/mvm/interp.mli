@@ -51,13 +51,20 @@ type result = {
     resolved once, right after the thread steps or is spawned; the
     interpreter moves the record to the thread's next site in place
     (which is why a candidate is valid only during the [pick_thread]
-    call that receives it). How much of the scheduling-candidate set
-    survives a step follows the world's {!World.forcing} promise:
+    call that receives it). The run keeps its thread table and its
+    candidate set in arrays it owns: each step hands the world the
+    candidate array and the count [n] of candidates in it, in thread
+    order, and runs the candidate at the index the world returns; an
+    index outside [\[0, n)] raises [Invalid_argument]. The array is
+    rewritten in place between steps, so a world reads it only during
+    the call and never keeps it. How much of the scheduling-candidate
+    set survives a step follows the world's {!World.forcing} promise:
     - [Never] (random worlds, the search engines' worlds, perfect, sync,
-      RCSE and partial replay): the list is cached between steps. After
+      RCSE and partial replay): the set is cached between steps. After
       a purely thread-local statement it changes only if the executing
-      thread blocked or finished, which drops its entry; channel, lock
-      and spawn operations rebuild it. A blocked receive's candidacy
+      thread blocked or finished, which drops its entry (the later
+      entries shift down one slot); channel, lock and spawn operations
+      rebuild it in place. A blocked receive's candidacy
       depends on its queue alone, so the world is not asked about it: a
       [Force_fail] or [Default] answer leaves the receive blocked
       either way.
@@ -68,7 +75,7 @@ type result = {
     - [Anything] (a fault plan with [Duplicate]): no cache; every step
       recomputes the set and asks about every blocked receive.
 
-    The cached list is observationally identical to the recomputed one,
+    The cached set is observationally identical to the recomputed one,
     so worlds see the same candidates in the same order either way; the
     replay oracles, and what every world sees inside [pick_thread], are
     held to that by laws against the reference walker. *)

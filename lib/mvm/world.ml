@@ -9,7 +9,7 @@ let set_site c ~sid ~fname =
   if c.fname != fname then c.fname <- fname
 
 type t = {
-  pick_thread : step:int -> cand list -> int;
+  pick_thread : step:int -> cand array -> int -> int;
   pick_input : step:int -> tid:int -> chan:string -> domain:Value.t list -> Value.t;
   on_read : step:int -> tid:int -> sid:int -> region:string ->
     index:int option -> actual:Value.tagged -> Value.tagged;
@@ -30,11 +30,7 @@ let default_try_recv ~step:_ ~tid:_ ~sid:_ ~chan:_ = Default
 let random ~seed =
   let rng = Prng.create seed in
   {
-    pick_thread =
-      (fun ~step:_ cands ->
-        match cands with
-        | [] -> invalid_arg "World.random: no candidates"
-        | _ -> (Prng.pick rng cands).tid);
+    pick_thread = (fun ~step:_ _ n -> Prng.int rng n);
     pick_input =
       (fun ~step:_ ~tid:_ ~chan:_ ~domain ->
         match domain with
@@ -49,20 +45,24 @@ let random ~seed =
 (* Biased, not deterministic: a hot candidate wins 3 draws out of 4, the
    fourth falls back to a uniform pick over everyone. Keeping every
    schedule reachable preserves search completeness; the bias only shifts
-   where the probability mass sits. *)
+   where the probability mass sits. A hot pick draws the k-th hot
+   candidate, the draw a pick from the filtered list would make. *)
 let prioritized ~seed ~prefer =
   let rng = Prng.create seed in
+  let rec nth_hot cands k i =
+    if not (prefer cands.(i)) then nth_hot cands k (i + 1)
+    else if k = 0 then i
+    else nth_hot cands (k - 1) (i + 1)
+  in
   {
     pick_thread =
-      (fun ~step:_ cands ->
-        match cands with
-        | [] -> invalid_arg "World.prioritized: no candidates"
-        | _ -> (
-          match List.filter prefer cands with
-          | [] -> (Prng.pick rng cands).tid
-          | hot ->
-            let pool = if Prng.int rng 4 > 0 then hot else cands in
-            (Prng.pick rng pool).tid));
+      (fun ~step:_ cands n ->
+        let hot = ref 0 in
+        for i = 0 to n - 1 do
+          if prefer cands.(i) then incr hot
+        done;
+        if !hot = 0 || Prng.int rng 4 = 0 then Prng.int rng n
+        else nth_hot cands (Prng.int rng !hot) 0);
     pick_input =
       (fun ~step:_ ~tid:_ ~chan:_ ~domain ->
         match domain with
@@ -74,22 +74,19 @@ let prioritized ~seed ~prefer =
     forcing = Never;
   }
 
+(* Candidates come in thread order: the index of the first one from [i]
+   on whose tid is past [last], or 0 when none is. *)
+let rec first_after last cands n i =
+  if i = n then 0 else if cands.(i).tid > last then i else first_after last cands n (i + 1)
+
 let round_robin () =
   let last = ref (-1) in
   {
     pick_thread =
-      (fun ~step:_ cands ->
-        match cands with
-        | [] -> invalid_arg "World.round_robin: no candidates"
-        | _ ->
-          let sorted = List.sort (fun a b -> compare a.tid b.tid) cands in
-          let next =
-            match List.find_opt (fun c -> c.tid > !last) sorted with
-            | Some c -> c.tid
-            | None -> (List.hd sorted).tid
-          in
-          last := next;
-          next);
+      (fun ~step:_ cands n ->
+        let i = first_after !last cands n 0 in
+        last := cands.(i).tid;
+        i);
     pick_input =
       (fun ~step:_ ~tid:_ ~chan:_ ~domain ->
         match domain with [] -> Value.unit | v :: _ -> v);

@@ -15,9 +15,8 @@
     builds one only through {!cand}. The interpreter owns one candidate
     per thread and moves it to the thread's next site in place
     ({!set_site}), so a candidate is valid only during the [pick_thread]
-    call that receives it: a world must not keep one, or the list
-    holding it, past that call. It keeps what it needs ([tid], [sid])
-    instead. *)
+    call that receives it: a world must not keep one past that call. It
+    keeps what it needs ([tid], [sid]) instead. *)
 type cand = private { tid : int; mutable sid : int; mutable fname : string }
 
 (** [cand ~tid ~sid ~fname] is a fresh candidate. *)
@@ -27,10 +26,15 @@ val cand : tid:int -> sid:int -> fname:string -> cand
 val set_site : cand -> sid:int -> fname:string -> unit
 
 type t = {
-  pick_thread : step:int -> cand list -> int;
-      (** choose the tid of the next thread to run; must be one of the
-          candidates. The list and its records are the interpreter's and
-          valid only during this call (see {!cand}) *)
+  pick_thread : step:int -> cand array -> int -> int;
+      (** [pick_thread ~step cands n] chooses the next thread to run as an
+          index in [\[0, n)]: the candidates are [cands.(0)] to
+          [cands.(n - 1)], in thread (ascending tid) order, and [n >= 1].
+          The array is the interpreter's own, rewritten in place between
+          steps, and its slots from [n] on are not candidates: a world
+          reads it only during this call, never writes it and never keeps
+          it (see {!cand}). An index outside [\[0, n)] makes the run
+          raise [Invalid_argument] *)
   pick_input : step:int -> tid:int -> chan:string -> domain:Value.t list -> Value.t;
       (** choose the value an input statement consumes; normally from
           [domain] *)

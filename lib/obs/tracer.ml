@@ -90,7 +90,9 @@ let counter t name =
   Mutex.unlock t.mu;
   c
 
-let handle name = Option.map (fun t -> counter t name) !cur
+(* a match, not [Option.map] with a closure over [name]: with no tracer
+   installed a handle, and so every [count], allocates nothing *)
+let handle name = match !cur with None -> None | Some t -> Some (counter t name)
 let bump h n = match h with None -> () | Some c -> ignore (Atomic.fetch_and_add c.cell n)
 let count name n = bump (handle name) n
 

@@ -1,7 +1,12 @@
 (** Replay constraints: what "the replay matches the recording" means for
     each determinism model, in both a final form (accept a completed run)
     and a streaming form (abort a doomed run early, which is what makes
-    inference affordable). *)
+    inference affordable).
+
+    Each check reads the log when it is applied to it, before it sees a
+    run: [outputs_match log] takes the logged outputs once and returns
+    the check, so a search applies it to its log once and the result to
+    every attempt. *)
 
 open Mvm
 open Ddet_record
@@ -20,10 +25,12 @@ val failure_reproduced : Log.t -> Interp.result -> bool
     ones exactly (output determinism's guarantee). *)
 val outputs_match : Log.t -> Interp.result -> bool
 
-(** [output_prefix_abort log] is a stateful streaming check: aborts as soon
-    as an emitted output differs from (or exceeds) the logged sequence for
-    its channel. Fresh state per run — build one per attempt. *)
-val output_prefix_abort : Log.t -> Event.t -> string option
+(** [output_prefix_abort log ()] is a stateful streaming check: aborts as
+    soon as an emitted output differs from (or exceeds) the logged
+    sequence for its channel. [output_prefix_abort log] takes the logged
+    outputs once; each application of it to [()] is a fresh check, one
+    per attempt. *)
+val output_prefix_abort : Log.t -> unit -> Event.t -> string option
 
 (** [both a b] combines two abort checks (first hit wins). *)
 val both :

@@ -83,22 +83,16 @@ let exec_inputs ?wall ~budget:(max_steps : int) ~prefix labeled =
    the *actual* fan-out, so [advance] carries past it instead of
    re-exploring the same schedule under two prefixes. *)
 
-(* The interpreter builds its candidate list in ascending-tid order, so
-   decisions index the candidate list directly — the old List.map |>
-   List.sort here (and even a closure-free tid-list copy) was a
-   measurable per-step allocation on schedule-heavy searches. *)
-let nth_tid cands pos = (List.nth cands pos).World.tid
-
+(* The interpreter hands its candidates over in ascending-tid order, so a
+   decision is the candidate's index itself. *)
 let schedule_world ~prefix ~sizes ~stop =
   let k = ref 0 in
   let plen = Array.length prefix in
   {
     World.pick_thread =
-      (fun ~step:_ cands ->
-        match cands with
-        | [ only ] -> only.World.tid
-        | _ ->
-          let n = List.length cands in
+      (fun ~step:_ _ n ->
+        if n = 1 then 0
+        else begin
           let i = !k in
           incr k;
           sizes := n :: !sizes;
@@ -106,11 +100,12 @@ let schedule_world ~prefix ~sizes ~stop =
             let pos = prefix.(i) in
             if pos >= n then begin
               stop := Some reason_clamped;
-              nth_tid cands 0
+              0
             end
-            else nth_tid cands pos
+            else pos
           end
-          else nth_tid cands 0);
+          else 0
+        end);
     pick_input =
       (fun ~step:_ ~tid:_ ~chan:_ ~domain ->
         match domain with [] -> Value.unit | v :: _ -> v);

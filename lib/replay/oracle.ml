@@ -16,7 +16,9 @@ let never_diverged () = None
    them hashes or compares polymorphically, builds a string or allocates
    a tuple to look something up: tables are the monomorphic [Tbl]
    instances or arrays indexed by site, and (tid, sid) pairs are
-   compared field by field. *)
+   compared field by field. A pick walks the interpreter's candidate
+   array by index, [cands.(0)] to [cands.(n - 1)], and answers an
+   index. *)
 
 (* Queues are consed per key, then each is reversed once into log order:
    appending would be quadratic in a queue's length. *)
@@ -45,32 +47,32 @@ let input_queues log =
        (function Log.Input { tid; value; _ } -> Some (tid, value) | _ -> None)
        log.Log.entries)
 
-(* whether thread [t] is a candidate at site [s] *)
-let rec has_cand t s = function
-  | [] -> false
-  | (c : World.cand) :: rest ->
-    (c.World.tid = t && c.World.sid = s) || has_cand t s rest
+(* the index of thread [t]'s candidate at site [s], from index [k] up
+   to [n], or -1 *)
+let rec find_cand t s (cands : World.cand array) n k =
+  if k = n then -1
+  else
+    let c = cands.(k) in
+    if c.World.tid = t && c.World.sid = s then k else find_cand t s cands n (k + 1)
 
-let rec count_where ok n = function
-  | [] -> n
-  | c :: rest -> count_where ok (if ok c then n + 1 else n) rest
+let rec count_where ok (cands : World.cand array) n k acc =
+  if k = n then acc
+  else count_where ok cands n (k + 1) (if ok cands.(k) then acc + 1 else acc)
 
-let rec nth_where ok k = function
-  | [] -> invalid_arg "Oracle.nth_where"
-  | c :: rest ->
-    if not (ok c) then nth_where ok k rest
-    else if k = 0 then c
-    else nth_where ok (k - 1) rest
+(* the index of the [j]-th candidate from index [k] on that is [ok] *)
+let rec nth_where ok (cands : World.cand array) j k =
+  if not (ok cands.(k)) then nth_where ok cands j (k + 1)
+  else if j = 0 then k
+  else nth_where ok cands (j - 1) (k + 1)
 
-let no_cand = World.cand ~tid:(-1) ~sid:(-1) ~fname:""
-
-(* [Prng.pick rng (List.filter ok cands)] without building the list: the
-   same draw ([Prng.int] of the filtered length) selects the same
-   candidate. [no_cand], drawing nothing, when no candidate is [ok]. *)
-let pick_where rng ok cands =
-  match count_where ok 0 cands with
-  | 0 -> no_cand
-  | n -> nth_where ok (Prng.int rng n) cands
+(* The index [Prng.pick rng (List.filter ok cands)] picks, without
+   building the list: the same draw ([Prng.int] of the filtered count)
+   selects the same candidate. -1, drawing nothing, when no candidate is
+   [ok]. *)
+let pick_where rng ok cands n =
+  match count_where ok cands n 0 0 with
+  | 0 -> -1
+  | m -> nth_where ok cands (Prng.int rng m) 0
 
 let abort_of violated = fun _ -> if !violated then Some "log-divergence" else None
 
@@ -88,18 +90,19 @@ let perfect log =
   let world =
     {
       World.pick_thread =
-        (fun ~step:_ cands ->
+        (fun ~step:_ cands n ->
           match !remaining with
           | Log.Sched { tid = t; sid = s } :: tl ->
-            if has_cand t s cands then begin
+            let k = find_cand t s cands n 0 in
+            if k >= 0 then begin
               remaining := to_sched tl;
-              t
+              k
             end
             else begin
               violated := true;
-              (List.hd cands).World.tid
+              0
             end
-          | _ -> (List.hd cands).World.tid);
+          | _ -> 0);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
           match pop inputs tid with
@@ -146,7 +149,7 @@ let value_det ~seed log =
   let inputs = input_queues log in
   let world =
     {
-      World.pick_thread = (fun ~step:_ cands -> (Prng.pick rng cands).World.tid);
+      World.pick_thread = (fun ~step:_ _ n -> Prng.int rng n);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
           match pop inputs tid with
@@ -283,12 +286,12 @@ let rcse ?(strict = true) ~seed log =
      step of the thread just picked, so input forcing aligns logged input
      sites against [cur_sid] *)
   let cur_tid = ref (-1) and cur_sid = ref 0 in
-  let run tid sid =
-    cur_tid := tid;
-    cur_sid := sid;
-    tid
+  let run (cands : World.cand array) k =
+    let c = cands.(k) in
+    cur_tid := c.World.tid;
+    cur_sid := c.World.sid;
+    k
   in
-  let run_cand (c : World.cand) = run c.World.tid c.World.sid in
   let advance (e : Event.t) =
     match e.Event.kind with
     | Event.Step -> (
@@ -306,20 +309,25 @@ let rcse ?(strict = true) ~seed log =
   let safe (c : World.cand) = not (is_pending c.World.tid c.World.sid) in
   (* One walk per pick whose log head is (t, s): [at_head] when thread
      [t] is a candidate at [s]; [held] when it is a candidate at a site
-     still pending (rule 1), left in [held_at]; otherwise the number of
-     safe candidates. Each thread is a candidate at most once *)
-  let at_head = -1 and held = -2 and held_at = ref 0 in
-  let rec walk t s n = function
-    | [] -> n
-    | (c : World.cand) :: rest ->
+     still pending (rule 1); either way that candidate's index is left in
+     [found]. Otherwise the number of safe candidates. Each thread is a
+     candidate at most once *)
+  let at_head = -1 and held = -2 and found = ref 0 in
+  let rec walk t s (cands : World.cand array) n k safe_n =
+    if k = n then safe_n
+    else
+      let c = cands.(k) in
       if c.World.tid = t then
-        if c.World.sid = s then at_head
+        if c.World.sid = s then begin
+          found := k;
+          at_head
+        end
         else if is_pending t c.World.sid then begin
-          held_at := c.World.sid;
+          found := k;
           held
         end
-        else walk t s (n + 1) rest
-      else walk t s (if safe c then n + 1 else n) rest
+        else walk t s cands n (k + 1) (safe_n + 1)
+      else walk t s cands n (k + 1) (if safe c then safe_n + 1 else safe_n)
   in
   (* consecutive picks the head has been at no candidate: rule 2 fires
      past the recorded run's length *)
@@ -329,32 +337,32 @@ let rcse ?(strict = true) ~seed log =
     diverged := Some { step; head_tid = t; head_sid = s; stands_at };
     Ddet_obs.Tracer.bump counter 1
   in
-  let pick_thread ~step cands =
+  let pick_thread ~step cands n =
     match !remaining with
     | [] ->
       (* nothing pending: every candidate is safe *)
-      run_cand (Prng.pick rng cands)
+      run cands (Prng.int rng n)
     | (t, s) :: _ ->
-      let n = walk t s 0 cands in
-      if n = at_head then begin
+      let r = walk t s cands n 0 0 in
+      if r = at_head then begin
         starved := 0;
-        run t s
+        run cands !found
       end
       else begin
         Ddet_obs.Tracer.bump c_stalls 1;
         incr starved;
-        if n = held then begin
-          diverge c_held ~step t s !held_at;
-          run t !held_at
+        if r = held then begin
+          diverge c_held ~step t s cands.(!found).World.sid;
+          run cands !found
         end
         else if starve_bound > 0 && !starved > starve_bound then begin
           diverge c_starved ~step t s (-1);
-          run_cand (List.hd cands)
+          run cands 0
         end
-        else if n > 0 then run_cand (nth_where safe (Prng.int rng n) cands)
+        else if r > 0 then run cands (nth_where safe cands (Prng.int rng r) 0)
         else begin
           Ddet_obs.Tracer.bump c_risky 1;
-          run_cand (Prng.pick rng cands)
+          run cands (Prng.int rng n)
         end
       end
   in
@@ -503,12 +511,12 @@ let sync ~seed log =
   let world =
     {
       World.pick_thread =
-        (fun ~step:_ cands ->
-          let c = pick_where rng allowed cands in
-          if c != no_cand then c.World.tid
+        (fun ~step:_ cands n ->
+          let k = pick_where rng allowed cands n in
+          if k >= 0 then k
           else begin
             violated_set := true;
-            (Prng.pick rng cands).World.tid
+            Prng.int rng n
           end);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
@@ -578,16 +586,16 @@ let partial ?(steer = no_steer) ~seed log =
   (* on a cursor stall, prefer a lost thread sitting at a statically hot
      site: those are the only decision points whose order the search
      actually needs to explore *)
-  let pick_free ~stalled cands =
+  let pick_free ~stalled cands n =
     (* a stall (merged-order head present but not eligible) is expected
        under partial evidence, not divergence — but its frequency is
        exactly the cost of the lost node, so the trace counts it *)
     if stalled then Ddet_obs.Tracer.bump c_stalls 1;
-    let c = pick_where rng is_hot cands in
-    if c == no_cand then (Prng.pick rng cands).World.tid
+    let k = pick_where rng is_hot cands n in
+    if k < 0 then Prng.int rng n
     else begin
       Ddet_obs.Tracer.bump c_hot 1;
-      c.World.tid
+      k
     end
   in
   let advance (e : Event.t) =
@@ -605,11 +613,12 @@ let partial ?(steer = no_steer) ~seed log =
   let world =
     {
       World.pick_thread =
-        (fun ~step:_ cands ->
+        (fun ~step:_ cands n ->
           match !remaining with
           | (t, s) :: _ ->
-            if has_cand t s cands then t else pick_free ~stalled:true cands
-          | [] -> pick_free ~stalled:false cands);
+            let k = find_cand t s cands n 0 in
+            if k >= 0 then k else pick_free ~stalled:true cands n
+          | [] -> pick_free ~stalled:false cands n);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
           match pop inputs tid with

@@ -97,8 +97,12 @@ let value_budget =
 (* The one body of every random-restart driver: attempt [attempt] runs
    in the world and streaming abort [make ~attempt ~seed] builds from its
    seed (base seed + attempt), is accepted by [accept log], and a
-   rejected run is ranked by its closeness to the recording. The
-   recorded run's length is the attempt-cost estimate. *)
+   rejected run is ranked by its closeness to the recording. [accept log]
+   and [Constraints.closeness log] are applied once here, so they read
+   the log once per search; a driver whose abort checks outputs applies
+   [Constraints.output_prefix_abort log] once too, and builds each
+   attempt's fresh check from it. The recorded run's length is the
+   attempt-cost estimate. *)
 let restarts model ~budget ~jobs ?checkpoint ?resume ~accept ~make labeled
     ~spec log =
   Search.random_restarts ~jobs ?est_attempt_steps:(est_of log) ?checkpoint
@@ -132,10 +136,10 @@ let output_det ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint
       ~accept:(Constraints.outputs_match log) labeled
     |> of_search "output"
   else
+    let prefix_abort = Constraints.output_prefix_abort log in
     restarts "output" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
       ~accept:Constraints.outputs_match ~make:(fun ~attempt:_ ~seed ->
-        ( env_world log (World.random ~seed),
-          Some (Constraints.output_prefix_abort log) ))
+        (env_world log (World.random ~seed), Some (prefix_abort ())))
 
 let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint
     ?resume ?priority labeled ~spec log =
@@ -152,13 +156,12 @@ let failure_det ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint
 
 let sync_det ?(budget = Search.default_budget) ?(jobs = 1) ?checkpoint ?resume
     labeled ~spec log =
+  let prefix_abort = Constraints.output_prefix_abort log in
   restarts "sync" ~budget ~jobs ?checkpoint ?resume labeled ~spec log
     ~accept:Constraints.outputs_match ~make:(fun ~attempt:_ ~seed ->
       let handle = Oracle.sync ~seed log in
       ( handle.Oracle.world,
-        Some
-          (Constraints.both handle.Oracle.abort
-             (Constraints.output_prefix_abort log)) ))
+        Some (Constraints.both handle.Oracle.abort (prefix_abort ())) ))
 
 (* An attempt the oracle aborted is rejected whatever the log holds
    ([Constraints.failure_reproduced]).

@@ -495,18 +495,30 @@ let run ?(max_steps = 200_000) ?(monitors = []) ?abort ?cancel
       | [] ->
         let alive = Vec.exists (fun th -> th.frames <> []) threads in
         if alive then finish Deadlock else finish Done
-      | cands -> (
-        let tid = world.World.pick_thread ~step:!step_count cands in
-        match Vec.get threads tid with
-        | exception Invalid_argument _ ->
-          invalid_arg "Interp: world picked an unknown thread"
-        | th ->
-          if not (List.exists (fun c -> c.World.tid = tid) cands) then
-            invalid_arg "Interp: world picked a non-candidate thread";
-          exec_step th;
-          incr step_count;
-          loop ()))
+      | cands ->
+        (* the world picks by index from an array of the fresh list *)
+        let arr = Array.of_list cands in
+        let n = Array.length arr in
+        let k = world.World.pick_thread ~step:!step_count arr n in
+        if k < 0 || k >= n then
+          invalid_arg "Interp: world picked a non-candidate thread";
+        exec_step (Vec.get threads arr.(k).World.tid);
+        incr step_count;
+        loop ())
   in
   try loop () with
   | Crash_at (sid, msg) -> finish (Crashed (Failure.Crash { sid; msg }))
   | Abort_exn reason -> finish (Aborted reason)
+
+(* A list-form pick, which reads the candidates as a list and answers a
+   tid (the shape worlds had before they picked by index), as an index
+   pick: the list is the array's first [n] candidates in order, and the
+   tid maps back to its candidate's index, or to -1, which both
+   interpreters refuse, when no candidate has it. The reference oracles
+   keep their list logic behind it. *)
+let pick_by_tid pick ~step (cands : World.cand array) n =
+  let tid = pick ~step (Array.to_list (Array.sub cands 0 n)) in
+  let rec index k =
+    if k = n then -1 else if cands.(k).World.tid = tid then k else index (k + 1)
+  in
+  index 0

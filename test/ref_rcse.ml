@@ -194,7 +194,7 @@ let rcse ?(strict = true) ~seed log =
   in
   let world =
     {
-      World.pick_thread;
+      World.pick_thread = Ref_interp.pick_by_tid pick_thread;
       pick_input;
       on_read = (fun ~step:_ ~tid:_ ~sid:_ ~region:_ ~index:_ ~actual -> actual);
       on_recv = (fun ~step:_ ~tid:_ ~sid:_ ~chan:_ ~actual -> actual);

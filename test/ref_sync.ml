@@ -114,13 +114,13 @@ let sync ~seed log =
   let world =
     {
       World.pick_thread =
-        (fun ~step:_ cands ->
-          let t = pick_where rng allowed cands in
-          if t >= 0 then t
-          else begin
-            violated_set := true;
-            (Prng.pick rng cands).World.tid
-          end);
+        Ref_interp.pick_by_tid (fun ~step:_ cands ->
+            let t = pick_where rng allowed cands in
+            if t >= 0 then t
+            else begin
+              violated_set := true;
+              (Prng.pick rng cands).World.tid
+            end);
       pick_input =
         (fun ~step:_ ~tid ~chan:_ ~domain ->
           match pop inputs tid with

@@ -142,6 +142,28 @@ let test_prng_stream_pinned () =
       (max_int, [ 709070576; 457746305; 727620844; 805444455; 799274113 ]);
     ]
 
+(* [Prng.int] keeps the low bits for a power-of-two bound and divides
+   for any other: the value must be the division's for every bound. The
+   reference is the draw [Prng.int] made with a division for every bound,
+   splitmix64 written out, stepped in lock step with the generator. *)
+let test_prng_int_is_mod () =
+  for seed = 1 to 1_000 do
+    let rng = Prng.create seed and state = ref (Int64.of_int seed) in
+    for bound = 1 to 64 do
+      let open Int64 in
+      let z = add !state 0x9E3779B97F4A7C15L in
+      state := z;
+      let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+      let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+      let z = logxor z (shift_right_logical z 31) in
+      let expected = Stdlib.( mod ) (to_int (shift_right_logical z 2)) bound in
+      let got = Prng.int rng bound in
+      if got <> expected then
+        Alcotest.failf "seed %d, bound %d: Prng.int %d, the division %d" seed
+          bound got expected
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Vec *)
 
@@ -827,6 +849,20 @@ let same_result name (a : Interp.result) (b : Interp.result) =
   Alcotest.(check bool) (name ^ ": outputs") true (a.outputs = b.outputs);
   Alcotest.(check bool) (name ^ ": failure") true (a.failure = b.failure)
 
+(* the channels [prog] sends on *)
+let sent_chans prog =
+  Ast.fold_stmts
+    (fun acc _ (st : Ast.stmt) ->
+      match st.Ast.node with
+      | Ast.Send (c, _) when not (List.mem c acc) -> c :: acc
+      | _ -> acc)
+    [] prog
+
+(* Every world shape picks by index from the interpreter's array: the
+   round-robin and random worlds, a prioritized one (hot at every third
+   site), and a random one under a plan that stalls thread 1, crashes
+   thread 2 and duplicates on every sent channel, which compacts the
+   live candidates into its own array and may force any receive. *)
 let check_parity ?(seeds = [ 1; 2; 3; 4; 5 ]) (labeled : Label.labeled) =
   let c = Interp.compile labeled in
   let name = labeled.Label.prog.Ast.name in
@@ -835,13 +871,22 @@ let check_parity ?(seeds = [ 1; 2; 3; 4; 5 ]) (labeled : Label.labeled) =
     let r_c = Interp.run_compiled ~max_steps:50_000 c (world_of ()) in
     same_result name r_ast r_c
   in
+  let faults sd =
+    Fault.make ~seed:sd
+      (Fault.stall ~tid:1 ~from_step:2 ~until_step:12
+      :: Fault.crash ~tid:2 ~at_step:15
+      :: List.map (Fault.duplicate ~prob:0.3) (sent_chans labeled.Label.prog))
+  in
   go (fun () -> World.round_robin ());
   List.iter
     (fun sd ->
       go (fun () -> World.random ~seed:sd);
       (* the uncached candidate path (a world that may force anything)
          must agree too *)
-      go (fun () -> { (World.random ~seed:sd) with World.forcing = World.Anything }))
+      go (fun () -> { (World.random ~seed:sd) with World.forcing = World.Anything });
+      go (fun () ->
+          World.prioritized ~seed:sd ~prefer:(fun cd -> cd.World.sid mod 3 = 0));
+      go (fun () -> Fault.inject (faults sd) (World.random ~seed:sd)))
     seeds
 
 let sink_prog =
@@ -962,6 +1007,28 @@ let unit_reads_prog =
     ]
 
 let test_compiled_parity_sink () = check_parity sink_prog
+
+(* A world's answer is an index into the candidates it was handed: one
+   outside [0, n) raises [Invalid_argument] on both interpreters, at the
+   first step or a later one. *)
+let test_out_of_range_pick () =
+  List.iter
+    (fun (what, pick) ->
+      let world () = { (World.random ~seed:1) with World.pick_thread = pick } in
+      List.iter
+        (fun (interp, run) ->
+          match run (world ()) with
+          | (_ : Interp.result) ->
+            Alcotest.failf "%s: a world answering %s ran" interp what
+          | exception Invalid_argument _ -> ())
+        [
+          ("compiled", fun w -> Interp.run sink_prog w);
+          ("walker", fun w -> Ref_interp.run sink_prog w);
+        ])
+    [
+      ("-1 at step 0", fun ~step:_ _ _ -> -1);
+      ("n at step 3", fun ~step _ n -> if step = 3 then n else 0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The forcing promise (World.forcing): what may wake a blocked receive
@@ -1185,6 +1252,8 @@ let () =
             test_fault_coins_pinned;
           Alcotest.test_case "stream pinned by value" `Quick
             test_prng_stream_pinned;
+          Alcotest.test_case "int equals the division's draw, bounds 1-64" `Quick
+            test_prng_int_is_mod;
         ] );
       ( "vec",
         [
@@ -1301,6 +1370,8 @@ let () =
             test_compile_cache_bounded;
           Alcotest.test_case "a domain compiles its own copy" `Quick
             test_compile_per_domain;
+          Alcotest.test_case "a pick outside the candidates is refused" `Quick
+            test_out_of_range_pick;
         ] );
       ( "forcing",
         [

@@ -45,6 +45,19 @@ let test_ring_drop_accuracy_qcheck =
       let expect = List.init cap (fun k -> string_of_int (extra + k + 1)) in
       T.length t = cap && T.dropped t = extra && names = expect)
 
+(* With no tracer installed an instrumentation hook is one ref read: a
+   count by name resolves no handle and allocates nothing. *)
+let test_disabled_count_allocates_nothing () =
+  let saved = T.current () in
+  T.set_current None;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    T.count "search.aborted" 1
+  done;
+  let words = Gc.minor_words () -. before in
+  T.set_current saved;
+  Alcotest.(check (float 0.)) "10,000 Tracer.count with no tracer" 0. words
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -431,6 +444,8 @@ let () =
           QCheck_alcotest.to_alcotest test_ring_drop_accuracy_qcheck;
           Alcotest.test_case "masked render elides wall time" `Quick
             test_masking;
+          Alcotest.test_case "a count with no tracer allocates nothing" `Quick
+            test_disabled_count_allocates_nothing;
         ] );
       ( "determinism",
         [

@@ -125,7 +125,7 @@ let prop_output_constraint_reflexive =
     ~count:60 ~print:print_scenario scenario_gen (fun (pseed, wseed) ->
       let labeled = program_of pseed in
       let original, log = record_run Recorder.output labeled wseed in
-      let abort = Constraints.output_prefix_abort log in
+      let abort = Constraints.output_prefix_abort log () in
       let streaming_ok = ref true in
       Trace.iter
         (fun e -> if abort e <> None then streaming_ok := false)
@@ -959,7 +959,7 @@ let oracle_cases =
       o_env = false;
       o_abort =
         (fun log h ->
-          Constraints.both h.Oracle.abort (Constraints.output_prefix_abort log));
+          Constraints.both h.Oracle.abort (Constraints.output_prefix_abort log ()));
     };
     {
       o_name = "rcse strict";
@@ -1026,12 +1026,14 @@ let prop_oracle_parity =
       same_run lib reference
       && lib_h.Oracle.violated () = ref_h.Oracle.violated ())
 
-(* The candidate contract: the compiled interpreter hands each world one
-   record per thread and moves it in place, so what a world may rely on
-   is what it reads inside [pick_thread]. A wrapper copies out the
-   (tid, sid, fname) of every candidate in each call; the copies from
-   the compiled interpreter must equal the reference walker's, which
-   builds fresh records at every step. Programs are Proggen's and the
+(* The candidate contract: the compiled interpreter hands each world its
+   own array, whose first [n] slots are the candidates, and one record
+   per thread that it moves in place, so what a world may rely on is
+   what it reads inside [pick_thread]. A wrapper copies out the
+   (tid, sid, fname) of each of those [n] candidates in each call; the
+   copies from the compiled interpreter must equal the reference
+   walker's, which builds fresh records and a fresh array at every
+   step. Programs are Proggen's and the
    parity apps; worlds are a random one ([Never]), value replay of the
    run's own recording ([Own_steps]: it forces receives) and a random
    one under a plan duplicating on every sent channel ([Anything]: a
@@ -1039,9 +1041,9 @@ let prop_oracle_parity =
 let snapshotting (w : World.t) =
   let snaps = ref [] in
   let snapshot (c : World.cand) = (c.World.tid, c.World.sid, c.World.fname) in
-  let pick_thread ~step cands =
-    snaps := List.map snapshot cands :: !snaps;
-    w.World.pick_thread ~step cands
+  let pick_thread ~step cands n =
+    snaps := List.init n (fun k -> snapshot cands.(k)) :: !snaps;
+    w.World.pick_thread ~step cands n
   in
   ({ w with World.pick_thread }, fun () -> List.rev !snaps)
 
@@ -1100,33 +1102,54 @@ let prop_candidate_snapshots =
 
 (* Allocation per step of a production run (the run and its judging by
    the app's spec), over seeds 1-8 after a warm-up run that compiles the
-   program. The candidate records, the candidate list and the PRNG
+   program. The candidate records, the candidate array and the PRNG
    allocate nothing per step; what is left is the trace's events and the
    values the program computes. Adder's and bufover's runs are 5-20
    steps, so their per-run set-up outweighs any per-step cost and they
    are not bounded here. *)
 let words_per_step_bound = 24.
 
+let production_alloc_case ?faults ~what app =
+  Alcotest.test_case
+    (Printf.sprintf "%s: at most %.0f minor words per step" what
+       words_per_step_bound)
+    `Quick (fun () ->
+      ignore (Ddet_apps.App.production_run ?faults app ~seed:1);
+      let steps = ref 0 in
+      let before = Gc.minor_words () in
+      for seed = 1 to 8 do
+        steps :=
+          !steps + (Ddet_apps.App.production_run ?faults app ~seed).Interp.steps
+      done;
+      let per_step = (Gc.minor_words () -. before) /. float_of_int !steps in
+      if per_step > words_per_step_bound then
+        Alcotest.failf "%.1f minor words per step over %d steps" per_step !steps)
+
 let alloc_cases =
   List.map
     (fun ai ->
       let app = parity_apps.(ai) in
-      Alcotest.test_case
-        (Printf.sprintf "%s production run: at most %.0f minor words per step"
-           app.Ddet_apps.App.name words_per_step_bound)
-        `Quick (fun () ->
-          ignore (Ddet_apps.App.production_run app ~seed:1);
-          let steps = ref 0 in
-          let before = Gc.minor_words () in
-          for seed = 1 to 8 do
-            steps :=
-              !steps + (Ddet_apps.App.production_run app ~seed).Interp.steps
-          done;
-          let per_step = (Gc.minor_words () -. before) /. float_of_int !steps in
-          if per_step > words_per_step_bound then
-            Alcotest.failf "%.1f minor words per step over %d steps" per_step
-              !steps))
+      production_alloc_case app
+        ~what:(app.Ddet_apps.App.name ^ " production run"))
     [ 0; 1; 2 ]
+
+(* Cloudstore under the generic parity plan's Stall and Crash clauses: a
+   step with a descheduled thread among the candidates hands the wrapped
+   world the live ones, compacted into scratch the scheduler reuses, so
+   it allocates no more than any other step. *)
+let desched_alloc_case =
+  let app = parity_apps.(1) in
+  let generic = (parity_plans app).(1) in
+  let desched =
+    List.filter
+      (function Fault.Stall _ | Fault.Crash _ -> true | _ -> false)
+      generic.Fault.faults
+  in
+  production_alloc_case app
+    ~faults:{ generic with Fault.faults = desched }
+    ~what:
+      (app.Ddet_apps.App.name
+     ^ " production run under the parity plan's stall and crash clauses")
 
 (* Allocation per step of a recording above the production run of the
    same seed, over seeds 1-8 after a warm-up recording. *)
@@ -1208,9 +1231,9 @@ let sync_lockstep labeled ~seed log =
     {
       lw with
       World.pick_thread =
-        (fun ~step cands ->
-          let a = lw.World.pick_thread ~step cands in
-          let b = rw.World.pick_thread ~step cands in
+        (fun ~step cands n ->
+          let a = lw.World.pick_thread ~step cands n in
+          let b = rw.World.pick_thread ~step cands n in
           if a <> b then differ (Printf.sprintf "step %d: picks %d and %d" step a b);
           a);
       pick_input =
@@ -1237,7 +1260,7 @@ let sync_lockstep labeled ~seed log =
   in
   let r =
     Interp.run ~max_steps:oracle_max_steps
-      ~abort:(Constraints.both verdicts (Constraints.output_prefix_abort log))
+      ~abort:(Constraints.both verdicts (Constraints.output_prefix_abort log ()))
       labeled world
   in
   if lib.Oracle.violated () <> reference.Oracle.violated () then
@@ -1644,7 +1667,9 @@ let () =
             prop_scalar_reconstruction;
           ] );
       ("vec", List.map to_alcotest [ prop_vec_models_list ]);
-      ("alloc", alloc_cases @ rcse_alloc_cases @ governed_alloc_cases);
+      ( "alloc",
+        alloc_cases @ rcse_alloc_cases @ governed_alloc_cases
+        @ [ desched_alloc_case ] );
       ("crash-tolerance", List.map to_alcotest [ prop_resume_parity ]);
       ( "parallel",
         List.map to_alcotest

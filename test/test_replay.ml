@@ -153,7 +153,7 @@ let test_outputs_match () =
 
 let test_output_prefix_abort_fires () =
   let _, log = record_counter 1 Recorder.output in
-  let abort = Constraints.output_prefix_abort log in
+  let abort = Constraints.output_prefix_abort log () in
   let bad =
     {
       Event.step = 0; tid = 0; sid = 1; fname = "main";
@@ -164,7 +164,7 @@ let test_output_prefix_abort_fires () =
 
 let test_output_prefix_accepts_match () =
   let r, log = record_counter 1 Recorder.output in
-  let abort = Constraints.output_prefix_abort log in
+  let abort = Constraints.output_prefix_abort log () in
   let ok = ref true in
   Trace.iter (fun e -> if abort e <> None then ok := false) r.Interp.trace;
   Alcotest.(check bool) "own trace passes" true !ok

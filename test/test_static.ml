@@ -509,11 +509,11 @@ let test_by_site_selector () =
 
 let test_prioritized_world () =
   let mk tid sid = World.cand ~tid ~sid ~fname:"f" in
-  let cands = [ mk 0 10; mk 1 20 ] in
+  let cands = [| mk 0 10; mk 1 20 |] in
   let w = World.prioritized ~seed:42 ~prefer:(fun c -> c.World.sid = 20) in
   let hot = ref 0 in
   for _ = 1 to 1000 do
-    if w.World.pick_thread ~step:0 cands = 1 then incr hot
+    if w.World.pick_thread ~step:0 cands 2 = 1 then incr hot
   done;
   Alcotest.(check bool)
     (Printf.sprintf "suspect thread strongly preferred (%d/1000)" !hot)
@@ -522,14 +522,14 @@ let test_prioritized_world () =
   (* same seed, same decisions *)
   let run seed =
     let w = World.prioritized ~seed ~prefer:(fun c -> c.World.sid = 20) in
-    List.init 50 (fun _ -> w.World.pick_thread ~step:0 cands)
+    List.init 50 (fun _ -> w.World.pick_thread ~step:0 cands 2)
   in
   Alcotest.(check (list int)) "deterministic in the seed" (run 7) (run 7);
   (* no hot candidates: still picks everything eventually *)
   let w = World.prioritized ~seed:1 ~prefer:(fun _ -> false) in
   let seen = Array.make 2 false in
   for _ = 1 to 100 do
-    seen.(w.World.pick_thread ~step:0 cands) <- true
+    seen.(w.World.pick_thread ~step:0 cands 2) <- true
   done;
   Alcotest.(check bool) "uniform fallback reaches all threads" true
     (seen.(0) && seen.(1))
